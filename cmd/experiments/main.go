@@ -62,7 +62,7 @@ func main() {
 		"revoked_all", len(r.RevokedAll), "key_compromise", len(r.KeyComp),
 		"registrant_change", len(r.RegChange), "managed_tls", len(r.Managed))
 	if *stages {
-		fmt.Fprint(os.Stderr, r.Trace.Render())
+		fmt.Fprint(os.Stderr, r.StageTree().Render())
 	}
 
 	switch {

@@ -45,9 +45,9 @@
 //	/fleet/traces/{id}  one stitched trace as a span tree + its correlated log lines
 //	/fleet/logs         merged per-daemon log rings, time-ordered and instance-labelled
 //	                    (?level=, ?trace=, ?since=, ?q=, ?limit=, ?job=, ?instance=)
-//	/fleet/slo          per-job SLO burn rates, budget remaining and firing severities
 //	/fleet/query        expression queries over the TSDB: ?query= with ?time=
-//	                    (instant) or ?start=&end=&step= (range)
+//	                    (instant) or ?start=&end=&step= (range); the fleet's SLO
+//	                    posture is `max by (job, slo, window) (slo_burn_rate)`
 //	/healthz            liveness
 //	/readyz             ready once the first scrape round completes
 package main
@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"stalecert/internal/obs"
+	"stalecert/internal/obsagg"
 	"stalecert/internal/resil"
 )
 
@@ -75,28 +76,28 @@ func main() {
 	fleetBuffer := flag.Int("fleet-trace-buffer", 512, "stitched traces retained in the fleet view")
 	alertRearm := flag.Duration("alert-rearm", 5*time.Minute,
 		"quiet period after which a still-active slow-trace, SLO burn or error-burst alert re-fires (0 = once ever)")
-	fleetLogBuffer := flag.Int("fleet-log-buffer", obs.DefaultFleetLogBuffer,
+	fleetLogBuffer := flag.Int("fleet-log-buffer", obsagg.DefaultFleetLogBuffer,
 		"merged log records retained in the fleet view")
 	errorBurst := flag.Float64("error-burst-threshold", 1,
 		"per-job error-log records/second (from federated log_records_total) that raises a fleet alert (0 disables)")
-	tsdbRetention := flag.Duration("tsdb-retention", obs.DefaultTSDBRetention,
+	tsdbRetention := flag.Duration("tsdb-retention", obsagg.DefaultTSDBRetention,
 		"how much per-series history the fleet TSDB retains (also the staleness window for vanished targets)")
-	tsdbMaxSeries := flag.Int("tsdb-max-series", obs.DefaultTSDBMaxSeries,
+	tsdbMaxSeries := flag.Int("tsdb-max-series", obsagg.DefaultTSDBMaxSeries,
 		"cap on live TSDB series; appends past it are dropped and counted")
-	var recordingRules []obs.RecordingRule
+	var recordingRules []obsagg.RecordingRule
 	flag.Func("record", "recording rule name=expr, evaluated each round into the TSDB (repeatable)",
 		func(spec string) error {
-			r, err := obs.ParseRecordingRule(spec)
+			r, err := obsagg.ParseRecordingRule(spec)
 			if err != nil {
 				return err
 			}
 			recordingRules = append(recordingRules, r)
 			return nil
 		})
-	var alertRules []obs.AlertRule
+	var alertRules []obsagg.AlertRule
 	flag.Func("alert-rule", "alert rule name=expr, logged and counted while breaching (repeatable)",
 		func(spec string) error {
-			r, err := obs.ParseAlertRule(spec)
+			r, err := obsagg.ParseAlertRule(spec)
 			if err != nil {
 				return err
 			}
@@ -114,13 +115,13 @@ func main() {
 		logger.Error("-targets is required (job=URL,...)")
 		os.Exit(2)
 	}
-	parsed, err := obs.ParseTargets(*targets)
+	parsed, err := obsagg.ParseTargets(*targets)
 	if err != nil {
 		logger.Error("bad -targets", "err", err)
 		os.Exit(2)
 	}
 
-	agg := &obs.Aggregator{
+	agg := &obsagg.Aggregator{
 		Targets:             parsed,
 		Logger:              logger,
 		ErrorRateThreshold:  *threshold,
@@ -129,7 +130,7 @@ func main() {
 		AlertRearm:          *alertRearm,
 		FleetLogBuffer:      *fleetLogBuffer,
 		ErrorBurstThreshold: *errorBurst,
-		TSDB:                &obs.TSDB{Retention: *tsdbRetention, MaxSeries: *tsdbMaxSeries},
+		TSDB:                &obsagg.TSDB{Retention: *tsdbRetention, MaxSeries: *tsdbMaxSeries},
 		RecordingRules:      recordingRules,
 		AlertRules:          alertRules,
 		SelfJob:             "obsagg",
@@ -155,7 +156,7 @@ func main() {
 
 	logger.Info("serving federated metrics", "targets", len(parsed), "addr", *addr,
 		"interval", interval.String(),
-		"endpoints", "/metrics /fleet /fleet/traces /fleet/traces/{id} /fleet/logs /fleet/slo /fleet/query /healthz /readyz")
+		"endpoints", "/metrics /fleet /fleet/traces /fleet/traces/{id} /fleet/logs /fleet/query /healthz /readyz")
 
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errc := make(chan error, 1)

@@ -74,7 +74,7 @@ func main() {
 	if *asJSON {
 		rep := jsonReport{
 			Domains:      r.World.DomainCount(),
-			Stages:       r.Trace.JSON(),
+			Stages:       r.StageTree(),
 			Certificates: r.Corpus.Len(),
 			Detections:   map[string]int{},
 			DailyE2LDs:   map[string]float64{},
@@ -115,5 +115,5 @@ func main() {
 	fmt.Printf("90-day cap: overall staleness-day reduction %.1f%%\n", h.OverallDayReductionPct)
 	fmt.Println()
 	fmt.Println("pipeline stages:")
-	fmt.Print(r.Trace.Render())
+	fmt.Print(r.StageTree().Render())
 }

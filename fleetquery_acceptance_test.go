@@ -27,6 +27,7 @@ import (
 
 	"stalecert/internal/loadgen"
 	"stalecert/internal/obs"
+	"stalecert/internal/obsagg"
 )
 
 // queriedDaemon is one in-process daemon: instrumented API surface plus the
@@ -136,8 +137,8 @@ func TestFleetQueryAcceptance(t *testing.T) {
 	})
 	api := newQueriedDaemon(t, "staleapid", apiMux)
 
-	agg := &obs.Aggregator{
-		Targets: []obs.Target{
+	agg := &obsagg.Aggregator{
+		Targets: []obsagg.Target{
 			{Job: "staleapid", URL: api.debug.URL},
 			{Job: "ctlogd", URL: ct.debug.URL},
 		},
@@ -145,7 +146,7 @@ func TestFleetQueryAcceptance(t *testing.T) {
 		Logger:              slog.New(slog.NewTextHandler(io.Discard, nil)),
 		ErrorBurstThreshold: 5,
 		AlertRearm:          time.Hour,
-		TSDB:                &obs.TSDB{Retention: time.Minute, StaleAfter: time.Second},
+		TSDB:                &obsagg.TSDB{Retention: time.Minute, StaleAfter: time.Second},
 	}
 	aggSrv := httptest.NewServer(agg.Handler())
 	defer aggSrv.Close()

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"stalecert/internal/obs"
+	"stalecert/internal/obsagg"
 	"stalecert/internal/x509sim"
 )
 
@@ -127,8 +128,8 @@ func TestObservabilityFederationEndToEnd(t *testing.T) {
 	}
 
 	// obsagg-style aggregator federates the daemon's debug surface.
-	agg := &obs.Aggregator{
-		Targets:  []obs.Target{{Job: "ctlogd", URL: debugSrv.URL}},
+	agg := &obsagg.Aggregator{
+		Targets:  []obsagg.Target{{Job: "ctlogd", URL: debugSrv.URL}},
 		Registry: obs.NewRegistry(),
 		SelfJob:  "obsagg",
 	}

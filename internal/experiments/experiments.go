@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"math/rand"
+	"time"
 
 	"stalecert/internal/cdn"
 	"stalecert/internal/core"
@@ -37,49 +38,71 @@ type Results struct {
 	RegWindow     simtime.Span
 	ManagedWindow simtime.Span
 
-	// Trace is the per-stage timing tree for the run (world build, corpus
-	// indexing, and the three detectors). cmd/staled emits it in -json output.
-	Trace *obs.Trace
+	// Stages are the run's timing spans: the root "pipeline" stage first,
+	// then one per stage in run order (world build, corpus indexing, and the
+	// three detectors). StageTree is the view cmd/staled -json emits.
+	Stages []obs.SpanRecord
 }
 
-// newPipelineTrace creates a trace whose day ranges render as calendar dates.
-func newPipelineTrace() *obs.Trace {
-	tr := obs.NewTrace("pipeline")
-	tr.FormatDay = func(d int) string { return simtime.Day(d).String() }
-	return tr
+// StageTree renders Stages as the per-stage timing tree.
+func (r *Results) StageTree() obs.StageJSON {
+	return obs.StageView(obs.BuildSpanTree(r.Stages)[0])
+}
+
+// pipeline times one run: a freshly minted trace whose local root is the
+// "pipeline" stage, with every stage opened under it.
+type pipeline struct {
+	id     obs.RequestID
+	stages []obs.SpanRecord // stages[0] is the root
+}
+
+func newPipeline() *pipeline {
+	id := obs.NewRequestID()
+	return &pipeline{id: id, stages: []obs.SpanRecord{{TraceID: id.Trace(), SpanID: id.Span(),
+		Service: "experiments", Name: "pipeline", Kind: obs.SpanStage, Start: time.Now()}}}
+}
+
+func (p *pipeline) start(name string) *obs.SpanRecord {
+	return obs.StartStage(p.id, "experiments", name)
+}
+
+func (p *pipeline) end(sp *obs.SpanRecord, items int, days simtime.Span) {
+	sp.Items = int64(items)
+	if days != (simtime.Span{}) {
+		sp.Days = days.Start.String() + ".." + days.End.String()
+	}
+	sp.End()
+	p.stages = append(p.stages, *sp)
 }
 
 // Run executes the world simulation and all three detection pipelines.
 func Run(s worldsim.Scenario) *Results {
-	tr := newPipelineTrace()
-	sp := tr.StartSpan("world_build")
-	sp.SetDays(int(s.Start), int(s.End))
+	p := newPipeline()
+	sp := p.start("world_build")
 	w := worldsim.NewWorld(s)
 	w.Run()
-	sp.End()
-	return detect(w, tr)
+	p.end(sp, 0, simtime.Span{Start: s.Start, End: s.End})
+	return detect(w, p)
 }
 
 // Detect runs the measurement pipelines over an already-simulated world.
 func Detect(w *worldsim.World) *Results {
-	return detect(w, newPipelineTrace())
+	return detect(w, newPipeline())
 }
 
-func detect(w *worldsim.World, tr *obs.Trace) *Results {
-	r := &Results{World: w, Trace: tr}
+func detect(w *worldsim.World, p *pipeline) *Results {
+	r := &Results{World: w}
 
-	sp := tr.StartSpan("ct_dedup")
+	sp := p.start("ct_dedup")
 	certs, dstats := w.Logs.Dedup()
 	r.CTDedupStats.Raw = dstats.RawEntries
 	r.CTDedupStats.Unique = dstats.Unique
 	r.CTDedupStats.PrecertMerged = dstats.PrecertMerged
-	sp.AddItems(int(dstats.RawEntries))
-	sp.End()
+	p.end(sp, dstats.RawEntries, simtime.Span{})
 
-	sp = tr.StartSpan("corpus_index")
+	sp = p.start("corpus_index")
 	r.Corpus = core.NewCorpus(certs, core.CorpusOptions{PSL: w.PSL})
-	sp.AddItems(len(certs))
-	sp.End()
+	p.end(sp, len(certs), simtime.Span{})
 
 	// Pipeline 1: revocations joined against CT with the §4.1 filters.
 	cutoff := core.RevocationFilterCutoff
@@ -88,39 +111,35 @@ func detect(w *worldsim.World, tr *obs.Trace) *Results {
 		// months before the collection window, as the paper did.
 		cutoff = w.S.CRLWindow.Start - 396
 	}
-	sp = tr.StartSpan("detect_revoked")
+	sp = p.start("detect_revoked")
 	r.RevokedAll, r.RevStats = core.DetectRevoked(r.Corpus, w.RevocationEntries(), cutoff)
 	r.KeyComp = core.SplitKeyCompromise(r.RevokedAll)
 	r.RevWindow = simtime.Span{Start: cutoff, End: w.S.CRLWindow.End}
-	sp.AddItems(len(r.RevokedAll))
-	sp.SetDays(int(r.RevWindow.Start), int(r.RevWindow.End))
-	sp.End()
+	p.end(sp, len(r.RevokedAll), r.RevWindow)
 
 	// Pipeline 2: registrant change from the WHOIS archive.
-	sp = tr.StartSpan("detect_registrant_change")
+	sp = p.start("detect_registrant_change")
 	rereg := w.Whois.ReRegistrations()
 	r.RegChange = core.DetectRegistrantChange(r.Corpus, rereg)
 	r.RegWindow = regWindow(r.RegChange, w.S.WHOISWindow)
-	sp.AddItems(len(r.RegChange))
-	sp.SetDays(int(r.RegWindow.Start), int(r.RegWindow.End))
-	sp.End()
+	p.end(sp, len(r.RegChange), r.RegWindow)
 
 	// Pipeline 3: managed TLS departure from daily aDNS diffs.
-	sp = tr.StartSpan("detect_managed_tls")
+	sp = p.start("detect_managed_tls")
 	isManaged := func(c *x509sim.Certificate) bool {
 		return cdn.HasMarkerSAN(c, "cloudflaressl.com")
 	}
 	r.Managed = core.DetectManagedTLSDeparture(r.Corpus, w.ADNS.Departures(), isManaged)
 	r.ManagedWindow = w.S.ADNSWindow
-	sp.AddItems(len(r.Managed))
-	sp.SetDays(int(r.ManagedWindow.Start), int(r.ManagedWindow.End))
-	sp.End()
+	p.end(sp, len(r.Managed), r.ManagedWindow)
 
-	tr.End()
-	// Mirror the stage tree into the process span store (when tracing is on)
-	// so a batch run's pipeline timings are queryable at /v1/traces like any
-	// served request; the zero RequestID mints a fresh trace rooted here.
-	tr.Record(nil, obs.RequestID{}, "experiments")
+	// The root stage is the trace's local root: recording it makes the span
+	// store's keep/drop decision (when tracing is on), so a batch run's
+	// pipeline timings are queryable at /v1/traces like any served request.
+	root := &p.stages[0]
+	root.Duration = time.Since(root.Start)
+	obs.DefaultSpans().RecordRoot(*root)
+	r.Stages = p.stages
 	return r
 }
 

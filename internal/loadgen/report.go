@@ -81,6 +81,10 @@ type BenchReport struct {
 	Config        BenchConfig               `json:"config"`
 	Totals        EndpointReport            `json:"totals"`
 	Endpoints     map[string]EndpointReport `json:"endpoints"`
+	// MeasuredS is the post-warm-up window the requests and every qps above
+	// cover (0 in files written before it existed, whose qps divide the
+	// post-warm-up count by the whole run: 180 for 200 offered at -warmup 0.1).
+	MeasuredS float64 `json:"measured_s"`
 	// Dropped counts open-loop tickets never dispatched (generator
 	// overload); a comparable run has 0.
 	Dropped uint64 `json:"dropped"`
@@ -93,7 +97,7 @@ type BenchReport struct {
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-func summarize(st *OpStats, elapsed time.Duration) EndpointReport {
+func summarize(st *OpStats, measured time.Duration) EndpointReport {
 	rep := EndpointReport{
 		Requests: st.Count,
 		Errors:   st.Errors,
@@ -110,8 +114,8 @@ func summarize(st *OpStats, elapsed time.Duration) EndpointReport {
 	if st.Count > 0 {
 		rep.ErrorRate = float64(st.Errors) / float64(st.Count)
 	}
-	if elapsed > 0 {
-		rep.QPS = float64(st.Count) / elapsed.Seconds()
+	if measured > 0 {
+		rep.QPS = float64(st.Count) / measured.Seconds()
 	}
 	return rep
 }
@@ -133,12 +137,13 @@ func BuildReport(res *Result, scenario, gitSHA, mix string, zipfS float64, zipfN
 			ZipfN:     zipfN,
 			Mix:       mix,
 		},
-		Totals:    summarize(res.Total, res.Elapsed),
+		Totals:    summarize(res.Total, res.Measured),
 		Endpoints: make(map[string]EndpointReport, len(res.PerOp)),
+		MeasuredS: res.Measured.Seconds(),
 		Dropped:   res.Dropped,
 	}
 	for name, st := range res.PerOp {
-		rep.Endpoints[name] = summarize(st, res.Elapsed)
+		rep.Endpoints[name] = summarize(st, res.Measured)
 	}
 	return rep
 }

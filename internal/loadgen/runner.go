@@ -58,9 +58,12 @@ type OpStats struct {
 
 // Result is one finished load run.
 type Result struct {
-	Config      Config
-	Began       time.Time
-	Elapsed     time.Duration
+	Config  Config
+	Began   time.Time
+	Elapsed time.Duration
+	// Measured is the part of Elapsed after the warm-up: the window the
+	// recorded samples, and so every rate derived from them, cover.
+	Measured    time.Duration
 	PerOp       map[string]*OpStats
 	Total       *OpStats // all ops merged
 	AchievedQPS float64
@@ -138,7 +141,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	began := time.Now()
 	deadline := began.Add(cfg.Duration)
-	warmupUntil := began.Add(time.Duration(cfg.WarmupFrac * float64(cfg.Duration)))
+	warmup := time.Duration(cfg.WarmupFrac * float64(cfg.Duration))
+	warmupUntil := began.Add(warmup)
 
 	states := make([]*workerState, cfg.Workers)
 	var wg sync.WaitGroup
@@ -228,12 +232,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	elapsed := time.Since(began)
 
 	res := &Result{
-		Config:  cfg,
-		Began:   began,
-		Elapsed: elapsed,
-		PerOp:   make(map[string]*OpStats, len(cfg.Ops)),
-		Total:   &OpStats{Name: "total", Latency: NewHist()},
-		Dropped: dropped,
+		Config:   cfg,
+		Began:    began,
+		Elapsed:  elapsed,
+		Measured: elapsed - warmup,
+		PerOp:    make(map[string]*OpStats, len(cfg.Ops)),
+		Total:    &OpStats{Name: "total", Latency: NewHist()},
+		Dropped:  dropped,
 	}
 	for _, op := range cfg.Ops {
 		merged := &OpStats{Name: op.Name, Latency: NewHist()}
@@ -250,8 +255,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.Total.Bytes += merged.Bytes
 		res.Total.Latency.Merge(merged.Latency)
 	}
-	if elapsed > 0 {
-		res.AchievedQPS = float64(res.Total.Count) / elapsed.Seconds()
+	if res.Measured > 0 {
+		res.AchievedQPS = float64(res.Total.Count) / res.Measured.Seconds()
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,6 +83,43 @@ func TestRunOpenLoopSchedulesLatency(t *testing.T) {
 	// later requests the backlog-inflated latency far exceeds service time.
 	if maxLat := res.Total.Latency.Max(); maxLat < 150*time.Millisecond {
 		t.Errorf("max recorded latency %v; want backlog-inflated latency >> 50ms service time", maxLat)
+	}
+}
+
+// TestRunWarmupWindow: warm-up samples are dropped from the counts, so the
+// rates must divide by the window that is left, not the whole run. Dividing
+// by the full elapsed time read 180 QPS for every 200 offered at a 0.1
+// warm-up. The check is arithmetic, not a wall-clock tolerance, so a loaded
+// machine cannot fail it.
+func TestRunWarmupWindow(t *testing.T) {
+	cfg := Config{
+		Mode:       ModeOpen,
+		QPS:        500,
+		Duration:   400 * time.Millisecond,
+		Workers:    4,
+		Seed:       1,
+		WarmupFrac: 0.1,
+		Ops:        []Op{{Name: "null", Weight: 1, Do: func(context.Context) (int64, error) { return 0, nil }}},
+	}
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := res.Elapsed - 40*time.Millisecond
+	if res.Measured != window {
+		t.Errorf("measured window %v, want elapsed %v minus the 40ms warm-up", res.Measured, res.Elapsed)
+	}
+	if res.Total.Count == 0 {
+		t.Fatal("no request counted after the warm-up")
+	}
+	want := float64(res.Total.Count) / window.Seconds()
+	if math.Abs(res.AchievedQPS-want) > 1e-6 {
+		t.Errorf("achieved %.2f QPS, want %d requests / %v = %.2f", res.AchievedQPS, res.Total.Count, window, want)
+	}
+	rep := BuildReport(res, "unit-test", "abc1234", "null=1", 1.1, 100)
+	if rep.MeasuredS != window.Seconds() || rep.Totals.QPS != res.AchievedQPS || rep.Endpoints["null"].QPS != res.AchievedQPS {
+		t.Errorf("report measured_s %.3f, totals %.2f QPS, endpoint %.2f QPS; want %.3f s and %.2f QPS",
+			rep.MeasuredS, rep.Totals.QPS, rep.Endpoints["null"].QPS, window.Seconds(), res.AchievedQPS)
 	}
 }
 

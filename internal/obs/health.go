@@ -140,6 +140,10 @@ func IsDegraded(err error) bool {
 	return errors.As(err, &de)
 }
 
+// StaleEvidenceHeader marks a response that includes last-good data for an
+// upstream that is currently failing; the value names the stale sources.
+const StaleEvidenceHeader = "X-Stale-Evidence"
+
 // Ready is a settable readiness condition: it starts failing with a reason
 // and flips healthy once OK (or Fail with a new error) is called. Register
 // its Probe with a Health and call OK when initialisation finishes.

@@ -6,11 +6,9 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 )
 
@@ -69,61 +67,15 @@ func HandlerFor(r *Registry, health *Health) http.Handler {
 	return mux
 }
 
-// WriteProm writes the registry snapshot in Prometheus text format.
-func WriteProm(w io.Writer, r *Registry) { WriteSamples(w, r.Snapshot()) }
-
-// WriteSamples writes samples (sorted by family then labels, as Snapshot and
-// ParseProm return them) in Prometheus text format. Consecutive samples of
-// one family share a single TYPE comment.
-func WriteSamples(w io.Writer, samples []Sample) {
-	lastFamily := ""
-	for _, s := range samples {
-		if s.Name != lastFamily {
-			fmt.Fprintf(w, "# TYPE %s %s\n", s.Name, s.Kind)
-			lastFamily = s.Name
-		}
-		switch s.Kind {
-		case KindCounter, KindGauge:
-			fmt.Fprintf(w, "%s%s %s\n", s.Name, s.Labels, formatFloat(s.Value))
-		case KindHistogram:
-			for _, b := range s.Buckets {
-				if b.Exemplar != nil {
-					// OpenMetrics exemplar syntax: the bucket's last sampled
-					// observation with the trace ID it can be explained by.
-					fmt.Fprintf(w, "%s_bucket%s %d # {trace_id=\"%s\"} %s\n",
-						s.Name, withLE(s.Labels, b.UpperBound), b.Count,
-						escapeLabelValue(b.Exemplar.TraceID), formatFloat(b.Exemplar.Value))
-					continue
-				}
-				fmt.Fprintf(w, "%s_bucket%s %d\n", s.Name, withLE(s.Labels, b.UpperBound), b.Count)
-			}
-			fmt.Fprintf(w, "%s_sum%s %s\n", s.Name, s.Labels, formatFloat(s.Sum))
-			fmt.Fprintf(w, "%s_count%s %d\n", s.Name, s.Labels, s.Count)
-		}
-	}
-}
-
-// withLE splices the le label into an existing label set.
-func withLE(labels string, bound float64) string {
-	le := `le="` + formatLE(bound) + `"`
-	if labels == "" {
-		return "{" + le + "}"
-	}
-	return labels[:len(labels)-1] + "," + le + "}"
-}
-
-func formatLE(bound float64) string {
-	if math.IsInf(bound, 1) {
-		return "+Inf"
-	}
-	return formatFloat(bound)
-}
-
-func formatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// WriteJSON answers with v as 2-space-indented JSON under the given status:
+// the one encoding of every indented JSON body the fleet serves (staleapid
+// and stalegw verdicts, trace listings and trees).
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // writeVars emits expvar-compatible JSON: the process's published expvars
@@ -147,9 +99,9 @@ func writeVars(w io.Writer, r *Registry) {
 		key, _ := json.Marshal(s.FullName())
 		switch s.Kind {
 		case KindCounter, KindGauge:
-			fmt.Fprintf(w, "%s: %s", key, formatFloat(s.Value))
+			fmt.Fprintf(w, "%s: %s", key, FormatFloat(s.Value))
 		case KindHistogram:
-			fmt.Fprintf(w, "%s: {\"count\": %d, \"sum\": %s}", key, s.Count, formatFloat(s.Sum))
+			fmt.Fprintf(w, "%s: {\"count\": %d, \"sum\": %s}", key, s.Count, FormatFloat(s.Sum))
 		}
 	}
 	fmt.Fprintf(w, "\n}\n")

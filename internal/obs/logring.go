@@ -74,9 +74,9 @@ type LogFilter struct {
 	Instance string
 }
 
-// matches reports whether one record passes the filter (Limit excluded —
+// Matches reports whether one record passes the filter (Limit excluded —
 // callers trim after collecting).
-func (f LogFilter) matches(rec LogRecord) bool {
+func (f LogFilter) Matches(rec LogRecord) bool {
 	if f.LevelSet {
 		lv, err := ParseLogLevel(rec.Level)
 		if err != nil || lv < f.MinLevel {
@@ -213,7 +213,7 @@ func (r *LogRing) Query(f LogFilter) []LogRecord {
 	}
 	for i := 0; i < r.size; i++ {
 		rec := r.buf[(start+i)%len(r.buf)]
-		if f.matches(rec) {
+		if f.Matches(rec) {
 			out = append(out, rec)
 		}
 	}
@@ -462,10 +462,12 @@ func serveLogs(ring *LogRing, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeLogJSON(w, ring.Query(f))
+	WriteLogJSON(w, ring.Query(f))
 }
 
-func writeLogJSON(w http.ResponseWriter, recs []LogRecord) {
+// WriteLogJSON answers a log query with the records as one compact JSON
+// array ([] rather than null when empty), the /v1/logs and /fleet/logs body.
+func WriteLogJSON(w http.ResponseWriter, recs []LogRecord) {
 	if recs == nil {
 		recs = []LogRecord{}
 	}

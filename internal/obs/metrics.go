@@ -1,8 +1,10 @@
 // Package obs is the stdlib-only observability layer shared by every daemon
 // and pipeline stage: a lock-cheap metrics registry (counters, gauges,
-// log-bucketed histograms with labels), a nesting stage tracer, Prometheus /
-// expvar / pprof HTTP exposition, and slog setup. Instrumented packages use
-// the process-wide Default registry; tests can construct private registries.
+// log-bucketed histograms with labels), request middleware and a span store
+// for distributed traces, Prometheus / expvar / pprof HTTP exposition, and
+// slog setup. Instrumented packages use the process-wide Default registry;
+// tests can construct private registries. The fleet side — scraping,
+// federating and querying what these daemons expose — is internal/obsagg.
 package obs
 
 import (
@@ -277,7 +279,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labelPairs ...string
 }
 
 func (r *Registry) lookup(family string, kind Kind, bounds []float64, labelPairs []string) *metric {
-	labels := formatLabels(labelPairs)
+	labels := FormatLabels(labelPairs)
 	key := family + labels
 
 	r.mu.RLock()
@@ -316,55 +318,6 @@ func (r *Registry) lookup(family string, kind Kind, bounds []float64, labelPairs
 	r.metrics[key] = m
 	r.families[family] = kind
 	return m
-}
-
-// formatLabels renders label pairs as a deterministic Prometheus label set.
-func formatLabels(pairs []string) string {
-	if len(pairs) == 0 {
-		return ""
-	}
-	if len(pairs)%2 != 0 {
-		panic(fmt.Sprintf("obs: odd label pairs %q", pairs))
-	}
-	type kv struct{ k, v string }
-	kvs := make([]kv, 0, len(pairs)/2)
-	for i := 0; i < len(pairs); i += 2 {
-		kvs = append(kvs, kv{pairs[i], pairs[i+1]})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].k < kvs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range kvs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(p.k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(p.v))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }
 
 // BucketCount is one histogram bucket in a snapshot: the cumulative count of

@@ -19,7 +19,8 @@ import (
 // 5m+1h pair that pages on sharp burns, a slow 6h+3d pair that tickets on
 // sustained ones). Every daemon exposes the results as slo_burn_rate,
 // slo_error_budget_remaining and slo_alert_firing metric families; obsagg
-// federates them and serves the fleet view at /fleet/slo.
+// federates them into its TSDB, where /fleet/query answers fleet-wide SLO
+// questions and the fleet-slo-burn rule re-raises firing alerts.
 
 // SLOKind discriminates objective types.
 type SLOKind string

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -14,7 +13,7 @@ import (
 
 // This file implements distributed trace capture: a bounded per-process span
 // store fed by Middleware (server spans), Transport (client spans, one per
-// resilience attempt) and the Trace stage-tree adapter, with Dapper-style
+// resilience attempt) and StartStage (pipeline stages), with Dapper-style
 // tail-based sampling — the keep/drop decision is made when a trace's local
 // root span finishes, so error, degraded and slow traces are always kept
 // while the healthy bulk is sampled down. Kept traces are served on every
@@ -27,7 +26,7 @@ const (
 	SpanServer = "server" // one handled HTTP request (Middleware)
 	SpanClient = "client" // one outbound HTTP attempt (Transport)
 	SpanCall   = "call"   // one logical outbound call spanning its retry attempts (resil)
-	SpanStage  = "stage"  // one pipeline stage mirrored from a Trace
+	SpanStage  = "stage"  // one pipeline stage (StartStage)
 )
 
 // Keep reasons recorded on sampled traces.
@@ -53,6 +52,7 @@ type SpanRecord struct {
 	Status   int           `json:"status,omitempty"`
 	Attempt  int           `json:"attempt,omitempty"`
 	Items    int64         `json:"items,omitempty"`
+	Days     string        `json:"days,omitempty"` // simulated-day range a stage covered, caller-formatted
 	Err      string        `json:"err,omitempty"`
 }
 
@@ -222,7 +222,7 @@ func (s *SpanStore) Record(rec SpanRecord) {
 	if tr, ok := s.kept[rec.TraceID]; ok {
 		tr.Spans = append(tr.Spans, rec)
 		tr.Error = tr.Error || rec.failed()
-		tr.Services = mergeService(tr.Services, rec.Service)
+		tr.AddService(rec.Service)
 		return
 	}
 	s.addPendingLocked(rec)
@@ -243,7 +243,7 @@ func (s *SpanStore) RecordRoot(rec SpanRecord) bool {
 		// request after a 5xx attempt): append and extend the summary.
 		tr.Spans = append(tr.Spans, rec)
 		tr.Error = tr.Error || rec.failed()
-		tr.Services = mergeService(tr.Services, rec.Service)
+		tr.AddService(rec.Service)
 		if rec.Duration > tr.Duration {
 			tr.Duration = rec.Duration
 		}
@@ -282,7 +282,7 @@ func (s *SpanStore) RecordRoot(rec SpanRecord) bool {
 		Spans:      spans,
 	}
 	for _, sp := range spans {
-		tr.Services = mergeService(tr.Services, sp.Service)
+		tr.AddService(sp.Service)
 	}
 	s.kept[rec.TraceID] = tr
 	s.keptOrder = append(s.keptOrder, rec.TraceID)
@@ -322,18 +322,18 @@ func (s *SpanStore) dropPendingLocked(traceID string) {
 	}
 }
 
-func mergeService(services []string, svc string) []string {
+// AddService inserts svc into the record's sorted, duplicate-free Services.
+func (tr *TraceRecord) AddService(svc string) {
 	if svc == "" {
-		return services
+		return
 	}
-	i := sort.SearchStrings(services, svc)
-	if i < len(services) && services[i] == svc {
-		return services
+	i := sort.SearchStrings(tr.Services, svc)
+	if i < len(tr.Services) && tr.Services[i] == svc {
+		return
 	}
-	services = append(services, "")
-	copy(services[i+1:], services[i:])
-	services[i] = svc
-	return services
+	tr.Services = append(tr.Services, "")
+	copy(tr.Services[i+1:], tr.Services[i:])
+	tr.Services[i] = svc
 }
 
 // traceFrac maps a trace ID to a uniform fraction in [0,1). It is a pure
@@ -387,7 +387,7 @@ func (s *SpanStore) Traces(f TraceFilter) []TraceRecord {
 		if f.ErrorOnly && !tr.Error {
 			continue
 		}
-		out = append(out, copyTrace(tr, f.WithSpans))
+		out = append(out, tr.Copy(f.WithSpans))
 		if f.Limit > 0 && len(out) >= f.Limit {
 			break
 		}
@@ -406,7 +406,7 @@ func (s *SpanStore) Trace(id string) (TraceRecord, bool) {
 	if !ok {
 		return TraceRecord{}, false
 	}
-	return copyTrace(tr, true), true
+	return tr.Copy(true), true
 }
 
 // Len reports the number of kept traces.
@@ -419,7 +419,9 @@ func (s *SpanStore) Len() int {
 	return len(s.keptOrder)
 }
 
-func copyTrace(tr *TraceRecord, withSpans bool) TraceRecord {
+// Copy returns the record with its own Services slice and, when withSpans,
+// its own span list (nil otherwise), safe to hand out from under a lock.
+func (tr *TraceRecord) Copy(withSpans bool) TraceRecord {
 	out := *tr
 	out.Services = append([]string(nil), tr.Services...)
 	if withSpans {
@@ -460,10 +462,10 @@ func init() {
 	}))
 }
 
-// parseTraceFilter decodes the shared trace-listing query parameters
+// ParseTraceFilter decodes the shared trace-listing query parameters
 // (?route=, ?min_ms=, ?error=1, ?limit=, ?spans=1) used by both the
 // per-daemon /v1/traces and the fleet /fleet/traces listings.
-func parseTraceFilter(r *http.Request) (TraceFilter, error) {
+func ParseTraceFilter(r *http.Request) (TraceFilter, error) {
 	f := TraceFilter{
 		Route:     r.URL.Query().Get("route"),
 		ErrorOnly: r.URL.Query().Get("error") == "1",
@@ -491,12 +493,12 @@ func serveTraces(s *SpanStore, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tracing disabled", http.StatusNotFound)
 		return
 	}
-	f, err := parseTraceFilter(r)
+	f, err := ParseTraceFilter(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeTraceJSON(w, s.Traces(f))
+	WriteJSON(w, http.StatusOK, s.Traces(f))
 }
 
 func serveTraceTree(s *SpanStore, w http.ResponseWriter, r *http.Request) {
@@ -509,7 +511,7 @@ func serveTraceTree(s *SpanStore, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown trace", http.StatusNotFound)
 		return
 	}
-	writeTraceJSON(w, TraceTreeJSON{
+	WriteJSON(w, http.StatusOK, TraceTreeJSON{
 		TraceID:    tr.TraceID,
 		Duration:   tr.Duration,
 		Services:   tr.Services,
@@ -519,11 +521,4 @@ func serveTraceTree(s *SpanStore, w http.ResponseWriter, r *http.Request) {
 		// The local drill-down: this process's ring lines for the trace.
 		Logs: DefaultLogRing().Query(LogFilter{TraceID: tr.TraceID}),
 	})
-}
-
-func writeTraceJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

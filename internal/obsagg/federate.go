@@ -1,356 +1,25 @@
-package obs
+// Package obsagg is the fleet half of the observability stack, linked only
+// by cmd/obsagg: an Aggregator that scrapes every daemon's /metrics,
+// /v1/traces and /v1/logs, federates them under job/instance labels, keeps
+// the samples in a retention-bounded TSDB, answers PromQL-style queries over
+// it at /fleet/query, and evaluates recording and alert rules each round.
+// The per-daemon library it scrapes is internal/obs.
+package obsagg
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"stalecert/internal/obs"
 )
-
-// This file implements metrics federation: a parser for the Prometheus text
-// exposition format WriteProm emits, and an Aggregator that scrapes every
-// daemon's /metrics on an interval, merges the series under added
-// job/instance labels, and serves the combined fleet view.
-
-// ParseProm parses Prometheus text exposition format into samples, the
-// inverse of WriteSamples: counters and gauges become one sample each
-// (kind from the TYPE comment; untyped series parse as gauges), and
-// histogram _bucket/_sum/_count series are reassembled into one histogram
-// sample per label set. Label values are unescaped; returned samples are
-// sorted by family then labels with canonically re-rendered label sets, so
-// ParseProm(WriteProm(reg)) round-trips Snapshot exactly.
-func ParseProm(r io.Reader) ([]Sample, error) {
-	kinds := make(map[string]Kind)
-	type hkey struct{ family, labels string }
-	order := []string{}
-	flat := make(map[string]*Sample) // counters and gauges by family+labels
-	hists := make(map[hkey]*Sample)  // histograms being reassembled
-	horder := []hkey{}
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
-				switch fields[3] {
-				case "counter":
-					kinds[fields[2]] = KindCounter
-				case "gauge":
-					kinds[fields[2]] = KindGauge
-				case "histogram":
-					kinds[fields[2]] = KindHistogram
-				}
-			}
-			continue
-		}
-		name, labels, value, ex, err := parseSampleLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("obs: parse line %d: %w", lineNo, err)
-		}
-		if family, suffix := histogramFamily(name, kinds); family != "" {
-			pairs, err := labelPairs(labels)
-			if err != nil {
-				return nil, fmt.Errorf("obs: parse line %d: %w", lineNo, err)
-			}
-			le := ""
-			trimmed := pairs[:0]
-			for i := 0; i < len(pairs); i += 2 {
-				if pairs[i] == "le" {
-					le = pairs[i+1]
-					continue
-				}
-				trimmed = append(trimmed, pairs[i], pairs[i+1])
-			}
-			key := hkey{family, formatLabels(trimmed)}
-			h := hists[key]
-			if h == nil {
-				h = &Sample{Name: family, Labels: key.labels, Kind: KindHistogram}
-				hists[key] = h
-				horder = append(horder, key)
-			}
-			switch suffix {
-			case "_bucket":
-				if le == "" {
-					return nil, fmt.Errorf("obs: parse line %d: bucket without le label", lineNo)
-				}
-				bound := inf
-				if le != "+Inf" {
-					bound, err = strconv.ParseFloat(le, 64)
-					if err != nil {
-						return nil, fmt.Errorf("obs: parse line %d: bad le %q", lineNo, le)
-					}
-				}
-				h.Buckets = append(h.Buckets, BucketCount{UpperBound: bound, Count: uint64(value), Exemplar: ex})
-			case "_sum":
-				h.Sum = value
-			case "_count":
-				h.Count = uint64(value)
-			}
-			continue
-		}
-		kind, ok := kinds[name]
-		if !ok || kind == KindHistogram {
-			kind = KindGauge // untyped series read back as gauges
-		}
-		pairs, err := labelPairs(labels)
-		if err != nil {
-			return nil, fmt.Errorf("obs: parse line %d: %w", lineNo, err)
-		}
-		canonical := formatLabels(pairs)
-		key := name + canonical
-		if _, dup := flat[key]; !dup {
-			order = append(order, key)
-		}
-		flat[key] = &Sample{Name: name, Labels: canonical, Kind: kind, Value: value}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: scan exposition: %w", err)
-	}
-
-	out := make([]Sample, 0, len(order)+len(horder))
-	for _, k := range order {
-		out = append(out, *flat[k])
-	}
-	for _, k := range horder {
-		h := hists[k]
-		sort.Slice(h.Buckets, func(i, j int) bool { return h.Buckets[i].UpperBound < h.Buckets[j].UpperBound })
-		out = append(out, *h)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Labels < out[j].Labels
-	})
-	return out, nil
-}
-
-// histogramFamily reports whether name is a series of a family declared as a
-// histogram, returning the base family and the matched suffix.
-func histogramFamily(name string, kinds map[string]Kind) (family, suffix string) {
-	for _, s := range []string{"_bucket", "_sum", "_count"} {
-		base, ok := strings.CutSuffix(name, s)
-		if ok && kinds[base] == KindHistogram {
-			return base, s
-		}
-	}
-	return "", ""
-}
-
-// parseSampleLine splits `name{labels} value [# {exlabels} exvalue]` (labels
-// and exemplar optional) without breaking on escaped quotes or commas inside
-// label values.
-func parseSampleLine(line string) (name, labels string, value float64, ex *Exemplar, err error) {
-	rest := line
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		name = line[:i]
-		end := labelSetEnd(line[i:])
-		if end < 0 {
-			return "", "", 0, nil, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels = line[i : i+end+1]
-		rest = line[i+end+1:]
-	} else if sp := strings.IndexByte(line, ' '); sp >= 0 {
-		name = line[:sp]
-		rest = line[sp:]
-	} else {
-		return "", "", 0, nil, fmt.Errorf("no value in %q", line)
-	}
-	if name == "" {
-		return "", "", 0, nil, fmt.Errorf("no metric name in %q", line)
-	}
-	v := strings.TrimSpace(rest)
-	// OpenMetrics exemplar: everything after " # " ('#' cannot appear in a
-	// value or timestamp; label values were consumed above).
-	if i := strings.IndexByte(v, '#'); i >= 0 {
-		ex, err = parseExemplar(strings.TrimSpace(v[i+1:]))
-		if err != nil {
-			return "", "", 0, nil, err
-		}
-		v = strings.TrimSpace(v[:i])
-	}
-	// Prometheus allows an optional trailing timestamp; ignore it.
-	if sp := strings.IndexByte(v, ' '); sp >= 0 {
-		v = v[:sp]
-	}
-	value, err = parsePromFloat(v)
-	if err != nil {
-		return "", "", 0, nil, fmt.Errorf("bad value %q in %q", v, line)
-	}
-	return name, labels, value, ex, nil
-}
-
-// parseExemplar decodes `{trace_id="..."} value` after a bucket's `#`.
-func parseExemplar(s string) (*Exemplar, error) {
-	if !strings.HasPrefix(s, "{") {
-		return nil, fmt.Errorf("malformed exemplar %q", s)
-	}
-	end := labelSetEnd(s)
-	if end < 0 {
-		return nil, fmt.Errorf("unterminated exemplar label set in %q", s)
-	}
-	pairs, err := labelPairs(s[:end+1])
-	if err != nil {
-		return nil, err
-	}
-	ex := &Exemplar{}
-	for i := 0; i < len(pairs); i += 2 {
-		if pairs[i] == "trace_id" {
-			ex.TraceID = pairs[i+1]
-		}
-	}
-	v := strings.TrimSpace(s[end+1:])
-	if sp := strings.IndexByte(v, ' '); sp >= 0 {
-		v = v[:sp] // optional exemplar timestamp
-	}
-	if v == "" {
-		return nil, fmt.Errorf("exemplar without value in %q", s)
-	}
-	ex.Value, err = parsePromFloat(v)
-	if err != nil {
-		return nil, fmt.Errorf("bad exemplar value %q in %q", v, s)
-	}
-	return ex, nil
-}
-
-func parsePromFloat(v string) (float64, error) {
-	switch v {
-	case "+Inf", "Inf":
-		return math.Inf(1), nil
-	case "-Inf":
-		return math.Inf(-1), nil
-	}
-	return strconv.ParseFloat(v, 64)
-}
-
-// labelSetEnd returns the index of the closing '}' of a label set starting at
-// s[0] == '{', respecting quoted values with backslash escapes.
-func labelSetEnd(s string) int {
-	inQuote := false
-	for i := 1; i < len(s); i++ {
-		switch {
-		case inQuote && s[i] == '\\':
-			i++ // skip the escaped byte
-		case s[i] == '"':
-			inQuote = !inQuote
-		case !inQuote && s[i] == '}':
-			return i
-		}
-	}
-	return -1
-}
-
-// labelPairs decodes a rendered label set ("" or `{k="v",...}`) back into
-// unescaped key/value pairs.
-func labelPairs(labels string) ([]string, error) {
-	if labels == "" {
-		return nil, nil
-	}
-	if len(labels) < 2 || labels[0] != '{' || labels[len(labels)-1] != '}' {
-		return nil, fmt.Errorf("malformed label set %q", labels)
-	}
-	s := labels[1 : len(labels)-1]
-	var pairs []string
-	for len(s) > 0 {
-		eq := strings.IndexByte(s, '=')
-		if eq < 0 || len(s) < eq+2 || s[eq+1] != '"' {
-			return nil, fmt.Errorf("malformed label in %q", labels)
-		}
-		key := strings.TrimSpace(s[:eq])
-		rest := s[eq+2:]
-		var b strings.Builder
-		i := 0
-		closed := false
-		for i < len(rest) {
-			c := rest[i]
-			if c == '\\' && i+1 < len(rest) {
-				switch rest[i+1] {
-				case '\\':
-					b.WriteByte('\\')
-				case '"':
-					b.WriteByte('"')
-				case 'n':
-					b.WriteByte('\n')
-				default:
-					b.WriteByte(c)
-					b.WriteByte(rest[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				closed = true
-				i++
-				break
-			}
-			b.WriteByte(c)
-			i++
-		}
-		if !closed {
-			return nil, fmt.Errorf("unterminated value in %q", labels)
-		}
-		pairs = append(pairs, key, b.String())
-		s = rest[i:]
-		if strings.HasPrefix(s, ",") {
-			s = s[1:]
-		}
-	}
-	return pairs, nil
-}
-
-// WithLabels returns the sample with the given label pairs set (overriding
-// existing keys), re-rendered canonically.
-func WithLabels(s Sample, setPairs ...string) (Sample, error) {
-	pairs, err := labelPairs(s.Labels)
-	if err != nil {
-		return s, err
-	}
-	for i := 0; i < len(setPairs); i += 2 {
-		replaced := false
-		for j := 0; j < len(pairs); j += 2 {
-			if pairs[j] == setPairs[i] {
-				pairs[j+1] = setPairs[i+1]
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			pairs = append(pairs, setPairs[i], setPairs[i+1])
-		}
-	}
-	s.Labels = formatLabels(pairs)
-	return s, nil
-}
-
-// LabelValue extracts one label's (unescaped) value from a sample, or "".
-func LabelValue(s Sample, key string) string {
-	pairs, err := labelPairs(s.Labels)
-	if err != nil {
-		return ""
-	}
-	for i := 0; i < len(pairs); i += 2 {
-		if pairs[i] == key {
-			return pairs[i+1]
-		}
-	}
-	return ""
-}
 
 // Target is one daemon an Aggregator scrapes: Job names the service class
 // (ctlogd, crld, ...) and URL is the base of its debug listener; /metrics is
@@ -379,15 +48,15 @@ func ParseTargets(spec string) ([]Target, error) {
 		}
 		job, rawURL, ok := strings.Cut(part, "=")
 		if !ok || job == "" || rawURL == "" {
-			return nil, fmt.Errorf("obs: bad target %q (want job=URL)", part)
+			return nil, fmt.Errorf("obsagg: bad target %q (want job=URL)", part)
 		}
 		if _, err := url.Parse(rawURL); err != nil {
-			return nil, fmt.Errorf("obs: bad target URL %q: %w", rawURL, err)
+			return nil, fmt.Errorf("obsagg: bad target URL %q: %w", rawURL, err)
 		}
 		out = append(out, Target{Job: job, URL: rawURL})
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("obs: no targets in %q", spec)
+		return nil, fmt.Errorf("obsagg: no targets in %q", spec)
 	}
 	return out, nil
 }
@@ -414,7 +83,7 @@ type Aggregator struct {
 	// Client performs the scrapes; nil uses an instrumented client on reg.
 	Client *http.Client
 	// Registry receives the aggregator's own scrape metrics (nil: Default()).
-	Registry *Registry
+	Registry *obs.Registry
 	// Logger receives scrape-failure and error-rate alerts (nil: slog.Default()).
 	Logger *slog.Logger
 	// ErrorRateThreshold is the 5xx/total fraction per job above which an
@@ -453,12 +122,12 @@ type Aggregator struct {
 	Now func() time.Time
 
 	mu         sync.RWMutex
-	byJob      map[string][]Sample // target key -> relabelled samples
+	byJob      map[string][]obs.Sample // target key -> relabelled samples
 	states     map[string]*targetState
 	rounds     uint64
 	traces     map[string]*fleetTrace // trace ID -> stitched fleet trace
 	traceOrder []string
-	fleetLogs  []LogRecord // merged log records, time-ordered
+	fleetLogs  []obs.LogRecord // merged log records, time-ordered
 	logStates  map[string]*logTargetState
 	ruleAlerts map[string]time.Time // rule/key-labels -> last alert time
 }
@@ -470,11 +139,11 @@ func (a *Aggregator) now() time.Time {
 	return time.Now()
 }
 
-func (a *Aggregator) reg() *Registry {
+func (a *Aggregator) reg() *obs.Registry {
 	if a.Registry != nil {
 		return a.Registry
 	}
-	return Default()
+	return obs.Default()
 }
 
 func (a *Aggregator) logger() *slog.Logger {
@@ -488,7 +157,7 @@ func (a *Aggregator) client() *http.Client {
 	if a.Client != nil {
 		return a.Client
 	}
-	return NewHTTPClient(a.reg(), "obsagg")
+	return obs.NewHTTPClient(a.reg(), "obsagg")
 }
 
 // ScrapeOnce runs one scrape round over every target.
@@ -513,9 +182,9 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) {
 	}
 	if a.SelfJob != "" {
 		self := a.reg().Snapshot()
-		relabelled := make([]Sample, 0, len(self))
+		relabelled := make([]obs.Sample, 0, len(self))
 		for _, s := range self {
-			rs, err := WithLabels(s, "job", a.SelfJob, "instance", "self")
+			rs, err := obs.WithLabels(s, "job", a.SelfJob, "instance", "self")
 			if err != nil {
 				continue
 			}
@@ -539,7 +208,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) {
 	a.reg().Gauge("obsagg_tsdb_dropped_series").Set(float64(db.DroppedSeries()))
 }
 
-func (a *Aggregator) scrapeTarget(ctx context.Context, hc *http.Client, t Target) ([]Sample, error) {
+func (a *Aggregator) scrapeTarget(ctx context.Context, hc *http.Client, t Target) ([]obs.Sample, error) {
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, strings.TrimSuffix(t.URL, "/")+"/metrics", nil)
@@ -552,15 +221,15 @@ func (a *Aggregator) scrapeTarget(ctx context.Context, hc *http.Client, t Target
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: scrape %s: status %d", t.URL, resp.StatusCode)
+		return nil, fmt.Errorf("obsagg: scrape %s: status %d", t.URL, resp.StatusCode)
 	}
-	samples, err := ParseProm(resp.Body)
+	samples, err := obs.ParseProm(resp.Body)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Sample, 0, len(samples))
+	out := make([]obs.Sample, 0, len(samples))
 	for _, s := range samples {
-		rs, err := WithLabels(s, "job", t.Job, "instance", t.Instance())
+		rs, err := obs.WithLabels(s, "job", t.Job, "instance", t.Instance())
 		if err != nil {
 			return nil, err
 		}
@@ -571,14 +240,14 @@ func (a *Aggregator) scrapeTarget(ctx context.Context, hc *http.Client, t Target
 
 func (a *Aggregator) ensureMaps() {
 	if a.byJob == nil {
-		a.byJob = make(map[string][]Sample)
+		a.byJob = make(map[string][]obs.Sample)
 	}
 	if a.states == nil {
 		a.states = make(map[string]*targetState)
 	}
 }
 
-func (a *Aggregator) record(t Target, samples []Sample, err error) {
+func (a *Aggregator) record(t Target, samples []obs.Sample, err error) {
 	key := t.Job + "\x00" + t.Instance()
 	outcome := "ok"
 	db := a.tsdb()
@@ -643,10 +312,10 @@ func (a *Aggregator) Run(ctx context.Context, interval time.Duration) {
 }
 
 // Federated returns the merged fleet snapshot, sorted by family then labels.
-func (a *Aggregator) Federated() []Sample {
+func (a *Aggregator) Federated() []obs.Sample {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	var out []Sample
+	var out []obs.Sample
 	for _, samples := range a.byJob {
 		out = append(out, samples...)
 	}
@@ -686,15 +355,11 @@ func (a *Aggregator) Ready(context.Context) error {
 		return fmt.Errorf("no scrape round completed yet")
 	}
 	if down := a.DownTargets(); len(down) > 0 {
-		return Degraded(fmt.Errorf("serving last-good series for down targets: %s",
+		return obs.Degraded(fmt.Errorf("serving last-good series for down targets: %s",
 			strings.Join(down, ", ")))
 	}
 	return nil
 }
-
-// StaleEvidenceHeader marks a response that includes last-good data for an
-// upstream that is currently failing; the value names the stale sources.
-const StaleEvidenceHeader = "X-Stale-Evidence"
 
 // Handler serves the fleet surface:
 //
@@ -707,8 +372,6 @@ const StaleEvidenceHeader = "X-Stale-Evidence"
 //	/fleet/logs         merged, time-ordered, instance-labelled log records
 //	                    (same filters as the per-daemon /v1/logs, plus
 //	                    ?job= and ?instance=)
-//	/fleet/slo          per-job SLO burn rates, budget remaining and firing
-//	                    alerts digested from the federated slo_* series
 //	/fleet/query        instant (?query=&time=) and range (?start=&end=&step=)
 //	                    expression queries over the TSDB of every round's
 //	                    samples — Prometheus-shaped JSON answers
@@ -721,9 +384,9 @@ func (a *Aggregator) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if down := a.DownTargets(); len(down) > 0 {
-			w.Header().Set(StaleEvidenceHeader, strings.Join(down, ", "))
+			w.Header().Set(obs.StaleEvidenceHeader, strings.Join(down, ", "))
 		}
-		WriteSamples(w, a.Federated())
+		obs.WriteSamples(w, a.Federated())
 	})
 	mux.HandleFunc("GET /fleet", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -731,7 +394,6 @@ func (a *Aggregator) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /fleet/traces", a.handleFleetTraces)
 	mux.HandleFunc("GET /fleet/traces/{id}", a.handleFleetTrace)
-	mux.HandleFunc("GET /fleet/slo", a.handleFleetSLO)
 	mux.HandleFunc("GET /fleet/query", a.handleFleetQuery)
 	return mux
 }

@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"bytes"
@@ -8,103 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
 	"strings"
 	"testing"
+
+	"stalecert/internal/obs"
 )
-
-// TestParsePromRoundTripsWriteProm is the federation contract: everything our
-// exposition writer emits — counters, gauges, labelled histograms, and label
-// values containing backslashes, quotes and newlines — must parse back into
-// the identical sample list.
-func TestParsePromRoundTripsWriteProm(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("plain_total").Add(42)
-	reg.Counter("evil_total", "path", `C:\temp\"quoted"`, "msg", "line1\nline2").Inc()
-	reg.Counter("evil_total", "path", `trailing\`, "msg", `say "hi"`).Add(7)
-	reg.Gauge("temp_celsius", "room", "server\nroom").Set(21.5)
-	h := reg.Histogram("req_seconds", []float64{0.1, 1, 10}, "svc", `a\b"c`)
-	for _, v := range []float64{0.05, 0.5, 5, 50} {
-		h.Observe(v)
-	}
-
-	var buf bytes.Buffer
-	WriteProm(&buf, reg)
-	got, err := ParseProm(&buf)
-	if err != nil {
-		t.Fatalf("ParseProm: %v\nexposition:\n%s", err, buf.String())
-	}
-	want := reg.Snapshot()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch\ngot:  %+v\nwant: %+v\nexposition:\n%s", got, want, buf.String())
-	}
-
-	// Second generation: re-render the parsed samples and parse again.
-	var buf2 bytes.Buffer
-	WriteSamples(&buf2, got)
-	got2, err := ParseProm(&buf2)
-	if err != nil {
-		t.Fatalf("second-generation ParseProm: %v", err)
-	}
-	if !reflect.DeepEqual(got2, want) {
-		t.Fatal("second-generation round trip diverged")
-	}
-}
-
-func TestParsePromUntypedAndTimestamps(t *testing.T) {
-	input := "some_metric{a=\"b\"} 3 1700000000\nbare_value 2.5\n"
-	samples, err := ParseProm(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 2 {
-		t.Fatalf("samples = %+v", samples)
-	}
-	if samples[0].Name != "bare_value" || samples[0].Kind != KindGauge || samples[0].Value != 2.5 {
-		t.Errorf("bare sample = %+v", samples[0])
-	}
-	if samples[1].Value != 3 {
-		t.Errorf("timestamped sample = %+v", samples[1])
-	}
-}
-
-func TestParsePromRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"no_value_here\n",
-		"unterminated{a=\"b 3\n",
-		"bad_value{} xyz\n",
-	} {
-		if _, err := ParseProm(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseProm(%q) succeeded, want error", bad)
-		}
-	}
-}
-
-func TestWithLabelsAndLabelValue(t *testing.T) {
-	s := Sample{Name: "m", Labels: `{code="2xx",svc="x"}`}
-	out, err := WithLabels(s, "job", "ctlogd", "svc", "y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Labels != `{code="2xx",job="ctlogd",svc="y"}` {
-		t.Errorf("labels = %s", out.Labels)
-	}
-	if LabelValue(out, "job") != "ctlogd" || LabelValue(out, "code") != "2xx" {
-		t.Errorf("LabelValue lookup failed on %s", out.Labels)
-	}
-	if LabelValue(out, "absent") != "" {
-		t.Error("absent label should be empty")
-	}
-	// Escaped values survive the relabelling round trip.
-	evil := Sample{Name: "m", Labels: formatLabels([]string{"p", "a\\b\n\"c\""})}
-	out, err = WithLabels(evil, "job", "j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if LabelValue(out, "p") != "a\\b\n\"c\"" {
-		t.Errorf("escaped value corrupted: %q", LabelValue(out, "p"))
-	}
-}
 
 func TestParseTargets(t *testing.T) {
 	targets, err := ParseTargets("ctlogd=http://127.0.0.1:9090, crld=http://127.0.0.1:9091")
@@ -125,14 +33,14 @@ func TestParseTargets(t *testing.T) {
 }
 
 func TestAggregatorFederatesAndRelabels(t *testing.T) {
-	remote := NewRegistry()
+	remote := obs.NewRegistry()
 	remote.Counter("http_requests_total", "service", "ctlogd", "route", "/ct/v1/get-sth", "code", "2xx").Add(5)
-	ts := httptest.NewServer(HandlerFor(remote, NewHealth()))
+	ts := httptest.NewServer(obs.HandlerFor(remote, obs.NewHealth()))
 	defer ts.Close()
 
 	agg := &Aggregator{
 		Targets:  []Target{{Job: "ctlogd", URL: ts.URL}},
-		Registry: NewRegistry(),
+		Registry: obs.NewRegistry(),
 		SelfJob:  "obsagg",
 	}
 	if err := agg.Ready(context.Background()); err == nil {
@@ -147,16 +55,16 @@ func TestAggregatorFederatesAndRelabels(t *testing.T) {
 	fed := agg.Federated()
 	var found, selfFound bool
 	for _, s := range fed {
-		if s.Name == "http_requests_total" && LabelValue(s, "job") == "ctlogd" {
+		if s.Name == "http_requests_total" && obs.LabelValue(s, "job") == "ctlogd" {
 			found = true
-			if LabelValue(s, "instance") != u.Host {
-				t.Errorf("instance = %q, want %q", LabelValue(s, "instance"), u.Host)
+			if obs.LabelValue(s, "instance") != u.Host {
+				t.Errorf("instance = %q, want %q", obs.LabelValue(s, "instance"), u.Host)
 			}
 			if s.Value != 5 {
 				t.Errorf("federated value = %v, want 5", s.Value)
 			}
 		}
-		if LabelValue(s, "job") == "obsagg" && s.Name == "obsagg_scrapes_total" {
+		if obs.LabelValue(s, "job") == "obsagg" && s.Name == "obsagg_scrapes_total" {
 			selfFound = true
 		}
 	}
@@ -169,22 +77,22 @@ func TestAggregatorFederatesAndRelabels(t *testing.T) {
 
 	// The federated exposition itself must parse (federation is composable).
 	var buf bytes.Buffer
-	WriteSamples(&buf, fed)
-	if _, err := ParseProm(&buf); err != nil {
+	obs.WriteSamples(&buf, fed)
+	if _, err := obs.ParseProm(&buf); err != nil {
 		t.Fatalf("federated exposition does not re-parse: %v", err)
 	}
 }
 
 func TestAggregatorScrapeFailureKeepsLastGoodAndAlerts(t *testing.T) {
-	remote := NewRegistry()
+	remote := obs.NewRegistry()
 	remote.Counter("up_total").Inc()
-	ts := httptest.NewServer(HandlerFor(remote, NewHealth()))
+	ts := httptest.NewServer(obs.HandlerFor(remote, obs.NewHealth()))
 
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
 	agg := &Aggregator{
 		Targets:  []Target{{Job: "ctlogd", URL: ts.URL}},
-		Registry: NewRegistry(),
+		Registry: obs.NewRegistry(),
 		Logger:   logger,
 	}
 	agg.ScrapeOnce(context.Background())
@@ -208,7 +116,7 @@ func TestAggregatorScrapeFailureKeepsLastGoodAndAlerts(t *testing.T) {
 	var okCount, errCount float64
 	for _, s := range snap {
 		if s.Name == "obsagg_scrapes_total" {
-			switch LabelValue(s, "outcome") {
+			switch obs.LabelValue(s, "outcome") {
 			case "ok":
 				okCount = s.Value
 			case "error":
@@ -222,16 +130,16 @@ func TestAggregatorScrapeFailureKeepsLastGoodAndAlerts(t *testing.T) {
 }
 
 func TestAggregatorErrorRateAlert(t *testing.T) {
-	remote := NewRegistry()
+	remote := obs.NewRegistry()
 	remote.Counter("http_requests_total", "service", "crld", "route", "/crl/{ca}", "code", "2xx").Add(1)
 	remote.Counter("http_requests_total", "service", "crld", "route", "/crl/{ca}", "code", "5xx").Add(9)
-	ts := httptest.NewServer(HandlerFor(remote, NewHealth()))
+	ts := httptest.NewServer(obs.HandlerFor(remote, obs.NewHealth()))
 	defer ts.Close()
 
 	var logBuf bytes.Buffer
 	agg := &Aggregator{
 		Targets:            []Target{{Job: "crld", URL: ts.URL}},
-		Registry:           NewRegistry(),
+		Registry:           obs.NewRegistry(),
 		Logger:             slog.New(slog.NewTextHandler(&logBuf, nil)),
 		ErrorRateThreshold: 0.5,
 	}
@@ -242,14 +150,14 @@ func TestAggregatorErrorRateAlert(t *testing.T) {
 }
 
 func TestAggregatorFleetSummary(t *testing.T) {
-	remote := NewRegistry()
+	remote := obs.NewRegistry()
 	remote.Counter("x_total").Inc()
-	ts := httptest.NewServer(HandlerFor(remote, NewHealth()))
+	ts := httptest.NewServer(obs.HandlerFor(remote, obs.NewHealth()))
 	defer ts.Close()
 
 	agg := &Aggregator{
 		Targets:  []Target{{Job: "ctlogd", URL: ts.URL}},
-		Registry: NewRegistry(),
+		Registry: obs.NewRegistry(),
 	}
 	agg.ScrapeOnce(context.Background())
 

@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 // This file implements fleet log aggregation: the Aggregator scrapes every
@@ -39,7 +41,7 @@ type logTargetState struct {
 
 // scrapeLogs fetches one target's fresh log records; targets running without
 // a ring (-log-buffer=0 or an older build) answer 404 and are skipped.
-func (a *Aggregator) scrapeLogs(ctx context.Context, hc *http.Client, t Target) ([]LogRecord, error) {
+func (a *Aggregator) scrapeLogs(ctx context.Context, hc *http.Client, t Target) ([]obs.LogRecord, error) {
 	key := t.Job + "\x00" + t.Instance()
 	a.mu.RLock()
 	var since time.Time
@@ -67,11 +69,11 @@ func (a *Aggregator) scrapeLogs(ctx context.Context, hc *http.Client, t Target) 
 		return nil, nil // log ring disabled on this target
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: scrape logs %s: status %d", t.URL, resp.StatusCode)
+		return nil, fmt.Errorf("obsagg: scrape logs %s: status %d", t.URL, resp.StatusCode)
 	}
-	var recs []LogRecord
+	var recs []obs.LogRecord
 	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("obs: decode logs from %s: %w", t.URL, err)
+		return nil, fmt.Errorf("obsagg: decode logs from %s: %w", t.URL, err)
 	}
 	return recs, nil
 }
@@ -82,7 +84,7 @@ func (a *Aggregator) scrapeLogs(ctx context.Context, hc *http.Client, t Target) 
 // re-sorted by record time — so /fleet/logs reads chronologically even when
 // instances' clocks or scrape rounds are skewed — and trimmed oldest-first
 // to the buffer bound.
-func (a *Aggregator) mergeLogs(t Target, recs []LogRecord) {
+func (a *Aggregator) mergeLogs(t Target, recs []obs.LogRecord) {
 	if len(recs) == 0 {
 		return
 	}
@@ -148,17 +150,17 @@ func (a *Aggregator) mergeLogs(t Target, recs []LogRecord) {
 		max = DefaultFleetLogBuffer
 	}
 	if len(a.fleetLogs) > max {
-		a.fleetLogs = append([]LogRecord(nil), a.fleetLogs[len(a.fleetLogs)-max:]...)
+		a.fleetLogs = append([]obs.LogRecord(nil), a.fleetLogs[len(a.fleetLogs)-max:]...)
 	}
 }
 
 // FleetLogs returns merged records in time order under the filter.
-func (a *Aggregator) FleetLogs(f LogFilter) []LogRecord {
+func (a *Aggregator) FleetLogs(f obs.LogFilter) []obs.LogRecord {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	out := make([]LogRecord, 0, len(a.fleetLogs))
+	out := make([]obs.LogRecord, 0, len(a.fleetLogs))
 	for _, r := range a.fleetLogs {
-		if f.matches(r) {
+		if f.Matches(r) {
 			out = append(out, r)
 		}
 	}
@@ -176,12 +178,12 @@ func (a *Aggregator) FleetLogCount() int {
 }
 
 func (a *Aggregator) handleFleetLogs(w http.ResponseWriter, r *http.Request) {
-	f, err := ParseLogFilter(r)
+	f, err := obs.ParseLogFilter(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeLogJSON(w, a.FleetLogs(f))
+	obs.WriteLogJSON(w, a.FleetLogs(f))
 }
 
 // The fleet error-burst alert is the built-in "fleet-error-burst" rule on
@@ -195,6 +197,6 @@ func (a *Aggregator) handleFleetLogs(w http.ResponseWriter, r *http.Request) {
 
 // FleetTraceLogs returns the merged log records correlated to one trace ID,
 // in time order — the drill-down /fleet/traces/{id} embeds.
-func (a *Aggregator) FleetTraceLogs(traceID string) []LogRecord {
-	return a.FleetLogs(LogFilter{TraceID: traceID})
+func (a *Aggregator) FleetTraceLogs(traceID string) []obs.LogRecord {
+	return a.FleetLogs(obs.LogFilter{TraceID: traceID})
 }

@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 func quietLogger() *slog.Logger {
@@ -16,7 +18,7 @@ func quietLogger() *slog.Logger {
 }
 
 func TestMergeLogsOrderingAcrossSkewedInstances(t *testing.T) {
-	a := &Aggregator{Registry: NewRegistry(), Logger: quietLogger()}
+	a := &Aggregator{Registry: obs.NewRegistry(), Logger: quietLogger()}
 	t1 := Target{Job: "ctlogd", URL: "http://a:1"}
 	t2 := Target{Job: "staleapid", URL: "http://b:2"}
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
@@ -24,18 +26,18 @@ func TestMergeLogsOrderingAcrossSkewedInstances(t *testing.T) {
 	// ctlogd's scrape arrives first but its records interleave in time with
 	// staleapid's: the merged view must read chronologically regardless of
 	// scrape order.
-	a.mergeLogs(t1, []LogRecord{
+	a.mergeLogs(t1, []obs.LogRecord{
 		{Seq: 1, Time: base.Add(1 * time.Second), Level: "INFO", Msg: "ct-1"},
 		{Seq: 2, Time: base.Add(4 * time.Second), Level: "INFO", Msg: "ct-2"},
 	})
-	a.mergeLogs(t2, []LogRecord{
+	a.mergeLogs(t2, []obs.LogRecord{
 		{Seq: 1, Time: base, Level: "INFO", Msg: "api-1"},
 		{Seq: 2, Time: base.Add(2 * time.Second), Level: "INFO", Msg: "api-2"},
 		{Seq: 3, Time: base.Add(3 * time.Second), Level: "INFO", Msg: "api-3"},
 	})
 
 	var got []string
-	for _, r := range a.FleetLogs(LogFilter{}) {
+	for _, r := range a.FleetLogs(obs.LogFilter{}) {
 		got = append(got, r.Msg)
 	}
 	want := []string{"api-1", "ct-1", "api-2", "api-3", "ct-2"}
@@ -48,25 +50,25 @@ func TestMergeLogsOrderingAcrossSkewedInstances(t *testing.T) {
 		}
 	}
 	// Records carry the aggregator-assigned job/instance labels.
-	recs := a.FleetLogs(LogFilter{Job: "ctlogd"})
+	recs := a.FleetLogs(obs.LogFilter{Job: "ctlogd"})
 	if len(recs) != 2 || recs[0].Instance != t1.Instance() {
 		t.Errorf("job filter: %+v", recs)
 	}
 }
 
 func TestMergeLogsDedupAndRestartReset(t *testing.T) {
-	a := &Aggregator{Registry: NewRegistry(), Logger: quietLogger()}
+	a := &Aggregator{Registry: obs.NewRegistry(), Logger: quietLogger()}
 	tgt := Target{Job: "crld", URL: "http://c:3"}
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 
-	batch := []LogRecord{
+	batch := []obs.LogRecord{
 		{Seq: 5, Time: base, Level: "INFO", Msg: "one"},
 		{Seq: 6, Time: base.Add(time.Second), Level: "INFO", Msg: "two"},
 	}
 	a.mergeLogs(tgt, batch)
 	// Scrape overlap re-delivers the same records plus one new one: only the
 	// new record lands.
-	a.mergeLogs(tgt, append(batch, LogRecord{Seq: 7, Time: base.Add(2 * time.Second), Level: "INFO", Msg: "three"}))
+	a.mergeLogs(tgt, append(batch, obs.LogRecord{Seq: 7, Time: base.Add(2 * time.Second), Level: "INFO", Msg: "three"}))
 	if got := a.FleetLogCount(); got != 3 {
 		t.Fatalf("after overlap re-scrape: %d records, want 3", got)
 	}
@@ -74,47 +76,48 @@ func TestMergeLogsDedupAndRestartReset(t *testing.T) {
 	// The daemon restarts: sequence numbers start over. The batch's newest
 	// seq (2) below the high-water mark (7) resets the mark so the fresh
 	// process's records are kept.
-	a.mergeLogs(tgt, []LogRecord{
+	a.mergeLogs(tgt, []obs.LogRecord{
 		{Seq: 1, Time: base.Add(3 * time.Second), Level: "INFO", Msg: "reborn"},
 		{Seq: 2, Time: base.Add(4 * time.Second), Level: "INFO", Msg: "again"},
 	})
 	if got := a.FleetLogCount(); got != 5 {
 		t.Fatalf("after restart: %d records, want 5", got)
 	}
-	recs := a.FleetLogs(LogFilter{})
+	recs := a.FleetLogs(obs.LogFilter{})
 	if recs[len(recs)-1].Msg != "again" {
 		t.Errorf("restart records missing: %+v", recs)
 	}
 }
 
 func TestMergeLogsBufferTrim(t *testing.T) {
-	a := &Aggregator{Registry: NewRegistry(), Logger: quietLogger(), FleetLogBuffer: 3}
+	a := &Aggregator{Registry: obs.NewRegistry(), Logger: quietLogger(), FleetLogBuffer: 3}
 	tgt := Target{Job: "ctlogd", URL: "http://a:1"}
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	var recs []LogRecord
+	var recs []obs.LogRecord
 	for i := 0; i < 6; i++ {
-		recs = append(recs, LogRecord{Seq: uint64(i + 1), Time: base.Add(time.Duration(i) * time.Second),
+		recs = append(recs, obs.LogRecord{Seq: uint64(i + 1), Time: base.Add(time.Duration(i) * time.Second),
 			Level: "INFO", Msg: "m"})
 	}
 	a.mergeLogs(tgt, recs)
 	if got := a.FleetLogCount(); got != 3 {
 		t.Fatalf("trimmed to %d, want 3", got)
 	}
-	kept := a.FleetLogs(LogFilter{})
+	kept := a.FleetLogs(obs.LogFilter{})
 	if kept[0].Seq != 4 {
 		t.Errorf("oldest kept seq = %d, want 4 (oldest evicted first)", kept[0].Seq)
 	}
 }
 
 func TestScrapeLogsEndToEnd(t *testing.T) {
-	ring := testRing(16)
+	ring := obs.NewLogRing(16)
+	ring.Registry = obs.NewRegistry()
 	base := time.Now().UTC()
-	ring.Append(LogRecord{Time: base, Level: "INFO", Msg: "first", TraceID: "tr1"})
-	ring.Append(LogRecord{Time: base.Add(time.Second), Level: "ERROR", Msg: "second", TraceID: "tr1"})
+	ring.Append(obs.LogRecord{Time: base, Level: "INFO", Msg: "first", TraceID: "tr1"})
+	ring.Append(obs.LogRecord{Time: base.Add(time.Second), Level: "ERROR", Msg: "second", TraceID: "tr1"})
 	srv := httptest.NewServer(ring.Handler())
 	defer srv.Close()
 
-	a := &Aggregator{Registry: NewRegistry(), Logger: quietLogger()}
+	a := &Aggregator{Registry: obs.NewRegistry(), Logger: quietLogger()}
 	tgt := Target{Job: "ctlogd", URL: srv.URL}
 	recs, err := a.scrapeLogs(context.Background(), srv.Client(), tgt)
 	if err != nil {
@@ -126,7 +129,7 @@ func TestScrapeLogsEndToEnd(t *testing.T) {
 	}
 
 	// Second round: the ?since= cursor plus seq dedup deliver only new data.
-	ring.Append(LogRecord{Time: base.Add(2 * time.Second), Level: "INFO", Msg: "third"})
+	ring.Append(obs.LogRecord{Time: base.Add(2 * time.Second), Level: "INFO", Msg: "third"})
 	recs, err = a.scrapeLogs(context.Background(), srv.Client(), tgt)
 	if err != nil {
 		t.Fatalf("scrapeLogs round 2: %v", err)
@@ -151,18 +154,18 @@ func TestScrapeLogsEndToEnd(t *testing.T) {
 }
 
 func TestFleetLogsHandler(t *testing.T) {
-	a := &Aggregator{Registry: NewRegistry(), Logger: quietLogger()}
+	a := &Aggregator{Registry: obs.NewRegistry(), Logger: quietLogger()}
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	a.mergeLogs(Target{Job: "ctlogd", URL: "http://a:1"}, []LogRecord{
+	a.mergeLogs(Target{Job: "ctlogd", URL: "http://a:1"}, []obs.LogRecord{
 		{Seq: 1, Time: base, Level: "ERROR", Msg: "boom", TraceID: "tr9"},
 	})
-	a.mergeLogs(Target{Job: "staleapid", URL: "http://b:2"}, []LogRecord{
+	a.mergeLogs(Target{Job: "staleapid", URL: "http://b:2"}, []obs.LogRecord{
 		{Seq: 1, Time: base.Add(time.Second), Level: "INFO", Msg: "fine"},
 	})
 	srv := httptest.NewServer(a.Handler())
 	defer srv.Close()
 
-	get := func(q string) []LogRecord {
+	get := func(q string) []obs.LogRecord {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/fleet/logs" + q)
 		if err != nil {
@@ -172,7 +175,7 @@ func TestFleetLogsHandler(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %d", q, resp.StatusCode)
 		}
-		var recs []LogRecord
+		var recs []obs.LogRecord
 		if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +196,7 @@ func TestFleetLogsHandler(t *testing.T) {
 }
 
 func TestAlertErrorBurst(t *testing.T) {
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	a := &Aggregator{
 		Registry:            reg,
@@ -205,10 +208,10 @@ func TestAlertErrorBurst(t *testing.T) {
 	setErrTotal := func(job string, v float64) {
 		a.mu.Lock()
 		a.ensureMaps()
-		a.byJob[job] = []Sample{{
+		a.byJob[job] = []obs.Sample{{
 			Name:   "log_records_total",
-			Labels: formatLabels([]string{"job", job, "level", "error", "service", job}),
-			Kind:   KindCounter,
+			Labels: obs.FormatLabels([]string{"job", job, "level", "error", "service", job}),
+			Kind:   obs.KindCounter,
 			Value:  v,
 		}}
 		a.mu.Unlock()

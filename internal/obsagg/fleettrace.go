@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"context"
@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 // This file implements fleet trace assembly: the Aggregator scrapes every
@@ -25,7 +27,7 @@ const DefaultFleetTraceBuffer = 512
 
 // fleetTrace is one stitched trace being assembled across scrape rounds.
 type fleetTrace struct {
-	rec     TraceRecord
+	rec     obs.TraceRecord
 	spanIDs map[string]struct{}
 	// lastAlert is when the slow-trace alert last fired for this trace;
 	// zero means never. The alert re-arms after the aggregator's AlertRearm
@@ -36,7 +38,7 @@ type fleetTrace struct {
 
 // scrapeTraces fetches one target's kept traces; targets running without
 // tracing (-trace-buffer=0 or an older build) answer 404 and are skipped.
-func (a *Aggregator) scrapeTraces(ctx context.Context, hc *http.Client, t Target) ([]TraceRecord, error) {
+func (a *Aggregator) scrapeTraces(ctx context.Context, hc *http.Client, t Target) ([]obs.TraceRecord, error) {
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	u := strings.TrimSuffix(t.URL, "/") + "/v1/traces?spans=1"
@@ -53,11 +55,11 @@ func (a *Aggregator) scrapeTraces(ctx context.Context, hc *http.Client, t Target
 		return nil, nil // tracing disabled on this target
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: scrape traces %s: status %d", t.URL, resp.StatusCode)
+		return nil, fmt.Errorf("obsagg: scrape traces %s: status %d", t.URL, resp.StatusCode)
 	}
-	var traces []TraceRecord
+	var traces []obs.TraceRecord
 	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
-		return nil, fmt.Errorf("obs: decode traces from %s: %w", t.URL, err)
+		return nil, fmt.Errorf("obsagg: decode traces from %s: %w", t.URL, err)
 	}
 	return traces, nil
 }
@@ -67,8 +69,8 @@ func (a *Aggregator) scrapeTraces(ctx context.Context, hc *http.Client, t Target
 // summary extends to cover the earliest start and latest end seen, and the
 // root is taken from the earliest-starting fragment — the hop that
 // originated the request. Newly slow fleet traces raise a one-shot alert.
-func (a *Aggregator) mergeTraces(traces []TraceRecord) {
-	type alert struct{ rec TraceRecord }
+func (a *Aggregator) mergeTraces(traces []obs.TraceRecord) {
+	type alert struct{ rec obs.TraceRecord }
 	var alerts []alert
 	a.mu.Lock()
 	if a.traces == nil {
@@ -81,7 +83,7 @@ func (a *Aggregator) mergeTraces(traces []TraceRecord) {
 		ft := a.traces[tr.TraceID]
 		if ft == nil {
 			ft = &fleetTrace{
-				rec:     TraceRecord{TraceID: tr.TraceID, Root: tr.Root, Route: tr.Route, Start: tr.Start, KeepReason: tr.KeepReason},
+				rec:     obs.TraceRecord{TraceID: tr.TraceID, Root: tr.Root, Route: tr.Route, Start: tr.Start, KeepReason: tr.KeepReason},
 				spanIDs: make(map[string]struct{}),
 			}
 			a.traces[tr.TraceID] = ft
@@ -117,11 +119,11 @@ func (a *Aggregator) mergeTraces(traces []TraceRecord) {
 			}
 			ft.spanIDs[sp.SpanID] = struct{}{}
 			ft.rec.Spans = append(ft.rec.Spans, sp)
-			ft.rec.Services = mergeService(ft.rec.Services, sp.Service)
+			ft.rec.AddService(sp.Service)
 		}
 		if a.TraceSlow > 0 && ft.rec.Duration >= a.TraceSlow && a.shouldAlert(ft) {
 			ft.lastAlert = a.now()
-			alerts = append(alerts, alert{rec: copyTrace(&ft.rec, false)})
+			alerts = append(alerts, alert{rec: ft.rec.Copy(false)})
 		}
 	}
 	a.mu.Unlock()
@@ -146,10 +148,10 @@ func (a *Aggregator) shouldAlert(ft *fleetTrace) bool {
 }
 
 // FleetTraces returns stitched traces newest-first under the filter.
-func (a *Aggregator) FleetTraces(f TraceFilter) []TraceRecord {
+func (a *Aggregator) FleetTraces(f obs.TraceFilter) []obs.TraceRecord {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	out := make([]TraceRecord, 0, len(a.traceOrder))
+	out := make([]obs.TraceRecord, 0, len(a.traceOrder))
 	for i := len(a.traceOrder) - 1; i >= 0; i-- {
 		ft := a.traces[a.traceOrder[i]]
 		if f.Route != "" && ft.rec.Route != f.Route {
@@ -161,7 +163,7 @@ func (a *Aggregator) FleetTraces(f TraceFilter) []TraceRecord {
 		if f.ErrorOnly && !ft.rec.Error {
 			continue
 		}
-		out = append(out, copyTrace(&ft.rec, f.WithSpans))
+		out = append(out, ft.rec.Copy(f.WithSpans))
 		if f.Limit > 0 && len(out) >= f.Limit {
 			break
 		}
@@ -170,14 +172,14 @@ func (a *Aggregator) FleetTraces(f TraceFilter) []TraceRecord {
 }
 
 // FleetTrace returns one stitched trace with its spans.
-func (a *Aggregator) FleetTrace(id string) (TraceRecord, bool) {
+func (a *Aggregator) FleetTrace(id string) (obs.TraceRecord, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	ft, ok := a.traces[id]
 	if !ok {
-		return TraceRecord{}, false
+		return obs.TraceRecord{}, false
 	}
-	return copyTrace(&ft.rec, true), true
+	return ft.rec.Copy(true), true
 }
 
 // TraceCount reports how many stitched traces the fleet view holds.
@@ -192,11 +194,11 @@ func (a *Aggregator) TraceCount() int {
 func strongerKeep(cur, next string) string {
 	rank := func(r string) int {
 		switch r {
-		case KeepError:
+		case obs.KeepError:
 			return 3
-		case KeepSlow:
+		case obs.KeepSlow:
 			return 2
-		case KeepSampled:
+		case obs.KeepSampled:
 			return 1
 		}
 		return 0
@@ -208,7 +210,7 @@ func strongerKeep(cur, next string) string {
 }
 
 func (a *Aggregator) handleFleetTraces(w http.ResponseWriter, r *http.Request) {
-	f, err := parseTraceFilter(r)
+	f, err := obs.ParseTraceFilter(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -217,7 +219,7 @@ func (a *Aggregator) handleFleetTraces(w http.ResponseWriter, r *http.Request) {
 	// Newest-first is scrape-order here, not strictly time-order: re-sort by
 	// start so the listing reads chronologically.
 	sort.Slice(traces, func(i, j int) bool { return traces[i].Start.After(traces[j].Start) })
-	writeTraceJSON(w, traces)
+	obs.WriteJSON(w, http.StatusOK, traces)
 }
 
 func (a *Aggregator) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
@@ -226,13 +228,13 @@ func (a *Aggregator) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown trace", http.StatusNotFound)
 		return
 	}
-	writeTraceJSON(w, TraceTreeJSON{
+	obs.WriteJSON(w, http.StatusOK, obs.TraceTreeJSON{
 		TraceID:    tr.TraceID,
 		Duration:   tr.Duration,
 		Services:   tr.Services,
 		Error:      tr.Error,
 		KeepReason: tr.KeepReason,
-		Spans:      BuildSpanTree(tr.Spans),
+		Spans:      obs.BuildSpanTree(tr.Spans),
 		// The drill-down layer: every daemon's log lines for this trace,
 		// merged and time-ordered by the fleet log store.
 		Logs: a.FleetTraceLogs(tr.TraceID),

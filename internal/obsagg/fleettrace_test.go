@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"bytes"
@@ -9,18 +9,20 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 // fakeDaemon is one scrapeable target: a private registry plus a private span
 // store served on /metrics and /v1/traces, like a real daemon's debug surface.
-func fakeDaemon(t *testing.T) (*Registry, *SpanStore, *httptest.Server) {
+func fakeDaemon(t *testing.T) (*obs.Registry, *obs.SpanStore, *httptest.Server) {
 	t.Helper()
-	reg := NewRegistry()
-	st := NewSpanStore(32, 1, 0)
+	reg := obs.NewRegistry()
+	st := obs.NewSpanStore(32, 1, 0)
 	st.Registry = reg
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		WriteProm(w, reg)
+		obs.WriteProm(w, reg)
 	})
 	mux.Handle("GET /v1/traces", st.Handler())
 	mux.Handle("GET /v1/traces/{id}", st.Handler())
@@ -36,15 +38,15 @@ func TestAggregatorStitchesCrossDaemonTrace(t *testing.T) {
 	base := time.Now()
 	trace := "aaaabbbbccccddddaaaabbbbccccdddd"
 	// staleapid handled a request (root), fanned out one client call.
-	upstream.Record(SpanRecord{TraceID: trace, SpanID: "s-client", ParentID: "s-root",
-		Service: "staleapid", Name: "GET /ct/v1/get-sth", Kind: SpanClient,
+	upstream.Record(obs.SpanRecord{TraceID: trace, SpanID: "s-client", ParentID: "s-root",
+		Service: "staleapid", Name: "GET /ct/v1/get-sth", Kind: obs.SpanClient,
 		Start: base.Add(time.Millisecond), Duration: 8 * time.Millisecond, Status: 200})
-	upstream.RecordRoot(SpanRecord{TraceID: trace, SpanID: "s-root",
-		Service: "staleapid", Name: "GET /v1/domain/{e2ld}/staleness", Kind: SpanServer,
+	upstream.RecordRoot(obs.SpanRecord{TraceID: trace, SpanID: "s-root",
+		Service: "staleapid", Name: "GET /v1/domain/{e2ld}/staleness", Kind: obs.SpanServer,
 		Route: "/v1/domain/{e2ld}/staleness", Start: base, Duration: 10 * time.Millisecond, Status: 200})
 	// ctlogd saw that client call as its own server request.
-	downstream.RecordRoot(SpanRecord{TraceID: trace, SpanID: "c-root", ParentID: "s-client",
-		Service: "ctlogd", Name: "GET /ct/v1/get-sth", Kind: SpanServer,
+	downstream.RecordRoot(obs.SpanRecord{TraceID: trace, SpanID: "c-root", ParentID: "s-client",
+		Service: "ctlogd", Name: "GET /ct/v1/get-sth", Kind: obs.SpanServer,
 		Route: "/ct/v1/get-sth", Start: base.Add(2 * time.Millisecond), Duration: 6 * time.Millisecond, Status: 200})
 
 	var logBuf bytes.Buffer
@@ -53,7 +55,7 @@ func TestAggregatorStitchesCrossDaemonTrace(t *testing.T) {
 			{Job: "staleapid", URL: upstreamSrv.URL},
 			{Job: "ctlogd", URL: downstreamSrv.URL},
 		},
-		Registry:  NewRegistry(),
+		Registry:  obs.NewRegistry(),
 		Logger:    slog.New(slog.NewTextHandler(&logBuf, nil)),
 		TraceSlow: 5 * time.Millisecond,
 	}
@@ -72,7 +74,7 @@ func TestAggregatorStitchesCrossDaemonTrace(t *testing.T) {
 	if tr.Root != "staleapid GET /v1/domain/{e2ld}/staleness" {
 		t.Fatalf("fleet root = %q, want the originating hop's root", tr.Root)
 	}
-	roots := BuildSpanTree(tr.Spans)
+	roots := obs.BuildSpanTree(tr.Spans)
 	if len(roots) != 1 {
 		t.Fatalf("stitched tree has %d roots, want 1", len(roots))
 	}
@@ -120,17 +122,17 @@ func TestAggregatorStitchesCrossDaemonTrace(t *testing.T) {
 func TestAggregatorToleratesTracelessTargets(t *testing.T) {
 	// A target without /v1/traces (older build / tracing disabled) answers
 	// 404; the metrics scrape must still succeed with no trace alert noise.
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	reg.Counter("up_total").Inc()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) { WriteProm(w, reg) })
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) { obs.WriteProm(w, reg) })
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	var logBuf bytes.Buffer
 	agg := &Aggregator{
 		Targets:  []Target{{Job: "old", URL: srv.URL}},
-		Registry: NewRegistry(),
+		Registry: obs.NewRegistry(),
 		Logger:   slog.New(slog.NewTextHandler(&logBuf, nil)),
 	}
 	agg.ScrapeOnce(context.Background())
@@ -152,13 +154,13 @@ func TestAggregatorToleratesTracelessTargets(t *testing.T) {
 }
 
 func TestFleetTraceBufferBounded(t *testing.T) {
-	agg := &Aggregator{Registry: NewRegistry(), TraceBuffer: 3,
+	agg := &Aggregator{Registry: obs.NewRegistry(), TraceBuffer: 3,
 		Logger: slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))}
-	var traces []TraceRecord
+	var traces []obs.TraceRecord
 	for i := 0; i < 10; i++ {
 		id := string(rune('a'+i)) + "-trace"
-		traces = append(traces, TraceRecord{TraceID: id, Root: "svc x", Start: time.Now(),
-			Spans: []SpanRecord{{TraceID: id, SpanID: id + "-s", Service: "svc"}}})
+		traces = append(traces, obs.TraceRecord{TraceID: id, Root: "svc x", Start: time.Now(),
+			Spans: []obs.SpanRecord{{TraceID: id, SpanID: id + "-s", Service: "svc"}}})
 	}
 	agg.mergeTraces(traces)
 	if got := agg.TraceCount(); got != 3 {

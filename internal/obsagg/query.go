@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"encoding/json"
@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 // This file implements the fleet query language served at /fleet/query: a
@@ -55,7 +57,7 @@ type binNode struct {
 	lhs, rhs exprNode
 }
 
-func (n numLit) exprString() string { return formatFloat(n.v) }
+func (n numLit) exprString() string { return obs.FormatFloat(n.v) }
 func (n selectorNode) exprString() string {
 	s := n.name
 	if len(n.matchers) > 0 {
@@ -485,14 +487,14 @@ type vecSample struct {
 	labels   string
 	pairs    []string
 	v        float64
-	exemplar *Exemplar
+	exemplar *obs.Exemplar
 }
 
 type matrixSeries struct {
 	labels   string
 	pairs    []string
 	pts      []Point
-	exemplar *Exemplar
+	exemplar *obs.Exemplar
 }
 
 // queryValue is float64 (scalar), []vecSample or []matrixSeries.
@@ -682,14 +684,6 @@ func overTime(fn string, pts []Point) float64 {
 	return math.NaN()
 }
 
-// bucketPt is one cumulative histogram bucket with a float count — counts
-// stay floats so quantiles over rate() output keep their precision.
-type bucketPt struct {
-	bound float64
-	count float64
-	ex    *Exemplar
-}
-
 // histogramQuantileVec groups a _bucket vector by its labels minus le and
 // computes the quantile per group from the cumulative bucket counts. The
 // result carries the exemplar of the bucket the quantile lands in, so a p99
@@ -697,7 +691,7 @@ type bucketPt struct {
 func histogramQuantileVec(q float64, vec []vecSample) []vecSample {
 	type group struct {
 		pairs   []string
-		buckets []bucketPt
+		buckets []obs.QuantileBucket
 	}
 	groups := make(map[string]*group)
 	order := []string{}
@@ -706,78 +700,28 @@ func histogramQuantileVec(q float64, vec []vecSample) []vecSample {
 		if !ok {
 			continue
 		}
-		bound, err := parsePromFloat(le)
+		bound, err := strconv.ParseFloat(le, 64)
 		if err != nil {
 			continue
 		}
 		rest := dropPairs(s.pairs, "le")
-		key := formatLabels(rest)
+		key := obs.FormatLabels(rest)
 		g := groups[key]
 		if g == nil {
 			g = &group{pairs: rest}
 			groups[key] = g
 			order = append(order, key)
 		}
-		g.buckets = append(g.buckets, bucketPt{bound: bound, count: s.v, ex: s.exemplar})
+		g.buckets = append(g.buckets, obs.QuantileBucket{Bound: bound, Count: s.v, Exemplar: s.exemplar})
 	}
 	sort.Strings(order)
 	var out []vecSample
 	for _, key := range order {
 		g := groups[key]
-		v, ex := histogramQuantile(q, g.buckets)
+		v, ex := obs.Quantile(q, g.buckets)
 		out = append(out, vecSample{labels: key, pairs: g.pairs, v: v, exemplar: ex})
 	}
 	return out
-}
-
-// HistogramQuantile estimates the q-quantile from cumulative histogram
-// buckets (the shape Snapshot and ParseProm produce), interpolating linearly
-// inside the bucket the quantile lands in — the same estimate Prometheus'
-// histogram_quantile makes over the exposition format.
-func HistogramQuantile(q float64, buckets []BucketCount) float64 {
-	bs := make([]bucketPt, 0, len(buckets))
-	for _, b := range buckets {
-		bs = append(bs, bucketPt{bound: b.UpperBound, count: float64(b.Count), ex: b.Exemplar})
-	}
-	v, _ := histogramQuantile(q, bs)
-	return v
-}
-
-func histogramQuantile(q float64, buckets []bucketPt) (float64, *Exemplar) {
-	if len(buckets) == 0 || q < 0 || q > 1 {
-		return math.NaN(), nil
-	}
-	bs := make([]bucketPt, len(buckets))
-	copy(bs, buckets)
-	sort.Slice(bs, func(i, j int) bool { return bs[i].bound < bs[j].bound })
-	total := bs[len(bs)-1].count
-	if total <= 0 {
-		return math.NaN(), nil
-	}
-	rank := q * total
-	idx := 0
-	for idx < len(bs)-1 && bs[idx].count < rank {
-		idx++
-	}
-	b := bs[idx]
-	if math.IsInf(b.bound, 1) {
-		// The quantile lands in the overflow bucket: the best bounded answer
-		// is the highest finite bound.
-		if idx == 0 {
-			return math.NaN(), b.ex
-		}
-		return bs[idx-1].bound, b.ex
-	}
-	lower, prevCount := 0.0, 0.0
-	if idx > 0 {
-		lower = bs[idx-1].bound
-		prevCount = bs[idx-1].count
-	}
-	inBucket := b.count - prevCount
-	if inBucket <= 0 {
-		return b.bound, b.ex
-	}
-	return lower + (b.bound-lower)*(rank-prevCount)/inBucket, b.ex
 }
 
 func dropPairs(pairs []string, keys ...string) []string {
@@ -822,13 +766,13 @@ func (c *evalCtx) evalAgg(n aggNode) (queryValue, error) {
 		min   float64
 		max   float64
 		count int
-		ex    *Exemplar
+		ex    *obs.Exemplar
 	}
 	groups := make(map[string]*group)
 	order := []string{}
 	for _, s := range vec {
 		kept := keepPairs(s.pairs, n.by)
-		key := formatLabels(kept)
+		key := obs.FormatLabels(kept)
 		g := groups[key]
 		if g == nil {
 			g = &group{pairs: kept, min: s.v, max: s.v}

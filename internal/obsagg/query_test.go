@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"encoding/json"
@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 // queryDB builds a TSDB with a small fleet's worth of history: two jobs'
@@ -19,23 +21,23 @@ func queryDB(t *testing.T) *TSDB {
 	db := &TSDB{}
 	for i := 0; i <= 6; i++ {
 		now := ts(i * 10)
-		db.Append(now, []Sample{
+		db.Append(now, []obs.Sample{
 			counterSample("http_requests_total", float64(i*100), "code", "2xx", "job", "api"),
 			counterSample("http_requests_total", float64(i*10), "code", "5xx", "job", "api"),
 			counterSample("http_requests_total", float64(i*50), "code", "2xx", "job", "gw"),
-			{Name: "slo_burn_rate", Labels: formatLabels([]string{"job", "api", "slo", "availability", "window", "5m"}),
-				Kind: KindGauge, Value: float64(i)},
+			{Name: "slo_burn_rate", Labels: obs.FormatLabels([]string{"job", "api", "slo", "availability", "window", "5m"}),
+				Kind: obs.KindGauge, Value: float64(i)},
 		})
-		h := Sample{
-			Name: "http_request_seconds", Labels: formatLabels([]string{"job", "api"}), Kind: KindHistogram,
+		h := obs.Sample{
+			Name: "http_request_seconds", Labels: obs.FormatLabels([]string{"job", "api"}), Kind: obs.KindHistogram,
 			Count: uint64(i * 100), Sum: float64(i),
-			Buckets: []BucketCount{
+			Buckets: []obs.BucketCount{
 				{UpperBound: 0.01, Count: uint64(i * 50)},
-				{UpperBound: 0.1, Count: uint64(i * 90), Exemplar: &Exemplar{TraceID: "trace-p99", Value: 0.09}},
+				{UpperBound: 0.1, Count: uint64(i * 90), Exemplar: &obs.Exemplar{TraceID: "trace-p99", Value: 0.09}},
 				{UpperBound: math.Inf(1), Count: uint64(i * 100)},
 			},
 		}
-		db.Append(now, []Sample{h})
+		db.Append(now, []obs.Sample{h})
 	}
 	return db
 }
@@ -99,7 +101,7 @@ func TestQueryRateCounterReset(t *testing.T) {
 	// Counter restarts mid-window: 0, 100, 200, (restart) 50, 150.
 	vals := []float64{0, 100, 200, 50, 150}
 	for i, val := range vals {
-		db.Append(ts(i*10), []Sample{counterSample("c_total", val)})
+		db.Append(ts(i*10), []obs.Sample{counterSample("c_total", val)})
 	}
 	v := vec(t, evalAt(t, db, `increase(c_total[40s])`, ts(40)))
 	// 0→200 is 200, restart adds 50, 50→150 is 100: 350 total.
@@ -221,23 +223,6 @@ func TestQueryHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileExported(t *testing.T) {
-	buckets := []BucketCount{
-		{UpperBound: 1, Count: 50},
-		{UpperBound: 2, Count: 100},
-		{UpperBound: math.Inf(1), Count: 100},
-	}
-	if got := HistogramQuantile(0.5, buckets); math.Abs(got-1) > 1e-9 {
-		t.Errorf("p50 = %v, want 1", got)
-	}
-	if got := HistogramQuantile(0.75, buckets); math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("p75 = %v, want 1.5", got)
-	}
-	if got := HistogramQuantile(0.5, nil); !math.IsNaN(got) {
-		t.Errorf("empty buckets = %v, want NaN", got)
-	}
-}
-
 func TestQueryParseErrors(t *testing.T) {
 	bad := []string{
 		``,
@@ -261,7 +246,7 @@ func TestQueryParseErrors(t *testing.T) {
 }
 
 func TestFleetQueryHandler(t *testing.T) {
-	a := &Aggregator{Registry: NewRegistry(), TSDB: queryDB(t),
+	a := &Aggregator{Registry: obs.NewRegistry(), TSDB: queryDB(t),
 		Now: func() time.Time { return ts(60) }}
 	srv := httptest.NewServer(a.Handler())
 	defer srv.Close()

@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 // This file implements obsagg's rules engine: recording rules materialise
@@ -52,34 +54,18 @@ type AlertRule struct {
 	Annotate func(pairs []string, value float64) []any
 }
 
-// validMetricName reports whether s is a legal Prometheus metric name
-// (colons allowed, for the recording-rule convention).
-func validMetricName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		ok := c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 func splitRuleSpec(spec string) (name, expr string, err error) {
 	eq := strings.Index(spec, "=")
 	if eq <= 0 || eq == len(spec)-1 {
-		return "", "", fmt.Errorf("obs: rule spec %q must be name=expr", spec)
+		return "", "", fmt.Errorf("obsagg: rule spec %q must be name=expr", spec)
 	}
 	name = strings.TrimSpace(spec[:eq])
 	expr = strings.TrimSpace(spec[eq+1:])
-	if !validMetricName(name) {
-		return "", "", fmt.Errorf("obs: rule name %q is not a valid metric name", name)
+	if !obs.ValidMetricName(name) {
+		return "", "", fmt.Errorf("obsagg: rule name %q is not a valid metric name", name)
 	}
 	if _, err := ParseQuery(expr); err != nil {
-		return "", "", fmt.Errorf("obs: rule %s: %w", name, err)
+		return "", "", fmt.Errorf("obsagg: rule %s: %w", name, err)
 	}
 	return name, expr, nil
 }
@@ -183,18 +169,30 @@ func (a *Aggregator) builtinAlertRules() []AlertRule {
 	return rules
 }
 
-// annotateSLOBurn decorates a firing SLO rule with the burn-rate and budget
-// detail the /fleet/slo digest carries for that (job, slo) row.
+// annotateSLOBurn decorates a firing SLO rule with the burn rate per window
+// and the error budget left, as the TSDB last saw them for the firing
+// (instance, job, slo).
 func (a *Aggregator) annotateSLOBurn(pairs []string, _ float64) []any {
-	job, _ := pairValue(pairs, "job")
-	slo, _ := pairValue(pairs, "slo")
-	for _, row := range a.FleetSLOs() {
-		if row.Job == job && row.SLO == slo {
-			return []any{"burn_rates", burnSummary(row.BurnRates),
-				"budget_remaining", row.BudgetRemaining}
-		}
+	var ms []Matcher
+	for _, k := range []string{"instance", "job", "slo"} {
+		v, _ := pairValue(pairs, k)
+		ms = append(ms, Matcher{Key: k, Op: MatchEq, Value: v})
 	}
-	return nil
+	latest := func(op, metric string, by ...string) []vecSample {
+		v, _ := evalInstant(a.tsdb(), aggNode{op: op, by: by, arg: selectorNode{name: metric, matchers: ms}}, a.now())
+		vec, _ := v.([]vecSample)
+		return vec
+	}
+	var burns []string
+	for _, s := range latest("max", "slo_burn_rate", "window") {
+		w, _ := pairValue(s.pairs, "window")
+		burns = append(burns, w+"="+obs.FormatFloat(s.v))
+	}
+	budget := 1.0 // no budget series yet: nothing consumed
+	if b := latest("min", "slo_error_budget_remaining"); len(b) == 1 {
+		budget = b[0].v
+	}
+	return []any{"burn_rates", strings.Join(burns, " "), "budget_remaining", budget}
 }
 
 // evalRules runs the round's recording rules then alert rules against the
@@ -215,11 +213,11 @@ func (a *Aggregator) evalRules() {
 		}
 		switch tv := v.(type) {
 		case float64:
-			db.Append(now, []Sample{{Name: r.Name, Kind: KindGauge, Value: tv}})
+			db.Append(now, []obs.Sample{{Name: r.Name, Kind: obs.KindGauge, Value: tv}})
 		case []vecSample:
-			samples := make([]Sample, 0, len(tv))
+			samples := make([]obs.Sample, 0, len(tv))
 			for _, s := range tv {
-				samples = append(samples, Sample{Name: r.Name, Labels: s.labels, Kind: KindGauge, Value: s.v})
+				samples = append(samples, obs.Sample{Name: r.Name, Labels: s.labels, Kind: obs.KindGauge, Value: s.v})
 			}
 			db.Append(now, samples)
 		default:

@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"bytes"
@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 func TestParseRuleSpecs(t *testing.T) {
@@ -20,13 +22,13 @@ func TestParseRuleSpecs(t *testing.T) {
 		t.Fatalf("parsed rule = %+v", r)
 	}
 	for _, bad := range []string{
-		"",                       // empty
-		"noequals",               // no expr
-		"=expr",                  // no name
-		"bad name=up",            // space in name
-		"x=sum by (",             // unparseable expr
-		"9starts_with_digit=up",  // bad leading char
-		"trailing=",              // empty expr
+		"",                      // empty
+		"noequals",              // no expr
+		"=expr",                 // no name
+		"bad name=up",           // space in name
+		"x=sum by (",            // unparseable expr
+		"9starts_with_digit=up", // bad leading char
+		"trailing=",             // empty expr
 	} {
 		if _, err := ParseRecordingRule(bad); err == nil {
 			t.Errorf("ParseRecordingRule(%q) succeeded", bad)
@@ -44,7 +46,7 @@ func TestRecordingRuleMaterialises(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)}
 	var logs bytes.Buffer
 	a := &Aggregator{
-		Registry: NewRegistry(),
+		Registry: obs.NewRegistry(),
 		Logger:   slog.New(slog.NewTextHandler(&logs, nil)),
 		Now:      clock.now,
 		RecordingRules: []RecordingRule{
@@ -55,7 +57,7 @@ func TestRecordingRuleMaterialises(t *testing.T) {
 		},
 	}
 	a.mu.Lock()
-	a.byJob = map[string][]Sample{"api@x": {
+	a.byJob = map[string][]obs.Sample{"api@x": {
 		counterSample("http_requests_total", 90, "code", "2xx", "job", "api"),
 		counterSample("http_requests_total", 20, "code", "5xx", "job", "api"),
 	}}
@@ -84,15 +86,15 @@ func TestUserAlertRuleRearms(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)}
 	var logs bytes.Buffer
 	a := &Aggregator{
-		Registry:   NewRegistry(),
+		Registry:   obs.NewRegistry(),
 		Logger:     slog.New(slog.NewTextHandler(&logs, nil)),
 		Now:        clock.now,
 		AlertRearm: time.Minute,
 		AlertRules: []AlertRule{{Name: "hot", Expr: `temp_celsius > 30`}},
 	}
 	a.mu.Lock()
-	a.byJob = map[string][]Sample{"api@x": {{Name: "temp_celsius", Kind: KindGauge, Value: 40,
-		Labels: formatLabels([]string{"job", "api"})}}}
+	a.byJob = map[string][]obs.Sample{"api@x": {{Name: "temp_celsius", Kind: obs.KindGauge, Value: 40,
+		Labels: obs.FormatLabels([]string{"job", "api"})}}}
 	a.mu.Unlock()
 	count := func() int { return strings.Count(logs.String(), "alert rule firing") }
 	evalRound(a)
@@ -117,14 +119,14 @@ func TestErrorRateRuleFiresEveryRound(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)}
 	var logs bytes.Buffer
 	a := &Aggregator{
-		Registry:           NewRegistry(),
+		Registry:           obs.NewRegistry(),
 		Logger:             slog.New(slog.NewTextHandler(&logs, nil)),
 		Now:                clock.now,
 		ErrorRateThreshold: 0.5,
 		AlertRearm:         time.Hour, // would silence a re-armed rule; FireEvery ignores it
 	}
 	a.mu.Lock()
-	a.byJob = map[string][]Sample{"api@x": {
+	a.byJob = map[string][]obs.Sample{"api@x": {
 		counterSample("http_requests_total", 1, "code", "2xx", "job", "api"),
 		counterSample("http_requests_total", 9, "code", "5xx", "job", "api"),
 	}}
@@ -147,14 +149,14 @@ func TestErrorRateRuleFiresEveryRound(t *testing.T) {
 // the staleness window, and instant queries stop answering from its frozen
 // values — while its history stays range-queryable.
 func TestGhostTargetMarkedStale(t *testing.T) {
-	remote := NewRegistry()
+	remote := obs.NewRegistry()
 	remote.Gauge("ingest_lag_seconds").Set(42)
-	srv := httptest.NewServer(HandlerFor(remote, NewHealth()))
+	srv := httptest.NewServer(obs.HandlerFor(remote, obs.NewHealth()))
 	clock := &fakeClock{t: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)}
 	a := &Aggregator{
 		Targets:  []Target{{Job: "ctlogd", URL: srv.URL}},
 		Client:   srv.Client(),
-		Registry: NewRegistry(),
+		Registry: obs.NewRegistry(),
 		Logger:   quietLogger(),
 		Now:      clock.now,
 		TSDB:     &TSDB{StaleAfter: 30 * time.Second, Retention: time.Hour},
@@ -212,7 +214,7 @@ func TestParsePromNumericEdges(t *testing.T) {
 		`bigexp_gauge 2.5E6`,
 		`neg_gauge -12.75`,
 	}, "\n") + "\n"
-	samples, err := ParseProm(strings.NewReader(input))
+	samples, err := obs.ParseProm(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestParsePromNumericEdges(t *testing.T) {
 	// A counter that went backwards (daemon restart) appends cleanly and
 	// rate() treats the drop as a reset rather than a negative rate.
 	for i, v := range []float64{1000, 1100, 5} {
-		db.Append(now.Add(time.Duration(i*10)*time.Second), []Sample{counterSample("restart_total", v)})
+		db.Append(now.Add(time.Duration(i*10)*time.Second), []obs.Sample{counterSample("restart_total", v)})
 	}
 	node, err := ParseQuery(`rate(restart_total[20s])`)
 	if err != nil {
@@ -273,15 +275,15 @@ func TestParsePromNumericEdges(t *testing.T) {
 // series in the TSDB, queryable with job/instance matchers, including
 // histogram bucket expansion of a real registry's histogram.
 func TestFederationToTSDBRoundTrip(t *testing.T) {
-	remote := NewRegistry()
+	remote := obs.NewRegistry()
 	remote.Counter("http_requests_total", "code", "2xx", "route", "/v1/x", "service", "staleapid").Add(7)
 	remote.Histogram("http_request_seconds", nil, "route", "/v1/x", "service", "staleapid").Observe(0.003)
-	srv := httptest.NewServer(HandlerFor(remote, NewHealth()))
+	srv := httptest.NewServer(obs.HandlerFor(remote, obs.NewHealth()))
 	defer srv.Close()
 	a := &Aggregator{
 		Targets:  []Target{{Job: "staleapid", URL: srv.URL}},
 		Client:   srv.Client(),
-		Registry: NewRegistry(),
+		Registry: obs.NewRegistry(),
 		Logger:   quietLogger(),
 	}
 	a.ScrapeOnce(context.Background())
@@ -292,8 +294,8 @@ func TestFederationToTSDBRoundTrip(t *testing.T) {
 		t.Fatalf("federated counter in TSDB = %+v", sel)
 	}
 	buckets := db.Latest("http_request_seconds_bucket", m, now)
-	if len(buckets) != len(DurationBuckets)+1 {
-		t.Fatalf("federated histogram buckets = %d, want %d", len(buckets), len(DurationBuckets)+1)
+	if len(buckets) != len(obs.DurationBuckets)+1 {
+		t.Fatalf("federated histogram buckets = %d, want %d", len(buckets), len(obs.DurationBuckets)+1)
 	}
 	if cnt := db.Latest("http_request_seconds_count", m, now); len(cnt) != 1 || cnt[0].Points[0].V != 1 {
 		t.Fatalf("federated histogram count = %+v", cnt)

@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"fmt"
@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 // This file implements the fleet time-series database inside obsagg: every
@@ -36,11 +38,11 @@ type tsSeries struct {
 	name       string
 	labels     string   // canonical rendered label set ("" or `{k="v",...}`)
 	pairs      []string // decoded key/value pairs, sorted by key
-	kind       Kind
+	kind       obs.Kind
 	pts        []Point
 	lastAppend time.Time
 	stale      bool // target vanished: excluded from instant answers
-	exemplar   *Exemplar
+	exemplar   *obs.Exemplar
 }
 
 // TSDB is an in-memory time-series store: one ring of points per unique
@@ -123,24 +125,24 @@ func (db *TSDB) internLocked(s string) string {
 // expanded into float _bucket/_sum/_count series (cumulative counts, like
 // the exposition format), so query functions see plain number series.
 // Appending to a series clears its stale mark.
-func (db *TSDB) Append(now time.Time, samples []Sample) {
+func (db *TSDB) Append(now time.Time, samples []obs.Sample) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, s := range samples {
 		switch s.Kind {
-		case KindHistogram:
+		case obs.KindHistogram:
 			for _, b := range s.Buckets {
-				db.appendLocked(now, s.Name+"_bucket", withLE(s.Labels, b.UpperBound), KindCounter, float64(b.Count), b.Exemplar)
+				db.appendLocked(now, s.Name+"_bucket", obs.WithLE(s.Labels, b.UpperBound), obs.KindCounter, float64(b.Count), b.Exemplar)
 			}
-			db.appendLocked(now, s.Name+"_sum", s.Labels, KindCounter, s.Sum, nil)
-			db.appendLocked(now, s.Name+"_count", s.Labels, KindCounter, float64(s.Count), nil)
+			db.appendLocked(now, s.Name+"_sum", s.Labels, obs.KindCounter, s.Sum, nil)
+			db.appendLocked(now, s.Name+"_count", s.Labels, obs.KindCounter, float64(s.Count), nil)
 		default:
 			db.appendLocked(now, s.Name, s.Labels, s.Kind, s.Value, nil)
 		}
 	}
 }
 
-func (db *TSDB) appendLocked(now time.Time, name, labels string, kind Kind, v float64, ex *Exemplar) {
+func (db *TSDB) appendLocked(now time.Time, name, labels string, kind obs.Kind, v float64, ex *obs.Exemplar) {
 	if db.byName == nil {
 		db.byName = make(map[string]map[string]*tsSeries)
 	}
@@ -155,7 +157,7 @@ func (db *TSDB) appendLocked(now time.Time, name, labels string, kind Kind, v fl
 			db.dropped++
 			return
 		}
-		pairs, err := labelPairs(labels)
+		pairs, err := obs.LabelPairs(labels)
 		if err != nil {
 			db.dropped++
 			return
@@ -296,7 +298,7 @@ func NewMatcher(key string, op MatchOp, value string) (Matcher, error) {
 	if op == MatchRe || op == MatchNre {
 		re, err := regexp.Compile("^(?:" + value + ")$")
 		if err != nil {
-			return m, fmt.Errorf("obs: bad label regex %q: %w", value, err)
+			return m, fmt.Errorf("obsagg: bad label regex %q: %w", value, err)
 		}
 		m.re = re
 	}
@@ -334,9 +336,9 @@ type SeriesData struct {
 	Name     string
 	Labels   string
 	Pairs    []string
-	Kind     Kind
+	Kind     obs.Kind
 	Points   []Point
-	Exemplar *Exemplar
+	Exemplar *obs.Exemplar
 }
 
 // Latest answers an instant selection: for every live series of the family

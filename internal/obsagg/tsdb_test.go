@@ -1,4 +1,4 @@
-package obs
+package obsagg
 
 import (
 	"math"
@@ -6,20 +6,22 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"stalecert/internal/obs"
 )
 
 func ts(sec int) time.Time {
 	return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC).Add(time.Duration(sec) * time.Second)
 }
 
-func counterSample(name string, v float64, kv ...string) Sample {
-	return Sample{Name: name, Labels: formatLabels(kv), Kind: KindCounter, Value: v}
+func counterSample(name string, v float64, kv ...string) obs.Sample {
+	return obs.Sample{Name: name, Labels: obs.FormatLabels(kv), Kind: obs.KindCounter, Value: v}
 }
 
 func TestTSDBAppendAndSelect(t *testing.T) {
 	db := &TSDB{}
 	for i := 0; i < 5; i++ {
-		db.Append(ts(i*10), []Sample{
+		db.Append(ts(i*10), []obs.Sample{
 			counterSample("reqs_total", float64(i*100), "job", "api", "code", "2xx"),
 			counterSample("reqs_total", float64(i*2), "job", "api", "code", "5xx"),
 		})
@@ -48,8 +50,8 @@ func TestTSDBAppendAndSelect(t *testing.T) {
 
 func TestTSDBSameTimestampReplacesPoint(t *testing.T) {
 	db := &TSDB{}
-	db.Append(ts(0), []Sample{counterSample("x_total", 1)})
-	db.Append(ts(0), []Sample{counterSample("x_total", 2)})
+	db.Append(ts(0), []obs.Sample{counterSample("x_total", 1)})
+	db.Append(ts(0), []obs.Sample{counterSample("x_total", 2)})
 	sel := db.Select("x_total", nil, ts(-1), ts(1))
 	if len(sel) != 1 || len(sel[0].Points) != 1 || sel[0].Points[0].V != 2 {
 		t.Fatalf("duplicate-timestamp append = %+v, want single point of 2", sel)
@@ -59,7 +61,7 @@ func TestTSDBSameTimestampReplacesPoint(t *testing.T) {
 func TestTSDBRetentionEvictsPoints(t *testing.T) {
 	db := &TSDB{Retention: 30 * time.Second}
 	for i := 0; i < 10; i++ {
-		db.Append(ts(i*10), []Sample{counterSample("x_total", float64(i))})
+		db.Append(ts(i*10), []obs.Sample{counterSample("x_total", float64(i))})
 	}
 	sel := db.Select("x_total", nil, ts(-1000), ts(1000))
 	if len(sel) != 1 {
@@ -77,7 +79,7 @@ func TestTSDBRetentionEvictsPoints(t *testing.T) {
 
 func TestTSDBMaxSeriesDrops(t *testing.T) {
 	db := &TSDB{MaxSeries: 2}
-	db.Append(ts(0), []Sample{
+	db.Append(ts(0), []obs.Sample{
 		counterSample("a_total", 1, "i", "1"),
 		counterSample("a_total", 1, "i", "2"),
 		counterSample("a_total", 1, "i", "3"),
@@ -89,7 +91,7 @@ func TestTSDBMaxSeriesDrops(t *testing.T) {
 		t.Fatalf("DroppedSeries = %d, want 1", got)
 	}
 	// Existing series still append fine at the cap.
-	db.Append(ts(10), []Sample{counterSample("a_total", 2, "i", "1")})
+	db.Append(ts(10), []obs.Sample{counterSample("a_total", 2, "i", "1")})
 	sel := db.Select("a_total", []Matcher{{Key: "i", Op: MatchEq, Value: "1"}}, ts(-1), ts(20))
 	if len(sel) != 1 || len(sel[0].Points) != 2 {
 		t.Fatalf("capped append to existing series failed: %+v", sel)
@@ -98,16 +100,16 @@ func TestTSDBMaxSeriesDrops(t *testing.T) {
 
 func TestTSDBHistogramExpansion(t *testing.T) {
 	db := &TSDB{}
-	h := Sample{
-		Name: "lat_seconds", Labels: formatLabels([]string{"job", "api"}), Kind: KindHistogram,
+	h := obs.Sample{
+		Name: "lat_seconds", Labels: obs.FormatLabels([]string{"job", "api"}), Kind: obs.KindHistogram,
 		Count: 10, Sum: 1.25,
-		Buckets: []BucketCount{
-			{UpperBound: 0.1, Count: 7, Exemplar: &Exemplar{TraceID: "t-slow", Value: 0.08}},
+		Buckets: []obs.BucketCount{
+			{UpperBound: 0.1, Count: 7, Exemplar: &obs.Exemplar{TraceID: "t-slow", Value: 0.08}},
 			{UpperBound: 1, Count: 9},
 			{UpperBound: math.Inf(1), Count: 10},
 		},
 	}
-	db.Append(ts(0), []Sample{h})
+	db.Append(ts(0), []obs.Sample{h})
 	if got := db.SeriesCount(); got != 5 { // 3 buckets + sum + count
 		t.Fatalf("SeriesCount = %d, want 5", got)
 	}
@@ -137,7 +139,7 @@ func TestTSDBHistogramExpansion(t *testing.T) {
 
 func TestTSDBMarkStaleDropsInstantKeepsRange(t *testing.T) {
 	db := &TSDB{}
-	db.Append(ts(0), []Sample{
+	db.Append(ts(0), []obs.Sample{
 		counterSample("up_total", 1, "instance", "a", "job", "ctlogd"),
 		counterSample("up_total", 1, "instance", "b", "job", "staleapid"),
 	})
@@ -153,7 +155,7 @@ func TestTSDBMarkStaleDropsInstantKeepsRange(t *testing.T) {
 		t.Fatalf("range answer after MarkStale = %d series, want 2 (history stays)", len(rng))
 	}
 	// A fresh append revives the series.
-	db.Append(ts(5), []Sample{counterSample("up_total", 2, "instance", "a", "job", "ctlogd")})
+	db.Append(ts(5), []obs.Sample{counterSample("up_total", 2, "instance", "a", "job", "ctlogd")})
 	if inst := db.Latest("up_total", nil, ts(5)); len(inst) != 2 {
 		t.Fatalf("revived series missing from instant answer: %+v", inst)
 	}
@@ -167,7 +169,7 @@ func LabelsJob(sd SeriesData) string {
 
 func TestTSDBStaleAfterExcludesSilentSeries(t *testing.T) {
 	db := &TSDB{StaleAfter: 30 * time.Second, Retention: 10 * time.Minute}
-	db.Append(ts(0), []Sample{counterSample("x_total", 1)})
+	db.Append(ts(0), []obs.Sample{counterSample("x_total", 1)})
 	if inst := db.Latest("x_total", nil, ts(20)); len(inst) != 1 {
 		t.Fatalf("series silent < StaleAfter excluded: %+v", inst)
 	}
@@ -178,8 +180,8 @@ func TestTSDBStaleAfterExcludesSilentSeries(t *testing.T) {
 
 func TestTSDBPruneReclaimsSeries(t *testing.T) {
 	db := &TSDB{Retention: 30 * time.Second}
-	db.Append(ts(0), []Sample{counterSample("gone_total", 1)})
-	db.Append(ts(100), []Sample{counterSample("alive_total", 1)})
+	db.Append(ts(0), []obs.Sample{counterSample("gone_total", 1)})
+	db.Append(ts(100), []obs.Sample{counterSample("alive_total", 1)})
 	if removed := db.Prune(ts(100)); removed != 1 {
 		t.Fatalf("Prune removed %d, want 1", removed)
 	}
@@ -193,10 +195,10 @@ func TestTSDBPruneReclaimsSeries(t *testing.T) {
 
 func TestTSDBLabelInterning(t *testing.T) {
 	db := &TSDB{}
-	labels := formatLabels([]string{"job", "api"})
-	db.Append(ts(0), []Sample{
-		{Name: "a_total", Labels: strings.Clone(labels), Kind: KindCounter, Value: 1},
-		{Name: "b_total", Labels: strings.Clone(labels), Kind: KindCounter, Value: 1},
+	labels := obs.FormatLabels([]string{"job", "api"})
+	db.Append(ts(0), []obs.Sample{
+		{Name: "a_total", Labels: strings.Clone(labels), Kind: obs.KindCounter, Value: 1},
+		{Name: "b_total", Labels: strings.Clone(labels), Kind: obs.KindCounter, Value: 1},
 	})
 	a := db.Select("a_total", nil, ts(-1), ts(1))
 	b := db.Select("b_total", nil, ts(-1), ts(1))

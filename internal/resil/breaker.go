@@ -1,7 +1,6 @@
 package resil
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -425,10 +424,7 @@ func Handler() http.Handler {
 		if out == nil {
 			out = []BreakerStatus{}
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
+		obs.WriteJSON(w, http.StatusOK, out)
 	})
 }
 

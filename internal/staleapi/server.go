@@ -8,7 +8,6 @@ package staleapi
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -204,18 +203,10 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 func (s *Server) handleCert(w http.ResponseWriter, r *http.Request) {
 	fp, short, err := x509sim.ParseFingerprint(r.PathValue("fp"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 		return
 	}
 	var cert *x509sim.Certificate
@@ -229,7 +220,7 @@ func (s *Server) handleCert(w http.ResponseWriter, r *http.Request) {
 	}
 	if !ok {
 		mUnknownFP.Inc()
-		writeJSON(w, http.StatusNotFound, errorJSON{Error: "unknown fingerprint"})
+		obs.WriteJSON(w, http.StatusNotFound, errorJSON{Error: "unknown fingerprint"})
 		return
 	}
 	// Cache under the canonical full fingerprint, never the request's own
@@ -238,7 +229,7 @@ func (s *Server) handleCert(w http.ResponseWriter, r *http.Request) {
 	v, _, _ := s.cache.Do("cert:"+cert.Fingerprint().Hex(), func() (any, error) {
 		return certJSON(cert), nil
 	})
-	writeJSON(w, http.StatusOK, v.(CertJSON))
+	obs.WriteJSON(w, http.StatusOK, v.(CertJSON))
 }
 
 // DomainsResponse is the /v1/domains payload: the indexed e2LDs matching the
@@ -256,7 +247,7 @@ func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 	if ls := r.URL.Query().Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
 		if err != nil || n <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad limit"})
+			obs.WriteJSON(w, http.StatusBadRequest, errorJSON{Error: "bad limit"})
 			return
 		}
 		limit = min(n, 10000)
@@ -271,13 +262,13 @@ func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 			resp.Domains = append(resp.Domains, d)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleShardmap(w http.ResponseWriter, _ *http.Request) {
 	self := s.shard
 	self.Certs = s.store.Len()
-	writeJSON(w, http.StatusOK, self)
+	obs.WriteJSON(w, http.StatusOK, self)
 }
 
 // domainParam canonicalises and validates the e2LD path segment.
@@ -292,7 +283,7 @@ func domainParam(r *http.Request) (string, error) {
 func (s *Server) handleDomainCerts(w http.ResponseWriter, r *http.Request) {
 	domain, err := domainParam(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 		return
 	}
 	mDomainQueries.Inc()
@@ -301,13 +292,13 @@ func (s *Server) handleDomainCerts(w http.ResponseWriter, r *http.Request) {
 	for _, c := range certs {
 		resp.Certs = append(resp.Certs, certJSON(c))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 	domain, err := domainParam(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 		return
 	}
 	mStalenessChecks.Inc()
@@ -322,7 +313,7 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout
 		}
-		writeJSON(w, status, errorJSON{Error: err.Error()})
+		obs.WriteJSON(w, status, errorJSON{Error: err.Error()})
 		return
 	}
 	resp := v.(StalenessResponse)
@@ -339,7 +330,7 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.noteEvidence(nil)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // noteEvidence tracks the last evidence outcome behind the evidence-degraded
@@ -365,17 +356,11 @@ func (s *Server) EvidenceProbe(context.Context) error {
 // timings (evidence vs detect) are mirrored into the request's distributed
 // trace, so a slow staleness query shows which half cost the time.
 func (s *Server) staleness(ctx context.Context, domain string) (StalenessResponse, error) {
-	tr := obs.NewTrace("staleness " + domain)
-	defer func() {
-		tr.End()
-		if id, ok := obs.RequestIDFromContext(ctx); ok {
-			tr.Record(nil, id, "staleapid")
-		}
-	}()
+	id, _ := obs.RequestIDFromContext(ctx) // zero outside a traced request: stages go unrecorded
 	var ev core.DomainEvidence
 	ev.RevocationCutoff = simtime.NoDay
 	if s.evidence != nil {
-		sp := tr.StartSpan("evidence")
+		sp := obs.StartStage(id, "staleapid", "evidence")
 		var err error
 		ev, err = s.evidence(ctx, domain)
 		sp.End()
@@ -384,7 +369,7 @@ func (s *Server) staleness(ctx context.Context, domain string) (StalenessRespons
 		}
 	}
 	now := s.now()
-	sp := tr.StartSpan("detect")
+	sp := obs.StartStage(id, "staleapid", "detect")
 	stale := core.DomainStaleness(s.store, domain, ev)
 	sp.End()
 	resp := StalenessResponse{

@@ -369,3 +369,47 @@ func TestReadyzFlips(t *testing.T) {
 		t.Fatalf("readyz body = %s", body)
 	}
 }
+
+// TestStalenessMissRecordsStageSpans: a traced cache miss leaves the
+// evidence and detect stages as spans directly under the request's server
+// span; a cache hit runs neither and records the server span alone.
+func TestStalenessMissRecordsStageSpans(t *testing.T) {
+	spans := obs.NewSpanStore(8, 1, 0)
+	spans.Registry = obs.NewRegistry()
+	defer obs.SetDefaultSpans(obs.DefaultSpans())
+	obs.SetDefaultSpans(spans)
+
+	store, _ := newTestStore(t)
+	srv := NewServer(Config{
+		Store: store,
+		Evidence: func(context.Context, string) (core.DomainEvidence, error) {
+			return core.DomainEvidence{RevocationCutoff: simtime.NoDay}, nil
+		},
+		Now:      func() simtime.Day { return simtime.MustParse("2023-01-01") },
+		CacheTTL: time.Hour,
+		Health:   obs.NewHealth(),
+	})
+	ts := httptest.NewServer(obs.Middleware(obs.NewRegistry(), "staleapid", srv.Handler()))
+	defer ts.Close()
+
+	for _, want := range [][]string{{"evidence", "detect"}, nil} { // miss, then hit
+		if resp, body := get(t, ts, "/v1/domain/alpha.com/staleness"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d: %s", resp.StatusCode, body)
+		}
+		tr := spans.Traces(obs.TraceFilter{Limit: 1, WithSpans: true})[0]
+		roots := obs.BuildSpanTree(tr.Spans)
+		if len(roots) != 1 || roots[0].Kind != obs.SpanServer {
+			t.Fatalf("trace roots = %+v", roots)
+		}
+		var got []string
+		for _, c := range roots[0].Children {
+			if c.Kind != obs.SpanStage || c.Service != "staleapid" || len(c.Children) != 0 {
+				t.Errorf("child span = %+v", c.SpanRecord)
+			}
+			got = append(got, c.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("stage spans under the server span = %v, want %v", got, want)
+		}
+	}
+}

@@ -236,14 +236,6 @@ type errorJSON struct {
 	MissingShards []int  `json:"missing_shards,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 func (g *Gateway) writeResult(w http.ResponseWriter, res result) {
 	if res.ctype != "" {
 		w.Header().Set("Content-Type", res.ctype)
@@ -378,7 +370,7 @@ func markDegraded(res result, age time.Duration) result {
 func (g *Gateway) handleOwnerRouted(w http.ResponseWriter, r *http.Request) {
 	domain := dnsname.Canonical(r.PathValue("e2ld"))
 	if err := dnsname.Check(domain, false); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad domain: %v", err)})
+		obs.WriteJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad domain: %v", err)})
 		return
 	}
 	idx := g.ring.Lookup(shard.KeyForDomain(domain))
@@ -392,7 +384,7 @@ func (g *Gateway) handleOwnerRouted(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		w.Header().Set(MissingShardsHeader, strconv.Itoa(idx))
-		writeJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error(), MissingShards: []int{idx}})
+		obs.WriteJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error(), MissingShards: []int{idx}})
 		return
 	}
 	res := v.(result)
@@ -440,7 +432,7 @@ func (g *Gateway) scatter(ctx context.Context, pathq string) []leg {
 func (g *Gateway) handleCert(w http.ResponseWriter, r *http.Request) {
 	fpRaw := r.PathValue("fp")
 	if _, _, err := x509sim.ParseFingerprint(fpRaw); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 		return
 	}
 	// Cache under the normalized fingerprint identity, so the 16-hex short
@@ -472,7 +464,7 @@ func (g *Gateway) handleCert(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		mPartial.Inc()
 		w.Header().Set(MissingShardsHeader, missingHeader(missing))
-		writeJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error(), MissingShards: missing})
+		obs.WriteJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error(), MissingShards: missing})
 		return
 	}
 	res := v.(result)
@@ -505,7 +497,7 @@ func (g *Gateway) handleDomains(w http.ResponseWriter, r *http.Request) {
 	if ls := r.URL.Query().Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
 		if err != nil || n <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad limit"})
+			obs.WriteJSON(w, http.StatusBadRequest, errorJSON{Error: "bad limit"})
 			return
 		}
 		limit = min(n, 10000)
@@ -526,7 +518,7 @@ func (g *Gateway) handleDomains(w http.ResponseWriter, r *http.Request) {
 		merged.Domains = append(merged.Domains, dr.Domains...)
 	}
 	if len(merged.MissingShards) == len(g.groups) {
-		writeJSON(w, http.StatusBadGateway, errorJSON{Error: "all shards unreachable", MissingShards: merged.MissingShards})
+		obs.WriteJSON(w, http.StatusBadGateway, errorJSON{Error: "all shards unreachable", MissingShards: merged.MissingShards})
 		return
 	}
 	sort.Strings(merged.Domains)
@@ -539,7 +531,7 @@ func (g *Gateway) handleDomains(w http.ResponseWriter, r *http.Request) {
 		merged.Degraded = true
 		w.Header().Set(MissingShardsHeader, missingHeader(merged.MissingShards))
 	}
-	writeJSON(w, http.StatusOK, merged)
+	obs.WriteJSON(w, http.StatusOK, merged)
 }
 
 // dedupeSorted collapses adjacent duplicates (a multi-e2LD certificate is
@@ -557,7 +549,7 @@ func dedupeSorted(s []string) []string {
 // handleShardmap serves the gateway's full topology document — the fleet
 // view, where each staleapid serves only its own slice.
 func (g *Gateway) handleShardmap(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, g.m)
+	obs.WriteJSON(w, http.StatusOK, g.m)
 }
 
 // probeReplica checks one replica of one slice is ready AND agrees with the

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"stalecert/internal/obs"
+	"stalecert/internal/obsagg"
 	"stalecert/internal/resil"
 )
 
@@ -160,8 +161,8 @@ func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	}
 
 	// Fleet assembly: one scrape round federates metrics, traces AND logs.
-	agg := &obs.Aggregator{
-		Targets: []obs.Target{
+	agg := &obsagg.Aggregator{
+		Targets: []obsagg.Target{
 			{Job: "staleapid", URL: api.debug.URL},
 			{Job: "ctlogd", URL: ct.debug.URL},
 		},

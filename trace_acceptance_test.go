@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"stalecert/internal/obs"
+	"stalecert/internal/obsagg"
 	"stalecert/internal/resil"
 )
 
@@ -112,8 +113,8 @@ func TestRequestTracedAcrossFleet(t *testing.T) {
 
 	// Fleet assembly: obsagg scrapes both daemons and stitches the shared
 	// trace ID into one tree.
-	agg := &obs.Aggregator{
-		Targets: []obs.Target{
+	agg := &obsagg.Aggregator{
+		Targets: []obsagg.Target{
 			{Job: "staleapid", URL: api.debug.URL},
 			{Job: "ctlogd", URL: ct.debug.URL},
 		},
