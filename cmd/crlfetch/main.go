@@ -56,9 +56,7 @@ func main() {
 	if *cas != "" {
 		names = strings.Split(*cas, ",")
 	} else {
-		for _, p := range ca.NewDirectory().All() {
-			names = append(names, p.Name)
-		}
+		names = ca.NewDirectory().Names()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

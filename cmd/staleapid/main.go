@@ -13,7 +13,11 @@
 //
 // Staleness evidence comes from the same sources the live monitor uses:
 // WHOIS (registrant change), authoritative DNS (managed-TLS departure) and
-// CRLs (revocation); any source left unconfigured disables its check.
+// CRLs (revocation); any source left unconfigured disables its check. WHOIS
+// and DNS are asked per uncached query; the CRLs of the whole CA directory
+// are held in a memory snapshot refreshed in the background every
+// -cache-ttl, so revocation evidence is at most one refresh older than the
+// cache entry it backs. /readyz stays unready until the first complete load.
 //
 // Usage:
 //
@@ -61,19 +65,15 @@ import (
 
 	"stalecert/internal/ca"
 	"stalecert/internal/certstore"
-	"stalecert/internal/core"
 	"stalecert/internal/crl"
 	"stalecert/internal/ctlog"
-	"stalecert/internal/dnsname"
 	"stalecert/internal/dnssim"
-	"stalecert/internal/monitor"
+	"stalecert/internal/evidence"
 	"stalecert/internal/obs"
 	"stalecert/internal/resil"
 	"stalecert/internal/shard"
 	"stalecert/internal/simtime"
 	"stalecert/internal/staleapi"
-	"stalecert/internal/whois"
-	"stalecert/internal/x509sim"
 )
 
 func main() {
@@ -168,20 +168,50 @@ func main() {
 		}
 		logger.Info("sharded ingest", "shard", assign.String(), "epoch", *shardEpoch, "vnodes", *shardVNodes)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	// Evidence sources; any left unconfigured disables its check. Revocations
+	// come from a snapshot of the whole CA directory refreshed every
+	// -cache-ttl in the background — CRL fetches run under the flags' retry
+	// budget (and chaos injection when seeded) — never inside a request.
+	gather := &evidence.Gatherer{Index: store, WhoisAddr: *whoisAddr, Marker: *marker, Now: nowDay}
+	if *dnsAddr != "" {
+		gather.Resolver = &dnssim.Resolver{ServerAddr: *dnsAddr, Timeout: 2 * time.Second}
+	}
+	if *crlURL != "" {
+		fetcher := &crl.Fetcher{Base: *crlURL}
+		if rf.RetryMax > 1 {
+			fetcher.Retries = rf.RetryMax - 1
+		}
+		if opts := rf.Options("crl-fetcher"); opts.Chaos != nil {
+			// The fetcher's own retry loop sits above the transport, so chaos
+			// slots directly under the instrumented client.
+			fetcher.HC = &http.Client{Transport: opts.Chaos.WithBase(nil)}
+		}
+		gather.CRL = &crl.Snapshot{Fetcher: fetcher, Names: ca.NewDirectory().Names(), Service: "staleapid"}
+		obs.DefaultHealth().Register("crl-snapshot", gather.CRL.Ready)
+		go gather.CRL.Run(ctx, *cacheTTL)
+	}
 	srv := staleapi.NewServer(staleapi.Config{
 		Store:        store,
-		Evidence:     liveEvidence(rf, *whoisAddr, *dnsAddr, *crlURL, *marker, nowDay),
+		Evidence:     gather.Gather,
 		Now:          func() simtime.Day { return nowDay },
 		CacheEntries: *cacheEntries,
 		CacheTTL:     *cacheTTL,
 		Shard:        self,
 	})
-	// Evidence failures degrade readiness (200 with a degraded body) rather
-	// than flipping the daemon unready: queries still answer from last-good.
-	obs.DefaultHealth().Register("evidence", srv.EvidenceProbe)
+	// Evidence failures — a failed gather, or a CA whose CRL refresh failed
+	// and is served from its last-good list — degrade readiness (200 with a
+	// degraded body) rather than flipping the daemon unready: queries still
+	// answer from last-good.
+	obs.DefaultHealth().Register("evidence", func(ctx context.Context) error {
+		if err := srv.EvidenceProbe(ctx); err != nil || gather.CRL == nil {
+			return err
+		}
+		return obs.Degraded(gather.CRL.Lagging())
+	})
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	go ing.Run(ctx, *interval, func(added int, err error) {
 		switch {
 		case err != nil:
@@ -217,105 +247,4 @@ func main() {
 		}
 		_ = stopDebug(sctx)
 	}
-}
-
-// liveEvidence builds the per-domain evidence gatherer from the configured
-// sources, mirroring the live monitor's checks: a WHOIS creation date
-// becomes a registrant-change event, a missing provider delegation becomes a
-// departure on the evaluation day, and the CA directory's CRLs supply
-// revocations. The shared core.DomainStaleness then applies the batch
-// pipelines' filters, so the API's verdicts match staled's. CRL fetches run
-// under the flags' retry budget (and chaos injection when seeded).
-func liveEvidence(rf resil.Flags, whoisAddr, dnsAddr, crlURL, marker string, now simtime.Day) staleapi.EvidenceFunc {
-	var resolver *dnssim.Resolver
-	if dnsAddr != "" {
-		resolver = &dnssim.Resolver{ServerAddr: dnsAddr, Timeout: 2 * time.Second}
-	}
-	isProviderRecord := func(r dnssim.Record) bool {
-		switch r.Type {
-		case dnssim.TypeNS:
-			return dnsname.IsSubdomain(r.Data, "ns.cloudflare.com")
-		case dnssim.TypeCNAME:
-			return dnsname.IsSubdomain(r.Data, "cdn.cloudflare.com")
-		}
-		return false
-	}
-	var crlNames []string
-	var fetcher *crl.Fetcher
-	if crlURL != "" {
-		for _, p := range ca.NewDirectory().All() {
-			crlNames = append(crlNames, p.Name)
-		}
-		fetcher = &crl.Fetcher{Base: crlURL}
-		if rf.RetryMax > 1 {
-			fetcher.Retries = rf.RetryMax - 1
-		}
-		if opts := rf.Options("crl-fetcher"); opts.Chaos != nil {
-			// The fetcher's own retry loop sits above the transport, so chaos
-			// slots directly under the instrumented client.
-			fetcher.HC = &http.Client{Transport: opts.Chaos.WithBase(nil)}
-		}
-	}
-	return func(ctx context.Context, domain string) (core.DomainEvidence, error) {
-		ev := core.DomainEvidence{
-			RevocationCutoff: simtime.NoDay,
-			IsManaged: func(c *x509sim.Certificate) bool {
-				return monitor.HasProviderMarker(c, marker)
-			},
-		}
-		if whoisAddr != "" {
-			rec, err := whois.Query(ctx, whoisAddr, domain)
-			switch {
-			case err == nil:
-				ev.ReRegistrations = append(ev.ReRegistrations,
-					whois.ReRegistration{Domain: domain, NewCreation: rec.Created})
-			case err != whois.ErrNoMatch:
-				return ev, fmt.Errorf("whois %s: %w", domain, err)
-			}
-		}
-		if crlURL != "" {
-			lists, err := fetcher.FetchAll(ctx, crlNames)
-			if err != nil {
-				return ev, fmt.Errorf("crl fetch: %w", err)
-			}
-			for _, l := range lists {
-				ev.Revocations = append(ev.Revocations, l.Entries...)
-			}
-		}
-		if resolver != nil {
-			delegated, err := providerDelegated(ctx, resolver, isProviderRecord, domain)
-			if err != nil {
-				return ev, err
-			}
-			if !delegated {
-				ev.Departures = append(ev.Departures,
-					dnssim.Departure{Domain: domain, LastSeen: now - 1, FirstGone: now})
-			}
-		}
-		return ev, nil
-	}
-}
-
-// providerDelegated mirrors the live monitor's delegation check: apex NS or
-// www CNAME pointing at the provider.
-func providerDelegated(ctx context.Context, resolver *dnssim.Resolver, isProvider func(dnssim.Record) bool, domain string) (bool, error) {
-	for _, q := range []struct {
-		name string
-		typ  dnssim.RRType
-	}{{domain, dnssim.TypeNS}, {"www." + domain, dnssim.TypeCNAME}} {
-		recs, err := resolver.Query(ctx, q.name, q.typ)
-		if err != nil {
-			var nx *dnssim.NXDomainError
-			if errors.As(err, &nx) {
-				continue
-			}
-			return false, fmt.Errorf("dns %s %v: %w", q.name, q.typ, err)
-		}
-		for _, r := range recs {
-			if isProvider(r) {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
 }

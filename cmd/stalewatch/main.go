@@ -40,7 +40,6 @@ import (
 	"stalecert/internal/certstore"
 	"stalecert/internal/crl"
 	"stalecert/internal/ctlog"
-	"stalecert/internal/dnsname"
 	"stalecert/internal/dnssim"
 	"stalecert/internal/monitor"
 	"stalecert/internal/obs"
@@ -146,22 +145,24 @@ func main() {
 	ev := &monitor.Evaluator{Now: nowDay, WhoisAddr: *whoisAddr, MarkerSuffix: *marker}
 	if *dnsAddr != "" {
 		ev.Resolver = &dnssim.Resolver{ServerAddr: *dnsAddr, Timeout: 2 * time.Second}
-		ev.IsProviderRecord = func(r dnssim.Record) bool {
-			switch r.Type {
-			case dnssim.TypeNS:
-				return dnsname.IsSubdomain(r.Data, "ns.cloudflare.com")
-			case dnssim.TypeCNAME:
-				return dnsname.IsSubdomain(r.Data, "cdn.cloudflare.com")
-			}
-			return false
-		}
-	}
-	if *crlURL != "" {
-		ev.Revocation = crlBackedChecker(*crlURL)
+		ev.IsProviderRecord = monitor.IsCloudflareRecord
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if *crlURL != "" {
+		// The first check loads the snapshot; a long-running watcher then
+		// refreshes it once per poll interval in the background.
+		snap := &crl.Snapshot{
+			Fetcher: &crl.Fetcher{Base: *crlURL},
+			Names:   ca.NewDirectory().Names(),
+			Service: "stalewatch",
+		}
+		ev.Revocation = crlBackedChecker(snap)
+		if !*once {
+			go snap.Run(ctx, *interval)
+		}
+	}
 	// Round-level retry on top of the client's per-request resilience: a poll
 	// that fails end-to-end (scrape + persist) gets the full backoff ladder
 	// before the round is abandoned until the next interval.
@@ -226,26 +227,18 @@ func main() {
 	}
 }
 
-// crlBackedChecker fetches fresh CRLs for the built-in CA directory on every
-// check round. For a monitoring loop the daily CRL set is small; a
-// production deployment would cache by nextUpdate.
-func crlBackedChecker(base string) revcheck.Checker {
-	dir := ca.NewDirectory()
-	var names []string
-	for _, p := range dir.All() {
-		names = append(names, p.Name)
-	}
+// crlBackedChecker answers revocation checks from the in-memory CRL
+// snapshot: a map lookup per certificate, with the CA directory fetched once
+// per refresh round rather than once per check.
+func crlBackedChecker(snap *crl.Snapshot) revcheck.Checker {
 	return revcheck.CheckerFunc(func(ctx context.Context, cert *x509sim.Certificate, now simtime.Day) (revcheck.Status, crl.Reason, error) {
-		fetcher := &crl.Fetcher{Base: base}
-		lists, err := fetcher.FetchAll(ctx, names)
+		view, err := snap.Current(ctx)
 		if err != nil {
 			return revcheck.StatusUnavailable, 0, err
 		}
-		for _, l := range lists {
-			for _, e := range l.Entries {
-				if e.Key() == cert.DedupKey() && e.RevokedAt <= now {
-					return revcheck.StatusRevoked, e.Reason, nil
-				}
+		for _, e := range view.Lookup(cert.DedupKey()) {
+			if e.RevokedAt <= now {
+				return revcheck.StatusRevoked, e.Reason, nil
 			}
 		}
 		return revcheck.StatusGood, 0, nil

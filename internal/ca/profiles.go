@@ -139,6 +139,17 @@ func (d *Directory) All() []Profile {
 	return out
 }
 
+// Names returns every CA's name in ID order: the CRL distribution points a
+// full revocation pull covers.
+func (d *Directory) Names() []string {
+	all := d.All()
+	names := make([]string, len(all))
+	for i, p := range all {
+		names[i] = p.Name
+	}
+	return names
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

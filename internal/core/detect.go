@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"stalecert/internal/crl"
 	"stalecert/internal/dnssim"
@@ -240,15 +241,19 @@ func DetectManagedTLSDeparture(idx Index, departures []dnssim.Departure, isManag
 	return out
 }
 
+// sortStale puts detections in the canonical order. The key covers every
+// field evidence contributes, so the result does not depend on the order
+// evidence arrived in.
 func sortStale(s []StaleCert) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].EventDay != s[j].EventDay {
-			return s[i].EventDay < s[j].EventDay
-		}
-		if s[i].Cert.Issuer != s[j].Cert.Issuer {
-			return s[i].Cert.Issuer < s[j].Cert.Issuer
-		}
-		return s[i].Cert.Serial < s[j].Cert.Serial
+	slices.SortFunc(s, func(a, b StaleCert) int {
+		return cmp.Or(
+			cmp.Compare(a.EventDay, b.EventDay),
+			cmp.Compare(a.Cert.Issuer, b.Cert.Issuer),
+			cmp.Compare(a.Cert.Serial, b.Cert.Serial),
+			cmp.Compare(a.Method, b.Method),
+			cmp.Compare(a.Domain, b.Domain),
+			cmp.Compare(a.Reason, b.Reason),
+		)
 	})
 }
 

@@ -133,3 +133,44 @@ func TestByE2LDDefensiveCopy(t *testing.T) {
 		t.Fatal("miss should return nil")
 	}
 }
+
+// TestDomainStalenessOrderIgnoresEvidenceOrder: the canonical order is total
+// over what evidence contributes, so detections that tie on event day, issuer
+// and serial — one certificate hit by several methods, or by two CRL entries,
+// on the same day — come out identically however the evidence was ordered.
+func TestDomainStalenessOrderIgnoresEvidenceOrder(t *testing.T) {
+	managed := func(*x509sim.Certificate) bool { return true }
+	cert := domCert(t, 1, []string{"tie.com", "www.tie.com"}, 100, 900)
+	other := domCert(t, 2, []string{"tie.com"}, 100, 900)
+	corpus := NewCorpus([]*x509sim.Certificate{cert, other}, CorpusOptions{})
+	ev := DomainEvidence{
+		Revocations: []crl.Entry{
+			{Issuer: cert.Issuer, Serial: 1, RevokedAt: 500, Reason: crl.Superseded},
+			{Issuer: cert.Issuer, Serial: 1, RevokedAt: 500, Reason: crl.KeyCompromise},
+			{Issuer: other.Issuer, Serial: 2, RevokedAt: 500, Reason: crl.Unspecified},
+		},
+		ReRegistrations:  []whois.ReRegistration{{Domain: "tie.com", NewCreation: 500}},
+		Departures:       []dnssim.Departure{{Domain: "tie.com", LastSeen: 499, FirstGone: 500}},
+		RevocationCutoff: simtime.NoDay,
+		IsManaged:        managed,
+	}
+	render := func(ev DomainEvidence) string {
+		var keys []string
+		for _, s := range DomainStaleness(corpus, "tie.com", ev) {
+			keys = append(keys, domKey(s))
+		}
+		return fmt.Sprint(keys)
+	}
+	want := render(ev)
+	if n := len(DomainStaleness(corpus, "tie.com", ev)); n != 7 {
+		t.Fatalf("got %d detections, want 7 all on day 500", n)
+	}
+	perms := [][]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, p := range perms {
+		shuffled := ev
+		shuffled.Revocations = []crl.Entry{ev.Revocations[p[0]], ev.Revocations[p[1]], ev.Revocations[p[2]]}
+		if got := render(shuffled); got != want {
+			t.Fatalf("revocations in order %v:\n got %s\nwant %s", p, got, want)
+		}
+	}
+}

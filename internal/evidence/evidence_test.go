@@ -1,0 +1,300 @@
+package evidence
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"stalecert/internal/core"
+	"stalecert/internal/crl"
+	"stalecert/internal/dnssim"
+	"stalecert/internal/simtime"
+	"stalecert/internal/whois"
+	"stalecert/internal/x509sim"
+)
+
+const (
+	rigDomains = 400
+	rigNow     = simtime.Day(19000)
+	rigMarker  = "cloudflaressl.com"
+)
+
+var rigCAs = []string{"CA1", "CA2", "CA3", "CA4"}
+
+// whoisMap is a WHOIS source over a fixed set of records.
+type whoisMap map[string]whois.Record
+
+func (m whoisMap) WhoisLookup(domain string) (whois.Record, bool) {
+	r, ok := m[domain]
+	return r, ok
+}
+
+// rig is a seeded corpus with whoisd, dnsscand and crld equivalents serving
+// its evidence in-process over loopback, and a Gatherer wired to all three.
+type rig struct {
+	corpus  *core.Corpus
+	domains []string
+	crlURL  string
+	gather  *Gatherer
+}
+
+func newRig(tb testing.TB, seed int64) *rig {
+	tb.Helper()
+	rnd := rand.New(rand.NewSource(seed))
+	var certs []*x509sim.Certificate
+	records := whoisMap{}
+	zone := dnssim.NewZone("com")
+	auths := make([]*crl.Authority, len(rigCAs))
+	for i, name := range rigCAs {
+		auths[i] = crl.NewAuthority(name)
+	}
+	r := &rig{}
+	serial := uint64(0)
+	for d := 0; d < rigDomains; d++ {
+		domain := fmt.Sprintf("site%04d.com", d)
+		r.domains = append(r.domains, domain)
+		for n := 1 + rnd.Intn(6); n > 0; n-- {
+			serial++
+			issuer := 1 + rnd.Intn(len(rigCAs))
+			names := []string{domain, "www." + domain}
+			if rnd.Intn(3) == 0 {
+				names = append(names, fmt.Sprintf("sni%d.%s", serial, rigMarker))
+			}
+			nb := rigNow - simtime.Day(30+rnd.Intn(300))
+			c, err := x509sim.New(x509sim.SerialNumber(serial), x509sim.IssuerID(issuer), x509sim.KeyID(serial), names, nb, nb+398)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			certs = append(certs, c)
+			if rnd.Intn(5) == 0 {
+				// A second body under the same (issuer, serial): the CRL join
+				// key does not tell them apart.
+				twin, err := x509sim.New(c.Serial, c.Issuer, c.Key, append(names, "twin."+domain), nb, nb+398)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				certs = append(certs, twin)
+			}
+			if rnd.Intn(4) == 0 {
+				// Mostly inside the validity window, sometimes before it.
+				day := nb - 20 + simtime.Day(rnd.Intn(200))
+				auths[issuer-1].Revoke(c.Issuer, c.Serial, day, crl.Reason(rnd.Intn(6)))
+				if rnd.Intn(8) == 0 {
+					// A second CA lists the same certificate on another day.
+					auths[issuer%len(rigCAs)].Revoke(c.Issuer, c.Serial, day+1, crl.Superseded)
+				}
+			}
+		}
+		if rnd.Intn(2) == 0 {
+			records[domain] = whois.Record{Domain: domain, Registrar: "r", Created: rigNow - simtime.Day(rnd.Intn(400)),
+				Expires: rigNow + 365, Status: "ok"}
+		}
+		if rnd.Intn(2) == 0 {
+			if err := zone.Add(dnssim.Record{Name: domain, Type: dnssim.TypeNS, TTL: 60, Data: "amy.ns.cloudflare.com"}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	// Revocations of certificates the corpus has never seen.
+	for i := 0; i < 2000; i++ {
+		auths[i%len(auths)].Revoke(x509sim.IssuerID(1+i%len(auths)), x509sim.SerialNumber(1_000_000+i), rigNow-10, crl.Unspecified)
+	}
+	r.corpus = core.NewCorpus(certs, core.CorpusOptions{})
+
+	crlSrv := crl.NewServer(seed)
+	crlSrv.SetNow(rigNow)
+	for _, a := range auths {
+		crlSrv.Host(a, 0)
+	}
+	crlTS := httptest.NewServer(crlSrv.Handler())
+	tb.Cleanup(crlTS.Close)
+	r.crlURL = crlTS.URL
+
+	whoisSrv := whois.NewServer(records)
+	whoisAddr, err := whoisSrv.Start("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = whoisSrv.Close() })
+
+	store := dnssim.NewStore()
+	store.AddZone(zone)
+	dnsSrv := dnssim.NewServer(store)
+	dnsAddr, err := dnsSrv.Start("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = dnsSrv.Close() })
+
+	r.gather = &Gatherer{
+		Index:     r.corpus,
+		WhoisAddr: whoisAddr.String(),
+		Resolver:  &dnssim.Resolver{ServerAddr: dnsAddr.String(), Timeout: 2 * time.Second},
+		CRL:       &crl.Snapshot{Fetcher: &crl.Fetcher{Base: crlTS.URL}, Names: rigCAs, Service: "evidence-test"},
+		Marker:    rigMarker,
+		Now:       rigNow,
+	}
+	return r
+}
+
+// TestGatherVerdictsEqualFlatCRLVerdicts: for every domain of a seeded
+// corpus, DomainStaleness over the gatherer's evidence — revocations narrowed
+// to the domain by the snapshot join — equals DomainStaleness over the same
+// evidence carrying the flat concatenation of every CA's CRL, which is what
+// the per-request gatherer used to pass.
+func TestGatherVerdictsEqualFlatCRLVerdicts(t *testing.T) {
+	r := newRig(t, 7)
+	ctx := context.Background()
+	lists, err := (&crl.Fetcher{Base: r.crlURL}).FetchAll(ctx, rigCAs)
+	if err != nil || len(lists) != len(rigCAs) {
+		t.Fatalf("flat fetch: %d lists, %v", len(lists), err)
+	}
+	var flat []crl.Entry
+	for _, name := range rigCAs {
+		flat = append(flat, lists[name].Entries...)
+	}
+
+	byMethod := map[core.Method]int{}
+	narrowed := 0
+	for _, domain := range append(r.domains, "nocerts.com") {
+		ev, err := r.gather.Gather(ctx, domain)
+		if err != nil {
+			t.Fatalf("Gather %s: %v", domain, err)
+		}
+		narrowed += len(ev.Revocations)
+		got := core.DomainStaleness(r.corpus, domain, ev)
+		ev.Revocations = flat
+		want := core.DomainStaleness(r.corpus, domain, ev)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: snapshot-joined verdict differs from the flat-CRL verdict:\n got %v\nwant %v", domain, got, want)
+		}
+		for _, s := range got {
+			byMethod[s.Method]++
+		}
+	}
+	for _, m := range []core.Method{core.MethodRevocation, core.MethodRegistrantChange, core.MethodManagedTLS} {
+		if byMethod[m] == 0 {
+			t.Errorf("no %v verdict in the corpus: the comparison does not cover it (%v)", m, byMethod)
+		}
+	}
+	if narrowed == 0 || narrowed >= len(flat) {
+		t.Errorf("gathered %d revocation entries over all domains against %d in the flat set", narrowed, len(flat))
+	}
+}
+
+// TestGatherRunsWhoisAndDNSConcurrently: the WHOIS answer is held until the
+// DNS server has been asked and the DNS answer until WHOIS has been asked, so
+// a gatherer that ran the two in turn, in either order, would time out.
+func TestGatherRunsWhoisAndDNSConcurrently(t *testing.T) {
+	whoisAsked, dnsAsked := make(chan struct{}), make(chan struct{})
+	var whoisOnce, dnsOnce sync.Once
+
+	whoisSrv := whois.NewServer(sourceFunc(func(domain string) (whois.Record, bool) {
+		whoisOnce.Do(func() { close(whoisAsked) })
+		<-dnsAsked
+		return whois.Record{Domain: domain, Created: 100, Expires: 900, Status: "ok"}, true
+	}))
+	whoisAddr, err := whoisSrv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whoisSrv.Close()
+
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	go func() {
+		buf := make([]byte, 4096)
+		for {
+			n, from, err := pc.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			req, err := dnssim.Unmarshal(buf[:n])
+			if err != nil {
+				continue
+			}
+			dnsOnce.Do(func() { close(dnsAsked) })
+			<-whoisAsked
+			resp := &dnssim.Message{Header: dnssim.Header{ID: req.ID, Response: true, RCode: dnssim.RCodeNXDomain},
+				Questions: req.Questions}
+			if raw, err := resp.Marshal(); err == nil {
+				_, _ = pc.WriteTo(raw, from)
+			}
+		}
+	}()
+
+	g := &Gatherer{
+		Index:     core.NewCorpus(nil, core.CorpusOptions{}),
+		WhoisAddr: whoisAddr.String(),
+		Resolver:  &dnssim.Resolver{ServerAddr: pc.LocalAddr().String(), Timeout: time.Second, Retries: 1},
+		Now:       rigNow,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ev, err := g.Gather(ctx, "overlap.com")
+	if err != nil {
+		t.Fatalf("Gather: %v (WHOIS and DNS did not overlap)", err)
+	}
+	if len(ev.ReRegistrations) != 1 || len(ev.Departures) != 1 {
+		t.Fatalf("evidence = %+v, want one re-registration and one departure", ev)
+	}
+}
+
+type sourceFunc func(domain string) (whois.Record, bool)
+
+func (f sourceFunc) WhoisLookup(domain string) (whois.Record, bool) { return f(domain) }
+
+// TestGatherFailsWhenACAHasNeverLoaded: a distribution point that 403s one CA
+// from the start must surface as an evidence error, not as a verdict computed
+// without that CA's revocations.
+func TestGatherFailsWhenACAHasNeverLoaded(t *testing.T) {
+	auth := crl.NewAuthority("Open")
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/crl/Open" {
+			http.Error(w, "automated access denied", http.StatusForbidden)
+			return
+		}
+		_, _ = w.Write(auth.Snapshot(rigNow).Marshal())
+	}))
+	defer ts.Close()
+	g := &Gatherer{
+		Index: core.NewCorpus(nil, core.CorpusOptions{}),
+		CRL: &crl.Snapshot{
+			Fetcher: &crl.Fetcher{Base: ts.URL, Retries: 1, Backoff: time.Millisecond},
+			Names:   []string{"Open", "Walled"},
+		},
+	}
+	_, err := g.Gather(context.Background(), "any.com")
+	if err == nil || !strings.Contains(err.Error(), "Walled") {
+		t.Fatalf("Gather = %v, want an error naming the CA that never loaded", err)
+	}
+}
+
+// BenchmarkGather is one cache miss's evidence work: a WHOIS dial and the
+// DNS delegation questions over loopback, concurrently, plus the snapshot
+// join, against in-process whoisd, dnsscand and crld equivalents.
+func BenchmarkGather(b *testing.B) {
+	r := newRig(b, 7)
+	ctx := context.Background()
+	if _, err := r.gather.Gather(ctx, r.domains[0]); err != nil { // first load
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.gather.Gather(ctx, r.domains[i%len(r.domains)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

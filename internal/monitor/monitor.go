@@ -249,16 +249,16 @@ func (ev *Evaluator) Evaluate(ctx context.Context, hit Hit) ([]Alert, error) {
 					Detail: fmt.Sprintf("registry creation %s postdates cert notBefore %s; %d stale days remain",
 						rec.Created, cert.NotBefore, int(cert.NotAfter-ev.Now)+1),
 				})
-			case err != nil && err != whois.ErrNoMatch:
+			case err != nil && !errors.Is(err, whois.ErrNoMatch):
 				return alerts, fmt.Errorf("monitor: whois %s: %w", domain, err)
 			}
 		}
 		if ev.Resolver != nil && ev.IsProviderRecord != nil && ev.MarkerSuffix != "" {
 			managed := hasMarker(cert, ev.MarkerSuffix)
 			if managed {
-				delegated, err := ev.delegated(ctx, domain)
+				delegated, err := ProviderDelegated(ctx, ev.Resolver, ev.IsProviderRecord, domain)
 				if err != nil {
-					return alerts, err
+					return alerts, fmt.Errorf("monitor: %w", err)
 				}
 				if !delegated {
 					alerts = append(alerts, Alert{
@@ -298,23 +298,38 @@ func HasProviderMarker(cert *x509sim.Certificate, suffix string) bool {
 	return false
 }
 
-// delegated reports whether the domain's apex NS or www CNAME points at the
-// provider.
-func (ev *Evaluator) delegated(ctx context.Context, domain string) (bool, error) {
+// IsCloudflareRecord matches the delegation records of the managed-TLS
+// provider the daemons watch: an NS under ns.cloudflare.com or a CNAME under
+// cdn.cloudflare.com.
+func IsCloudflareRecord(r dnssim.Record) bool {
+	switch r.Type {
+	case dnssim.TypeNS:
+		return dnsname.IsSubdomain(r.Data, "ns.cloudflare.com")
+	case dnssim.TypeCNAME:
+		return dnsname.IsSubdomain(r.Data, "cdn.cloudflare.com")
+	}
+	return false
+}
+
+// ProviderDelegated reports whether the domain's apex NS or www CNAME points
+// at the provider. The two questions are asked in turn and the second is
+// skipped when the first already answers. Shared by the live evaluator and
+// the staleness evidence gatherer so both read delegation identically.
+func ProviderDelegated(ctx context.Context, resolver *dnssim.Resolver, isProvider func(dnssim.Record) bool, domain string) (bool, error) {
 	for _, q := range []struct {
 		name string
 		typ  dnssim.RRType
 	}{{domain, dnssim.TypeNS}, {"www." + domain, dnssim.TypeCNAME}} {
-		recs, err := ev.Resolver.Query(ctx, q.name, q.typ)
+		recs, err := resolver.Query(ctx, q.name, q.typ)
 		if err != nil {
 			var nx *dnssim.NXDomainError
 			if errors.As(err, &nx) {
 				continue
 			}
-			return false, fmt.Errorf("monitor: dns %s %v: %w", q.name, q.typ, err)
+			return false, fmt.Errorf("dns %s %v: %w", q.name, q.typ, err)
 		}
 		for _, r := range recs {
-			if ev.IsProviderRecord(r) {
+			if isProvider(r) {
 				return true, nil
 			}
 		}
