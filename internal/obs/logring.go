@@ -366,7 +366,9 @@ func (h *teeHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 	flat := append([]slog.Attr(nil), h.attrs...)
 	prefix := strings.Join(h.groups, ".")
 	for _, a := range attrs {
-		flat = appendFlatAttr(flat, prefix, a)
+		walkAttr(prefix, a, func(key string, v slog.Value) {
+			flat = append(flat, slog.Attr{Key: key, Value: v})
+		})
 	}
 	return &teeHandler{inner: h.inner.WithAttrs(attrs), ring: h.ring,
 		attrs: flat, groups: h.groups}
@@ -381,25 +383,21 @@ func (h *teeHandler) WithGroup(name string) slog.Handler {
 		attrs: h.attrs, groups: groups}
 }
 
-// appendFlatAttr flattens one attr (recursing into groups) under a dotted
-// key prefix.
-func appendFlatAttr(flat []slog.Attr, prefix string, a slog.Attr) []slog.Attr {
+// walkAttr calls leaf for a, or when a is a group for each attr inside it,
+// with the key qualified by the dotted prefix.
+func walkAttr(prefix string, a slog.Attr, leaf func(key string, v slog.Value)) {
 	a.Value = a.Value.Resolve()
-	if a.Value.Kind() == slog.KindGroup {
-		sub := a.Key
-		if prefix != "" {
-			sub = prefix + "." + sub
-		}
-		for _, ga := range a.Value.Group() {
-			flat = appendFlatAttr(flat, sub, ga)
-		}
-		return flat
-	}
 	key := a.Key
 	if prefix != "" {
 		key = prefix + "." + key
 	}
-	return append(flat, slog.Attr{Key: key, Value: a.Value})
+	if a.Value.Kind() == slog.KindGroup {
+		for _, ga := range a.Value.Group() {
+			walkAttr(key, ga, leaf)
+		}
+		return
+	}
+	leaf(key, a.Value)
 }
 
 func (h *teeHandler) Handle(ctx context.Context, rec slog.Record) error {
@@ -420,17 +418,11 @@ func (h *teeHandler) Handle(ctx context.Context, rec slog.Record) error {
 			lr.TraceID = id.Trace()
 			lr.SpanID = id.Span()
 		}
-		flat := h.attrs
-		prefix := strings.Join(h.groups, ".")
-		rec.Attrs(func(a slog.Attr) bool {
-			flat = appendFlatAttr(flat, prefix, a)
-			return true
-		})
-		if len(flat) > 0 {
-			lr.Attrs = make(map[string]string, len(flat))
-			for _, a := range flat {
-				v := a.Value.String()
-				switch a.Key {
+		if n := len(h.attrs) + rec.NumAttrs(); n > 0 {
+			lr.Attrs = make(map[string]string, n)
+			set := func(key string, val slog.Value) {
+				v := val.String()
+				switch key {
 				case "component", "service":
 					if lr.Service == "" {
 						lr.Service = v
@@ -443,8 +435,16 @@ func (h *teeHandler) Handle(ctx context.Context, rec slog.Record) error {
 						lr.TraceID = v
 					}
 				}
-				lr.Attrs[a.Key] = v
+				lr.Attrs[key] = v
 			}
+			for _, a := range h.attrs {
+				set(a.Key, a.Value)
+			}
+			prefix := strings.Join(h.groups, ".")
+			rec.Attrs(func(a slog.Attr) bool {
+				walkAttr(prefix, a, set)
+				return true
+			})
 		}
 		ring.Append(lr)
 	}

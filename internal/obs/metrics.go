@@ -9,6 +9,7 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -231,15 +232,34 @@ type metric struct {
 	h      *Histogram
 }
 
-// Registry is a set of named metrics. Lookup takes a short RLock; updates on
-// the returned instruments are pure atomics. The zero value is not usable;
-// construct with NewRegistry (or use Default).
+// Registry is a set of named metrics. Looking up a series that was looked up
+// before with the same arguments is one lock-free map read — no label string
+// is built and no lock taken, so per-request call sites need no handle
+// caching of their own; updates on the returned instruments are pure
+// atomics. The zero value is not usable; construct with NewRegistry (or use
+// Default).
 type Registry struct {
 	mu       sync.RWMutex
-	metrics  map[string]*metric
+	metrics  map[string]*metric // by family + rendered label set
 	families map[string]Kind
 	hooks    []func()
+	// byArgs resolves (family, label pairs as passed) to the series without
+	// rendering them. Copy-on-write under mu — the key space is the call
+	// sites' bounded label values — and dropped by Reset together with the
+	// series, so a hit can never return a handle Snapshot no longer lists.
+	byArgs atomic.Pointer[map[seriesKey]*metric]
 }
+
+// seriesKey is a lookup's arguments, uninterpreted: label pairs in another
+// order name the same series under another key.
+type seriesKey struct {
+	family string
+	pairs  [2 * maxKeyedLabels]string
+}
+
+// maxKeyedLabels is the most label pairs a lookup can have and still be
+// resolved by argument; no instrumented call site passes more.
+const maxKeyedLabels = 3
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -279,44 +299,57 @@ func (r *Registry) Histogram(name string, bounds []float64, labelPairs ...string
 }
 
 func (r *Registry) lookup(family string, kind Kind, bounds []float64, labelPairs []string) *metric {
-	labels := FormatLabels(labelPairs)
-	key := family + labels
-
-	r.mu.RLock()
-	m, ok := r.metrics[key]
-	r.mu.RUnlock()
-	if ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", key, kind, m.kind))
+	key := seriesKey{family: family}
+	keyed := len(labelPairs) <= len(key.pairs)
+	if keyed {
+		copy(key.pairs[:], labelPairs)
+		if byArgs := r.byArgs.Load(); byArgs != nil {
+			if m, ok := (*byArgs)[key]; ok {
+				return m.mustBe(kind)
+			}
 		}
-		return m
 	}
 
+	labels := FormatLabels(labelPairs)
+	full := family + labels
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[key]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", key, kind, m.kind))
+	m, ok := r.metrics[full]
+	if !ok {
+		if k, ok := r.families[family]; ok && k != kind {
+			panic(fmt.Sprintf("obs: family %q holds %v metrics, requested %v", family, k, kind))
 		}
-		return m
+		m = &metric{family: family, labels: labels, kind: kind}
+		switch kind {
+		case KindCounter:
+			m.c = &Counter{}
+		case KindGauge:
+			m.g = &Gauge{}
+		case KindHistogram:
+			h := &Histogram{bounds: bounds}
+			h.counts = make([]atomic.Uint64, len(bounds)+1)
+			h.exemplars = make([]atomic.Pointer[Exemplar], len(bounds)+1)
+			m.h = h
+		}
+		r.metrics[full] = m
+		r.families[family] = kind
 	}
-	if k, ok := r.families[family]; ok && k != kind {
-		panic(fmt.Sprintf("obs: family %q holds %v metrics, requested %v", family, k, kind))
+	m.mustBe(kind)
+	if keyed {
+		next := map[seriesKey]*metric{key: m}
+		if byArgs := r.byArgs.Load(); byArgs != nil {
+			maps.Copy(next, *byArgs)
+		}
+		r.byArgs.Store(&next)
 	}
-	m = &metric{family: family, labels: labels, kind: kind}
-	switch kind {
-	case KindCounter:
-		m.c = &Counter{}
-	case KindGauge:
-		m.g = &Gauge{}
-	case KindHistogram:
-		h := &Histogram{bounds: bounds}
-		h.counts = make([]atomic.Uint64, len(bounds)+1)
-		h.exemplars = make([]atomic.Pointer[Exemplar], len(bounds)+1)
-		m.h = h
+	return m
+}
+
+// mustBe panics when a series is looked up as another kind than it holds.
+func (m *metric) mustBe(kind Kind) *metric {
+	if m.kind != kind {
+		panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", m.family+m.labels, kind, m.kind))
 	}
-	r.metrics[key] = m
-	r.families[family] = kind
 	return m
 }
 
@@ -417,4 +450,5 @@ func (r *Registry) Reset() {
 	r.metrics = make(map[string]*metric)
 	r.families = make(map[string]Kind)
 	r.hooks = nil
+	r.byArgs.Store(nil)
 }

@@ -1,11 +1,11 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -126,15 +126,15 @@ func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.
 			}
 			elapsed := time.Since(start)
 			route := routeLabel(r)
-			code := statusClass(sw.status)
-			reg.Counter("http_requests_total", "service", service, "route", route, "code", code).Inc()
+			trace := id.Trace()
+			reg.Counter("http_requests_total", "service", service, "route", route, "code", statusClass(sw.status)).Inc()
 
 			st := spans
 			if st == nil {
 				st = DefaultSpans()
 			}
 			kept := st.RecordRoot(SpanRecord{
-				TraceID:  id.Trace(),
+				TraceID:  trace,
 				SpanID:   id.Span(),
 				ParentID: parentSpan,
 				Service:  service,
@@ -148,14 +148,16 @@ func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.
 			})
 			hist := reg.Histogram("http_request_seconds", nil, "service", service, "route", route)
 			if kept {
-				hist.ObserveExemplar(elapsed.Seconds(), id.Trace())
+				hist.ObserveExemplar(elapsed.Seconds(), trace)
 			} else {
 				hist.Observe(elapsed.Seconds())
 			}
-			slog.Info("http request", "service", service, "method", r.Method,
-				"route", route, "path", r.URL.Path, "status", sw.status,
-				"bytes", sw.bytes, "duration_ms", float64(elapsed.Microseconds())/1000,
-				"remote", r.RemoteAddr, "request_id", id.Trace())
+			slog.LogAttrs(context.Background(), slog.LevelInfo, "http request",
+				slog.String("service", service), slog.String("method", r.Method),
+				slog.String("route", route), slog.String("path", r.URL.Path),
+				slog.Int("status", sw.status), slog.Int64("bytes", sw.bytes),
+				slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
+				slog.String("remote", r.RemoteAddr), slog.String("request_id", trace))
 		}()
 		if chaos := serverChaosCfg.Load(); chaos != nil && chaos.should() {
 			reg.Counter("obs_chaos_server_latency_total", "service", service).Inc()
@@ -187,8 +189,10 @@ func statusClass(code int) string {
 	if code < 100 || code > 599 {
 		return "other"
 	}
-	return strconv.Itoa(code/100) + "xx"
+	return statusClasses[code/100-1]
 }
+
+var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
 // statusWriter captures the status code and body size written by a handler.
 type statusWriter struct {

@@ -2,8 +2,9 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
+	"math/rand/v2"
 	"net/http"
 )
 
@@ -23,12 +24,24 @@ type RequestID struct {
 	SpanID  [8]byte
 }
 
-// NewRequestID mints a random request ID.
+// NewRequestID mints a random request ID. IDs are correlation keys, not
+// secrets: they come from math/rand/v2's OS-seeded per-thread ChaCha8
+// generator, which costs no system call and no lock.
 func NewRequestID() RequestID {
 	var id RequestID
-	_, _ = rand.Read(id.TraceID[:])
-	_, _ = rand.Read(id.SpanID[:])
-	return id
+	binary.LittleEndian.PutUint64(id.TraceID[:8], randNonZero())
+	binary.LittleEndian.PutUint64(id.TraceID[8:], rand.Uint64())
+	return id.Child()
+}
+
+// randNonZero draws until non-zero: an all-zero trace or span ID means
+// "unset" in the traceparent format.
+func randNonZero() uint64 {
+	for {
+		if x := rand.Uint64(); x != 0 {
+			return x
+		}
+	}
 }
 
 // IsZero reports whether the ID is unset.
@@ -54,7 +67,7 @@ func (id RequestID) Span() string { return hex.EncodeToString(id.SpanID[:]) }
 // Child returns the ID with a fresh span ID, for an outgoing hop that stays
 // inside the same trace.
 func (id RequestID) Child() RequestID {
-	_, _ = rand.Read(id.SpanID[:])
+	binary.LittleEndian.PutUint64(id.SpanID[:], randNonZero())
 	return id
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"time"
@@ -102,10 +103,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		st.RecordRoot(rec)
 	}
 
-	slog.Debug("http request", "service", t.Service, "direction", "client",
-		"method", req.Method, "peer", peer, "path", req.URL.Path, "status", status,
-		"err", err, "duration_ms", float64(elapsed.Microseconds())/1000,
-		"request_id", id.Trace())
+	if slog.Default().Enabled(context.Background(), slog.LevelDebug) {
+		slog.Debug("http request", "service", t.Service, "direction", "client",
+			"method", req.Method, "peer", peer, "path", req.URL.Path, "status", status,
+			"err", err, "duration_ms", float64(elapsed.Microseconds())/1000,
+			"request_id", rec.TraceID)
+	}
 	return resp, err
 }
 

@@ -16,10 +16,8 @@ type Clock interface {
 	Sleep(ctx context.Context, d time.Duration) error
 }
 
-// Timer is a one-shot timer: C fires once at the deadline unless Stop wins.
+// Timer is a one-shot timer: it fires once at the deadline unless Stop wins.
 type Timer interface {
-	// C yields the fire time once the deadline passes.
-	C() <-chan time.Time
 	// Stop cancels the timer, reporting whether it had not yet fired.
 	Stop() bool
 }
@@ -30,8 +28,8 @@ type Timer interface {
 // moves fake time past their deadline.
 type TimerClock interface {
 	Clock
-	// NewTimer returns a Timer firing d from now.
-	NewTimer(d time.Duration) Timer
+	// AfterFunc returns a Timer that runs f on its own goroutine d from now.
+	AfterFunc(d time.Duration, f func()) Timer
 }
 
 // realClock is the production Clock.
@@ -39,12 +37,7 @@ type realClock struct{}
 
 func (realClock) Now() time.Time { return time.Now() }
 
-type realTimer struct{ t *time.Timer }
-
-func (rt realTimer) C() <-chan time.Time { return rt.t.C }
-func (rt realTimer) Stop() bool          { return rt.t.Stop() }
-
-func (realClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+func (realClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
@@ -106,7 +99,8 @@ func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
 // fakeTimer is a FakeClock timer; it fires when the clock reaches deadline.
 type fakeTimer struct {
 	fc       *FakeClock
-	c        chan time.Time
+	c        chan time.Time // NewTimer: receives the fire time
+	f        func()         // AfterFunc: runs on its own goroutine instead
 	deadline time.Time
 	done     bool // fired or stopped
 }
@@ -114,12 +108,22 @@ type fakeTimer struct {
 func (t *fakeTimer) C() <-chan time.Time { return t.c }
 func (t *fakeTimer) Stop() bool          { return t.fc.stopTimer(t) }
 
-// NewTimer returns a timer that fires when Advance or Sleep moves the fake
-// time to or past d from now. A non-positive d fires immediately.
-func (c *FakeClock) NewTimer(d time.Duration) Timer {
+// NewTimer returns a timer whose C receives the fake time once Advance or
+// Sleep moves it to or past d from now. A non-positive d fires immediately.
+func (c *FakeClock) NewTimer(d time.Duration) *fakeTimer {
+	return c.addTimer(&fakeTimer{c: make(chan time.Time, 1)}, d)
+}
+
+// AfterFunc returns a timer that runs f on its own goroutine when Advance or
+// Sleep moves the fake time to or past d from now.
+func (c *FakeClock) AfterFunc(d time.Duration, f func()) Timer {
+	return c.addTimer(&fakeTimer{f: f}, d)
+}
+
+func (c *FakeClock) addTimer(t *fakeTimer, d time.Duration) *fakeTimer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &fakeTimer{fc: c, c: make(chan time.Time, 1), deadline: c.now.Add(d)}
+	t.fc, t.deadline = c, c.now.Add(d)
 	c.timers = append(c.timers, t)
 	c.fireLocked()
 	return t
@@ -141,7 +145,11 @@ func (c *FakeClock) fireLocked() {
 	for _, t := range c.timers {
 		if !t.done && !t.deadline.After(c.now) {
 			t.done = true
-			t.c <- c.now
+			if t.f != nil {
+				go t.f()
+			} else {
+				t.c <- c.now
+			}
 			continue
 		}
 		if !t.done {

@@ -3,6 +3,7 @@ package resil
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 )
 
@@ -37,23 +38,23 @@ type HedgeStats struct {
 	HedgedWin bool
 }
 
-type hedgeResult[T any] struct {
-	leg int
-	v   T
-	err error
-}
-
 // HedgeDo runs op against up to legs interchangeable targets, hedging and
 // failing over per cfg. op receives the leg index (0-based) and a context
 // that is cancelled as soon as another leg wins — a cancelled loser must
 // treat it as abandonment, not failure. The first nil-error result wins; if
 // every leg fails, the last error is returned. Deterministic under
 // FakeClock: hedge timers fire only when fake time advances.
+//
+// The primary leg, and each leg it fails over to, runs on the caller's
+// goroutine: a call that needs no hedge starts no goroutine. Only a hedge
+// timer that fires starts one, for the speculative leg (and that leg's own
+// failovers). HedgeDo therefore returns once a result is in *and* the leg the
+// caller is running has returned — op must honour its context, which the
+// winner and the caller's cancellation both cancel.
 func HedgeDo[T any](ctx context.Context, cfg Hedge, legs int, op func(ctx context.Context, leg int) (T, error)) (T, HedgeStats, error) {
 	var zero T
-	stats := HedgeStats{Winner: -1}
 	if legs <= 0 {
-		return zero, stats, errors.New("resil: hedge with no legs")
+		return zero, HedgeStats{Winner: -1}, errors.New("resil: hedge with no legs")
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -64,68 +65,115 @@ func HedgeDo[T any](ctx context.Context, cfg Hedge, legs int, op func(ctx contex
 
 	lctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make(chan hedgeResult[T], legs) // buffered: losers never block
 
-	next := 0 // next unstarted leg
-	pending := 0
-	var timer Timer
-	var timerC <-chan time.Time
-	arm := func() {
-		if timed && next < legs {
-			timer = tc.NewTimer(cfg.After)
-			timerC = timer.C()
-		}
+	// One heap object for everything the legs share, not one per variable.
+	var s struct {
+		sync.Mutex
+		stats   HedgeStats
+		next    int   // next unstarted leg
+		running int   // legs started and not yet returned
+		timer   Timer // the armed hedge timer, if any
+		armed   int   // which arming timer belongs to: one that fired but was since disarmed is stale
+		winner  T
+		lastErr error
+		done    bool // settled is closed
 	}
+	s.stats.Winner = -1
+	settled := make(chan struct{}) // closed when a leg has won or every leg has failed
+
 	disarm := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timerC = nil, nil
+		s.armed++
+		if s.timer != nil {
+			s.timer.Stop()
+			s.timer = nil
 		}
 	}
-	// launchNext starts leg `next`, arming the hedge timer for its sibling
+	settle := func() {
+		if !s.done {
+			s.done = true
+			disarm()
+			close(settled)
+		}
+	}
+	var hedge func(arming int)
+	// start accounts for leg `next`, arming the hedge timer for its sibling
 	// first so that (under a fake clock) the timer exists before the new
 	// leg's op can observably run.
-	launchNext := func() {
-		leg := next
-		next++
-		pending++
-		stats.Legs++
-		arm()
-		go func() {
-			v, err := op(lctx, leg)
-			results <- hedgeResult[T]{leg: leg, v: v, err: err}
-		}()
+	start := func() int {
+		leg := s.next
+		s.next++
+		s.running++
+		s.stats.Legs++
+		if timed && s.next < legs {
+			arming := s.armed
+			s.timer = tc.AfterFunc(cfg.After, func() { hedge(arming) })
+		}
+		return leg
 	}
-	launchNext()
-	defer disarm()
-
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return zero, stats, joinCtx(ctx.Err(), lastErr)
-		case <-timerC:
-			timer, timerC = nil, nil
-			if next < legs {
-				stats.Hedged++
-				launchNext()
+	// run executes leg, then on error each leg it fails over to, until one
+	// wins, none is left, or the call is settled or abandoned.
+	run := func(leg int) {
+		for {
+			v, err := op(lctx, leg)
+			s.Lock()
+			s.running--
+			if s.done {
+				s.Unlock()
+				return
 			}
-		case r := <-results:
-			if r.err == nil {
-				stats.Winner = r.leg
-				stats.HedgedWin = r.leg != 0
-				return r.v, stats, nil
+			if err == nil {
+				s.winner, s.stats.Winner, s.stats.HedgedWin = v, leg, leg != 0
+				settle()
+				s.Unlock()
+				cancel()
+				return
 			}
-			pending--
-			lastErr = r.err
-			if next < legs {
-				// Failover: this leg is dead, race the next sibling now.
-				disarm()
-				stats.Failovers++
-				launchNext()
-			} else if pending == 0 {
-				return zero, stats, lastErr
+			s.lastErr = err
+			if s.next == legs || ctx.Err() != nil {
+				if s.running == 0 {
+					settle()
+				}
+				s.Unlock()
+				return
 			}
+			// Failover: this leg is dead, try the next sibling now.
+			disarm()
+			s.stats.Failovers++
+			leg = start()
+			s.Unlock()
 		}
 	}
+	// hedge is the timer callback, on its own goroutine: no leg has answered
+	// for cfg.After, so race the next sibling.
+	hedge = func(arming int) {
+		s.Lock()
+		if s.done || arming != s.armed || s.next == legs {
+			s.Unlock()
+			return
+		}
+		s.timer = nil
+		s.stats.Hedged++
+		leg := start()
+		s.Unlock()
+		run(leg)
+	}
+
+	s.Lock()
+	leg := start()
+	s.Unlock()
+	run(leg)
+	select {
+	case <-settled:
+	case <-ctx.Done():
+	}
+	s.Lock()
+	defer s.Unlock()
+	disarm()
+	if s.stats.Winner >= 0 {
+		return s.winner, s.stats, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return zero, s.stats, joinCtx(err, s.lastErr)
+	}
+	return zero, s.stats, s.lastErr
 }

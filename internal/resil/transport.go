@@ -58,6 +58,49 @@ func (b *cancelBody) Close() error {
 	return err
 }
 
+// bufferedBody is a response body the transport has read to the end: data is
+// the part the consumer has not read yet.
+type bufferedBody struct {
+	data   []byte
+	cancel context.CancelFunc
+}
+
+func (b *bufferedBody) Read(p []byte) (int, error) {
+	if len(b.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, b.data)
+	b.data = b.data[n:]
+	return n, nil
+}
+
+func (b *bufferedBody) Close() error {
+	if b.cancel != nil {
+		b.cancel()
+	}
+	return nil
+}
+
+// ReadBody returns the rest of resp's body and closes it, failing when that
+// is more than limit bytes. A body the resilient transport already buffered
+// is handed over as it is instead of being read into a second buffer.
+func ReadBody(resp *http.Response, limit int64) ([]byte, error) {
+	defer resp.Body.Close()
+	var data []byte
+	if b, ok := resp.Body.(*bufferedBody); ok {
+		data, b.data = b.data, nil
+	} else {
+		var err error
+		if data, err = io.ReadAll(io.LimitReader(resp.Body, limit+1)); err != nil {
+			return nil, fmt.Errorf("read body: %w", err)
+		}
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("response body exceeds the %d-byte limit", limit)
+	}
+	return data, nil
+}
+
 // RoundTrip implements http.RoundTripper. Beyond the retry loop it anchors
 // the call in the distributed trace: a logical "call" span covering every
 // attempt is recorded when the loop finishes, parented under the caller's
@@ -78,10 +121,10 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	} else {
 		id = obs.NewRequestID()
 	}
-	req = req.Clone(obs.ContextWithRequestID(req.Context(), id))
+	ctx := obs.ContextWithRequestID(req.Context(), id)
 
 	start := time.Now()
-	resp, attempts, err := t.retryLoop(req, p)
+	resp, attempts, err := t.retryLoop(ctx, req, p)
 	elapsed := time.Since(start)
 
 	status := 0
@@ -117,14 +160,13 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-// retryLoop runs the attempt/backoff loop and reports how many attempts it
-// spent.
-func (t *Transport) retryLoop(req *http.Request, p Policy) (*http.Response, int, error) {
+// retryLoop runs the attempt/backoff loop under ctx (the caller's context
+// plus the call span's ID) and reports how many attempts it spent.
+func (t *Transport) retryLoop(ctx context.Context, req *http.Request, p Policy) (*http.Response, int, error) {
 	maxBody := t.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
-	ctx := req.Context()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -134,7 +176,7 @@ func (t *Transport) retryLoop(req *http.Request, p Policy) (*http.Response, int,
 			// The body was consumed and cannot be replayed.
 			return nil, attempt - 1, fmt.Errorf("resil: cannot retry request with unreplayable body: %w", lastErr)
 		}
-		resp, err, final := t.attempt(req, p, attempt, maxBody)
+		resp, err, final := t.attempt(ctx, req, p, attempt, maxBody)
 		if err == nil {
 			return resp, attempt, nil
 		}
@@ -170,8 +212,11 @@ func (t *Transport) retryLoop(req *http.Request, p Policy) (*http.Response, int,
 
 // attempt runs one round trip. It returns either a delivered response
 // (err == nil), an error to classify, or — when the status is retryable but
-// this was the last allowed attempt — the response itself via final.
-func (t *Transport) attempt(req *http.Request, p Policy, attempt int, maxBody int64) (resp *http.Response, err error, final *http.Response) {
+// this was the last allowed attempt — the response itself via final. The
+// attempt's request is a shallow copy under the attempt's context: nothing
+// here touches the headers, and the obs transport below makes the one deep
+// copy it needs to add traceparent.
+func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, attempt int, maxBody int64) (resp *http.Response, err error, final *http.Response) {
 	base := t.Base
 	if base == nil {
 		base = http.DefaultTransport
@@ -190,7 +235,7 @@ func (t *Transport) attempt(req *http.Request, p Policy, attempt int, maxBody in
 	// losing hedge leg (or any caller-cancelled attempt) says nothing about
 	// the peer's health and must not trip its breaker.
 	fail := func() Outcome {
-		if req.Context().Err() != nil {
+		if ctx.Err() != nil {
 			return OutcomeCanceled
 		}
 		return OutcomeFailure
@@ -198,12 +243,12 @@ func (t *Transport) attempt(req *http.Request, p Policy, attempt int, maxBody in
 
 	// Tag the attempt number so the obs transport below records which try
 	// this was: retries show as numbered sibling spans in the trace.
-	ctx := obs.ContextWithAttempt(req.Context(), attempt)
+	actx := obs.ContextWithAttempt(ctx, attempt)
 	cancel := context.CancelFunc(nil)
 	if p.PerAttempt > 0 {
-		ctx, cancel = context.WithTimeout(ctx, p.PerAttempt)
+		actx, cancel = context.WithTimeout(actx, p.PerAttempt)
 	}
-	areq := req.Clone(ctx)
+	areq := req.WithContext(actx)
 	if attempt > 1 && req.GetBody != nil {
 		body, gerr := req.GetBody()
 		if gerr != nil {
@@ -229,8 +274,7 @@ func (t *Transport) attempt(req *http.Request, p Policy, attempt int, maxBody in
 
 	// Buffer the body so the response is replayable and torn reads become
 	// retryable failures instead of decoder errors downstream.
-	buf := &bytes.Buffer{}
-	n, berr := io.Copy(buf, io.LimitReader(r.Body, maxBody+1))
+	data, berr := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
 	if berr != nil {
 		_ = r.Body.Close()
 		if cancel != nil {
@@ -240,19 +284,19 @@ func (t *Transport) attempt(req *http.Request, p Policy, attempt int, maxBody in
 		return nil, fmt.Errorf("resil: read response body: %w", berr), nil
 	}
 	report(outcomeOf(!retryableStatus))
-	if n > maxBody {
+	if int64(len(data)) > maxBody {
 		// Too large to buffer: stream the remainder through untouched (such
 		// a response is delivered as-is and not retryable mid-read).
 		r.Body = &cancelBody{
-			Reader: io.MultiReader(bytes.NewReader(buf.Bytes()), r.Body),
+			Reader: io.MultiReader(bytes.NewReader(data), r.Body),
 			close:  r.Body.Close,
 			cancel: cancel,
 		}
 		return r, nil, nil
 	}
 	_ = r.Body.Close()
-	r.Body = &cancelBody{Reader: bytes.NewReader(buf.Bytes()), close: func() error { return nil }, cancel: cancel}
-	r.ContentLength = n
+	r.Body = &bufferedBody{data: data, cancel: cancel}
+	r.ContentLength = int64(len(data))
 
 	if retryableStatus {
 		if attempt >= p.MaxAttempts {

@@ -38,6 +38,22 @@ const HashName = "fnv1a-splitmix64"
 // shard load within ~±12% at 10k keys while the ring stays a few KiB.
 const DefaultVNodes = 128
 
+// maxRingPoints bounds shards × vnodes (16 MiB of points): a shard map is a
+// document other processes hand us, and one mistyped or hostile vnodes value
+// must be refused, not allocated.
+const maxRingPoints = 1 << 20
+
+// checkRingSize rejects a ring shape NewRing would not build.
+func checkRingSize(n, v int) error {
+	if n <= 0 {
+		return fmt.Errorf("shard: ring needs at least 1 shard, got %d", n)
+	}
+	if v > maxRingPoints/n {
+		return fmt.Errorf("shard: %d shards x %d vnodes exceeds %d ring points", n, v, maxRingPoints)
+	}
+	return nil
+}
+
 // hash64 maps a key to a ring position: FNV-1a for speed, finished with a
 // splitmix64 avalanche because FNV's high bits mix poorly for short, similar
 // keys (exactly the shape of e2LDs and hex prefixes).
@@ -71,11 +87,11 @@ type Ring struct {
 // uses DefaultVNodes). The construction is deterministic: two processes with
 // the same (n, v) derive identical rings.
 func NewRing(n, v int) (*Ring, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("shard: ring needs at least 1 shard, got %d", n)
-	}
 	if v <= 0 {
 		v = DefaultVNodes
+	}
+	if err := checkRingSize(n, v); err != nil {
+		return nil, err
 	}
 	r := &Ring{shards: n, vnodes: v, points: make([]point, 0, n*v)}
 	for i := 0; i < n; i++ {

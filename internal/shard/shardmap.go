@@ -131,6 +131,9 @@ func (m Map) Validate() error {
 	if len(m.Shards) == 0 {
 		return fmt.Errorf("shard: map has no shards")
 	}
+	if err := checkRingSize(len(m.Shards), m.VNodes); err != nil {
+		return err
+	}
 	seen := make([]bool, len(m.Shards))
 	addrs := make(map[string]int, len(m.Shards))
 	for _, sh := range m.Shards {

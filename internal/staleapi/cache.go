@@ -2,7 +2,6 @@ package staleapi
 
 import (
 	"container/list"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,6 +37,12 @@ type call struct {
 // loader failure falls back to the stale value (CacheInfo.Stale) instead of
 // surfacing the error, the serve-stale degradation the query daemons build
 // on.
+//
+// Every entry shares one TTL, so store order is expiry order. Beside the LRU
+// list each entry sits on one of two queues kept in that order — fresh, then
+// stale once a sweep finds it expired — and the last-good bounds are enforced
+// by popping the stale queue's old end: amortised O(1) per store, however
+// many expired entries are retained.
 type Cache struct {
 	max int
 	ttl time.Duration
@@ -51,8 +56,10 @@ type Cache struct {
 	gauge *obs.Gauge // entry-count gauge (default: the package-wide one)
 
 	mu    sync.Mutex
-	ll    *list.List // front = most recent
-	items map[string]*list.Element
+	ll    *list.List // LRU order, front = most recently used
+	fresh *list.List // expiry order, front = latest expiry
+	stale *list.List // expired entries, same order
+	items map[string]*cacheEntry
 	calls map[string]*call
 }
 
@@ -61,6 +68,10 @@ type cacheEntry struct {
 	val     any
 	stored  time.Time
 	expires time.Time
+
+	lru   *list.Element // in ll
+	exp   *list.Element // in queue
+	queue *list.List    // fresh or stale
 }
 
 // CacheInfo describes where a Do result came from.
@@ -72,6 +83,9 @@ type CacheInfo struct {
 	Stale bool
 	// Age is how long ago a stale value was originally computed.
 	Age time.Duration
+	// Err is the loader error a stale value stands in for, shared by every
+	// caller of the flight that failed.
+	Err error
 }
 
 // NewCache creates a cache holding at most max entries, each fresh for ttl.
@@ -83,7 +97,9 @@ func NewCache(max int, ttl time.Duration) *Cache {
 		ttl:   ttl,
 		now:   time.Now,
 		ll:    list.New(),
-		items: make(map[string]*list.Element),
+		fresh: list.New(),
+		stale: list.New(),
+		items: make(map[string]*cacheEntry),
 		calls: make(map[string]*call),
 	}
 }
@@ -119,41 +135,45 @@ func (c *Cache) setSize() {
 	mCacheSize.Set(float64(c.ll.Len()))
 }
 
-// removeLocked drops one element; caller holds c.mu.
-func (c *Cache) removeLocked(el *list.Element) {
-	c.ll.Remove(el)
-	delete(c.items, el.Value.(*cacheEntry).key)
+// removeLocked drops one entry; caller holds c.mu.
+func (c *Cache) removeLocked(ent *cacheEntry) {
+	c.ll.Remove(ent.lru)
+	ent.queue.Remove(ent.exp)
+	delete(c.items, ent.key)
+}
+
+// enqueueLocked puts ent at the front of an expiry queue; caller holds c.mu.
+func (c *Cache) enqueueLocked(q *list.List, ent *cacheEntry) {
+	if ent.queue != nil {
+		ent.queue.Remove(ent.exp)
+	}
+	ent.exp, ent.queue = q.PushFront(ent), q
 }
 
 // sweepStaleLocked enforces the stale-retention bounds; caller holds c.mu.
+// Entries that expired since the last sweep move from the fresh queue's old
+// end to the stale queue's front, each once per store; then the stale queue
+// sheds its old end while that entry overstayed staleTTL or the queue is over
+// staleMax.
 func (c *Cache) sweepStaleLocked(now time.Time) {
-	if c.ttl <= 0 || (c.staleTTL <= 0 && c.staleMax <= 0) {
+	if c.ttl <= 0 {
 		return
 	}
-	var expired []*list.Element
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
+	for el := c.fresh.Back(); el != nil; el = c.fresh.Back() {
 		ent := el.Value.(*cacheEntry)
 		if now.Before(ent.expires) {
-			el = next
-			continue
+			break
 		}
-		if c.staleTTL > 0 && !now.Before(ent.expires.Add(c.staleTTL)) {
-			c.removeLocked(el)
-			mCacheEvictions.Inc()
-		} else {
-			expired = append(expired, el)
-		}
-		el = next
+		c.enqueueLocked(c.stale, ent)
 	}
-	if c.staleMax > 0 && len(expired) > c.staleMax {
-		sort.Slice(expired, func(i, j int) bool {
-			return expired[i].Value.(*cacheEntry).expires.Before(expired[j].Value.(*cacheEntry).expires)
-		})
-		for _, el := range expired[:len(expired)-c.staleMax] {
-			c.removeLocked(el)
-			mCacheEvictions.Inc()
+	for el := c.stale.Back(); el != nil; el = c.stale.Back() {
+		ent := el.Value.(*cacheEntry)
+		overstayed := c.staleTTL > 0 && !now.Before(ent.expires.Add(c.staleTTL))
+		if !overstayed && (c.staleMax <= 0 || c.stale.Len() <= c.staleMax) {
+			break
 		}
+		c.removeLocked(ent)
+		mCacheEvictions.Inc()
 	}
 }
 
@@ -175,10 +195,9 @@ func (c *Cache) Do(key string, loader func() (any, error)) (v any, info CacheInf
 	var staleVal any
 	var staleAge time.Duration
 	haveStale := false
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
+	if ent, ok := c.items[key]; ok {
 		if c.ttl <= 0 || c.now().Before(ent.expires) {
-			c.ll.MoveToFront(el)
+			c.ll.MoveToFront(ent.lru)
 			c.mu.Unlock()
 			mCacheHits.Inc()
 			return ent.val, CacheInfo{Hit: true}, nil
@@ -188,7 +207,7 @@ func (c *Cache) Do(key string, loader func() (any, error)) (v any, info CacheInf
 		// overstayed the stale-retention TTL, in which case it is dropped.
 		now := c.now()
 		if c.staleTTL > 0 && !now.Before(ent.expires.Add(c.staleTTL)) {
-			c.removeLocked(el)
+			c.removeLocked(ent)
 			mCacheEvictions.Inc()
 			c.setSize()
 		} else {
@@ -199,7 +218,7 @@ func (c *Cache) Do(key string, loader func() (any, error)) (v any, info CacheInf
 	serveStale := func(cl *call) (any, CacheInfo, error) {
 		if cl.err != nil && haveStale {
 			mCacheStaleServed.Inc()
-			return staleVal, CacheInfo{Stale: true, Age: staleAge}, nil
+			return staleVal, CacheInfo{Stale: true, Age: staleAge, Err: cl.err}, nil
 		}
 		return cl.val, CacheInfo{}, cl.err
 	}
@@ -221,16 +240,18 @@ func (c *Cache) Do(key string, loader func() (any, error)) (v any, info CacheInf
 	delete(c.calls, key)
 	if cl.err == nil && c.max > 0 {
 		now := c.now()
-		if el, ok := c.items[key]; ok {
-			ent := el.Value.(*cacheEntry)
-			ent.val, ent.stored, ent.expires = cl.val, now, now.Add(c.ttl)
-			c.ll.MoveToFront(el)
+		ent, ok := c.items[key]
+		if ok {
+			c.ll.MoveToFront(ent.lru)
 		} else {
-			c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: cl.val, stored: now, expires: now.Add(c.ttl)})
+			ent = &cacheEntry{key: key}
+			ent.lru = c.ll.PushFront(ent)
+			c.items[key] = ent
 		}
+		ent.val, ent.stored, ent.expires = cl.val, now, now.Add(c.ttl)
+		c.enqueueLocked(c.fresh, ent)
 		for c.ll.Len() > c.max {
-			oldest := c.ll.Back()
-			c.removeLocked(oldest)
+			c.removeLocked(c.ll.Back().Value.(*cacheEntry))
 			mCacheEvictions.Inc()
 		}
 		c.sweepStaleLocked(now)
@@ -245,8 +266,8 @@ func (c *Cache) Do(key string, loader func() (any, error)) (v any, info CacheInf
 func (c *Cache) Invalidate(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeLocked(el)
+	if ent, ok := c.items[key]; ok {
+		c.removeLocked(ent)
 		c.setSize()
 	}
 }

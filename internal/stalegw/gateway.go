@@ -24,11 +24,11 @@
 package stalegw
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -50,7 +50,8 @@ import (
 // data from, comma-separated.
 const MissingShardsHeader = "X-Missing-Shards"
 
-// maxShardBody bounds how much of one shard response the gateway buffers.
+// maxShardBody bounds how much of one shard response the gateway buffers; a
+// longer one fails its leg.
 const maxShardBody = 8 << 20
 
 var (
@@ -255,10 +256,11 @@ func (g *Gateway) getAddr(ctx context.Context, addr, pathq string) (result, erro
 	if err != nil {
 		return result{}, err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxShardBody))
+	// A body over the bound is a leg error, never a 200 cut short: half a
+	// JSON document would be relayed, or silently dropped from a merge.
+	body, err := resil.ReadBody(resp, maxShardBody)
 	if err != nil {
-		return result{}, fmt.Errorf("read body: %w", err)
+		return result{}, err
 	}
 	return result{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: body}, nil
 }
@@ -408,21 +410,39 @@ type leg struct {
 // scatter queries every slice in parallel. Each leg picks the slice's first
 // healthy replica and retries on siblings (fetchSlice), and each replica
 // call rides the resilient client, so it carries its own trace span,
-// retries and breaker accounting.
+// retries and breaker accounting. Slice 0's leg runs on the caller's
+// goroutine, whose stack is already grown; only the others start one.
 func (g *Gateway) scatter(ctx context.Context, pathq string) []leg {
 	mFanouts.Inc()
 	legs := make([]leg, len(g.groups))
+	fetch := func(i int) {
+		res, err := g.fetchSlice(ctx, i, pathq)
+		legs[i] = leg{idx: i, res: res, err: err}
+	}
 	var wg sync.WaitGroup
-	for i := range g.groups {
+	for i := 1; i < len(g.groups); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := g.fetchSlice(ctx, i, pathq)
-			legs[i] = leg{idx: i, res: res, err: err}
+			fetch(i)
 		}(i)
 	}
+	fetch(0)
 	wg.Wait()
 	return legs
+}
+
+// missingShardsError is a fingerprint scatter that found nothing while some
+// slices could not be asked. It carries their indexes in the error, so every
+// request sharing the flight — and one degrading to last-good over it —
+// reports them, not only the request whose loader ran.
+type missingShardsError struct {
+	live    int
+	missing []int
+}
+
+func (e *missingShardsError) Error() string {
+	return fmt.Sprintf("fingerprint not found on %d live shards; %d unreachable", e.live, len(e.missing))
 }
 
 // handleCert scatter-gathers a fingerprint lookup: the fingerprint alone
@@ -438,10 +458,10 @@ func (g *Gateway) handleCert(w http.ResponseWriter, r *http.Request) {
 	// Cache under the normalized fingerprint identity, so the 16-hex short
 	// and 64-hex full spellings of one certificate share one entry.
 	key := "cert:" + shard.KeyForFingerprint(fpRaw)
-	var missing []int
 	v, info, err := g.cache.Do(key, func() (any, error) {
 		legs := g.scatter(r.Context(), r.URL.RequestURI())
 		var found *result
+		var missing []int
 		for _, l := range legs {
 			if l.err != nil {
 				missing = append(missing, l.idx)
@@ -456,11 +476,16 @@ func (g *Gateway) handleCert(w http.ResponseWriter, r *http.Request) {
 			return *found, nil
 		}
 		if len(missing) > 0 {
-			return nil, fmt.Errorf("fingerprint not found on %d live shards; %d unreachable", len(g.groups)-len(missing), len(missing))
+			return nil, &missingShardsError{live: len(g.groups) - len(missing), missing: missing}
 		}
 		return result{status: http.StatusNotFound, ctype: "application/json; charset=utf-8",
 			body: []byte("{\n  \"error\": \"unknown fingerprint\"\n}\n")}, nil
 	})
+	var missing []int
+	var me *missingShardsError
+	if errors.As(cmp.Or(err, info.Err), &me) {
+		missing = me.missing
+	}
 	if err != nil {
 		mPartial.Inc()
 		w.Header().Set(MissingShardsHeader, missingHeader(missing))
