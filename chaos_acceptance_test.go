@@ -9,24 +9,14 @@ package stalecert_test
 // that made that possible visible in the resil metric families.
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
-	"stalecert/internal/certstore"
-	"stalecert/internal/core"
-	"stalecert/internal/crl"
-	"stalecert/internal/ctlog"
+	"stalecert/internal/fleettest"
 	"stalecert/internal/obs"
 	"stalecert/internal/resil"
-	"stalecert/internal/simtime"
 	"stalecert/internal/staleapi"
-	"stalecert/internal/x509sim"
 )
 
 // chaosQueryDomains are the staleness endpoints compared across runs: plain
@@ -36,142 +26,26 @@ var chaosQueryDomains = []string{
 }
 
 // runChaosPipeline builds the whole pipeline from scratch (fresh log, fresh
-// store) and returns each queried domain's staleness response body. A nil
-// chaos runs fault-free; a non-nil one injects its seeded fault stream into
-// both the CT tail and the CRL fetch legs. A non-nil spans store receives
-// the CT leg's call and per-attempt client spans.
-func runChaosPipeline(t *testing.T, chaos *resil.Chaos, spans *obs.SpanStore) map[string]string {
+// store) and returns the fleet and each queried domain's staleness response
+// body. A zero seed runs fault-free; any other injects that seeded fault
+// stream into both the CT tail and the CRL fetch legs. The replica's span
+// store receives the CT leg's call and per-attempt client spans.
+func runChaosPipeline(t *testing.T, chaosSeed int64) (*fleettest.Fleet, map[string]string) {
 	t.Helper()
-	day := simtime.MustParse("2022-06-01")
-
-	// Seeded CT log over HTTP.
-	log := ctlog.New("chaos-log", ctlog.Shard{})
-	logSrv := ctlog.NewServer(log)
-	logSrv.SetNow(day)
-	addCert := func(serial uint64, names []string) {
-		t.Helper()
-		c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial), names, 100, 1200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := log.AddChain(c, day); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := 0
-	for i := uint64(1); i <= 16; i++ {
-		addCert(i, []string{fmt.Sprintf("site%02d.com", i)})
-		total++
-	}
-	addCert(100, []string{"revoked.com"})
-	total++
-	logTS := httptest.NewServer(logSrv.Handler())
-	defer logTS.Close()
-
-	// CRL distribution point with one key-compromise revocation matching the
-	// revoked.com certificate.
-	auth := crl.NewAuthority("ChaosCA")
-	auth.Revoke(1, 100, 600, crl.KeyCompromise)
-	crlSrv := crl.NewServer(7)
-	crlSrv.SetNow(day)
-	crlSrv.Host(auth, 0)
-	crlTS := httptest.NewServer(crlSrv.Handler())
-	defer crlTS.Close()
-
-	// Resilient CT client: tight backoff so injected faults are ridden out
-	// quickly, per-attempt budget so blackholed requests are cut off, and a
-	// fast-recovering breaker so an unlucky trip cannot stall the test.
-	breakers := resil.NewBreakerSet(resil.BreakerConfig{
-		Service:  "chaos-accept",
-		Cooldown: 200 * time.Millisecond,
-	})
-	client := ctlog.NewClientWithOptions(logTS.URL, logTS.Client(), resil.Options{
-		Service: "chaos-accept-ct",
-		Breaker: breakers,
-		Chaos:   chaos,
-		Spans:   spans,
-		Policy: resil.Policy{
-			MaxAttempts: 5,
-			BaseDelay:   5 * time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
-			PerAttempt:  500 * time.Millisecond,
-		},
-	})
-
-	store, err := certstore.Open(certstore.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	ing := certstore.NewIngester(store, client)
-
-	// Ingest until the store holds the whole log. Individual Sync rounds may
-	// still fail when a request exhausts its attempt budget (0.2^5 per call);
-	// the checkpoint makes every retry resume, never re-ingest.
-	ctx := context.Background()
-	deadline := time.Now().Add(60 * time.Second)
-	for store.Len() < total {
-		if time.Now().After(deadline) {
-			t.Fatalf("ingest did not complete: %d/%d certs", store.Len(), total)
-		}
-		if _, err := ing.Sync(ctx); err != nil {
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-
-	// Evidence: CRL fetch through the resilient fetcher, repeated until a
-	// round succeeds completely so both runs converge on identical evidence.
-	fetcher := &crl.Fetcher{Base: crlTS.URL}
-	if chaos != nil {
-		fetcher.HC = &http.Client{Transport: chaos.WithBase(crlTS.Client().Transport)}
-	} else {
-		fetcher.HC = crlTS.Client()
-	}
-	names := []string{"ChaosCA"}
-	evidence := func(ctx context.Context, domain string) (core.DomainEvidence, error) {
-		ev := core.DomainEvidence{RevocationCutoff: simtime.NoDay}
-		for {
-			if ctx.Err() != nil {
-				return ev, ctx.Err()
-			}
-			fctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			lists, err := fetcher.FetchAll(fctx, names)
-			cancel()
-			if err == nil && len(lists) == len(names) {
-				for _, l := range lists {
-					ev.Revocations = append(ev.Revocations, l.Entries...)
-				}
-				return ev, nil
-			}
-		}
-	}
-
-	api := staleapi.NewServer(staleapi.Config{
-		Store:    store,
-		Evidence: evidence,
-		Now:      func() simtime.Day { return day },
-		Health:   obs.NewHealth(),
-	})
-	apiTS := httptest.NewServer(api.Handler())
-	defer apiTS.Close()
+	// 16 plain sites and revoked.com, whose certificate the CRL lists as a
+	// key compromise.
+	_, certs, revoked := plainCorpus(t, "site", "revoked.com", 16)
+	f := fleettest.Start(t, fleettest.Spec{Name: "chaos-accept", Certs: certs, Revoked: revoked, ChaosSeed: chaosSeed})
 
 	out := make(map[string]string, len(chaosQueryDomains))
 	for _, d := range chaosQueryDomains {
-		resp, err := apiTS.Client().Get(apiTS.URL + "/v1/domain/" + d + "/staleness")
-		if err != nil {
-			t.Fatalf("staleness %s: %v", d, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("staleness %s: read body: %v", d, err)
-		}
+		resp, body := f.Reference.Get("/v1/domain/" + d + "/staleness")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("staleness %s: status %d: %s", d, resp.StatusCode, body)
 		}
-		out[d] = string(body)
+		out[d] = body
 	}
-	return out
+	return f, out
 }
 
 // metricTotal sums every labelled series of one counter family.
@@ -190,18 +64,18 @@ func TestChaosPipelineVerdictsMatchFaultFree(t *testing.T) {
 		t.Skip("chaos acceptance is not a -short test")
 	}
 
-	clean := runChaosPipeline(t, nil, nil)
+	_, clean := runChaosPipeline(t, 0)
 
 	retriesBefore := metricTotal("resil_retries_total")
 	injectedBefore := metricTotal("resil_chaos_injections_total")
 
-	// Private span store at sample rate 0: only the tail-sampling error rule
-	// can keep a trace, so everything retained below was fault-touched. The
-	// seed is chosen so the deterministic fault stream hits the CT leg (the
-	// one behind resil.Transport), not just the CRL fetcher's retry loop.
-	spans := obs.NewSpanStore(512, 0, 0)
-	spans.Registry = obs.NewRegistry()
-	chaotic := runChaosPipeline(t, resil.NewChaos(nil, 18, resil.DefaultRates(0.2)), spans)
+	// The fleet's span stores run at sample rate 0: only the tail-sampling
+	// error rule can keep a trace, so everything the replica retained below
+	// was fault-touched. The seed is chosen so the deterministic fault stream
+	// hits the CT leg (the one behind resil.Transport), not just the CRL
+	// fetcher's retry loop.
+	f, chaotic := runChaosPipeline(t, 18)
+	spans := f.Reference.Spans
 
 	if len(chaotic) != len(clean) {
 		t.Fatalf("chaos run answered %d domains, fault-free %d", len(chaotic), len(clean))
@@ -260,20 +134,13 @@ func TestChaosPipelineVerdictsMatchFaultFree(t *testing.T) {
 	}
 
 	// Breaker state must be observable on the debug surface: the registered
-	// sets (including this test's) show up on /v1/breakers via the obs mux.
-	debugTS := httptest.NewServer(obs.HandlerFor(obs.Default(), obs.DefaultHealth()))
-	defer debugTS.Close()
-	resp, err := debugTS.Client().Get(debugTS.URL + "/v1/breakers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	breakersBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	// sets (including this fleet's) show up on /v1/breakers via the obs mux.
+	resp, breakersBody := fleettest.Get(t, f.Reference.Debug+"/v1/breakers")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/breakers status %d", resp.StatusCode)
 	}
 	var statuses []resil.BreakerStatus
-	if err := json.Unmarshal(breakersBody, &statuses); err != nil {
+	if err := json.Unmarshal([]byte(breakersBody), &statuses); err != nil {
 		t.Fatalf("/v1/breakers is not JSON: %v\n%s", err, breakersBody)
 	}
 	found := false

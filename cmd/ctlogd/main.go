@@ -82,7 +82,7 @@ func main() {
 	for i := 0; i < *seedEntries; i++ {
 		// One e2LD by default (the historical seed%06d.example.com shape);
 		// -seed-domains > 1 spreads SANs across distinct registrable domains
-		// so Zipf-distributed load (cmd/staleload) has a population to skew.
+		// so Zipf-distributed load (internal/loadgen) has a population to skew.
 		name := fmt.Sprintf("seed%06d.example.com", i)
 		if *seedDomains > 1 {
 			name = fmt.Sprintf("seed%06d.example-%03d.com", i, i%*seedDomains)

@@ -72,14 +72,6 @@ type Result struct {
 	Dropped uint64
 }
 
-// ErrorRate returns failed/total (0 when no requests ran).
-func (r *Result) ErrorRate() float64 {
-	if r.Total.Count == 0 {
-		return 0
-	}
-	return float64(r.Total.Errors) / float64(r.Total.Count)
-}
-
 // workerState is the per-worker accumulator merged after the run.
 type workerState struct {
 	perOp map[string]*OpStats

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,8 +45,8 @@ func TestRunClosedLoopCounts(t *testing.T) {
 	if ratio := okN / (okN + badN); ratio < 0.65 || ratio > 0.85 {
 		t.Errorf("mix ratio %.2f, want ≈ 0.75", ratio)
 	}
-	if res.ErrorRate() == 0 {
-		t.Error("error rate should be non-zero")
+	if res.Total.Errors == 0 {
+		t.Error("error count should be non-zero")
 	}
 	if res.AchievedQPS == 0 {
 		t.Error("achieved QPS should be non-zero")
@@ -116,11 +113,6 @@ func TestRunWarmupWindow(t *testing.T) {
 	if math.Abs(res.AchievedQPS-want) > 1e-6 {
 		t.Errorf("achieved %.2f QPS, want %d requests / %v = %.2f", res.AchievedQPS, res.Total.Count, window, want)
 	}
-	rep := BuildReport(res, "unit-test", "abc1234", "null=1", 1.1, 100)
-	if rep.MeasuredS != window.Seconds() || rep.Totals.QPS != res.AchievedQPS || rep.Endpoints["null"].QPS != res.AchievedQPS {
-		t.Errorf("report measured_s %.3f, totals %.2f QPS, endpoint %.2f QPS; want %.3f s and %.2f QPS",
-			rep.MeasuredS, rep.Totals.QPS, rep.Endpoints["null"].QPS, window.Seconds(), res.AchievedQPS)
-	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
@@ -132,65 +124,5 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Config{Mode: "weird", QPS: 1, Ops: []Op{{Name: "x", Weight: 1, Do: func(context.Context) (int64, error) { return 0, nil }}}}); err == nil {
 		t.Error("unknown mode accepted")
-	}
-}
-
-func TestBenchReportRoundTrip(t *testing.T) {
-	cfg := Config{
-		Mode:     ModeClosed,
-		Duration: 50 * time.Millisecond,
-		Workers:  2,
-		Seed:     9,
-		Ops: []Op{{Name: "staleness", Weight: 1, Do: func(context.Context) (int64, error) {
-			return 42, nil
-		}}},
-	}
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := BuildReport(res, "unit-test", "abc1234", "staleness=1", 1.1, 100)
-	dir := t.TempDir()
-	path, err := rep.WriteReport(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_unit-test_abc1234.json" {
-		t.Errorf("unexpected file name %s", filepath.Base(path))
-	}
-	back, err := ReadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Totals.Requests != res.Total.Count || back.Scenario != "unit-test" ||
-		back.SchemaVersion != BenchSchemaVersion {
-		t.Errorf("round trip mismatch: %+v", back)
-	}
-	if _, ok := back.Endpoints["staleness"]; !ok {
-		t.Error("per-endpoint breakdown lost in round trip")
-	}
-	if back.Totals.QPS == 0 {
-		t.Error("QPS should be non-zero")
-	}
-}
-
-func TestBenchFileNameSanitises(t *testing.T) {
-	got := BenchFileName("api smoke/v1", "de ad#be")
-	if strings.ContainsAny(got, " /#") {
-		t.Errorf("unsafe characters survive: %q", got)
-	}
-	if got != "BENCH_api-smoke-v1_de-ad-be.json" {
-		t.Errorf("got %q", got)
-	}
-}
-
-func TestReadReportRejectsInvalid(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "BENCH_bad_x.json")
-	if err := os.WriteFile(p, []byte(`{"schema_version": 99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReport(p); err == nil {
-		t.Error("wrong schema version accepted")
 	}
 }

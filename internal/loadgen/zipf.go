@@ -1,9 +1,8 @@
-// Package loadgen is the stdlib-only load-generation toolkit behind
-// cmd/staleload: a deterministic seeded Zipf key-rank generator (real query
-// traffic concentrates on a small hot set of domains), a coordinated-
-// omission-resistant HDR-style latency histogram, an open/closed-loop
-// request runner, and the versioned BENCH_*.json report every run appends to
-// the repo's performance trajectory.
+// Package loadgen is the stdlib-only load-generation toolkit the benchmark
+// harness and the fleet tests drive: a deterministic seeded Zipf key-rank
+// generator (real query traffic concentrates on a small hot set of domains),
+// a coordinated-omission-resistant HDR-style latency histogram, and an
+// open/closed-loop request runner.
 package loadgen
 
 import (
@@ -73,10 +72,7 @@ func NewZipf(seed uint64, n int, s float64) (*Zipf, error) {
 	return &Zipf{rng: newSplitmix64(seed), cdf: cdf}, nil
 }
 
-// N returns the rank universe size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Next draws the next rank in [0, N).
+// Next draws the next rank in [0, n).
 func (z *Zipf) Next() int {
 	u := z.rng.float64v()
 	return sort.SearchFloat64s(z.cdf, u)

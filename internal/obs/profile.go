@@ -18,7 +18,7 @@ import (
 // This file implements triggered profiling: ProfileCapture snapshots
 // CPU/heap/goroutine pprof profiles into a bounded on-disk ring when an SLO
 // burn-rate alert fires or an operator POSTs /v1/profile, and serves the
-// ring at GET /v1/profiles — a p99 regression caught by staleload comes with
+// ring at GET /v1/profiles — a p99 regression caught under load comes with
 // the profile that explains it instead of a "reproduce locally" chase.
 
 // ProfileEntry describes one captured profile set.

@@ -13,21 +13,10 @@ type QuantileBucket struct {
 	Exemplar *Exemplar
 }
 
-// HistogramQuantile estimates the q-quantile from cumulative histogram
-// buckets (the shape Snapshot and ParseProm produce), interpolating linearly
-// inside the bucket the quantile lands in — the same estimate Prometheus'
-// histogram_quantile makes over the exposition format.
-func HistogramQuantile(q float64, buckets []BucketCount) float64 {
-	bs := make([]QuantileBucket, 0, len(buckets))
-	for _, b := range buckets {
-		bs = append(bs, QuantileBucket{Bound: b.UpperBound, Count: float64(b.Count), Exemplar: b.Exemplar})
-	}
-	v, _ := Quantile(q, bs)
-	return v
-}
-
-// Quantile is HistogramQuantile over float-count buckets, also returning the
-// exemplar of the bucket the quantile lands in.
+// Quantile estimates the q-quantile from cumulative histogram buckets,
+// interpolating linearly inside the bucket the quantile lands in — the same
+// estimate Prometheus' histogram_quantile makes over the exposition format —
+// and returns the exemplar of that bucket.
 func Quantile(q float64, buckets []QuantileBucket) (float64, *Exemplar) {
 	if len(buckets) == 0 || q < 0 || q > 1 {
 		return math.NaN(), nil

@@ -15,50 +15,21 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"stalecert/internal/fleettest"
 	"stalecert/internal/obs"
-	"stalecert/internal/obsagg"
 	"stalecert/internal/resil"
 )
 
-// loggedDaemon bundles one in-process daemon's full observability surface:
-// private registry, span store and log ring, a logger teeing into the ring,
-// and an httptest server exposing the debug endpoints the aggregator scrapes
-// (/metrics, /v1/traces, /v1/logs).
-type loggedDaemon struct {
-	reg    *obs.Registry
-	spans  *obs.SpanStore
-	ring   *obs.LogRing
-	logger *slog.Logger
-	debug  *httptest.Server
-}
-
-func newLoggedDaemon(t *testing.T, component string) *loggedDaemon {
-	t.Helper()
-	d := &loggedDaemon{
-		reg:   obs.NewRegistry(),
-		spans: obs.NewSpanStore(64, 1, 0), // -trace-sample 1: keep everything
-		ring:  obs.NewLogRing(64),
-	}
-	d.spans.Registry = d.reg
-	d.ring.Registry = d.reg
+// ringLogger logs as a daemon's logger does: teeing every record, with the
+// request's trace ID, into the log ring its debug listener serves.
+func ringLogger(m *fleettest.Member, component string) *slog.Logger {
 	inner := slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug})
-	d.logger = slog.New(obs.NewTeeHandler(inner, d.ring)).With("component", component)
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		obs.WriteProm(w, d.reg)
-	})
-	mux.Handle("GET /v1/traces", d.spans.Handler())
-	mux.Handle("GET /v1/traces/{id}", d.spans.Handler())
-	mux.Handle("GET /v1/logs", d.ring.Handler())
-	d.debug = httptest.NewServer(mux)
-	t.Cleanup(d.debug.Close)
-	return d
+	return slog.New(obs.NewTeeHandler(inner, m.Logs)).With("component", component)
 }
 
 // chaosSeedFor finds a seed whose deterministic fault stream injects exactly
@@ -90,27 +61,27 @@ func chaosSeedFor(t *testing.T, rate float64, cleanDraws int) int64 {
 func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	// ctlogd: healthy, but the evidence client reaches it through a seeded
 	// chaos transport that 503s the first attempt. Its handler logs with the
-	// request context, so the record carries the trace ID.
-	ct := newLoggedDaemon(t, "ctlogd")
+	// request context, so the record carries the trace ID. Both daemons keep
+	// every trace (-trace-sample 1).
+	ct := fleettest.Serve(t, "ctlogd", 1)
+	ctLogger := ringLogger(ct, "ctlogd")
 	ctMux := http.NewServeMux()
 	ctMux.HandleFunc("GET /ct/v1/get-sth", func(w http.ResponseWriter, r *http.Request) {
-		ct.logger.InfoContext(r.Context(), "sth served", "tree_size", 17)
+		ctLogger.InfoContext(r.Context(), "sth served", "tree_size", 17)
 		w.Write([]byte(`{"tree_size":17}`))
 	})
-	ctSrv := httptest.NewServer(obs.MiddlewareSpans(ct.reg, ct.spans, "ctlogd", ctMux))
-	defer ctSrv.Close()
+	ct.Handle(ctMux)
 
 	// staleapid: fetches evidence through the resilience stack with chaos at
 	// the bottom, logging the fetch outcome under the same request context.
-	api := newLoggedDaemon(t, "staleapid")
+	api := fleettest.Serve(t, "staleapid", 1)
+	apiLogger := ringLogger(api, "staleapid")
 	const faultRate = 0.5
-	chaos := resil.NewChaos(ctSrv.Client().Transport, chaosSeedFor(t, faultRate, 4),
-		resil.Rates{Status5xx: faultRate})
-	evidenceClient := resil.InstrumentClient(ctSrv.Client(), resil.Options{
+	evidenceClient := resil.InstrumentClient(nil, resil.Options{
 		Service:   "staleapid",
 		NoBreaker: true,
-		Chaos:     chaos,
-		Spans:     api.spans,
+		Chaos:     resil.NewChaos(nil, chaosSeedFor(t, faultRate, 4), resil.Rates{Status5xx: faultRate}),
+		Spans:     api.Spans,
 		Policy: resil.Policy{
 			MaxAttempts: 3,
 			BaseDelay:   time.Millisecond,
@@ -120,32 +91,31 @@ func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	})
 	apiMux := http.NewServeMux()
 	apiMux.HandleFunc("GET /v1/domain/{e2ld}/staleness", func(w http.ResponseWriter, r *http.Request) {
-		req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet, ctSrv.URL+"/ct/v1/get-sth", nil)
+		req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet, ct.URL+"/ct/v1/get-sth", nil)
 		resp, err := evidenceClient.Do(req)
 		if err != nil {
-			api.logger.ErrorContext(r.Context(), "evidence fetch failed", "err", err)
+			apiLogger.ErrorContext(r.Context(), "evidence fetch failed", "err", err)
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			api.logger.ErrorContext(r.Context(), "evidence fetch degraded", "status", resp.StatusCode)
+			apiLogger.ErrorContext(r.Context(), "evidence fetch degraded", "status", resp.StatusCode)
 		} else {
-			api.logger.InfoContext(r.Context(), "staleness verdict computed",
+			apiLogger.InfoContext(r.Context(), "staleness verdict computed",
 				"domain", r.PathValue("e2ld"), "evidence_status", resp.StatusCode)
 		}
 		w.Write([]byte(`{"domain":"` + r.PathValue("e2ld") + `","stale":[]}`))
 	})
-	apiSrv := httptest.NewServer(obs.MiddlewareSpans(api.reg, api.spans, "staleapid", apiMux))
-	defer apiSrv.Close()
+	api.Handle(apiMux)
 
 	// One request with a caller-supplied traceparent so the ID is known.
 	injectionsBefore := obs.Default().Counter("resil_chaos_injections_total", "kind", "status_5xx").Value()
 	caller := obs.NewRequestID()
-	req, _ := http.NewRequest(http.MethodGet, apiSrv.URL+"/v1/domain/example.com/staleness", nil)
+	req, _ := http.NewRequest(http.MethodGet, api.URL+"/v1/domain/example.com/staleness", nil)
 	req.Header.Set(obs.TraceHeader, caller.String())
-	resp, err := apiSrv.Client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +131,12 @@ func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	}
 
 	// Fleet assembly: one scrape round federates metrics, traces AND logs.
-	agg := &obsagg.Aggregator{
-		Targets: []obsagg.Target{
-			{Job: "staleapid", URL: api.debug.URL},
-			{Job: "ctlogd", URL: ct.debug.URL},
-		},
-		Registry: obs.NewRegistry(),
-		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
+	agg, aggURL := fleettest.Aggregate(t, api, ct)
 	agg.ScrapeOnce(context.Background())
-	aggSrv := httptest.NewServer(agg.Handler())
-	defer aggSrv.Close()
 
 	// Criterion 1: the stitched trace's ID retrieves >= 2 daemons' log lines
 	// from /fleet/logs?trace=.
-	lresp, err := aggSrv.Client().Get(aggSrv.URL + "/fleet/logs?trace=" + caller.Trace())
+	lresp, err := http.Get(aggURL + "/fleet/logs?trace=" + caller.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +169,7 @@ func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	}
 
 	// Criterion 2: the trace drill-down embeds the same correlated lines.
-	tresp, err := aggSrv.Client().Get(aggSrv.URL + "/fleet/traces/" + caller.Trace())
+	tresp, err := http.Get(aggURL + "/fleet/traces/" + caller.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +189,7 @@ func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	}
 
 	// And the generic filters compose over the federated stream.
-	qresp, err := aggSrv.Client().Get(aggSrv.URL + "/fleet/logs?job=staleapid&q=staleness")
+	qresp, err := http.Get(aggURL + "/fleet/logs?job=staleapid&q=staleness")
 	if err != nil {
 		t.Fatal(err)
 	}

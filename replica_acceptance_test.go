@@ -11,186 +11,32 @@ package stalecert_test
 
 import (
 	"context"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"stalecert/internal/certstore"
-	"stalecert/internal/core"
-	"stalecert/internal/crl"
-	"stalecert/internal/ctlog"
+	"stalecert/internal/fleettest"
 	"stalecert/internal/obs"
-	"stalecert/internal/resil"
 	"stalecert/internal/shard"
-	"stalecert/internal/simtime"
-	"stalecert/internal/staleapi"
 	"stalecert/internal/stalegw"
-	"stalecert/internal/x509sim"
 )
 
 func TestReplicatedFleetSurvivesReplicaDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replication acceptance is not a -short test")
 	}
-	day := simtime.MustParse("2022-06-01")
-	const sliceCount = 2
-	const replicaCount = 2
-
-	// Seeded CT log: 24 plain domains plus a revoked one.
-	log := ctlog.New("replica-accept-log", ctlog.Shard{})
-	logSrv := ctlog.NewServer(log)
-	logSrv.SetNow(day)
-	var domains []string
-	var certs []*x509sim.Certificate
-	addCert := func(serial uint64, names []string) {
-		t.Helper()
-		c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial), names, 100, 1200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := log.AddChain(c, day); err != nil {
-			t.Fatal(err)
-		}
-		certs = append(certs, c)
-	}
-	for i := uint64(0); i < 24; i++ {
-		d := fmt.Sprintf("replica%02d.com", i)
-		domains = append(domains, d)
-		addCert(i+1, []string{d, "www." + d})
-	}
-	domains = append(domains, "replica-revoked.com")
-	addCert(100, []string{"replica-revoked.com"})
-	logTS := httptest.NewServer(logSrv.Handler())
-	defer logTS.Close()
-
-	// Revocation evidence shared by every replica.
-	auth := crl.NewAuthority("ReplicaCA")
-	auth.Revoke(1, 100, 600, crl.KeyCompromise)
-	crlSrv := crl.NewServer(7)
-	crlSrv.SetNow(day)
-	crlSrv.Host(auth, 0)
-	crlTS := httptest.NewServer(crlSrv.Handler())
-	defer crlTS.Close()
-	evidence := func(ctx context.Context, domain string) (core.DomainEvidence, error) {
-		ev := core.DomainEvidence{RevocationCutoff: simtime.NoDay}
-		fetcher := &crl.Fetcher{Base: crlTS.URL, HC: crlTS.Client()}
-		lists, err := fetcher.FetchAll(ctx, []string{"ReplicaCA"})
-		if err != nil {
-			return ev, err
-		}
-		for _, l := range lists {
-			ev.Revocations = append(ev.Revocations, l.Entries...)
-		}
-		return ev, nil
-	}
-	// slowReplica, when set, delays one chosen replica (slice 1, replica 0)
-	// long enough that the gateway's hedge timer fires and the sibling wins.
-	var slowReplica atomic.Bool
-	newAPI := func(store *certstore.Store, self *shard.Self, slow bool) *httptest.Server {
-		api := staleapi.NewServer(staleapi.Config{
-			Store:    store,
-			Evidence: evidence,
-			Now:      func() simtime.Day { return day },
-			Health:   obs.NewHealth(),
-			Shard:    self,
-			// A nanosecond cache TTL keeps "cached": false on every replica
-			// answer, so which sibling serves a query never changes the bytes.
-			CacheTTL: time.Nanosecond,
-		})
-		h := api.Handler()
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if slow && slowReplica.Load() {
-				select {
-				case <-r.Context().Done():
-					return
-				case <-time.After(120 * time.Millisecond):
-				}
-			}
-			h.ServeHTTP(w, r)
-		}))
-	}
-	ctx := context.Background()
-
-	// The reference: one unsharded replica holding the whole log.
-	whole, err := certstore.Open(certstore.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer whole.Close()
-	if _, err := certstore.NewIngester(whole, ctlog.NewClient(logTS.URL, logTS.Client())).Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	wholeTS := newAPI(whole, nil, false)
-	defer wholeTS.Close()
-
-	// The fleet: 2 slices × 2 replicas. Both replicas of a slice tail the
-	// same log into separate stores under the same SHARD identity — the
-	// deployment shape cmd/staleapid documents for replication.
-	ring := shard.MustRing(sliceCount, shard.DefaultVNodes)
-	apiTS := make([][]*httptest.Server, sliceCount)
-	groups := make([][]string, sliceCount)
-	for i := 0; i < sliceCount; i++ {
-		for r := 0; r < replicaCount; r++ {
-			st, err := certstore.Open(certstore.Options{Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			ing := certstore.NewIngester(st, ctlog.NewClient(logTS.URL, logTS.Client()))
-			ing.Keep = shard.KeepFunc(ring, st.PSL(), i)
-			ing.Shard = &certstore.ShardConfig{Epoch: 1, Index: i, Count: sliceCount,
-				VNodes: shard.DefaultVNodes, Hash: shard.HashName}
-			if _, err := ing.Sync(ctx); err != nil {
-				t.Fatalf("slice %d replica %d sync: %v", i, r, err)
-			}
-			if st.Len() == 0 {
-				t.Fatalf("slice %d replica %d ingested nothing", i, r)
-			}
-			ts := newAPI(st, &shard.Self{Version: shard.MapVersion, Epoch: 1,
-				Hash: shard.HashName, VNodes: shard.DefaultVNodes,
-				Shard: shard.Assignment{Index: i, Count: sliceCount}}, i == 1 && r == 0)
-			defer ts.Close()
-			apiTS[i] = append(apiTS[i], ts)
-			groups[i] = append(groups[i], ts.URL)
-		}
-	}
-
-	// Gateway over the replicated fleet: hedging armed on the real clock,
-	// breakers shared between the resilient client and replica selection.
-	breakers := resil.NewBreakerSet(resil.BreakerConfig{
-		Service:     "replica-accept-gw",
-		MinRequests: 2,
-		Threshold:   0.5,
-		Cooldown:    time.Minute,
-	})
-	gwClient := resil.NewHTTPClient(resil.Options{
-		Service: "replica-accept-gw",
-		Breaker: breakers,
-		Policy: resil.Policy{
-			MaxAttempts: 2,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    5 * time.Millisecond,
-			PerAttempt:  2 * time.Second,
-		},
-	})
-	gw, err := stalegw.New(stalegw.Config{
-		Map:        shard.NewReplicatedMap(1, shard.DefaultVNodes, groups),
-		Client:     gwClient,
-		CacheTTL:   60 * time.Millisecond,
-		HedgeAfter: 5 * time.Millisecond,
-		Breakers:   breakers,
-		Health:     obs.NewHealth(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gwTS := httptest.NewServer(gw.Handler())
-	defer gwTS.Close()
+	// Seeded CT log: 24 plain domains plus a revoked one, behind 2 slices × 2
+	// replicas. Both replicas of a slice tail the same log into separate
+	// stores under the same SHARD identity — the deployment shape
+	// cmd/staleapid documents for replication — and the gateway hedges on the
+	// real clock, its breakers shared with replica selection.
+	domains, certs, revoked := plainCorpus(t, "replica", "replica-revoked.com", 24)
+	f := fleettest.Start(t, fleettest.Spec{Name: "replica-accept", Certs: certs, Revoked: revoked,
+		Slices: 2, Replicas: 2, HedgeAfter: 5 * time.Millisecond})
+	whole, gw, ctx := f.Reference, f.GW, context.Background()
+	ring := shard.MustRing(2, shard.DefaultVNodes)
 
 	gw.ProbeOnce(ctx)
 	if err := gw.QuorumProbe(ctx); err != nil {
@@ -207,8 +53,8 @@ func TestReplicatedFleetSurvivesReplicaDeath(t *testing.T) {
 	}
 	prekill := make(map[string]string, len(endpoints))
 	for _, ep := range endpoints {
-		wantResp, want := acceptGet(t, wholeTS.URL, ep)
-		gotResp, got := acceptGet(t, gwTS.URL, ep)
+		wantResp, want := whole.Get(ep)
+		gotResp, got := f.Gateway.Get(ep)
 		if gotResp.StatusCode != wantResp.StatusCode || got != want {
 			t.Fatalf("%s diverges (status %d vs %d):\nunsharded: %s\ngateway:   %s",
 				ep, wantResp.StatusCode, gotResp.StatusCode, want, got)
@@ -216,8 +62,8 @@ func TestReplicatedFleetSurvivesReplicaDeath(t *testing.T) {
 		prekill[ep] = got
 	}
 
-	// Hedged reads: slow down slice 1's replica 0. Whenever rotation makes it
-	// leg 0, the hedge timer fires at 5ms and the sibling answers — fast,
+	// Hedged reads: stall slice 1's replica 0. Whenever rotation makes it
+	// leg 0, the hedge timer fires at 5ms and the sibling answers —
 	// byte-identical, and visible on the hedge counters.
 	var slice1Domains []string
 	for _, d := range domains {
@@ -232,21 +78,28 @@ func TestReplicatedFleetSurvivesReplicaDeath(t *testing.T) {
 	hedgeWins := obs.Default().Counter("stalegw_hedge_wins_total", "shard", "1")
 	hedgedBefore, winsBefore := hedged.Value(), hedgeWins.Value()
 	time.Sleep(100 * time.Millisecond) // expire the sweep's cached entries: hedged reads must hit replicas
-	slowReplica.Store(true)
+	// Stalled for longer than the gateway waits on any attempt: a read whose
+	// leg 0 is this replica can only be answered by the hedge.
+	f.Replicas[1][0].Slow(10 * time.Second)
+	var rescued uint64
 	for _, d := range slice1Domains {
-		start := time.Now()
-		resp, body := acceptGet(t, gwTS.URL, "/v1/domain/"+d+"/staleness")
+		winsAt := hedgeWins.Value()
+		resp, body := f.Gateway.Get("/v1/domain/" + d + "/staleness")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("hedged read %s status = %d: %s", d, resp.StatusCode, body)
 		}
 		if body != prekill["/v1/domain/"+d+"/staleness"] {
 			t.Fatalf("hedged read %s diverges from pre-hedge body:\n%s", d, body)
 		}
-		if elapsed := time.Since(start); elapsed > 90*time.Millisecond {
-			t.Fatalf("hedged read %s took %s — hedge did not rescue the slow leg", d, elapsed)
-		}
+		rescued += hedgeWins.Value() - winsAt
 	}
-	slowReplica.Store(false)
+	f.Replicas[1][0].Slow(0)
+	// Rotation makes the stalled replica leg 0 of every other read, and each
+	// of those answers are the sibling's: one hedge win per such read.
+	if rescued < uint64(len(slice1Domains)/2) {
+		t.Fatalf("%d hedge wins over %d reads — hedge did not rescue every read whose first leg stalled",
+			rescued, len(slice1Domains))
+	}
 	if hedged.Value() == hedgedBefore {
 		t.Fatal("stalegw_hedged_requests_total{shard=1} did not advance across hedged reads")
 	}
@@ -257,13 +110,13 @@ func TestReplicatedFleetSurvivesReplicaDeath(t *testing.T) {
 	// Kill slice 0's replica 0 mid-stream — no re-probe, so the gateway still
 	// believes both replicas are healthy and must discover the death the hard
 	// way, per query, through failover.
-	apiTS[0][0].Close()
+	f.Replicas[0][0].Kill()
 	time.Sleep(100 * time.Millisecond) // let every cached gateway entry expire
 
 	failovers := obs.Default().Counter("stalegw_failovers_total", "shard", "0")
 	failoversBefore := failovers.Value()
 	for _, ep := range endpoints {
-		resp, got := acceptGet(t, gwTS.URL, ep)
+		resp, got := f.Gateway.Get(ep)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("post-kill %s status = %d (want 200, zero 5xx): %s", ep, resp.StatusCode, got)
 		}
@@ -277,6 +130,21 @@ func TestReplicatedFleetSurvivesReplicaDeath(t *testing.T) {
 	if failovers.Value() == failoversBefore {
 		t.Fatal("stalegw_failovers_total{shard=0} did not advance — dead replica was never leg 0")
 	}
+	// A failover is visible as one gateway trace holding client spans against
+	// both replicas of the killed slice.
+	deadPeer := strings.TrimPrefix(f.Replicas[0][0].URL, "http://")
+	livePeer := strings.TrimPrefix(f.Replicas[0][1].URL, "http://")
+	sawBoth := false
+	for _, tr := range f.Gateway.Spans.Traces(obs.TraceFilter{WithSpans: true}) {
+		peers := map[string]bool{}
+		for _, sp := range tr.Spans {
+			peers[sp.Peer] = true
+		}
+		sawBoth = sawBoth || peers[deadPeer] && peers[livePeer]
+	}
+	if !sawBoth {
+		t.Fatalf("no gateway trace shows the failed leg to %s beside its sibling %s", deadPeer, livePeer)
+	}
 
 	// Readiness after the death: the probe round sees the dead replica, but
 	// the slice quorum counts slices, not processes — one live sibling keeps
@@ -285,7 +153,7 @@ func TestReplicatedFleetSurvivesReplicaDeath(t *testing.T) {
 	if err := gw.QuorumProbe(ctx); err != nil {
 		t.Fatalf("quorum probe after replica death = %v, want fully ready", err)
 	}
-	resp, body := acceptGet(t, gwTS.URL, "/readyz")
+	resp, body := f.Gateway.Get("/readyz")
 	if resp.StatusCode != http.StatusOK || strings.Contains(body, "degraded") || strings.Contains(body, "not-ready") {
 		t.Fatalf("post-kill readyz = %d %q, want fully ready", resp.StatusCode, body)
 	}
@@ -306,7 +174,7 @@ func TestReplicatedFleetSurvivesReplicaDeath(t *testing.T) {
 		if ring.Lookup(shard.KeyForDomain(d)) != 0 {
 			continue
 		}
-		resp, _ := acceptGet(t, gwTS.URL, "/v1/domain/"+d+"/certs?post=probe")
+		resp, _ := f.Gateway.Get("/v1/domain/" + d + "/certs?post=probe")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("post-probe %s status = %d", d, resp.StatusCode)
 		}

@@ -13,185 +13,77 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
+	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"stalecert/internal/certstore"
-	"stalecert/internal/core"
 	"stalecert/internal/crl"
-	"stalecert/internal/ctlog"
+	"stalecert/internal/fleettest"
 	"stalecert/internal/obs"
 	"stalecert/internal/resil"
 	"stalecert/internal/shard"
 	"stalecert/internal/simtime"
-	"stalecert/internal/staleapi"
 	"stalecert/internal/stalegw"
 	"stalecert/internal/x509sim"
 )
 
-func acceptGet(t *testing.T, base, path string) (*http.Response, string) {
+// plainCorpus is n two-name certificates, one per "<prefix>NN.com", plus one
+// key-compromise-revoked certificate for revokedDomain.
+func plainCorpus(t *testing.T, prefix, revokedDomain string, n uint64) (domains []string, certs []*x509sim.Certificate, revoked []crl.Entry) {
 	t.Helper()
-	resp, err := http.Get(base + path)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
+	addCert := func(serial uint64, names []string) {
+		c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial), names, 100, 1200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		certs = append(certs, c)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s: read body: %v", path, err)
+	for i := uint64(0); i < n; i++ {
+		d := fmt.Sprintf("%s%02d.com", prefix, i)
+		domains = append(domains, d)
+		addCert(i+1, []string{d, "www." + d})
 	}
-	return resp, string(body)
+	domains = append(domains, revokedDomain)
+	addCert(100, []string{revokedDomain})
+	return domains, certs, []crl.Entry{{Issuer: 1, Serial: 100, RevokedAt: 600, Reason: crl.KeyCompromise}}
 }
 
 func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharding acceptance is not a -short test")
 	}
-	day := simtime.MustParse("2022-06-01")
 	const shardCount = 3
 
-	// Seeded CT log: 24 plain domains plus a revoked one.
-	log := ctlog.New("shard-accept-log", ctlog.Shard{})
-	logSrv := ctlog.NewServer(log)
-	logSrv.SetNow(day)
-	var domains []string
-	var certs []*x509sim.Certificate
-	addCert := func(serial uint64, names []string) {
-		t.Helper()
-		c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial), names, 100, 1200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := log.AddChain(c, day); err != nil {
-			t.Fatal(err)
-		}
-		certs = append(certs, c)
-	}
-	for i := uint64(0); i < 24; i++ {
-		d := fmt.Sprintf("accept%02d.com", i)
-		domains = append(domains, d)
-		addCert(i+1, []string{d, "www." + d})
-	}
-	domains = append(domains, "revoked.com")
-	addCert(100, []string{"revoked.com"})
-	logTS := httptest.NewServer(logSrv.Handler())
-	defer logTS.Close()
-
-	// Revocation evidence shared by every replica.
-	auth := crl.NewAuthority("ShardCA")
-	auth.Revoke(1, 100, 600, crl.KeyCompromise)
-	crlSrv := crl.NewServer(7)
-	crlSrv.SetNow(day)
-	crlSrv.Host(auth, 0)
-	crlTS := httptest.NewServer(crlSrv.Handler())
-	defer crlTS.Close()
-	evidence := func(ctx context.Context, domain string) (core.DomainEvidence, error) {
-		ev := core.DomainEvidence{RevocationCutoff: simtime.NoDay}
-		fetcher := &crl.Fetcher{Base: crlTS.URL, HC: crlTS.Client()}
-		lists, err := fetcher.FetchAll(ctx, []string{"ShardCA"})
-		if err != nil {
-			return ev, err
-		}
-		for _, l := range lists {
-			ev.Revocations = append(ev.Revocations, l.Entries...)
-		}
-		return ev, nil
-	}
-	newAPI := func(store *certstore.Store, self *shard.Self) *httptest.Server {
-		api := staleapi.NewServer(staleapi.Config{
-			Store:    store,
-			Evidence: evidence,
-			Now:      func() simtime.Day { return day },
-			Health:   obs.NewHealth(),
-			Shard:    self,
-		})
-		return httptest.NewServer(api.Handler())
-	}
-	ctx := context.Background()
-
-	// The reference: one unsharded replica holding the whole log.
-	whole, err := certstore.Open(certstore.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer whole.Close()
-	if _, err := certstore.NewIngester(whole, ctlog.NewClient(logTS.URL, logTS.Client())).Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if whole.Len() != len(certs) {
-		t.Fatalf("unsharded store holds %d certs, want %d", whole.Len(), len(certs))
-	}
-	wholeTS := newAPI(whole, nil)
-	defer wholeTS.Close()
-
-	// The fleet: three replicas tailing the same log, each keeping only its
-	// ring slice.
+	// Seeded CT log: 24 plain domains plus a revoked one. The reference is one
+	// unsharded replica holding the whole log; the fleet is three replicas
+	// tailing the same log, each keeping only its ring slice, behind a gateway
+	// whose fast-tripping, slow-closing breaker makes the kill below visible
+	// on /v1/breakers.
+	domains, certs, revoked := plainCorpus(t, "accept", "revoked.com", 24)
+	f := fleettest.Start(t, fleettest.Spec{Name: "shard-accept", Certs: certs, Revoked: revoked,
+		Slices: shardCount, Replicas: 1})
+	whole, gw, ctx := f.Reference, f.GW, context.Background()
 	ring := shard.MustRing(shardCount, shard.DefaultVNodes)
+	if whole.Store.Len() != len(certs) {
+		t.Fatalf("unsharded store holds %d certs, want %d", whole.Store.Len(), len(certs))
+	}
 	stores := make([]*certstore.Store, shardCount)
-	apiTS := make([]*httptest.Server, shardCount)
-	addrs := make([]string, shardCount)
 	fleetTotal := 0
-	for i := 0; i < shardCount; i++ {
-		st, err := certstore.Open(certstore.Options{Dir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		ing := certstore.NewIngester(st, ctlog.NewClient(logTS.URL, logTS.Client()))
-		ing.Keep = shard.KeepFunc(ring, st.PSL(), i)
-		ing.Shard = &certstore.ShardConfig{Epoch: 1, Index: i, Count: shardCount,
-			VNodes: shard.DefaultVNodes, Hash: shard.HashName}
-		if _, err := ing.Sync(ctx); err != nil {
-			t.Fatalf("shard %d sync: %v", i, err)
-		}
+	for i, group := range f.Replicas {
+		st := group[0].Store
 		if st.Len() == 0 {
 			t.Fatalf("shard %d ingested nothing", i)
 		}
 		fleetTotal += st.Len()
 		stores[i] = st
-		apiTS[i] = newAPI(st, &shard.Self{Version: shard.MapVersion, Epoch: 1,
-			Hash: shard.HashName, VNodes: shard.DefaultVNodes,
-			Shard: shard.Assignment{Index: i, Count: shardCount}})
-		defer apiTS[i].Close()
-		addrs[i] = apiTS[i].URL
 	}
 	if fleetTotal != len(certs) {
 		t.Fatalf("fleet slices sum to %d certs, want %d (overlap or loss)", fleetTotal, len(certs))
 	}
-
-	// Gateway over the fleet: resilient client with a fast-tripping,
-	// slow-closing breaker so the kill below is visible on /v1/breakers.
-	breakers := resil.NewBreakerSet(resil.BreakerConfig{
-		Service:     "shard-accept-gw",
-		MinRequests: 2,
-		Threshold:   0.5,
-		Cooldown:    time.Minute,
-	})
-	gwClient := resil.NewHTTPClient(resil.Options{
-		Service: "shard-accept-gw",
-		Breaker: breakers,
-		Policy: resil.Policy{
-			MaxAttempts: 2,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    5 * time.Millisecond,
-			PerAttempt:  2 * time.Second,
-		},
-	})
-	gw, err := stalegw.New(stalegw.Config{
-		Map:      shard.NewMap(1, shard.DefaultVNodes, addrs),
-		Client:   gwClient,
-		CacheTTL: 80 * time.Millisecond,
-		Health:   obs.NewHealth(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gwTS := httptest.NewServer(gw.Handler())
-	defer gwTS.Close()
 
 	gw.ProbeOnce(ctx)
 	if err := gw.QuorumProbe(ctx); err != nil {
@@ -204,8 +96,8 @@ func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 	// reference.
 	for _, d := range append(domains, "nocerts.example") {
 		for _, ep := range []string{"/v1/domain/" + d + "/staleness", "/v1/domain/" + d + "/certs"} {
-			wantResp, want := acceptGet(t, wholeTS.URL, ep)
-			gotResp, got := acceptGet(t, gwTS.URL, ep)
+			wantResp, want := whole.Get(ep)
+			gotResp, got := f.Gateway.Get(ep)
 			if gotResp.StatusCode != wantResp.StatusCode || got != want {
 				t.Fatalf("%s diverges (status %d vs %d):\nunsharded: %s\ngateway:   %s",
 					ep, wantResp.StatusCode, gotResp.StatusCode, want, got)
@@ -215,15 +107,15 @@ func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 	for _, c := range []*x509sim.Certificate{certs[0], certs[11], certs[len(certs)-1]} {
 		fp := c.Fingerprint()
 		for _, form := range []string{fp.Hex(), fp.String()} {
-			_, want := acceptGet(t, wholeTS.URL, "/v1/cert/"+form)
-			_, got := acceptGet(t, gwTS.URL, "/v1/cert/"+form)
+			_, want := whole.Get("/v1/cert/" + form)
+			_, got := f.Gateway.Get("/v1/cert/" + form)
 			if got != want {
 				t.Fatalf("cert %s diverges:\nunsharded: %s\ngateway:   %s", form, want, got)
 			}
 		}
 	}
-	_, wantList := acceptGet(t, wholeTS.URL, "/v1/domains")
-	_, gotList := acceptGet(t, gwTS.URL, "/v1/domains")
+	_, wantList := whole.Get("/v1/domains")
+	_, gotList := f.Gateway.Get("/v1/domains")
 	if gotList != wantList {
 		t.Fatalf("domain listing diverges:\nunsharded: %s\ngateway:   %s", wantList, gotList)
 	}
@@ -232,13 +124,13 @@ func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 	// gateway has cached above.
 	deadDomain := "accept00.com"
 	dead := ring.Lookup(shard.KeyForDomain(deadDomain))
-	deadHost := apiTS[dead].Listener.Addr().String()
-	apiTS[dead].Close()
+	deadHost := strings.TrimPrefix(f.Replicas[dead][0].URL, "http://")
+	f.Replicas[dead][0].Kill()
 	time.Sleep(120 * time.Millisecond) // let the cached verdict expire
 
 	// Owner-routed query for the dead shard's domain: 200 from last-good,
 	// marked degraded, naming the missing shard.
-	resp, body := acceptGet(t, gwTS.URL, "/v1/domain/"+deadDomain+"/staleness")
+	resp, body := f.Gateway.Get("/v1/domain/" + deadDomain + "/staleness")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-kill staleness status = %d: %s", resp.StatusCode, body)
 	}
@@ -257,7 +149,7 @@ func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 	}
 
 	// Scatter-merge with a dead shard: partial results, marked.
-	resp, body = acceptGet(t, gwTS.URL, "/v1/domains")
+	resp, body = f.Gateway.Get("/v1/domains")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-kill domains status = %d", resp.StatusCode)
 	}
@@ -282,7 +174,7 @@ func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 			}
 		}
 	}
-	resp, body = acceptGet(t, gwTS.URL, "/v1/cert/"+liveCert.Fingerprint().Hex())
+	resp, body = f.Gateway.Get("/v1/cert/" + liveCert.Fingerprint().Hex())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-kill live-shard cert status = %d: %s", resp.StatusCode, body)
 	}
@@ -297,11 +189,9 @@ func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 	// equivalence-phase calls in its breaker window and trip the circuit:
 	// the breaker is then open on the /v1/breakers debug surface.
 	for i := 0; i < 20; i++ {
-		acceptGet(t, gwTS.URL, "/v1/domain/"+deadDomain+"/staleness")
+		f.Gateway.Get("/v1/domain/" + deadDomain + "/staleness")
 	}
-	brTS := httptest.NewServer(resil.Handler())
-	defer brTS.Close()
-	_, body = acceptGet(t, brTS.URL, "/v1/breakers")
+	_, body = fleettest.Get(t, f.Gateway.Debug+"/v1/breakers")
 	var statuses []resil.BreakerStatus
 	if err := json.Unmarshal([]byte(body), &statuses); err != nil {
 		t.Fatal(err)
@@ -314,5 +204,80 @@ func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 	}
 	if !open {
 		t.Fatalf("dead shard %s breaker not open on /v1/breakers: %s", deadHost, body)
+	}
+}
+
+// randomCorpus is a seeded log: 30 domains of one to four certificates under
+// three issuers, a quarter of them revoked inside or before their validity,
+// a fifth re-issued under the same (issuer, serial), which the CRL join
+// cannot tell apart. No certificate names two registrable domains: one that
+// does lives on two slices, and the gateway's /v1/domains then counts its
+// domains twice in "total" (ROADMAP item 7).
+func randomCorpus(t *testing.T, seed int64) (domains []string, certs []*x509sim.Certificate, revoked []crl.Entry) {
+	t.Helper()
+	rnd := rand.New(rand.NewSource(seed))
+	serial := x509sim.SerialNumber(0)
+	for d := 0; d < 30; d++ {
+		domain := fmt.Sprintf("sweep%d-%02d.com", seed, d)
+		domains = append(domains, domain)
+		for n := 1 + rnd.Intn(4); n > 0; n-- {
+			serial++
+			issuer := x509sim.IssuerID(1 + rnd.Intn(3))
+			nb := fleettest.Day - simtime.Day(30+rnd.Intn(370))
+			bodies := [][]string{{domain, "www." + domain}, {domain, "www." + domain, "twin." + domain}}
+			for _, names := range bodies[:1+rnd.Intn(5)/4] {
+				c, err := x509sim.New(serial, issuer, x509sim.KeyID(serial), names, nb, nb+398)
+				if err != nil {
+					t.Fatal(err)
+				}
+				certs = append(certs, c)
+			}
+			if rnd.Intn(4) == 0 {
+				revoked = append(revoked, crl.Entry{Issuer: issuer, Serial: serial,
+					RevokedAt: nb - 20 + simtime.Day(rnd.Intn(200)), Reason: crl.Reason(rnd.Intn(6))})
+			}
+		}
+	}
+	return domains, certs, revoked
+}
+
+// TestFleetMatchesReferenceOverRandomCorpora is the differential property
+// behind the fixed scenario above: over seeded random corpora and every
+// topology the gateway fronts, each answer is the unsharded replica's, byte
+// for byte.
+func TestFleetMatchesReferenceOverRandomCorpora(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sharding acceptance is not a -short test")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		domains, certs, revoked := randomCorpus(t, seed)
+		paths := []string{"/v1/domains", "/v1/domain/nocerts.example/staleness"}
+		for _, d := range domains {
+			paths = append(paths, "/v1/domain/"+d+"/staleness")
+		}
+		for _, c := range certs {
+			paths = append(paths, "/v1/cert/"+c.Fingerprint().Hex(), "/v1/cert/"+c.Fingerprint().String())
+		}
+		for _, topo := range [][2]int{{1, 1}, {3, 1}, {2, 2}} {
+			t.Run(fmt.Sprintf("seed%d/%dx%d", seed, topo[0], topo[1]), func(t *testing.T) {
+				f := fleettest.Start(t, fleettest.Spec{Name: "sweep", Certs: certs, Revoked: revoked,
+					Slices: topo[0], Replicas: topo[1], HedgeAfter: 5 * time.Millisecond})
+				stale := 0
+				for _, p := range paths {
+					wantResp, want := f.Reference.Get(p)
+					gotResp, got := f.Gateway.Get(p)
+					if gotResp.StatusCode != wantResp.StatusCode || got != want {
+						t.Fatalf("%s diverges (status %d vs %d):\nunsharded: %s\ngateway:   %s",
+							p, wantResp.StatusCode, gotResp.StatusCode, want, got)
+					}
+					if strings.Contains(want, `"staleness_days"`) {
+						stale++
+					}
+				}
+				if stale == 0 {
+					t.Fatal("no verdict reported a stale certificate: the equality is vacuous")
+				}
+			})
+		}
 	}
 }

@@ -14,65 +14,44 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"stalecert/internal/fleettest"
 	"stalecert/internal/obs"
-	"stalecert/internal/obsagg"
 	"stalecert/internal/resil"
 )
-
-// tracedDaemon bundles one in-process daemon's observability surface: its
-// private registry and span store, plus an httptest server exposing the
-// debug endpoints the aggregator scrapes (/metrics, /v1/traces).
-type tracedDaemon struct {
-	reg   *obs.Registry
-	spans *obs.SpanStore
-	debug *httptest.Server
-}
-
-func newTracedDaemon(t *testing.T) *tracedDaemon {
-	t.Helper()
-	d := &tracedDaemon{reg: obs.NewRegistry(), spans: obs.NewSpanStore(64, 0, 0)}
-	d.spans.Registry = d.reg
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		obs.WriteProm(w, d.reg)
-	})
-	mux.Handle("GET /v1/traces", d.spans.Handler())
-	mux.Handle("GET /v1/traces/{id}", d.spans.Handler())
-	d.debug = httptest.NewServer(mux)
-	t.Cleanup(d.debug.Close)
-	return d
-}
 
 func TestRequestTracedAcrossFleet(t *testing.T) {
 	// ctlogd: flaky — the first get-sth 503s, the retry succeeds. Both
 	// requests land in ctlogd's own span store via the server middleware.
-	ct := newTracedDaemon(t)
-	var hits atomic.Int64
 	ctMux := http.NewServeMux()
 	ctMux.HandleFunc("GET /ct/v1/get-sth", func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			http.Error(w, "wedged", http.StatusServiceUnavailable)
-			return
-		}
 		w.Write([]byte(`{"tree_size":17}`))
 	})
-	ctSrv := httptest.NewServer(obs.MiddlewareSpans(ct.reg, ct.spans, "ctlogd", ctMux))
-	defer ctSrv.Close()
+	ct := fleettest.Serve(t, "ctlogd", 0)
+	ct.Handle(ctMux)
+	var hits atomic.Int64
+	ct.Wrap(func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if hits.Add(1) == 1 {
+				http.Error(w, "wedged", http.StatusServiceUnavailable)
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
 
 	// staleapid: its staleness handler performs the evidence fetch against
 	// ctlogd through the full resilience stack, propagating the request
 	// context so every attempt joins the incoming trace.
-	api := newTracedDaemon(t)
-	evidenceClient := resil.InstrumentClient(ctSrv.Client(), resil.Options{
+	api := fleettest.Serve(t, "staleapid", 0)
+	evidenceClient := resil.InstrumentClient(nil, resil.Options{
 		Service:   "staleapid",
 		NoBreaker: true,
-		Spans:     api.spans,
+		Spans:     api.Spans,
 		Policy: resil.Policy{
 			MaxAttempts: 3,
 			BaseDelay:   time.Millisecond,
@@ -82,7 +61,7 @@ func TestRequestTracedAcrossFleet(t *testing.T) {
 	})
 	apiMux := http.NewServeMux()
 	apiMux.HandleFunc("GET /v1/domain/{e2ld}/staleness", func(w http.ResponseWriter, r *http.Request) {
-		req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet, ctSrv.URL+"/ct/v1/get-sth", nil)
+		req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet, ct.URL+"/ct/v1/get-sth", nil)
 		resp, err := evidenceClient.Do(req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
@@ -92,16 +71,15 @@ func TestRequestTracedAcrossFleet(t *testing.T) {
 		resp.Body.Close()
 		w.Write([]byte(`{"domain":"` + r.PathValue("e2ld") + `","stale":[]}`))
 	})
-	apiSrv := httptest.NewServer(obs.MiddlewareSpans(api.reg, api.spans, "staleapid", apiMux))
-	defer apiSrv.Close()
+	api.Handle(apiMux)
 
 	// Drive one request carrying our own traceparent, so the trace ID is
 	// known up front. Both stores run at sample rate 0: only the failed
 	// first attempt keeps this trace, on both daemons independently.
 	caller := obs.NewRequestID()
-	req, _ := http.NewRequest(http.MethodGet, apiSrv.URL+"/v1/domain/example.com/staleness", nil)
+	req, _ := http.NewRequest(http.MethodGet, api.URL+"/v1/domain/example.com/staleness", nil)
 	req.Header.Set(obs.TraceHeader, caller.String())
-	resp, err := apiSrv.Client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,18 +91,10 @@ func TestRequestTracedAcrossFleet(t *testing.T) {
 
 	// Fleet assembly: obsagg scrapes both daemons and stitches the shared
 	// trace ID into one tree.
-	agg := &obsagg.Aggregator{
-		Targets: []obsagg.Target{
-			{Job: "staleapid", URL: api.debug.URL},
-			{Job: "ctlogd", URL: ct.debug.URL},
-		},
-		Registry: obs.NewRegistry(),
-	}
+	agg, aggURL := fleettest.Aggregate(t, api, ct)
 	agg.ScrapeOnce(context.Background())
 
-	aggSrv := httptest.NewServer(agg.Handler())
-	defer aggSrv.Close()
-	fresp, err := aggSrv.Client().Get(aggSrv.URL + "/fleet/traces/" + caller.Trace())
+	fresp, err := http.Get(aggURL + "/fleet/traces/" + caller.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +153,7 @@ func TestRequestTracedAcrossFleet(t *testing.T) {
 	// Exemplars: staleapid's latency histogram links the kept trace from its
 	// exposition, in OpenMetrics syntax that ParseProm round-trips — the
 	// same path the aggregator just used.
-	mresp, err := api.debug.Client().Get(api.debug.URL + "/metrics")
+	mresp, err := http.Get(api.Debug + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
