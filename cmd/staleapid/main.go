@@ -33,9 +33,11 @@
 //	          [-shard i/N] [-shard-epoch 1] [-shard-vnodes 128]
 //
 // With -shard i/N the replica is one slice of a consistent-hash fleet: it
-// still tails and Merkle-verifies the whole log but persists only the
-// e2LDs its ring slice owns, pins that slice into the store, and reports it
-// at /v1/shardmap for the gateway (cmd/stalegw) to validate.
+// still tails the whole log (every page checked for index contiguity, a
+// resumed tail for tree-head consistency; entries are not hashed) but
+// persists only the e2LDs its ring slice owns, pins that slice into the
+// store, and reports it at /v1/shardmap for the gateway (cmd/stalegw) to
+// validate.
 //
 // Replicating a slice needs no extra wiring: start several staleapids with
 // the same -shard i/N (separate -store dirs), and each independently tails
@@ -148,9 +150,10 @@ func main() {
 			logger.Error("bad ring shape", "err", err)
 			os.Exit(2)
 		}
-		// The ingester still tails (and Merkle-verifies) the whole log, but
-		// persists only this replica's ring slice; the slice is pinned into
-		// the store so a restart under a different -shard refuses to mix.
+		// The ingester still tails the whole log, its checkpoint advancing over
+		// every entry, but persists only this replica's ring slice; the slice
+		// is pinned into the store so a restart under a different -shard
+		// refuses to mix.
 		ing.Keep = shard.KeepFunc(ring, store.PSL(), assign.Index)
 		ing.Shard = &certstore.ShardConfig{
 			Epoch:  *shardEpoch,

@@ -1,0 +1,94 @@
+package certstore
+
+import (
+	"context"
+	"fmt"
+	"net/http/httptest"
+	"testing"
+
+	"stalecert/internal/ctlog"
+	"stalecert/internal/simtime"
+	"stalecert/internal/x509sim"
+)
+
+// bulkCerts is n certificates in the shape ctlogd -seed-entries and the
+// benchmark's bulk corpus use: one SAN under one of 1 000 e2LDs.
+func bulkCerts(tb testing.TB, n int) []*x509sim.Certificate {
+	tb.Helper()
+	now := simtime.MustParse("2023-01-01")
+	certs := make([]*x509sim.Certificate, n)
+	for i := range certs {
+		c, err := x509sim.New(x509sim.SerialNumber(i+1), 1, x509sim.KeyID(i+1),
+			[]string{fmt.Sprintf("seed%06d.example-%03d.com", i, i%1000)}, now-30, now+60)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		certs[i] = c
+	}
+	return certs
+}
+
+const benchCerts = 60000
+
+// BenchmarkStoreAppend writes the benchmark's bulk corpus into a fresh store,
+// fsync included: as one batch, and in the 4 096-entry batches Sync appends.
+func BenchmarkStoreAppend(b *testing.B) {
+	certs := bulkCerts(b, benchCerts)
+	for _, batch := range []int{benchCerts, 4096} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := Open(Options{Dir: b.TempDir()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for at := 0; at < len(certs); at += batch {
+					if _, err := s.Append(certs[at:min(at+batch, len(certs))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if s.Len() != len(certs) {
+					b.Fatalf("store holds %d certificates, want %d", s.Len(), len(certs))
+				}
+				s.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkIngestSync is one replica's whole catch-up on the bulk corpus:
+// get-entries over loopback, decode, Append, checkpoint, into a fresh store.
+func BenchmarkIngestSync(b *testing.B) {
+	log := ctlog.New("bench-log", ctlog.Shard{})
+	day := simtime.MustParse("2023-01-01")
+	for i, c := range bulkCerts(b, benchCerts) {
+		if _, err := log.AddChain(c, day-simtime.Day(i%30)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(ctlog.NewServer(log).Handler())
+	defer ts.Close()
+	client := ctlog.NewClient(ts.URL, nil)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := Open(Options{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		added, err := NewIngester(s, client).Sync(ctx)
+		if err != nil || added != benchCerts {
+			b.Fatalf("Sync = %d, %v", added, err)
+		}
+		b.StopTimer()
+		s.Close()
+		b.StartTimer()
+	}
+}

@@ -3,6 +3,7 @@ package certstore
 import (
 	"sync"
 
+	"stalecert/internal/core"
 	"stalecert/internal/psl"
 	"stalecert/internal/x509sim"
 )
@@ -47,6 +48,7 @@ func mix(v uint64) uint64 {
 // shard's RWMutex; point reads take a read lock on exactly one shard, so
 // parallel readers on different keys rarely contend.
 type indexShard struct {
+	slot    int // position in shardedIndex.shards
 	mu      sync.RWMutex
 	byFP    map[x509sim.Fingerprint]*x509sim.Certificate
 	byShort map[shortFP]*x509sim.Certificate
@@ -55,8 +57,9 @@ type indexShard struct {
 	bySPKI  map[x509sim.KeyID][]*x509sim.Certificate
 }
 
-func newIndexShard() *indexShard {
+func newIndexShard(slot int) *indexShard {
 	return &indexShard{
+		slot:    slot,
 		byFP:    make(map[x509sim.Fingerprint]*x509sim.Certificate),
 		byShort: make(map[shortFP]*x509sim.Certificate),
 		byKey:   make(map[x509sim.DedupKey]*x509sim.Certificate),
@@ -76,7 +79,7 @@ type shardedIndex struct {
 func newShardedIndex(n int, list *psl.List) *shardedIndex {
 	idx := &shardedIndex{psl: list, shards: make([]*indexShard, n)}
 	for i := range idx.shards {
-		idx.shards[i] = newIndexShard()
+		idx.shards[i] = newIndexShard(i)
 	}
 	return idx
 }
@@ -175,60 +178,52 @@ func (idx *shardedIndex) shardCounts() []int {
 	return out
 }
 
-// indexOp is one shard-local batch of insertions, prepared lock-free and
-// applied under a single write-lock acquisition per shard.
-type indexOp struct {
-	certs   []*x509sim.Certificate            // byFP/byShort inserts
-	keys    []*x509sim.Certificate            // byKey inserts
-	domains map[string][]*x509sim.Certificate // byE2LD inserts
-	spkis   map[x509sim.KeyID][]*x509sim.Certificate
+// staged is one shard's share of a batch, gathered before its lock is taken.
+type staged struct {
+	fpAt    []int // positions in the batch: byFP and byShort inserts
+	keys    []*x509sim.Certificate
+	spkis   []*x509sim.Certificate
+	domains []domainCert
 }
 
-// addBatch indexes a batch of certificates. Callers must have deduplicated
-// the batch against the index already (Store.Append does, under its write
-// mutex); addBatch groups work per shard so each shard's lock is taken once
-// per batch regardless of batch size.
-func (idx *shardedIndex) addBatch(certs []*x509sim.Certificate, e2ldsOf func(*x509sim.Certificate) []string) {
-	ops := make(map[*indexShard]*indexOp)
-	op := func(sh *indexShard) *indexOp {
-		o := ops[sh]
-		if o == nil {
-			o = &indexOp{
-				domains: make(map[string][]*x509sim.Certificate),
-				spkis:   make(map[x509sim.KeyID][]*x509sim.Certificate),
-			}
-			ops[sh] = o
-		}
-		return o
-	}
-	for _, c := range certs {
-		fp := c.Fingerprint()
-		o := op(idx.fpShard(fp))
-		o.certs = append(o.certs, c)
-		o = op(idx.keyShard(c.DedupKey()))
-		o.keys = append(o.keys, c)
-		o = op(idx.spkiShard(c.Key))
-		o.spkis[c.Key] = append(o.spkis[c.Key], c)
-		for _, e2 := range e2ldsOf(c) {
-			o = op(idx.domainShard(e2))
-			o.domains[e2] = append(o.domains[e2], c)
+type domainCert struct {
+	e2ld string
+	cert *x509sim.Certificate
+}
+
+// addBatch indexes a batch of certificates; fps[i] is certs[i]'s fingerprint.
+// Callers must have deduplicated the batch against the index already
+// (Store.Append does, under its write mutex); addBatch stages the work per
+// shard so each shard's lock is taken once per batch regardless of batch size.
+func (idx *shardedIndex) addBatch(certs []*x509sim.Certificate, fps []x509sim.Fingerprint) {
+	stage := make([]staged, len(idx.shards))
+	for i, c := range certs {
+		st := &stage[idx.fpShard(fps[i]).slot]
+		st.fpAt = append(st.fpAt, i)
+		st = &stage[idx.keyShard(c.DedupKey()).slot]
+		st.keys = append(st.keys, c)
+		st = &stage[idx.spkiShard(c.Key).slot]
+		st.spkis = append(st.spkis, c)
+		for _, e2 := range core.CertE2LDs(idx.psl, c) {
+			st = &stage[idx.domainShard(e2).slot]
+			st.domains = append(st.domains, domainCert{e2, c})
 		}
 	}
-	for sh, o := range ops {
+	for i := range stage {
+		st, sh := &stage[i], idx.shards[i]
 		sh.mu.Lock()
-		for _, c := range o.certs {
-			fp := c.Fingerprint()
-			sh.byFP[fp] = c
-			sh.byShort[shortOf(fp)] = c
+		for _, at := range st.fpAt {
+			sh.byFP[fps[at]] = certs[at]
+			sh.byShort[shortOf(fps[at])] = certs[at]
 		}
-		for _, c := range o.keys {
+		for _, c := range st.keys {
 			sh.byKey[c.DedupKey()] = c
 		}
-		for d, cs := range o.domains {
-			sh.byE2LD[d] = append(sh.byE2LD[d], cs...)
+		for _, c := range st.spkis {
+			sh.bySPKI[c.Key] = append(sh.bySPKI[c.Key], c)
 		}
-		for k, cs := range o.spkis {
-			sh.bySPKI[k] = append(sh.bySPKI[k], cs...)
+		for _, d := range st.domains {
+			sh.byE2LD[d.e2ld] = append(sh.byE2LD[d.e2ld], d.cert)
 		}
 		sh.mu.Unlock()
 	}

@@ -47,10 +47,11 @@ type Ingester struct {
 	// BatchSize is the get-entries page size (0 = the client default).
 	BatchSize uint64
 	// Keep, when non-nil, filters which certificates this replica persists.
-	// Entries are still fetched and Merkle-verified in full — the checkpoint
-	// advances over every entry — but only certificates Keep accepts reach
-	// the store. A sharded fleet points N ingesters at the same log with
-	// disjoint Keep predicates.
+	// Every entry is still fetched and checked for index contiguity — the
+	// checkpoint advances over every entry, and a resumed ingester demands
+	// the consistency proof between tree heads; no entry is hashed — but
+	// only certificates Keep accepts reach the store. A sharded fleet points
+	// N ingesters at the same log with disjoint Keep predicates.
 	Keep func(*x509sim.Certificate) bool
 	// Shard declares which ring slice Keep implements. It is validated
 	// against the store's persisted assignment on the first sync: a store
@@ -139,9 +140,17 @@ func (ing *Ingester) checkShard() error {
 	return nil
 }
 
+// syncBatchPages is how many get-entries pages Sync appends at a time (4 096
+// entries at the default page size): what a catch-up holds in memory, and
+// what a crash makes it refetch.
+const syncBatchPages = 16
+
 // Sync performs one ingest round: scrape from the checkpoint to the current
-// head, append the certificates, persist the new checkpoint. It returns the
-// number of new certificates stored (after dedup).
+// head, appending the certificates batch by batch as pages arrive. The
+// checkpoint moves after each batch's Append (and so its fsync) has
+// returned: a round that fails or is killed part-way keeps its whole batches
+// and the next resumes after them. It returns the number of new
+// certificates stored (after dedup), also beside an error.
 func (ing *Ingester) Sync(ctx context.Context) (int, error) {
 	mIngestRounds.Inc()
 	if err := ing.checkShard(); err != nil {
@@ -162,16 +171,35 @@ func (ing *Ingester) Sync(ctx context.Context) (int, error) {
 		ing.resumed = true
 		mIngestResumes.Inc()
 	}
-	entries, sth, err := ing.Client.Scrape(ctx, ctlog.ScrapeOptions{
+	var batch []ctlog.Entry
+	added, pages := 0, 0
+	flush := func(head ctlog.SignedTreeHead) error {
+		n, err := ing.ingest(batch, head)
+		added += n
+		batch, pages = batch[:0], 0
+		return err
+	}
+	sth, err := ing.Client.ScrapePages(ctx, ctlog.ScrapeOptions{
 		From:      cp.NextIndex,
 		BatchSize: ing.BatchSize,
+	}, func(page []ctlog.Entry, head ctlog.SignedTreeHead) error {
+		batch = append(batch, page...)
+		if pages++; pages < syncBatchPages {
+			return nil
+		}
+		return flush(head)
 	})
 	if err != nil {
 		mIngestErrors.Inc()
-		return 0, err
+		return added, err
 	}
 	ing.resumed = true
-	return ing.ingest(entries, sth)
+	// The last, short batch; an idle round still records the head it ran under.
+	if err := flush(sth); err != nil {
+		mIngestErrors.Inc()
+		return added, err
+	}
+	return added, nil
 }
 
 // IngestEntries implements monitor.EntrySink: entries a live watcher polled
@@ -183,9 +211,14 @@ func (ing *Ingester) IngestEntries(entries []ctlog.Entry, sth ctlog.SignedTreeHe
 		return err
 	}
 	_, err := ing.ingest(entries, sth)
+	if err != nil {
+		mIngestErrors.Inc()
+	}
 	return err
 }
 
+// ingest appends entries' kept certificates and then moves the checkpoint
+// past them; callers count its error.
 func (ing *Ingester) ingest(entries []ctlog.Entry, sth ctlog.SignedTreeHead) (int, error) {
 	cp, _ := ing.Store.Checkpoint()
 	next := cp.NextIndex
@@ -208,7 +241,6 @@ func (ing *Ingester) ingest(entries []ctlog.Entry, sth ctlog.SignedTreeHead) (in
 	}
 	added, err := ing.Store.Append(certs)
 	if err != nil {
-		mIngestErrors.Inc()
 		return added, err
 	}
 	mIngestEntries.Add(uint64(len(entries)))
@@ -225,7 +257,6 @@ func (ing *Ingester) ingest(entries []ctlog.Entry, sth ctlog.SignedTreeHead) (in
 		STHRoot:   hex.EncodeToString(sth.Root[:]),
 		Timestamp: sth.Timestamp,
 	}); err != nil {
-		mIngestErrors.Inc()
 		return added, err
 	}
 	return added, nil

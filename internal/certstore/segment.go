@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -120,18 +119,10 @@ func (m *manifest) store(dir string) error {
 	return writeFileAtomic(filepath.Join(dir, manifestName), append(raw, '\n'))
 }
 
-// appendRecord appends one length-prefixed record to w and returns the bytes
-// written.
-func appendRecord(w io.Writer, payload []byte) (int64, error) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, err
-	}
-	return int64(4 + len(payload)), nil
+// appendRecord appends cert's length-prefixed record to b.
+func appendRecord(b []byte, cert *x509sim.Certificate) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(cert.MarshaledLen()))
+	return cert.AppendMarshal(b)
 }
 
 // segmentScan is the result of reading a segment file.

@@ -270,17 +270,8 @@ func Open(opts Options) (*Store, error) {
 		s.man = man
 		// Re-index with fingerprint dedup across segments (replayed batches
 		// may straddle a seal).
-		seen := make(map[x509sim.Fingerprint]bool, len(loaded))
-		fresh := loaded[:0]
-		for _, c := range loaded {
-			fp := c.Fingerprint()
-			if seen[fp] {
-				continue
-			}
-			seen[fp] = true
-			fresh = append(fresh, c)
-		}
-		s.idx.addBatch(fresh, s.certE2LDs)
+		fresh, fps := s.freshOf(loaded)
+		s.idx.addBatch(fresh, fps)
 		s.certs = fresh
 	}
 
@@ -307,8 +298,24 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) certE2LDs(cert *x509sim.Certificate) []string {
-	return core.CertE2LDs(s.psl, cert)
+// freshOf returns the certificates of certs that are neither indexed nor
+// repeated earlier in certs, in order, with their fingerprints: the one
+// fingerprint computed per certificate decides freshness here and keys the
+// index in addBatch. Callers hold s.mu or own the store (Open).
+func (s *Store) freshOf(certs []*x509sim.Certificate) ([]*x509sim.Certificate, []x509sim.Fingerprint) {
+	fresh := make([]*x509sim.Certificate, 0, len(certs))
+	fps := make([]x509sim.Fingerprint, 0, len(certs))
+	seen := make(map[x509sim.Fingerprint]bool, len(certs))
+	for _, c := range certs {
+		fp := c.Fingerprint()
+		if seen[fp] || s.idx.containsFP(fp) {
+			continue
+		}
+		seen[fp] = true
+		fresh = append(fresh, c)
+		fps = append(fps, fp)
+	}
+	return fresh, fps
 }
 
 // publishGauges refreshes the size gauges; callers hold no locks it needs.
@@ -343,29 +350,19 @@ func (s *Store) Append(certs []*x509sim.Certificate) (int, error) {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	fresh := make([]*x509sim.Certificate, 0, len(certs))
-	seen := make(map[x509sim.Fingerprint]bool, len(certs))
-	var buf []byte
-	for _, c := range certs {
-		fp := c.Fingerprint()
-		if seen[fp] || s.idx.containsFP(fp) {
-			mDeduped.Inc()
-			continue
-		}
-		seen[fp] = true
-		fresh = append(fresh, c)
-		payload := c.Marshal()
-		var hdr [4]byte
-		hdr[0] = byte(len(payload) >> 24)
-		hdr[1] = byte(len(payload) >> 16)
-		hdr[2] = byte(len(payload) >> 8)
-		hdr[3] = byte(len(payload))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
-	}
+	fresh, fps := s.freshOf(certs)
+	mDeduped.Add(uint64(len(certs) - len(fresh)))
 	if len(fresh) == 0 {
 		s.mu.Unlock()
 		return 0, nil
+	}
+	size := 0
+	for _, c := range fresh {
+		size += 4 + c.MarshaledLen()
+	}
+	buf := make([]byte, 0, size)
+	for _, c := range fresh {
+		buf = appendRecord(buf, c)
 	}
 	if _, err := s.active.Write(buf); err != nil {
 		s.mu.Unlock()
@@ -379,7 +376,7 @@ func (s *Store) Append(certs []*x509sim.Certificate) (int, error) {
 	s.certs = append(s.certs, fresh...)
 	// Index before releasing the write mutex so a concurrent Append's dedup
 	// check sees this batch.
-	s.idx.addBatch(fresh, s.certE2LDs)
+	s.idx.addBatch(fresh, fps)
 	var sealErr error
 	if s.activeSz >= s.maxSeg {
 		sealErr = s.sealLocked()

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"time"
 
 	"stalecert/internal/merkle"
@@ -90,20 +91,31 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 }
 
 func (c *Client) do(req *http.Request, out any) error {
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		var e errorResponse
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
-			return &RemoteError{StatusCode: resp.StatusCode, Message: e.Error}
-		}
-		return &RemoteError{StatusCode: resp.StatusCode, Message: string(msg)}
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// send performs the request and turns a non-2xx answer into a RemoteError;
+// the caller closes the body of the response it gets.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 == 2 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	var e errorResponse
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	if json.Unmarshal(msg, &e) == nil && e.Error != "" {
+		return nil, &RemoteError{StatusCode: resp.StatusCode, Message: e.Error}
+	}
+	return nil, &RemoteError{StatusCode: resp.StatusCode, Message: string(msg)}
 }
 
 // AddChain submits a certificate and returns the log's SCT.
@@ -144,13 +156,92 @@ func (c *Client) GetSTH(ctx context.Context) (SignedTreeHead, error) {
 
 // GetEntries fetches entries in [start, end] inclusive. The server may
 // return fewer than requested; callers should page until satisfied (or use
-// Scrape).
+// Scrape). A server that returns more is refused: the surplus would lie past
+// whatever the caller bounded the range by (Scrape: the tree head it fetched).
 func (c *Client) GetEntries(ctx context.Context, start, end uint64) ([]Entry, error) {
-	q := url.Values{}
-	q.Set("start", fmt.Sprint(start))
-	q.Set("end", fmt.Sprint(end))
+	u := c.base + "/ct/v1/get-entries?start=" + strconv.FormatUint(start, 10) + "&end=" + strconv.FormatUint(end, 10)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.send(req)
+	if err != nil {
+		return nil, err
+	}
+	body, err := resil.ReadBody(resp, resil.DefaultMaxBodyBytes)
+	if err != nil {
+		return nil, fmt.Errorf("ctlog: get-entries: %w", err)
+	}
+	entries, err := decodeEntries(body, start)
+	if err != nil {
+		return nil, err
+	}
+	if start <= end && uint64(len(entries)) > end-start+1 {
+		return nil, fmt.Errorf("ctlog: log returned %d entries for [%d, %d]", len(entries), start, end)
+	}
+	return entries, nil
+}
+
+// decodeEntries decodes a get-entries body whose first entry has index
+// start. The exact shape this package's server writes is scanned in one
+// pass; any other byte (whitespace, an escape, extra_data: what another RFC
+// 6962 log may send) and any failure hands the whole body to
+// decodeEntriesJSON, whose result is then the answer.
+func decodeEntries(body []byte, start uint64) ([]Entry, error) {
+	if entries, ok := scanEntries(body, start); ok {
+		return entries, nil
+	}
+	return decodeEntriesJSON(body, start)
+}
+
+// scanEntries decodes a body of the exact shape entriesJSON writes, with or
+// without the final newline, and reports false for every other body.
+func scanEntries(body []byte, start uint64) ([]Entry, bool) {
+	rest, ok := bytes.CutPrefix(body, []byte(entriesOpen))
+	if !ok {
+		return nil, false
+	}
+	entries := make([]Entry, 0, min(bytes.Count(rest, []byte(entryOpen)), MaxEntriesPerGet))
+	var scratch []byte
+	for {
+		if rest, ok = bytes.CutPrefix(rest, []byte(entryOpen)); !ok {
+			return nil, false
+		}
+		end := bytes.IndexByte(rest, '"')
+		if end < 0 {
+			return nil, false
+		}
+		if n := base64.StdEncoding.DecodedLen(end); n > len(scratch) {
+			scratch = make([]byte, n)
+		}
+		n, err := base64.StdEncoding.Decode(scratch, rest[:end])
+		// Decode skips CR and LF, which JSON does not allow inside a string.
+		if err != nil || base64.StdEncoding.EncodedLen(n) != end {
+			return nil, false
+		}
+		e, err := DecodeLeafInput(scratch[:n])
+		if err != nil {
+			return nil, false
+		}
+		e.Index = start + uint64(len(entries))
+		entries = append(entries, e)
+		if rest, ok = bytes.CutPrefix(rest[end:], []byte(entryClose)); !ok || len(rest) == 0 {
+			return nil, false
+		}
+		if rest[0] != ',' {
+			// A json.Encoder ends the body with a newline, json.Marshal does not.
+			return entries, string(rest) == entriesClose || string(rest) == entriesClose+"\n"
+		}
+		rest = rest[1:]
+	}
+}
+
+// decodeEntriesJSON is the encoding/json decode of a get-entries body: the
+// path every body took before scanEntries, what a body scanEntries declines
+// still takes, and the oracle FuzzGetEntriesDecode holds scanEntries to.
+func decodeEntriesJSON(body []byte, start uint64) ([]Entry, error) {
 	var resp getEntriesResponse
-	if err := c.get(ctx, "/ct/v1/get-entries", q, &resp); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&resp); err != nil {
 		return nil, err
 	}
 	entries := make([]Entry, 0, len(resp.Entries))
@@ -205,14 +296,29 @@ type ScrapeOptions struct {
 	VerifyInclusion bool
 }
 
-// Scrape downloads the log from opts.From up to the current STH, verifying
-// the STH's self-consistency (and optionally every entry's inclusion).
-// It returns the entries and the STH they were verified against.
+// Scrape downloads the log from opts.From up to the current STH, checking
+// that entries arrive contiguous (and optionally every entry's inclusion).
+// It returns the entries and the STH they were fetched under.
 func (c *Client) Scrape(ctx context.Context, opts ScrapeOptions) ([]Entry, SignedTreeHead, error) {
+	var entries []Entry
+	sth, err := c.ScrapePages(ctx, opts, func(page []Entry, _ SignedTreeHead) error {
+		entries = append(entries, page...)
+		return nil
+	})
+	if err != nil {
+		return nil, SignedTreeHead{}, err
+	}
+	return entries, sth, nil
+}
+
+// ScrapePages is Scrape for a caller that consumes the log as it arrives: fn
+// gets each page in index order with the STH the round runs under, and owns
+// the slice. An error from fn ends the round and is returned as it is.
+func (c *Client) ScrapePages(ctx context.Context, opts ScrapeOptions, fn func(page []Entry, sth SignedTreeHead) error) (SignedTreeHead, error) {
 	began := time.Now()
 	sth, err := c.GetSTH(ctx)
 	if err != nil {
-		return nil, SignedTreeHead{}, err
+		return SignedTreeHead{}, err
 	}
 	mScrapeSTHSize.Set(float64(sth.Size))
 	if sth.Size > opts.From {
@@ -224,7 +330,6 @@ func (c *Client) Scrape(ctx context.Context, opts ScrapeOptions) ([]Entry, Signe
 	if batch == 0 {
 		batch = MaxEntriesPerGet
 	}
-	var entries []Entry
 	for start := opts.From; start < sth.Size; {
 		end := start + batch - 1
 		if end >= sth.Size {
@@ -232,14 +337,14 @@ func (c *Client) Scrape(ctx context.Context, opts ScrapeOptions) ([]Entry, Signe
 		}
 		got, err := c.GetEntries(ctx, start, end)
 		if err != nil {
-			return nil, SignedTreeHead{}, fmt.Errorf("ctlog: scrape [%d,%d]: %w", start, end, err)
+			return SignedTreeHead{}, fmt.Errorf("ctlog: scrape [%d,%d]: %w", start, end, err)
 		}
 		if len(got) == 0 {
-			return nil, SignedTreeHead{}, fmt.Errorf("ctlog: scrape stalled at %d", start)
+			return SignedTreeHead{}, fmt.Errorf("ctlog: scrape stalled at %d", start)
 		}
 		for i, e := range got {
 			if e.Index != start+uint64(i) {
-				return nil, SignedTreeHead{}, fmt.Errorf("ctlog: non-contiguous entries: got %d at position %d", e.Index, start+uint64(i))
+				return SignedTreeHead{}, fmt.Errorf("ctlog: non-contiguous entries: got %d at position %d", e.Index, start+uint64(i))
 			}
 		}
 		if opts.VerifyInclusion {
@@ -247,19 +352,21 @@ func (c *Client) Scrape(ctx context.Context, opts ScrapeOptions) ([]Entry, Signe
 				leaf := merkle.LeafHash(e.LeafData())
 				idx, proof, err := c.GetProofByHash(ctx, leaf, sth.Size)
 				if err != nil {
-					return nil, SignedTreeHead{}, fmt.Errorf("ctlog: proof for %d: %w", e.Index, err)
+					return SignedTreeHead{}, fmt.Errorf("ctlog: proof for %d: %w", e.Index, err)
 				}
 				if idx != e.Index || !merkle.VerifyInclusion(leaf, idx, sth.Size, proof, sth.Root) {
-					return nil, SignedTreeHead{}, fmt.Errorf("ctlog: inclusion verification failed for %d", e.Index)
+					return SignedTreeHead{}, fmt.Errorf("ctlog: inclusion verification failed for %d", e.Index)
 				}
 			}
 		}
-		entries = append(entries, got...)
 		start += uint64(len(got))
+		mScrapeEntries.Add(uint64(len(got)))
+		mScrapeLag.Set(float64(sth.Size - start)) // 0 once caught up to the head the round runs under
+		if err := fn(got, sth); err != nil {
+			return SignedTreeHead{}, err
+		}
 	}
 	mScrapeRounds.Inc()
-	mScrapeEntries.Add(uint64(len(entries)))
-	mScrapeLag.Set(0) // caught up to the head we verified against
 	mScrapeSecs.Observe(time.Since(began).Seconds())
-	return entries, sth, nil
+	return sth, nil
 }

@@ -51,13 +51,30 @@ type Entry struct {
 }
 
 // LeafData returns the byte string that is Merkle-leaf-hashed for this
-// entry. As in RFC 6962, the leaf covers the timestamp and certificate but
-// not the index, so resubmitting the same certificate on the same day
-// deduplicates to the original entry.
+// entry, which is also its get-entries leaf_input. As in RFC 6962, the leaf
+// covers the timestamp and certificate but not the index, so resubmitting
+// the same certificate on the same day deduplicates to the original entry.
 func (e Entry) LeafData() []byte {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(int32(e.Timestamp)))
-	return append(hdr[:], e.Cert.Marshal()...)
+	b := make([]byte, 0, 4+e.Cert.MarshaledLen())
+	b = binary.BigEndian.AppendUint32(b, uint32(int32(e.Timestamp)))
+	return e.Cert.AppendMarshal(b)
+}
+
+// DecodeLeafInput parses a get-entries leaf_input back into an Entry. The
+// index is not part of the leaf (RFC 6962); callers assign it from the
+// entry's position in the response.
+func DecodeLeafInput(b []byte) (Entry, error) {
+	if len(b) < 4 {
+		return Entry{}, errors.New("ctlog: leaf input too short")
+	}
+	cert, err := x509sim.Unmarshal(b[4:])
+	if err != nil {
+		return Entry{}, fmt.Errorf("ctlog: leaf cert: %w", err)
+	}
+	return Entry{
+		Timestamp: simtime.Day(int32(binary.BigEndian.Uint32(b[0:]))),
+		Cert:      cert,
+	}, nil
 }
 
 // SignedTreeHead is the log's public commitment to its current state.
@@ -90,14 +107,16 @@ var (
 type Log struct {
 	name string
 
-	mu      sync.RWMutex
-	shard   Shard
-	tree    merkle.Tree
-	entries []Entry
-	byLeaf  map[merkle.Hash]uint64 // leaf hash -> index (submission dedup)
-	key     []byte                 // MAC key standing in for the log's signing key
-	frozen  bool
-	clock   simtime.Day // latest timestamp seen; STHs are stamped with it
+	mu    sync.RWMutex
+	shard Shard
+	tree  merkle.Tree
+	// leaves[i] is entry i's leaf input (Entry.LeafData), immutable: the bytes
+	// hashed into the tree, served by get-entries, the log's only copy.
+	leaves [][]byte
+	byLeaf map[merkle.Hash]uint64 // leaf hash -> index (submission dedup)
+	key    []byte                 // MAC key standing in for the log's signing key
+	frozen bool
+	clock  simtime.Day // latest timestamp seen; STHs are stamped with it
 }
 
 // New creates a log. The name doubles as key material so two logs with
@@ -150,16 +169,23 @@ func (l *Log) AddChain(cert *x509sim.Certificate, now simtime.Day) (SCT, error) 
 	if now > l.clock {
 		l.clock = now
 	}
-	e := Entry{Index: l.tree.Size(), Timestamp: now, Cert: cert.Clone()}
-	lh := merkle.LeafHash(e.LeafData())
-	if idx, ok := l.byLeaf[lh]; ok {
-		prev := l.entries[idx]
-		return l.signSCT(prev.Index, prev.Timestamp), nil
+	leaf := Entry{Timestamp: now, Cert: cert}.LeafData()
+	// The leaf is all the log keeps, so it must decode: a certificate built
+	// around x509sim.New (no SAN, inverted validity) would otherwise fail
+	// every later read of its page.
+	if _, err := DecodeLeafInput(leaf); err != nil {
+		return SCT{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
+	lh := merkle.LeafHash(leaf)
+	if idx, ok := l.byLeaf[lh]; ok {
+		// Same leaf, so same timestamp as the original submission.
+		return l.signSCT(idx, now), nil
+	}
+	index := l.tree.Size()
 	l.tree.AppendLeafHash(lh)
-	l.entries = append(l.entries, e)
-	l.byLeaf[lh] = e.Index
-	return l.signSCT(e.Index, e.Timestamp), nil
+	l.leaves = append(l.leaves, leaf)
+	l.byLeaf[lh] = index
+	return l.signSCT(index, now), nil
 }
 
 func (l *Log) signSCT(index uint64, ts simtime.Day) SCT {
@@ -201,18 +227,30 @@ func (l *Log) mac(kind byte, a, b uint64, root merkle.Hash) [32]byte {
 // get-entries contract (the server may return fewer; this implementation
 // returns all requested).
 func (l *Log) Entries(start, end uint64) ([]Entry, error) {
+	leaves, err := l.leafInputs(start, end)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Entry, len(leaves))
+	for i, leaf := range leaves {
+		if out[i], err = DecodeLeafInput(leaf); err != nil {
+			return nil, fmt.Errorf("ctlog: entry %d: %w", start+uint64(i), err) // AddChain checked it decodes
+		}
+		out[i].Index = start + uint64(i)
+	}
+	return out, nil
+}
+
+// leafInputs returns the leaf inputs of entries [start, end] inclusive,
+// read-only: they share the log's memory, which stays valid without the lock
+// because leaves are immutable and growth only copies their slice headers.
+func (l *Log) leafInputs(start, end uint64) ([][]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if start > end || end >= l.tree.Size() {
 		return nil, fmt.Errorf("%w: [%d, %d] of %d", ErrRangeInvalid, start, end, l.tree.Size())
 	}
-	out := make([]Entry, 0, end-start+1)
-	for i := start; i <= end; i++ {
-		e := l.entries[i]
-		e.Cert = e.Cert.Clone()
-		out = append(out, e)
-	}
-	return out, nil
+	return l.leaves[start : end+1], nil
 }
 
 // InclusionProof returns the audit path for a leaf hash at a tree size.

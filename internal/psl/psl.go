@@ -207,11 +207,8 @@ func extend(name, cur string) string {
 	if name == cur {
 		return ""
 	}
-	rest := name[:len(name)-len(cur)-1] // strip ".cur"
-	if i := strings.LastIndexByte(rest, '.'); i >= 0 {
-		return rest[i+1:] + "." + cur
-	}
-	return rest + "." + cur
+	rest := name[:len(name)-len(cur)-1]              // strip ".cur"
+	return name[strings.LastIndexByte(rest, '.')+1:] // a slice of name, no copy
 }
 
 // oneBelow returns the suffix of name exactly one label longer than base, or
@@ -221,8 +218,5 @@ func oneBelow(name, base string) string {
 		return ""
 	}
 	rest := name[:len(name)-len(base)-1]
-	if i := strings.LastIndexByte(rest, '.'); i >= 0 {
-		return rest[i+1:] + "." + base
-	}
-	return rest + "." + base
+	return name[strings.LastIndexByte(rest, '.')+1:]
 }

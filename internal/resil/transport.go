@@ -273,8 +273,16 @@ func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, at
 	retryableStatus := r.StatusCode == http.StatusTooManyRequests || r.StatusCode/100 == 5
 
 	// Buffer the body so the response is replayable and torn reads become
-	// retryable failures instead of decoder errors downstream.
-	data, berr := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	// retryable failures instead of decoder errors downstream. A declared
+	// length sizes the buffer once instead of by doubling (seven copies for a
+	// 26 KB get-entries page); it is trusted up to 1 MiB only, so a lying
+	// Content-Length reserves no more than that.
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		buf.Grow(int(min(r.ContentLength, 1<<20)) + bytes.MinRead)
+	}
+	_, berr := buf.ReadFrom(io.LimitReader(r.Body, maxBody+1))
+	data := buf.Bytes()
 	if berr != nil {
 		_ = r.Body.Close()
 		if cancel != nil {

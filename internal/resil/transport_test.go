@@ -269,3 +269,57 @@ func TestInstrumentClientIdempotent(t *testing.T) {
 		t.Fatal("InstrumentClient must not double-wrap a resilient client")
 	}
 }
+
+// declared answers with a fixed body and whatever Content-Length it is told
+// to declare.
+type declared struct {
+	body     string
+	declared int64
+}
+
+func (d declared) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: 200, Status: "200 OK", Header: http.Header{},
+		Body: io.NopCloser(strings.NewReader(d.body)), ContentLength: d.declared, Request: req,
+	}, nil
+}
+
+// TestTransportBuffersWhateverLengthIsDeclared: the declared length only
+// sizes the first buffer. The body delivered is the body sent, whether the
+// header is right, absent, short, long or absurd, and the MaxBodyBytes
+// overflow path still streams a larger body through whole.
+func TestTransportBuffersWhateverLengthIsDeclared(t *testing.T) {
+	big := strings.Repeat("0123456789abcdef", (3<<20)/16) // 3 MiB, over the 1 MiB the header is trusted for
+	for name, rt := range map[string]declared{
+		"exact":         {"payload", 7},
+		"unknown":       {"payload", -1},
+		"zero":          {"payload", 0},
+		"short":         {"payload of some length", 3},
+		"long":          {"payload", 4096},
+		"absurd":        {"payload", 1 << 50},
+		"big-exact":     {big, int64(len(big))},
+		"big-undersold": {big, 10},
+	} {
+		tr := &Transport{Base: rt, Policy: Policy{Service: "test", MaxAttempts: 1}}
+		resp, body, err := get(t, tr, "http://peer.test/x")
+		if err != nil || body != rt.body {
+			t.Errorf("%s: got %d bytes, %v; want the %d sent", name, len(body), err, len(rt.body))
+			continue
+		}
+		if resp.ContentLength != int64(len(rt.body)) {
+			t.Errorf("%s: delivered ContentLength %d for a %d-byte body", name, resp.ContentLength, len(rt.body))
+		}
+	}
+	req, _ := http.NewRequest(http.MethodGet, "http://peer.test/x", nil)
+	resp, err := (&Transport{Base: declared{"payload", 1 << 50}, Policy: Policy{Service: "test", MaxAttempts: 1}}).RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := resp.Body.(*bufferedBody); !ok || cap(b.data) > 2<<20 { // 1 MiB and the allocator's rounding
+		t.Errorf("a Content-Length of 2^50 reserved %d bytes for a 7-byte body", cap(b.data))
+	}
+	tr := &Transport{Base: declared{big, int64(len(big))}, Policy: Policy{Service: "test", MaxAttempts: 1}, MaxBodyBytes: 1 << 10}
+	if _, body, err := get(t, tr, "http://peer.test/x"); err != nil || body != big {
+		t.Errorf("over MaxBodyBytes: got %d bytes, %v; want all %d streamed through", len(body), err, len(big))
+	}
+}

@@ -212,13 +212,11 @@ func (c *Certificate) HasName(name string) bool {
 	return i < len(c.Names) && c.Names[i] == name
 }
 
-// Fingerprint hashes the canonical encoding excluding CT components.
+// Fingerprint hashes the canonical encoding excluding CT components. The
+// encoding of all but many-SAN certificates is built on the stack.
 func (c *Certificate) Fingerprint() Fingerprint {
-	h := sha256.New()
-	h.Write(c.appendBody(nil))
-	var f Fingerprint
-	h.Sum(f[:0])
-	return f
+	var buf [256]byte
+	return sha256.Sum256(c.appendBody(buf[:0]))
 }
 
 // DedupKey is the (issuer key, serial) pair CRLs identify certificates by.
@@ -252,6 +250,10 @@ func (c *Certificate) String() string {
 const (
 	magicBody = 0xC5 // canonical body (fingerprint input)
 	magicFull = 0xC6 // full encoding including CT metadata
+
+	// bodyFixed is the body's length before the SANs: magic, serial, issuer,
+	// key, notBefore, notAfter, usage, SAN count.
+	bodyFixed = 1 + 8 + 2 + 8 + 4 + 4 + 1 + 1
 )
 
 // appendBody appends the canonical non-CT encoding: everything except the
@@ -274,7 +276,20 @@ func (c *Certificate) appendBody(b []byte) []byte {
 
 // Marshal encodes the certificate to its deterministic wire form.
 func (c *Certificate) Marshal() []byte {
-	b := make([]byte, 0, 32+16*len(c.Names))
+	return c.AppendMarshal(make([]byte, 0, c.MarshaledLen()))
+}
+
+// MarshaledLen is len(c.Marshal()), for callers sizing a buffer.
+func (c *Certificate) MarshaledLen() int {
+	n := 3 + bodyFixed + len(c.Names)
+	for _, name := range c.Names {
+		n += len(name)
+	}
+	return n
+}
+
+// AppendMarshal appends the Marshal encoding to b.
+func (c *Certificate) AppendMarshal(b []byte) []byte {
 	b = append(b, magicFull)
 	var flags byte
 	if c.Precert {
@@ -312,8 +327,7 @@ func unmarshalPrefix(b []byte) (*Certificate, []byte, error) {
 	}
 	flags, scts := b[1], b[2]
 	b = b[3:]
-	const fixed = 1 + 8 + 2 + 8 + 4 + 4 + 1 + 1
-	if len(b) < fixed {
+	if len(b) < bodyFixed {
 		return nil, nil, ErrTruncated
 	}
 	if b[0] != magicBody {
@@ -330,7 +344,7 @@ func unmarshalPrefix(b []byte) (*Certificate, []byte, error) {
 		SCTCount:  scts,
 	}
 	n := int(b[28]) + 1
-	b = b[fixed:]
+	b = b[bodyFixed:]
 	c.Names = make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		if len(b) < 1 {

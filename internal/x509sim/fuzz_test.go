@@ -2,6 +2,7 @@ package x509sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -55,4 +56,37 @@ func TestUnmarshalTruncationsAllFail(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// FuzzUnmarshal: a certificate encoding is bytes from a log or a segment
+// file. Unmarshal never panics, and whatever it accepts survives its own
+// codec: re-encoding and decoding again yields an equal certificate, whose
+// encoding has the length MarshaledLen promised.
+func FuzzUnmarshal(f *testing.F) {
+	for _, names := range [][]string{{"a.com"}, {"example.com", "*.example.com", "www.example.com"}} {
+		c, err := New(42, 7, 99, names, 10, 400)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(c.Marshal())
+		c.Precert, c.SCTCount = true, 3
+		f.Add(c.Marshal())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := Unmarshal(b)
+		if err != nil {
+			return
+		}
+		enc := c.Marshal()
+		if len(enc) != c.MarshaledLen() {
+			t.Fatalf("Marshal wrote %d bytes, MarshaledLen said %d", len(enc), c.MarshaledLen())
+		}
+		again, err := Unmarshal(enc)
+		if err != nil || !reflect.DeepEqual(again, c) {
+			t.Fatalf("Unmarshal(Marshal(c)) = %+v, %v; c = %+v", again, err, c)
+		}
+		if again.Fingerprint() != c.Fingerprint() {
+			t.Fatal("fingerprint changed across a codec round trip")
+		}
+	})
 }
