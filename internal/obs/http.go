@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"expvar"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync"
 )
 
@@ -71,11 +73,39 @@ func HandlerFor(r *Registry, health *Health) http.Handler {
 // the one encoding of every indented JSON body the fleet serves (staleapid
 // and stalegw verdicts, trace listings and trees).
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Type", JSONContentType)
 	w.WriteHeader(status)
+	_ = encodeJSON(w, v)
+}
+
+// JSONContentType is the Content-Type of every WriteJSON body.
+const JSONContentType = "application/json; charset=utf-8"
+
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return enc.Encode(v)
+}
+
+// EncodeJSON returns the body WriteJSON would send for v, for a caller that
+// keeps the bytes and serves them again through WriteBody.
+func EncodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := encodeJSON(&buf, v)
+	return buf.Bytes(), err
+}
+
+// WriteBody answers with an already encoded body. Content-Length is set, so
+// net/http neither sniffs nor chunk-frames it whatever its size, and the body
+// goes out in one Write.
+func WriteBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	h := w.Header()
+	if contentType != "" {
+		h.Set("Content-Type", contentType)
+	}
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // writeVars emits expvar-compatible JSON: the process's published expvars

@@ -261,6 +261,20 @@ func (c *Cache) Do(key string, loader func() (any, error)) (v any, info CacheInf
 	return serveStale(cl)
 }
 
+// Peek returns the value the cache still holds for key, fresh or expired. It
+// is not a lookup: recency, the expiry queues and the hit/miss counters are
+// left alone, so a caller may consult what it last stored (the gateway reads
+// a fingerprint's answering slice from it) without keeping the entry alive.
+func (c *Cache) Peek(key string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ent, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	return ent.val, true
+}
+
 // Invalidate drops one key (e.g. after new certificates for a domain were
 // ingested).
 func (c *Cache) Invalidate(key string) {

@@ -255,3 +255,41 @@ func TestCacheSizeGaugeOverride(t *testing.T) {
 		t.Fatalf("gauge = %v, want 0 after invalidate", g.Value())
 	}
 }
+
+// Peek reads what is retained, fresh or expired, and is invisible: no
+// counter moves and the entry's place in the LRU order does not.
+func TestCachePeekLeavesNoTrace(t *testing.T) {
+	c := NewCache(2, time.Minute)
+	now := time.Unix(1000, 0)
+	c.now = func() time.Time { return now }
+	load := func(v string) func() (any, error) { return func() (any, error) { return v, nil } }
+
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Peek found a key never stored")
+	}
+	c.Do("a", load("A"))
+	c.Do("b", load("B"))
+	hits, misses, expired := mCacheHits.Value(), mCacheMisses.Value(), mCacheExpired.Value()
+	if v, ok := c.Peek("a"); !ok || v != "A" {
+		t.Fatalf("Peek of a fresh entry = %v, %v", v, ok)
+	}
+	now = now.Add(2 * time.Minute)
+	if v, ok := c.Peek("a"); !ok || v != "A" {
+		t.Fatalf("Peek of an expired, retained entry = %v, %v", v, ok)
+	}
+	if mCacheHits.Value() != hits || mCacheMisses.Value() != misses || mCacheExpired.Value() != expired {
+		t.Fatal("Peek moved a cache counter")
+	}
+	// "a" is still the least recently used: a third key evicts it, not "b".
+	c.Do("c", load("C"))
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Peek refreshed the entry's recency: the later-used key was evicted instead")
+	}
+	if _, ok := c.Peek("b"); !ok {
+		t.Fatal("the more recently used key was evicted")
+	}
+	c.Invalidate("b")
+	if _, ok := c.Peek("b"); ok {
+		t.Fatal("Peek found an invalidated key")
+	}
+}

@@ -225,11 +225,19 @@ func (s *Server) handleCert(w http.ResponseWriter, r *http.Request) {
 	}
 	// Cache under the canonical full fingerprint, never the request's own
 	// spelling: the 16-hex short form and the 64-hex full form of one
-	// certificate must share a single entry, not populate two.
-	v, _, _ := s.cache.Do("cert:"+cert.Fingerprint().Hex(), func() (any, error) {
-		return certJSON(cert), nil
+	// certificate must share a single entry, not populate two. The entry is
+	// the encoded body: a certificate never changes, so a hit writes bytes.
+	if short {
+		fp = cert.Fingerprint()
+	}
+	v, _, err := s.cache.Do("cert:"+fp.Hex(), func() (any, error) {
+		return obs.EncodeJSON(certJSON(cert))
 	})
-	obs.WriteJSON(w, http.StatusOK, v.(CertJSON))
+	if err != nil {
+		obs.WriteJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
+		return
+	}
+	obs.WriteBody(w, http.StatusOK, obs.JSONContentType, v.([]byte))
 }
 
 // DomainsResponse is the /v1/domains payload: the indexed e2LDs matching the
@@ -304,7 +312,11 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 	mStalenessChecks.Inc()
 	ctx := r.Context()
 	v, info, err := s.cache.Do("staleness:"+domain, func() (any, error) {
-		return s.staleness(ctx, domain)
+		resp, err := s.staleness(ctx, domain)
+		if err != nil {
+			return nil, err
+		}
+		return &cachedVerdict{resp: resp}, nil
 	})
 	if err != nil {
 		mEvidenceErrors.Inc()
@@ -316,8 +328,13 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 		obs.WriteJSON(w, status, errorJSON{Error: err.Error()})
 		return
 	}
-	resp := v.(StalenessResponse)
-	resp.Cached = info.Hit
+	verdict := v.(*cachedVerdict)
+	if info.Hit {
+		s.noteEvidence(nil)
+		obs.WriteBody(w, http.StatusOK, obs.JSONContentType, verdict.hit())
+		return
+	}
+	resp := verdict.resp
 	if info.Stale {
 		// Live evidence failed but a last-good verdict is retained: serve it
 		// marked degraded rather than 502ing the query.
@@ -331,6 +348,26 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 		s.noteEvidence(nil)
 	}
 	obs.WriteJSON(w, http.StatusOK, resp)
+}
+
+// cachedVerdict is what the cache holds for one domain's staleness: the
+// response a miss and a degraded answer encode afresh, and the body every hit
+// serves. That body is built by the first hit, not by the miss — on a key
+// space larger than the cache most verdicts are never asked for twice.
+type cachedVerdict struct {
+	resp    StalenessResponse
+	once    sync.Once
+	hitBody []byte
+}
+
+// hit returns resp with "cached": true exactly as obs.WriteJSON encodes it.
+func (v *cachedVerdict) hit() []byte {
+	v.once.Do(func() {
+		resp := v.resp
+		resp.Cached = true
+		v.hitBody, _ = obs.EncodeJSON(resp) // strings, ints and bools: cannot fail
+	})
+	return v.hitBody
 }
 
 // noteEvidence tracks the last evidence outcome behind the evidence-degraded

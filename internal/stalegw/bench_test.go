@@ -23,43 +23,48 @@ func (w *nullWriter) Header() http.Header         { return w.h }
 func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nullWriter) WriteHeader(int)             {}
 
-// BenchmarkGatewayOwnerRouted is one owner-routed staleness query through the
-// gateway as the daemon wires it — obs.Middleware over the handler, the
-// resilient client with breakers, hedging armed, the daemon's default
-// last-good bounds, access logs teed into the ring — against one slice of two
-// in-process replicas over loopback. The response cache TTL is a nanosecond,
-// so every request is a stored miss that dials a replica, and 4 096 distinct
-// domains keep the last-good list as full as a long-running gateway's.
-func BenchmarkGatewayOwnerRouted(b *testing.B) {
+// benchGateway is the gateway as the daemon wires it — obs.Middleware over
+// the handler, the resilient client with breakers, hedging armed, the
+// daemon's default last-good bounds, access logs teed into the ring — over
+// slices × 2 in-process replicas on loopback. The response cache TTL is a
+// nanosecond, so every request is a stored miss that dials a replica.
+func benchGateway(b *testing.B, slices int, cfg Config) http.Handler {
 	prev := slog.Default()
 	slog.SetDefault(slog.New(obs.NewTeeHandler(slog.NewTextHandler(io.Discard, nil), nil)))
-	defer slog.SetDefault(prev)
+	b.Cleanup(func() { slog.SetDefault(prev) })
 
-	replica := obs.Middleware(obs.NewRegistry(), "staleapid", replicaMux())
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		ts := httptest.NewServer(replica)
-		defer ts.Close()
-		addrs = append(addrs, ts.URL)
+	groups := make([][]string, slices)
+	for s := range groups {
+		replica := obs.Middleware(obs.NewRegistry(), "staleapid", replicaMux(s, slices))
+		for i := 0; i < 2; i++ {
+			ts := httptest.NewServer(replica)
+			b.Cleanup(ts.Close)
+			groups[s] = append(groups[s], ts.URL)
+		}
 	}
 	opts := resil.Options{Service: "stalegw", Breaker: resil.NewBreakerSet(resil.BreakerConfig{Service: "stalegw"})}
 	hc := resil.NewHTTPClient(opts)
-	defer hc.CloseIdleConnections()
-	gw, err := New(Config{
-		Map:          shard.NewReplicatedMap(1, shard.DefaultVNodes, [][]string{addrs}),
-		Client:       hc,
-		CacheTTL:     time.Nanosecond,
-		StaleEntries: 1024,
-		StaleTTL:     10 * time.Minute,
-		HedgeAfter:   30 * time.Millisecond,
-		Breakers:     opts.Breaker,
-		Health:       obs.NewHealth(),
-	})
+	b.Cleanup(hc.CloseIdleConnections)
+	cfg.Map = shard.NewReplicatedMap(1, shard.DefaultVNodes, groups)
+	cfg.Client = hc
+	cfg.CacheTTL = time.Nanosecond
+	cfg.StaleEntries = 1024
+	cfg.StaleTTL = 10 * time.Minute
+	cfg.HedgeAfter = 30 * time.Millisecond
+	cfg.Breakers = opts.Breaker
+	cfg.Health = obs.NewHealth()
+	gw, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := obs.Middleware(obs.NewRegistry(), "stalegw", gw.Handler())
+	return obs.Middleware(obs.NewRegistry(), "stalegw", gw.Handler())
+}
 
+// BenchmarkGatewayOwnerRouted is one owner-routed staleness query against one
+// slice; 4 096 distinct domains keep the last-good list as full as a
+// long-running gateway's.
+func BenchmarkGatewayOwnerRouted(b *testing.B) {
+	h := benchGateway(b, 1, Config{})
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -72,13 +77,53 @@ func BenchmarkGatewayOwnerRouted(b *testing.B) {
 	})
 }
 
-// replicaMux answers the staleness route with a body the size of a real
-// verdict.
-func replicaMux() http.Handler {
+// BenchmarkGatewayCert is one fingerprint lookup over two slices, 400
+// fingerprints spread evenly: "scatter" with storage off, so every lookup
+// asks both slices as every lookup past the TTL used to, and "hinted" with
+// the last-good entries retained, so every timed lookup asks one.
+func BenchmarkGatewayCert(b *testing.B) {
+	for name, cfg := range map[string]Config{"scatter": {CacheEntries: -1}, "hinted": {}} {
+		b.Run(name, func(b *testing.B) {
+			h := benchGateway(b, 2, cfg)
+			var next atomic.Int64
+			lookup := func(w http.ResponseWriter) {
+				fp := fmt.Sprintf("%016x%048x", next.Add(1)%400, 0)
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/cert/"+fp, nil))
+			}
+			for i := 0; i < 400; i++ { // the cold pass, where there is anything to retain
+				lookup(&nullWriter{h: http.Header{}})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				w := &nullWriter{h: http.Header{}}
+				for pb.Next() {
+					lookup(w)
+				}
+			})
+		})
+	}
+}
+
+// replicaMux is a replica of one slice: the staleness route answers with a
+// body the size of a real verdict, the fingerprint route with one the size of
+// a certificate when the last digit of the fingerprint's short form falls on
+// this slice.
+func replicaMux(slice, slices int) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/domain/{e2ld}/staleness", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		fmt.Fprintf(w, "{\n  \"domain\": %q,\n  \"stale\": false,\n  \"certs\": 3,\n  \"methods\": {\"revocation\": 0, \"registrant_change\": 0, \"managed_tls\": 0},\n  \"cached\": true\n}\n", r.PathValue("e2ld"))
+	})
+	mux.HandleFunc("GET /v1/cert/{fp}", func(w http.ResponseWriter, r *http.Request) {
+		fp := r.PathValue("fp")
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		if int(fp[15])%slices != slice {
+			w.WriteHeader(http.StatusNotFound)
+			fmt.Fprint(w, "{\n  \"error\": \"unknown fingerprint\"\n}\n")
+			return
+		}
+		fmt.Fprintf(w, "{\n  \"fingerprint\": %q,\n  \"fingerprint_short\": %q,\n  \"serial\": 20,\n  \"issuer\": 2,\n  \"key\": 20,\n  \"names\": [\n    \"bench.com\",\n    \"www.bench.com\"\n  ],\n  \"not_before\": \"2021-03-01\",\n  \"not_after\": \"2022-04-03\",\n  \"usage\": \"serverAuth\",\n  \"precert\": false,\n  \"sct_count\": 2\n}\n", fp, fp[:16])
 	})
 	return mux
 }

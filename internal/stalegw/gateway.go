@@ -58,6 +58,13 @@ var (
 	mFanouts     = obs.Default().Counter("stalegw_fanouts_total")
 	mPartial     = obs.Default().Counter("stalegw_partial_results_total")
 	mStaleServed = obs.Default().Counter("stalegw_stale_served_total")
+
+	// How a fingerprint lookup that reached the replicas found its answer:
+	// from the slice that answered last time, from a scatter for want of a
+	// hint, or from the gather a hint that no longer held fell back to.
+	mCertViaHint     = obs.Default().Counter("stalegw_cert_lookups_total", "via", "hint")
+	mCertViaScatter  = obs.Default().Counter("stalegw_cert_lookups_total", "via", "scatter")
+	mCertViaFallback = obs.Default().Counter("stalegw_cert_lookups_total", "via", "fallback")
 )
 
 // Config assembles a Gateway.
@@ -208,8 +215,11 @@ func (g *Gateway) Cache() *staleapi.Cache { return g.cache }
 // metrics, request IDs and trace propagation into the fan-out legs.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/domain/{e2ld}/certs", g.handleOwnerRouted)
-	mux.HandleFunc("GET /v1/domain/{e2ld}/staleness", g.handleOwnerRouted)
+	for _, endpoint := range []string{"certs", "staleness"} {
+		mux.HandleFunc("GET /v1/domain/{e2ld}/"+endpoint, func(w http.ResponseWriter, r *http.Request) {
+			g.handleOwnerRouted(w, r, endpoint)
+		})
+	}
 	mux.HandleFunc("GET /v1/cert/{fp}", g.handleCert)
 	mux.HandleFunc("GET /v1/domains", g.handleDomains)
 	mux.HandleFunc("GET /v1/shardmap", g.handleShardmap)
@@ -230,6 +240,13 @@ type result struct {
 	status int
 	ctype  string
 	body   []byte
+	// staleEvidence is the replica's X-Stale-Evidence header: the body is a
+	// last-good verdict, and the relay has to say so as the replica did.
+	staleEvidence string
+	// slice is the ring index that answered. A fingerprint does not name its
+	// owner, so the entry the cache retains for one is also where the next
+	// lookup asks first.
+	slice int
 }
 
 type errorJSON struct {
@@ -237,12 +254,13 @@ type errorJSON struct {
 	MissingShards []int  `json:"missing_shards,omitempty"`
 }
 
+// writeResult relays a shard response. A header the gateway set for its own
+// serve-stale stays first; the replica's is added behind it.
 func (g *Gateway) writeResult(w http.ResponseWriter, res result) {
-	if res.ctype != "" {
-		w.Header().Set("Content-Type", res.ctype)
+	if res.staleEvidence != "" {
+		w.Header().Add(obs.StaleEvidenceHeader, res.staleEvidence)
 	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
+	obs.WriteBody(w, res.status, res.ctype, res.body)
 }
 
 // getAddr performs one raw replica call (no per-shard metrics — probes use
@@ -262,7 +280,8 @@ func (g *Gateway) getAddr(ctx context.Context, addr, pathq string) (result, erro
 	if err != nil {
 		return result{}, err
 	}
-	return result{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: body}, nil
+	return result{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: body,
+		staleEvidence: resp.Header.Get(obs.StaleEvidenceHeader)}, nil
 }
 
 // replicaOrder ranks slice idx's replicas for the next call: healthy
@@ -336,6 +355,7 @@ func (g *Gateway) fetchSlice(ctx context.Context, idx int, pathq string) (result
 		g.mShardErr[idx].Inc()
 		return result{}, err
 	}
+	res.slice = idx
 	return res, nil
 }
 
@@ -366,19 +386,22 @@ func markDegraded(res result, age time.Duration) result {
 	return res
 }
 
-// handleOwnerRouted proxies a domain endpoint to the one shard owning the
-// e2LD, falling back to the last-good cached response when that shard is
-// down.
-func (g *Gateway) handleOwnerRouted(w http.ResponseWriter, r *http.Request) {
+// handleOwnerRouted proxies a domain endpoint ("certs" or "staleness") to the
+// one shard owning the e2LD, falling back to the last-good cached response
+// when that shard is down. The cache key and the upstream path are built from
+// the canonical domain, never the request's spelling: neither endpoint takes
+// a query, so every casing, trailing dot and query string of one domain is
+// one entry and one replica call.
+func (g *Gateway) handleOwnerRouted(w http.ResponseWriter, r *http.Request, endpoint string) {
 	domain := dnsname.Canonical(r.PathValue("e2ld"))
 	if err := dnsname.Check(domain, false); err != nil {
 		obs.WriteJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad domain: %v", err)})
 		return
 	}
 	idx := g.ring.Lookup(shard.KeyForDomain(domain))
-	uri := r.URL.RequestURI()
-	v, info, err := g.cache.Do(uri, func() (any, error) {
-		res, ferr := g.fetchSlice(r.Context(), idx, uri)
+	path := "/v1/domain/" + domain + "/" + endpoint
+	v, info, err := g.cache.Do(path, func() (any, error) {
+		res, ferr := g.fetchSlice(r.Context(), idx, path)
 		if ferr != nil {
 			return nil, ferr
 		}
@@ -410,9 +433,11 @@ type leg struct {
 // scatter queries every slice in parallel. Each leg picks the slice's first
 // healthy replica and retries on siblings (fetchSlice), and each replica
 // call rides the resilient client, so it carries its own trace span,
-// retries and breaker accounting. Slice 0's leg runs on the caller's
-// goroutine, whose stack is already grown; only the others start one.
-func (g *Gateway) scatter(ctx context.Context, pathq string) []leg {
+// retries and breaker accounting. A caller that has already asked one slice
+// passes that leg in: its outcome is reused, not asked for twice. The first
+// slice still to ask runs on the caller's goroutine, whose stack is already
+// grown; only the others start one.
+func (g *Gateway) scatter(ctx context.Context, pathq string, asked *leg) []leg {
 	mFanouts.Inc()
 	legs := make([]leg, len(g.groups))
 	fetch := func(i int) {
@@ -420,14 +445,24 @@ func (g *Gateway) scatter(ctx context.Context, pathq string) []leg {
 		legs[i] = leg{idx: i, res: res, err: err}
 	}
 	var wg sync.WaitGroup
-	for i := 1; i < len(g.groups); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fetch(i)
-		}(i)
+	inline := -1
+	for i := range g.groups {
+		switch {
+		case asked != nil && asked.idx == i:
+			legs[i] = *asked
+		case inline < 0:
+			inline = i
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fetch(i)
+			}()
+		}
 	}
-	fetch(0)
+	if inline >= 0 {
+		fetch(inline)
+	}
 	wg.Wait()
 	return legs
 }
@@ -445,10 +480,45 @@ func (e *missingShardsError) Error() string {
 	return fmt.Sprintf("fingerprint not found on %d live shards; %d unreachable", e.live, len(e.missing))
 }
 
-// handleCert scatter-gathers a fingerprint lookup: the fingerprint alone
-// cannot recover the owning e2LD, so every shard is asked and the hit wins.
-// A clean miss on every live shard is an authoritative 404 only when no
-// shard was missing; otherwise the answer may live on the dead replica.
+// lookupCert asks the replicas for a fingerprint. The fingerprint alone
+// cannot recover the owning e2LD, so the first lookup asks every slice and
+// the hit wins; the entry the cache retains past its TTL remembers which
+// slice that was, and the next lookup asks it alone. Whatever it answers but
+// a 200 — and a lookup with nothing retained, or storage off — gathers over
+// the slices not yet asked, so nothing is decided on the hint's word: a clean
+// miss on every slice is an authoritative 404, and a miss while some slice
+// could not be asked is not — the answer may live on the dead replicas.
+func (g *Gateway) lookupCert(ctx context.Context, key, pathq string) (result, error) {
+	var hinted *leg
+	v, _ := g.cache.Peek(key)
+	if last, ok := v.(result); ok && last.status == http.StatusOK {
+		res, err := g.fetchSlice(ctx, last.slice, pathq)
+		if err == nil && res.status == http.StatusOK {
+			mCertViaHint.Inc()
+			return res, nil
+		}
+		hinted = &leg{idx: last.slice, res: res, err: err}
+		mCertViaFallback.Inc()
+	} else {
+		mCertViaScatter.Inc()
+	}
+	var missing []int
+	for _, l := range g.scatter(ctx, pathq, hinted) {
+		if l.err != nil {
+			missing = append(missing, l.idx)
+		} else if l.res.status == http.StatusOK {
+			return l.res, nil
+		}
+	}
+	if len(missing) > 0 {
+		return result{}, &missingShardsError{live: len(g.groups) - len(missing), missing: missing}
+	}
+	return result{status: http.StatusNotFound, ctype: obs.JSONContentType,
+		body: []byte("{\n  \"error\": \"unknown fingerprint\"\n}\n")}, nil
+}
+
+// handleCert answers a fingerprint lookup from the response cache or, through
+// lookupCert, from the slice holding the certificate.
 func (g *Gateway) handleCert(w http.ResponseWriter, r *http.Request) {
 	fpRaw := r.PathValue("fp")
 	if _, _, err := x509sim.ParseFingerprint(fpRaw); err != nil {
@@ -456,30 +526,12 @@ func (g *Gateway) handleCert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Cache under the normalized fingerprint identity, so the 16-hex short
-	// and 64-hex full spellings of one certificate share one entry.
+	// and 64-hex full spellings of one certificate share one entry — and one
+	// hint. The upstream path keeps the request's spelling; a replica answers
+	// both.
 	key := "cert:" + shard.KeyForFingerprint(fpRaw)
 	v, info, err := g.cache.Do(key, func() (any, error) {
-		legs := g.scatter(r.Context(), r.URL.RequestURI())
-		var found *result
-		var missing []int
-		for _, l := range legs {
-			if l.err != nil {
-				missing = append(missing, l.idx)
-				continue
-			}
-			if l.res.status == http.StatusOK && found == nil {
-				res := l.res
-				found = &res
-			}
-		}
-		if found != nil {
-			return *found, nil
-		}
-		if len(missing) > 0 {
-			return nil, &missingShardsError{live: len(g.groups) - len(missing), missing: missing}
-		}
-		return result{status: http.StatusNotFound, ctype: "application/json; charset=utf-8",
-			body: []byte("{\n  \"error\": \"unknown fingerprint\"\n}\n")}, nil
+		return g.lookupCert(r.Context(), key, "/v1/cert/"+fpRaw)
 	})
 	var missing []int
 	var me *missingShardsError
@@ -527,7 +579,7 @@ func (g *Gateway) handleDomains(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = min(n, 10000)
 	}
-	legs := g.scatter(r.Context(), r.URL.RequestURI())
+	legs := g.scatter(r.Context(), r.URL.RequestURI(), nil)
 	merged := DomainsResponse{Domains: []string{}}
 	for _, l := range legs {
 		if l.err != nil {

@@ -263,19 +263,36 @@ func TestFleetMatchesReferenceOverRandomCorpora(t *testing.T) {
 				f := fleettest.Start(t, fleettest.Spec{Name: "sweep", Certs: certs, Revoked: revoked,
 					Slices: topo[0], Replicas: topo[1], HedgeAfter: 5 * time.Millisecond})
 				stale := 0
-				for _, p := range paths {
-					wantResp, want := f.Reference.Get(p)
-					gotResp, got := f.Gateway.Get(p)
-					if gotResp.StatusCode != wantResp.StatusCode || got != want {
-						t.Fatalf("%s diverges (status %d vs %d):\nunsharded: %s\ngateway:   %s",
-							p, wantResp.StatusCode, gotResp.StatusCode, want, got)
-					}
-					if strings.Contains(want, `"staleness_days"`) {
-						stale++
+				sweep := func(pass string) {
+					for _, p := range paths {
+						wantResp, want := f.Reference.Get(p)
+						gotResp, got := f.Gateway.Get(p)
+						if gotResp.StatusCode != wantResp.StatusCode || got != want {
+							t.Fatalf("%s, %s pass, diverges (status %d vs %d):\nunsharded: %s\ngateway:   %s",
+								p, pass, wantResp.StatusCode, gotResp.StatusCode, want, got)
+						}
+						if strings.Contains(want, `"staleness_days"`) {
+							stale++
+						}
 					}
 				}
+				sweep("cold")
 				if stale == 0 {
 					t.Fatal("no verdict reported a stale certificate: the equality is vacuous")
+				}
+				// Past the TTL every answer is retained but none is fresh: each
+				// fingerprint goes to the slice that answered it, and to no other.
+				unhinted := func() uint64 {
+					return obs.Default().Counter("stalegw_cert_lookups_total", "via", "scatter").Value() +
+						obs.Default().Counter("stalegw_cert_lookups_total", "via", "fallback").Value()
+				}
+				hinted := obs.Default().Counter("stalegw_cert_lookups_total", "via", "hint")
+				time.Sleep(2 * fleettest.GatewayCacheTTL)
+				unhintedBefore, hintedBefore := unhinted(), hinted.Value()
+				sweep("hinted")
+				if unhinted() != unhintedBefore || hinted.Value() == hintedBefore {
+					t.Fatalf("second pass: %d lookups by hint, %d without one; want every lookup hinted",
+						hinted.Value()-hintedBefore, unhinted()-unhintedBefore)
 				}
 			})
 		}
