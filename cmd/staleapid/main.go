@@ -13,8 +13,10 @@
 //
 // Staleness evidence comes from the same sources the live monitor uses:
 // WHOIS (registrant change), authoritative DNS (managed-TLS departure) and
-// CRLs (revocation); any source left unconfigured disables its check. WHOIS
-// and DNS are asked per uncached query; the CRLs of the whole CA directory
+// CRLs (revocation); any source left unconfigured disables its check. An
+// uncached query asks WHOIS when the domain holds certificates and DNS when
+// one of them is provider-managed and still valid — the only cases in which
+// the answer can become a verdict; the CRLs of the whole CA directory
 // are held in a memory snapshot refreshed in the background every
 // -cache-ttl, so revocation evidence is at most one refresh older than the
 // cache entry it backs. /readyz stays unready until the first complete load.
@@ -204,13 +206,18 @@ func main() {
 		CacheTTL:     *cacheTTL,
 		Shard:        self,
 	})
-	// Evidence failures — a failed gather, or a CA whose CRL refresh failed
-	// and is served from its last-good list — degrade readiness (200 with a
-	// degraded body) rather than flipping the daemon unready: queries still
-	// answer from last-good.
+	// Evidence failures — a failed gather, a remote source that failed the last
+	// time it was asked (a domain it cannot matter to does not ask it, so only
+	// its own next answer clears it), or a CA whose CRL refresh failed and is
+	// served from its last-good list — degrade readiness (200 with a degraded
+	// body) rather than flipping the daemon unready: queries still answer from
+	// last-good.
 	obs.DefaultHealth().Register("evidence", func(ctx context.Context) error {
-		if err := srv.EvidenceProbe(ctx); err != nil || gather.CRL == nil {
+		if err := srv.EvidenceProbe(ctx); err != nil {
 			return err
+		}
+		if err := gather.Failing(); err != nil || gather.CRL == nil {
+			return obs.Degraded(err)
 		}
 		return obs.Degraded(gather.CRL.Lagging())
 	})

@@ -134,3 +134,19 @@ func DomainStaleness(idx Index, domain string, ev DomainEvidence) []StaleCert {
 	sortStale(out)
 	return out
 }
+
+// EvidenceNeeded reports which event sources can still contribute a verdict
+// for a domain holding certs — DomainStaleness's two event loops read
+// backwards, so a live service asks a source only when its answer could
+// matter. A registrant change can fall inside any certificate's validity (its
+// day is not known before asking), so it needs only a certificate; a departure
+// dated to day needs one that isManaged and is valid on that day. Revocations
+// are joined by key, not asked per domain, and are not covered.
+func EvidenceNeeded(certs []*x509sim.Certificate, isManaged ManagedCertPred, day simtime.Day) (registrantChange, departure bool) {
+	for _, cert := range certs {
+		if isManaged != nil && isManaged(cert) && cert.ValidOn(day) {
+			return true, true
+		}
+	}
+	return len(certs) > 0, false
+}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -172,5 +174,100 @@ func TestDomainStalenessOrderIgnoresEvidenceOrder(t *testing.T) {
 		if got := render(shuffled); got != want {
 			t.Fatalf("revocations in order %v:\n got %s\nwant %s", p, got, want)
 		}
+	}
+}
+
+// TestEvidenceNeededDropsOnlyWhatCannotMatter: over seeded random corpora and
+// random evidence, the verdict with every event equals the verdict with the
+// re-registrations and departures dropped wherever EvidenceNeeded says the
+// source cannot contribute. It fails if a detector in DomainStaleness is
+// widened without widening the predicate beside it.
+func TestEvidenceNeededDropsOnlyWhatCannotMatter(t *testing.T) {
+	const day = simtime.Day(1000)
+	managed := func(c *x509sim.Certificate) bool {
+		for _, n := range c.Names {
+			if len(n) > 3 && n[:3] == "sni" {
+				return true
+			}
+		}
+		return false
+	}
+	byMethod := map[Method]int{}
+	droppedRereg, droppedDeps, tight := 0, 0, 0
+	for seed := int64(1); seed <= 5; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		var certs []*x509sim.Certificate
+		var domains []string
+		ev := DomainEvidence{RevocationCutoff: simtime.NoDay, IsManaged: managed}
+		serial := uint64(0)
+		for d := 0; d < 300; d++ {
+			domain := fmt.Sprintf("rand%03d.com", d)
+			domains = append(domains, domain)
+			for n := rnd.Intn(4); n > 0; n-- { // a quarter of the domains hold nothing
+				serial++
+				names := []string{domain}
+				if rnd.Intn(3) == 0 {
+					names = append(names, fmt.Sprintf("sni%d.cloudflaressl.com", serial))
+				}
+				// Windows that end before day, straddle it, or start after it.
+				nb := day - 200 + simtime.Day(rnd.Intn(300))
+				c := domCert(t, serial, names, nb, nb+simtime.Day(1+rnd.Intn(250)))
+				certs = append(certs, c)
+				if rnd.Intn(4) == 0 {
+					ev.Revocations = append(ev.Revocations, crl.Entry{Issuer: c.Issuer, Serial: c.Serial,
+						RevokedAt: nb - 10 + simtime.Day(rnd.Intn(280)), Reason: crl.Reason(rnd.Intn(6))})
+				}
+			}
+			if rnd.Intn(2) == 0 {
+				ev.ReRegistrations = append(ev.ReRegistrations, whois.ReRegistration{Domain: domain,
+					NewCreation: day - 250 + simtime.Day(rnd.Intn(400))})
+			}
+			if rnd.Intn(2) == 0 {
+				ev.Departures = append(ev.Departures, dnssim.Departure{Domain: domain, LastSeen: day - 1, FirstGone: day})
+			}
+		}
+		corpus := NewCorpus(certs, CorpusOptions{})
+		for _, domain := range domains {
+			registrant, departure := EvidenceNeeded(corpus.ByE2LD(domain), managed, day)
+			full := DomainStaleness(corpus, domain, ev)
+			needed := ev
+			if !registrant {
+				needed.ReRegistrations = nil
+				droppedRereg++
+			}
+			if !departure {
+				needed.Departures = nil
+				droppedDeps++
+			}
+			if got := DomainStaleness(corpus, domain, needed); !reflect.DeepEqual(got, full) {
+				t.Fatalf("seed %d %s (registrant %v, departure %v): verdict without the sources not needed differs:\n got %v\nwant %v",
+					seed, domain, registrant, departure, got, full)
+			}
+			for _, s := range full {
+				byMethod[s.Method]++
+			}
+			// The departure half is exact, not merely safe: where it says yes,
+			// a departure on that day is a verdict.
+			if departure {
+				only := DomainEvidence{RevocationCutoff: simtime.NoDay, IsManaged: managed,
+					Departures: []dnssim.Departure{{Domain: domain, LastSeen: day - 1, FirstGone: day}}}
+				if len(DomainStaleness(corpus, domain, only)) == 0 {
+					t.Fatalf("seed %d %s: departure evidence called needed but it yields no verdict", seed, domain)
+				}
+				tight++
+			}
+		}
+		if _, departure := EvidenceNeeded(certs, nil, day); departure {
+			t.Fatal("departure evidence needed without an IsManaged predicate")
+		}
+	}
+	for _, m := range []Method{MethodRevocation, MethodRegistrantChange, MethodManagedTLS} {
+		if byMethod[m] == 0 {
+			t.Errorf("no %v verdict in any corpus: the comparison does not cover it (%v)", m, byMethod)
+		}
+	}
+	if droppedRereg == 0 || droppedDeps == 0 || tight == 0 {
+		t.Errorf("dropped re-registrations for %d domains, departures for %d, needed departures for %d: each case must occur",
+			droppedRereg, droppedDeps, tight)
 	}
 }

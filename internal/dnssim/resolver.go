@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"time"
+
+	"stalecert/internal/dnsname"
 )
 
 // Resolver queries an authoritative server over UDP with timeouts, retries
@@ -27,6 +30,7 @@ type Resolver struct {
 // Resolver errors.
 var (
 	ErrIDMismatch = errors.New("dnssim: response ID mismatch")
+	ErrNotAnswer  = errors.New("dnssim: reply is not a response to the question asked")
 	ErrTruncatedR = errors.New("dnssim: response truncated (TC set)")
 	ErrServFailed = errors.New("dnssim: server failure")
 )
@@ -105,8 +109,18 @@ func (r *Resolver) queryOnce(ctx context.Context, name string, t RRType, timeout
 	if err != nil {
 		return nil, err
 	}
-	if resp.ID != id {
+	// Before its RCODE or answers mean anything a reply must be a response to
+	// this question, not merely carry its ID.
+	switch {
+	case resp.ID != id:
 		return nil, ErrIDMismatch
+	case !resp.Response:
+		return nil, ErrNotAnswer
+	case len(resp.Questions) == 0 && resp.RCode != RCodeNoError && resp.RCode != RCodeNXDomain:
+		// A server that could not parse the query (its own FORMERR) has no
+		// question to echo: a server failure, below.
+	case len(resp.Questions) != 1 || !resp.Questions[0].echoes(q.Questions[0]):
+		return nil, ErrNotAnswer
 	}
 	if resp.Truncated {
 		return nil, ErrTruncatedR
@@ -119,4 +133,11 @@ func (r *Resolver) queryOnce(ctx context.Context, name string, t RRType, timeout
 	default:
 		return nil, fmt.Errorf("%w: %v", ErrServFailed, resp.RCode)
 	}
+}
+
+// echoes reports whether a reply's question is the one asked: same type and
+// class, same name up to case and a trailing dot.
+func (q Question) echoes(asked Question) bool {
+	return q.Type == asked.Type && q.Class == asked.Class &&
+		strings.EqualFold(q.Name, dnsname.Canonical(asked.Name))
 }

@@ -1,6 +1,7 @@
 package dnssim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -77,6 +78,7 @@ var (
 	ErrPointerLoop     = errors.New("dnssim: compression pointer loop")
 	ErrNameTooLong     = errors.New("dnssim: name too long")
 	ErrLabelTooLong    = errors.New("dnssim: label too long")
+	ErrDotInLabel      = errors.New("dnssim: label contains a dot")
 	ErrTrailingGarbage = errors.New("dnssim: trailing bytes")
 )
 
@@ -303,6 +305,11 @@ func readName(b []byte, off int) (string, int, error) {
 			l := int(c)
 			if off+1+l > len(b) {
 				return "", 0, ErrWireTruncated
+			}
+			// The dotted form cannot hold it: one label "ns.provider.com" would
+			// read as three.
+			if bytes.IndexByte(b[off+1:off+1+l], '.') >= 0 {
+				return "", 0, ErrDotInLabel
 			}
 			if sb.Len() > 0 {
 				sb.WriteByte('.')

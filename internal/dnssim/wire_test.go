@@ -135,6 +135,21 @@ func TestUnmarshalPointerLoopGuard(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsDotInsideLabel: names are dotted strings here, so one
+// wire label spelling "amy.ns.cloudflare.com" would read as that three-level
+// name under the provider's zone (found by FuzzUnmarshal as labels "a", "."
+// decoding to a name that re-marshals differently).
+func TestUnmarshalRejectsDotInsideLabel(t *testing.T) {
+	raw := make([]byte, 12)
+	raw[5] = 1
+	raw = append(raw, 21)
+	raw = append(raw, "amy.ns.cloudflare.com"...)
+	raw = append(raw, 0, 0, 2, 0, 1)
+	if _, err := Unmarshal(raw); err != ErrDotInLabel {
+		t.Fatalf("one label holding dots: %v", err)
+	}
+}
+
 func TestMarshalRejectsBadNames(t *testing.T) {
 	m := &Message{Questions: []Question{{Name: strings.Repeat("a", 300), Type: TypeA, Class: ClassIN}}}
 	if _, err := m.Marshal(); err != ErrNameTooLong {

@@ -2,6 +2,7 @@ package evidence
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -16,6 +17,8 @@ import (
 	"stalecert/internal/core"
 	"stalecert/internal/crl"
 	"stalecert/internal/dnssim"
+	"stalecert/internal/monitor"
+	"stalecert/internal/obs"
 	"stalecert/internal/simtime"
 	"stalecert/internal/whois"
 	"stalecert/internal/x509sim"
@@ -39,11 +42,30 @@ func (m whoisMap) WhoisLookup(domain string) (whois.Record, bool) {
 
 // rig is a seeded corpus with whoisd, dnsscand and crld equivalents serving
 // its evidence in-process over loopback, and a Gatherer wired to all three.
+// Some certificates have run out by rigNow, provider-managed ones among them,
+// and the last domain holds none at all.
 type rig struct {
-	corpus  *core.Corpus
-	domains []string
-	crlURL  string
-	gather  *Gatherer
+	certs    []*x509sim.Certificate
+	corpus   *core.Corpus
+	domains  []string
+	crlURL   string
+	whoisSrv *whois.Server
+	dnsStore *dnssim.Store
+	dnsSrv   *dnssim.Server
+	gather   *Gatherer
+}
+
+// asks says which remote sources a gather for the domain has a reason to ask,
+// from the corpus alone: WHOIS when it holds a certificate, DNS when one of
+// them carries the provider marker and is valid on rigNow.
+func (r *rig) asks(domain string) (whoisAsked, dnsAsked bool) {
+	certs := r.corpus.ByE2LD(domain)
+	for _, c := range certs {
+		if monitor.HasProviderMarker(c, rigMarker) && c.ValidOn(rigNow) {
+			dnsAsked = true
+		}
+	}
+	return len(certs) > 0, dnsAsked
 }
 
 func newRig(tb testing.TB, seed int64) *rig {
@@ -69,7 +91,11 @@ func newRig(tb testing.TB, seed int64) *rig {
 				names = append(names, fmt.Sprintf("sni%d.%s", serial, rigMarker))
 			}
 			nb := rigNow - simtime.Day(30+rnd.Intn(300))
-			c, err := x509sim.New(x509sim.SerialNumber(serial), x509sim.IssuerID(issuer), x509sim.KeyID(serial), names, nb, nb+398)
+			na := nb + 398
+			if rnd.Intn(3) == 0 {
+				na = nb + 90 // most of these have expired by rigNow
+			}
+			c, err := x509sim.New(x509sim.SerialNumber(serial), x509sim.IssuerID(issuer), x509sim.KeyID(serial), names, nb, na)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -77,7 +103,7 @@ func newRig(tb testing.TB, seed int64) *rig {
 			if rnd.Intn(5) == 0 {
 				// A second body under the same (issuer, serial): the CRL join
 				// key does not tell them apart.
-				twin, err := x509sim.New(c.Serial, c.Issuer, c.Key, append(names, "twin."+domain), nb, nb+398)
+				twin, err := x509sim.New(c.Serial, c.Issuer, c.Key, append(names, "twin."+domain), nb, na)
 				if err != nil {
 					tb.Fatal(err)
 				}
@@ -103,10 +129,14 @@ func newRig(tb testing.TB, seed int64) *rig {
 			}
 		}
 	}
+	// A registered, undelegated domain the corpus holds nothing for.
+	r.domains = append(r.domains, "nocerts.com")
+	records["nocerts.com"] = whois.Record{Domain: "nocerts.com", Registrar: "r", Created: rigNow - 100, Expires: rigNow + 365, Status: "ok"}
 	// Revocations of certificates the corpus has never seen.
 	for i := 0; i < 2000; i++ {
 		auths[i%len(auths)].Revoke(x509sim.IssuerID(1+i%len(auths)), x509sim.SerialNumber(1_000_000+i), rigNow-10, crl.Unspecified)
 	}
+	r.certs = certs
 	r.corpus = core.NewCorpus(certs, core.CorpusOptions{})
 
 	crlSrv := crl.NewServer(seed)
@@ -118,21 +148,21 @@ func newRig(tb testing.TB, seed int64) *rig {
 	tb.Cleanup(crlTS.Close)
 	r.crlURL = crlTS.URL
 
-	whoisSrv := whois.NewServer(records)
-	whoisAddr, err := whoisSrv.Start("127.0.0.1:0")
+	r.whoisSrv = whois.NewServer(records)
+	whoisAddr, err := r.whoisSrv.Start("127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { _ = whoisSrv.Close() })
+	tb.Cleanup(func() { _ = r.whoisSrv.Close() })
 
-	store := dnssim.NewStore()
-	store.AddZone(zone)
-	dnsSrv := dnssim.NewServer(store)
-	dnsAddr, err := dnsSrv.Start("127.0.0.1:0")
+	r.dnsStore = dnssim.NewStore()
+	r.dnsStore.AddZone(zone)
+	r.dnsSrv = dnssim.NewServer(r.dnsStore)
+	dnsAddr, err := r.dnsSrv.Start("127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { _ = dnsSrv.Close() })
+	tb.Cleanup(func() { _ = r.dnsSrv.Close() })
 
 	r.gather = &Gatherer{
 		Index:     r.corpus,
@@ -164,7 +194,7 @@ func TestGatherVerdictsEqualFlatCRLVerdicts(t *testing.T) {
 
 	byMethod := map[core.Method]int{}
 	narrowed := 0
-	for _, domain := range append(r.domains, "nocerts.com") {
+	for _, domain := range r.domains {
 		ev, err := r.gather.Gather(ctx, domain)
 		if err != nil {
 			t.Fatalf("Gather %s: %v", domain, err)
@@ -187,6 +217,105 @@ func TestGatherVerdictsEqualFlatCRLVerdicts(t *testing.T) {
 	}
 	if narrowed == 0 || narrowed >= len(flat) {
 		t.Errorf("gathered %d revocation entries over all domains against %d in the flat set", narrowed, len(flat))
+	}
+}
+
+// askEverything is the gather this package used to do: every configured
+// source asked for every domain, whatever the domain holds. The revocations
+// are passed in; they never depended on what was asked.
+func (r *rig) askEverything(ctx context.Context, domain string, revocations []crl.Entry) (core.DomainEvidence, error) {
+	ev := core.DomainEvidence{Revocations: revocations, RevocationCutoff: simtime.NoDay,
+		IsManaged: func(c *x509sim.Certificate) bool { return monitor.HasProviderMarker(c, rigMarker) }}
+	rec, err := whois.Query(ctx, r.gather.WhoisAddr, domain)
+	switch {
+	case err == nil:
+		ev.ReRegistrations = []whois.ReRegistration{{Domain: domain, NewCreation: rec.Created}}
+	case !errors.Is(err, whois.ErrNoMatch):
+		return ev, err
+	}
+	delegated, err := monitor.ProviderDelegated(ctx, r.gather.Resolver, monitor.IsCloudflareRecord, domain)
+	if err == nil && !delegated {
+		ev.Departures = []dnssim.Departure{{Domain: domain, LastSeen: rigNow - 1, FirstGone: rigNow}}
+	}
+	return ev, err
+}
+
+// served sums the in-process servers' own query counters over every outcome
+// they label: whois_queries_total by outcome, dns_queries_total by rcode.
+func served(family, label string, values ...string) (n uint64) {
+	for _, v := range values {
+		n += obs.Default().Counter(family, label, v).Value()
+	}
+	return n
+}
+
+func whoisServed() uint64 {
+	return served("whois_queries_total", "outcome", "ok", "no_match", "invalid")
+}
+
+func dnsServed() uint64 {
+	return served("dns_queries_total", "rcode", "NOERROR", "FORMERR", "SERVFAIL", "NXDOMAIN", "NOTIMP", "REFUSED", "malformed")
+}
+
+// TestGatherVerdictsEqualAskEverythingVerdicts: for every domain of seeded
+// corpora, the verdict over what Gather collected equals the verdict over
+// evidence from asking every source, and the servers' own counters show the
+// registry asked exactly for the domains that hold a certificate and DNS
+// exactly for those holding a provider-managed one valid on rigNow.
+func TestGatherVerdictsEqualAskEverythingVerdicts(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{7, 8, 9} {
+		r := newRig(t, seed)
+		byMethod := map[core.Method]int{}
+		whoisOnly, both, neither, lapsedOnly := 0, 0, 0, 0
+		for _, domain := range r.domains {
+			whoisBefore, dnsBefore := whoisServed(), dnsServed()
+			ev, err := r.gather.Gather(ctx, domain)
+			if err != nil {
+				t.Fatalf("seed %d: Gather %s: %v", seed, domain, err)
+			}
+			whoisAsked, dnsAsked := whoisServed() > whoisBefore, dnsServed() > dnsBefore
+			wantWhois, wantDNS := r.asks(domain)
+			if whoisAsked != wantWhois || dnsAsked != wantDNS {
+				t.Fatalf("seed %d %s: asked WHOIS %v, DNS %v; its certificates call for WHOIS %v, DNS %v",
+					seed, domain, whoisAsked, dnsAsked, wantWhois, wantDNS)
+			}
+			switch {
+			case wantDNS:
+				both++
+			case wantWhois:
+				whoisOnly++
+				for _, c := range r.corpus.ByE2LD(domain) {
+					if monitor.HasProviderMarker(c, rigMarker) {
+						lapsedOnly++ // managed, but nothing managed is still valid
+						break
+					}
+				}
+			default:
+				neither++
+			}
+
+			all, err := r.askEverything(ctx, domain, ev.Revocations)
+			if err != nil {
+				t.Fatalf("seed %d: asking every source for %s: %v", seed, domain, err)
+			}
+			got, want := core.DomainStaleness(r.corpus, domain, ev), core.DomainStaleness(r.corpus, domain, all)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %s: verdict differs from the ask-everything verdict:\n got %v\nwant %v", seed, domain, got, want)
+			}
+			for _, s := range got {
+				byMethod[s.Method]++
+			}
+		}
+		for _, m := range []core.Method{core.MethodRevocation, core.MethodRegistrantChange, core.MethodManagedTLS} {
+			if byMethod[m] == 0 {
+				t.Errorf("seed %d: no %v verdict in the corpus: the comparison does not cover it (%v)", seed, m, byMethod)
+			}
+		}
+		if whoisOnly == 0 || both == 0 || neither == 0 || lapsedOnly == 0 {
+			t.Errorf("seed %d: %d domains ask WHOIS alone (%d of them with lapsed managed certificates only), %d both, %d nothing: each case must occur",
+				seed, whoisOnly, lapsedOnly, both, neither)
+		}
 	}
 }
 
@@ -234,10 +363,15 @@ func TestGatherRunsWhoisAndDNSConcurrently(t *testing.T) {
 		}
 	}()
 
+	managed, err := x509sim.New(1, 1, 1, []string{"overlap.com", "sni1." + rigMarker}, rigNow-30, rigNow+30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := &Gatherer{
-		Index:     core.NewCorpus(nil, core.CorpusOptions{}),
+		Index:     core.NewCorpus([]*x509sim.Certificate{managed}, core.CorpusOptions{}),
 		WhoisAddr: whoisAddr.String(),
 		Resolver:  &dnssim.Resolver{ServerAddr: pc.LocalAddr().String(), Timeout: time.Second, Retries: 1},
+		Marker:    rigMarker,
 		Now:       rigNow,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -281,20 +415,36 @@ func TestGatherFailsWhenACAHasNeverLoaded(t *testing.T) {
 	}
 }
 
-// BenchmarkGather is one cache miss's evidence work: a WHOIS dial and the
-// DNS delegation questions over loopback, concurrently, plus the snapshot
-// join, against in-process whoisd, dnsscand and crld equivalents.
+// BenchmarkGather is one cache miss's evidence work against in-process
+// whoisd, dnsscand and crld equivalents, by what the domain holds: unmanaged
+// (certificates, none provider-managed and valid) is a WHOIS dial and the
+// snapshot join; managed adds the DNS delegation questions, concurrently;
+// nocerts (a name the index has never seen) asks nobody.
 func BenchmarkGather(b *testing.B) {
 	r := newRig(b, 7)
 	ctx := context.Background()
 	if _, err := r.gather.Gather(ctx, r.domains[0]); err != nil { // first load
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.gather.Gather(ctx, r.domains[i%len(r.domains)]); err != nil {
-			b.Fatal(err)
+	classes := map[string][]string{}
+	for i, domain := range r.domains {
+		switch whoisAsked, dnsAsked := r.asks(domain); {
+		case dnsAsked:
+			classes["managed"] = append(classes["managed"], domain)
+		case whoisAsked:
+			classes["unmanaged"] = append(classes["unmanaged"], domain)
 		}
+		classes["nocerts"] = append(classes["nocerts"], fmt.Sprintf("absent%04d.com", i))
+	}
+	for _, class := range []string{"unmanaged", "managed", "nocerts"} {
+		domains := classes[class]
+		b.Run(class, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.gather.Gather(ctx, domains[i%len(domains)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

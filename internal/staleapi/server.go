@@ -330,7 +330,7 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 	}
 	verdict := v.(*cachedVerdict)
 	if info.Hit {
-		s.noteEvidence(nil)
+		// No evidence was gathered: a hit says nothing about the sources.
 		obs.WriteBody(w, http.StatusOK, obs.JSONContentType, verdict.hit())
 		return
 	}
@@ -370,9 +370,9 @@ func (v *cachedVerdict) hit() []byte {
 	return v.hitBody
 }
 
-// noteEvidence tracks the last evidence outcome behind the evidence-degraded
-// readiness probe: failures flip /readyz to degraded (200 — the daemon still
-// answers, on last-good data), a success clears it.
+// noteEvidence tracks the last gather's outcome behind the evidence-degraded
+// readiness probe: a failure flips /readyz to degraded (200 — the daemon still
+// answers, on last-good data), the next gather that succeeds clears it.
 func (s *Server) noteEvidence(err error) {
 	s.evMu.Lock()
 	s.evErr = err

@@ -321,6 +321,50 @@ func TestStalenessServesDegradedFromLastGood(t *testing.T) {
 	}
 }
 
+// TestCacheHitDoesNotClearEvidenceProbe: a hit gathered nothing, so it says
+// nothing about the sources — with evidence failing, hits on a hot key must
+// not flap /readyz back to ready between the misses that keep failing.
+func TestCacheHitDoesNotClearEvidenceProbe(t *testing.T) {
+	store, _ := newTestStore(t)
+	var fail atomic.Bool
+	srv := NewServer(Config{
+		Store: store,
+		Evidence: func(context.Context, string) (core.DomainEvidence, error) {
+			if fail.Load() {
+				return core.DomainEvidence{}, errors.New("whois unreachable")
+			}
+			return core.DomainEvidence{RevocationCutoff: simtime.NoDay}, nil
+		},
+		CacheTTL: time.Hour,
+		Health:   obs.NewHealth(),
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if resp, body := get(t, ts, "/v1/domain/alpha.com/staleness"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy miss = %d: %s", resp.StatusCode, body)
+	}
+	fail.Store(true)
+	if resp, _ := get(t, ts, "/v1/domain/beta.org/staleness"); resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("failing miss = %d", resp.StatusCode)
+	}
+	_, body := get(t, ts, "/v1/domain/alpha.com/staleness")
+	var sr StalenessResponse
+	if err := json.Unmarshal(body, &sr); err != nil || !sr.Cached {
+		t.Fatalf("hot key = %+v, %v, want a cache hit", sr, err)
+	}
+	if err := srv.EvidenceProbe(context.Background()); !obs.IsDegraded(err) {
+		t.Fatalf("probe after a failed gather and a hit on another key = %v, want degraded", err)
+	}
+	fail.Store(false)
+	if resp, body := get(t, ts, "/v1/domain/gamma.net/staleness"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("recovered miss = %d: %s", resp.StatusCode, body)
+	}
+	if err := srv.EvidenceProbe(context.Background()); err != nil {
+		t.Fatalf("probe after a gather that succeeded = %v", err)
+	}
+}
+
 func TestStalenessNilEvidenceReportsEmpty(t *testing.T) {
 	store, _ := newTestStore(t)
 	srv := NewServer(Config{Store: store, Health: obs.NewHealth()})

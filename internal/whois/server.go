@@ -129,7 +129,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // ErrNoMatch is returned by Query for unregistered domains.
 var ErrNoMatch = errors.New("whois: no match for domain")
 
-// Query performs one WHOIS lookup against addr and parses the response.
+// Query performs one WHOIS lookup against addr and parses the response. A
+// record for any other domain than the one asked is an error: its dates must
+// not be read as the queried domain's.
 func Query(ctx context.Context, addr, domain string) (Record, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -156,5 +158,9 @@ func Query(ctx context.Context, addr, domain string) (Record, error) {
 	if strings.HasPrefix(body, "Invalid") {
 		return Record{}, fmt.Errorf("whois: server rejected query %q", domain)
 	}
-	return Parse(body)
+	rec, err := Parse(body)
+	if err == nil && rec.Domain != dnsname.Canonical(domain) {
+		return Record{}, fmt.Errorf("whois: asked for %q, server answered for %q", domain, rec.Domain)
+	}
+	return rec, err
 }

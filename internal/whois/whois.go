@@ -45,8 +45,9 @@ func (r Record) Format() string {
 }
 
 // Parse reads a Format-style response back into a Record. Unknown lines are
-// ignored, mirroring how real WHOIS parsers must behave; missing creation
-// date is an error since the pipeline depends on it.
+// ignored, mirroring how real WHOIS parsers must behave; a missing creation
+// date is an error since the pipeline depends on it, and so is a domain or
+// name server that is not a DNS name: nothing downstream expects one.
 func Parse(text string) (Record, error) {
 	var r Record
 	haveCreated := false
@@ -78,11 +79,15 @@ func Parse(text string) (Record, error) {
 		case "Domain Status":
 			r.Status = value
 		case "Name Server":
-			r.NameServers = append(r.NameServers, dnsname.Canonical(value))
+			ns := dnsname.Canonical(value)
+			if err := dnsname.Check(ns, false); err != nil {
+				return Record{}, fmt.Errorf("whois: name server %q: %w", ns, err)
+			}
+			r.NameServers = append(r.NameServers, ns)
 		}
 	}
-	if r.Domain == "" {
-		return Record{}, fmt.Errorf("whois: no domain name in response")
+	if err := dnsname.Check(r.Domain, false); err != nil { // ErrEmpty: the response named none
+		return Record{}, fmt.Errorf("whois: domain name %q: %w", r.Domain, err)
 	}
 	if !haveCreated {
 		return Record{}, fmt.Errorf("whois: no creation date in response")

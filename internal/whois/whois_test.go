@@ -57,6 +57,8 @@ func TestParseErrors(t *testing.T) {
 		"Creation Date: 2020-01-01\n",            // no domain
 		"Domain Name: a.com\n",                   // no creation date
 		"Domain Name: a.com\nCreation Date: x\n", // bad date
+		"Domain Name: a b.com\nCreation Date: 2020-01-01\n",                      // not a DNS name
+		"Domain Name: a.com\nCreation Date: 2020-01-01\nName Server: \xff.net\n", // nor this (FuzzParse)
 	}
 	for _, text := range cases {
 		if _, err := Parse(text); err == nil {
@@ -111,6 +113,32 @@ func TestServerClientEndToEnd(t *testing.T) {
 	}
 	if _, err := Query(ctx, addr.String(), "bad query!"); err == nil {
 		t.Fatal("invalid query accepted")
+	}
+}
+
+// answerWith is a registry that answers every query with one fixed record.
+type answerWith Record
+
+func (a answerWith) WhoisLookup(string) (Record, bool) { return Record(a), true }
+
+// TestQueryRejectsAnotherDomainsRecord: the caller dates a registrant change
+// on the domain it asked about, so a record for any other domain is an error,
+// whatever case or trailing dot the query was spelled with.
+func TestQueryRejectsAnotherDomainsRecord(t *testing.T) {
+	srv := NewServer(answerWith{Domain: "somebody-else.com", Registrar: "r", Created: 700, Expires: 900, Status: "ok"})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if rec, err := Query(ctx, addr.String(), "asked.com"); err == nil {
+		t.Fatalf("Query(asked.com) accepted %+v", rec)
+	}
+	rec, err := Query(ctx, addr.String(), "Somebody-Else.COM.")
+	if err != nil || rec.Domain != "somebody-else.com" || rec.Created != 700 {
+		t.Fatalf("Query in another spelling = %+v, %v", rec, err)
 	}
 }
 
@@ -200,4 +228,23 @@ func TestQuickFormatParseRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParse: a WHOIS response is text from whoever answers on port 43. Parse
+// never panics, and a record it accepts survives its own codec: formatting it
+// and parsing that yields the same record.
+func FuzzParse(f *testing.F) {
+	f.Add(Record{Domain: "example.com", Registrar: "GoDaddy.com, LLC", Created: 1164, Expires: 1529, Status: "ok",
+		NameServers: []string{"ns1.hoster.net", "ns2.hoster.net"}}.Format())
+	f.Add(NotFoundResponse)
+	f.Fuzz(func(t *testing.T, text string) {
+		rec, err := Parse(text)
+		if err != nil {
+			return
+		}
+		again, err := Parse(rec.Format())
+		if err != nil || !reflect.DeepEqual(again, rec) {
+			t.Fatalf("Parse(Format(rec)) = %+v, %v; rec = %+v", again, err, rec)
+		}
+	})
 }
