@@ -6,7 +6,8 @@ package stalecert_test
 // parses its flags and wires them to those libraries: -shard, -crl,
 // -shards a|b,c|d, -hedge-after, -targets, -trace-sample, -chaos-*,
 // -slo-interval, -profile-dir, the live PUT /v1/loglevel, the stalestat CLI,
-// and a killed replica leaving a running gateway ready.
+// stalewatch's alerts being the reference replica's verdicts, and a killed
+// replica leaving a running gateway ready.
 
 import (
 	"context"
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"net/http"
 	"os/exec"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -23,7 +25,9 @@ import (
 	"stalecert/internal/fleettest"
 	"stalecert/internal/loadgen"
 	"stalecert/internal/obs"
+	"stalecert/internal/staleapi"
 	"stalecert/internal/stalegw"
+	"stalecert/internal/x509sim"
 )
 
 func TestBinaryFleetSmoke(t *testing.T) {
@@ -31,6 +35,14 @@ func TestBinaryFleetSmoke(t *testing.T) {
 		t.Skip("builds and spawns the cmd/ binaries")
 	}
 	domains, certs, _ := plainCorpus(t, "smoke", "smoke-revoked.com", 24)
+	// plainCorpus's certificates expired years before the fleet's day. One
+	// more for smoke-revoked.com is valid on it, and was throughout the year
+	// crld dates its seeded revocations in (serials 1..100 of every CA).
+	live, err := x509sim.New(50, 1, 50, []string{"smoke-revoked.com"}, fleettest.Day-400, fleettest.Day+400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs = append(certs, live)
 	f := fleettest.StartBinaries(t, fleettest.Spec{Name: "smoke", Certs: certs,
 		Slices: 2, Replicas: 2, HedgeAfter: 50 * time.Microsecond})
 	gw := f.Gateway
@@ -77,6 +89,56 @@ func TestBinaryFleetSmoke(t *testing.T) {
 		if err := positive(m, "crl_snapshot_refresh_total", `outcome="ok"`); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// stalewatch -once -jsonl against the same log and crld: its alerts are the
+	// reference replica's verdicts for certificates still valid on the day,
+	// and the store it leaves is one staleapid resumes from without refetching.
+	watchDir := t.TempDir()
+	watched, err := exec.Command(fleettest.Bin(t, "stalewatch"), "-once", "-jsonl", "-log", f.Log.URL, "-crl", f.CRL.URL,
+		"-now", fleettest.Day.String(), "-store", watchDir).Output()
+	if err != nil {
+		t.Fatalf("stalewatch: %v\n%s", err, watched)
+	}
+	var alerts, verdicts []string
+	for _, line := range strings.Split(strings.TrimSpace(string(watched)), "\n") {
+		var a struct {
+			Kind, Domain, Fingerprint string
+			EventDay                  string `json:"event_day"`
+		}
+		if err := json.Unmarshal([]byte(line), &a); err != nil {
+			t.Fatalf("stalewatch line %q: %v", line, err)
+		}
+		if !strings.HasPrefix(a.Kind, "breaker_") {
+			alerts = append(alerts, fmt.Sprint(a.Domain, " ", a.Fingerprint, " ", a.Kind, " ", a.EventDay))
+		}
+	}
+	kinds := map[string]string{"Revoked: all": "revoked-but-valid", "Domain registrant change": "registrant-change",
+		"Managed TLS departure": "managed-tls-departure"}
+	byFP := map[string]*x509sim.Certificate{}
+	for _, c := range certs {
+		byFP[c.Fingerprint().Hex()] = c
+	}
+	for _, d := range domains {
+		var resp staleapi.StalenessResponse
+		if _, body := f.Reference.Get("/v1/domain/" + d + "/staleness"); json.Unmarshal([]byte(body), &resp) != nil {
+			t.Fatalf("reference staleness for %s: %s", d, body)
+		}
+		for _, v := range resp.Stale {
+			if byFP[v.Fingerprint].ValidOn(fleettest.Day) {
+				verdicts = append(verdicts, fmt.Sprint(d, " ", v.Fingerprint, " ", kinds[v.Method], " ", v.EventDay))
+			}
+		}
+	}
+	slices.Sort(alerts)
+	slices.Sort(verdicts)
+	if !reflect.DeepEqual(alerts, verdicts) || !slices.ContainsFunc(alerts, func(a string) bool { return strings.HasPrefix(a, "smoke-revoked.com") }) {
+		t.Fatalf("stalewatch alerts %q, reference verdicts for still-valid certificates %q", alerts, verdicts)
+	}
+	resumed := fleettest.Spawn(t, "staleapid-watchstore", "-store", watchDir, "-log", f.Log.URL, "-interval", "100ms")
+	if m := resumed.Scrape(); m.Sum("certstore_certs") != float64(len(certs)) || m.Sum("certstore_ingest_resumes_total") != 1 || m.Sum("certstore_ingest_entries_total") != 0 {
+		t.Fatalf("staleapid over stalewatch's store: %v certs, %v resumes, %v entries refetched", m.Sum("certstore_certs"),
+			m.Sum("certstore_ingest_resumes_total"), m.Sum("certstore_ingest_entries_total"))
 	}
 
 	// PUT /v1/loglevel on the running gateway: its outbound transport's

@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"math/rand"
 	"net"
@@ -28,7 +27,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"stalecert/internal/ca"
 	"stalecert/internal/crl"
@@ -96,21 +94,7 @@ func main() {
 	defer stop()
 	handler := obs.Middleware(obs.Default(), "crld", srv.Handler())
 	httpSrv := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("server failed", "err", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		logger.Info("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(sctx); err != nil {
-			logger.Error("shutdown", "err", err)
-		}
-		_ = stopDebug(sctx)
+	if !obs.ServeUntilDone(ctx, logger, httpSrv, ln, stopDebug) {
+		os.Exit(1)
 	}
 }

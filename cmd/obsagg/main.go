@@ -54,7 +54,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"net/http"
 	"os"
@@ -143,15 +142,12 @@ func main() {
 	go agg.Run(ctx, *interval)
 
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", agg.Handler())
-	mux.Handle("/fleet", agg.Handler())
-	mux.Handle("/fleet/", agg.Handler())
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		obs.HandlerFor(obs.Default(), obs.DefaultHealth()).ServeHTTP(w, r)
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		obs.HandlerFor(obs.Default(), obs.DefaultHealth()).ServeHTTP(w, r)
-	})
+	fleet, health := agg.Handler(), obs.HandlerFor(obs.Default(), obs.DefaultHealth())
+	mux.Handle("/metrics", fleet)
+	mux.Handle("/fleet", fleet)
+	mux.Handle("/fleet/", fleet)
+	mux.Handle("GET /healthz", health)
+	mux.Handle("GET /readyz", health)
 	handler := obs.Middleware(obs.Default(), "obsagg", mux)
 
 	logger.Info("serving federated metrics", "targets", len(parsed), "addr", *addr,
@@ -159,21 +155,7 @@ func main() {
 		"endpoints", "/metrics /fleet /fleet/traces /fleet/traces/{id} /fleet/logs /fleet/query /healthz /readyz")
 
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("server failed", "err", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		logger.Info("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(sctx); err != nil {
-			logger.Error("shutdown", "err", err)
-		}
-		_ = stopDebug(sctx)
+	if !obs.ServeUntilDone(ctx, logger, httpSrv, nil, stopDebug) {
+		os.Exit(1)
 	}
 }

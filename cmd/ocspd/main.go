@@ -14,14 +14,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"stalecert/internal/ca"
 	"stalecert/internal/crl"
@@ -70,21 +68,7 @@ func main() {
 	defer stop()
 	handler := obs.Middleware(obs.Default(), "ocspd", responder.Handler())
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("server failed", "err", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		logger.Info("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(sctx); err != nil {
-			logger.Error("shutdown", "err", err)
-		}
-		_ = stopDebug(sctx)
+	if !obs.ServeUntilDone(ctx, logger, httpSrv, nil, stopDebug) {
+		os.Exit(1)
 	}
 }

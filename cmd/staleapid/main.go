@@ -11,9 +11,10 @@
 //	GET /healthz, /readyz              liveness; readiness = checkpoint
 //	                                   loaded AND ingester caught up
 //
-// Staleness evidence comes from the same sources the live monitor uses:
-// WHOIS (registrant change), authoritative DNS (managed-TLS departure) and
-// CRLs (revocation); any source left unconfigured disables its check. An
+// Staleness evidence comes from WHOIS (registrant change), authoritative DNS
+// (managed-TLS departure) and CRLs (revocation); any source left unconfigured
+// disables its check (cmd/stalewatch is this daemon's ingester, gatherer and
+// detector run as a tool, so its alerts are these verdicts). An
 // uncached query asks WHOIS when the domain holds certificates and DNS when
 // one of them is provider-managed and still valid — the only cases in which
 // the answer can become a verdict; the CRLs of the whole CA directory
@@ -35,8 +36,8 @@
 //	          [-shard i/N] [-shard-epoch 1] [-shard-vnodes 128]
 //
 // With -shard i/N the replica is one slice of a consistent-hash fleet: it
-// still tails the whole log (every page checked for index contiguity, a
-// resumed tail for tree-head consistency; entries are not hashed) but
+// still tails the whole log (every page checked for index contiguity, every
+// round's tree head for consistency with the last; entries are not hashed) but
 // persists only the e2LDs its ring slice owns, pins that slice into the
 // store, and reports it at /v1/shardmap for the gateway (cmd/stalegw) to
 // validate.
@@ -58,7 +59,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -240,21 +240,7 @@ func main() {
 	handler := obs.Middleware(obs.Default(), "staleapid", srv.Handler())
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	logger.Info("serving staleness API", "addr", *addr, "log", *logURL)
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("server failed", "err", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		logger.Info("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(sctx); err != nil {
-			logger.Error("shutdown", "err", err)
-		}
-		_ = stopDebug(sctx)
+	if !obs.ServeUntilDone(ctx, logger, httpSrv, nil, stopDebug) {
+		os.Exit(1)
 	}
 }

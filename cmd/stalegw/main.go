@@ -38,7 +38,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"net/http"
 	"os"
@@ -119,21 +118,7 @@ func main() {
 		replicas += len(g)
 	}
 	logger.Info("serving query gateway", "addr", *addr, "slices", len(groups), "replicas", replicas, "epoch", *epoch)
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("server failed", "err", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		logger.Info("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(sctx); err != nil {
-			logger.Error("shutdown", "err", err)
-		}
-		_ = stopDebug(sctx)
+	if !obs.ServeUntilDone(ctx, logger, httpSrv, nil, stopDebug) {
+		os.Exit(1)
 	}
 }

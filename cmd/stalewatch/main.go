@@ -1,7 +1,13 @@
 // Command stalewatch is the live stale-certificate monitor: it tails a CT
-// log for certificates covering watched domains and cross-checks WHOIS, DNS
-// and CRLs to alert on third-party staleness as it appears — the operational
-// tool the paper's retrospective pipelines suggest (§8, BygoneSSL).
+// log into a certificate store and, for every domain a round brought new
+// certificates for, prints the staleness verdicts whose certificate is still
+// valid — the operational tool the paper's retrospective pipelines suggest
+// (§8, BygoneSSL). It runs the pipeline staleapid serves: the one
+// certstore.Ingester tails (checkpoint, per-round tree-head consistency,
+// interval…32× backoff between failed rounds), evidence.Gatherer asks WHOIS,
+// DNS and the CRL snapshot what the domain's certificates make worth asking,
+// and core.DomainStaleness decides — so an alert here is exactly a verdict of
+// GET /v1/domain/{e2ld}/staleness there, and of batch staled.
 //
 // Usage:
 //
@@ -13,16 +19,17 @@
 //	           [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
 //
 // Point it at cmd/ctlogd, cmd/whoisd, cmd/dnsscand and cmd/crld instances
-// (or real deployments of the same protocols). With -jsonl every alert is
-// emitted as one JSON line for machine consumption. With -store the watcher
-// persists everything it polls into a certstore and resumes from its
-// checkpoint on restart — the same store staleapid serves queries from.
+// (or real deployments of the same protocols); a source left unconfigured
+// disables its check. With -jsonl every alert is one JSON line. With -store
+// the store outlives the process — a restart resumes from its checkpoint,
+// and staleapid -store DIR serves the same directory; without it the store
+// is a scratch directory removed on exit. -domains restricts which domains
+// are evaluated, not what is stored.
 //
-// CT polls ride the resilience layer: transient log failures are retried
-// within the poll round (resil.Retry on top of the instrumented client), and
-// when a peer's circuit breaker opens or closes the watcher emits an
-// operational alert — as a breaker_open/breaker_closed JSON line under
-// -jsonl, as a structured log line otherwise.
+// When the log's circuit breaker opens or closes the watcher says so on the
+// alert stream — a breaker_open/breaker_closed JSON line under -jsonl, a
+// structured log line otherwise — so a dead upstream is as visible as a
+// stale certificate.
 package main
 
 import (
@@ -32,19 +39,22 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"stalecert/internal/ca"
 	"stalecert/internal/certstore"
+	"stalecert/internal/core"
 	"stalecert/internal/crl"
 	"stalecert/internal/ctlog"
+	"stalecert/internal/dnsname"
 	"stalecert/internal/dnssim"
-	"stalecert/internal/monitor"
+	"stalecert/internal/evidence"
 	"stalecert/internal/obs"
+	"stalecert/internal/psl"
 	"stalecert/internal/resil"
-	"stalecert/internal/revcheck"
 	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
@@ -66,11 +76,67 @@ type alertLine struct {
 	Issuer      uint16   `json:"issuer"`
 	Names       []string `json:"names"`
 	NotAfter    string   `json:"not_after"`
-	Entry       uint64   `json:"entry"`
+	EventDay    string   `json:"event_day"`
 	Detail      string   `json:"detail"`
 }
 
-func main() {
+// alertLines renders one domain's verdicts as alerts: a verdict is an alert
+// while its certificate is still valid on now — an expired one is history,
+// not a threat. Which verdicts exist is core.DomainStaleness's decision.
+func alertLines(domain string, stale []core.StaleCert, now simtime.Day) []alertLine {
+	var lines []alertLine
+	for _, sc := range stale {
+		cert := sc.Cert
+		if !cert.ValidOn(now) {
+			continue
+		}
+		line := alertLine{
+			Domain:      domain,
+			Fingerprint: cert.Fingerprint().Hex(),
+			Serial:      uint64(cert.Serial),
+			Issuer:      uint16(cert.Issuer),
+			Names:       cert.Names,
+			NotAfter:    cert.NotAfter.String(),
+			EventDay:    sc.EventDay.String(),
+		}
+		remain := int(cert.NotAfter-now) + 1
+		switch sc.Method {
+		case core.MethodRegistrantChange:
+			line.Kind = "registrant-change"
+			line.Detail = fmt.Sprintf("registry creation %s falls inside the validity begun %s; %d stale days remain",
+				sc.EventDay, cert.NotBefore, remain)
+		case core.MethodManagedTLS:
+			line.Kind = "managed-tls-departure"
+			line.Detail = fmt.Sprintf("provider-managed cert but no provider delegation in DNS; %d stale days remain", remain)
+		default:
+			line.Kind = "revoked-but-valid"
+			line.Detail = fmt.Sprintf("revoked (%v) on %s but unexpired until %s", sc.Reason, sc.EventDay, cert.NotAfter)
+		}
+		lines = append(lines, line)
+	}
+	return lines
+}
+
+// roundDomains lists, sorted, the e2LDs the certificates name, restricted to
+// watch when it is not empty.
+func roundDomains(list *psl.List, certs []*x509sim.Certificate, watch map[string]bool) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, c := range certs {
+		for _, e2 := range core.CertE2LDs(list, c) {
+			if (len(watch) == 0 || watch[e2]) && !seen[e2] {
+				seen[e2] = true
+				out = append(out, e2)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func main() { os.Exit(run()) }
+
+func run() int {
 	logURL := flag.String("log", "http://127.0.0.1:8784", "CT log base URL")
 	whoisAddr := flag.String("whois", "", "WHOIS server address (empty disables the registrant-change check)")
 	dnsAddr := flag.String("dns", "", "authoritative DNS address (empty disables the departure check)")
@@ -81,7 +147,7 @@ func main() {
 	now := flag.String("now", "2023-01-01", "evaluation day")
 	marker := flag.String("marker", "cloudflaressl.com", "managed-TLS marker SAN suffix")
 	jsonl := flag.Bool("jsonl", false, "emit alerts as JSON lines")
-	storeDir := flag.String("store", "", "persist polled entries into a certstore at this directory and resume from its checkpoint")
+	storeDir := flag.String("store", "", "keep the certificate store at this directory and resume from its checkpoint (empty: a scratch store)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	var rf resil.Flags
 	rf.BindFlags(flag.CommandLine)
@@ -97,12 +163,17 @@ func main() {
 	nowDay, err := simtime.Parse(*now)
 	if err != nil {
 		logger.Error("bad -now", "err", err)
-		os.Exit(2)
+		return 2
+	}
+	emit := func(line any) {
+		b, err := json.Marshal(line)
+		if err != nil {
+			logger.Error("encode alert", "err", err)
+			return
+		}
+		fmt.Println(string(b))
 	}
 
-	// Breaker transitions are operator-facing events for a monitor: surface
-	// them on the alert stream (JSON lines under -jsonl) so a dead upstream
-	// is as visible as a stale certificate.
 	opts := rf.Options("stalewatch")
 	if !opts.NoBreaker {
 		opts.Breaker = resil.NewBreakerSet(resil.BreakerConfig{
@@ -110,137 +181,97 @@ func main() {
 			Threshold: rf.BreakerThreshold,
 			OnStateChange: func(peer string, from, to resil.State) {
 				if *jsonl {
-					line, _ := json.Marshal(breakerLine{
-						Kind: "breaker_" + to.String(),
-						Peer: peer,
-						From: from.String(),
-						To:   to.String(),
-					})
-					fmt.Println(string(line))
+					emit(breakerLine{Kind: "breaker_" + to.String(), Peer: peer, From: from.String(), To: to.String()})
 					return
 				}
 				logger.Warn("breaker state change", "peer", peer, "from", from.String(), "to", to.String())
 			},
 		})
 	}
-	client := ctlog.NewClientWithOptions(*logURL, nil, opts)
-	var watch []string
-	if *domains != "" {
-		watch = strings.Split(*domains, ",")
-	}
-	var watcher *monitor.CTWatcher
-	if *storeDir != "" {
-		store, err := certstore.Open(certstore.Options{Dir: *storeDir})
-		if err != nil {
-			logger.Error("open store", "dir", *storeDir, "err", err)
-			os.Exit(1)
+	watch := map[string]bool{}
+	for _, d := range strings.Split(*domains, ",") {
+		if d != "" {
+			watch[dnsname.Canonical(d)] = true
 		}
-		defer store.Close()
-		watcher = monitor.NewCTWatcherWithSink(client, certstore.NewIngester(store, client), watch...)
-		logger.Info("persisting to store", "dir", *storeDir, "certs", store.Len(), "resume_index", watcher.NextIndex())
-	} else {
-		watcher = monitor.NewCTWatcher(client, watch...)
 	}
 
-	ev := &monitor.Evaluator{Now: nowDay, WhoisAddr: *whoisAddr, MarkerSuffix: *marker}
-	if *dnsAddr != "" {
-		ev.Resolver = &dnssim.Resolver{ServerAddr: *dnsAddr, Timeout: 2 * time.Second}
-		ev.IsProviderRecord = monitor.IsCloudflareRecord
+	dir := *storeDir
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "stalewatch-"); err != nil {
+			logger.Error("scratch store", "err", err)
+			return 1
+		}
+		defer os.RemoveAll(dir)
 	}
+	store, err := certstore.Open(certstore.Options{Dir: dir})
+	if err != nil {
+		logger.Error("open store", "dir", dir, "err", err)
+		return 1
+	}
+	defer store.Close()
+	cp, _ := store.Checkpoint()
+	logger.Info("store opened", "dir", dir, "certs", store.Len(), "resume_index", cp.NextIndex)
+	ing := certstore.NewIngester(store, ctlog.NewClientWithOptions(*logURL, nil, opts))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	gather := &evidence.Gatherer{Index: store, WhoisAddr: *whoisAddr, Marker: *marker, Now: nowDay}
+	if *dnsAddr != "" {
+		gather.Resolver = &dnssim.Resolver{ServerAddr: *dnsAddr, Timeout: 2 * time.Second}
+	}
 	if *crlURL != "" {
-		// The first check loads the snapshot; a long-running watcher then
+		// The first gather loads the snapshot; a long-running watcher then
 		// refreshes it once per poll interval in the background.
-		snap := &crl.Snapshot{
+		gather.CRL = &crl.Snapshot{
 			Fetcher: &crl.Fetcher{Base: *crlURL},
 			Names:   ca.NewDirectory().Names(),
 			Service: "stalewatch",
 		}
-		ev.Revocation = crlBackedChecker(snap)
 		if !*once {
-			go snap.Run(ctx, *interval)
+			go gather.CRL.Run(ctx, *interval)
 		}
 	}
-	// Round-level retry on top of the client's per-request resilience: a poll
-	// that fails end-to-end (scrape + persist) gets the full backoff ladder
-	// before the round is abandoned until the next interval.
-	pollPolicy := resil.Policy{
-		Service:     "stalewatch-poll",
-		MaxAttempts: rf.RetryMax,
-		BaseDelay:   250 * time.Millisecond,
-		MaxDelay:    5 * time.Second,
-	}
-	for {
-		var hits []monitor.Hit
-		err := resil.Retry(ctx, pollPolicy, func(ctx context.Context) error {
-			var perr error
-			hits, perr = watcher.Poll(ctx)
-			return perr
-		})
-		if err != nil {
-			logger.Error("poll failed", "err", err)
+
+	// round evaluates the domains named by the certificates the round stored:
+	// the two calls staleapi.Server makes for /v1/domain/{e2ld}/staleness. A
+	// round that failed part-way still stored, and so still reports, its
+	// whole batches.
+	round := func(added int, err error) {
+		if err != nil && ctx.Err() == nil {
+			logger.Error("ingest round failed", "err", err)
 		}
-		for _, hit := range hits {
-			alerts, err := ev.Evaluate(ctx, hit)
+		if added == 0 {
+			return
+		}
+		certs := store.Certs()
+		for _, domain := range roundDomains(store.PSL(), certs[len(certs)-added:], watch) {
+			ev, err := gather.Gather(ctx, domain)
 			if err != nil {
-				logger.Error("evaluate failed", "domains", hit.Domains, "err", err)
+				logger.Error("evidence failed", "domain", domain, "err", err)
 				continue
 			}
-			for _, a := range alerts {
+			lines := alertLines(domain, core.DomainStaleness(store, domain, ev), nowDay)
+			for _, a := range lines {
 				if *jsonl {
-					line, err := json.Marshal(alertLine{
-						Kind:        a.Kind.String(),
-						Domain:      a.Domain,
-						Fingerprint: a.Cert.Fingerprint().Hex(),
-						Serial:      uint64(a.Cert.Serial),
-						Issuer:      uint16(a.Cert.Issuer),
-						Names:       a.Cert.Names,
-						NotAfter:    a.Cert.NotAfter.String(),
-						Entry:       hit.Entry.Index,
-						Detail:      a.Detail,
-					})
-					if err != nil {
-						logger.Error("encode alert", "err", err)
-						continue
-					}
-					fmt.Println(string(line))
+					emit(a)
 					continue
 				}
-				fmt.Printf("ALERT %-22s %-20s serial=%d issuer=%d: %s\n",
-					a.Kind, a.Domain, a.Cert.Serial, a.Cert.Issuer, a.Detail)
+				fmt.Printf("ALERT %-22s %-20s serial=%d issuer=%d: %s\n", a.Kind, a.Domain, a.Serial, a.Issuer, a.Detail)
 			}
-			if len(alerts) == 0 && !*jsonl {
-				fmt.Printf("ok    entry=%d domains=%v names=%v\n", hit.Entry.Index, hit.Domains, hit.Entry.Cert.Names)
+			if len(lines) == 0 && !*jsonl {
+				fmt.Printf("ok    %-20s certs=%d\n", domain, len(store.ByE2LD(domain)))
 			}
-		}
-		if *once {
-			return
-		}
-		select {
-		case <-ctx.Done():
-			logger.Info("shutting down")
-			return
-		case <-time.After(*interval):
 		}
 	}
-}
-
-// crlBackedChecker answers revocation checks from the in-memory CRL
-// snapshot: a map lookup per certificate, with the CA directory fetched once
-// per refresh round rather than once per check.
-func crlBackedChecker(snap *crl.Snapshot) revcheck.Checker {
-	return revcheck.CheckerFunc(func(ctx context.Context, cert *x509sim.Certificate, now simtime.Day) (revcheck.Status, crl.Reason, error) {
-		view, err := snap.Current(ctx)
+	if *once {
+		added, err := ing.Sync(ctx)
+		round(added, err)
 		if err != nil {
-			return revcheck.StatusUnavailable, 0, err
+			return 1
 		}
-		for _, e := range view.Lookup(cert.DedupKey()) {
-			if e.RevokedAt <= now {
-				return revcheck.StatusRevoked, e.Reason, nil
-			}
-		}
-		return revcheck.StatusGood, 0, nil
-	})
+		return 0
+	}
+	ing.Run(ctx, *interval, round)
+	logger.Info("shutting down")
+	return 0
 }

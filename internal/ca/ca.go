@@ -12,8 +12,7 @@ import (
 )
 
 // Validator confirms a requester's control of a domain before issuance —
-// the DV check of §2.2. Implementations include the ACME challenge
-// validators in this package and the world simulator's ground-truth
+// the DV check of §2.2. The world simulator supplies its ground-truth
 // validator.
 type Validator interface {
 	ValidateControl(domain, account string, day simtime.Day) error

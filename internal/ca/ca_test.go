@@ -2,14 +2,11 @@ package ca
 
 import (
 	"errors"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"stalecert/internal/crl"
 	"stalecert/internal/ctlog"
-	"stalecert/internal/dnssim"
 	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
@@ -227,81 +224,5 @@ func TestRevokeReasonDowngradeBeforeReportingDay(t *testing.T) {
 	e2, _ := c.Authority().IsRevoked(cert2.DedupKey())
 	if e2.Reason != crl.KeyCompromise {
 		t.Fatalf("post-reporting revocation = %+v", e2)
-	}
-}
-
-func TestDNS01ChallengeOverWire(t *testing.T) {
-	zone := dnssim.NewZone("com")
-	store := dnssim.NewStore()
-	store.AddZone(zone)
-	srv := dnssim.NewServer(store)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	v := WireDNS01(&dnssim.Resolver{ServerAddr: addr.String(), Timeout: time.Second})
-	c, _ := newTestCA(t, Profile{ID: 2, Name: "ACME CA", DefaultLifetime: 90}, v)
-
-	// Without the record, validation fails.
-	if _, err := c.Issue(Request{Account: "alice", Names: []string{"site.com"}}, 10); !errors.Is(err, ErrValidation) {
-		t.Fatalf("issued without challenge: %v", err)
-	}
-	// Present the challenge and retry.
-	if err := SolveDNS01(zone, "site.com", "alice"); err != nil {
-		t.Fatal(err)
-	}
-	cert, err := c.Issue(Request{Account: "alice", Names: []string{"site.com"}}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cert.HasName("site.com") {
-		t.Fatal("issued cert missing name")
-	}
-	// Another account cannot ride alice's token.
-	if _, err := c.Issue(Request{Account: "eve", Names: []string{"site.com"}}, 10); !errors.Is(err, ErrValidation) {
-		t.Fatalf("token cross-account reuse: %v", err)
-	}
-	CleanupDNS01(zone, "site.com")
-	if len(zone.Lookup("_acme-challenge.site.com", dnssim.TypeTXT)) != 0 {
-		t.Fatal("challenge record not cleaned up")
-	}
-}
-
-func TestHTTP01Challenge(t *testing.T) {
-	host := NewChallengeHost()
-	web := httptest.NewServer(host)
-	defer web.Close()
-
-	v := &HTTP01Validator{
-		Endpoint: func(domain string) (string, error) { return web.URL, nil },
-		Client:   web.Client(),
-	}
-	c, _ := newTestCA(t, Profile{ID: 3, Name: "HTTP CA", DefaultLifetime: 90}, v)
-
-	if _, err := c.Issue(Request{Account: "bob", Names: []string{"web.com"}}, 5); !errors.Is(err, ErrValidation) {
-		t.Fatalf("issued without token: %v", err)
-	}
-	host.Present("web.com", "bob")
-	if _, err := c.Issue(Request{Account: "bob", Names: []string{"web.com"}}, 5); err != nil {
-		t.Fatal(err)
-	}
-	host.Remove("web.com", "bob")
-	if _, err := c.Issue(Request{Account: "carol", Names: []string{"web.com"}}, 5); !errors.Is(err, ErrValidation) {
-		t.Fatalf("removed token still validates: %v", err)
-	}
-}
-
-func TestTokenDeterministicAndDistinct(t *testing.T) {
-	a := Token("x.com", "alice")
-	if a != Token("x.com", "alice") {
-		t.Fatal("token not deterministic")
-	}
-	if a == Token("x.com", "bob") || a == Token("y.com", "alice") {
-		t.Fatal("token collision across account/domain")
-	}
-	if len(a) != 43 {
-		t.Fatalf("token length = %d", len(a))
 	}
 }

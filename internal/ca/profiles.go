@@ -1,6 +1,6 @@
 // Package ca implements the certificate-authority substrate: issuer
 // profiles for the CAs that dominate the paper's figures, domain-validated
-// issuance with ACME-style challenge verification against the DNS substrate,
+// issuance behind a pluggable control validator,
 // renewal automation, lifetime policy by era, and revocation publishing into
 // the CRL substrate.
 package ca

@@ -54,7 +54,6 @@ type indexShard struct {
 	byShort map[shortFP]*x509sim.Certificate
 	byKey   map[x509sim.DedupKey]*x509sim.Certificate
 	byE2LD  map[string][]*x509sim.Certificate
-	bySPKI  map[x509sim.KeyID][]*x509sim.Certificate
 }
 
 func newIndexShard(slot int) *indexShard {
@@ -64,12 +63,11 @@ func newIndexShard(slot int) *indexShard {
 		byShort: make(map[shortFP]*x509sim.Certificate),
 		byKey:   make(map[x509sim.DedupKey]*x509sim.Certificate),
 		byE2LD:  make(map[string][]*x509sim.Certificate),
-		bySPKI:  make(map[x509sim.KeyID][]*x509sim.Certificate),
 	}
 }
 
 // shardedIndex routes each key space independently: a certificate's
-// fingerprint, dedup key, subject key and e2LDs may live on different shards,
+// fingerprint, dedup key and e2LDs may live on different shards,
 // because every query is a point lookup in exactly one key space.
 type shardedIndex struct {
 	psl    *psl.List
@@ -96,10 +94,6 @@ func (idx *shardedIndex) keyShard(k x509sim.DedupKey) *indexShard {
 
 func (idx *shardedIndex) domainShard(domain string) *indexShard {
 	return idx.shards[fnv1a(domain)%idx.n()]
-}
-
-func (idx *shardedIndex) spkiShard(k x509sim.KeyID) *indexShard {
-	return idx.shards[mix(uint64(k))%idx.n()]
 }
 
 // containsFP reports whether the fingerprint is already indexed.
@@ -152,20 +146,6 @@ func (idx *shardedIndex) byE2LD(domain string) []*x509sim.Certificate {
 	return out
 }
 
-// bySPKI returns a defensive copy of the subject-key posting list.
-func (idx *shardedIndex) bySPKI(k x509sim.KeyID) []*x509sim.Certificate {
-	sh := idx.spkiShard(k)
-	sh.mu.RLock()
-	certs := sh.bySPKI[k]
-	out := make([]*x509sim.Certificate, len(certs))
-	copy(out, certs)
-	sh.mu.RUnlock()
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // shardCounts returns the number of certificates routed (by fingerprint) to
 // each shard, for the per-shard gauge family.
 func (idx *shardedIndex) shardCounts() []int {
@@ -182,7 +162,6 @@ func (idx *shardedIndex) shardCounts() []int {
 type staged struct {
 	fpAt    []int // positions in the batch: byFP and byShort inserts
 	keys    []*x509sim.Certificate
-	spkis   []*x509sim.Certificate
 	domains []domainCert
 }
 
@@ -202,8 +181,6 @@ func (idx *shardedIndex) addBatch(certs []*x509sim.Certificate, fps []x509sim.Fi
 		st.fpAt = append(st.fpAt, i)
 		st = &stage[idx.keyShard(c.DedupKey()).slot]
 		st.keys = append(st.keys, c)
-		st = &stage[idx.spkiShard(c.Key).slot]
-		st.spkis = append(st.spkis, c)
 		for _, e2 := range core.CertE2LDs(idx.psl, c) {
 			st = &stage[idx.domainShard(e2).slot]
 			st.domains = append(st.domains, domainCert{e2, c})
@@ -218,9 +195,6 @@ func (idx *shardedIndex) addBatch(certs []*x509sim.Certificate, fps []x509sim.Fi
 		}
 		for _, c := range st.keys {
 			sh.byKey[c.DedupKey()] = c
-		}
-		for _, c := range st.spkis {
-			sh.bySPKI[c.Key] = append(sh.bySPKI[c.Key], c)
 		}
 		for _, d := range st.domains {
 			sh.byE2LD[d.e2ld] = append(sh.byE2LD[d.e2ld], d.cert)

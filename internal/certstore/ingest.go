@@ -18,7 +18,7 @@ import (
 var (
 	mIngestRounds   = obs.Default().Counter("certstore_ingest_rounds_total")
 	mIngestErrors   = obs.Default().Counter("certstore_ingest_errors_total")
-	mIngestEntries  = obs.Default().Counter("certstore_ingest_entries_total")
+	mEntriesTailed  = obs.Default().Counter("certstore_ingest_entries_total")
 	mIngestLag      = obs.Default().Gauge("certstore_ingest_lag_entries")
 	mIngestResumes  = obs.Default().Counter("certstore_ingest_resumes_total")
 	mIngestBackoffs = obs.Default().Counter("certstore_ingest_backoffs_total")
@@ -37,10 +37,10 @@ func ingestSkippedCounter(shard string) *obs.Counter {
 
 // Ingester incrementally tails one CT log into a Store. The resume position
 // lives in the store's persisted checkpoint, so a restarted process picks up
-// where the previous one stopped instead of re-scraping the log; on resume
-// the ingester demands a consistency proof between the checkpointed tree
-// head and the log's current head, surfacing a log that rewrote history
-// while the ingester was down.
+// where the previous one stopped instead of re-scraping the log. Every round
+// — a restarted process's first and a running one's every later one — checks
+// the head it is about to scrape under against the checkpointed head, so a
+// log that rewrote history is refused whenever it does so.
 type Ingester struct {
 	Store  *Store
 	Client *ctlog.Client
@@ -48,10 +48,10 @@ type Ingester struct {
 	BatchSize uint64
 	// Keep, when non-nil, filters which certificates this replica persists.
 	// Every entry is still fetched and checked for index contiguity — the
-	// checkpoint advances over every entry, and a resumed ingester demands
-	// the consistency proof between tree heads; no entry is hashed — but
-	// only certificates Keep accepts reach the store. A sharded fleet points
-	// N ingesters at the same log with disjoint Keep predicates.
+	// checkpoint advances over every entry, and every round's tree head must
+	// extend the last one's; no entry is hashed — but only certificates Keep
+	// accepts reach the store. A sharded fleet points N ingesters at the same
+	// log with disjoint Keep predicates.
 	Keep func(*x509sim.Certificate) bool
 	// Shard declares which ring slice Keep implements. It is validated
 	// against the store's persisted assignment on the first sync: a store
@@ -60,41 +60,35 @@ type Ingester struct {
 	Shard *ShardConfig
 	// lag is the entries behind the head after the last Sync.
 	lag uint64
-	// resumed tracks whether the cross-restart consistency check ran.
-	resumed bool
 	// shardChecked tracks the one-time Shard/store agreement check.
 	shardChecked bool
 	mKept        *obs.Counter
 	mSkipped     *obs.Counter
 }
 
-// NewIngester tails client into store.
+// NewIngester tails client into store, from the store's checkpoint if it
+// has one.
 func NewIngester(store *Store, client *ctlog.Client) *Ingester {
-	return &Ingester{Store: store, Client: client}
-}
-
-// Checkpoint implements monitor.EntrySink: the watcher resumes from the
-// store's persisted position.
-func (ing *Ingester) Checkpoint() (uint64, bool) {
-	cp, ok := ing.Store.Checkpoint()
-	if !ok {
-		return 0, false
+	if _, ok := store.Checkpoint(); ok {
+		mIngestResumes.Inc()
 	}
-	return cp.NextIndex, true
+	return &Ingester{Store: store, Client: client}
 }
 
 // Lag returns the entries the store trailed the log head by at the end of
 // the last sync round.
 func (ing *Ingester) Lag() uint64 { return ing.lag }
 
-// verifyResume checks the current head extends the checkpointed one. Called
-// once per process lifetime, on the first sync after a restart.
-func (ing *Ingester) verifyResume(ctx context.Context, cp Checkpoint, sth ctlog.SignedTreeHead) error {
-	if cp.STHSize == 0 || cp.STHSize > sth.Size {
-		if cp.STHSize > sth.Size {
-			return fmt.Errorf("certstore: log shrank below checkpoint: %d -> %d", cp.STHSize, sth.Size)
-		}
+// verifyHead checks that sth, the head a round is about to scrape under,
+// extends the checkpointed one: equal size means equal root, a larger tree
+// needs a consistency proof, a smaller one is refused. A store without a
+// checkpoint (or checkpointed on the empty tree) accepts any head.
+func (ing *Ingester) verifyHead(ctx context.Context, cp Checkpoint, sth ctlog.SignedTreeHead) error {
+	if cp.STHSize == 0 {
 		return nil
+	}
+	if cp.STHSize > sth.Size {
+		return fmt.Errorf("certstore: log shrank below checkpoint: %d -> %d", cp.STHSize, sth.Size)
 	}
 	root, err := cp.Root()
 	if err != nil {
@@ -108,10 +102,10 @@ func (ing *Ingester) verifyResume(ctx context.Context, cp Checkpoint, sth ctlog.
 	}
 	proof, err := ing.Client.GetConsistency(ctx, cp.STHSize, sth.Size)
 	if err != nil {
-		return fmt.Errorf("certstore: resume consistency proof: %w", err)
+		return fmt.Errorf("certstore: consistency proof: %w", err)
 	}
 	if !merkle.VerifyConsistency(cp.STHSize, sth.Size, root, sth.Root, proof) {
-		return fmt.Errorf("certstore: resume consistency check failed: %d -> %d", cp.STHSize, sth.Size)
+		return fmt.Errorf("certstore: consistency check failed: %d -> %d", cp.STHSize, sth.Size)
 	}
 	return nil
 }
@@ -145,80 +139,62 @@ func (ing *Ingester) checkShard() error {
 // what a crash makes it refetch.
 const syncBatchPages = 16
 
-// Sync performs one ingest round: scrape from the checkpoint to the current
-// head, appending the certificates batch by batch as pages arrive. The
-// checkpoint moves after each batch's Append (and so its fsync) has
-// returned: a round that fails or is killed part-way keeps its whole batches
-// and the next resumes after them. It returns the number of new
-// certificates stored (after dedup), also beside an error.
+// Sync performs one ingest round: fetch the log's head, verify it against
+// the checkpointed one, then scrape from the checkpoint to that head,
+// appending the certificates batch by batch as pages arrive. The checkpoint
+// moves after each batch's Append (and so its fsync) has returned: a round
+// that fails or is killed part-way keeps its whole batches and the next
+// resumes after them. It returns the number of new certificates stored
+// (after dedup), also beside an error.
 func (ing *Ingester) Sync(ctx context.Context) (int, error) {
 	mIngestRounds.Inc()
-	if err := ing.checkShard(); err != nil {
+	added, err := ing.sync(ctx)
+	if err != nil {
 		mIngestErrors.Inc()
+	}
+	return added, err
+}
+
+func (ing *Ingester) sync(ctx context.Context) (int, error) {
+	if err := ing.checkShard(); err != nil {
 		return 0, err
 	}
-	cp, haveCP := ing.Store.Checkpoint()
-	if haveCP && !ing.resumed {
-		sth, err := ing.Client.GetSTH(ctx)
-		if err != nil {
-			mIngestErrors.Inc()
-			return 0, err
-		}
-		if err := ing.verifyResume(ctx, cp, sth); err != nil {
-			mIngestErrors.Inc()
-			return 0, err
-		}
-		ing.resumed = true
-		mIngestResumes.Inc()
+	sth, err := ing.Client.GetSTH(ctx)
+	if err != nil {
+		return 0, err
+	}
+	cp, _ := ing.Store.Checkpoint()
+	if err := ing.verifyHead(ctx, cp, sth); err != nil {
+		return 0, err
 	}
 	var batch []ctlog.Entry
 	added, pages := 0, 0
-	flush := func(head ctlog.SignedTreeHead) error {
-		n, err := ing.ingest(batch, head)
+	flush := func() error {
+		n, err := ing.ingest(batch, sth)
 		added += n
 		batch, pages = batch[:0], 0
 		return err
 	}
-	sth, err := ing.Client.ScrapePages(ctx, ctlog.ScrapeOptions{
+	err = ing.Client.ScrapePages(ctx, sth, ctlog.ScrapeOptions{
 		From:      cp.NextIndex,
 		BatchSize: ing.BatchSize,
-	}, func(page []ctlog.Entry, head ctlog.SignedTreeHead) error {
+	}, func(page []ctlog.Entry) error {
 		batch = append(batch, page...)
 		if pages++; pages < syncBatchPages {
 			return nil
 		}
-		return flush(head)
+		return flush()
 	})
 	if err != nil {
-		mIngestErrors.Inc()
 		return added, err
 	}
-	ing.resumed = true
 	// The last, short batch; an idle round still records the head it ran under.
-	if err := flush(sth); err != nil {
-		mIngestErrors.Inc()
-		return added, err
-	}
-	return added, nil
-}
-
-// IngestEntries implements monitor.EntrySink: entries a live watcher polled
-// (and whose STH it already verified) are persisted with the checkpoint
-// advanced past them.
-func (ing *Ingester) IngestEntries(entries []ctlog.Entry, sth ctlog.SignedTreeHead) error {
-	if err := ing.checkShard(); err != nil {
-		mIngestErrors.Inc()
-		return err
-	}
-	_, err := ing.ingest(entries, sth)
-	if err != nil {
-		mIngestErrors.Inc()
-	}
-	return err
+	err = flush()
+	return added, err
 }
 
 // ingest appends entries' kept certificates and then moves the checkpoint
-// past them; callers count its error.
+// past them.
 func (ing *Ingester) ingest(entries []ctlog.Entry, sth ctlog.SignedTreeHead) (int, error) {
 	cp, _ := ing.Store.Checkpoint()
 	next := cp.NextIndex
@@ -243,7 +219,7 @@ func (ing *Ingester) ingest(entries []ctlog.Entry, sth ctlog.SignedTreeHead) (in
 	if err != nil {
 		return added, err
 	}
-	mIngestEntries.Add(uint64(len(entries)))
+	mEntriesTailed.Add(uint64(len(entries)))
 	if sth.Size > next {
 		ing.lag = sth.Size - next
 	} else {

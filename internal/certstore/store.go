@@ -7,9 +7,9 @@
 //   - an append-only segmented on-disk store reusing the x509sim binary
 //     codec, with a crash-safe manifest (sealed segments are checksummed,
 //     the active segment's torn tail is truncated on open);
-//   - N-way sharded in-memory indexes — by e2LD (via the PSL), by subject
-//     key (SPKI), by (issuer, serial) CRL join key, and by fingerprint —
-//     each shard independently RW-locked so parallel readers scale;
+//   - N-way sharded in-memory indexes — by e2LD (via the PSL), by (issuer,
+//     serial) CRL join key, and by fingerprint — each shard independently
+//     RW-locked so parallel readers scale;
 //   - a persisted CT ingest checkpoint, so a restarted tailer resumes from
 //     where it stopped instead of re-scraping the log.
 //
@@ -516,12 +516,6 @@ func (s *Store) ByE2LD(domain string) []*x509sim.Certificate {
 	return s.idx.byE2LD(domain)
 }
 
-// BySPKI returns every certificate carrying the subject key — the pivot for
-// key-reuse analyses (one compromised key can back many certificates).
-func (s *Store) BySPKI(k x509sim.KeyID) []*x509sim.Certificate {
-	return s.idx.bySPKI(k)
-}
-
 // ByFingerprint resolves a full 32-byte fingerprint.
 func (s *Store) ByFingerprint(fp x509sim.Fingerprint) (*x509sim.Certificate, bool) {
 	return s.idx.byFingerprint(fp)
@@ -549,10 +543,6 @@ func (s *Store) Corpus(opts core.CorpusOptions) *core.Corpus {
 	}
 	return core.NewCorpus(s.Certs(), opts)
 }
-
-// ShardCounts returns per-shard certificate counts (sorted ascending is NOT
-// applied; index order) for diagnostics.
-func (s *Store) ShardCounts() []int { return s.idx.shardCounts() }
 
 // Domains returns every indexed e2LD, sorted. Diagnostic; takes every shard
 // read lock in turn.

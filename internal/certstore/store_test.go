@@ -80,9 +80,6 @@ func TestStoreAppendAndLookups(t *testing.T) {
 	if got := s.ByE2LD("nothing.net"); got != nil {
 		t.Fatalf("ByE2LD(miss) = %v", got)
 	}
-	if got := s.BySPKI(2); len(got) != 1 || got[0].Serial != 2 {
-		t.Fatalf("BySPKI = %v", got)
-	}
 }
 
 func TestStoreByE2LDDefensiveCopy(t *testing.T) {

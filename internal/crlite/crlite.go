@@ -82,8 +82,6 @@ func (b *bloom) sizeBytes() int { return len(b.bits) * 8 }
 // Filter is a built cascade.
 type Filter struct {
 	levels []*bloom
-	// counts records how many keys were inserted per level (diagnostics).
-	counts []int
 }
 
 // Build errors.
@@ -131,7 +129,6 @@ func Build(revoked, valid [][]byte, fpRate float64) (*Filter, error) {
 			b.add(k)
 		}
 		f.levels = append(f.levels, b)
-		f.counts = append(f.counts, len(include))
 
 		// Keys on the excluded side that the filter wrongly matches become
 		// the next level's include set.
@@ -166,9 +163,6 @@ func (f *Filter) IsRevoked(key []byte) bool {
 
 // NumLevels returns the cascade depth.
 func (f *Filter) NumLevels() int { return len(f.levels) }
-
-// LevelCounts returns how many keys each level holds.
-func (f *Filter) LevelCounts() []int { return append([]int(nil), f.counts...) }
 
 // SizeBytes returns the total filter size.
 func (f *Filter) SizeBytes() int {

@@ -300,8 +300,12 @@ type ScrapeOptions struct {
 // that entries arrive contiguous (and optionally every entry's inclusion).
 // It returns the entries and the STH they were fetched under.
 func (c *Client) Scrape(ctx context.Context, opts ScrapeOptions) ([]Entry, SignedTreeHead, error) {
+	sth, err := c.GetSTH(ctx)
+	if err != nil {
+		return nil, SignedTreeHead{}, err
+	}
 	var entries []Entry
-	sth, err := c.ScrapePages(ctx, opts, func(page []Entry, _ SignedTreeHead) error {
+	err = c.ScrapePages(ctx, sth, opts, func(page []Entry) error {
 		entries = append(entries, page...)
 		return nil
 	})
@@ -311,15 +315,13 @@ func (c *Client) Scrape(ctx context.Context, opts ScrapeOptions) ([]Entry, Signe
 	return entries, sth, nil
 }
 
-// ScrapePages is Scrape for a caller that consumes the log as it arrives: fn
-// gets each page in index order with the STH the round runs under, and owns
-// the slice. An error from fn ends the round and is returned as it is.
-func (c *Client) ScrapePages(ctx context.Context, opts ScrapeOptions, fn func(page []Entry, sth SignedTreeHead) error) (SignedTreeHead, error) {
+// ScrapePages is Scrape for a caller that consumes the log as it arrives and
+// brings the head: it downloads [opts.From, sth.Size) under an STH the caller
+// fetched, and may have verified against an older one first. fn gets each
+// page in index order and owns the slice. An error from fn ends the round and
+// is returned as it is.
+func (c *Client) ScrapePages(ctx context.Context, sth SignedTreeHead, opts ScrapeOptions, fn func(page []Entry) error) error {
 	began := time.Now()
-	sth, err := c.GetSTH(ctx)
-	if err != nil {
-		return SignedTreeHead{}, err
-	}
 	mScrapeSTHSize.Set(float64(sth.Size))
 	if sth.Size > opts.From {
 		mScrapeLag.Set(float64(sth.Size - opts.From))
@@ -337,14 +339,14 @@ func (c *Client) ScrapePages(ctx context.Context, opts ScrapeOptions, fn func(pa
 		}
 		got, err := c.GetEntries(ctx, start, end)
 		if err != nil {
-			return SignedTreeHead{}, fmt.Errorf("ctlog: scrape [%d,%d]: %w", start, end, err)
+			return fmt.Errorf("ctlog: scrape [%d,%d]: %w", start, end, err)
 		}
 		if len(got) == 0 {
-			return SignedTreeHead{}, fmt.Errorf("ctlog: scrape stalled at %d", start)
+			return fmt.Errorf("ctlog: scrape stalled at %d", start)
 		}
 		for i, e := range got {
 			if e.Index != start+uint64(i) {
-				return SignedTreeHead{}, fmt.Errorf("ctlog: non-contiguous entries: got %d at position %d", e.Index, start+uint64(i))
+				return fmt.Errorf("ctlog: non-contiguous entries: got %d at position %d", e.Index, start+uint64(i))
 			}
 		}
 		if opts.VerifyInclusion {
@@ -352,21 +354,21 @@ func (c *Client) ScrapePages(ctx context.Context, opts ScrapeOptions, fn func(pa
 				leaf := merkle.LeafHash(e.LeafData())
 				idx, proof, err := c.GetProofByHash(ctx, leaf, sth.Size)
 				if err != nil {
-					return SignedTreeHead{}, fmt.Errorf("ctlog: proof for %d: %w", e.Index, err)
+					return fmt.Errorf("ctlog: proof for %d: %w", e.Index, err)
 				}
 				if idx != e.Index || !merkle.VerifyInclusion(leaf, idx, sth.Size, proof, sth.Root) {
-					return SignedTreeHead{}, fmt.Errorf("ctlog: inclusion verification failed for %d", e.Index)
+					return fmt.Errorf("ctlog: inclusion verification failed for %d", e.Index)
 				}
 			}
 		}
 		start += uint64(len(got))
 		mScrapeEntries.Add(uint64(len(got)))
 		mScrapeLag.Set(float64(sth.Size - start)) // 0 once caught up to the head the round runs under
-		if err := fn(got, sth); err != nil {
-			return SignedTreeHead{}, err
+		if err := fn(got); err != nil {
+			return err
 		}
 	}
 	mScrapeRounds.Inc()
 	mScrapeSecs.Observe(time.Since(began).Seconds())
-	return sth, nil
+	return nil
 }

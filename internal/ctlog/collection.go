@@ -57,20 +57,11 @@ func (c *Collection) Submit(cert *x509sim.Certificate, now simtime.Day) []SCT {
 		}
 		sct, err := l.AddChain(cert, now)
 		if err != nil {
-			continue // frozen or racing shard change; expected
+			continue // racing shard change; expected
 		}
 		scts = append(scts, sct)
 	}
 	return scts
-}
-
-// TotalEntries returns the sum of all member log sizes (with duplicates).
-func (c *Collection) TotalEntries() uint64 {
-	var n uint64
-	for _, l := range c.logs {
-		n += l.Size()
-	}
-	return n
 }
 
 // DedupStats reports what deduplication removed, for Table 3 accounting.

@@ -2,7 +2,6 @@ package ctlog
 
 import (
 	"context"
-	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -30,20 +29,6 @@ func TestVerifySTHRejectsWrongLog(t *testing.T) {
 	sth := a.STH()
 	if b.VerifySTH(sth) {
 		t.Fatal("log B verified log A's STH")
-	}
-}
-
-func TestHTTPFrozenLogReturns403(t *testing.T) {
-	l := New("frozen", Shard{})
-	l.Freeze()
-	srv := NewServer(l)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := NewClient(ts.URL, ts.Client())
-	_, err := client.AddChain(context.Background(), testCert(t, 1, "x.com", 0, 9))
-	var re *RemoteError
-	if !errors.As(err, &re) || re.StatusCode != 403 {
-		t.Fatalf("frozen add-chain: %v", err)
 	}
 }
 

@@ -224,11 +224,13 @@ func TestScrapePagesStopsOnCallbackError(t *testing.T) {
 	defer ts.Close()
 	stop := errors.New("enough")
 	var seen []uint64
-	_, err := NewClient(ts.URL, ts.Client()).ScrapePages(context.Background(), ScrapeOptions{BatchSize: 8},
-		func(page []Entry, sth SignedTreeHead) error {
-			if sth.Size != l.Size() {
-				t.Errorf("page under tree size %d, log has %d", sth.Size, l.Size())
-			}
+	client := NewClient(ts.URL, ts.Client())
+	sth, err := client.GetSTH(context.Background())
+	if err != nil || sth.Size != l.Size() {
+		t.Fatalf("get-sth = size %d of %d, %v", sth.Size, l.Size(), err)
+	}
+	err = client.ScrapePages(context.Background(), sth, ScrapeOptions{BatchSize: 8},
+		func(page []Entry) error {
 			seen = append(seen, page[0].Index)
 			if len(seen) == 3 {
 				return stop

@@ -133,11 +133,7 @@ func (s *Server) handleAddChain(w http.ResponseWriter, r *http.Request) {
 	sct, err := s.log.AddChain(cert, simtime.Day(s.now.Load()))
 	if err != nil {
 		mAddChainErr.Inc()
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrFrozen) {
-			status = http.StatusForbidden
-		}
-		writeErr(w, status, err)
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	mAddChainOK.Inc()

@@ -100,7 +100,6 @@ var (
 	ErrRejected     = errors.New("ctlog: log rejected submission")
 	ErrRangeInvalid = errors.New("ctlog: invalid entry range")
 	ErrNotFound     = errors.New("ctlog: leaf hash not found")
-	ErrFrozen       = errors.New("ctlog: log is frozen (read-only)")
 )
 
 // Log is an append-only certificate log. It is safe for concurrent use.
@@ -115,8 +114,7 @@ type Log struct {
 	leaves [][]byte
 	byLeaf map[merkle.Hash]uint64 // leaf hash -> index (submission dedup)
 	key    []byte                 // MAC key standing in for the log's signing key
-	frozen bool
-	clock  simtime.Day // latest timestamp seen; STHs are stamped with it
+	clock  simtime.Day            // latest timestamp seen; STHs are stamped with it
 }
 
 // New creates a log. The name doubles as key material so two logs with
@@ -140,13 +138,6 @@ func (l *Log) Shard() Shard {
 	return l.shard
 }
 
-// Freeze makes the log read-only, as retired production logs become.
-func (l *Log) Freeze() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.frozen = true
-}
-
 // Size returns the current number of entries.
 func (l *Log) Size() uint64 {
 	l.mu.RLock()
@@ -160,9 +151,6 @@ func (l *Log) Size() uint64 {
 func (l *Log) AddChain(cert *x509sim.Certificate, now simtime.Day) (SCT, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.frozen {
-		return SCT{}, ErrFrozen
-	}
 	if !l.shard.Accepts(cert.NotAfter) {
 		return SCT{}, fmt.Errorf("%w: notAfter %s not in %s", ErrWrongShard, cert.NotAfter, l.shard)
 	}
@@ -253,10 +241,12 @@ func (l *Log) leafInputs(start, end uint64) ([][]byte, error) {
 	return l.leaves[start : end+1], nil
 }
 
-// InclusionProof returns the audit path for a leaf hash at a tree size.
+// InclusionProof returns the audit path for a leaf hash at a tree size. Like
+// the other two proof methods it takes the write lock: building a proof
+// memoizes subtree roots inside the tree.
 func (l *Log) InclusionProof(leaf merkle.Hash, size uint64) (index uint64, proof []merkle.Hash, err error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	idx, ok := l.byLeaf[leaf]
 	if !ok || idx >= size {
 		return 0, nil, ErrNotFound
@@ -267,15 +257,15 @@ func (l *Log) InclusionProof(leaf merkle.Hash, size uint64) (index uint64, proof
 
 // ConsistencyProof returns the consistency proof between two tree sizes.
 func (l *Log) ConsistencyProof(first, second uint64) ([]merkle.Hash, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.tree.ConsistencyProof(first, second)
 }
 
 // RootAt returns the Merkle root at an earlier size (for verification in
 // tests and the monitor).
 func (l *Log) RootAt(size uint64) (merkle.Hash, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.tree.RootAt(size)
 }

@@ -2,6 +2,7 @@ package ctlog
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"stalecert/internal/merkle"
@@ -84,14 +85,6 @@ func TestShardRejection(t *testing.T) {
 	boundary := testCert(t, 3, "c.com", 0, shard.End-1)
 	if _, err := l.AddChain(boundary, 0); err != nil {
 		t.Fatalf("boundary cert rejected: %v", err)
-	}
-}
-
-func TestFreeze(t *testing.T) {
-	l := New("test", Shard{})
-	l.Freeze()
-	if _, err := l.AddChain(testCert(t, 1, "a.com", 0, 1), 0); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("frozen log accepted submission: %v", err)
 	}
 }
 
@@ -242,4 +235,43 @@ func TestCollectionDedupPrefersFinalRegardlessOfOrder(t *testing.T) {
 	if len(certs) != 1 || certs[0].Precert {
 		t.Fatal("dedup did not prefer final cert when precert arrived later")
 	}
+}
+
+// TestProofsFromManyReadersAtOnce: every replica of a fleet asks a growing
+// log for a consistency proof each round, at the same moment, beside its
+// get-entries readers and the submitter. Proof generation memoizes inside the
+// tree, so it must not run under the shared read lock (run with -race).
+func TestProofsFromManyReadersAtOnce(t *testing.T) {
+	l := New("busy", Shard{})
+	for i := uint64(0); i < 300; i++ {
+		if _, err := l.AddChain(testCert(t, i+1, "busy.com", 0, 9), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := l.STH() // read off the append stack: nothing is memoized yet
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				first := uint64(1 + (g*40+i)%299)
+				proof, err := l.ConsistencyProof(first, head.Size)
+				root, _ := l.RootAt(first)
+				if err != nil || !merkle.VerifyConsistency(first, head.Size, root, head.Root, proof) {
+					t.Errorf("consistency %d -> %d: %v", first, head.Size, err)
+					return
+				}
+				if _, err := l.Entries(first, first); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	for i := uint64(300); i < 340; i++ {
+		if _, err := l.AddChain(testCert(t, i+1, "busy.com", 0, 9), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }

@@ -86,14 +86,6 @@ func checkLabel(l string) error {
 	return nil
 }
 
-// Labels splits a canonical name into its labels.
-func Labels(name string) []string {
-	if name == "" {
-		return nil
-	}
-	return strings.Split(name, ".")
-}
-
 // CountLabels returns the number of labels without allocating.
 func CountLabels(name string) int {
 	if name == "" {
@@ -137,15 +129,4 @@ func MatchWildcard(pattern, name string) bool {
 	}
 	first := name[:len(name)-len(suffix)]
 	return first != "" && !strings.Contains(first, ".")
-}
-
-// Reverse returns the name with label order reversed ("a.b.c" → "c.b.a").
-// Reversed names sort hierarchically, which the DNS snapshot differ exploits
-// for sorted-merge comparisons.
-func Reverse(name string) string {
-	labels := Labels(name)
-	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
-		labels[i], labels[j] = labels[j], labels[i]
-	}
-	return strings.Join(labels, ".")
 }

@@ -120,15 +120,6 @@ func TestMatchWildcard(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	if got := Reverse("a.b.c"); got != "c.b.a" {
-		t.Fatalf("Reverse = %q", got)
-	}
-	if got := Reverse("single"); got != "single" {
-		t.Fatalf("Reverse single label = %q", got)
-	}
-}
-
 func TestCountLabels(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -138,28 +129,6 @@ func TestCountLabels(t *testing.T) {
 		if got := CountLabels(c.in); got != c.want {
 			t.Errorf("CountLabels(%q) = %d, want %d", c.in, got, c.want)
 		}
-	}
-}
-
-func TestQuickReverseInvolution(t *testing.T) {
-	f := func(raw []byte) bool {
-		// Build a name from arbitrary bytes: map into [a-z] labels.
-		var b strings.Builder
-		for i, c := range raw {
-			if i > 0 && i%5 == 0 {
-				b.WriteByte('.')
-			}
-			b.WriteByte('a' + c%26)
-		}
-		name := strings.Trim(b.String(), ".")
-		if name == "" {
-			return true
-		}
-		name = strings.ReplaceAll(name, "..", ".")
-		return Reverse(Reverse(name)) == name
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

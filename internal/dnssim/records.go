@@ -210,26 +210,6 @@ func (z *Zone) Names() []string {
 	return names
 }
 
-// Records returns every record in the zone in deterministic order.
-func (z *Zone) Records() []Record {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	var out []Record
-	for _, set := range z.sets {
-		out = append(out, set...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		if out[i].Type != out[j].Type {
-			return out[i].Type < out[j].Type
-		}
-		return out[i].Data < out[j].Data
-	})
-	return out
-}
-
 // Len returns the number of records.
 func (z *Zone) Len() int {
 	z.mu.RLock()
@@ -274,13 +254,4 @@ func ParseZoneFile(apex, text string) (*Zone, error) {
 		}
 	}
 	return z, nil
-}
-
-// FormatZoneFile renders the zone back to master-file text.
-func FormatZoneFile(z *Zone) string {
-	var b strings.Builder
-	for _, r := range z.Records() {
-		fmt.Fprintf(&b, "%s %d IN %s %s\n", r.Name, r.TTL, r.Type, r.Data)
-	}
-	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 
 	"stalecert/internal/dnsname"
@@ -49,18 +48,6 @@ func (s *Store) Zone(apex string) *Zone {
 	return s.zones[dnsname.Canonical(apex)]
 }
 
-// Apexes lists registered zone apexes, sorted.
-func (s *Store) Apexes() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.zones))
-	for a := range s.zones {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // findZone returns the zone with the longest apex that is a suffix of name.
 func (s *Store) findZone(name string) *Zone {
 	s.mu.RLock()
@@ -79,14 +66,6 @@ func (s *Store) Mutate(fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fn()
-}
-
-// RLocked runs fn with the read lock held; used by the in-process scanner to
-// take consistent snapshots without the UDP round trip.
-func (s *Store) RLocked(fn func(zones map[string]*Zone)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fn(s.zones)
 }
 
 // Resolve answers a question from the store, implementing authoritative

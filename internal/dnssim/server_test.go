@@ -204,7 +204,7 @@ func TestZoneAddRemove(t *testing.T) {
 	}
 }
 
-func TestZoneFileRoundTrip(t *testing.T) {
+func TestParseZoneFile(t *testing.T) {
 	text := `
 ; registry zone extract
 example.com 86400 IN NS ns1.hoster.net
@@ -219,12 +219,11 @@ shop.example.com 300 IN A 192.0.2.77
 	if z.Len() != 4 {
 		t.Fatalf("parsed %d records", z.Len())
 	}
-	z2, err := ParseZoneFile("com", FormatZoneFile(z))
-	if err != nil {
-		t.Fatal(err)
+	if ns := z.Lookup("example.com", TypeNS); len(ns) != 2 || ns[0].TTL != 86400 {
+		t.Fatalf("example.com NS = %+v", ns)
 	}
-	if FormatZoneFile(z) != FormatZoneFile(z2) {
-		t.Fatal("zone file round trip not stable")
+	if cn := z.Lookup("www.example.com", TypeCNAME); len(cn) != 1 || cn[0].Data != "example.cdn.cloudflare.com" {
+		t.Fatalf("www.example.com CNAME = %+v (the trailing comment is not data)", cn)
 	}
 }
 

@@ -105,28 +105,6 @@ func (st *SnapshotStore) Add(s *Snapshot) error {
 	return nil
 }
 
-// Days lists the snapshot days in order.
-func (st *SnapshotStore) Days() []simtime.Day {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]simtime.Day, len(st.snaps))
-	for i, s := range st.snaps {
-		out[i] = s.Day
-	}
-	return out
-}
-
-// On returns the snapshot for a day, or nil.
-func (st *SnapshotStore) On(day simtime.Day) *Snapshot {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	i := sort.Search(len(st.snaps), func(i int) bool { return st.snaps[i].Day >= day })
-	if i < len(st.snaps) && st.snaps[i].Day == day {
-		return st.snaps[i]
-	}
-	return nil
-}
-
 // Len returns the number of stored snapshots.
 func (st *SnapshotStore) Len() int {
 	st.mu.RLock()

@@ -52,11 +52,8 @@ func TestSnapshotStoreOrdering(t *testing.T) {
 	if err := st.Add(NewSnapshot(5)); err == nil {
 		t.Fatal("out-of-order day accepted")
 	}
-	if st.On(10) == nil || st.On(99) != nil {
-		t.Fatal("On lookup wrong")
-	}
-	if days := st.Days(); len(days) != 2 || days[0] != 10 {
-		t.Fatalf("days = %v", days)
+	if st.Len() != 2 {
+		t.Fatalf("store holds %d snapshots, want the two accepted", st.Len())
 	}
 }
 

@@ -25,8 +25,8 @@ var built struct {
 	users int
 }
 
-// Bin returns the path of a cmd/ binary — a daemon, or the stalestat CLI a
-// test points at obsagg. The first use builds them all.
+// Bin returns the path of a cmd/ binary — a daemon, or a CLI a test runs
+// against the fleet (stalestat, stalewatch). The first use builds them all.
 func Bin(t testing.TB, name string) string {
 	t.Helper()
 	built.Lock()
@@ -37,7 +37,7 @@ func Bin(t testing.TB, name string) string {
 			t.Fatal(err)
 		}
 		build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "stalecert/cmd/ctlogd", "stalecert/cmd/crld",
-			"stalecert/cmd/staleapid", "stalecert/cmd/stalegw", "stalecert/cmd/obsagg", "stalecert/cmd/stalestat")
+			"stalecert/cmd/staleapid", "stalecert/cmd/stalegw", "stalecert/cmd/obsagg", "stalecert/cmd/stalestat", "stalecert/cmd/stalewatch")
 		if out, err := build.CombinedOutput(); err != nil {
 			os.RemoveAll(dir)
 			t.Fatalf("go build cmd/...: %v\n%s", err, out)

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // Handler serves the debug surface for a registry with the process-wide
@@ -137,15 +140,10 @@ func writeVars(w io.Writer, r *Registry) {
 	fmt.Fprintf(w, "\n}\n")
 }
 
-// StartDebug serves Handler(r) on addr in the background, returning the
-// bound address and a graceful-shutdown func. Pass "127.0.0.1:0" for an
-// ephemeral port.
-func StartDebug(addr string, r *Registry) (string, func(context.Context) error, error) {
-	return StartDebugServer(addr, Handler(r))
-}
-
-// StartDebugServer serves an arbitrary debug handler (typically Handler or
-// HandlerFor wrapped in Middleware) on addr in the background.
+// StartDebugServer serves a debug handler (typically Handler or HandlerFor
+// wrapped in Middleware) on addr in the background, returning the bound
+// address and a graceful-shutdown func. Pass "127.0.0.1:0" for an ephemeral
+// port.
 func StartDebugServer(addr string, h http.Handler) (string, func(context.Context) error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -154,4 +152,35 @@ func StartDebugServer(addr string, h http.Handler) (string, func(context.Context
 	srv := &http.Server{Handler: h}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Shutdown, nil
+}
+
+// ServeUntilDone is a daemon's serve loop: it runs srv — on ln, or listening
+// on srv.Addr when ln is nil — until it fails or ctx ends, then drains it for
+// up to five seconds and stops the debug server. It reports false when the
+// listener failed, for the daemon to exit 1 on.
+func ServeUntilDone(ctx context.Context, logger *slog.Logger, srv *http.Server, ln net.Listener, stopDebug func(context.Context) error) bool {
+	errc := make(chan error, 1)
+	go func() {
+		if ln != nil {
+			errc <- srv.Serve(ln)
+		} else {
+			errc <- srv.ListenAndServe()
+		}
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, http.ErrServerClosed) {
+			logger.Error("server failed", "err", err)
+			return false
+		}
+	case <-ctx.Done():
+		logger.Info("shutting down")
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(sctx); err != nil {
+			logger.Error("shutdown", "err", err)
+		}
+		_ = stopDebug(sctx)
+	}
+	return true
 }

@@ -113,7 +113,7 @@ func TestPprofMounted(t *testing.T) {
 
 func TestStartDebug(t *testing.T) {
 	r := populated()
-	addr, shutdown, err := StartDebug("127.0.0.1:0", r)
+	addr, shutdown, err := StartDebugServer("127.0.0.1:0", Handler(r))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,9 @@ func TestMetricsAfterScrape(t *testing.T) {
 	logSrv := httptest.NewServer(ctlog.NewServer(l).Handler())
 	defer logSrv.Close()
 
-	bound, shutdown, err := obs.StartDebug("127.0.0.1:0", obs.Default())
+	bound, shutdown, err := obs.StartDebugServer("127.0.0.1:0", obs.Handler(obs.Default()))
 	if err != nil {
-		t.Fatalf("StartDebug: %v", err)
+		t.Fatalf("StartDebugServer: %v", err)
 	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

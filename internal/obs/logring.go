@@ -270,9 +270,15 @@ func (r *LogRing) SnapshotFile(path string) error {
 	return nil
 }
 
-// ReadJSONL decodes a JSONL log snapshot (the SnapshotFile format).
-func ReadJSONL(r io.Reader) ([]LogRecord, error) {
-	sc := bufio.NewScanner(r)
+// ReadSnapshotFile decodes a JSONL log snapshot (the SnapshotFile format)
+// from disk.
+func ReadSnapshotFile(path string) ([]LogRecord, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	var out []LogRecord
 	for sc.Scan() {
@@ -287,16 +293,6 @@ func ReadJSONL(r io.Reader) ([]LogRecord, error) {
 		out = append(out, rec)
 	}
 	return out, sc.Err()
-}
-
-// ReadSnapshotFile decodes a JSONL log snapshot from disk.
-func ReadSnapshotFile(path string) ([]LogRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSONL(f)
 }
 
 // LogSnapshotName is the black-box file a profile capture set embeds next to

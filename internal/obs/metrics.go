@@ -133,9 +133,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() float64 { return floatFrom(h.sumBits.Load()) }
 
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // ExpBuckets returns n log-scaled bucket upper bounds starting at start and
 // growing by factor: start, start*factor, start*factor^2, ...
 func ExpBuckets(start, factor float64, n int) []float64 {

@@ -16,7 +16,7 @@ func middlewareMux(t *testing.T, gotID *RequestID) http.Handler {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /crl/{ca}", func(w http.ResponseWriter, r *http.Request) {
-		if id, ok := RequestIDFromRequest(r); ok && gotID != nil {
+		if id, ok := RequestIDFromContext(r.Context()); ok && gotID != nil {
 			*gotID = id
 		}
 		fmt.Fprintln(w, "ok")

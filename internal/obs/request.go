@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand/v2"
-	"net/http"
 )
 
 // TraceHeader is the HTTP header carrying the request ID between services,
@@ -115,11 +114,6 @@ func ContextWithRequestID(ctx context.Context, id RequestID) context.Context {
 func RequestIDFromContext(ctx context.Context) (RequestID, bool) {
 	id, ok := ctx.Value(requestIDKey{}).(RequestID)
 	return id, ok
-}
-
-// RequestIDFromRequest is a convenience for handlers below a Middleware.
-func RequestIDFromRequest(r *http.Request) (RequestID, bool) {
-	return RequestIDFromContext(r.Context())
 }
 
 type attemptKey struct{}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,15 +96,15 @@ func ParseSLOSpecs(spec string) ([]SLOSpec, error) {
 	return out, nil
 }
 
-// SLOWindow is one evaluation window.
-type SLOWindow struct {
+// sloWindow is one evaluation window.
+type sloWindow struct {
 	Name string
 	Dur  time.Duration
 }
 
-// DefaultSLOWindows is the multi-window set: the first two are the fast
-// (paging) pair, the last two the slow (ticket) pair.
-var DefaultSLOWindows = []SLOWindow{
+// sloWindows is the multi-window set: the first two are the fast (paging)
+// pair, the last two the slow (ticket) pair.
+var sloWindows = [4]sloWindow{
 	{"5m", 5 * time.Minute},
 	{"1h", time.Hour},
 	{"6h", 6 * time.Hour},
@@ -116,8 +115,8 @@ var DefaultSLOWindows = []SLOWindow{
 // faster than sustainable (a 99.9% monthly budget gone in 2 days), the slow
 // pair tickets at 1x (budget exactly exhausted by period end).
 const (
-	DefaultFastBurn = 14.4
-	DefaultSlowBurn = 1.0
+	sloFastBurn = 14.4
+	sloSlowBurn = 1.0
 )
 
 // SLOAlert describes one burn-rate alert transition.
@@ -162,12 +161,6 @@ type SLOEngine struct {
 	// Service scopes the RED series the engine reads.
 	Service string
 	Specs   []SLOSpec
-	// Windows defaults to DefaultSLOWindows; the first two entries form the
-	// fast (page) pair, the last two the slow (ticket) pair.
-	Windows []SLOWindow
-	// FastBurn/SlowBurn override the default burn-rate thresholds.
-	FastBurn float64
-	SlowBurn float64
 	// Interval is Run's sampling period (default 10s).
 	Interval time.Duration
 	// Logger receives alert transitions (nil: slog.Default()).
@@ -192,27 +185,6 @@ func (e *SLOEngine) logger() *slog.Logger {
 		return e.Logger
 	}
 	return slog.Default()
-}
-
-func (e *SLOEngine) windows() []SLOWindow {
-	if len(e.Windows) > 0 {
-		return e.Windows
-	}
-	return DefaultSLOWindows
-}
-
-func (e *SLOEngine) fastBurn() float64 {
-	if e.FastBurn > 0 {
-		return e.FastBurn
-	}
-	return DefaultFastBurn
-}
-
-func (e *SLOEngine) slowBurn() float64 {
-	if e.SlowBurn > 0 {
-		return e.SlowBurn
-	}
-	return DefaultSlowBurn
 }
 
 // Run evaluates immediately and then on every Interval tick until ctx ends.
@@ -317,7 +289,7 @@ func (e *SLOEngine) Evaluate(now time.Time) {
 	}
 	reg := e.reg()
 	snap := reg.Snapshot()
-	windows := e.windows()
+	windows := sloWindows
 	longest := windows[len(windows)-1]
 
 	for _, st := range e.states {
@@ -350,10 +322,8 @@ func (e *SLOEngine) Evaluate(now time.Time) {
 		}
 		reg.Gauge("slo_error_budget_remaining", "service", e.Service, "slo", st.spec.Name).Set(remaining)
 
-		e.latch(st, "page", windows[0], windows[1], e.fastBurn(), &st.firingFast)
-		if len(windows) >= 4 {
-			e.latch(st, "ticket", windows[2], windows[3], e.slowBurn(), &st.firingSlow)
-		}
+		e.latch(st, "page", windows[0], windows[1], sloFastBurn, &st.firingFast)
+		e.latch(st, "ticket", windows[2], windows[3], sloSlowBurn, &st.firingSlow)
 	}
 }
 
@@ -361,7 +331,7 @@ func (e *SLOEngine) Evaluate(now time.Time) {
 // windows burn at or above the threshold (the short window confirms the
 // burn is current, the long one that it is material), and resolves when
 // either drops below.
-func (e *SLOEngine) latch(st *sloState, severity string, short, long SLOWindow, threshold float64, firing *bool) {
+func (e *SLOEngine) latch(st *sloState, severity string, short, long sloWindow, threshold float64, firing *bool) {
 	reg := e.reg()
 	shortBurn := st.burnByWindow[short.Name]
 	longBurn := st.burnByWindow[long.Name]
@@ -397,21 +367,4 @@ func boolGauge(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// FiringAlerts lists the currently firing (slo, severity) pairs, sorted.
-func (e *SLOEngine) FiringAlerts() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []string
-	for _, st := range e.states {
-		if st.firingFast {
-			out = append(out, st.spec.Name+"/page")
-		}
-		if st.firingSlow {
-			out = append(out, st.spec.Name+"/ticket")
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -206,9 +206,6 @@ func (s *SpanStore) reg() *Registry {
 	return Default()
 }
 
-// SlowThreshold returns the configured always-keep latency threshold.
-func (s *SpanStore) SlowThreshold() time.Duration { return s.slow }
-
 // Record buffers one non-root span of an in-flight trace. Spans arriving
 // after the trace was kept are appended to the kept record directly, so
 // stragglers from concurrent goroutines are not lost.

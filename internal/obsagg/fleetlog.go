@@ -170,13 +170,6 @@ func (a *Aggregator) FleetLogs(f obs.LogFilter) []obs.LogRecord {
 	return out
 }
 
-// FleetLogCount reports how many merged records the fleet view holds.
-func (a *Aggregator) FleetLogCount() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.fleetLogs)
-}
-
 func (a *Aggregator) handleFleetLogs(w http.ResponseWriter, r *http.Request) {
 	f, err := obs.ParseLogFilter(r)
 	if err != nil {

@@ -69,7 +69,7 @@ func TestMergeLogsDedupAndRestartReset(t *testing.T) {
 	// Scrape overlap re-delivers the same records plus one new one: only the
 	// new record lands.
 	a.mergeLogs(tgt, append(batch, obs.LogRecord{Seq: 7, Time: base.Add(2 * time.Second), Level: "INFO", Msg: "three"}))
-	if got := a.FleetLogCount(); got != 3 {
+	if got := len(a.FleetLogs(obs.LogFilter{})); got != 3 {
 		t.Fatalf("after overlap re-scrape: %d records, want 3", got)
 	}
 
@@ -80,7 +80,7 @@ func TestMergeLogsDedupAndRestartReset(t *testing.T) {
 		{Seq: 1, Time: base.Add(3 * time.Second), Level: "INFO", Msg: "reborn"},
 		{Seq: 2, Time: base.Add(4 * time.Second), Level: "INFO", Msg: "again"},
 	})
-	if got := a.FleetLogCount(); got != 5 {
+	if got := len(a.FleetLogs(obs.LogFilter{})); got != 5 {
 		t.Fatalf("after restart: %d records, want 5", got)
 	}
 	recs := a.FleetLogs(obs.LogFilter{})
@@ -99,7 +99,7 @@ func TestMergeLogsBufferTrim(t *testing.T) {
 			Level: "INFO", Msg: "m"})
 	}
 	a.mergeLogs(tgt, recs)
-	if got := a.FleetLogCount(); got != 3 {
+	if got := len(a.FleetLogs(obs.LogFilter{})); got != 3 {
 		t.Fatalf("trimmed to %d, want 3", got)
 	}
 	kept := a.FleetLogs(obs.LogFilter{})
@@ -124,7 +124,7 @@ func TestScrapeLogsEndToEnd(t *testing.T) {
 		t.Fatalf("scrapeLogs: %v", err)
 	}
 	a.mergeLogs(tgt, recs)
-	if got := a.FleetLogCount(); got != 2 {
+	if got := len(a.FleetLogs(obs.LogFilter{})); got != 2 {
 		t.Fatalf("merged %d records, want 2", got)
 	}
 
@@ -135,7 +135,7 @@ func TestScrapeLogsEndToEnd(t *testing.T) {
 		t.Fatalf("scrapeLogs round 2: %v", err)
 	}
 	a.mergeLogs(tgt, recs)
-	if got := a.FleetLogCount(); got != 3 {
+	if got := len(a.FleetLogs(obs.LogFilter{})); got != 3 {
 		t.Fatalf("after round 2: %d records, want 3", got)
 	}
 

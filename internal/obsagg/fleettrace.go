@@ -182,13 +182,6 @@ func (a *Aggregator) FleetTrace(id string) (obs.TraceRecord, bool) {
 	return ft.rec.Copy(true), true
 }
 
-// TraceCount reports how many stitched traces the fleet view holds.
-func (a *Aggregator) TraceCount() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.traceOrder)
-}
-
 // strongerKeep merges keep reasons: error dominates slow dominates sampled —
 // the fleet record reports the strongest reason any hop kept the trace for.
 func strongerKeep(cur, next string) string {

@@ -136,7 +136,7 @@ func TestAggregatorToleratesTracelessTargets(t *testing.T) {
 		Logger:   slog.New(slog.NewTextHandler(&logBuf, nil)),
 	}
 	agg.ScrapeOnce(context.Background())
-	if got := agg.TraceCount(); got != 0 {
+	if got := len(agg.FleetTraces(obs.TraceFilter{})); got != 0 {
 		t.Fatalf("trace count %d from traceless target", got)
 	}
 	if strings.Contains(logBuf.String(), "trace scrape failed") {
@@ -163,7 +163,7 @@ func TestFleetTraceBufferBounded(t *testing.T) {
 			Spans: []obs.SpanRecord{{TraceID: id, SpanID: id + "-s", Service: "svc"}}})
 	}
 	agg.mergeTraces(traces)
-	if got := agg.TraceCount(); got != 3 {
+	if got := len(agg.FleetTraces(obs.TraceFilter{})); got != 3 {
 		t.Fatalf("fleet buffer holds %d traces, capacity 3", got)
 	}
 	if _, ok := agg.FleetTrace("a-trace"); ok {

@@ -126,16 +126,6 @@ func New(tlds ...string) *Registry {
 	return r
 }
 
-// TLDs returns the operated TLDs, sorted.
-func (r *Registry) TLDs() []string {
-	out := make([]string, 0, len(r.tlds))
-	for t := range r.tlds {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (r *Registry) checkDomain(domain string) (string, error) {
 	domain = dnsname.Canonical(domain)
 	if err := dnsname.Check(domain, false); err != nil {

@@ -274,14 +274,3 @@ func (c *Cache) Peek(key string) (any, bool) {
 	}
 	return ent.val, true
 }
-
-// Invalidate drops one key (e.g. after new certificates for a domain were
-// ingested).
-func (c *Cache) Invalidate(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ent, ok := c.items[key]; ok {
-		c.removeLocked(ent)
-		c.setSize()
-	}
-}

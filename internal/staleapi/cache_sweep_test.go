@@ -102,12 +102,6 @@ func (c *refCache) do(key string, ok bool) {
 	c.sweep(now)
 }
 
-func (c *refCache) invalidate(key string) {
-	if el, ok := c.items[key]; ok {
-		c.remove(el)
-	}
-}
-
 func (c *refCache) keys() []string {
 	out := make([]string, 0, len(c.items))
 	for k := range c.items {
@@ -130,8 +124,8 @@ func (c *Cache) retainedKeys() []string {
 }
 
 // TestCacheRetentionMatchesReferenceSweep drives the cache and the reference
-// through seeded random sequences of stores, hits, failing loads, clock
-// advances and invalidations under every combination of bounds, and requires
+// through seeded random sequences of stores, hits, failing loads and clock
+// advances under every combination of bounds, and requires
 // the same retained keys, Len and eviction count after every step.
 func TestCacheRetentionMatchesReferenceSweep(t *testing.T) {
 	const ttl = time.Minute
@@ -169,9 +163,6 @@ func TestCacheRetentionMatchesReferenceSweep(t *testing.T) {
 				case op < 7:
 					_, _, _ = c.Do(key, func() (any, error) { return nil, errLoader })
 					ref.do(key, false)
-				case op < 8:
-					c.Invalidate(key)
-					ref.invalidate(key)
 				default:
 					// From a few seconds to several TTLs, so runs of entries
 					// expire together and some overstay the stale TTL.

@@ -111,21 +111,6 @@ func TestCacheStaleNotServedWithoutLastGood(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateDropsLastGood(t *testing.T) {
-	c := NewCache(8, time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	boom := errors.New("upstream down")
-
-	c.Do("k", func() (any, error) { return "good", nil })
-	now = now.Add(2 * time.Minute)
-	c.Invalidate("k")
-	_, info, err := c.Do("k", func() (any, error) { return nil, boom })
-	if err != boom || info.Stale {
-		t.Fatalf("invalidated last-good still served: %+v %v", info, err)
-	}
-}
-
 func TestCacheSingleflight(t *testing.T) {
 	c := NewCache(8, time.Minute)
 	var loads atomic.Int32
@@ -162,16 +147,6 @@ func TestCacheSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got %v", i, v)
 		}
 	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(8, time.Hour)
-	c.Do("k", func() (any, error) { return 1, nil })
-	c.Invalidate("k")
-	if _, info, _ := c.Do("k", func() (any, error) { return 2, nil }); info.Hit {
-		t.Fatal("invalidated key still cached")
-	}
-	c.Invalidate("never-existed") // no-op
 }
 
 func TestCacheZeroMaxStillSingleflights(t *testing.T) {
@@ -250,10 +225,6 @@ func TestCacheSizeGaugeOverride(t *testing.T) {
 	if g.Value() != 1 {
 		t.Fatalf("gauge = %v, want 1", g.Value())
 	}
-	c.Invalidate("k")
-	if g.Value() != 0 {
-		t.Fatalf("gauge = %v, want 0 after invalidate", g.Value())
-	}
 }
 
 // Peek reads what is retained, fresh or expired, and is invisible: no
@@ -287,9 +258,5 @@ func TestCachePeekLeavesNoTrace(t *testing.T) {
 	}
 	if _, ok := c.Peek("b"); !ok {
 		t.Fatal("the more recently used key was evicted")
-	}
-	c.Invalidate("b")
-	if _, ok := c.Peek("b"); ok {
-		t.Fatal("Peek found an invalidated key")
 	}
 }

@@ -110,8 +110,7 @@ func NewServer(cfg Config) *Server {
 	}
 }
 
-// Cache exposes the staleness cache (the ingest loop invalidates domains
-// that just received new certificates).
+// Cache exposes the response cache.
 func (s *Server) Cache() *Cache { return s.cache }
 
 // Handler returns the API mux. Wrap it in obs.Middleware for RED metrics,

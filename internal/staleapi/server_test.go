@@ -183,16 +183,6 @@ func TestStalenessEndpointCachesEvidence(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("cached query refetched evidence: calls = %d", calls.Load())
 	}
-
-	// Invalidation (what the ingest loop does on new certs) forces a refetch.
-	srv.Cache().Invalidate("staleness:alpha.com")
-	_, body = get(t, ts, "/v1/domain/alpha.com/staleness")
-	if err := json.Unmarshal(body, &sr); err != nil || sr.Cached {
-		t.Fatalf("post-invalidate payload = %+v, %v", sr, err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("invalidate did not refetch: calls = %d", calls.Load())
-	}
 }
 
 func TestStalenessEvidenceErrors(t *testing.T) {

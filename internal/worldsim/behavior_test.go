@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"stalecert/internal/ca"
-	"stalecert/internal/dnssim"
 	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
@@ -200,36 +199,5 @@ func TestDisabledCollectionsStayEmpty(t *testing.T) {
 	}
 	if len(w.Ledger.Rows()) != 0 {
 		t.Error("ledger recorded outside window")
-	}
-}
-
-func TestExportZoneRoundTrips(t *testing.T) {
-	s := Quick()
-	s.Start = simtime.MustParse("2020-01-01")
-	s.End = simtime.MustParse("2020-12-31")
-	s.BaseDailyRegistrations = 2
-	s.WHOISWindow = simtime.Span{}
-	s.ADNSWindow = simtime.Span{}
-	s.CRLWindow = simtime.Span{}
-	s.GoDaddyBreach = false
-	w := NewWorld(s)
-	w.Run()
-
-	text, err := w.ExportZone("com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if text == "" {
-		t.Fatal("empty zone export")
-	}
-	reparsed, err := dnssim.ParseZoneFile("com", text)
-	if err != nil {
-		t.Fatalf("exported zone does not reparse: %v", err)
-	}
-	if reparsed.Len() == 0 {
-		t.Fatal("reparsed zone empty")
-	}
-	if _, err := w.ExportZone("org"); err == nil {
-		t.Fatal("unknown TLD accepted")
 	}
 }

@@ -747,22 +747,3 @@ func (w *World) finalizeCRLCollection(day simtime.Day) {
 		}
 	}
 }
-
-// ExportZone renders one of the registry zones ("com" or "net") in
-// master-file format — the CZDS-style zone snapshot cmd/dnsscand can serve.
-func (w *World) ExportZone(tld string) (string, error) {
-	var zone *dnssim.Zone
-	switch tld {
-	case "com":
-		zone = w.comZone
-	case "net":
-		zone = w.netZone
-	default:
-		return "", fmt.Errorf("worldsim: no zone for TLD %q", tld)
-	}
-	var out string
-	w.DNS.RLocked(func(map[string]*dnssim.Zone) {
-		out = dnssim.FormatZoneFile(zone)
-	})
-	return out, nil
-}
