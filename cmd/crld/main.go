@@ -5,10 +5,7 @@
 // Usage:
 //
 //	crld [-addr :8785] [-seed-revocations N] [-fail-rate 0.02] [-now 2023-01-01]
-//	     [-debug-addr 127.0.0.1:0] [-log-format text|json] [-chaos-seed 0]
-//	     [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	     [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	     [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
+//	     [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //
 // A non-zero -chaos-seed wraps the listener in resil.NewChaosListener,
 // dropping a deterministic fraction of accepted connections on top of the

@@ -5,10 +5,7 @@
 // Usage:
 //
 //	crlfetch -server http://127.0.0.1:8785 -cas Sectigo,DigiCert [-days 7] [-retries 2]
-//	         [-retry-max 4] [-breaker-threshold 0.5] [-chaos-seed 0]
-//	         [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	         [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	         [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
+//	         [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //
 // -retries is the per-CRL attempt budget inside one collection day (the
 // fetcher's own ledger-aware loop); the resil flags govern the shared

@@ -5,11 +5,8 @@
 // Usage:
 //
 //	ctlogd [-addr :8784] [-name mylog] [-shard-start 2022-01-01 -shard-end 2023-01-01]
-//	       [-seed-entries N] [-seed-domains 1] [-debug-addr 127.0.0.1:0]
-//	       [-log-format text|json] [-chaos-seed 0]
-//	       [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	       [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	       [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
+//	       [-seed-entries N] [-seed-domains 1]
+//	       [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //
 // A non-zero -chaos-seed wraps the listener in resil.NewChaosListener, which
 // drops a deterministic fraction of accepted connections — server-side fault

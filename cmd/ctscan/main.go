@@ -5,10 +5,7 @@
 // Usage:
 //
 //	ctscan -log http://127.0.0.1:8784 [-from N] [-verify] [-print]
-//	       [-retry-max 4] [-breaker-threshold 0.5] [-chaos-seed 0]
-//	       [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	       [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	       [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
+//	       [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //
 // Scrapes go through the resilience layer: transient log failures (connection
 // resets, 5xx, torn bodies) are retried with backoff before the scrape fails.

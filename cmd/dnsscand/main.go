@@ -8,9 +8,7 @@
 //	dnsscand -serve -zonefile com.zone [-addr 127.0.0.1:5353]
 //	dnsscand -scan -server 127.0.0.1:5353 -domains example.com,foo.com
 //
-// Both modes accept the shared observability flags (-debug-addr, -log-format,
-// -log-level, -trace-buffer, -trace-sample, -trace-slow, -slo, -slo-interval,
-// -profile-dir, -latency-buckets, -log-buffer).
+// Both modes accept the observability flags obs.BindFlags registers.
 package main
 
 import (

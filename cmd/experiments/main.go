@@ -4,9 +4,7 @@
 // Usage:
 //
 //	experiments [-scale quick|test|full] [-seed N] [-artifact NAME | -all | -headline]
-//	            [-debug-addr 127.0.0.1:0] [-trace-buffer 256] [-trace-sample 0.1]
-//	            [-trace-slow 250ms] [-slo availability:99.9,latency:99:250ms]
-//	            [-profile-dir DIR] [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
+//	            [observability flags: obs.BindFlags]
 //
 // Artifacts: table3 table4 table5 table6 table7
 //

@@ -13,10 +13,10 @@
 // once ever. Every round's samples are also appended to an in-memory
 // time-series database (bounded by -tsdb-retention and -tsdb-max-series)
 // that answers instant and range expression queries at /fleet/query —
-// rate(), increase(), irate(), *_over_time(), histogram_quantile() and
-// by-label aggregation — and drives -record recording rules and -alert-rule
-// alert rules, evaluated each round on the same engine as the built-in
-// alert families.
+// rate(), irate(), count_over_time(), histogram_quantile(), sum/min/max by
+// label, arithmetic and comparisons — and drives -record recording rules and
+// -alert-rule alert rules, evaluated each round on the same engine as the
+// built-in alert families.
 //
 // Usage:
 //
@@ -26,11 +26,7 @@
 //	       [-fleet-log-buffer 4096] [-error-burst-threshold 1]
 //	       [-tsdb-retention 15m] [-tsdb-max-series 50000]
 //	       [-record name=expr ...] [-alert-rule name=expr ...]
-//	       [-debug-addr 127.0.0.1:0] [-log-format text|json] [-log-buffer 1024]
-//	       [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	       [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	       [-latency-buckets 1ms,5ms,...]
-//	       [-retry-max 4] [-breaker-threshold 0.5] [-chaos-seed 0]
+//	       [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //
 // Scrapes run through the resilience layer (retries + per-peer circuit
 // breakers). When some targets are down the aggregator keeps serving their

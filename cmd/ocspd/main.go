@@ -6,10 +6,7 @@
 // Usage:
 //
 //	ocspd [-addr 127.0.0.1:8786] [-seed-revocations N] [-now 2023-01-01]
-//	      [-debug-addr 127.0.0.1:0] [-log-format text|json]
-//	      [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	      [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	      [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
+//	      [observability flags: obs.BindFlags]
 package main
 
 import (

@@ -28,11 +28,8 @@
 //	          [-interval 5s] [-lag-threshold 0] [-whois 127.0.0.1:4343]
 //	          [-dns 127.0.0.1:5353] [-crl http://127.0.0.1:8785]
 //	          [-now 2023-01-01] [-marker cloudflaressl.com]
-//	          [-cache-entries 1024] [-cache-ttl 5s] [-debug-addr 127.0.0.1:0]
-//	          [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	          [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	          [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
-//	          [-retry-max 4] [-breaker-threshold 0.5] [-chaos-seed 0]
+//	          [-cache-entries 1024] [-cache-ttl 5s]
+//	          [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //	          [-shard i/N] [-shard-epoch 1] [-shard-vnodes 128]
 //
 // With -shard i/N the replica is one slice of a consistent-hash fleet: it

@@ -4,10 +4,7 @@
 //
 // Usage:
 //
-//	staled [-scale quick|test|full] [-seed N] [-json] [-debug-addr 127.0.0.1:0]
-//	       [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	       [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	       [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
+//	staled [-scale quick|test|full] [-seed N] [-json] [observability flags: obs.BindFlags]
 package main
 
 import (

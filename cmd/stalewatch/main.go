@@ -13,10 +13,7 @@
 //
 //	stalewatch -log http://127.0.0.1:8784 [-whois 127.0.0.1:4343] [-dns 127.0.0.1:5353]
 //	           [-crl http://127.0.0.1:8785] [-domains a.com,b.com] [-interval 10s] [-once]
-//	           [-jsonl] [-store DIR] [-retry-max 4] [-breaker-threshold 0.5] [-chaos-seed 0]
-//	           [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	           [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	           [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
+//	           [-jsonl] [-store DIR] [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //
 // Point it at cmd/ctlogd, cmd/whoisd, cmd/dnsscand and cmd/crld instances
 // (or real deployments of the same protocols); a source left unconfigured

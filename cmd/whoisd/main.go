@@ -3,10 +3,7 @@
 //
 // Usage:
 //
-//	whoisd [-addr 127.0.0.1:4343] [-seed-domains N] [-debug-addr 127.0.0.1:0]
-//	       [-trace-buffer 256] [-trace-sample 0.1] [-trace-slow 250ms]
-//	       [-slo availability:99.9,latency:99:250ms] [-profile-dir DIR]
-//	       [-latency-buckets 1ms,5ms,...] [-log-buffer 1024]
+//	whoisd [-addr 127.0.0.1:4343] [-seed-domains N] [observability flags: obs.BindFlags]
 //	whoisd -query example000001.com [-server 127.0.0.1:4343]
 package main
 

@@ -21,6 +21,7 @@ import (
 	"stalecert/internal/ca"
 	"stalecert/internal/dnsname"
 	"stalecert/internal/dnssim"
+	"stalecert/internal/monitor"
 	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
@@ -151,14 +152,11 @@ func (p *Provider) IsManagedCert(c *x509sim.Certificate) bool {
 }
 
 // HasMarkerSAN reports whether a certificate carries a managed-TLS marker
-// SAN under the given suffix.
+// SAN under the given suffix: the §4.3 test the live path applies, so the
+// world the simulator builds and the evidence gatherer that reads it agree on
+// which certificates are managed.
 func HasMarkerSAN(c *x509sim.Certificate, markerSuffix string) bool {
-	for _, san := range c.Names {
-		if dnsname.IsSubdomain(san, markerSuffix) && strings.HasPrefix(san, "sni") && san != markerSuffix {
-			return true
-		}
-	}
-	return false
+	return monitor.HasProviderMarker(c, markerSuffix)
 }
 
 // Enroll takes a customer domain onto the provider at day: installs the

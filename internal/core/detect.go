@@ -100,6 +100,46 @@ func (s StaleCert) DaysFromIssuance() int {
 // 2021-10-01 (13 months before CRL collection began) are discarded.
 var RevocationFilterCutoff = simtime.MustParse("2021-10-01")
 
+// The paper's three staleness rules (PAPER §1). These functions are the only
+// places an event day meets a validity window to produce a verdict: the batch
+// detectors below, DomainStaleness and EvidenceNeeded all call them, so the
+// live and batch paths cannot drift apart at a boundary day. The two that
+// return a string return "" for a verdict and otherwise the reason label the
+// batch detect_outliers_filtered_total counters record.
+
+// revocationFilter is §4.1: a revocation makes a certificate stale when it
+// falls inside the validity window, ends included, and not before the
+// collection cutoff (simtime.NoDay disables the cutoff).
+func revocationFilter(cert *x509sim.Certificate, revokedAt, cutoff simtime.Day) string {
+	switch {
+	case revokedAt < cert.NotBefore:
+		return "revoked_before_valid"
+	case revokedAt > cert.NotAfter:
+		return "revoked_after_expiry"
+	case cutoff != simtime.NoDay && revokedAt < cutoff:
+		return "before_cutoff"
+	}
+	return ""
+}
+
+// spansCreation is §4.2: notBefore < registryCreationDate < notAfter, both
+// ends excluded.
+func spansCreation(cert *x509sim.Certificate, creation simtime.Day) bool {
+	return cert.NotBefore < creation && creation < cert.NotAfter
+}
+
+// departureFilter is §4.3: a provider-managed certificate still valid on the
+// day the delegation was first seen gone.
+func departureFilter(cert *x509sim.Certificate, isManaged ManagedCertPred, firstGone simtime.Day) string {
+	switch {
+	case !isManaged(cert):
+		return "not_managed"
+	case !cert.ValidOn(firstGone):
+		return "not_valid"
+	}
+	return ""
+}
+
 // RevocationStats accounts for the §4.1 filtering steps.
 type RevocationStats struct {
 	TotalRevocations   int // CRL entries seen
@@ -119,9 +159,16 @@ func DetectRevoked(idx Index, entries []crl.Entry, cutoff simtime.Day) ([]StaleC
 	stats := RevocationStats{TotalRevocations: len(entries)}
 	examined := detectExamined(MethodRevocation)
 	fNotInCT := detectFiltered(MethodRevocation, "not_in_ct")
-	fBeforeValid := detectFiltered(MethodRevocation, "revoked_before_valid")
-	fAfterExpiry := detectFiltered(MethodRevocation, "revoked_after_expiry")
-	fBeforeCutoff := detectFiltered(MethodRevocation, "before_cutoff")
+	// Where each filter reason is tallied, beside its counter.
+	stat := map[string]*int{
+		"revoked_before_valid": &stats.RevokedBeforeValid,
+		"revoked_after_expiry": &stats.RevokedAfterExpiry,
+		"before_cutoff":        &stats.BeforeCutoff,
+	}
+	filtered := map[string]*obs.Counter{}
+	for reason := range stat {
+		filtered[reason] = detectFiltered(MethodRevocation, reason)
+	}
 	emitted := detectEmitted(MethodRevocation)
 	var out []StaleCert
 	for _, e := range entries {
@@ -132,18 +179,9 @@ func DetectRevoked(idx Index, entries []crl.Entry, cutoff simtime.Day) ([]StaleC
 			continue // not in CT: cannot analyse (paper: cross-reference with CT)
 		}
 		stats.MatchedInCT++
-		switch {
-		case e.RevokedAt < cert.NotBefore:
-			stats.RevokedBeforeValid++
-			fBeforeValid.Inc()
-			continue
-		case e.RevokedAt > cert.NotAfter:
-			stats.RevokedAfterExpiry++
-			fAfterExpiry.Inc()
-			continue
-		case cutoff != simtime.NoDay && e.RevokedAt < cutoff:
-			stats.BeforeCutoff++
-			fBeforeCutoff.Inc()
+		if reason := revocationFilter(cert, e.RevokedAt, cutoff); reason != "" {
+			*stat[reason]++
+			filtered[reason].Inc()
 			continue
 		}
 		stats.Kept++
@@ -187,7 +225,7 @@ func DetectRegistrantChange(idx Index, events []whois.ReRegistration) []StaleCer
 	for _, ev := range events {
 		for _, cert := range idx.ByE2LD(ev.Domain) {
 			examined.Inc()
-			if cert.NotBefore < ev.NewCreation && ev.NewCreation < cert.NotAfter {
+			if spansCreation(cert, ev.NewCreation) {
 				emitted.Inc()
 				out = append(out, StaleCert{
 					Cert:     cert,
@@ -213,28 +251,26 @@ type ManagedCertPred func(*x509sim.Certificate) bool
 // disappears between consecutive daily scans (§4.3).
 func DetectManagedTLSDeparture(idx Index, departures []dnssim.Departure, isManaged ManagedCertPred) []StaleCert {
 	examined := detectExamined(MethodManagedTLS)
-	fNotManaged := detectFiltered(MethodManagedTLS, "not_managed")
-	fNotValid := detectFiltered(MethodManagedTLS, "not_valid")
+	filtered := map[string]*obs.Counter{
+		"not_managed": detectFiltered(MethodManagedTLS, "not_managed"),
+		"not_valid":   detectFiltered(MethodManagedTLS, "not_valid"),
+	}
 	emitted := detectEmitted(MethodManagedTLS)
 	var out []StaleCert
 	for _, dep := range departures {
 		for _, cert := range idx.ByE2LD(dep.Domain) {
 			examined.Inc()
-			if !isManaged(cert) {
-				fNotManaged.Inc()
+			if reason := departureFilter(cert, isManaged, dep.FirstGone); reason != "" {
+				filtered[reason].Inc()
 				continue
 			}
-			if cert.ValidOn(dep.FirstGone) {
-				emitted.Inc()
-				out = append(out, StaleCert{
-					Cert:     cert,
-					Method:   MethodManagedTLS,
-					EventDay: dep.FirstGone,
-					Domain:   dep.Domain,
-				})
-			} else {
-				fNotValid.Inc()
-			}
+			emitted.Inc()
+			out = append(out, StaleCert{
+				Cert:     cert,
+				Method:   MethodManagedTLS,
+				EventDay: dep.FirstGone,
+				Domain:   dep.Domain,
+			})
 		}
 	}
 	sortStale(out)

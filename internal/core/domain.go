@@ -82,11 +82,7 @@ func DomainStaleness(idx Index, domain string, ev DomainEvidence) []StaleCert {
 			if !ok {
 				continue
 			}
-			switch {
-			case e.RevokedAt < cert.NotBefore:
-			case e.RevokedAt > cert.NotAfter:
-			case ev.RevocationCutoff != simtime.NoDay && e.RevokedAt < ev.RevocationCutoff:
-			default:
+			if revocationFilter(cert, e.RevokedAt, ev.RevocationCutoff) == "" {
 				out = append(out, StaleCert{
 					Cert:     cert,
 					Method:   MethodRevocation,
@@ -102,7 +98,7 @@ func DomainStaleness(idx Index, domain string, ev DomainEvidence) []StaleCert {
 			continue
 		}
 		for _, cert := range certs {
-			if cert.NotBefore < rr.NewCreation && rr.NewCreation < cert.NotAfter {
+			if spansCreation(cert, rr.NewCreation) {
 				out = append(out, StaleCert{
 					Cert:     cert,
 					Method:   MethodRegistrantChange,
@@ -119,7 +115,7 @@ func DomainStaleness(idx Index, domain string, ev DomainEvidence) []StaleCert {
 				continue
 			}
 			for _, cert := range certs {
-				if ev.IsManaged(cert) && cert.ValidOn(dep.FirstGone) {
+				if departureFilter(cert, ev.IsManaged, dep.FirstGone) == "" {
 					out = append(out, StaleCert{
 						Cert:     cert,
 						Method:   MethodManagedTLS,
@@ -144,7 +140,7 @@ func DomainStaleness(idx Index, domain string, ev DomainEvidence) []StaleCert {
 // are joined by key, not asked per domain, and are not covered.
 func EvidenceNeeded(certs []*x509sim.Certificate, isManaged ManagedCertPred, day simtime.Day) (registrantChange, departure bool) {
 	for _, cert := range certs {
-		if isManaged != nil && isManaged(cert) && cert.ValidOn(day) {
+		if isManaged != nil && departureFilter(cert, isManaged, day) == "" {
 			return true, true
 		}
 	}

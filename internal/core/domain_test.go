@@ -271,3 +271,66 @@ func TestEvidenceNeededDropsOnlyWhatCannotMatter(t *testing.T) {
 			droppedRereg, droppedDeps, tight)
 	}
 }
+
+// TestStalenessBoundaries walks one certificate, valid [100, 900], through
+// the boundary days of the paper's three rules and requires the batch
+// detector, DomainStaleness and EvidenceNeeded to agree row by row: the same
+// verdict from the first two, and never a verdict from a source EvidenceNeeded
+// said not to ask (for departures it is exact: needed iff a verdict).
+func TestStalenessBoundaries(t *testing.T) {
+	managed := func(c *x509sim.Certificate) bool { return len(c.Names) > 1 }
+	plain := domCert(t, 1, []string{"edge.com"}, 100, 900)
+	boat := domCert(t, 2, []string{"edge.com", "sni1.cloudflaressl.com"}, 100, 900)
+	for _, tc := range []struct {
+		name   string
+		cert   *x509sim.Certificate
+		method Method
+		day    simtime.Day
+		cutoff simtime.Day
+		stale  bool
+	}{
+		{"revoked the day before notBefore", plain, MethodRevocation, 99, simtime.NoDay, false},
+		{"revoked on notBefore", plain, MethodRevocation, 100, simtime.NoDay, true},
+		{"revoked one day in", plain, MethodRevocation, 101, simtime.NoDay, true},
+		{"revoked one day before notAfter", plain, MethodRevocation, 899, simtime.NoDay, true},
+		{"revoked on notAfter", plain, MethodRevocation, 900, simtime.NoDay, true},
+		{"revoked the day after notAfter", plain, MethodRevocation, 901, simtime.NoDay, false},
+		{"revoked the day before the cutoff", plain, MethodRevocation, 199, 200, false},
+		{"revoked on the cutoff", plain, MethodRevocation, 200, 200, true},
+		{"re-registered on notBefore", plain, MethodRegistrantChange, 100, simtime.NoDay, false},
+		{"re-registered one day in", plain, MethodRegistrantChange, 101, simtime.NoDay, true},
+		{"re-registered one day before notAfter", plain, MethodRegistrantChange, 899, simtime.NoDay, true},
+		{"re-registered on notAfter", plain, MethodRegistrantChange, 900, simtime.NoDay, false},
+		{"departed the day before notBefore", boat, MethodManagedTLS, 99, simtime.NoDay, false},
+		{"departed on notBefore", boat, MethodManagedTLS, 100, simtime.NoDay, true},
+		{"departed on notAfter", boat, MethodManagedTLS, 900, simtime.NoDay, true},
+		{"expired on the departure day", boat, MethodManagedTLS, 901, simtime.NoDay, false},
+		{"unmanaged on the departure day", plain, MethodManagedTLS, 500, simtime.NoDay, false},
+	} {
+		corpus := NewCorpus([]*x509sim.Certificate{tc.cert}, CorpusOptions{})
+		ev := DomainEvidence{RevocationCutoff: tc.cutoff, IsManaged: managed}
+		var batch []StaleCert
+		switch tc.method {
+		case MethodRevocation:
+			ev.Revocations = []crl.Entry{{Issuer: tc.cert.Issuer, Serial: tc.cert.Serial, RevokedAt: tc.day}}
+			batch, _ = DetectRevoked(corpus, ev.Revocations, tc.cutoff)
+		case MethodRegistrantChange:
+			ev.ReRegistrations = []whois.ReRegistration{{Domain: "edge.com", NewCreation: tc.day}}
+			batch = DetectRegistrantChange(corpus, ev.ReRegistrations)
+		case MethodManagedTLS:
+			ev.Departures = []dnssim.Departure{{Domain: "edge.com", LastSeen: tc.day - 1, FirstGone: tc.day}}
+			batch = DetectManagedTLSDeparture(corpus, ev.Departures, managed)
+		}
+		live := DomainStaleness(corpus, "edge.com", ev)
+		if (len(batch) == 1) != tc.stale || !reflect.DeepEqual(live, batch) {
+			t.Errorf("%s: batch %v, live %v, want stale=%v from both", tc.name, batch, live, tc.stale)
+		}
+		registrant, departure := EvidenceNeeded(corpus.ByE2LD("edge.com"), managed, tc.day)
+		if tc.method == MethodRegistrantChange && tc.stale && !registrant {
+			t.Errorf("%s: a verdict from a source EvidenceNeeded would not ask", tc.name)
+		}
+		if tc.method == MethodManagedTLS && departure != tc.stale {
+			t.Errorf("%s: EvidenceNeeded says departure=%v, the detectors say stale=%v", tc.name, departure, tc.stale)
+		}
+	}
+}

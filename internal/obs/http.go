@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -21,7 +20,6 @@ import (
 // DefaultHealth probe set:
 //
 //	/metrics      Prometheus text exposition format
-//	/debug/vars   expvar-compatible JSON (standard vars + every metric)
 //	/debug/pprof  the net/http/pprof profiles
 //	/healthz      liveness (always 200 while the process serves)
 //	/readyz       readiness: 200 once every registered probe passes
@@ -52,10 +50,6 @@ func HandlerFor(r *Registry, health *Health) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WriteProm(w, r)
-	})
-	mux.HandleFunc("GET /debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		writeVars(w, r)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -109,35 +103,6 @@ func WriteBody(w http.ResponseWriter, status int, contentType string, body []byt
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
-}
-
-// writeVars emits expvar-compatible JSON: the process's published expvars
-// (cmdline, memstats, ...) followed by every registry metric keyed by its
-// full name.
-func writeVars(w io.Writer, r *Registry) {
-	fmt.Fprintf(w, "{\n")
-	first := true
-	expvar.Do(func(kv expvar.KeyValue) {
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
-	})
-	for _, s := range r.Snapshot() {
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		key, _ := json.Marshal(s.FullName())
-		switch s.Kind {
-		case KindCounter, KindGauge:
-			fmt.Fprintf(w, "%s: %s", key, FormatFloat(s.Value))
-		case KindHistogram:
-			fmt.Fprintf(w, "%s: {\"count\": %d, \"sum\": %s}", key, s.Count, FormatFloat(s.Sum))
-		}
-	}
-	fmt.Fprintf(w, "\n}\n")
 }
 
 // StartDebugServer serves a debug handler (typically Handler or HandlerFor

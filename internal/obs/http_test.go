@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -64,37 +63,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !promLine.MatchString(line) {
 			t.Errorf("invalid Prometheus line %q", line)
 		}
-	}
-}
-
-func TestDebugVarsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler(populated()))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("vars output is not valid JSON: %v\n%s", err, body)
-	}
-	// Standard expvars published by importing expvar.
-	if _, ok := vars["cmdline"]; !ok {
-		t.Error("vars missing cmdline")
-	}
-	if _, ok := vars["memstats"]; !ok {
-		t.Error("vars missing memstats")
-	}
-	if got, ok := vars[`requests_total{endpoint="get-entries"}`]; !ok || got.(float64) != 5 {
-		t.Errorf("vars counter = %v (present=%v)", got, ok)
-	}
-	hist, ok := vars["latency_seconds"].(map[string]any)
-	if !ok || hist["count"].(float64) != 3 {
-		t.Errorf("vars histogram = %v", vars["latency_seconds"])
 	}
 }
 

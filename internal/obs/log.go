@@ -79,19 +79,18 @@ type Flags struct {
 	SLO             string
 	SLOInterval     time.Duration
 	ProfileDir      string
-	LatencyBuckets  string
 	ChaosSrvLatency time.Duration
 	ChaosSrvRate    float64
 }
 
 // BindFlags registers -debug-addr, -log-format, -log-level, -log-buffer, the
 // tracing flags -trace-buffer/-trace-sample/-trace-slow, the SLO flags
-// -slo/-slo-interval, -profile-dir, -latency-buckets and the server-side
-// chaos latency flags on fs.
+// -slo/-slo-interval, -profile-dir and the server-side chaos latency flags
+// on fs.
 func BindFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.DebugAddr, "debug-addr", "",
-		"serve /metrics, /debug/vars and /debug/pprof on this address (empty disables)")
+		"serve /metrics and /debug/pprof on this address (empty disables)")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "log output format: text or json")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log level: debug, info, warn or error")
 	fs.IntVar(&f.LogBuffer, "log-buffer", DefaultLogBuffer,
@@ -109,9 +108,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 		"SLO burn-rate sampling interval")
 	fs.StringVar(&f.ProfileDir, "profile-dir", "",
 		"directory for triggered pprof captures served at /v1/profiles (empty disables)")
-	fs.StringVar(&f.LatencyBuckets, "latency-buckets", "",
-		"override default latency histogram bucket bounds: comma-separated "+
-			"ascending durations, e.g. 100us,250us,1ms,5ms,25ms,100ms,250ms,1s,5s")
 	fs.DurationVar(&f.ChaosSrvLatency, "chaos-server-latency", 0,
 		"TEST ONLY: delay injected into handled requests (0 disables)")
 	fs.Float64Var(&f.ChaosSrvRate, "chaos-server-latency-rate", 1,
@@ -121,8 +117,8 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 
 // Setup installs the configured logger (tagged with the component name),
 // sizes the process-wide log ring (-log-buffer) and span store (-trace-*
-// flags), applies -latency-buckets, registers the build_info and Go runtime
-// gauges, starts the SLO burn-rate engine (-slo) with triggered profiling
+// flags), registers the build_info and Go runtime gauges, starts the SLO
+// burn-rate engine (-slo) with triggered profiling
 // (-profile-dir) mounted at /v1/profile(s) — captures embed a log-ring
 // black-box snapshot — arms server-side chaos latency when asked, and, when
 // -debug-addr is set, starts the debug endpoint server — the Default
@@ -141,15 +137,6 @@ func (f *Flags) Setup(component string) (*slog.Logger, func(context.Context) err
 		SetDefaultSpans(NewSpanStore(f.TraceBuffer, f.TraceSample, f.TraceSlow))
 	} else {
 		SetDefaultSpans(nil)
-	}
-	if f.LatencyBuckets != "" {
-		bounds, err := ParseLatencyBuckets(f.LatencyBuckets)
-		if err == nil {
-			err = SetDurationBuckets(bounds)
-		}
-		if err != nil {
-			logger.Error("bad -latency-buckets, keeping defaults", "err", err)
-		}
 	}
 	RegisterRuntimeMetrics(Default(), component)
 
@@ -201,7 +188,7 @@ func (f *Flags) Setup(component string) (*slog.Logger, func(context.Context) err
 			logger.Error("debug server failed to start", "addr", f.DebugAddr, "err", err)
 		} else {
 			logger.Info("debug endpoints up", "addr", bound,
-				"endpoints", "/metrics /debug/vars /debug/pprof /healthz /readyz /v1/traces /v1/logs /v1/loglevel /v1/profiles")
+				"endpoints", "/metrics /debug/pprof /healthz /readyz /v1/traces /v1/logs /v1/loglevel /v1/profiles")
 			stop = func(ctx context.Context) error { sloStop(); return shutdown(ctx) }
 		}
 	}

@@ -1,7 +1,7 @@
 // Package obs is the stdlib-only observability layer shared by every daemon
 // and pipeline stage: a lock-cheap metrics registry (counters, gauges,
 // log-bucketed histograms with labels), request middleware and a span store
-// for distributed traces, Prometheus / expvar / pprof HTTP exposition, and
+// for distributed traces, Prometheus / pprof HTTP exposition, and
 // slog setup. Instrumented packages use the process-wide Default registry;
 // tests can construct private registries. The fleet side — scraping,
 // federating and querying what these daemons expose — is internal/obsagg.
@@ -12,11 +12,8 @@ import (
 	"maps"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kind discriminates metric types.
@@ -146,67 +143,10 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // DurationBuckets covers 1µs through ~72min in ×4 steps — the default for
-// latency histograms (observe seconds). Override before any histogram is
-// registered via SetDurationBuckets (the -latency-buckets flag): the ×4
-// default loses resolution for sub-millisecond cache hits and makes latency
-// SLO thresholds interpolate instead of landing on a boundary.
+// latency histograms (observe seconds). A histogram that needs a boundary
+// somewhere in particular, such as on an SLO threshold, passes its own bounds
+// to Registry.Histogram.
 var DurationBuckets = ExpBuckets(1e-6, 4, 16)
-
-// SetDurationBuckets replaces the default latency bucket boundaries used by
-// every histogram registered afterwards. Call before serving traffic
-// (Flags.Setup does, from -latency-buckets): histograms already registered
-// keep their bounds.
-func SetDurationBuckets(bounds []float64) error {
-	if len(bounds) == 0 {
-		return fmt.Errorf("obs: empty bucket list")
-	}
-	for i, b := range bounds {
-		if b <= 0 || math.IsInf(b, 0) || math.IsNaN(b) {
-			return fmt.Errorf("obs: bucket bound %v is not a positive finite value", b)
-		}
-		if i > 0 && b <= bounds[i-1] {
-			return fmt.Errorf("obs: bucket bounds must be strictly ascending (%v after %v)", b, bounds[i-1])
-		}
-	}
-	DurationBuckets = bounds
-	return nil
-}
-
-// ParseLatencyBuckets parses the -latency-buckets flag syntax — a
-// comma-separated ascending list of Go durations ("250us,1ms,5ms,250ms,1s")
-// — into histogram upper bounds in seconds.
-func ParseLatencyBuckets(spec string) ([]float64, error) {
-	parts := strings.Split(spec, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		d, err := parseDurationOrSeconds(p)
-		if err != nil {
-			return nil, fmt.Errorf("obs: bad latency bucket %q: %w", p, err)
-		}
-		out = append(out, d)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("obs: no buckets in %q", spec)
-	}
-	return out, nil
-}
-
-// parseDurationOrSeconds accepts a Go duration ("250ms") or a bare float
-// second count ("0.25").
-func parseDurationOrSeconds(s string) (float64, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return d.Seconds(), nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("neither a duration nor seconds")
-	}
-	return v, nil
-}
 
 // SizeBuckets covers 1B through ~1GiB in ×4 steps — the default for payload
 // sizes (observe bytes).

@@ -235,8 +235,7 @@ func collectSLO(samples []Sample, service string, spec SLOSpec) (good, total flo
 
 // goodUnderThreshold estimates how many of a histogram's observations fell
 // at or under the threshold, interpolating linearly within the straddling
-// bucket. Aligning a bucket boundary to the threshold (-latency-buckets)
-// makes the count exact.
+// bucket. A bucket boundary on the threshold makes the count exact.
 func goodUnderThreshold(s Sample, threshold float64) float64 {
 	prevBound, prevCum := 0.0, 0.0
 	for _, b := range s.Buckets {

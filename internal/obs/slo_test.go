@@ -144,7 +144,7 @@ func TestSLOFastSlowWindowDisagreement(t *testing.T) {
 }
 
 // TestSLOLatencyObjective checks the latency kind against the RED histogram,
-// including the threshold-on-boundary case -latency-buckets enables.
+// including the threshold-on-boundary case explicit bounds enable.
 func TestSLOLatencyObjective(t *testing.T) {
 	reg := NewRegistry()
 	e, _ := sloEngine(t, reg, "latency:99:250ms")

@@ -94,6 +94,20 @@ type TraceTreeJSON struct {
 	Logs       []LogRecord   `json:"logs,omitempty"`
 }
 
+// Tree is the record as that payload: its spans assembled into trees, logs
+// beside them.
+func (tr TraceRecord) Tree(logs []LogRecord) TraceTreeJSON {
+	return TraceTreeJSON{
+		TraceID:    tr.TraceID,
+		Duration:   tr.Duration,
+		Services:   tr.Services,
+		Error:      tr.Error,
+		KeepReason: tr.KeepReason,
+		Spans:      BuildSpanTree(tr.Spans),
+		Logs:       logs,
+	}
+}
+
 // BuildSpanTree assembles flat spans (possibly from several daemons) into
 // trees: each span attaches under the span whose ID it names as parent;
 // spans whose parent was not captured become roots. Duplicate span IDs are
@@ -365,16 +379,13 @@ type TraceFilter struct {
 	WithSpans bool
 }
 
-// Traces returns kept traces newest-first under the filter.
-func (s *SpanStore) Traces(f TraceFilter) []TraceRecord {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TraceRecord, 0, len(s.keptOrder))
-	for i := len(s.keptOrder) - 1; i >= 0; i-- {
-		tr := s.kept[s.keptOrder[i]]
+// Select visits n records through at, oldest at index 0, and returns copies
+// of those the filter keeps, newest first: the one listing behind both the
+// per-daemon /v1/traces and the fleet /fleet/traces.
+func (f TraceFilter) Select(n int, at func(i int) *TraceRecord) []TraceRecord {
+	out := make([]TraceRecord, 0, n)
+	for i := n - 1; i >= 0; i-- {
+		tr := at(i)
 		if f.Route != "" && tr.Route != f.Route {
 			continue
 		}
@@ -390,6 +401,16 @@ func (s *SpanStore) Traces(f TraceFilter) []TraceRecord {
 		}
 	}
 	return out
+}
+
+// Traces returns kept traces newest-first under the filter.
+func (s *SpanStore) Traces(f TraceFilter) []TraceRecord {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return f.Select(len(s.keptOrder), func(i int) *TraceRecord { return s.kept[s.keptOrder[i]] })
 }
 
 // Trace returns one kept trace with its spans.
@@ -508,14 +529,6 @@ func serveTraceTree(s *SpanStore, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown trace", http.StatusNotFound)
 		return
 	}
-	WriteJSON(w, http.StatusOK, TraceTreeJSON{
-		TraceID:    tr.TraceID,
-		Duration:   tr.Duration,
-		Services:   tr.Services,
-		Error:      tr.Error,
-		KeepReason: tr.KeepReason,
-		Spans:      BuildSpanTree(tr.Spans),
-		// The local drill-down: this process's ring lines for the trace.
-		Logs: DefaultLogRing().Query(LogFilter{TraceID: tr.TraceID}),
-	})
+	// The local drill-down: this process's ring lines for the trace.
+	WriteJSON(w, http.StatusOK, tr.Tree(DefaultLogRing().Query(LogFilter{TraceID: tr.TraceID})))
 }

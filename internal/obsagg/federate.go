@@ -8,6 +8,7 @@ package obsagg
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -167,7 +168,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) {
 	for _, t := range a.Targets {
 		samples, err := a.scrapeTarget(ctx, hc, t)
 		a.record(t, samples, err)
-		traces, terr := a.scrapeTraces(ctx, hc, t)
+		traces, terr := scrapeJSON[obs.TraceRecord](ctx, a, hc, t, "/v1/traces?spans=1")
 		if terr != nil {
 			a.logger().Warn("trace scrape failed", "job", t.Job, "instance", t.Instance(), "err", terr)
 		} else {
@@ -208,34 +209,60 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) {
 	a.reg().Gauge("obsagg_tsdb_dropped_series").Set(float64(db.DroppedSeries()))
 }
 
-func (a *Aggregator) scrapeTarget(ctx context.Context, hc *http.Client, t Target) ([]obs.Sample, error) {
+// scrape is the one HTTP exchange of a round: GET path on the target's debug
+// listener under the scrape timeout, the 200 body handed to decode. optional
+// says a 404 means the daemon runs without that endpoint (-trace-buffer=0,
+// -log-buffer=0 or an older build) and there is nothing to decode, rather
+// than that the scrape failed.
+func (a *Aggregator) scrape(ctx context.Context, hc *http.Client, t Target, path string, optional bool, decode func(io.Reader) error) error {
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, strings.TrimSuffix(t.URL, "/")+"/metrics", nil)
+	req, err := http.NewRequestWithContext(sctx, http.MethodGet, strings.TrimSuffix(t.URL, "/")+path, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
+	if optional && resp.StatusCode == http.StatusNotFound {
+		return nil
+	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obsagg: scrape %s: status %d", t.URL, resp.StatusCode)
+		return fmt.Errorf("obsagg: scrape %s%s: status %d", t.URL, path, resp.StatusCode)
 	}
-	samples, err := obs.ParseProm(resp.Body)
-	if err != nil {
-		return nil, err
+	if err := decode(resp.Body); err != nil {
+		return fmt.Errorf("obsagg: decode %s%s: %w", t.URL, path, err)
 	}
-	out := make([]obs.Sample, 0, len(samples))
-	for _, s := range samples {
-		rs, err := obs.WithLabels(s, "job", t.Job, "instance", t.Instance())
+	return nil
+}
+
+// scrapeJSON scrapes an optional endpoint that answers one JSON array.
+func scrapeJSON[T any](ctx context.Context, a *Aggregator, hc *http.Client, t Target, path string) ([]T, error) {
+	var out []T
+	err := a.scrape(ctx, hc, t, path, true, func(r io.Reader) error { return json.NewDecoder(r).Decode(&out) })
+	return out, err
+}
+
+func (a *Aggregator) scrapeTarget(ctx context.Context, hc *http.Client, t Target) ([]obs.Sample, error) {
+	var out []obs.Sample
+	err := a.scrape(ctx, hc, t, "/metrics", false, func(r io.Reader) error {
+		samples, err := obs.ParseProm(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, rs)
-	}
-	return out, nil
+		out = make([]obs.Sample, 0, len(samples))
+		for _, s := range samples {
+			rs, err := obs.WithLabels(s, "job", t.Job, "instance", t.Instance())
+			if err != nil {
+				return err
+			}
+			out = append(out, rs)
+		}
+		return nil
+	})
+	return out, err
 }
 
 func (a *Aggregator) ensureMaps() {

@@ -2,12 +2,9 @@ package obsagg
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
 	"sort"
-	"strings"
 	"time"
 
 	"stalecert/internal/obs"
@@ -50,32 +47,11 @@ func (a *Aggregator) scrapeLogs(ctx context.Context, hc *http.Client, t Target) 
 	}
 	a.mu.RUnlock()
 
-	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	u := strings.TrimSuffix(t.URL, "/") + "/v1/logs"
+	path := "/v1/logs"
 	if !since.IsZero() {
-		u += "?since=" + url.QueryEscape(since.UTC().Format(time.RFC3339Nano))
+		path += "?since=" + url.QueryEscape(since.UTC().Format(time.RFC3339Nano))
 	}
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil // log ring disabled on this target
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obsagg: scrape logs %s: status %d", t.URL, resp.StatusCode)
-	}
-	var recs []obs.LogRecord
-	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("obsagg: decode logs from %s: %w", t.URL, err)
-	}
-	return recs, nil
+	return scrapeJSON[obs.LogRecord](ctx, a, hc, t, path)
 }
 
 // mergeLogs folds one target's scraped records into the fleet view: records

@@ -1,9 +1,6 @@
 package obsagg
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
@@ -34,34 +31,6 @@ type fleetTrace struct {
 	// quiet period, so a trace that keeps growing across scrape rounds
 	// keeps alerting instead of firing exactly once forever.
 	lastAlert time.Time
-}
-
-// scrapeTraces fetches one target's kept traces; targets running without
-// tracing (-trace-buffer=0 or an older build) answer 404 and are skipped.
-func (a *Aggregator) scrapeTraces(ctx context.Context, hc *http.Client, t Target) ([]obs.TraceRecord, error) {
-	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	u := strings.TrimSuffix(t.URL, "/") + "/v1/traces?spans=1"
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil // tracing disabled on this target
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obsagg: scrape traces %s: status %d", t.URL, resp.StatusCode)
-	}
-	var traces []obs.TraceRecord
-	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
-		return nil, fmt.Errorf("obsagg: decode traces from %s: %w", t.URL, err)
-	}
-	return traces, nil
 }
 
 // mergeTraces folds one daemon's trace fragments into the fleet view:
@@ -151,24 +120,7 @@ func (a *Aggregator) shouldAlert(ft *fleetTrace) bool {
 func (a *Aggregator) FleetTraces(f obs.TraceFilter) []obs.TraceRecord {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	out := make([]obs.TraceRecord, 0, len(a.traceOrder))
-	for i := len(a.traceOrder) - 1; i >= 0; i-- {
-		ft := a.traces[a.traceOrder[i]]
-		if f.Route != "" && ft.rec.Route != f.Route {
-			continue
-		}
-		if ft.rec.Duration < f.MinDuration {
-			continue
-		}
-		if f.ErrorOnly && !ft.rec.Error {
-			continue
-		}
-		out = append(out, ft.rec.Copy(f.WithSpans))
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
-		}
-	}
-	return out
+	return f.Select(len(a.traceOrder), func(i int) *obs.TraceRecord { return &a.traces[a.traceOrder[i]].rec })
 }
 
 // FleetTrace returns one stitched trace with its spans.
@@ -221,15 +173,7 @@ func (a *Aggregator) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown trace", http.StatusNotFound)
 		return
 	}
-	obs.WriteJSON(w, http.StatusOK, obs.TraceTreeJSON{
-		TraceID:    tr.TraceID,
-		Duration:   tr.Duration,
-		Services:   tr.Services,
-		Error:      tr.Error,
-		KeepReason: tr.KeepReason,
-		Spans:      obs.BuildSpanTree(tr.Spans),
-		// The drill-down layer: every daemon's log lines for this trace,
-		// merged and time-ordered by the fleet log store.
-		Logs: a.FleetTraceLogs(tr.TraceID),
-	})
+	// The drill-down layer: every daemon's log lines for this trace, merged
+	// and time-ordered by the fleet log store.
+	obs.WriteJSON(w, http.StatusOK, tr.Tree(a.FleetTraceLogs(tr.TraceID)))
 }

@@ -14,24 +14,19 @@ import (
 )
 
 // This file implements the fleet query language served at /fleet/query: a
-// small, Prometheus-shaped expression evaluator over the obsagg TSDB.
-// Supported surface — enough for real fleet questions, nothing more:
-//
-//	metric{label="v", other!="x", re=~"a|b"}          instant selector
-//	metric{...}[90s]                                  range selector
-//	rate(m[1m])  increase(m[1m])  irate(m[1m])        counter functions
-//	avg/max/min/sum/count_over_time(m[1m])            window aggregations
-//	histogram_quantile(0.99, m_bucket{...})           log-linear buckets,
-//	                                                  exemplar-aware
-//	sum/avg/min/max/count by (label, ...) (expr)      label aggregation
-//	expr + - * / expr,   expr > < >= <= == != expr    arithmetic & filters
-//
-// Counter functions are restart-aware: a value drop inside the window is
-// treated as a counter reset, contributing only the post-reset value.
+// Prometheus-shaped expression evaluator over the obsagg TSDB, sized to its
+// callers. The language is exactly what a built-in rule (rules.go),
+// stalestat, a README example or an acceptance test says; the one list of
+// those expressions, and of what is refused with which status, is the pair
+// of tables in query_test.go (TestQueryLanguageIsItsUsers,
+// TestQueryRejections). rate and irate are restart-aware: a value drop
+// inside the window is a counter reset and contributes only the post-reset
+// value.
 
 // ---- AST ----
 
-type exprNode interface{ exprString() string }
+// exprNode is numLit, selectorNode, callNode, aggNode or binNode.
+type exprNode interface{}
 
 type numLit struct{ v float64 }
 
@@ -57,34 +52,11 @@ type binNode struct {
 	lhs, rhs exprNode
 }
 
-func (n numLit) exprString() string { return obs.FormatFloat(n.v) }
-func (n selectorNode) exprString() string {
-	s := n.name
-	if len(n.matchers) > 0 {
-		s += "{...}"
-	}
-	if n.rng > 0 {
-		s += "[" + n.rng.String() + "]"
-	}
-	return s
-}
-func (n callNode) exprString() string { return n.fn + "(...)" }
-func (n aggNode) exprString() string  { return n.op + "(...)" }
-func (n binNode) exprString() string {
-	return n.lhs.exprString() + " " + n.op + " " + n.rhs.exprString()
-}
-
 // ---- lexer ----
 
 type token struct {
 	kind byte // 'i' ident, 'n' number, 's' string, 'o' operator/punct, 0 EOF
 	text string
-}
-
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
 }
 
 func isIdentStart(c byte) bool {
@@ -191,13 +163,16 @@ func (p *parser) expect(kind byte, text string) error {
 	return nil
 }
 
-var aggOps = map[string]bool{"sum": true, "avg": true, "min": true, "max": true, "count": true}
+var aggOps = map[string]bool{"sum": true, "min": true, "max": true}
 
-var queryFuncs = map[string]bool{
-	"rate": true, "increase": true, "irate": true,
-	"avg_over_time": true, "max_over_time": true, "min_over_time": true,
-	"sum_over_time": true, "count_over_time": true,
-	"histogram_quantile": true,
+var queryFuncs = map[string]bool{"rate": true, "irate": true, "count_over_time": true, "histogram_quantile": true}
+
+// binaryPrec ranks the binary operators: comparisons bind loosest, then
+// + and -, then * and /. All are left-associative.
+var binaryPrec = map[string]int{
+	">": 1, "<": 1, ">=": 1, "<=": 1, "==": 1, "!=": 1,
+	"+": 2, "-": 2,
+	"*": 3, "/": 3,
 }
 
 // ParseQuery parses one fleet query expression.
@@ -207,7 +182,7 @@ func ParseQuery(src string) (exprNode, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	n, err := p.parseExpr()
+	n, err := p.parseExpr(1)
 	if err != nil {
 		return nil, err
 	}
@@ -217,80 +192,26 @@ func ParseQuery(src string) (exprNode, error) {
 	return n, nil
 }
 
-func (p *parser) parseExpr() (exprNode, error) { return p.parseCompare() }
-
-func (p *parser) parseCompare() (exprNode, error) {
-	lhs, err := p.parseAddSub()
+// parseExpr parses a chain of binary operators binding at least as tightly
+// as minPrec.
+func (p *parser) parseExpr(minPrec int) (exprNode, error) {
+	lhs, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.peek()
-		if t.kind != 'o' {
-			return lhs, nil
-		}
-		switch t.text {
-		case ">", "<", ">=", "<=", "==", "!=":
-			p.next()
-			rhs, err := p.parseAddSub()
-			if err != nil {
-				return nil, err
-			}
-			lhs = binNode{op: t.text, lhs: lhs, rhs: rhs}
-		default:
-			return lhs, nil
-		}
-	}
-}
-
-func (p *parser) parseAddSub() (exprNode, error) {
-	lhs, err := p.parseMulDiv()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind != 'o' || (t.text != "+" && t.text != "-") {
+		prec := binaryPrec[t.text]
+		if t.kind != 'o' || prec == 0 || prec < minPrec {
 			return lhs, nil
 		}
 		p.next()
-		rhs, err := p.parseMulDiv()
+		rhs, err := p.parseExpr(prec + 1)
 		if err != nil {
 			return nil, err
 		}
 		lhs = binNode{op: t.text, lhs: lhs, rhs: rhs}
 	}
-}
-
-func (p *parser) parseMulDiv() (exprNode, error) {
-	lhs, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind != 'o' || (t.text != "*" && t.text != "/") {
-			return lhs, nil
-		}
-		p.next()
-		rhs, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		lhs = binNode{op: t.text, lhs: lhs, rhs: rhs}
-	}
-}
-
-func (p *parser) parseUnary() (exprNode, error) {
-	if t := p.peek(); t.kind == 'o' && t.text == "-" {
-		p.next()
-		n, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return binNode{op: "*", lhs: numLit{-1}, rhs: n}, nil
-	}
-	return p.parsePrimary()
 }
 
 func (p *parser) parsePrimary() (exprNode, error) {
@@ -306,7 +227,7 @@ func (p *parser) parsePrimary() (exprNode, error) {
 	case 'o':
 		if t.text == "(" {
 			p.next()
-			n, err := p.parseExpr()
+			n, err := p.parseExpr(1)
 			if err != nil {
 				return nil, err
 			}
@@ -319,27 +240,27 @@ func (p *parser) parsePrimary() (exprNode, error) {
 	case 'i':
 		p.next()
 		name := t.text
-		if aggOps[name] {
-			if nt := p.peek(); nt.kind == 'i' && nt.text == "by" || nt.kind == 'o' && nt.text == "(" {
-				return p.parseAgg(name)
-			}
-		}
-		if queryFuncs[name] {
-			if nt := p.peek(); nt.kind == 'o' && nt.text == "(" {
-				return p.parseCall(name)
-			}
+		nt := p.peek()
+		call := nt.kind == 'o' && nt.text == "("
+		switch {
+		case aggOps[name] && (call || nt.kind == 'i' && nt.text == "by"):
+			return p.parseAgg(name)
+		case queryFuncs[name] && call:
+			return p.parseCall(name)
+		case call:
+			return nil, fmt.Errorf("unknown function %q", name)
 		}
 		return p.parseSelector(name)
 	}
 	return nil, fmt.Errorf("unexpected end of query")
 }
 
-// parseAgg accepts both `sum by (a, b) (expr)` and `sum(expr) by (a, b)`.
+// parseAgg parses `op (expr)` and `op by (a, b) (expr)`.
 func (p *parser) parseAgg(op string) (exprNode, error) {
 	var by []string
-	var err error
 	if t := p.peek(); t.kind == 'i' && t.text == "by" {
 		p.next()
+		var err error
 		if by, err = p.parseLabelList(); err != nil {
 			return nil, err
 		}
@@ -347,20 +268,24 @@ func (p *parser) parseAgg(op string) (exprNode, error) {
 	if err := p.expect('o', "("); err != nil {
 		return nil, err
 	}
-	arg, err := p.parseExpr()
+	arg, err := p.parseExpr(1)
 	if err != nil {
 		return nil, err
 	}
 	if err := p.expect('o', ")"); err != nil {
 		return nil, err
 	}
-	if t := p.peek(); by == nil && t.kind == 'i' && t.text == "by" {
-		p.next()
-		if by, err = p.parseLabelList(); err != nil {
-			return nil, err
-		}
-	}
 	return aggNode{op: op, by: by, arg: arg}, nil
+}
+
+// endOfElement consumes what must follow a list element: a comma, or the
+// list's closing token (reported as done).
+func (p *parser) endOfElement(closer string) (done bool, err error) {
+	t := p.next()
+	if t.kind == 'o' && (t.text == closer || t.text == ",") {
+		return t.text == closer, nil
+	}
+	return false, fmt.Errorf("expected \",\" or %q, got %q", closer, t.text)
 }
 
 func (p *parser) parseLabelList() ([]string, error) {
@@ -377,8 +302,8 @@ func (p *parser) parseLabelList() ([]string, error) {
 			return nil, fmt.Errorf("expected label name, got %q", t.text)
 		}
 		labels = append(labels, t.text)
-		if nt := p.peek(); nt.kind == 'o' && nt.text == "," {
-			p.next()
+		if done, err := p.endOfElement(")"); done || err != nil {
+			return labels, err
 		}
 	}
 }
@@ -393,13 +318,15 @@ func (p *parser) parseCall(fn string) (exprNode, error) {
 			p.next()
 			break
 		}
-		a, err := p.parseExpr()
+		a, err := p.parseExpr(1)
 		if err != nil {
 			return nil, err
 		}
 		args = append(args, a)
-		if t := p.peek(); t.kind == 'o' && t.text == "," {
-			p.next()
+		if done, err := p.endOfElement(")"); err != nil {
+			return nil, err
+		} else if done {
+			break
 		}
 	}
 	return callNode{fn: fn, args: args}, nil
@@ -440,8 +367,10 @@ func (p *parser) parseSelector(name string) (exprNode, error) {
 				return nil, err
 			}
 			sel.matchers = append(sel.matchers, m)
-			if nt := p.peek(); nt.kind == 'o' && nt.text == "," {
-				p.next()
+			if done, err := p.endOfElement("}"); err != nil {
+				return nil, err
+			} else if done {
+				break
 			}
 		}
 	}
@@ -462,12 +391,7 @@ func (p *parser) parseSelector(name string) (exprNode, error) {
 		}
 		d, err := time.ParseDuration(spec)
 		if err != nil {
-			// Bare numbers are seconds.
-			if secs, serr := strconv.ParseFloat(spec, 64); serr == nil {
-				d = time.Duration(secs * float64(time.Second))
-			} else {
-				return nil, fmt.Errorf("bad range duration %q", spec)
-			}
+			return nil, fmt.Errorf("bad range duration %q", spec)
 		}
 		if d <= 0 {
 			return nil, fmt.Errorf("range duration must be positive")
@@ -497,7 +421,7 @@ type matrixSeries struct {
 	exemplar *obs.Exemplar
 }
 
-// queryValue is float64 (scalar), []vecSample or []matrixSeries.
+// queryValue is float64 (a number literal), []vecSample or []matrixSeries.
 type queryValue interface{}
 
 // ---- evaluator ----
@@ -507,8 +431,24 @@ type evalCtx struct {
 	at time.Time
 }
 
+// evalInstant evaluates node at one instant. The answer is a float64 or a
+// []vecSample: a range vector is only ever an argument.
 func evalInstant(db *TSDB, node exprNode, at time.Time) (queryValue, error) {
-	return (&evalCtx{db: db, at: at}).eval(node)
+	v, err := (&evalCtx{db: db, at: at}).eval(node)
+	if _, isMatrix := v.([]matrixSeries); isMatrix {
+		return nil, fmt.Errorf("a range vector is not an answer: wrap it in rate(), irate() or count_over_time()")
+	}
+	return v, err
+}
+
+// vectorOf is an instant answer as samples: a number becomes one unlabelled
+// sample.
+func vectorOf(v queryValue) []vecSample {
+	if f, ok := v.(float64); ok {
+		return []vecSample{{v: f}}
+	}
+	vec, _ := v.([]vecSample)
+	return vec
 }
 
 func (c *evalCtx) eval(node exprNode) (queryValue, error) {
@@ -541,7 +481,35 @@ func (c *evalCtx) eval(node exprNode) (queryValue, error) {
 	return nil, fmt.Errorf("unknown expression node")
 }
 
-func (c *evalCtx) evalMatrixArg(n callNode) ([]matrixSeries, error) {
+// evalVector evaluates an operand that must be an instant vector; what names
+// the operand in the error.
+func (c *evalCtx) evalVector(node exprNode, what string) ([]vecSample, error) {
+	v, err := c.eval(node)
+	if err != nil {
+		return nil, err
+	}
+	vec, ok := v.([]vecSample)
+	if !ok {
+		return nil, fmt.Errorf("%s expects an instant vector", what)
+	}
+	return vec, nil
+}
+
+func (c *evalCtx) evalCall(n callNode) (queryValue, error) {
+	if n.fn == "histogram_quantile" {
+		if len(n.args) != 2 {
+			return nil, fmt.Errorf("histogram_quantile expects (q, bucket-vector)")
+		}
+		q, ok := n.args[0].(numLit)
+		if !ok {
+			return nil, fmt.Errorf("histogram_quantile quantile must be a number")
+		}
+		vec, err := c.evalVector(n.args[1], "histogram_quantile")
+		if err != nil {
+			return nil, err
+		}
+		return histogramQuantileVec(q.v, vec), nil
+	}
 	if len(n.args) != 1 {
 		return nil, fmt.Errorf("%s expects exactly one range-vector argument", n.fn)
 	}
@@ -549,77 +517,31 @@ func (c *evalCtx) evalMatrixArg(n callNode) ([]matrixSeries, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, ok := v.([]matrixSeries)
+	mat, ok := v.([]matrixSeries)
 	if !ok {
 		return nil, fmt.Errorf("%s expects a range vector (did you forget [duration]?)", n.fn)
 	}
-	return m, nil
-}
-
-func (c *evalCtx) evalCall(n callNode) (queryValue, error) {
-	switch n.fn {
-	case "rate", "increase", "irate":
-		mat, err := c.evalMatrixArg(n)
-		if err != nil {
-			return nil, err
-		}
-		var out []vecSample
-		for _, sr := range mat {
-			if len(sr.pts) < 2 {
-				continue
-			}
-			v, ok := counterFunc(n.fn, sr.pts)
-			if !ok {
-				continue
-			}
+	var out []vecSample
+	for _, sr := range mat {
+		if v, ok := rangeFunc(n.fn, sr.pts); ok {
 			out = append(out, vecSample{labels: sr.labels, pairs: sr.pairs, v: v, exemplar: sr.exemplar})
 		}
-		return out, nil
-	case "avg_over_time", "max_over_time", "min_over_time", "sum_over_time", "count_over_time":
-		mat, err := c.evalMatrixArg(n)
-		if err != nil {
-			return nil, err
-		}
-		var out []vecSample
-		for _, sr := range mat {
-			if len(sr.pts) == 0 {
-				continue
-			}
-			out = append(out, vecSample{labels: sr.labels, pairs: sr.pairs,
-				v: overTime(n.fn, sr.pts), exemplar: sr.exemplar})
-		}
-		return out, nil
-	case "histogram_quantile":
-		if len(n.args) != 2 {
-			return nil, fmt.Errorf("histogram_quantile expects (q, bucket-vector)")
-		}
-		qv, err := c.eval(n.args[0])
-		if err != nil {
-			return nil, err
-		}
-		q, ok := qv.(float64)
-		if !ok {
-			return nil, fmt.Errorf("histogram_quantile quantile must be a scalar")
-		}
-		bv, err := c.eval(n.args[1])
-		if err != nil {
-			return nil, err
-		}
-		vec, ok := bv.([]vecSample)
-		if !ok {
-			return nil, fmt.Errorf("histogram_quantile expects an instant bucket vector")
-		}
-		return histogramQuantileVec(q, vec), nil
 	}
-	return nil, fmt.Errorf("unknown function %q", n.fn)
+	return out, nil
 }
 
-// counterFunc computes the restart-aware counter functions over one series'
-// window. rate and increase adjust for resets across the whole window (a
-// drop adds the pre-reset value back); irate uses only the last two points,
-// treating a drop as a reset to zero — the instantaneous variant the burst
-// alert rule relies on.
-func counterFunc(fn string, pts []Point) (float64, bool) {
+// rangeFunc folds one series' window into a value. rate adjusts for counter
+// resets across the whole window (a drop adds the pre-reset value back);
+// irate uses only the last two points, treating a drop as a reset to zero —
+// the instantaneous variant the burst alert rule relies on. Both need two
+// points a positive time apart.
+func rangeFunc(fn string, pts []Point) (float64, bool) {
+	if fn == "count_over_time" {
+		return float64(len(pts)), len(pts) > 0
+	}
+	if len(pts) < 2 {
+		return 0, false
+	}
 	switch fn {
 	case "irate":
 		a, b := pts[len(pts)-2], pts[len(pts)-1]
@@ -632,7 +554,7 @@ func counterFunc(fn string, pts []Point) (float64, bool) {
 			dv = b.V
 		}
 		return dv / dt, true
-	case "rate", "increase":
+	case "rate":
 		first, last := pts[0], pts[len(pts)-1]
 		dt := last.T.Sub(first.T).Seconds()
 		if dt <= 0 {
@@ -646,42 +568,9 @@ func counterFunc(fn string, pts []Point) (float64, bool) {
 			}
 			prev = p.V
 		}
-		inc := last.V - first.V + adj
-		if fn == "increase" {
-			return inc, true
-		}
-		return inc / dt, true
+		return (last.V - first.V + adj) / dt, true
 	}
 	return 0, false
-}
-
-func overTime(fn string, pts []Point) float64 {
-	switch fn {
-	case "count_over_time":
-		return float64(len(pts))
-	case "sum_over_time", "avg_over_time":
-		sum := 0.0
-		for _, p := range pts {
-			sum += p.V
-		}
-		if fn == "sum_over_time" {
-			return sum
-		}
-		return sum / float64(len(pts))
-	case "max_over_time":
-		m := pts[0].V
-		for _, p := range pts[1:] {
-			m = math.Max(m, p.V)
-		}
-		return m
-	case "min_over_time":
-		m := pts[0].V
-		for _, p := range pts[1:] {
-			m = math.Min(m, p.V)
-		}
-		return m
-	}
-	return math.NaN()
 }
 
 // histogramQuantileVec groups a _bucket vector by its labels minus le and
@@ -704,7 +593,7 @@ func histogramQuantileVec(q float64, vec []vecSample) []vecSample {
 		if err != nil {
 			continue
 		}
-		rest := dropPairs(s.pairs, "le")
+		rest := dropPair(s.pairs, "le")
 		key := obs.FormatLabels(rest)
 		g := groups[key]
 		if g == nil {
@@ -724,17 +613,10 @@ func histogramQuantileVec(q float64, vec []vecSample) []vecSample {
 	return out
 }
 
-func dropPairs(pairs []string, keys ...string) []string {
+func dropPair(pairs []string, key string) []string {
 	out := make([]string, 0, len(pairs))
 	for i := 0; i+1 < len(pairs); i += 2 {
-		drop := false
-		for _, k := range keys {
-			if pairs[i] == k {
-				drop = true
-				break
-			}
-		}
-		if !drop {
+		if pairs[i] != key {
 			out = append(out, pairs[i], pairs[i+1])
 		}
 	}
@@ -752,69 +634,39 @@ func keepPairs(pairs []string, keys []string) []string {
 }
 
 func (c *evalCtx) evalAgg(n aggNode) (queryValue, error) {
-	v, err := c.eval(n.arg)
+	vec, err := c.evalVector(n.arg, n.op)
 	if err != nil {
 		return nil, err
 	}
-	vec, ok := v.([]vecSample)
-	if !ok {
-		return nil, fmt.Errorf("%s expects an instant vector", n.op)
-	}
-	type group struct {
-		pairs []string
-		sum   float64
-		min   float64
-		max   float64
-		count int
-		ex    *obs.Exemplar
-	}
-	groups := make(map[string]*group)
+	groups := make(map[string]*vecSample)
 	order := []string{}
 	for _, s := range vec {
 		kept := keepPairs(s.pairs, n.by)
 		key := obs.FormatLabels(kept)
 		g := groups[key]
 		if g == nil {
-			g = &group{pairs: kept, min: s.v, max: s.v}
-			groups[key] = g
+			groups[key] = &vecSample{labels: key, pairs: kept, v: s.v, exemplar: s.exemplar}
 			order = append(order, key)
+			continue
 		}
-		g.sum += s.v
-		g.min = math.Min(g.min, s.v)
-		g.max = math.Max(g.max, s.v)
-		g.count++
-		if g.ex == nil {
-			g.ex = s.exemplar
+		switch n.op {
+		case "sum":
+			g.v += s.v
+		case "min":
+			g.v = math.Min(g.v, s.v)
+		case "max":
+			g.v = math.Max(g.v, s.v)
+		}
+		if g.exemplar == nil {
+			g.exemplar = s.exemplar
 		}
 	}
 	sort.Strings(order)
 	out := make([]vecSample, 0, len(groups))
 	for _, key := range order {
-		g := groups[key]
-		var val float64
-		switch n.op {
-		case "sum":
-			val = g.sum
-		case "avg":
-			val = g.sum / float64(g.count)
-		case "min":
-			val = g.min
-		case "max":
-			val = g.max
-		case "count":
-			val = float64(g.count)
-		}
-		out = append(out, vecSample{labels: key, pairs: g.pairs, v: val, exemplar: g.ex})
+		out = append(out, *groups[key])
 	}
 	return out, nil
-}
-
-func isComparison(op string) bool {
-	switch op {
-	case ">", "<", ">=", "<=", "==", "!=":
-		return true
-	}
-	return false
 }
 
 func applyOp(op string, a, b float64) float64 {
@@ -849,8 +701,14 @@ func compare(op string, a, b float64) bool {
 	return false
 }
 
+// evalBin applies op to every sample of the left-hand vector and its
+// partner: the right-hand number, or the right-hand sample with the identical
+// label set — so both sides of a ratio like
+// sum by (job) (errors) / sum by (job) (total) line up, and a left sample
+// without a partner drops out. A comparison filters; arithmetic yields a new,
+// nameless value.
 func (c *evalCtx) evalBin(n binNode) (queryValue, error) {
-	lv, err := c.eval(n.lhs)
+	lvec, err := c.evalVector(n.lhs, "the left of "+n.op)
 	if err != nil {
 		return nil, err
 	}
@@ -858,73 +716,35 @@ func (c *evalCtx) evalBin(n binNode) (queryValue, error) {
 	if err != nil {
 		return nil, err
 	}
-	ls, lIsScalar := lv.(float64)
-	rs, rIsScalar := rv.(float64)
-	lvec, lIsVec := lv.([]vecSample)
+	scalar, rIsScalar := rv.(float64)
 	rvec, rIsVec := rv.([]vecSample)
-	switch {
-	case lIsScalar && rIsScalar:
-		if isComparison(n.op) {
-			if compare(n.op, ls, rs) {
-				return 1.0, nil
-			}
-			return 0.0, nil
-		}
-		return applyOp(n.op, ls, rs), nil
-	case lIsVec && rIsScalar:
-		var out []vecSample
-		for _, s := range lvec {
-			if isComparison(n.op) {
-				if compare(n.op, s.v, rs) {
-					out = append(out, s)
-				}
-				continue
-			}
-			s.name = ""
-			s.v = applyOp(n.op, s.v, rs)
-			out = append(out, s)
-		}
-		return out, nil
-	case lIsScalar && rIsVec:
-		var out []vecSample
-		for _, s := range rvec {
-			if isComparison(n.op) {
-				if compare(n.op, ls, s.v) {
-					out = append(out, s)
-				}
-				continue
-			}
-			s.name = ""
-			s.v = applyOp(n.op, ls, s.v)
-			out = append(out, s)
-		}
-		return out, nil
-	case lIsVec && rIsVec:
-		// One-to-one matching on identical label sets — both sides of a
-		// ratio like sum by (job)(errors) / sum by (job)(total) line up.
-		rhs := make(map[string]float64, len(rvec))
-		for _, s := range rvec {
-			rhs[s.labels] = s.v
-		}
-		var out []vecSample
-		for _, s := range lvec {
-			other, ok := rhs[s.labels]
-			if !ok {
-				continue
-			}
-			if isComparison(n.op) {
-				if compare(n.op, s.v, other) {
-					out = append(out, s)
-				}
-				continue
-			}
-			s.name = ""
-			s.v = applyOp(n.op, s.v, other)
-			out = append(out, s)
-		}
-		return out, nil
+	if !rIsScalar && !rIsVec {
+		return nil, fmt.Errorf("the right of %s expects an instant vector or a number (range vectors need a function like rate())", n.op)
 	}
-	return nil, fmt.Errorf("unsupported operand types for %q (range vectors need a function like rate())", n.op)
+	rhs := make(map[string]float64, len(rvec))
+	for _, s := range rvec {
+		rhs[s.labels] = s.v
+	}
+	var out []vecSample
+	for _, s := range lvec {
+		other, ok := scalar, rIsScalar
+		if rIsVec {
+			other, ok = rhs[s.labels]
+		}
+		if !ok {
+			continue
+		}
+		if binaryPrec[n.op] == 1 { // a comparison
+			if compare(n.op, s.v, other) {
+				out = append(out, s)
+			}
+			continue
+		}
+		s.name = ""
+		s.v = applyOp(n.op, s.v, other)
+		out = append(out, s)
+	}
+	return out, nil
 }
 
 // ---- HTTP surface ----
@@ -1002,8 +822,10 @@ func parseQueryStep(s string) (time.Duration, error) {
 
 // handleFleetQuery serves GET /fleet/query: ?query=<expr> with either
 // ?time= (instant; default now) or ?start=&end=&step= (range). Responses
-// use the Prometheus HTTP API shape, with trace_id carried on vector
-// entries whose value descends from an exemplar-bearing bucket.
+// use the Prometheus HTTP API shape — a scalar or a vector for an instant,
+// a matrix for a range — with trace_id carried on vector entries whose value
+// descends from an exemplar-bearing bucket. An expression that does not
+// parse is a 400, one that parses and cannot be evaluated a 422.
 func (a *Aggregator) handleFleetQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.FormValue("query")
 	if q == "" {
@@ -1049,17 +871,7 @@ func (a *Aggregator) handleFleetQuery(w http.ResponseWriter, r *http.Request) {
 				writeQueryError(w, http.StatusUnprocessableEntity, err)
 				return
 			}
-			var vec []vecSample
-			switch tv := v.(type) {
-			case float64:
-				vec = []vecSample{{v: tv}}
-			case []vecSample:
-				vec = tv
-			default:
-				writeQueryError(w, http.StatusUnprocessableEntity, fmt.Errorf("range query requires an instant-vector or scalar expression"))
-				return
-			}
-			for _, s := range vec {
+			for _, s := range vectorOf(v) {
 				key := s.name + s.labels
 				sr := series[key]
 				if sr == nil {
@@ -1088,30 +900,20 @@ func (a *Aggregator) handleFleetQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	switch tv := v.(type) {
-	case float64:
-		writeQueryJSON(w, "scalar", jsonValue(at, tv))
-	case []vecSample:
-		result := make([]vectorJSON, 0, len(tv))
-		for _, s := range tv {
-			e := vectorJSON{Metric: metricMap(s.name, s.pairs), Value: jsonValue(at, s.v)}
-			if s.exemplar != nil {
-				e.TraceID = s.exemplar.TraceID
-			}
-			result = append(result, e)
-		}
-		writeQueryJSON(w, "vector", result)
-	case []matrixSeries:
-		result := make([]matrixJSON, 0, len(tv))
-		for _, sr := range tv {
-			m := matrixJSON{Metric: metricMap("", sr.pairs)}
-			for _, p := range sr.pts {
-				m.Values = append(m.Values, jsonValue(p.T, p.V))
-			}
-			result = append(result, m)
-		}
-		writeQueryJSON(w, "matrix", result)
+	if f, ok := v.(float64); ok {
+		writeQueryJSON(w, "scalar", jsonValue(at, f))
+		return
 	}
+	vec := vectorOf(v)
+	result := make([]vectorJSON, 0, len(vec))
+	for _, s := range vec {
+		e := vectorJSON{Metric: metricMap(s.name, s.pairs), Value: jsonValue(at, s.v)}
+		if s.exemplar != nil {
+			e.TraceID = s.exemplar.TraceID
+		}
+		result = append(result, e)
+	}
+	writeQueryJSON(w, "vector", result)
 }
 
 func writeQueryJSON(w http.ResponseWriter, resultType string, result any) {

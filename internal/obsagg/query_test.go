@@ -15,7 +15,8 @@ import (
 )
 
 // queryDB builds a TSDB with a small fleet's worth of history: two jobs'
-// request counters climbing over 60s, a latency histogram, and an SLO gauge.
+// request counters climbing over 60s, a latency histogram, the SLO gauges,
+// error-log counters and breaker states the built-in rules and stalestat read.
 func queryDB(t *testing.T) *TSDB {
 	t.Helper()
 	db := &TSDB{}
@@ -27,6 +28,14 @@ func queryDB(t *testing.T) *TSDB {
 			counterSample("http_requests_total", float64(i*50), "code", "2xx", "job", "gw"),
 			{Name: "slo_burn_rate", Labels: obs.FormatLabels([]string{"job", "api", "slo", "availability", "window", "5m"}),
 				Kind: obs.KindGauge, Value: float64(i)},
+			gaugeSample("slo_error_budget_remaining", 1-float64(i)/10, "job", "api", "slo", "availability"),
+			gaugeSample("slo_alert_firing", float64(i/4), "instance", "api:1", "job", "api", "severity", "page", "slo", "availability"),
+			gaugeSample("slo_alert_firing", 0, "instance", "api:1", "job", "api", "severity", "ticket", "slo", "availability"),
+			counterSample("log_records_total", float64(i*i), "job", "api", "level", "error"),
+			counterSample("log_records_total", float64(i), "job", "gw", "level", "error"),
+			counterSample("log_records_total", float64(i*40), "job", "gw", "level", "info"),
+			gaugeSample("resil_breaker_state", 1, "job", "gw", "peer", "api:1"),
+			gaugeSample("resil_breaker_state", 0, "job", "gw", "peer", "api:2"),
 		})
 		h := obs.Sample{
 			Name: "http_request_seconds", Labels: obs.FormatLabels([]string{"job", "api"}), Kind: obs.KindHistogram,
@@ -40,6 +49,10 @@ func queryDB(t *testing.T) *TSDB {
 		db.Append(now, []obs.Sample{h})
 	}
 	return db
+}
+
+func gaugeSample(name string, v float64, kv ...string) obs.Sample {
+	return obs.Sample{Name: name, Labels: obs.FormatLabels(kv), Kind: obs.KindGauge, Value: v}
 }
 
 func evalAt(t *testing.T, db *TSDB, expr string, at time.Time) queryValue {
@@ -83,19 +96,6 @@ func TestQuerySelectorAndMatchers(t *testing.T) {
 	}
 }
 
-func TestQueryRateIncrease(t *testing.T) {
-	db := queryDB(t)
-	// 2xx api counter climbs 100 per 10s: rate = 10/s over any window.
-	v := vec(t, evalAt(t, db, `rate(http_requests_total{code="2xx", job="api"}[60s])`, ts(60)))
-	if len(v) != 1 || math.Abs(v[0].v-10) > 1e-9 {
-		t.Fatalf("rate = %+v, want 10/s", v)
-	}
-	v = vec(t, evalAt(t, db, `increase(http_requests_total{code="2xx", job="api"}[30s])`, ts(60)))
-	if len(v) != 1 || math.Abs(v[0].v-300) > 1e-9 {
-		t.Fatalf("increase = %+v, want 300", v)
-	}
-}
-
 func TestQueryRateCounterReset(t *testing.T) {
 	db := &TSDB{}
 	// Counter restarts mid-window: 0, 100, 200, (restart) 50, 150.
@@ -103,32 +103,15 @@ func TestQueryRateCounterReset(t *testing.T) {
 	for i, val := range vals {
 		db.Append(ts(i*10), []obs.Sample{counterSample("c_total", val)})
 	}
-	v := vec(t, evalAt(t, db, `increase(c_total[40s])`, ts(40)))
-	// 0→200 is 200, restart adds 50, 50→150 is 100: 350 total.
-	if len(v) != 1 || math.Abs(v[0].v-350) > 1e-9 {
-		t.Fatalf("reset-adjusted increase = %+v, want 350", v)
+	v := vec(t, evalAt(t, db, `rate(c_total[40s])`, ts(40)))
+	// 0→200 is 200, restart adds 50, 50→150 is 100: 350 over the 40s.
+	if len(v) != 1 || math.Abs(v[0].v-350.0/40) > 1e-9 {
+		t.Fatalf("reset-adjusted rate = %+v, want 8.75/s", v)
 	}
 	v = vec(t, evalAt(t, db, `irate(c_total[40s])`, ts(30)))
 	// Last two points at ts(30) are 200 → 50: a reset, so irate sees 50/10s.
 	if len(v) != 1 || math.Abs(v[0].v-5) > 1e-9 {
 		t.Fatalf("irate across reset = %+v, want 5/s", v)
-	}
-}
-
-func TestQueryOverTimeFunctions(t *testing.T) {
-	db := queryDB(t)
-	cases := map[string]float64{
-		`avg_over_time(slo_burn_rate[60s])`:   3, // 0..6 (the window is [0s, 60s])
-		`max_over_time(slo_burn_rate[60s])`:   6,
-		`min_over_time(slo_burn_rate[60s])`:   0,
-		`sum_over_time(slo_burn_rate[60s])`:   21,
-		`count_over_time(slo_burn_rate[60s])`: 7,
-	}
-	for expr, want := range cases {
-		v := vec(t, evalAt(t, db, expr, ts(60)))
-		if len(v) != 1 || math.Abs(v[0].v-want) > 1e-9 {
-			t.Errorf("%s = %+v, want %v", expr, v, want)
-		}
 	}
 }
 
@@ -145,11 +128,6 @@ func TestQueryAggregationBy(t *testing.T) {
 	}
 	if byJob["api"] != 660 || byJob["gw"] != 300 {
 		t.Fatalf("sum by (job) = %v", byJob)
-	}
-	// Trailing-by spelling parses to the same thing.
-	v2 := vec(t, evalAt(t, db, `sum(http_requests_total) by (job)`, ts(60)))
-	if len(v2) != 2 {
-		t.Fatalf("trailing by returned %d groups", len(v2))
 	}
 	// Aggregation without by collapses to one ungrouped sample.
 	v3 := vec(t, evalAt(t, db, `max(http_requests_total)`, ts(60)))
@@ -175,17 +153,20 @@ func TestQueryBinaryOpsAndFilters(t *testing.T) {
 	if len(v) != 1 || v[0].v != 600 {
 		t.Fatalf("filter = %+v", v)
 	}
-	// Scalar arithmetic, scalar comparison.
-	if got := evalAt(t, db, `(2 + 3) * 4`, ts(60)).(float64); got != 20 {
-		t.Fatalf("scalar arithmetic = %v", got)
-	}
-	if got := evalAt(t, db, `2 > 3`, ts(60)).(float64); got != 0 {
-		t.Fatalf("scalar comparison = %v", got)
-	}
-	// Vector * scalar.
+	// Vector * scalar, and precedence: * binds tighter than -, - than >,
+	// and parentheses override it.
 	v = vec(t, evalAt(t, db, `sum by (job) (http_requests_total{job="gw"}) * 2`, ts(60)))
 	if len(v) != 1 || v[0].v != 600 {
 		t.Fatalf("vector*scalar = %+v", v)
+	}
+	v = vec(t, evalAt(t, db,
+		`sum by (job) (http_requests_total) - sum by (job) (http_requests_total{code="2xx"}) / 2 > 200`, ts(60)))
+	if len(v) != 1 || v[0].v != 360 {
+		t.Fatalf("a - b/c > d = %+v, want only api at 660-600/2", v)
+	}
+	v = vec(t, evalAt(t, db, `(sum by (job) (http_requests_total) - 100) * 2`, ts(60)))
+	if len(v) != 2 || v[0].v != 1120 || v[1].v != 400 {
+		t.Fatalf("(a - b) * c = %+v", v)
 	}
 }
 
@@ -223,24 +204,148 @@ func TestQueryHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestQueryParseErrors(t *testing.T) {
-	bad := []string{
-		``,
-		`sum by (job (http_requests_total)`,
-		`rate(http_requests_total)`, // not a range vector — eval-time error
-		`http_requests_total{job=api}`,
-		`http_requests_total[`,
-		`1 +`,
-		`histogram_quantile(0.5)`,
-		`nosuchfunc(x[1m])`, // parses as selector "nosuchfunc" then trailing (
-	}
-	for _, q := range bad {
-		node, err := ParseQuery(q)
-		if err != nil {
-			continue
+// fleetQuery asks a handler over the fixture TSDB, frozen at ts(60), one
+// /fleet/query question.
+func fleetQuery(t *testing.T, expr, extra string) (status int, resultType, result, errMsg string) {
+	t.Helper()
+	a := &Aggregator{Registry: obs.NewRegistry(), TSDB: queryDB(t), Now: func() time.Time { return ts(60) }}
+	rec := httptest.NewRecorder()
+	a.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/fleet/query?query="+url.QueryEscape(expr)+extra, nil))
+	var r struct {
+		Error string
+		Data  struct {
+			ResultType string
+			Result     json.RawMessage
 		}
-		if _, err := evalInstant(&TSDB{}, node, ts(0)); err == nil {
-			t.Errorf("query %q parsed and evaluated without error", q)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+		t.Fatalf("%s: bad JSON %s: %v", expr, rec.Body, err)
+	}
+	return rec.Code, r.Data.ResultType, string(r.Data.Result), r.Error
+}
+
+// TestQueryLanguageIsItsUsers is the list of supported expressions: every
+// one a built-in rule, stalestat, a README or header example or a root
+// acceptance test sends, with the answer the fixture gives it. A production
+// with no row here has no user and belongs in TestQueryRejections.
+func TestQueryLanguageIsItsUsers(t *testing.T) {
+	for _, tc := range []struct {
+		user, expr, params, resultType, want string
+	}{
+		{"rules.go fleet-error-rate (threshold 0.05)", `sum by (job) (http_requests_total{code="5xx"}) / sum by (job) (http_requests_total) > 0.05`, "", "vector",
+			`[{"metric":{"job":"api"},"value":[1786190460,"0.09090909090909091"]}]`},
+		{"rules.go fleet-slo-burn", `max by (instance, job, severity, slo) (slo_alert_firing) >= 1`, "", "vector",
+			`[{"metric":{"instance":"api:1","job":"api","severity":"page","slo":"availability"},"value":[1786190460,"1"]}]`},
+		{"rules.go fleet-error-burst (window = retention, threshold 1)", `sum by (job) (irate(log_records_total{level="error"}[15m0s])) > 1`, "", "vector",
+			`[{"metric":{"job":"api"},"value":[1786190460,"1.1"]}]`},
+		{"rules.go annotateSLOBurn burn rates (built as an AST there)", `max by (window) (slo_burn_rate{instance="", job="api", slo="availability"})`, "", "vector",
+			`[{"metric":{"window":"5m"},"value":[1786190460,"6"]}]`},
+		{"rules.go annotateSLOBurn budget (built as an AST there)", `min(slo_error_budget_remaining{instance="", job="api", slo="availability"})`, "", "vector",
+			`[{"metric":{},"value":[1786190460,"0.4"]}]`},
+		{"stalestat top QPS", `sum by (job) (rate(http_requests_total[30s]))`, "", "vector",
+			`[{"metric":{"job":"api"},"value":[1786190460,"11"]},{"metric":{"job":"gw"},"value":[1786190460,"5"]}]`},
+		{"stalestat top ERR%", `sum by (job) (rate(http_requests_total{code="5xx"}[30s])) / sum by (job) (rate(http_requests_total[30s]))`, "", "vector",
+			`[{"metric":{"job":"api"},"value":[1786190460,"0.09090909090909091"]}]`},
+		{"stalestat top P50", `histogram_quantile(0.5, sum by (job, le) (rate(http_request_seconds_bucket[30s])))`, "", "vector",
+			`[{"metric":{"job":"api"},"value":[1786190460,"0.01"]}]`},
+		{"stalestat top P99", `histogram_quantile(0.99, sum by (job, le) (rate(http_request_seconds_bucket[30s])))`, "", "vector",
+			`[{"metric":{"job":"api"},"value":[1786190460,"0.1"]}]`},
+		{"stalestat top BURN", `max by (job) (slo_burn_rate)`, "", "vector",
+			`[{"metric":{"job":"api"},"value":[1786190460,"6"]}]`},
+		{"stalestat top OPEN-BRK", `sum by (job) (resil_breaker_state == 1)`, "", "vector",
+			`[{"metric":{"job":"gw"},"value":[1786190460,"1"]}]`},
+		{"cmd/stalestat header, README", `sum by (job) (rate(http_requests_total[1m]))`, "", "vector",
+			`[{"metric":{"job":"api"},"value":[1786190460,"11"]},{"metric":{"job":"gw"},"value":[1786190460,"5"]}]`},
+		{"cmd/stalestat header", `histogram_quantile(0.99, sum by (le) (rate(http_request_seconds_bucket[5m])))`, "", "vector",
+			`[{"metric":{},"value":[1786190460,"0.1"]}]`},
+		{"README, DESIGN §10, cmd/obsagg header, rearm_test.go", `max by (job, slo, window) (slo_burn_rate)`, "", "vector",
+			`[{"metric":{"job":"api","slo":"availability","window":"5m"},"value":[1786190460,"6"]}]`},
+		{"README", `min by (job, slo) (slo_error_budget_remaining)`, "", "vector",
+			`[{"metric":{"job":"api","slo":"availability"},"value":[1786190460,"0.4"]}]`},
+		{"README", `slo_alert_firing >= 1`, "", "vector",
+			`[{"metric":{"__name__":"slo_alert_firing","instance":"api:1","job":"api","severity":"page","slo":"availability"},"value":[1786190460,"1"]}]`},
+		{"fleetquery_acceptance_test.go (no such job in the fixture)", `sum(rate(http_requests_total{job="staleapid"}[30s]))`, "", "vector",
+			`[]`},
+		{"the same over a fixture job", `sum(rate(http_requests_total{job="api"}[30s]))`, "", "vector",
+			`[{"metric":{},"value":[1786190460,"11"]}]`},
+		{"fleetquery_acceptance_test.go (no such job in the fixture)", `histogram_quantile(0.99, sum by (le) (rate(http_request_seconds_bucket{job="staleapid"}[30s])))`, "", "vector",
+			`[]`},
+		{"fleetquery_acceptance_test.go: a vanished target's instant answer is empty", `http_requests_total{job="ctlogd"}`, "", "vector",
+			`[]`},
+		{"fleetquery_acceptance_test.go: a live target's is not", `http_requests_total{job="api"}`, "", "vector",
+			`[{"metric":{"__name__":"http_requests_total","code":"2xx","job":"api"},"value":[1786190460,"600"]},{"metric":{"__name__":"http_requests_total","code":"5xx","job":"api"},"value":[1786190460,"60"]}]`},
+		{"fleetquery_acceptance_test.go (no such job in the fixture)", `count_over_time(http_requests_total{job="ctlogd"}[1m])`, "", "vector",
+			`[]`},
+		{"the same over a fixture job", `count_over_time(http_requests_total{job="gw"}[1m])`, "", "vector",
+			`[{"metric":{"code":"2xx","job":"gw"},"value":[1786190460,"7"]}]`},
+		{"binary_smoke_test.go (no such job in the fixture)", `sum(rate(http_requests_total{job="stalegw"}[15s]))`, "", "vector",
+			`[]`},
+		{"all four matcher operators", `http_requests_total{job=~"a.*", code!="5xx", code!~"4.."}`, "", "vector",
+			`[{"metric":{"__name__":"http_requests_total","code":"2xx","job":"api"},"value":[1786190460,"600"]}]`},
+		{"vector ⊕ scalar arithmetic", `sum by (job) (http_requests_total) * 2`, "", "vector",
+			`[{"metric":{"job":"api"},"value":[1786190460,"1320"]},{"metric":{"job":"gw"},"value":[1786190460,"600"]}]`},
+		{"range evaluation", `sum by (job) (http_requests_total)`, "&start=1786190400&end=1786190460&step=30s", "matrix",
+			`[{"metric":{"job":"api"},"values":[[1786190400,"0"],[1786190430,"330"],[1786190460,"660"]]},{"metric":{"job":"gw"},"values":[[1786190400,"0"],[1786190430,"150"],[1786190460,"300"]]}]`},
+		{"a number is a scalar answer", `42`, "", "scalar",
+			`[1786190460,"42"]`},
+	} {
+		status, resultType, got, errMsg := fleetQuery(t, tc.expr, tc.params)
+		if status != 200 || resultType != tc.resultType || got != tc.want {
+			t.Errorf("%s\n  %s\n  = %d %s %s %s\n  want 200 %s %s", tc.user, tc.expr, status, errMsg, resultType, got, tc.resultType, tc.want)
+		}
+	}
+}
+
+// TestQueryRejections lists what /fleet/query refuses: 400 for what does not
+// parse — the productions dropped for want of a user, lists without their
+// commas — and 422 for what parses and has no answer.
+func TestQueryRejections(t *testing.T) {
+	for _, tc := range []struct {
+		expr   string
+		status int
+		msg    string
+	}{
+		{`increase(http_requests_total[1m])`, 400, `unknown function "increase"`},
+		{`avg_over_time(slo_burn_rate[1m])`, 400, `unknown function "avg_over_time"`},
+		{`max_over_time(slo_burn_rate[1m])`, 400, `unknown function "max_over_time"`},
+		{`min_over_time(slo_burn_rate[1m])`, 400, `unknown function "min_over_time"`},
+		{`sum_over_time(slo_burn_rate[1m])`, 400, `unknown function "sum_over_time"`},
+		{`nosuchfunc(slo_burn_rate[1m])`, 400, `unknown function "nosuchfunc"`},
+		{`avg(http_requests_total)`, 400, `unknown function "avg"`},
+		{`count(http_requests_total)`, 400, `unknown function "count"`},
+		{`avg by (job) (http_requests_total)`, 400, `trailing input at "by"`},
+		{`count by (job) (http_requests_total)`, 400, `trailing input at "by"`},
+		{`sum(http_requests_total) by (job)`, 400, `trailing input at "by"`},
+		{`-slo_burn_rate`, 400, `unexpected "-"`},
+		{`slo_burn_rate > -1`, 400, `unexpected "-"`},
+		{`sum by (job code) (http_requests_total)`, 400, `expected "," or ")", got "code"`},
+		{`http_requests_total{job="api" code="2xx"}`, 400, `expected "," or "}", got "code"`},
+		{`histogram_quantile(0.5 http_request_seconds_bucket)`, 400, `expected "," or ")", got "http_request_seconds_bucket"`},
+		{``, 400, `missing query parameter`},
+		{`sum by (job (http_requests_total)`, 400, `expected "," or ")", got "("`},
+		{`http_requests_total{job=api}`, 400, `must be a quoted string`},
+		{`http_requests_total[`, 400, `bad range duration`},
+		{`http_requests_total[90]`, 400, `bad range duration "90"`},
+		{`slo_burn_rate +`, 400, `unexpected end of query`},
+		{`2 * slo_burn_rate`, 422, `the left of * expects an instant vector`},
+		{`(2 + 3) * 4`, 422, `the left of + expects an instant vector`},
+		{`2 > 3`, 422, `the left of > expects an instant vector`},
+		{`http_requests_total[1m]`, 422, `a range vector is not an answer`},
+		{`slo_burn_rate > http_requests_total[1m]`, 422, `the right of > expects an instant vector or a number`},
+		{`rate(http_requests_total)`, 422, `rate expects a range vector`},
+		{`sum(http_requests_total[1m])`, 422, `sum expects an instant vector`},
+		{`histogram_quantile(0.5)`, 422, `histogram_quantile expects (q, bucket-vector)`},
+		{`histogram_quantile(slo_burn_rate, http_request_seconds_bucket)`, 422, `quantile must be a number`},
+	} {
+		status, _, _, errMsg := fleetQuery(t, tc.expr, "")
+		if status != tc.status || !strings.Contains(errMsg, tc.msg) {
+			t.Errorf("%s = %d %q, want %d %q", tc.expr, status, errMsg, tc.status, tc.msg)
+		}
+	}
+	// Accepted on purpose: a trailing comma inside {} and inside a by list.
+	for _, expr := range []string{`http_requests_total{job="api",}`, `sum by (job,) (http_requests_total)`} {
+		if status, _, _, errMsg := fleetQuery(t, expr, ""); status != 200 {
+			t.Errorf("%s = %d %q, want 200", expr, status, errMsg)
 		}
 	}
 }

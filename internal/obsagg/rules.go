@@ -211,18 +211,12 @@ func (a *Aggregator) evalRules() {
 			a.logger().Warn("recording rule eval failed", "rule", r.Name, "err", err)
 			continue
 		}
-		switch tv := v.(type) {
-		case float64:
-			db.Append(now, []obs.Sample{{Name: r.Name, Kind: obs.KindGauge, Value: tv}})
-		case []vecSample:
-			samples := make([]obs.Sample, 0, len(tv))
-			for _, s := range tv {
-				samples = append(samples, obs.Sample{Name: r.Name, Labels: s.labels, Kind: obs.KindGauge, Value: s.v})
-			}
-			db.Append(now, samples)
-		default:
-			a.logger().Warn("recording rule yielded a range vector", "rule", r.Name)
+		vec := vectorOf(v)
+		samples := make([]obs.Sample, 0, len(vec))
+		for _, s := range vec {
+			samples = append(samples, obs.Sample{Name: r.Name, Labels: s.labels, Kind: obs.KindGauge, Value: s.v})
 		}
+		db.Append(now, samples)
 	}
 	rules := a.builtinAlertRules()
 	rules = append(rules, a.AlertRules...)
@@ -242,20 +236,7 @@ func (a *Aggregator) evalAlertRule(db *TSDB, r AlertRule, now time.Time) {
 		a.logger().Warn("alert rule eval failed", "rule", r.Name, "err", err)
 		return
 	}
-	var vec []vecSample
-	switch tv := v.(type) {
-	case float64:
-		if tv == 0 {
-			return // scalar comparisons yield 0 (quiet) or 1 (firing)
-		}
-		vec = []vecSample{{v: tv}}
-	case []vecSample:
-		vec = tv
-	default:
-		a.logger().Warn("alert rule yielded a range vector", "rule", r.Name)
-		return
-	}
-	for _, s := range vec {
+	for _, s := range vectorOf(v) {
 		key := r.Name
 		if r.KeyLabels != nil {
 			for _, k := range r.KeyLabels {

@@ -25,8 +25,11 @@ import (
 const (
 	DefaultTSDBRetention = 15 * time.Minute
 	DefaultTSDBMaxSeries = 50000
-	DefaultTSDBLookback  = 5 * time.Minute
 )
+
+// tsdbLookback is how far back an instant query may reach for a series'
+// newest point (capped at the retention and staleness windows).
+const tsdbLookback = 5 * time.Minute
 
 // Point is one timestamped value in a series.
 type Point struct {
@@ -54,9 +57,6 @@ type TSDB struct {
 	// MaxSeries caps live series; appends that would create more are
 	// dropped and counted (<= 0: DefaultTSDBMaxSeries).
 	MaxSeries int
-	// Lookback is how far back an instant query may reach for a series'
-	// newest point (<= 0: DefaultTSDBLookback, capped at Retention).
-	Lookback time.Duration
 	// StaleAfter is how long a series may go without an append before
 	// instant queries drop it (<= 0: Retention). The aggregator also
 	// marks a vanished target's series stale explicitly once its scrapes
@@ -83,17 +83,6 @@ func (db *TSDB) maxSeries() int {
 		return db.MaxSeries
 	}
 	return DefaultTSDBMaxSeries
-}
-
-func (db *TSDB) lookback() time.Duration {
-	lb := db.Lookback
-	if lb <= 0 {
-		lb = DefaultTSDBLookback
-	}
-	if r := db.retention(); lb > r {
-		lb = r
-	}
-	return lb
 }
 
 func (db *TSDB) staleAfter() time.Duration {
@@ -346,11 +335,7 @@ type SeriesData struct {
 // at. Stale series (vanished targets) and series silent past StaleAfter are
 // excluded — their history remains visible to Select.
 func (db *TSDB) Latest(name string, ms []Matcher, at time.Time) []SeriesData {
-	maxAge := db.lookback()
-	if sa := db.staleAfter(); sa < maxAge {
-		maxAge = sa
-	}
-	oldest := at.Add(-maxAge)
+	oldest := at.Add(-min(tsdbLookback, db.retention(), db.staleAfter()))
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []SeriesData

@@ -202,11 +202,7 @@ func (p Policy) delay(attempt int, err error) time.Duration {
 // errors.Is(err, context.DeadlineExceeded) instead of sleeping through it.
 func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) error {
 	p = p.withDefaults()
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return joinCtx(err, lastErr)
-		}
+	return p.loop(ctx, func(int, error) (bool, error) {
 		actx := ctx
 		cancel := func() {}
 		if p.PerAttempt > 0 {
@@ -214,8 +210,26 @@ func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) er
 		}
 		err := op(actx)
 		cancel()
-		if err == nil {
-			return nil
+		return false, err
+	})
+}
+
+// loop is the one retry loop, under Retry and under Transport.RoundTrip. try
+// runs attempt number attempt, given the previous attempt's error, and
+// returns nil when it succeeded. Its error is returned as it is when try says
+// it is final; otherwise it is classified — an attempt cut off while ctx
+// still stands was cut off by its own per-attempt budget and is retryable —
+// and, budget and deadline allowing, followed by a backoff and another try.
+// p has its defaults filled in.
+func (p Policy) loop(ctx context.Context, try func(attempt int, lastErr error) (final bool, err error)) error {
+	var lastErr error
+	for attempt := 1; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return joinCtx(err, lastErr)
+		}
+		final, err := try(attempt, lastErr)
+		if err == nil || final {
+			return err
 		}
 		lastErr = err
 		if cerr := ctx.Err(); cerr != nil {
@@ -223,8 +237,6 @@ func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) er
 		}
 		verdict := p.Classify(err)
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// The overall context is still live (checked above), so the
-			// cutoff came from the per-attempt budget: transient.
 			verdict = Retryable
 		}
 		if verdict == Terminal || attempt >= p.MaxAttempts {

@@ -160,54 +160,29 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-// retryLoop runs the attempt/backoff loop under ctx (the caller's context
-// plus the call span's ID) and reports how many attempts it spent.
-func (t *Transport) retryLoop(ctx context.Context, req *http.Request, p Policy) (*http.Response, int, error) {
+// retryLoop runs Policy.loop under ctx (the caller's context plus the call
+// span's ID) and reports how many attempts it spent. What is the transport's
+// own: a request whose body cannot be replayed gets no second attempt, and
+// when the budget is spent on a retryable status the caller is handed that
+// response rather than a synthesized error.
+func (t *Transport) retryLoop(ctx context.Context, req *http.Request, p Policy) (resp *http.Response, attempts int, err error) {
 	maxBody := t.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, attempt - 1, joinCtx(err, lastErr)
-		}
+	err = p.loop(ctx, func(attempt int, lastErr error) (bool, error) {
 		if attempt > 1 && req.Body != nil && req.GetBody == nil {
-			// The body was consumed and cannot be replayed.
-			return nil, attempt - 1, fmt.Errorf("resil: cannot retry request with unreplayable body: %w", lastErr)
+			return true, fmt.Errorf("resil: cannot retry request with unreplayable body: %w", lastErr)
 		}
-		resp, err, final := t.attempt(ctx, req, p, attempt, maxBody)
-		if err == nil {
-			return resp, attempt, nil
+		attempts = attempt
+		var aerr error
+		var final *http.Response
+		if resp, aerr, final = t.attempt(ctx, req, p, attempt, maxBody); final != nil {
+			resp, aerr = final, nil
 		}
-		lastErr = err
-		if final != nil {
-			// Retry budget spent on a retryable status: hand the caller the
-			// real response rather than a synthesized error.
-			return final, attempt, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, attempt, joinCtx(cerr, lastErr)
-		}
-		verdict := p.Classify(err)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			verdict = Retryable // per-attempt budget, overall context is live
-		}
-		if verdict == Terminal || attempt >= p.MaxAttempts {
-			return nil, attempt, lastErr
-		}
-		delay := p.delay(attempt, err)
-		if deadline, ok := ctx.Deadline(); ok && p.Clock.Now().Add(delay).After(deadline) {
-			return nil, attempt, joinCtx(context.DeadlineExceeded, lastErr)
-		}
-		retryCounter(p.Service).Inc()
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err, delay)
-		}
-		if serr := p.Clock.Sleep(ctx, delay); serr != nil {
-			return nil, attempt, joinCtx(serr, lastErr)
-		}
-	}
+		return false, aerr
+	})
+	return resp, attempts, err
 }
 
 // attempt runs one round trip. It returns either a delivered response
