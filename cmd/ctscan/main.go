@@ -18,11 +18,9 @@ import (
 	"os"
 	"time"
 
-	"stalecert/internal/core"
 	"stalecert/internal/ctlog"
 	"stalecert/internal/obs"
 	"stalecert/internal/resil"
-	"stalecert/internal/x509sim"
 )
 
 func main() {
@@ -30,7 +28,6 @@ func main() {
 	from := flag.Uint64("from", 0, "resume scraping at this entry index")
 	verify := flag.Bool("verify", false, "audit every entry's inclusion proof against the STH")
 	print := flag.Bool("print", false, "print each entry")
-	save := flag.String("save", "", "save scraped certificates to a corpus file")
 	timeout := flag.Duration("timeout", 30*time.Second, "overall scrape timeout")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	var rf resil.Flags
@@ -72,22 +69,4 @@ func main() {
 		}
 	}
 	fmt.Printf("entries: %d (%d precerts) across %d issuers\n", len(entries), precerts, len(byIssuer))
-
-	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			logger.Error("create corpus file", "path", *save, "err", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		certs := make([]*x509sim.Certificate, len(entries))
-		for i, e := range entries {
-			certs[i] = e.Cert
-		}
-		if err := core.WriteCerts(f, certs); err != nil {
-			logger.Error("save corpus", "path", *save, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("wrote corpus", "certs", len(certs), "path", *save)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"stalecert/internal/core"
 	"stalecert/internal/simtime"
 	"stalecert/internal/worldsim"
+	"stalecert/internal/x509sim"
 )
 
 // testScenario spans 2017 through the paper's end so the LE growth era, the
@@ -324,5 +325,47 @@ func TestMitigationsExtension(t *testing.T) {
 	}
 	if len(r.MitigationsTable(1).Rows) != 3 {
 		t.Error("mitigations table rows")
+	}
+}
+
+// A precertificate and its final certificate share one (issuer, serial) but
+// not their bodies. A CRL revokes both at once, so the CRLite row must build
+// its filter over the key, not split the twins across the cascade's sides.
+func TestMitigationsCRLiteRowWithTwins(t *testing.T) {
+	mk := func(serial uint64, names ...string) *x509sim.Certificate {
+		c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial), names, 0, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	pre, final := mk(1, "a.com"), mk(1, "a.com", "www.a.com")
+	pre.Precert = true
+	corpus := core.NewCorpus([]*x509sim.Certificate{pre, final, mk(2, "b.com")}, core.CorpusOptions{})
+	if corpus.Len() != 3 {
+		t.Fatalf("corpus holds %d bodies, want both twins and a bystander", corpus.Len())
+	}
+	revoked, _ := corpus.ByKey(pre.DedupKey())
+	stale := []core.StaleCert{{Cert: revoked, Method: core.MethodRevocation, EventDay: 100}}
+	crliteRow := func(r *Results) MitigationRow {
+		for _, row := range r.Mitigations(1) {
+			if row.Name == "CRLite-style filter (revoked)" {
+				return row
+			}
+		}
+		t.Fatal("no CRLite row")
+		return MitigationRow{}
+	}
+
+	row := crliteRow(&Results{Corpus: corpus, RevokedAll: stale})
+	if !strings.HasPrefix(row.Note, "local filter: ") || row.StaleCertsAfter != 0 || row.StaleDaysAfter != 0 {
+		t.Errorf("twins: %+v", row)
+	}
+
+	// A filter that cannot be built mitigates nothing, and says why.
+	row = crliteRow(&Results{Corpus: core.NewCorpus(nil, core.CorpusOptions{}), RevokedAll: stale})
+	if row.StaleCertsAfter != row.StaleCertsBefore || row.StaleDaysAfter != row.StaleDaysBefore ||
+		row.StaleDaysAfter != 301 || !strings.Contains(row.Note, "empty universe") {
+		t.Errorf("failed build: %+v", row)
 	}
 }

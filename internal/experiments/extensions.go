@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"stalecert/internal/core"
@@ -34,7 +33,7 @@ func (r *Results) RevocationEffectiveness() *report.Table {
 		certs = append(certs, s.Cert)
 	}
 	now := r.World.Today()
-	rows := revcheck.MeasureEffectiveness(context.Background(), certs, now, r.crlCheckers(), nil)
+	rows := revcheck.MeasureEffectiveness(certs, now, r.crlCheckers())
 
 	t := &report.Table{
 		Title: "Extension: revocation effectiveness against revoked stale certificates",
@@ -103,27 +102,28 @@ func (r *Results) Mitigations(daneTTLDays int) []MitigationRow {
 	for _, s := range r.RevokedAll {
 		revDays += s.StalenessDays()
 	}
-	revokedSet := make(map[x509sim.Fingerprint]bool, len(r.RevokedAll))
+	// A CRL revokes an (issuer, serial), not a body: every body sharing the
+	// key of a revoked certificate is revoked with it.
+	revokedSet := make(map[x509sim.DedupKey]bool, len(r.RevokedAll))
 	for _, s := range r.RevokedAll {
-		revokedSet[s.Cert.Fingerprint()] = true
+		revokedSet[s.Cert.DedupKey()] = true
 	}
-	filter, err := revcheck.BuildCRLiteFilter(r.Corpus.Certs(), func(c *x509sim.Certificate) bool {
-		return revokedSet[c.Fingerprint()]
-	})
-	note := "filter build failed"
-	if err == nil {
-		explicit := len(r.RevokedAll) * 10 // issuer(2)+serial(8) per revocation
-		note = fmt.Sprintf("local filter: %d levels, %dB vs %dB explicit list; immune to traffic blocking",
-			filter.NumLevels(), filter.SizeBytes(), explicit)
-	}
-	rows = append(rows, MitigationRow{
+	filter, err := revcheck.BuildCRLiteFilter(r.Corpus.Certs(), revokedSet)
+	crliteRow := MitigationRow{
 		Name:             "CRLite-style filter (revoked)",
 		StaleCertsBefore: len(r.RevokedAll),
-		StaleCertsAfter:  0,
 		StaleDaysBefore:  revDays,
-		StaleDaysAfter:   0,
-		Note:             note,
-	})
+	}
+	if err != nil {
+		// No filter, no mitigation: the revoked population stays stale.
+		crliteRow.StaleCertsAfter, crliteRow.StaleDaysAfter = len(r.RevokedAll), revDays
+		crliteRow.Note = "filter build failed: " + err.Error()
+	} else {
+		explicit := len(r.RevokedAll) * 10 // issuer(2)+serial(8) per revocation
+		crliteRow.Note = fmt.Sprintf("local filter: %d levels, %dB vs %dB explicit list; immune to traffic blocking",
+			filter.NumLevels(), filter.SizeBytes(), explicit)
+	}
+	rows = append(rows, crliteRow)
 
 	// DANE: every third-party staleness window collapses to the record TTL.
 	var pooled []core.StaleCert

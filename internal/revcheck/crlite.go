@@ -1,46 +1,38 @@
 package revcheck
 
 import (
-	"context"
 	"encoding/binary"
 
-	"stalecert/internal/crl"
 	"stalecert/internal/crlite"
-	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
 
-// CRLiteChecker wraps a Bloom-filter cascade as a Checker. The filter is
-// local to the client, so lookups never touch the network: an on-path
-// attacker cannot turn it into a soft-fail bypass, which is why the paper
-// names CRLite-style designs as the path to effective revocation (§7.2).
-func CRLiteChecker(filter *crlite.Filter) Checker {
-	return CheckerFunc(func(_ context.Context, cert *x509sim.Certificate, _ simtime.Day) (Status, crl.Reason, error) {
-		if filter.IsRevoked(dedupKeyBytes(cert)) {
-			return StatusRevoked, crl.Unspecified, nil
-		}
-		return StatusGood, 0, nil
-	})
-}
-
 // dedupKeyBytes serialises a certificate's (issuer, serial) join key for
 // filter membership.
-func dedupKeyBytes(cert *x509sim.Certificate) []byte {
+func dedupKeyBytes(key x509sim.DedupKey) []byte {
 	b := make([]byte, 10)
-	binary.BigEndian.PutUint16(b, uint16(cert.Issuer))
-	binary.BigEndian.PutUint64(b[2:], uint64(cert.Serial))
+	binary.BigEndian.PutUint16(b, uint16(key.Issuer))
+	binary.BigEndian.PutUint64(b[2:], uint64(key.Serial))
 	return b
 }
 
 // BuildCRLiteFilter constructs a cascade for a certificate universe given
-// the revoked subset, keyed by (issuer, serial).
-func BuildCRLiteFilter(universe []*x509sim.Certificate, isRevoked func(*x509sim.Certificate) bool) (*crlite.Filter, error) {
+// its revoked keys. It is keyed by (issuer, serial), what a CRL revokes:
+// bodies sharing a key (a precertificate and its final certificate) are one
+// member of the universe, so each key lands on exactly one side.
+func BuildCRLiteFilter(universe []*x509sim.Certificate, isRevoked map[x509sim.DedupKey]bool) (*crlite.Filter, error) {
 	var revoked, valid [][]byte
+	seen := make(map[x509sim.DedupKey]bool, len(universe))
 	for _, c := range universe {
-		if isRevoked(c) {
-			revoked = append(revoked, dedupKeyBytes(c))
+		key := c.DedupKey()
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if isRevoked[key] {
+			revoked = append(revoked, dedupKeyBytes(key))
 		} else {
-			valid = append(valid, dedupKeyBytes(c))
+			valid = append(valid, dedupKeyBytes(key))
 		}
 	}
 	return crlite.Build(revoked, valid, 0)

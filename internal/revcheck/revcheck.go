@@ -1,14 +1,13 @@
-// Package revcheck models TLS-client revocation checking (§2.4): CRL- and
-// OCSP-based status lookups, browser policy profiles (Chrome and Edge skip
-// subscriber revocation entirely; Firefox and Safari check but soft-fail;
-// curl-style clients don't check), an on-path interceptor that blackholes
-// revocation traffic, and the resulting effectiveness measurement — why the
-// paper concludes revocation provides little recourse against stale
-// certificates.
+// Package revcheck models TLS-client revocation policy (§2.4): browser
+// profiles (Chrome and Edge skip subscriber revocation entirely; Firefox and
+// Safari check but soft-fail; curl-style clients don't check), an on-path
+// interceptor that blackholes revocation traffic, and the resulting
+// effectiveness measurement — why the paper concludes revocation provides
+// little recourse against stale certificates. Status lookups consult the
+// simulated CAs' CRLs directly; the wire protocol is out of scope.
 package revcheck
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -40,19 +39,9 @@ func (s Status) String() string {
 	return "status?"
 }
 
-// Checker answers revocation queries for certificates. The context bounds
-// any network lookup the checker performs (OCSP, CRL fetch); a canceled
-// context aborts the check.
+// Checker answers revocation queries for certificates.
 type Checker interface {
-	Check(ctx context.Context, cert *x509sim.Certificate, now simtime.Day) (Status, crl.Reason, error)
-}
-
-// CheckerFunc adapts a function to Checker.
-type CheckerFunc func(ctx context.Context, cert *x509sim.Certificate, now simtime.Day) (Status, crl.Reason, error)
-
-// Check implements Checker.
-func (f CheckerFunc) Check(ctx context.Context, cert *x509sim.Certificate, now simtime.Day) (Status, crl.Reason, error) {
-	return f(ctx, cert, now)
+	Check(cert *x509sim.Certificate, now simtime.Day) (Status, crl.Reason, error)
 }
 
 // CRLChecker consults per-issuer authorities, as a client that downloaded
@@ -63,7 +52,7 @@ type CRLChecker struct {
 }
 
 // Check implements Checker.
-func (c *CRLChecker) Check(_ context.Context, cert *x509sim.Certificate, now simtime.Day) (Status, crl.Reason, error) {
+func (c *CRLChecker) Check(cert *x509sim.Certificate, now simtime.Day) (Status, crl.Reason, error) {
 	a, ok := c.Authorities[cert.Issuer]
 	if !ok {
 		return StatusUnavailable, 0, fmt.Errorf("revcheck: no CRL for issuer %d", cert.Issuer)
@@ -79,11 +68,15 @@ var ErrBlocked = errors.New("revcheck: revocation traffic blocked")
 
 // Intercepted wraps a checker behind an on-path attacker who drops
 // revocation traffic — the paper's TLS-interception threat model, where
-// soft-fail policies are defeated by simply blackholing OCSP/CRL fetches.
-func Intercepted(inner Checker) Checker {
-	return CheckerFunc(func(context.Context, *x509sim.Certificate, simtime.Day) (Status, crl.Reason, error) {
-		return StatusUnavailable, 0, ErrBlocked
-	})
+// soft-fail policies are defeated by simply blackholing status fetches.
+func Intercepted(inner Checker) Checker { return blackholed{} }
+
+// blackholed is a checker whose every lookup is dropped on the path.
+type blackholed struct{}
+
+// Check implements Checker.
+func (blackholed) Check(*x509sim.Certificate, simtime.Day) (Status, crl.Reason, error) {
+	return StatusUnavailable, 0, ErrBlocked
 }
 
 // FailMode is what a client does when revocation status is unavailable.
@@ -133,11 +126,11 @@ type Decision struct {
 
 // Evaluate runs a profile's revocation logic for a certificate. mustStaple
 // marks certificates carrying the OCSP must-staple extension.
-func (p Profile) Evaluate(ctx context.Context, cert *x509sim.Certificate, now simtime.Day, checker Checker, mustStaple bool) Decision {
+func (p Profile) Evaluate(cert *x509sim.Certificate, now simtime.Day, checker Checker, mustStaple bool) Decision {
 	if !p.ChecksRevocation {
 		return Decision{Accepted: true}
 	}
-	status, _, err := checker.Check(ctx, cert, now)
+	status, _, err := checker.Check(cert, now)
 	if err != nil || status == StatusUnavailable {
 		if p.FailMode == HardFail || (mustStaple && p.HonorsMustStaple) {
 			return Decision{Accepted: false, Checked: true, Status: StatusUnavailable}
@@ -164,17 +157,16 @@ type EffectivenessRow struct {
 // MeasureEffectiveness evaluates every profile against a set of revoked
 // certificates, with and without an interceptor, reproducing the paper's
 // argument that revocation is "absent or easily circumvented".
-func MeasureEffectiveness(ctx context.Context, certs []*x509sim.Certificate, now simtime.Day, checker Checker, mustStaple func(*x509sim.Certificate) bool) []EffectivenessRow {
+func MeasureEffectiveness(certs []*x509sim.Certificate, now simtime.Day, checker Checker) []EffectivenessRow {
 	blocked := Intercepted(checker)
 	rows := make([]EffectivenessRow, 0, len(Profiles()))
 	for _, p := range Profiles() {
 		row := EffectivenessRow{Profile: p, Total: len(certs)}
 		for _, cert := range certs {
-			ms := mustStaple != nil && mustStaple(cert)
-			if p.Evaluate(ctx, cert, now, checker, ms).Accepted {
+			if p.Evaluate(cert, now, checker, false).Accepted {
 				row.AcceptedDirect++
 			}
-			if p.Evaluate(ctx, cert, now, blocked, ms).Accepted {
+			if p.Evaluate(cert, now, blocked, false).Accepted {
 				row.AcceptedIntercepted++
 			}
 		}

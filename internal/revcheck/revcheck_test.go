@@ -1,19 +1,11 @@
 package revcheck
 
 import (
-	"context"
-	"errors"
-	"net/http/httptest"
 	"testing"
 
 	"stalecert/internal/crl"
-	"stalecert/internal/crlite"
 	"stalecert/internal/x509sim"
 )
-
-// ctx is the default context for checker calls in these tests; cancellation
-// behaviour gets its own dedicated contexts.
-var ctx = context.Background()
 
 func testCert(t *testing.T, serial uint64) *x509sim.Certificate {
 	t.Helper()
@@ -36,20 +28,20 @@ func testAuthorities(t *testing.T) (map[x509sim.IssuerID]*crl.Authority, *x509si
 func TestCRLChecker(t *testing.T) {
 	auths, revoked, good := testAuthorities(t)
 	c := &CRLChecker{Authorities: auths}
-	st, reason, err := c.Check(ctx, revoked, 200)
+	st, reason, err := c.Check(revoked, 200)
 	if err != nil || st != StatusRevoked || reason != crl.KeyCompromise {
 		t.Fatalf("revoked check = %v %v %v", st, reason, err)
 	}
 	// Before the revocation day the cert is still good.
-	if st, _, _ := c.Check(ctx, revoked, 50); st != StatusGood {
+	if st, _, _ := c.Check(revoked, 50); st != StatusGood {
 		t.Fatalf("pre-revocation status = %v", st)
 	}
-	if st, _, _ := c.Check(ctx, good, 200); st != StatusGood {
+	if st, _, _ := c.Check(good, 200); st != StatusGood {
 		t.Fatalf("good status = %v", st)
 	}
 	unknown := testCert(t, 3)
 	unknown.Issuer = 99
-	if st, _, err := c.Check(ctx, unknown, 200); st != StatusUnavailable || err == nil {
+	if st, _, err := c.Check(unknown, 200); st != StatusUnavailable || err == nil {
 		t.Fatalf("unknown issuer = %v %v", st, err)
 	}
 }
@@ -72,10 +64,10 @@ func TestProfilesAgainstRevokedCert(t *testing.T) {
 	}
 	blocked := Intercepted(checker)
 	for _, c := range cases {
-		if got := c.profile.Evaluate(ctx, revoked, 200, checker, false).Accepted; got != c.direct {
+		if got := c.profile.Evaluate(revoked, 200, checker, false).Accepted; got != c.direct {
 			t.Errorf("%s direct accepted = %v, want %v", c.profile.Name, got, c.direct)
 		}
-		if got := c.profile.Evaluate(ctx, revoked, 200, blocked, false).Accepted; got != c.intercepted {
+		if got := c.profile.Evaluate(revoked, 200, blocked, false).Accepted; got != c.intercepted {
 			t.Errorf("%s intercepted accepted = %v, want %v", c.profile.Name, got, c.intercepted)
 		}
 	}
@@ -85,11 +77,11 @@ func TestMustStapleHardFailsFirefoxOnly(t *testing.T) {
 	auths, revoked, _ := testAuthorities(t)
 	blocked := Intercepted(&CRLChecker{Authorities: auths})
 	// Firefox honours must-staple: blocked traffic → reject.
-	if ProfileFirefox.Evaluate(ctx, revoked, 200, blocked, true).Accepted {
+	if ProfileFirefox.Evaluate(revoked, 200, blocked, true).Accepted {
 		t.Error("Firefox accepted a blocked must-staple cert")
 	}
 	// Safari does not: soft-fail even with must-staple.
-	if !ProfileSafari.Evaluate(ctx, revoked, 200, blocked, true).Accepted {
+	if !ProfileSafari.Evaluate(revoked, 200, blocked, true).Accepted {
 		t.Error("Safari should soft-fail must-staple")
 	}
 }
@@ -97,7 +89,7 @@ func TestMustStapleHardFailsFirefoxOnly(t *testing.T) {
 func TestMeasureEffectiveness(t *testing.T) {
 	auths, revoked, _ := testAuthorities(t)
 	checker := &CRLChecker{Authorities: auths}
-	rows := MeasureEffectiveness(ctx, []*x509sim.Certificate{revoked}, 200, checker, nil)
+	rows := MeasureEffectiveness([]*x509sim.Certificate{revoked}, 200, checker)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -120,107 +112,5 @@ func TestMeasureEffectiveness(t *testing.T) {
 	}
 	if byName["Chrome"].AcceptedDirect != 1 {
 		t.Error("Chrome never checks, should accept")
-	}
-}
-
-func TestOCSPWireRoundTrip(t *testing.T) {
-	key := x509sim.DedupKey{Issuer: 7, Serial: 12345}
-	got, err := UnmarshalOCSPRequest(MarshalOCSPRequest(key))
-	if err != nil || got != key {
-		t.Fatalf("request round trip = %+v %v", got, err)
-	}
-	resp := OCSPResponse{Status: StatusRevoked, Reason: crl.KeyCompromise, RevokedAt: 100, ProducedAt: 200}
-	got2, err := UnmarshalOCSPResponse(MarshalOCSPResponse(resp))
-	if err != nil || got2 != resp {
-		t.Fatalf("response round trip = %+v %v", got2, err)
-	}
-	if _, err := UnmarshalOCSPRequest([]byte{1, 2}); err == nil {
-		t.Error("short request accepted")
-	}
-	if _, err := UnmarshalOCSPResponse(nil); err == nil {
-		t.Error("nil response accepted")
-	}
-}
-
-func TestOCSPResponderOverHTTP(t *testing.T) {
-	auths, revoked, good := testAuthorities(t)
-	responder := &OCSPResponder{Authorities: auths}
-	responder.SetNow(200)
-	ts := httptest.NewServer(responder.Handler())
-	defer ts.Close()
-
-	checker := &OCSPChecker{URL: ts.URL, HC: ts.Client()}
-	st, reason, err := checker.Check(ctx, revoked, 200)
-	if err != nil || st != StatusRevoked || reason != crl.KeyCompromise {
-		t.Fatalf("revoked over HTTP = %v %v %v", st, reason, err)
-	}
-	st, _, err = checker.Check(ctx, good, 200)
-	if err != nil || st != StatusGood {
-		t.Fatalf("good over HTTP = %v %v", st, err)
-	}
-	unknown := testCert(t, 9)
-	unknown.Issuer = 42
-	if st, _, _ := checker.Check(ctx, unknown, 200); st != StatusUnavailable {
-		t.Fatalf("unknown issuer over HTTP = %v", st)
-	}
-	// A dead responder yields unavailable + error (soft-fail fodder).
-	dead := &OCSPChecker{URL: "http://127.0.0.1:1", HC: ts.Client()}
-	if st, _, err := dead.Check(ctx, good, 200); st != StatusUnavailable || err == nil {
-		t.Fatalf("dead responder = %v %v", st, err)
-	}
-}
-
-func TestOCSPCheckerHonorsContextCancellation(t *testing.T) {
-	auths, _, good := testAuthorities(t)
-	responder := &OCSPResponder{Authorities: auths}
-	responder.SetNow(200)
-	ts := httptest.NewServer(responder.Handler())
-	defer ts.Close()
-
-	checker := &OCSPChecker{URL: ts.URL, HC: ts.Client()}
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	st, _, err := checker.Check(canceled, good, 200)
-	if err == nil {
-		t.Fatal("canceled context did not abort the OCSP check")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st != StatusUnavailable {
-		t.Fatalf("status under cancellation = %v, want StatusUnavailable", st)
-	}
-	// The same checker still works once given a live context.
-	if st, _, err := checker.Check(ctx, good, 200); err != nil || st != StatusGood {
-		t.Fatalf("post-cancel check = %v %v", st, err)
-	}
-}
-
-func TestCRLiteCheckerDefeatsInterception(t *testing.T) {
-	auths, revoked, good := testAuthorities(t)
-	_ = auths
-	filter, err := crlite.Build(
-		[][]byte{dedupKeyBytes(revoked)},
-		[][]byte{dedupKeyBytes(good)},
-		0,
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checker := CRLiteChecker(filter)
-	// Local filter: no network, interception is irrelevant by construction.
-	st, _, err := checker.Check(ctx, revoked, 200)
-	if err != nil || st != StatusRevoked {
-		t.Fatalf("crlite revoked = %v %v", st, err)
-	}
-	if st, _, _ := checker.Check(ctx, good, 200); st != StatusGood {
-		t.Fatalf("crlite good = %v", st)
-	}
-	// Even a hard-fail profile works offline.
-	if !ProfileStrict.Evaluate(ctx, good, 200, checker, true).Accepted {
-		t.Error("hard-fail profile rejected a good cert with a local filter")
-	}
-	if ProfileStrict.Evaluate(ctx, revoked, 200, checker, true).Accepted {
-		t.Error("hard-fail profile accepted a revoked cert with a local filter")
 	}
 }

@@ -110,9 +110,6 @@ func NewServer(cfg Config) *Server {
 	}
 }
 
-// Cache exposes the response cache.
-func (s *Server) Cache() *Cache { return s.cache }
-
 // Handler returns the API mux. Wrap it in obs.Middleware for RED metrics,
 // request IDs and panic recovery.
 func (s *Server) Handler() http.Handler {

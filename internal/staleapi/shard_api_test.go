@@ -21,11 +21,11 @@ func TestCertCacheCanonicalKey(t *testing.T) {
 
 	fp := certs[0].Fingerprint()
 	_, full := get(t, ts, "/v1/cert/"+fp.Hex())
-	if n := srv.Cache().Len(); n != 1 {
+	if n := srv.cache.Len(); n != 1 {
 		t.Fatalf("cache holds %d entries after full-form query, want 1", n)
 	}
 	_, short := get(t, ts, "/v1/cert/"+fp.String())
-	if n := srv.Cache().Len(); n != 1 {
+	if n := srv.cache.Len(); n != 1 {
 		t.Fatalf("cache holds %d entries after both forms of one cert, want 1 (key not canonicalised)", n)
 	}
 	if string(full) != string(short) {
@@ -34,7 +34,7 @@ func TestCertCacheCanonicalKey(t *testing.T) {
 
 	// A different certificate is, of course, a second entry.
 	get(t, ts, "/v1/cert/"+certs[1].Fingerprint().String())
-	if n := srv.Cache().Len(); n != 2 {
+	if n := srv.cache.Len(); n != 2 {
 		t.Fatalf("cache holds %d entries for two certs, want 2", n)
 	}
 }

@@ -208,9 +208,6 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Cache exposes the last-good response cache (tests shrink its TTL).
-func (g *Gateway) Cache() *staleapi.Cache { return g.cache }
-
 // Handler returns the gateway mux. Wrap it in obs.Middleware for RED
 // metrics, request IDs and trace propagation into the fan-out legs.
 func (g *Gateway) Handler() http.Handler {

@@ -159,8 +159,8 @@ func TestCertScatter(t *testing.T) {
 			t.Fatal("scatter did not reach every shard exactly once")
 		}
 	}
-	if gw.Cache().Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", gw.Cache().Len())
+	if gw.cache.Len() != 1 {
+		t.Fatalf("cache holds %d entries, want 1", gw.cache.Len())
 	}
 
 	// The short form is the same identity: cache hit, no second fan-out.
@@ -168,8 +168,8 @@ func TestCertScatter(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("short form status = %d", resp.StatusCode)
 	}
-	if gw.Cache().Len() != 1 {
-		t.Fatalf("cache holds %d entries after both spellings, want 1", gw.Cache().Len())
+	if gw.cache.Len() != 1 {
+		t.Fatalf("cache holds %d entries after both spellings, want 1", gw.cache.Len())
 	}
 	for _, f := range shards {
 		if f.hits.Load() != 1 {

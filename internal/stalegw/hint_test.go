@@ -120,7 +120,7 @@ func TestCertHintAsksOnlyTheAnsweringSlice(t *testing.T) {
 		wantAsked(t, "hinted lookup "+spelling, shards, 0, 0, 1)
 		wantVia(t, "hinted lookup "+spelling, before, uint64(i+1), 1, 0)
 	}
-	if n := gw.Cache().Len(); n != 1 {
+	if n := gw.cache.Len(); n != 1 {
 		t.Fatalf("cache holds %d entries for one certificate, want 1", n)
 	}
 }
@@ -295,7 +295,7 @@ func TestOwnerRoutedKeysOnTheCanonicalDomain(t *testing.T) {
 	if hits := shards[0].hits.Load() + shards[1].hits.Load(); hits != 1 {
 		t.Fatalf("five spellings of one domain cost %d replica calls, want 1", hits)
 	}
-	if n := gw.Cache().Len(); n != 1 {
+	if n := gw.cache.Len(); n != 1 {
 		t.Fatalf("five spellings of one domain hold %d cache entries, want 1", n)
 	}
 	if got := upstream.Load(); got != "/v1/domain/example.com/staleness" {
@@ -303,8 +303,8 @@ func TestOwnerRoutedKeysOnTheCanonicalDomain(t *testing.T) {
 	}
 	// The other endpoint of the same domain is its own entry.
 	gwGet(t, gw, "/v1/domain/example.COM/certs")
-	if got := upstream.Load(); got != "/v1/domain/example.com/certs" || gw.Cache().Len() != 2 {
-		t.Fatalf("certs endpoint: upstream %q, %d cache entries", got, gw.Cache().Len())
+	if got := upstream.Load(); got != "/v1/domain/example.com/certs" || gw.cache.Len() != 2 {
+		t.Fatalf("certs endpoint: upstream %q, %d cache entries", got, gw.cache.Len())
 	}
 }
 
