@@ -75,6 +75,7 @@ import (
 	"stalecert/internal/shard"
 	"stalecert/internal/simtime"
 	"stalecert/internal/staleapi"
+	"stalecert/internal/whois"
 )
 
 func main() {
@@ -177,7 +178,10 @@ func main() {
 	// come from a snapshot of the whole CA directory refreshed every
 	// -cache-ttl in the background — CRL fetches run under the flags' retry
 	// budget (and chaos injection when seeded) — never inside a request.
-	gather := &evidence.Gatherer{Index: store, WhoisAddr: *whoisAddr, Marker: *marker, Now: nowDay}
+	gather := &evidence.Gatherer{Index: store, Marker: *marker, Now: nowDay}
+	if *whoisAddr != "" {
+		gather.Whois = &whois.Client{Addr: *whoisAddr}
+	}
 	if *dnsAddr != "" {
 		gather.Resolver = &dnssim.Resolver{ServerAddr: *dnsAddr, Timeout: 2 * time.Second}
 	}

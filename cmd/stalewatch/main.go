@@ -53,6 +53,7 @@ import (
 	"stalecert/internal/psl"
 	"stalecert/internal/resil"
 	"stalecert/internal/simtime"
+	"stalecert/internal/whois"
 	"stalecert/internal/x509sim"
 )
 
@@ -212,7 +213,10 @@ func run() int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	gather := &evidence.Gatherer{Index: store, WhoisAddr: *whoisAddr, Marker: *marker, Now: nowDay}
+	gather := &evidence.Gatherer{Index: store, Marker: *marker, Now: nowDay}
+	if *whoisAddr != "" {
+		gather.Whois = &whois.Client{Addr: *whoisAddr}
+	}
 	if *dnsAddr != "" {
 		gather.Resolver = &dnssim.Resolver{ServerAddr: *dnsAddr, Timeout: 2 * time.Second}
 	}

@@ -1,5 +1,6 @@
 // Command whoisd serves thin WHOIS records over TCP in the port-43 style,
-// backed by a simulated registry. A query client is built in (-query).
+// backed by a simulated registry: one query per connection, or "-k " queries
+// on a kept one (RIPE's persistent mode). A query client is built in (-query).
 //
 // Usage:
 //

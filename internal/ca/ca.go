@@ -50,7 +50,6 @@ type CA struct {
 	nextKey    func() x509sim.KeyID
 	// validated[account+"\x00"+domain] = last successful validation day
 	validated map[string]simtime.Day
-	issued    []*x509sim.Certificate
 }
 
 // Config wires a CA's dependencies.
@@ -92,13 +91,6 @@ func (c *CA) Profile() Profile { return c.profile }
 
 // Authority returns the CA's revocation authority.
 func (c *CA) Authority() *crl.Authority { return c.authority }
-
-// IssuedCount returns how many certificates this CA has issued.
-func (c *CA) IssuedCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.issued)
-}
 
 // Request describes one issuance.
 type Request struct {
@@ -158,9 +150,6 @@ func (c *CA) Issue(req Request, day simtime.Day) (*x509sim.Certificate, error) {
 		final.SCTCount = uint8(min(len(c.logs.Logs()), 3))
 		c.logs.Submit(final, day)
 	}
-	c.mu.Lock()
-	c.issued = append(c.issued, cert)
-	c.mu.Unlock()
 	return cert, nil
 }
 

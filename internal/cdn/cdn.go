@@ -408,20 +408,6 @@ func (p *Provider) Customer(domain string) (Customer, bool) {
 	return *c, true
 }
 
-// ActiveCustomers lists currently enrolled domains, sorted.
-func (p *Provider) ActiveCustomers() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for d, c := range p.customers {
-		if c.Active() {
-			out = append(out, d)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Certificates returns every managed certificate the provider has obtained,
 // in issuance order per group.
 func (p *Provider) Certificates() []*x509sim.Certificate {

@@ -165,8 +165,8 @@ func TestDepartReissuesBoatWithoutDomain(t *testing.T) {
 	if cust.Active() || cust.Departed != 100 {
 		t.Fatalf("customer = %+v", cust)
 	}
-	if got := p.ActiveCustomers(); len(got) != 1 || got[0] != "stay.com" {
-		t.Fatalf("active = %v", got)
+	if cust, ok := p.Customer("stay.com"); !ok || !cust.Active() {
+		t.Fatalf("stay.com = %+v, %v", cust, ok)
 	}
 }
 

@@ -32,8 +32,8 @@ type Gatherer struct {
 	Index interface {
 		ByE2LD(domain string) []*x509sim.Certificate
 	}
-	// WhoisAddr is a port-43 server for registry creation dates.
-	WhoisAddr string
+	// Whois asks a port-43 server for registry creation dates.
+	Whois *whois.Client
 	// Resolver queries the authoritative DNS for provider delegation.
 	Resolver *dnssim.Resolver
 	// CRL is the background-refreshed revocation set.
@@ -62,11 +62,11 @@ func (g *Gatherer) Gather(ctx context.Context, domain string) (core.DomainEviden
 		},
 	}
 	var certs []*x509sim.Certificate
-	if g.WhoisAddr != "" || g.Resolver != nil || g.CRL != nil {
+	if g.Whois != nil || g.Resolver != nil || g.CRL != nil {
 		certs = g.Index.ByE2LD(domain)
 	}
 	askWhois, askDNS := core.EvidenceNeeded(certs, ev.IsManaged, g.Now)
-	askWhois, askDNS = askWhois && g.WhoisAddr != "", askDNS && g.Resolver != nil
+	askWhois, askDNS = askWhois && g.Whois != nil, askDNS && g.Resolver != nil
 
 	var wg sync.WaitGroup
 	var whoisErr error
@@ -112,7 +112,7 @@ func (g *Gatherer) Gather(ctx context.Context, domain string) (core.DomainEviden
 
 // whois turns the registry's creation date into a registrant-change event.
 func (g *Gatherer) whois(ctx context.Context, domain string, ev *core.DomainEvidence) error {
-	rec, err := whois.Query(ctx, g.WhoisAddr, domain)
+	rec, err := g.Whois.Query(ctx, domain)
 	switch {
 	case err == nil:
 		ev.ReRegistrations = []whois.ReRegistration{{Domain: domain, NewCreation: rec.Created}}

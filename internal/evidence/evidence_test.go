@@ -165,12 +165,12 @@ func newRig(tb testing.TB, seed int64) *rig {
 	tb.Cleanup(func() { _ = r.dnsSrv.Close() })
 
 	r.gather = &Gatherer{
-		Index:     r.corpus,
-		WhoisAddr: whoisAddr.String(),
-		Resolver:  &dnssim.Resolver{ServerAddr: dnsAddr.String(), Timeout: 2 * time.Second},
-		CRL:       &crl.Snapshot{Fetcher: &crl.Fetcher{Base: crlTS.URL}, Names: rigCAs, Service: "evidence-test"},
-		Marker:    rigMarker,
-		Now:       rigNow,
+		Index:    r.corpus,
+		Whois:    &whois.Client{Addr: whoisAddr.String()},
+		Resolver: &dnssim.Resolver{ServerAddr: dnsAddr.String(), Timeout: 2 * time.Second},
+		CRL:      &crl.Snapshot{Fetcher: &crl.Fetcher{Base: crlTS.URL}, Names: rigCAs, Service: "evidence-test"},
+		Marker:   rigMarker,
+		Now:      rigNow,
 	}
 	return r
 }
@@ -226,7 +226,7 @@ func TestGatherVerdictsEqualFlatCRLVerdicts(t *testing.T) {
 func (r *rig) askEverything(ctx context.Context, domain string, revocations []crl.Entry) (core.DomainEvidence, error) {
 	ev := core.DomainEvidence{Revocations: revocations, RevocationCutoff: simtime.NoDay,
 		IsManaged: func(c *x509sim.Certificate) bool { return monitor.HasProviderMarker(c, rigMarker) }}
-	rec, err := whois.Query(ctx, r.gather.WhoisAddr, domain)
+	rec, err := whois.Query(ctx, r.gather.Whois.Addr, domain)
 	switch {
 	case err == nil:
 		ev.ReRegistrations = []whois.ReRegistration{{Domain: domain, NewCreation: rec.Created}}
@@ -368,11 +368,11 @@ func TestGatherRunsWhoisAndDNSConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := &Gatherer{
-		Index:     core.NewCorpus([]*x509sim.Certificate{managed}, core.CorpusOptions{}),
-		WhoisAddr: whoisAddr.String(),
-		Resolver:  &dnssim.Resolver{ServerAddr: pc.LocalAddr().String(), Timeout: time.Second, Retries: 1},
-		Marker:    rigMarker,
-		Now:       rigNow,
+		Index:    core.NewCorpus([]*x509sim.Certificate{managed}, core.CorpusOptions{}),
+		Whois:    &whois.Client{Addr: whoisAddr.String()},
+		Resolver: &dnssim.Resolver{ServerAddr: pc.LocalAddr().String(), Timeout: time.Second, Retries: 1},
+		Marker:   rigMarker,
+		Now:      rigNow,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -18,6 +18,7 @@ import (
 	"stalecert/internal/obs"
 	"stalecert/internal/simtime"
 	"stalecert/internal/staleapi"
+	"stalecert/internal/whois"
 )
 
 // api serves the rig's certificates from a certstore through staleapi, wired
@@ -176,7 +177,7 @@ func TestDeadRegistryDoesNotFailDomainsTheIndexHasNeverSeen(t *testing.T) {
 			_ = conn.Close()
 		}
 	}()
-	r.gather.WhoisAddr = ln.Addr().String()
+	r.gather.Whois = &whois.Client{Addr: ln.Addr().String()}
 	ts := r.api(t)
 
 	for _, domain := range []string{"made-up-0001.com", "made-up-0002.com", "nocerts.com"} {

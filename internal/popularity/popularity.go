@@ -47,9 +47,6 @@ func (s *Samples) Add(l *List) {
 	sort.Slice(s.lists, func(i, j int) bool { return s.lists[i].Date < s.lists[j].Date })
 }
 
-// Lists returns the samples in date order.
-func (s *Samples) Lists() []*List { return s.lists }
-
 // BestRank returns the lowest (most popular) rank the domain held across all
 // samples, as the paper does for Table 6.
 func (s *Samples) BestRank(domain string) (int, bool) {

@@ -73,7 +73,7 @@ func TestGenerateBiannual(t *testing.T) {
 	from := simtime.MustParse("2014-01-01")
 	to := simtime.MustParse("2022-01-01")
 	s := GenerateBiannual(rand.New(rand.NewSource(3)), pool, from, to, 1000)
-	lists := s.Lists()
+	lists := s.lists
 	// ~8 years of biannual samples: 17 lists.
 	if len(lists) < 15 || len(lists) > 18 {
 		t.Fatalf("samples = %d", len(lists))

@@ -210,23 +210,6 @@ func (s *MonthlySeries) Total(key string) int {
 	return t
 }
 
-// PeakMonth returns the month with the most events for key, with its count.
-func (s *MonthlySeries) PeakMonth(key string) (simtime.Month, int) {
-	var best simtime.Month
-	bestN := -1
-	months := make([]simtime.Month, 0, len(s.counts[key]))
-	for m := range s.counts[key] {
-		months = append(months, m)
-	}
-	sort.Slice(months, func(i, j int) bool { return months[i] < months[j] })
-	for _, m := range months {
-		if n := s.counts[key][m]; n > bestN {
-			best, bestN = m, n
-		}
-	}
-	return best, bestN
-}
-
 // DailyRate summarises a count over a date range as the paper's Table 4
 // "daily / total" pairs.
 type DailyRate struct {

@@ -123,10 +123,6 @@ func TestMonthlySeries(t *testing.T) {
 	if len(months) != 3 || months[0] != simtime.MonthOf(2021, time.November) {
 		t.Errorf("months = %v", months)
 	}
-	peak, n := s.PeakMonth("GoDaddy")
-	if peak != simtime.MonthOf(2021, time.November) || n != 100 {
-		t.Errorf("peak = %v %d", peak, n)
-	}
 }
 
 func TestDailyRate(t *testing.T) {

@@ -312,12 +312,8 @@ func Unmarshal(b []byte) (*Certificate, error) {
 	return c, nil
 }
 
-// UnmarshalPrefix decodes one certificate from the front of b, returning the
-// unconsumed remainder; used by stream decoders (CT get-entries).
-func UnmarshalPrefix(b []byte) (*Certificate, []byte, error) {
-	return unmarshalPrefix(b)
-}
-
+// unmarshalPrefix decodes one certificate from the front of b, returning the
+// unconsumed remainder.
 func unmarshalPrefix(b []byte) (*Certificate, []byte, error) {
 	if len(b) < 3 {
 		return nil, nil, ErrTruncated

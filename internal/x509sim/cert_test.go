@@ -125,11 +125,11 @@ func TestUnmarshalPrefixStream(t *testing.T) {
 	a := mustCert(t, []string{"a.com"}, 0, 1)
 	b := mustCert(t, []string{"b.com", "c.com"}, 5, 100)
 	stream := append(a.Marshal(), b.Marshal()...)
-	gotA, rest, err := UnmarshalPrefix(stream)
+	gotA, rest, err := unmarshalPrefix(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotB, rest, err := UnmarshalPrefix(rest)
+	gotB, rest, err := unmarshalPrefix(rest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 // a fifth re-issued under the same (issuer, serial), which the CRL join
 // cannot tell apart. No certificate names two registrable domains: one that
 // does lives on two slices, and the gateway's /v1/domains then counts its
-// domains twice in "total" (ROADMAP item 7).
+// domains twice in "total" (ROADMAP item 3).
 func randomCorpus(t *testing.T, seed int64) (domains []string, certs []*x509sim.Certificate, revoked []crl.Entry) {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
