@@ -72,8 +72,8 @@ func TestChaosPipelineVerdictsMatchFaultFree(t *testing.T) {
 	// The fleet's span stores run at sample rate 0: only the tail-sampling
 	// error rule can keep a trace, so everything the replica retained below
 	// was fault-touched. The seed is chosen so the deterministic fault stream
-	// hits the CT leg (the one behind resil.Transport), not just the CRL
-	// fetcher's retry loop.
+	// hits the CT leg, whose spans land in the replica's store, not just the
+	// CRL fetcher's.
 	f, chaotic := runChaosPipeline(t, 18)
 	spans := f.Reference.Spans
 

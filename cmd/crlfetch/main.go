@@ -7,10 +7,10 @@
 //	crlfetch -server http://127.0.0.1:8785 -cas Sectigo,DigiCert [-days 7] [-retries 2]
 //	         [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //
-// -retries is the per-CRL attempt budget inside one collection day (the
-// fetcher's own ledger-aware loop); the resil flags govern the shared
-// resilience layer, and a non-zero -chaos-seed injects deterministic faults
-// under the fetcher for collection-robustness experiments.
+// -retries is the per-CRL retry budget inside one collection day; it sets
+// the attempts of the fetcher's resilient client, whose ledger sees one
+// outcome per CA per day. A non-zero -chaos-seed injects deterministic faults
+// beneath that client for collection-robustness experiments.
 //
 // With -cas omitted the built-in CA directory is fetched.
 package main
@@ -19,7 +19,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -60,10 +59,7 @@ func main() {
 	defer cancel()
 
 	ledger := crl.NewCoverageLedger()
-	fetcher := &crl.Fetcher{Base: *server, Ledger: ledger, Retries: *retries}
-	if opts := rf.Options("crl-fetcher"); opts.Chaos != nil {
-		fetcher.HC = &http.Client{Transport: opts.Chaos.WithBase(nil)}
-	}
+	fetcher := &crl.Fetcher{Base: *server, Ledger: ledger, Retries: *retries, Chaos: rf.Chaos()}
 
 	reasonCounts := map[crl.Reason]int{}
 	var total int

@@ -186,14 +186,9 @@ func main() {
 		gather.Resolver = &dnssim.Resolver{ServerAddr: *dnsAddr, Timeout: 2 * time.Second}
 	}
 	if *crlURL != "" {
-		fetcher := &crl.Fetcher{Base: *crlURL}
+		fetcher := &crl.Fetcher{Base: *crlURL, Chaos: rf.Chaos()}
 		if rf.RetryMax > 1 {
 			fetcher.Retries = rf.RetryMax - 1
-		}
-		if opts := rf.Options("crl-fetcher"); opts.Chaos != nil {
-			// The fetcher's own retry loop sits above the transport, so chaos
-			// slots directly under the instrumented client.
-			fetcher.HC = &http.Client{Transport: opts.Chaos.WithBase(nil)}
 		}
 		gather.CRL = &crl.Snapshot{Fetcher: fetcher, Names: ca.NewDirectory().Names(), Service: "staleapid"}
 		obs.DefaultHealth().Register("crl-snapshot", gather.CRL.Ready)

@@ -173,7 +173,7 @@ func run() int {
 	}
 
 	opts := rf.Options("stalewatch")
-	if !opts.NoBreaker {
+	if opts.Breaker != nil {
 		opts.Breaker = resil.NewBreakerSet(resil.BreakerConfig{
 			Service:   "stalewatch",
 			Threshold: rf.BreakerThreshold,

@@ -74,7 +74,7 @@ func main() {
 
 	// Daily collection with retries and coverage accounting.
 	ledger := crl.NewCoverageLedger()
-	fetcher := &crl.Fetcher{Base: ts.URL, HC: ts.Client(), Ledger: ledger, Retries: 5}
+	fetcher := &crl.Fetcher{Base: ts.URL, Ledger: ledger, Retries: 5}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var lists map[string]*crl.List

@@ -88,7 +88,7 @@ func TestWireCRLFetchMatchesWorldRevocations(t *testing.T) {
 	defer ts.Close()
 
 	ledger := crl.NewCoverageLedger()
-	fetcher := &crl.Fetcher{Base: ts.URL, HC: ts.Client(), Ledger: ledger}
+	fetcher := &crl.Fetcher{Base: ts.URL, Ledger: ledger}
 	lists, err := fetcher.FetchAll(context.Background(), names)
 	if err != nil {
 		t.Fatal(err)

@@ -38,9 +38,8 @@ func streamLog(t *testing.T, n int) (*ctlog.Log, []*x509sim.Certificate) {
 // impatientClient gives up on a failing log after two quick attempts.
 func impatientClient(ts *httptest.Server) *ctlog.Client {
 	return ctlog.NewClientWithOptions(ts.URL, ts.Client(), resil.Options{
-		Service:   "stream-test",
-		NoBreaker: true,
-		Policy:    resil.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		Service: "stream-test",
+		Policy:  resil.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 	})
 }
 

@@ -320,9 +320,8 @@ func TestIngesterSurvivesLogRestart(t *testing.T) {
 
 	hs1, addr := serve()
 	client := ctlog.NewClientWithOptions("http://"+addr, nil, resil.Options{
-		Service:   "restart-test",
-		NoBreaker: true, // the test wants raw reconnect behaviour, not fail-fast
-		Policy:    resil.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		Service: "restart-test", // no breaker: the test wants raw reconnect behaviour, not fail-fast
+		Policy:  resil.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 	})
 
 	store, err := Open(Options{Dir: t.TempDir()})

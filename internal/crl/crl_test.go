@@ -141,7 +141,7 @@ func TestServerFetcherEndToEnd(t *testing.T) {
 	defer ts.Close()
 
 	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: ts.URL, HC: ts.Client(), Ledger: ledger}
+	f := &Fetcher{Base: ts.URL, Ledger: ledger}
 	got, err := f.FetchAll(context.Background(), srv.Names())
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestFetcherRetriesTransientFailures(t *testing.T) {
 	defer ts.Close()
 
 	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: ts.URL, HC: ts.Client(), Ledger: ledger, Retries: 10}
+	f := &Fetcher{Base: ts.URL, Ledger: ledger, Retries: 10}
 	// With 10 retries at 50% fail rate, collection succeeds essentially always.
 	for day := 0; day < 20; day++ {
 		if _, err := f.FetchAll(context.Background(), []string{"Flaky"}); err != nil {
@@ -201,7 +201,7 @@ func TestFetcherUnknownCA(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: ts.URL, HC: ts.Client(), Ledger: ledger}
+	f := &Fetcher{Base: ts.URL, Ledger: ledger}
 	got, err := f.FetchAll(context.Background(), []string{"nope"})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"stalecert/internal/obs"
 	"stalecert/internal/x509sim"
 )
 
@@ -97,5 +98,56 @@ func TestLedgerRecordsRetryExhausted(t *testing.T) {
 	total := ledger.Total()
 	if total.Attempted != 2 || total.Succeeded != 1 || total.Exhausted != 1 {
 		t.Errorf("total = %+v", total)
+	}
+}
+
+// TestFetcherRidesTheResilientTransport: one CA's fetch is one call through
+// resil's transport. A distribution point that never answers, a 403 and a
+// body cut mid-transfer are all retried there, the ledger records the single
+// outcome, and the retries are counted under the fetcher's service in
+// resil_retries_total.
+func TestFetcherRidesTheResilientTransport(t *testing.T) {
+	a := NewAuthority("Flaky")
+	a.Revoke(1, x509sim.SerialNumber(9), 10, KeyCompromise)
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch hits.Add(1) {
+		case 1:
+			<-r.Context().Done() // cut off by the attempt's own deadline
+		case 2:
+			http.Error(w, "automated access denied", http.StatusForbidden)
+		case 3:
+			conn, buf, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			buf.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\npartial")
+			buf.Flush()
+			conn.Close()
+		default:
+			_, _ = w.Write(a.Snapshot(20).Marshal())
+		}
+	}))
+	defer srv.Close()
+
+	retries := obs.Default().Counter("resil_retries_total", "service", "crl-fetcher")
+	before := retries.Value()
+	ledger := NewCoverageLedger()
+	lists, err := (&Fetcher{Base: srv.URL, Ledger: ledger, Retries: 3}).FetchAll(context.Background(), []string{"Flaky"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := lists["Flaky"]; l == nil || len(l.Entries) != 1 || l.Entries[0].Serial != 9 {
+		t.Fatalf("lists = %v, want Flaky's one revocation", lists)
+	}
+	if hits.Load() != 4 {
+		t.Errorf("server hits = %d, want 4: no answer, a 403, a torn body, the list", hits.Load())
+	}
+	if got := retries.Value() - before; got != 3 {
+		t.Errorf("resil_retries_total{service=crl-fetcher} moved by %d, want 3", got)
+	}
+	if c := ledger.Total(); c.Attempted != 1 || c.Succeeded != 1 {
+		t.Errorf("ledger = %+v, want one successful collection", c)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -23,7 +22,6 @@ var (
 	mServeOK      = obs.Default().Counter("crl_server_requests_total", "outcome", "ok")
 	mServeBlocked = obs.Default().Counter("crl_server_requests_total", "outcome", "blocked")
 	mServeUnknown = obs.Default().Counter("crl_server_requests_total", "outcome", "unknown_ca")
-	mFetchRetries = obs.Default().Counter("crl_fetch_retries_total")
 	mFetchBytes   = obs.Default().Histogram("crl_fetch_bytes", obs.SizeBuckets)
 )
 
@@ -232,53 +230,49 @@ func (l *CoverageLedger) Total() Coverage {
 	return t
 }
 
-// Fetcher downloads CRLs from a Server over HTTP, retrying failures through
-// resil.Retry, and records outcomes in a ledger.
+// Fetcher downloads CRLs from a Server through resil's client stack — its
+// retry loop, call and attempt spans, and chaos hook — and records one
+// outcome per CA per collection in a ledger.
 type Fetcher struct {
 	Base    string // server base URL
-	HC      *http.Client
 	Ledger  *CoverageLedger
 	Retries int // extra attempts per CRL per day (default 2)
-	// Backoff is the first retry delay (default 5ms — distribution points in
-	// the simulation answer instantly, and anti-scraping blocks clear on
-	// re-request rather than with time).
-	Backoff time.Duration
+	// Chaos, when set, injects faults beneath the fetcher's client
+	// (-chaos-seed).
+	Chaos *resil.Chaos
 }
 
-// classify maps a fetch error for the retry loop: cancellation is terminal,
-// while every HTTP status — including the 403s anti-scraping endpoints throw
-// — is worth another attempt, matching the paper's collection methodology.
-func classify(err error) resil.Verdict {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return resil.Terminal
-	}
-	return resil.Retryable
-}
+const (
+	// fetchBackoff is the first retry delay: distribution points in the
+	// simulation answer instantly, and anti-scraping blocks clear on
+	// re-request rather than with time.
+	fetchBackoff = 5 * time.Millisecond
+	// fetchAttemptTimeout cuts off one download, so a distribution point
+	// that accepts and never answers costs a retry, not the whole round.
+	fetchAttemptTimeout = 2 * time.Second
+)
+
+// retryAll classifies every failed attempt as worth another — the 403s
+// anti-scraping endpoints throw included, matching the paper's collection
+// methodology. The retry loop itself stops on cancellation.
+func retryAll(error) resil.Verdict { return resil.Retryable }
 
 // FetchAll performs one daily collection over the named CAs, returning the
-// successfully fetched lists keyed by CA name. The HTTP client is wrapped in
-// an obs.Transport (request-ID propagation, per-peer metrics) unless the
-// caller already supplied an instrumented one; retry/backoff policy lives in
-// this loop rather than the transport so ledger accounting sees exactly one
-// outcome per CA per day.
+// successfully fetched lists keyed by CA name. Each CA is one call through
+// the resilient client, so the ledger sees exactly one outcome per CA per
+// day, whatever the attempts beneath it; resil_retries_total{service=
+// "crl-fetcher"} counts the retries.
 func (f *Fetcher) FetchAll(ctx context.Context, names []string) (map[string]*List, error) {
-	hc := obs.InstrumentClient(f.HC, "crl-fetcher")
 	retries := f.Retries
 	if retries == 0 {
 		retries = 2
 	}
-	backoff := f.Backoff
-	if backoff <= 0 {
-		backoff = 5 * time.Millisecond
-	}
-	policy := resil.Policy{
-		Service:     "crl-fetcher",
-		MaxAttempts: retries + 1,
-		BaseDelay:   backoff,
-		MaxDelay:    100 * backoff,
-		Classify:    classify,
-		OnRetry:     func(int, error, time.Duration) { mFetchRetries.Inc() },
-	}
+	hc := resil.NewHTTPClient(resil.Options{
+		Service: "crl-fetcher",
+		Chaos:   f.Chaos,
+		Policy: resil.Policy{MaxAttempts: retries + 1, BaseDelay: fetchBackoff, MaxDelay: 100 * fetchBackoff,
+			PerAttempt: fetchAttemptTimeout, Classify: retryAll},
+	})
 	out := make(map[string]*List, len(names))
 	for _, name := range names {
 		if ctx.Err() != nil {
@@ -286,21 +280,13 @@ func (f *Fetcher) FetchAll(ctx context.Context, names []string) (map[string]*Lis
 			// attempted" must stay distinguishable from "retries exhausted".
 			return out, ctx.Err()
 		}
-		var list *List
-		err := resil.Retry(ctx, policy, func(ctx context.Context) error {
-			l, ferr := f.fetchOne(ctx, hc, name)
-			if ferr == nil {
-				list = l
-			}
-			return ferr
-		})
+		list, err := f.fetchOne(ctx, hc, name)
 		outcome := OutcomeOK
-		canceled := false
 		switch {
 		case err == nil:
+			out[name] = list
 		case errors.Is(err, context.Canceled), ctx.Err() != nil:
 			outcome = OutcomeCanceled
-			canceled = true
 		default:
 			outcome = OutcomeRetryExhausted
 		}
@@ -308,10 +294,7 @@ func (f *Fetcher) FetchAll(ctx context.Context, names []string) (map[string]*Lis
 			f.Ledger.RecordOutcome(name, outcome)
 		}
 		fetchOutcomeCounter(name, outcome).Inc()
-		if list != nil {
-			out[name] = list
-		}
-		if canceled {
+		if outcome == OutcomeCanceled {
 			return out, ctx.Err()
 		}
 	}
@@ -327,17 +310,12 @@ func (f *Fetcher) fetchOne(ctx context.Context, hc *http.Client, name string) (*
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Drain before returning so the keep-alive connection is reusable by
-		// the retry that's about to happen instead of being torn down.
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
-		return nil, fmt.Errorf("crl: fetch %s: %w", name,
-			&resil.HTTPError{StatusCode: resp.StatusCode, Status: resp.Status})
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := resil.ReadBody(resp, resil.DefaultMaxBodyBytes)
 	if err != nil {
 		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("crl: fetch %s: status %s", name, resp.Status)
 	}
 	mFetchBytes.Observe(float64(len(raw)))
 	return Unmarshal(raw)

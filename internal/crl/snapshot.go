@@ -220,7 +220,7 @@ func (s *Snapshot) await(ctx context.Context, firstLoad bool) error {
 func (s *Snapshot) refresh() error {
 	ctx, cancel := context.WithTimeout(context.Background(), refreshTimeout)
 	defer cancel()
-	// Each round is one root trace of its own: the fetcher's client spans
+	// Each round is one root trace of its own: the fetcher's call spans
 	// hang under it instead of being orphans or riding a request's trace.
 	id := obs.NewRequestID()
 	start := time.Now()

@@ -82,7 +82,7 @@ func entry(issuer, serial, day int) Entry {
 
 func newTestSnapshot(ts *httptest.Server, clock resil.Clock, names ...string) *Snapshot {
 	return &Snapshot{
-		Fetcher: &Fetcher{Base: ts.URL, HC: ts.Client(), Retries: 1, Backoff: time.Millisecond},
+		Fetcher: &Fetcher{Base: ts.URL, Retries: 1},
 		Names:   names,
 		Service: "snapshot-test",
 		Clock:   clock,
@@ -340,9 +340,10 @@ func TestSnapshotViewKeepsDuplicateEntries(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefreshIsOneRootTrace: a refresh round's client spans hang
-// under a crl-refresh root span carrying the daemon's service name, and the
-// round shows in the snapshot metric families.
+// TestSnapshotRefreshIsOneRootTrace: a refresh round's fetches hang under a
+// crl-refresh root span carrying the daemon's service name — one call span
+// per CA with its attempt beneath — and the round shows in the snapshot
+// metric families.
 func TestSnapshotRefreshIsOneRootTrace(t *testing.T) {
 	prev := obs.DefaultSpans()
 	spans := obs.NewSpanStore(16, 1, 0)
@@ -377,8 +378,9 @@ func TestSnapshotRefreshIsOneRootTrace(t *testing.T) {
 		t.Fatalf("span tree: %d roots, want 1 with both fetches under it: %+v", len(roots), traces[0].Spans)
 	}
 	for _, c := range roots[0].Children {
-		if c.Kind != obs.SpanClient || !strings.HasPrefix(c.Name, "GET /crl/") {
-			t.Errorf("child span = %s %q, want a client fetch", c.Kind, c.Name)
+		if c.Kind != obs.SpanCall || !strings.HasPrefix(c.Name, "GET /crl/") || len(c.Children) != 1 ||
+			c.Children[0].Kind != obs.SpanClient || c.Children[0].Attempt != 1 {
+			t.Errorf("child span = %s %q with %d children, want a fetch call over one attempt", c.Kind, c.Name, len(c.Children))
 		}
 	}
 }

@@ -405,7 +405,7 @@ func TestGatherFailsWhenACAHasNeverLoaded(t *testing.T) {
 	g := &Gatherer{
 		Index: core.NewCorpus(nil, core.CorpusOptions{}),
 		CRL: &crl.Snapshot{
-			Fetcher: &crl.Fetcher{Base: ts.URL, Retries: 1, Backoff: time.Millisecond},
+			Fetcher: &crl.Fetcher{Base: ts.URL, Retries: 1},
 			Names:   []string{"Open", "Walled"},
 		},
 	}

@@ -3,7 +3,6 @@ package fleettest
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"slices"
 	"testing"
 	"time"
@@ -163,11 +162,8 @@ func (f *Fleet) startReplica(name string, slice int, ingestBreakers *resil.Break
 	m.Store = store
 
 	var chaos *resil.Chaos
-	fetcher := &crl.Fetcher{Base: f.CRL.URL}
 	if f.spec.ChaosSeed != 0 {
-		chaos = resil.NewChaos(nil, f.spec.ChaosSeed, resil.DefaultRates(0.2))
-		// Directly under the client: the fetcher's retry loop sits above it.
-		fetcher.HC = &http.Client{Transport: chaos.WithBase(nil)}
+		chaos = resil.NewChaos(f.spec.ChaosSeed, resil.DefaultRates(0.2))
 	}
 	// Tight backoff rides out injected faults, PerAttempt cuts off blackholes.
 	ing := certstore.NewIngester(store, ctlog.NewClientWithOptions(f.Log.URL, nil, resil.Options{
@@ -186,7 +182,7 @@ func (f *Fleet) startReplica(name string, slice int, ingestBreakers *resil.Break
 	// and the next one resumes from the checkpoint.
 	Until(t, func() error { _, err := ing.Sync(ctx); return err })
 
-	snap := &crl.Snapshot{Fetcher: fetcher, Names: []string{caName}, Service: "staleapid"}
+	snap := &crl.Snapshot{Fetcher: &crl.Fetcher{Base: f.CRL.URL, Chaos: chaos}, Names: []string{caName}, Service: "staleapid"}
 	m.Health.Register("crl-snapshot", snap.Ready)
 	Until(t, func() error { return snap.Refresh(ctx) })
 	gather := &evidence.Gatherer{Index: store, CRL: snap, Marker: "cloudflaressl.com", Now: Day}

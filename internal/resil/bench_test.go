@@ -33,7 +33,8 @@ func (s stubReplica) RoundTrip(req *http.Request) (*http.Response, error) {
 func BenchmarkTransportRoundTrip(b *testing.B) {
 	for _, body := range []string{`{"domain":"example.com","stale":false}`, strings.Repeat("x", 26<<10)} {
 		b.Run(fmt.Sprintf("body=%dB", len(body)), func(b *testing.B) {
-			hc := InstrumentClient(&http.Client{Transport: stubReplica{body}}, Options{Service: "bench"})
+			hc := InstrumentClient(&http.Client{Transport: stubReplica{body}},
+				Options{Service: "bench", Breaker: NewBreakerSet(BreakerConfig{Service: "bench"})})
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

@@ -23,7 +23,7 @@ type State uint8
 const (
 	Closed   State = iota // normal operation, calls flow
 	Open                  // failing fast, calls rejected until the cooldown
-	HalfOpen              // admitting a bounded number of probes
+	HalfOpen              // admitting one probe at a time
 )
 
 // String names the state.
@@ -39,26 +39,27 @@ func (s State) String() string {
 	return "state?"
 }
 
+// The sliding failure-rate window every breaker judges its peer over, kept in
+// breakerBuckets slices so old outcomes age out a slice at a time.
+const (
+	breakerWindow  = 30 * time.Second
+	breakerBuckets = 10
+)
+
 // BreakerConfig tunes a BreakerSet. The zero value applies the documented
 // defaults.
 type BreakerConfig struct {
 	// Service labels the breaker metric families.
 	Service string
-	// Window is the sliding failure-rate window (default 30s).
-	Window time.Duration
-	// Buckets subdivides the window (default 10).
-	Buckets int
 	// Threshold is the failure fraction in the window that opens the
 	// circuit (default 0.5).
 	Threshold float64
 	// MinRequests is the window volume below which the circuit never opens
 	// (default 10) — a single failed call out of one must not trip.
 	MinRequests int
-	// Cooldown is how long an open circuit rejects before admitting probes
-	// (default 5s).
+	// Cooldown is how long an open circuit rejects before admitting its one
+	// half-open probe (default 5s).
 	Cooldown time.Duration
-	// HalfOpenProbes bounds concurrent probes in half-open (default 1).
-	HalfOpenProbes int
 	// Clock paces the window and cooldown (default: the real clock).
 	Clock Clock
 	// OnStateChange observes transitions (called outside the breaker lock).
@@ -69,12 +70,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Service == "" {
 		c.Service = "unnamed"
 	}
-	if c.Window <= 0 {
-		c.Window = 30 * time.Second
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 10
-	}
 	if c.Threshold <= 0 {
 		c.Threshold = 0.5
 	}
@@ -83,9 +78,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
 	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
@@ -100,7 +92,7 @@ type bucket struct {
 
 // Breaker is one peer's three-state circuit: closed while the sliding-window
 // failure rate stays under the threshold, open (rejecting) after it trips,
-// half-open (admitting bounded probes) after the cooldown. All methods are
+// half-open (admitting one probe) after the cooldown. All methods are
 // safe for concurrent use.
 type Breaker struct {
 	cfg  BreakerConfig
@@ -112,7 +104,7 @@ type Breaker struct {
 	cur         int
 	bucketStart time.Time
 	openedAt    time.Time
-	probes      int
+	probing     bool // the one half-open probe is in flight
 	trips       uint64
 
 	stateGauge *obs.Gauge
@@ -124,7 +116,7 @@ func newBreaker(cfg BreakerConfig, peer string) *Breaker {
 	b := &Breaker{
 		cfg:         cfg,
 		peer:        peer,
-		buckets:     make([]bucket, cfg.Buckets),
+		buckets:     make([]bucket, breakerBuckets),
 		bucketStart: cfg.Clock.Now(),
 		stateGauge:  obs.Default().Gauge("resil_breaker_state", "service", cfg.Service, "peer", peer),
 		tripsCtr:    obs.Default().Counter("resil_breaker_trips_total", "service", cfg.Service, "peer", peer),
@@ -137,12 +129,12 @@ func newBreaker(cfg BreakerConfig, peer string) *Breaker {
 // rotate advances the bucket ring to now, zeroing buckets the window slid
 // past. Caller holds b.mu.
 func (b *Breaker) rotate(now time.Time) {
-	width := b.cfg.Window / time.Duration(b.cfg.Buckets)
+	width := breakerWindow / breakerBuckets
 	for now.Sub(b.bucketStart) >= width {
 		b.cur = (b.cur + 1) % len(b.buckets)
 		b.buckets[b.cur] = bucket{}
 		b.bucketStart = b.bucketStart.Add(width)
-		if now.Sub(b.bucketStart) >= b.cfg.Window {
+		if now.Sub(b.bucketStart) >= breakerWindow {
 			// Idle long enough that the whole window expired; reset
 			// wholesale instead of spinning bucket by bucket.
 			for i := range b.buckets {
@@ -177,7 +169,7 @@ func (b *Breaker) transition(next State, now time.Time) func() {
 		b.trips++
 		b.tripsCtr.Inc()
 	case HalfOpen:
-		b.probes = 0
+		b.probing = false
 	case Closed:
 		for i := range b.buckets {
 			b.buckets[i] = bucket{}
@@ -204,14 +196,6 @@ const (
 	OutcomeCanceled
 )
 
-// outcomeOf maps the legacy bool form.
-func outcomeOf(ok bool) Outcome {
-	if ok {
-		return OutcomeSuccess
-	}
-	return OutcomeFailure
-}
-
 // Allow admits or rejects one call. On admission it returns a report
 // function the caller MUST invoke exactly once with the call's outcome; on
 // rejection it returns an error wrapping ErrOpen.
@@ -230,15 +214,15 @@ func (b *Breaker) Allow() (report func(Outcome), err error) {
 		notify = b.transition(HalfOpen, now)
 		fallthrough
 	case HalfOpen:
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probing {
 			b.mu.Unlock()
 			if notify != nil {
 				notify()
 			}
 			b.rejectsCtr.Inc()
-			return nil, fmt.Errorf("%w: peer %s (half-open, probes busy)", ErrOpen, b.peer)
+			return nil, fmt.Errorf("%w: peer %s (half-open, probe busy)", ErrOpen, b.peer)
 		}
-		b.probes++
+		b.probing = true
 		b.mu.Unlock()
 		if notify != nil {
 			notify()
@@ -261,26 +245,16 @@ func (b *Breaker) reportClosed(o Outcome) {
 	now := b.cfg.Clock.Now()
 	b.mu.Lock()
 	b.rotate(now)
-	if b.state != Closed {
-		// A concurrent probe already moved the state; the stale outcome
-		// still lands in the window but must not re-trip.
-		if ok {
-			b.buckets[b.cur].ok++
-		} else {
-			b.buckets[b.cur].fail++
-		}
-		b.mu.Unlock()
-		return
-	}
 	if ok {
 		b.buckets[b.cur].ok++
 	} else {
 		b.buckets[b.cur].fail++
 	}
-	okN, failN := b.window()
+	// Once a concurrent probe has moved the state, a stale outcome still lands
+	// in the window but must not re-trip.
 	var notify func()
-	if total := okN + failN; !ok && total >= uint64(b.cfg.MinRequests) &&
-		float64(failN)/float64(total) >= b.cfg.Threshold {
+	if okN, failN := b.window(); !ok && b.state == Closed && okN+failN >= uint64(b.cfg.MinRequests) &&
+		float64(failN)/float64(okN+failN) >= b.cfg.Threshold {
 		notify = b.transition(Open, now)
 	}
 	b.mu.Unlock()
@@ -299,7 +273,7 @@ func (b *Breaker) reportProbe(o Outcome) {
 		b.mu.Unlock()
 		return
 	}
-	b.probes--
+	b.probing = false
 	var notify func()
 	switch o {
 	case OutcomeSuccess:

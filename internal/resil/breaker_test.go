@@ -11,13 +11,19 @@ import (
 func testBreakerConfig(fc *FakeClock) BreakerConfig {
 	return BreakerConfig{
 		Service:     "test",
-		Window:      10 * time.Second,
-		Buckets:     10,
 		Threshold:   0.5,
 		MinRequests: 4,
 		Cooldown:    5 * time.Second,
 		Clock:       fc,
 	}
+}
+
+// outcomeOf maps a call's success to its breaker outcome.
+func outcomeOf(ok bool) Outcome {
+	if ok {
+		return OutcomeSuccess
+	}
+	return OutcomeFailure
 }
 
 // drive makes n calls reporting the given outcome, skipping rejections.
@@ -113,8 +119,8 @@ func TestBreakerWindowSlidesPastOldFailures(t *testing.T) {
 	fc := NewFakeClock(time.Now())
 	b := newBreaker(testBreakerConfig(fc).withDefaults(), "peer:1")
 	drive(t, b, 3, false)
-	fc.Advance(11 * time.Second) // entire window expires
-	drive(t, b, 1, false)        // would trip if the old failures still counted
+	fc.Advance(breakerWindow + time.Second) // entire window expires
+	drive(t, b, 1, false)                   // would trip if the old failures still counted
 	if b.State() != Closed {
 		t.Fatalf("state = %v — failures outside the window must not count", b.State())
 	}

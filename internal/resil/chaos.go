@@ -54,39 +54,33 @@ func DefaultRates(total float64) Rates {
 	}
 }
 
-// Chaos is a fault-injecting http.RoundTripper for acceptance tests: a
-// deterministic seeded RNG decides, per request, whether to return a
-// transport error, a synthetic 503, a response cut mid-body, added latency,
-// or a blackhole (hang until the request context is canceled). Wrap it
-// between the resilient transport and the real one so injected faults
-// exercise the retry/breaker machinery exactly like wild ones.
-type Chaos struct {
-	// Base performs real round trips (default http.DefaultTransport).
-	Base http.RoundTripper
-	// Rates are the per-kind injection probabilities.
-	Rates Rates
-	// Latency is the delay injected by FaultLatency (default 200ms).
-	Latency time.Duration
-	// TornAfter caps how many body bytes survive a torn-body fault
-	// (default 64).
-	TornAfter int
+// What a torn-body fault lets through, and what a latency fault adds.
+const (
+	tornAfter    = 64
+	faultLatency = 200 * time.Millisecond
+)
 
-	mu  sync.Mutex
-	rng *rand.Rand
+// Chaos is a seeded fault stream for acceptance tests: a deterministic RNG
+// decides, per request, whether to return a transport error, a synthetic 503,
+// a response cut mid-body, added latency, or a blackhole (hang until the
+// request context is canceled). WithBase slots it between the resilient
+// transport and the real one so injected faults exercise the retry/breaker
+// machinery exactly like wild ones.
+type Chaos struct {
+	rates Rates
+	mu    sync.Mutex
+	rng   *rand.Rand
 }
 
-// NewChaos creates a Chaos transport with a deterministic seed.
-func NewChaos(base http.RoundTripper, seed int64, rates Rates) *Chaos {
-	return &Chaos{Base: base, Rates: rates, rng: rand.New(rand.NewSource(seed))}
+// NewChaos creates a fault stream with a deterministic seed.
+func NewChaos(seed int64, rates Rates) *Chaos {
+	return &Chaos{rates: rates, rng: rand.New(rand.NewSource(seed))}
 }
 
 // roll draws one uniform [0,1) variate from the seeded stream.
 func (c *Chaos) roll() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(1))
-	}
 	return c.rng.Float64()
 }
 
@@ -100,11 +94,11 @@ func (c *Chaos) pick() (FaultKind, bool) {
 		kind FaultKind
 		rate float64
 	}{
-		{FaultError, c.Rates.Error},
-		{FaultStatus5xx, c.Rates.Status5xx},
-		{FaultTornBody, c.Rates.TornBody},
-		{FaultLatency, c.Rates.Latency},
-		{FaultBlackhole, c.Rates.Blackhole},
+		{FaultError, c.rates.Error},
+		{FaultStatus5xx, c.rates.Status5xx},
+		{FaultTornBody, c.rates.TornBody},
+		{FaultLatency, c.rates.Latency},
+		{FaultBlackhole, c.rates.Blackhole},
 	} {
 		if v < band.rate {
 			return band.kind, true
@@ -140,14 +134,9 @@ func (t *tornBody) Read(p []byte) (int, error) {
 
 func (t *tornBody) Close() error { return t.r.Close() }
 
-// RoundTrip implements http.RoundTripper with fault injection.
-func (c *Chaos) RoundTrip(req *http.Request) (*http.Response, error) {
-	return c.roundTrip(req, c.Base)
-}
-
-// WithBase returns a RoundTripper sharing this Chaos's seeded fault stream
-// but delegating real round trips to base — lets one deterministic stream
-// cover several instrumented clients.
+// WithBase returns a RoundTripper that injects this Chaos's seeded faults
+// and delegates real round trips to base (nil = http.DefaultTransport); one
+// deterministic stream can cover several instrumented clients.
 func (c *Chaos) WithBase(base http.RoundTripper) http.RoundTripper {
 	return chaosWithBase{c: c, base: base}
 }
@@ -158,10 +147,7 @@ type chaosWithBase struct {
 }
 
 func (w chaosWithBase) RoundTrip(req *http.Request) (*http.Response, error) {
-	return w.c.roundTrip(req, w.base)
-}
-
-func (c *Chaos) roundTrip(req *http.Request, base http.RoundTripper) (*http.Response, error) {
+	c, base := w.c, w.base
 	if base == nil {
 		base = http.DefaultTransport
 	}
@@ -191,20 +177,12 @@ func (c *Chaos) roundTrip(req *http.Request, base http.RoundTripper) (*http.Resp
 		if err != nil {
 			return nil, err
 		}
-		after := c.TornAfter
-		if after <= 0 {
-			after = 64
-		}
-		resp.Body = &tornBody{r: resp.Body, remaining: after}
+		resp.Body = &tornBody{r: resp.Body, remaining: tornAfter}
 		resp.ContentLength = -1
 		resp.Header.Del("Content-Length")
 		return resp, nil
 	case FaultLatency:
-		d := c.Latency
-		if d <= 0 {
-			d = 200 * time.Millisecond
-		}
-		t := time.NewTimer(d)
+		t := time.NewTimer(faultLatency)
 		select {
 		case <-req.Context().Done():
 			t.Stop()

@@ -26,13 +26,12 @@ func okTransport(body string) http.RoundTripper {
 // faultSequence classifies the outcome of each chaos round trip.
 func faultSequence(t *testing.T, seed int64, n int) []string {
 	t.Helper()
-	c := NewChaos(okTransport("body"), seed, DefaultRates(0.5))
-	c.Latency = time.Microsecond
+	rt := NewChaos(seed, DefaultRates(0.5)).WithBase(okTransport("body"))
 	var seq []string
 	for i := 0; i < n; i++ {
 		req, _ := http.NewRequest(http.MethodGet, "http://peer.test/x", nil)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-		resp, err := c.RoundTrip(req.WithContext(ctx))
+		resp, err := rt.RoundTrip(req.WithContext(ctx))
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			seq = append(seq, "blackhole")
@@ -91,10 +90,10 @@ func TestChaosInjectsRoughlyAtRate(t *testing.T) {
 }
 
 func TestChaosZeroRatesIsTransparent(t *testing.T) {
-	c := NewChaos(okTransport("clean"), 1, Rates{})
+	rt := NewChaos(1, Rates{}).WithBase(okTransport("clean"))
 	for i := 0; i < 20; i++ {
 		req, _ := http.NewRequest(http.MethodGet, "http://peer.test/x", nil)
-		resp, err := c.RoundTrip(req)
+		resp, err := rt.RoundTrip(req)
 		if err != nil {
 			t.Fatalf("RoundTrip: %v", err)
 		}
@@ -107,10 +106,9 @@ func TestChaosZeroRatesIsTransparent(t *testing.T) {
 }
 
 func TestChaosTornBodySurfacesUnexpectedEOF(t *testing.T) {
-	c := NewChaos(okTransport(strings.Repeat("x", 4096)), 1, Rates{TornBody: 1})
-	c.TornAfter = 16
+	rt := NewChaos(1, Rates{TornBody: 1}).WithBase(okTransport(strings.Repeat("x", 4096)))
 	req, _ := http.NewRequest(http.MethodGet, "http://peer.test/x", nil)
-	resp, err := c.RoundTrip(req)
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
 		t.Fatalf("RoundTrip: %v", err)
 	}
@@ -119,7 +117,7 @@ func TestChaosTornBodySurfacesUnexpectedEOF(t *testing.T) {
 	if !errors.Is(rerr, io.ErrUnexpectedEOF) {
 		t.Fatalf("read err = %v, want ErrUnexpectedEOF", rerr)
 	}
-	if n > 16 {
+	if n > tornAfter {
 		t.Fatalf("read %d bytes past the cut point", n)
 	}
 }
@@ -134,15 +132,14 @@ func TestTransportRidesOutChaos(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	chaos := NewChaos(http.DefaultTransport, 99, DefaultRates(0.4))
-	chaos.Latency = time.Millisecond
+	chaos := NewChaos(99, DefaultRates(0.4))
 	hc := &http.Client{Transport: &Transport{
-		Base: chaos,
+		Base:    chaos.WithBase(nil),
+		Service: "chaos-test",
 		Policy: Policy{
-			Service: "chaos-test", MaxAttempts: 8,
-			BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
+			MaxAttempts: 8,
+			BaseDelay:   time.Millisecond, MaxDelay: 5 * time.Millisecond,
 			PerAttempt: 250 * time.Millisecond, // recovers blackholes
-			Jitter:     noJitter,
 		},
 	}}
 	for i := 0; i < 30; i++ {
@@ -174,8 +171,8 @@ func TestChaosListenerDropsSeededFraction(t *testing.T) {
 	defer srv.Close()
 
 	// A resilient client sees through the dropped connections.
-	hc := NewHTTPClient(Options{Service: "listener-test", NoBreaker: true, Policy: Policy{
-		MaxAttempts: 10, BaseDelay: time.Millisecond, Jitter: noJitter,
+	hc := NewHTTPClient(Options{Service: "listener-test", Policy: Policy{
+		MaxAttempts: 10, BaseDelay: time.Millisecond,
 	}})
 	hc.Timeout = 5 * time.Second
 	okCount := 0

@@ -96,34 +96,23 @@ func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
-// fakeTimer is a FakeClock timer; it fires when the clock reaches deadline.
+// fakeTimer is a FakeClock timer; it runs f when the clock reaches deadline.
 type fakeTimer struct {
 	fc       *FakeClock
-	c        chan time.Time // NewTimer: receives the fire time
-	f        func()         // AfterFunc: runs on its own goroutine instead
+	f        func()
 	deadline time.Time
 	done     bool // fired or stopped
 }
 
-func (t *fakeTimer) C() <-chan time.Time { return t.c }
-func (t *fakeTimer) Stop() bool          { return t.fc.stopTimer(t) }
-
-// NewTimer returns a timer whose C receives the fake time once Advance or
-// Sleep moves it to or past d from now. A non-positive d fires immediately.
-func (c *FakeClock) NewTimer(d time.Duration) *fakeTimer {
-	return c.addTimer(&fakeTimer{c: make(chan time.Time, 1)}, d)
-}
+func (t *fakeTimer) Stop() bool { return t.fc.stopTimer(t) }
 
 // AfterFunc returns a timer that runs f on its own goroutine when Advance or
-// Sleep moves the fake time to or past d from now.
+// Sleep moves the fake time to or past d from now. A non-positive d fires at
+// once.
 func (c *FakeClock) AfterFunc(d time.Duration, f func()) Timer {
-	return c.addTimer(&fakeTimer{f: f}, d)
-}
-
-func (c *FakeClock) addTimer(t *fakeTimer, d time.Duration) *fakeTimer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t.fc, t.deadline = c, c.now.Add(d)
+	t := &fakeTimer{fc: c, f: f, deadline: c.now.Add(d)}
 	c.timers = append(c.timers, t)
 	c.fireLocked()
 	return t
@@ -145,11 +134,7 @@ func (c *FakeClock) fireLocked() {
 	for _, t := range c.timers {
 		if !t.done && !t.deadline.After(c.now) {
 			t.done = true
-			if t.f != nil {
-				go t.f()
-			} else {
-				t.c <- c.now
-			}
+			go t.f()
 			continue
 		}
 		if !t.done {

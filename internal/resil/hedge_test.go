@@ -212,43 +212,38 @@ func TestHedgeChainedTimers(t *testing.T) {
 
 func TestFakeClockTimer(t *testing.T) {
 	fc := hedgeClock()
-	timer := fc.NewTimer(100 * time.Millisecond)
-	select {
-	case <-timer.C():
-		t.Fatal("timer fired before its deadline")
-	default:
-	}
+	fired := make(chan struct{})
+	timer := fc.AfterFunc(100*time.Millisecond, func() { close(fired) })
 	fc.Advance(99 * time.Millisecond)
 	select {
-	case <-timer.C():
+	case <-fired:
 		t.Fatal("timer fired 1ms early")
 	default:
 	}
 	fc.Advance(time.Millisecond)
 	select {
-	case <-timer.C():
-	default:
+	case <-fired:
+	case <-time.After(5 * time.Second):
 		t.Fatal("timer did not fire at its deadline")
 	}
+	if timer.Stop() {
+		t.Fatal("Stop after firing reported the timer as live")
+	}
 
-	stopped := fc.NewTimer(time.Second)
+	stopped := fc.AfterFunc(time.Second, func() { t.Error("stopped timer fired") })
 	if !stopped.Stop() {
 		t.Fatal("Stop on a live timer reported already-fired")
 	}
 	fc.Advance(2 * time.Second)
-	select {
-	case <-stopped.C():
-		t.Fatal("stopped timer fired")
-	default:
-	}
 	if stopped.Stop() {
 		t.Fatal("second Stop reported the timer as live")
 	}
 
-	immediate := fc.NewTimer(0)
+	immediate := make(chan struct{})
+	fc.AfterFunc(0, func() { close(immediate) })
 	select {
-	case <-immediate.C():
-	default:
+	case <-immediate:
+	case <-time.After(5 * time.Second):
 		t.Fatal("zero-duration timer did not fire immediately")
 	}
 }

@@ -1,9 +1,9 @@
-// Package resil is the fleet-wide resilience layer: policy-driven retries
-// with exponential backoff and Retry-After honoring (Retry), per-peer
-// three-state circuit breakers exported as obs metrics and a /v1/breakers
-// debug endpoint (Breaker/BreakerSet), deterministic fault injection for
-// chaos tests (Chaos/ChaosListener), and an http.RoundTripper composing all
-// of it (Transport).
+// Package resil is the fleet-wide resilience layer, one outbound HTTP client
+// stack: an http.RoundTripper (Transport) running policy-driven retries with
+// exponential backoff and Retry-After honoring (Policy), per-peer three-state
+// circuit breakers exported as obs metrics and a /v1/breakers debug endpoint
+// (Breaker/BreakerSet), and deterministic fault injection for chaos tests
+// (Chaos/ChaosListener).
 //
 // The composition order for an instrumented client is
 //
@@ -25,15 +25,14 @@ import (
 
 // Options configures InstrumentClient / NewHTTPClient for one service.
 type Options struct {
-	// Service labels every metric family and defaults the policy's service.
+	// Service labels every metric family, the call spans and the retry
+	// counter.
 	Service string
 	// Policy drives the retry loop (zero value = documented defaults).
 	Policy Policy
-	// Breaker supplies a shared per-peer breaker family; nil creates one
-	// from BreakerConfig defaults unless NoBreaker is set.
+	// Breaker, when non-nil, gates every attempt through the peer's circuit
+	// in this shared per-peer family; nil disables circuit breaking.
 	Breaker *BreakerSet
-	// NoBreaker disables circuit breaking entirely.
-	NoBreaker bool
 	// Chaos, when non-nil, injects faults between the resilient transport
 	// and the instrumented base — test wiring only.
 	Chaos *Chaos
@@ -49,9 +48,6 @@ type Options struct {
 // The original client is not mutated; a client already carrying a
 // resil.Transport is returned unchanged.
 func InstrumentClient(hc *http.Client, opts Options) *http.Client {
-	if opts.Policy.Service == "" {
-		opts.Policy.Service = opts.Service
-	}
 	if hc != nil {
 		if _, ok := hc.Transport.(*Transport); ok {
 			return hc // already resilient
@@ -73,12 +69,9 @@ func InstrumentClient(hc *http.Client, opts Options) *http.Client {
 	if ot, ok := instrumented.Transport.(*obs.Transport); ok && opts.Spans != nil {
 		ot.Spans = opts.Spans
 	}
-	breakers := opts.Breaker
-	if breakers == nil && !opts.NoBreaker {
-		breakers = NewBreakerSet(BreakerConfig{Service: opts.Service})
-	}
 	wrapped := *instrumented
-	wrapped.Transport = &Transport{Base: instrumented.Transport, Policy: opts.Policy, Breakers: breakers, Spans: opts.Spans}
+	wrapped.Transport = &Transport{Base: instrumented.Transport, Service: opts.Service, Policy: opts.Policy,
+		Breakers: opts.Breaker, Spans: opts.Spans}
 	return &wrapped
 }
 
@@ -112,17 +105,17 @@ func (f *Flags) BindFlags(fs *flag.FlagSet) {
 
 // Options materializes the bound flags into client options for one service.
 func (f *Flags) Options(service string) Options {
-	opts := Options{
-		Service: service,
-		Policy:  Policy{Service: service, MaxAttempts: f.RetryMax},
-	}
-	if f.BreakerThreshold <= 0 {
-		opts.NoBreaker = true
-	} else {
+	opts := Options{Service: service, Policy: Policy{MaxAttempts: f.RetryMax}, Chaos: f.Chaos()}
+	if f.BreakerThreshold > 0 {
 		opts.Breaker = NewBreakerSet(BreakerConfig{Service: service, Threshold: f.BreakerThreshold})
 	}
-	if f.ChaosSeed != 0 {
-		opts.Chaos = NewChaos(nil, f.ChaosSeed, DefaultRates(0.2))
-	}
 	return opts
+}
+
+// Chaos returns a fresh -chaos-seed fault stream, nil when the seed is zero.
+func (f *Flags) Chaos() *Chaos {
+	if f.ChaosSeed == 0 {
+		return nil
+	}
+	return NewChaos(f.ChaosSeed, DefaultRates(0.2))
 }

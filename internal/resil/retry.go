@@ -99,35 +99,28 @@ func DefaultClassify(err error) Verdict {
 	return Retryable
 }
 
-// Policy drives Retry: how many attempts, how the backoff grows, how errors
-// are classified, and which clock paces the sleeps. The zero value is usable
-// and applies the defaults documented per field.
+// Policy drives the transport's retry loop: how many attempts, how the
+// backoff grows, how errors are classified, and which clock paces the sleeps.
+// The zero value is usable and applies the defaults documented per field.
 type Policy struct {
-	// Service labels the resil_retries_total series (default "unnamed").
-	Service string
 	// MaxAttempts is the total attempt budget including the first
 	// (default 4; 1 disables retries).
 	MaxAttempts int
-	// BaseDelay is the first backoff step (default 100ms).
+	// BaseDelay is the first backoff step (default 100ms); each further step
+	// doubles it.
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (default 5s).
 	MaxDelay time.Duration
-	// Multiplier grows the backoff per attempt (default 2).
-	Multiplier float64
 	// PerAttempt bounds each attempt with its own deadline (0 = none). An
 	// attempt cut off by this budget is retryable as long as the overall
 	// context still stands.
 	PerAttempt time.Duration
-	// Classify maps an attempt error to a verdict (default DefaultClassify).
+	// Classify maps an attempt's error to a verdict (default
+	// DefaultClassify). A status of 400 or above reaches it as an *HTTPError:
+	// the statuses it calls Retryable are retried, the others delivered.
 	Classify func(error) Verdict
-	// OnRetry observes each scheduled retry (attempt just failed, its error,
-	// and the delay before the next try).
-	OnRetry func(attempt int, err error, delay time.Duration)
-	// Jitter maps a computed backoff to the actually slept duration
-	// (default: full jitter, uniform over [0, d)). Retry-After hints bypass
-	// jitter — the server asked for a specific wait.
-	Jitter func(d time.Duration) time.Duration
-	// Clock paces sleeps and deadline checks (default: the real clock).
+	// Clock paces sleeps and deadline checks (default: the real clock). On a
+	// FakeClock the backoff is slept unjittered, so tests see exact sleeps.
 	Clock Clock
 }
 
@@ -145,9 +138,6 @@ func fullJitter(d time.Duration) time.Duration {
 
 // withDefaults fills zero fields.
 func (p Policy) withDefaults() Policy {
-	if p.Service == "" {
-		p.Service = "unnamed"
-	}
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
 	}
@@ -157,14 +147,8 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 5 * time.Second
 	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = 2
-	}
 	if p.Classify == nil {
 		p.Classify = DefaultClassify
-	}
-	if p.Jitter == nil {
-		p.Jitter = fullJitter
 	}
 	if p.Clock == nil {
 		p.Clock = realClock{}
@@ -173,8 +157,9 @@ func (p Policy) withDefaults() Policy {
 }
 
 // delay computes the wait before the attempt after `attempt` (1-based)
-// failed with err: the server's Retry-After hint verbatim when present,
-// otherwise jittered exponential backoff.
+// failed with err: the server's Retry-After hint verbatim when present — the
+// server asked for a specific wait — otherwise exponential backoff with full
+// jitter, uniform over [0, d).
 func (p Policy) delay(attempt int, err error) time.Duration {
 	var ra retryAfterer
 	if errors.As(err, &ra) {
@@ -182,78 +167,15 @@ func (p Policy) delay(attempt int, err error) time.Duration {
 			return d
 		}
 	}
-	d := float64(p.BaseDelay)
-	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
+	d := p.BaseDelay
+	for i := 1; i < attempt && d < p.MaxDelay; i++ {
+		d *= 2
 	}
-	return p.Jitter(time.Duration(d))
-}
-
-// Retry runs op until it succeeds, a terminal error occurs, the attempt
-// budget is spent, or the context's deadline cannot accommodate the next
-// backoff step. Each attempt runs under its own PerAttempt deadline (when
-// set); an attempt cut off by that per-attempt budget is retried while the
-// overall context still stands. When the overall deadline would be crossed
-// by the next backoff, Retry returns promptly with an error satisfying
-// errors.Is(err, context.DeadlineExceeded) instead of sleeping through it.
-func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) error {
-	p = p.withDefaults()
-	return p.loop(ctx, func(int, error) (bool, error) {
-		actx := ctx
-		cancel := func() {}
-		if p.PerAttempt > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.PerAttempt)
-		}
-		err := op(actx)
-		cancel()
-		return false, err
-	})
-}
-
-// loop is the one retry loop, under Retry and under Transport.RoundTrip. try
-// runs attempt number attempt, given the previous attempt's error, and
-// returns nil when it succeeded. Its error is returned as it is when try says
-// it is final; otherwise it is classified — an attempt cut off while ctx
-// still stands was cut off by its own per-attempt budget and is retryable —
-// and, budget and deadline allowing, followed by a backoff and another try.
-// p has its defaults filled in.
-func (p Policy) loop(ctx context.Context, try func(attempt int, lastErr error) (final bool, err error)) error {
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return joinCtx(err, lastErr)
-		}
-		final, err := try(attempt, lastErr)
-		if err == nil || final {
-			return err
-		}
-		lastErr = err
-		if cerr := ctx.Err(); cerr != nil {
-			return joinCtx(cerr, lastErr)
-		}
-		verdict := p.Classify(err)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			verdict = Retryable
-		}
-		if verdict == Terminal || attempt >= p.MaxAttempts {
-			return lastErr
-		}
-		delay := p.delay(attempt, err)
-		if deadline, ok := ctx.Deadline(); ok && p.Clock.Now().Add(delay).After(deadline) {
-			return joinCtx(context.DeadlineExceeded, lastErr)
-		}
-		retryCounter(p.Service).Inc()
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err, delay)
-		}
-		if serr := p.Clock.Sleep(ctx, delay); serr != nil {
-			return joinCtx(serr, lastErr)
-		}
+	d = min(d, p.MaxDelay)
+	if _, fake := p.Clock.(*FakeClock); fake {
+		return d
 	}
+	return fullJitter(d)
 }
 
 // joinCtx pairs a context error with the last attempt's error so callers can

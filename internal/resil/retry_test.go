@@ -3,20 +3,35 @@ package resil
 import (
 	"context"
 	"errors"
+	"net/http"
 	"testing"
 	"time"
 )
 
 var errBoom = errors.New("boom")
 
-// noJitter makes backoff deterministic for assertions.
-func noJitter(d time.Duration) time.Duration { return d }
+// retry runs the transport's retry loop over op: each attempt is one round
+// trip whose error is op's, under the attempt's context.
+func retry(ctx context.Context, p Policy, op func(ctx context.Context) error) error {
+	tr := &Transport{Policy: p, Base: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if err := op(req.Context()); err != nil {
+			return nil, err
+		}
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: http.NoBody, Request: req}, nil
+	})}
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://peer.test/", nil)
+	resp, err := tr.RoundTrip(req)
+	if err == nil {
+		resp.Body.Close()
+	}
+	return err
+}
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	fc := NewFakeClock(time.Now())
 	calls := 0
-	err := Retry(context.Background(), Policy{
-		MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, Jitter: noJitter, Clock: fc,
+	err := retry(context.Background(), Policy{
+		MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, Clock: fc,
 	}, func(context.Context) error {
 		calls++
 		if calls < 3 {
@@ -25,7 +40,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Retry: %v", err)
+		t.Fatalf("retry: %v", err)
 	}
 	if calls != 3 {
 		t.Fatalf("calls = %d, want 3", calls)
@@ -46,8 +61,8 @@ func TestRetryStopsOnTerminalError(t *testing.T) {
 	fc := NewFakeClock(time.Now())
 	terminal := errors.New("bad request")
 	calls := 0
-	err := Retry(context.Background(), Policy{
-		MaxAttempts: 5, Clock: fc, Jitter: noJitter,
+	err := retry(context.Background(), Policy{
+		MaxAttempts: 5, Clock: fc,
 		Classify: func(err error) Verdict {
 			if errors.Is(err, terminal) {
 				return Terminal
@@ -72,8 +87,8 @@ func TestRetryStopsOnTerminalError(t *testing.T) {
 func TestRetryExhaustsBudget(t *testing.T) {
 	fc := NewFakeClock(time.Now())
 	calls := 0
-	err := Retry(context.Background(), Policy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: noJitter, Clock: fc,
+	err := retry(context.Background(), Policy{
+		MaxAttempts: 3, BaseDelay: time.Millisecond, Clock: fc,
 	}, func(context.Context) error {
 		calls++
 		return errBoom
@@ -88,7 +103,7 @@ func TestRetryExhaustsBudget(t *testing.T) {
 
 // The satellite contract: an overall budget shorter than the next backoff
 // step returns context.DeadlineExceeded promptly instead of sleeping through
-// the deadline. Fake clock — the test would hang for 10s if Retry actually
+// the deadline. Fake clock — the test would hang for 10s if the loop actually
 // slept.
 func TestRetryNeverSleepsPastDeadline(t *testing.T) {
 	now := time.Now()
@@ -97,10 +112,9 @@ func TestRetryNeverSleepsPastDeadline(t *testing.T) {
 	defer cancel()
 
 	calls := 0
-	err := Retry(ctx, Policy{
+	err := retry(ctx, Policy{
 		MaxAttempts: 5,
 		BaseDelay:   10 * time.Second, // one step already exceeds the budget
-		Jitter:      noJitter,
 		Clock:       fc,
 	}, func(context.Context) error {
 		calls++
@@ -123,9 +137,9 @@ func TestRetryNeverSleepsPastDeadline(t *testing.T) {
 func TestRetryPerAttemptTimeoutIsRetryable(t *testing.T) {
 	fc := NewFakeClock(time.Now())
 	calls := 0
-	err := Retry(context.Background(), Policy{
+	err := retry(context.Background(), Policy{
 		MaxAttempts: 3, PerAttempt: 5 * time.Millisecond,
-		BaseDelay: time.Millisecond, Jitter: noJitter, Clock: fc,
+		BaseDelay: time.Millisecond, Clock: fc,
 	}, func(ctx context.Context) error {
 		calls++
 		if calls < 2 {
@@ -135,7 +149,7 @@ func TestRetryPerAttemptTimeoutIsRetryable(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Retry: %v (per-attempt deadline must be retryable)", err)
+		t.Fatalf("retry: %v (per-attempt deadline must be retryable)", err)
 	}
 	if calls != 2 {
 		t.Fatalf("calls = %d, want 2", calls)
@@ -146,7 +160,7 @@ func TestRetryCanceledContextIsTerminal(t *testing.T) {
 	fc := NewFakeClock(time.Now())
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := Retry(ctx, Policy{MaxAttempts: 5, Clock: fc, Jitter: noJitter}, func(context.Context) error {
+	err := retry(ctx, Policy{MaxAttempts: 5, Clock: fc}, func(context.Context) error {
 		calls++
 		cancel()
 		return errBoom
@@ -162,8 +176,8 @@ func TestRetryCanceledContextIsTerminal(t *testing.T) {
 func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	fc := NewFakeClock(time.Now())
 	calls := 0
-	err := Retry(context.Background(), Policy{
-		MaxAttempts: 2, BaseDelay: time.Millisecond, Jitter: noJitter, Clock: fc,
+	err := retry(context.Background(), Policy{
+		MaxAttempts: 2, BaseDelay: time.Millisecond, Clock: fc,
 	}, func(context.Context) error {
 		calls++
 		if calls == 1 {
@@ -172,7 +186,7 @@ func TestRetryHonorsRetryAfterHint(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Retry: %v", err)
+		t.Fatalf("retry: %v", err)
 	}
 	slept := fc.Slept()
 	if len(slept) != 1 || slept[0] != 7*time.Second {
@@ -181,7 +195,7 @@ func TestRetryHonorsRetryAfterHint(t *testing.T) {
 }
 
 func TestDelayCapsAtMaxDelay(t *testing.T) {
-	p := Policy{BaseDelay: time.Second, MaxDelay: 3 * time.Second, Multiplier: 2, Jitter: noJitter}.withDefaults()
+	p := Policy{BaseDelay: time.Second, MaxDelay: 3 * time.Second, Clock: NewFakeClock(time.Now())}.withDefaults()
 	if d := p.delay(1, errBoom); d != time.Second {
 		t.Fatalf("delay(1) = %v", d)
 	}

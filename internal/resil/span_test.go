@@ -29,14 +29,12 @@ func TestRetryAttemptsAreSiblingSpans(t *testing.T) {
 	st := obs.NewSpanStore(8, 0, 0) // sample 0: only the error rule can keep
 	st.Registry = obs.NewRegistry()
 	hc := InstrumentClient(&http.Client{}, Options{
-		Service:   "retry-span-test",
-		NoBreaker: true,
-		Spans:     st,
+		Service: "retry-span-test",
+		Spans:   st,
 		Policy: Policy{
 			MaxAttempts: 3,
 			BaseDelay:   time.Millisecond,
 			MaxDelay:    2 * time.Millisecond,
-			Jitter:      func(d time.Duration) time.Duration { return d },
 		},
 	})
 
@@ -86,7 +84,7 @@ func TestCallSpanJoinsCallerTrace(t *testing.T) {
 
 	st := obs.NewSpanStore(8, 1, 0)
 	st.Registry = obs.NewRegistry()
-	hc := NewHTTPClient(Options{Service: "join-test", NoBreaker: true, Spans: st})
+	hc := NewHTTPClient(Options{Service: "join-test", Spans: st})
 
 	id := obs.NewRequestID()
 	req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)

@@ -2,6 +2,7 @@ package resil
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 
 // DefaultMaxBodyBytes bounds how much of a response the transport buffers to
 // make attempts replayable (matches the largest consumer, the CRL fetcher).
+// A larger body fails its attempt like a torn one.
 const DefaultMaxBodyBytes = 64 << 20
 
 // Transport is the resilient http.RoundTripper: per-peer circuit breaking,
@@ -23,39 +25,24 @@ const DefaultMaxBodyBytes = 64 << 20
 // to the decoder).
 //
 // Semantics are preserved for callers: the final attempt's response —
-// including a final 429/5xx after the retry budget is spent — is returned
-// with its body intact, so status-code handling in existing clients keeps
-// working; only the transient failures in between disappear.
+// including a final retryable status after the retry budget is spent — is
+// returned with its body intact, so status-code handling in existing clients
+// keeps working; only the transient failures in between disappear.
 type Transport struct {
 	// Base performs the actual round trips (default http.DefaultTransport).
 	Base http.RoundTripper
+	// Service labels the call spans and resil_retries_total (default
+	// "unnamed").
+	Service string
 	// Policy drives the retry loop.
 	Policy Policy
 	// Breakers, when set, gates every attempt through the peer's circuit.
 	Breakers *BreakerSet
-	// MaxBodyBytes caps response buffering (default DefaultMaxBodyBytes).
-	// Larger bodies are streamed through un-buffered and not retryable
-	// mid-read.
-	MaxBodyBytes int64
 	// Spans receives the logical call span each round trip records; nil
 	// resolves the process-wide obs.DefaultSpans per call.
 	Spans *obs.SpanStore
-}
 
-// cancelBody ties a per-attempt context cancel to body close for responses
-// too large to buffer.
-type cancelBody struct {
-	io.Reader
-	close  func() error
-	cancel context.CancelFunc
-}
-
-func (b *cancelBody) Close() error {
-	err := b.close()
-	if b.cancel != nil {
-		b.cancel()
-	}
-	return err
+	maxBody int64 // 0 = DefaultMaxBodyBytes; tests lower it
 }
 
 // bufferedBody is a response body the transport has read to the end: data is
@@ -75,9 +62,7 @@ func (b *bufferedBody) Read(p []byte) (int, error) {
 }
 
 func (b *bufferedBody) Close() error {
-	if b.cancel != nil {
-		b.cancel()
-	}
+	b.cancel()
 	return nil
 }
 
@@ -112,6 +97,7 @@ func ReadBody(resp *http.Response, limit int64) ([]byte, error) {
 // tail-sampling keep/drop decision runs when the call completes.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	p := t.Policy.withDefaults()
+	service := cmp.Or(t.Service, "unnamed")
 
 	parentSpan := ""
 	id, hadID := obs.RequestIDFromContext(req.Context())
@@ -124,7 +110,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	ctx := obs.ContextWithRequestID(req.Context(), id)
 
 	start := time.Now()
-	resp, attempts, err := t.retryLoop(ctx, req, p)
+	resp, attempts, err := t.retryLoop(ctx, req, p, service)
 	elapsed := time.Since(start)
 
 	status := 0
@@ -138,7 +124,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		TraceID:  id.Trace(),
 		SpanID:   id.Span(),
 		ParentID: parentSpan,
-		Service:  p.Service,
+		Service:  service,
 		Name:     req.Method + " " + req.URL.Path,
 		Kind:     obs.SpanCall,
 		Start:    start,
@@ -160,51 +146,70 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-// retryLoop runs Policy.loop under ctx (the caller's context plus the call
-// span's ID) and reports how many attempts it spent. What is the transport's
-// own: a request whose body cannot be replayed gets no second attempt, and
-// when the budget is spent on a retryable status the caller is handed that
-// response rather than a synthesized error.
-func (t *Transport) retryLoop(ctx context.Context, req *http.Request, p Policy) (resp *http.Response, attempts int, err error) {
-	maxBody := t.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBodyBytes
+// retryLoop is the one retry loop. It runs attempts under ctx (the caller's
+// context plus the call span's ID) until one is delivered, a terminal error
+// occurs, the budget is spent, or ctx's deadline cannot accommodate the next
+// backoff step — then it returns promptly with an error satisfying
+// errors.Is(err, context.DeadlineExceeded) instead of sleeping through it. An
+// attempt cut off while ctx still stands was cut off by its own per-attempt
+// budget and is retryable. A request whose body cannot be replayed gets no
+// second attempt, and when the budget is spent on a retryable status the
+// caller is handed that response rather than a synthesized error. It reports
+// how many attempts it spent.
+func (t *Transport) retryLoop(ctx context.Context, req *http.Request, p Policy, service string) (*http.Response, int, error) {
+	var lastErr error
+	for attempt := 1; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return nil, attempt - 1, joinCtx(err, lastErr)
+		}
+		resp, err := t.attempt(ctx, req, p, attempt)
+		if err == nil || (resp != nil && attempt >= p.MaxAttempts) {
+			return resp, attempt, nil
+		}
+		if resp != nil {
+			resp.Body.Close() // a retryable status another attempt replaces
+		}
+		lastErr = err
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, attempt, joinCtx(cerr, lastErr)
+		}
+		verdict := p.Classify(err)
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			verdict = Retryable
+		}
+		if verdict == Terminal || attempt >= p.MaxAttempts {
+			return nil, attempt, lastErr
+		}
+		if req.Body != nil && req.GetBody == nil {
+			return nil, attempt, fmt.Errorf("resil: cannot retry request with unreplayable body: %w", lastErr)
+		}
+		delay := p.delay(attempt, err)
+		if deadline, ok := ctx.Deadline(); ok && p.Clock.Now().Add(delay).After(deadline) {
+			return nil, attempt, joinCtx(context.DeadlineExceeded, lastErr)
+		}
+		retryCounter(service).Inc()
+		if serr := p.Clock.Sleep(ctx, delay); serr != nil {
+			return nil, attempt, joinCtx(serr, lastErr)
+		}
 	}
-	err = p.loop(ctx, func(attempt int, lastErr error) (bool, error) {
-		if attempt > 1 && req.Body != nil && req.GetBody == nil {
-			return true, fmt.Errorf("resil: cannot retry request with unreplayable body: %w", lastErr)
-		}
-		attempts = attempt
-		var aerr error
-		var final *http.Response
-		if resp, aerr, final = t.attempt(ctx, req, p, attempt, maxBody); final != nil {
-			resp, aerr = final, nil
-		}
-		return false, aerr
-	})
-	return resp, attempts, err
 }
 
-// attempt runs one round trip. It returns either a delivered response
-// (err == nil), an error to classify, or — when the status is retryable but
-// this was the last allowed attempt — the response itself via final. The
-// attempt's request is a shallow copy under the attempt's context: nothing
-// here touches the headers, and the obs transport below makes the one deep
-// copy it needs to add traceparent.
-func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, attempt int, maxBody int64) (resp *http.Response, err error, final *http.Response) {
+// attempt runs one round trip. A delivered response comes back with a nil
+// error; a status the policy calls retryable comes back both as its response
+// and as the *HTTPError to classify. The attempt's request is a shallow copy
+// under the attempt's context: nothing here touches the headers, and the obs
+// transport below makes the one deep copy it needs to add traceparent.
+func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, attempt int) (*http.Response, error) {
 	base := t.Base
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	var report func(Outcome)
+	report := func(Outcome) {}
 	if t.Breakers != nil {
 		var berr error
-		report, berr = t.Breakers.For(req.URL.Host).Allow()
-		if berr != nil {
-			return nil, berr, nil
+		if report, berr = t.Breakers.For(req.URL.Host).Allow(); berr != nil {
+			return nil, berr
 		}
-	} else {
-		report = func(Outcome) {}
 	}
 	// fail distinguishes a genuine peer failure from caller abandonment: a
 	// losing hedge leg (or any caller-cancelled attempt) says nothing about
@@ -219,7 +224,7 @@ func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, at
 	// Tag the attempt number so the obs transport below records which try
 	// this was: retries show as numbered sibling spans in the trace.
 	actx := obs.ContextWithAttempt(ctx, attempt)
-	cancel := context.CancelFunc(nil)
+	cancel := context.CancelFunc(func() {})
 	if p.PerAttempt > 0 {
 		actx, cancel = context.WithTimeout(actx, p.PerAttempt)
 	}
@@ -227,69 +232,51 @@ func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, at
 	if attempt > 1 && req.GetBody != nil {
 		body, gerr := req.GetBody()
 		if gerr != nil {
-			if cancel != nil {
-				cancel()
-			}
+			cancel()
 			report(OutcomeFailure)
-			return nil, fmt.Errorf("resil: replay request body: %w", gerr), nil
+			return nil, fmt.Errorf("resil: replay request body: %w", gerr)
 		}
 		areq.Body = body
 	}
 
 	r, rerr := base.RoundTrip(areq)
 	if rerr != nil {
-		if cancel != nil {
-			cancel()
-		}
+		cancel()
 		report(fail())
-		return nil, rerr, nil
+		return nil, rerr
 	}
-
-	retryableStatus := r.StatusCode == http.StatusTooManyRequests || r.StatusCode/100 == 5
 
 	// Buffer the body so the response is replayable and torn reads become
 	// retryable failures instead of decoder errors downstream. A declared
 	// length sizes the buffer once instead of by doubling (seven copies for a
 	// 26 KB get-entries page); it is trusted up to 1 MiB only, so a lying
 	// Content-Length reserves no more than that.
+	maxBody := cmp.Or(t.maxBody, DefaultMaxBodyBytes)
 	var buf bytes.Buffer
 	if r.ContentLength > 0 {
 		buf.Grow(int(min(r.ContentLength, 1<<20)) + bytes.MinRead)
 	}
 	_, berr := buf.ReadFrom(io.LimitReader(r.Body, maxBody+1))
-	data := buf.Bytes()
-	if berr != nil {
-		_ = r.Body.Close()
-		if cancel != nil {
-			cancel()
-		}
-		report(fail()) // torn body: the peer is flaky regardless of status
-		return nil, fmt.Errorf("resil: read response body: %w", berr), nil
-	}
-	report(outcomeOf(!retryableStatus))
-	if int64(len(data)) > maxBody {
-		// Too large to buffer: stream the remainder through untouched (such
-		// a response is delivered as-is and not retryable mid-read).
-		r.Body = &cancelBody{
-			Reader: io.MultiReader(bytes.NewReader(data), r.Body),
-			close:  r.Body.Close,
-			cancel: cancel,
-		}
-		return r, nil, nil
-	}
 	_ = r.Body.Close()
-	r.Body = &bufferedBody{data: data, cancel: cancel}
-	r.ContentLength = int64(len(data))
-
-	if retryableStatus {
-		if attempt >= p.MaxAttempts {
-			return nil, errors.New("resil: retry budget spent"), r
-		}
-		return nil, &HTTPError{
-			StatusCode: r.StatusCode,
-			Status:     r.Status,
-			RetryAfter: ParseRetryAfter(r.Header.Get("Retry-After"), p.Clock.Now()),
-		}, nil
+	if berr == nil && int64(buf.Len()) > maxBody {
+		berr = fmt.Errorf("body exceeds the %d-byte limit", maxBody)
 	}
-	return r, nil, nil
+	if berr != nil {
+		cancel()
+		report(fail()) // torn body: the peer is flaky regardless of status
+		return nil, fmt.Errorf("resil: read response body: %w", berr)
+	}
+	r.Body = &bufferedBody{data: buf.Bytes(), cancel: cancel}
+	r.ContentLength = int64(buf.Len())
+
+	if r.StatusCode >= 400 {
+		herr := &HTTPError{StatusCode: r.StatusCode, Status: r.Status}
+		if p.Classify(herr) == Retryable {
+			report(OutcomeFailure)
+			herr.RetryAfter = ParseRetryAfter(r.Header.Get("Retry-After"), p.Clock.Now())
+			return r, herr
+		}
+	}
+	report(OutcomeSuccess)
+	return r, nil
 }

@@ -62,7 +62,7 @@ func (r *failingReader) Read(p []byte) (int, error) {
 }
 
 func fastPolicy(fc *FakeClock) Policy {
-	return Policy{Service: "test", MaxAttempts: 4, BaseDelay: time.Millisecond, Jitter: noJitter, Clock: fc}
+	return Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, Clock: fc}
 }
 
 func get(t *testing.T, rt http.RoundTripper, url string) (*http.Response, string, error) {
@@ -160,6 +160,26 @@ func TestTransportTerminalStatusNotRetried(t *testing.T) {
 	}
 }
 
+// A status of 400 or above goes to the policy's classifier: one it calls
+// retryable is retried like a 5xx, as the CRL fetcher retries anti-scraping
+// 403s.
+func TestTransportRetriesStatusTheClassifierRetries(t *testing.T) {
+	calls := atomic.Int64{}
+	base := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if calls.Add(1) == 1 {
+			return &http.Response{StatusCode: 403, Status: "403 Forbidden", Header: http.Header{},
+				Body: io.NopCloser(strings.NewReader("denied")), Request: req}, nil
+		}
+		return okTransport("payload").RoundTrip(req)
+	})
+	p := fastPolicy(NewFakeClock(time.Now()))
+	p.Classify = func(error) Verdict { return Retryable }
+	resp, body, err := get(t, &Transport{Base: base, Policy: p}, "http://peer.test/x")
+	if err != nil || resp.StatusCode != 200 || body != "payload" || calls.Load() != 2 {
+		t.Fatalf("got %v %q, %v after %d calls; want the 403 retried into a 200", resp, body, err, calls.Load())
+	}
+}
+
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
@@ -246,7 +266,7 @@ func TestTransportEndToEndAgainstServer(t *testing.T) {
 	defer srv.Close()
 
 	hc := NewHTTPClient(Options{Service: "e2e", Policy: Policy{
-		MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: noJitter,
+		MaxAttempts: 5, BaseDelay: time.Millisecond,
 	}})
 	resp, err := hc.Get(srv.URL)
 	if err != nil {
@@ -263,7 +283,7 @@ func TestTransportEndToEndAgainstServer(t *testing.T) {
 }
 
 func TestInstrumentClientIdempotent(t *testing.T) {
-	hc := NewHTTPClient(Options{Service: "x", NoBreaker: true})
+	hc := NewHTTPClient(Options{Service: "x"})
 	again := InstrumentClient(hc, Options{Service: "x"})
 	if again != hc {
 		t.Fatal("InstrumentClient must not double-wrap a resilient client")
@@ -286,8 +306,8 @@ func (d declared) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // TestTransportBuffersWhateverLengthIsDeclared: the declared length only
 // sizes the first buffer. The body delivered is the body sent, whether the
-// header is right, absent, short, long or absurd, and the MaxBodyBytes
-// overflow path still streams a larger body through whole.
+// header is right, absent, short, long or absurd, and a body over the
+// buffering limit fails the attempt instead of arriving cut.
 func TestTransportBuffersWhateverLengthIsDeclared(t *testing.T) {
 	big := strings.Repeat("0123456789abcdef", (3<<20)/16) // 3 MiB, over the 1 MiB the header is trusted for
 	for name, rt := range map[string]declared{
@@ -300,7 +320,7 @@ func TestTransportBuffersWhateverLengthIsDeclared(t *testing.T) {
 		"big-exact":     {big, int64(len(big))},
 		"big-undersold": {big, 10},
 	} {
-		tr := &Transport{Base: rt, Policy: Policy{Service: "test", MaxAttempts: 1}}
+		tr := &Transport{Base: rt, Policy: Policy{MaxAttempts: 1}}
 		resp, body, err := get(t, tr, "http://peer.test/x")
 		if err != nil || body != rt.body {
 			t.Errorf("%s: got %d bytes, %v; want the %d sent", name, len(body), err, len(rt.body))
@@ -311,15 +331,15 @@ func TestTransportBuffersWhateverLengthIsDeclared(t *testing.T) {
 		}
 	}
 	req, _ := http.NewRequest(http.MethodGet, "http://peer.test/x", nil)
-	resp, err := (&Transport{Base: declared{"payload", 1 << 50}, Policy: Policy{Service: "test", MaxAttempts: 1}}).RoundTrip(req)
+	resp, err := (&Transport{Base: declared{"payload", 1 << 50}, Policy: Policy{MaxAttempts: 1}}).RoundTrip(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b, ok := resp.Body.(*bufferedBody); !ok || cap(b.data) > 2<<20 { // 1 MiB and the allocator's rounding
 		t.Errorf("a Content-Length of 2^50 reserved %d bytes for a 7-byte body", cap(b.data))
 	}
-	tr := &Transport{Base: declared{big, int64(len(big))}, Policy: Policy{Service: "test", MaxAttempts: 1}, MaxBodyBytes: 1 << 10}
-	if _, body, err := get(t, tr, "http://peer.test/x"); err != nil || body != big {
-		t.Errorf("over MaxBodyBytes: got %d bytes, %v; want all %d streamed through", len(body), err, len(big))
+	tr := &Transport{Base: declared{big, int64(len(big))}, Policy: Policy{MaxAttempts: 1}, maxBody: 1 << 10}
+	if _, body, err := get(t, tr, "http://peer.test/x"); err == nil || !strings.Contains(err.Error(), "1024-byte limit") {
+		t.Errorf("over the limit: got %d bytes, %v; want an error naming the 1024-byte limit", len(body), err)
 	}
 }

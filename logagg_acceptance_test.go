@@ -78,15 +78,13 @@ func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	apiLogger := ringLogger(api, "staleapid")
 	const faultRate = 0.5
 	evidenceClient := resil.InstrumentClient(nil, resil.Options{
-		Service:   "staleapid",
-		NoBreaker: true,
-		Chaos:     resil.NewChaos(nil, chaosSeedFor(t, faultRate, 4), resil.Rates{Status5xx: faultRate}),
-		Spans:     api.Spans,
+		Service: "staleapid",
+		Chaos:   resil.NewChaos(chaosSeedFor(t, faultRate, 4), resil.Rates{Status5xx: faultRate}),
+		Spans:   api.Spans,
 		Policy: resil.Policy{
 			MaxAttempts: 3,
 			BaseDelay:   time.Millisecond,
 			MaxDelay:    2 * time.Millisecond,
-			Jitter:      func(d time.Duration) time.Duration { return d },
 		},
 	})
 	apiMux := http.NewServeMux()

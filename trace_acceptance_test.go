@@ -49,14 +49,12 @@ func TestRequestTracedAcrossFleet(t *testing.T) {
 	// context so every attempt joins the incoming trace.
 	api := fleettest.Serve(t, "staleapid", 0)
 	evidenceClient := resil.InstrumentClient(nil, resil.Options{
-		Service:   "staleapid",
-		NoBreaker: true,
-		Spans:     api.Spans,
+		Service: "staleapid",
+		Spans:   api.Spans,
 		Policy: resil.Policy{
 			MaxAttempts: 3,
 			BaseDelay:   time.Millisecond,
 			MaxDelay:    2 * time.Millisecond,
-			Jitter:      func(d time.Duration) time.Duration { return d },
 		},
 	})
 	apiMux := http.NewServeMux()
