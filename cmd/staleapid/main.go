@@ -212,10 +212,7 @@ func main() {
 		if err := srv.EvidenceProbe(ctx); err != nil {
 			return err
 		}
-		if err := gather.Failing(); err != nil || gather.CRL == nil {
-			return obs.Degraded(err)
-		}
-		return obs.Degraded(gather.CRL.Lagging())
+		return obs.Degraded(gather.Failing())
 	})
 
 	go ing.Run(ctx, *interval, func(added int, err error) {

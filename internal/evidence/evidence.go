@@ -139,17 +139,24 @@ func (g *Gatherer) dns(ctx context.Context, domain string, ev *core.DomainEviden
 	return err
 }
 
-// Failing reports the remote sources whose last ask failed, nil when none
-// did. A source stays listed until it is next asked and answers: a gather
-// that had no reason to ask it says nothing about it.
+// Failing is what the evidence readiness probe reports, nil when nothing is
+// wrong: the remote sources whose last ask failed, else the CAs the CRL
+// snapshot serves from a last-good list (none without a snapshot). A source
+// stays listed until it is next asked and answers: a gather that had no
+// reason to ask it says nothing about it.
 func (g *Gatherer) Failing() error {
 	g.mu.Lock()
-	defer g.mu.Unlock()
+	whoisErr, dnsErr := g.whoisErr, g.dnsErr
+	g.mu.Unlock()
 	switch {
-	case g.whoisErr != nil && g.dnsErr != nil:
-		return fmt.Errorf("%v; %v", g.whoisErr, g.dnsErr)
-	case g.whoisErr != nil:
-		return g.whoisErr
+	case whoisErr != nil && dnsErr != nil:
+		return fmt.Errorf("%v; %v", whoisErr, dnsErr)
+	case whoisErr != nil:
+		return whoisErr
+	case dnsErr != nil:
+		return dnsErr
+	case g.CRL != nil:
+		return g.CRL.Lagging()
 	}
-	return g.dnsErr
+	return nil
 }

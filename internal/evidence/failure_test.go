@@ -50,10 +50,7 @@ func (r *rig) api(t *testing.T) *httptest.Server {
 		if err := srv.EvidenceProbe(ctx); err != nil {
 			return err
 		}
-		if err := g.Failing(); err != nil {
-			return obs.Degraded(err)
-		}
-		return obs.Degraded(g.CRL.Lagging())
+		return obs.Degraded(g.Failing())
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -238,4 +235,26 @@ func TestGatherFromManyGoroutines(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestProbeWithoutCRL: a gatherer with no CRL snapshot has no lagging CA to
+// report, so the evidence probe is ready until a remote source fails and then
+// names that source.
+func TestProbeWithoutCRL(t *testing.T) {
+	r := newRig(t, 7)
+	r.gather.CRL = nil
+	ts := r.api(t)
+	if resp, body := fetch(t, ts, "/readyz"); resp.StatusCode != http.StatusOK || strings.Contains(body, "degraded") {
+		t.Fatalf("readyz before any ask = %d: %s", resp.StatusCode, body)
+	}
+	_ = r.whoisSrv.Close()
+	if resp, body := fetch(t, ts, "/v1/domain/"+r.domains[0]+"/staleness"); resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("%s with the registry down = %d: %s, want 502", r.domains[0], resp.StatusCode, body)
+	}
+	if err := r.gather.Failing(); err == nil || !strings.HasPrefix(err.Error(), "whois "+r.domains[0]) {
+		t.Fatalf("Failing after the failed ask = %v, want the WHOIS query", err)
+	}
+	if resp, body := fetch(t, ts, "/readyz"); resp.StatusCode != http.StatusOK || !strings.Contains(body, "degraded evidence") {
+		t.Fatalf("readyz after the failed ask = %d: %s", resp.StatusCode, body)
+	}
 }

@@ -187,7 +187,7 @@ func (r *LogRing) Append(rec LogRecord) {
 		return
 	}
 	r.reg().Counter("log_records_total",
-		"service", rec.Service, "level", strings.ToLower(rec.Level)).Inc()
+		"service", rec.Service, "level", levelLabel(rec.Level)).Inc()
 	r.mu.Lock()
 	r.seq++
 	rec.Seq = r.seq
@@ -197,6 +197,22 @@ func (r *LogRing) Append(rec LogRecord) {
 		r.size++
 	}
 	r.mu.Unlock()
+}
+
+// levelLabel is a record's level in lower case, the log_records_total label:
+// slog's four names without an allocation, anything else through ToLower.
+func levelLabel(level string) string {
+	switch level {
+	case "DEBUG":
+		return "debug"
+	case "INFO":
+		return "info"
+	case "WARN":
+		return "warn"
+	case "ERROR":
+		return "error"
+	}
+	return strings.ToLower(level)
 }
 
 // Query returns matching records oldest-first; Limit keeps the newest N.

@@ -152,12 +152,19 @@ func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.
 			} else {
 				hist.Observe(elapsed.Seconds())
 			}
-			slog.LogAttrs(context.Background(), slog.LevelInfo, "http request",
-				slog.String("service", service), slog.String("method", r.Method),
-				slog.String("route", route), slog.String("path", r.URL.Path),
-				slog.Int("status", sw.status), slog.Int64("bytes", sw.bytes),
-				slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
-				slog.String("remote", r.RemoteAddr), slog.String("request_id", trace))
+			// Straight to the handler with pc 0, slog's pattern for wrappers:
+			// no runtime.Callers walk for a source no handler here prints.
+			ctx := context.Background()
+			if h := slog.Default().Handler(); h.Enabled(ctx, slog.LevelInfo) {
+				rec := slog.NewRecord(time.Now(), slog.LevelInfo, "http request", 0)
+				rec.AddAttrs(
+					slog.String("service", service), slog.String("method", r.Method),
+					slog.String("route", route), slog.String("path", r.URL.Path),
+					slog.Int("status", sw.status), slog.Int64("bytes", sw.bytes),
+					slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
+					slog.String("remote", r.RemoteAddr), slog.String("request_id", trace))
+				_ = h.Handle(ctx, rec) // as slog.Logger does, a handler's error is dropped
+			}
 		}()
 		if chaos := serverChaosCfg.Load(); chaos != nil && chaos.should() {
 			reg.Counter("obs_chaos_server_latency_total", "service", service).Inc()

@@ -60,13 +60,19 @@ func (d Day) Time() time.Time {
 
 // String renders d as an ISO date, or a sentinel name.
 func (d Day) String() string {
+	var buf [10]byte
+	return string(d.AppendFormat(buf[:0]))
+}
+
+// AppendFormat appends the String form of d to b without allocating.
+func (d Day) AppendFormat(b []byte) []byte {
 	switch d {
 	case NoDay:
-		return "never"
+		return append(b, "never"...)
 	case Forever:
-		return "forever"
+		return append(b, "forever"...)
 	}
-	return d.Time().Format("2006-01-02")
+	return d.Time().AppendFormat(b, "2006-01-02")
 }
 
 // Year returns the calendar year containing d.

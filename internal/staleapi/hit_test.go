@@ -14,6 +14,7 @@ import (
 	"stalecert/internal/core"
 	"stalecert/internal/obs"
 	"stalecert/internal/simtime"
+	"stalecert/internal/x509sim"
 )
 
 // wantJSON is what obs.WriteJSON sends for v: the reference every stored body
@@ -48,10 +49,11 @@ func wantStored(t *testing.T, what string, rec *httptest.ResponseRecorder, want 
 	}
 }
 
-// Over a seeded corpus, what a replica serves from its cache is byte for byte
-// what obs.WriteJSON encodes for the same response: a certificate in both
-// spellings, miss and hit alike, and a verdict's hits with "cached": true
-// after a first answer that still said false.
+// Over a seeded corpus, what a replica serves from stored or appended bytes is
+// byte for byte what obs.WriteJSON encodes for the same response: a
+// certificate in both spellings, miss and hit alike, every domain's listing
+// and an empty one, and a verdict's hits with "cached": true after a first
+// answer that still said false.
 func TestHitBytesEqualWriteJSON(t *testing.T) {
 	store, domains, certs, evidence := seededCorpus(t, 7, 40)
 	now := func() simtime.Day { return simtime.MustParse("2023-01-01") }
@@ -64,6 +66,15 @@ func TestHitBytesEqualWriteJSON(t *testing.T) {
 		for _, path := range []string{"/v1/cert/" + fp.String(), "/v1/cert/" + fp.Hex(), "/v1/cert/" + fp.Hex()} {
 			wantStored(t, path, serveOK(t, h, path), want)
 		}
+	}
+
+	byDomain := map[string][]*x509sim.Certificate{}
+	for _, c := range certs {
+		byDomain[c.Names[0]] = append(byDomain[c.Names[0]], c)
+	}
+	for _, d := range append(domains, "nothing.example") {
+		path := "/v1/domain/" + d + "/certs"
+		wantStored(t, path, serveOK(t, h, path), wantJSON(t, domainCertsJSON(d, byDomain[d])))
 	}
 
 	staleVerdicts := 0
@@ -170,10 +181,11 @@ func TestConcurrentFirstHitsBuildTheBodyOnce(t *testing.T) {
 	}
 }
 
-// Allocation ceilings for a warm replica's two cached answers, handler only,
-// a couple above what they cost today (8 and 6, against 14 and 12 while each
-// hit re-encoded its response): a hit that goes back through encoding/json
-// fails here before it shows up as a slower fleet.
+// Allocation ceilings for a warm replica's two cached answers and its live
+// listing, handler only, a couple above what they cost today (8, 6 and 9,
+// against 14, 12 and 29 while each went through encoding/json): an answer
+// that goes back to reflection fails here before it shows up as a slower
+// fleet.
 func TestHitAllocCeilings(t *testing.T) {
 	store, domains, certs, evidence := seededCorpus(t, 1, 8)
 	h := NewServer(Config{Store: store, Evidence: evidence, CacheTTL: time.Hour, Health: obs.NewHealth()}).Handler()
@@ -183,6 +195,7 @@ func TestHitAllocCeilings(t *testing.T) {
 	}{
 		{"cert", "/v1/cert/" + certs[0].Fingerprint().Hex(), 10},
 		{"staleness", "/v1/domain/" + domains[0] + "/staleness", 8},
+		{"domaincerts", "/v1/domain/" + domains[0] + "/certs", 11},
 	} {
 		w := &discardWriter{h: http.Header{}}
 		req := httptest.NewRequest(http.MethodGet, tc.path, nil)

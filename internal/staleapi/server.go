@@ -8,6 +8,8 @@ package staleapi
 
 import (
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -133,7 +135,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	obs.WriteReadyz(w, s.health.Check(ctx))
 }
 
-// CertJSON is the wire form of one certificate.
+// CertJSON is the wire form of one certificate. The server does not encode
+// it through encoding/json: appendCert writes the same bytes obs.WriteJSON
+// would, and clients decode into this type.
 type CertJSON struct {
 	Fingerprint string   `json:"fingerprint"`
 	Short       string   `json:"fingerprint_short"`
@@ -148,21 +152,92 @@ type CertJSON struct {
 	SCTCount    uint8    `json:"sct_count"`
 }
 
-func certJSON(c *x509sim.Certificate) CertJSON {
+// certBodySize is about what appendCert writes for a two-name certificate
+// inside a listing, so one allocation usually holds a whole body.
+const certBodySize = 512
+
+// appendCert appends c's CertJSON form exactly as obs.WriteJSON's indented
+// encoder writes it for an object opened at depth (0 for a body of its own,
+// 2 inside a listing's "certs" array), without a trailing newline.
+func appendCert(b []byte, c *x509sim.Certificate, depth int) []byte {
 	fp := c.Fingerprint()
-	return CertJSON{
-		Fingerprint: fp.Hex(),
-		Short:       fp.String(),
-		Serial:      uint64(c.Serial),
-		Issuer:      uint16(c.Issuer),
-		Key:         uint64(c.Key),
-		Names:       append([]string(nil), c.Names...),
-		NotBefore:   c.NotBefore.String(),
-		NotAfter:    c.NotAfter.String(),
-		Usage:       c.Usage.String(),
-		Precert:     c.Precert,
-		SCTCount:    c.SCTCount,
+	in := depth + 1
+	b = appendKey(append(b, '{'), in, "fingerprint")
+	b = append(hex.AppendEncode(append(b, '"'), fp[:]), '"')
+	b = appendKey(append(b, ','), in, "fingerprint_short")
+	b = append(hex.AppendEncode(append(b, '"'), fp[:8]), '"')
+	b = strconv.AppendUint(appendKey(append(b, ','), in, "serial"), uint64(c.Serial), 10)
+	b = strconv.AppendUint(appendKey(append(b, ','), in, "issuer"), uint64(c.Issuer), 10)
+	b = strconv.AppendUint(appendKey(append(b, ','), in, "key"), uint64(c.Key), 10)
+	b = appendKey(append(b, ','), in, "names")
+	if len(c.Names) == 0 {
+		b = append(b, "null"...)
+	} else {
+		sep := byte('[')
+		for _, n := range c.Names {
+			b = appendString(appendNewline(append(b, sep), in+1), n)
+			sep = ','
+		}
+		b = append(appendNewline(b, in), ']')
 	}
+	b = appendKey(append(b, ','), in, "not_before")
+	b = append(c.NotBefore.AppendFormat(append(b, '"')), '"')
+	b = appendKey(append(b, ','), in, "not_after")
+	b = append(c.NotAfter.AppendFormat(append(b, '"')), '"')
+	b = appendString(appendKey(append(b, ','), in, "usage"), c.Usage.String())
+	b = strconv.AppendBool(appendKey(append(b, ','), in, "precert"), c.Precert)
+	b = strconv.AppendUint(appendKey(append(b, ','), in, "sct_count"), uint64(c.SCTCount), 10)
+	return append(appendNewline(b, depth), '}')
+}
+
+// certBody is the /v1/cert/{fp} body.
+func certBody(c *x509sim.Certificate) []byte {
+	return append(appendCert(make([]byte, 0, certBodySize), c, 0), '\n')
+}
+
+// domainCertsBody is the /v1/domain/{e2ld}/certs body: the
+// DomainCertsResponse obs.WriteJSON would send, in one pass.
+func domainCertsBody(domain string, certs []*x509sim.Certificate) []byte {
+	b := make([]byte, 0, 64+len(domain)+len(certs)*certBodySize)
+	b = appendString(append(b, "{\n  \"domain\": "...), domain)
+	b = append(b, ",\n  \"certs\": ["...)
+	for i, c := range certs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCert(appendNewline(b, 2), c, 2)
+	}
+	if len(certs) > 0 {
+		b = appendNewline(b, 1)
+	}
+	return append(b, "]\n}\n"...)
+}
+
+// appendNewline starts a line indented to depth.
+func appendNewline(b []byte, depth int) []byte {
+	b = append(b, '\n')
+	for ; depth > 0; depth-- {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+// appendKey starts an object member on a new line at depth.
+func appendKey(b []byte, depth int, key string) []byte {
+	return append(append(append(appendNewline(b, depth), '"'), key...), `": `...)
+}
+
+// appendString appends s as a JSON string. Printable ASCII that encoding/json
+// leaves alone is copied; anything else is json.Marshal's, so its escaping
+// (HTML characters, invalid UTF-8, U+2028/U+2029) is encoding/json's own.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // StaleJSON is one staleness verdict.
@@ -226,13 +301,9 @@ func (s *Server) handleCert(w http.ResponseWriter, r *http.Request) {
 	if short {
 		fp = cert.Fingerprint()
 	}
-	v, _, err := s.cache.Do("cert:"+fp.Hex(), func() (any, error) {
-		return obs.EncodeJSON(certJSON(cert))
+	v, _, _ := s.cache.Do("cert:"+fp.Hex(), func() (any, error) { // cannot fail
+		return certBody(cert), nil
 	})
-	if err != nil {
-		obs.WriteJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
-		return
-	}
 	obs.WriteBody(w, http.StatusOK, obs.JSONContentType, v.([]byte))
 }
 
@@ -291,12 +362,7 @@ func (s *Server) handleDomainCerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mDomainQueries.Inc()
-	certs := s.store.ByE2LD(domain)
-	resp := DomainCertsResponse{Domain: domain, Certs: make([]CertJSON, 0, len(certs))}
-	for _, c := range certs {
-		resp.Certs = append(resp.Certs, certJSON(c))
-	}
-	obs.WriteJSON(w, http.StatusOK, resp)
+	obs.WriteBody(w, http.StatusOK, obs.JSONContentType, domainCertsBody(domain, s.store.ByE2LD(domain)))
 }
 
 func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
