@@ -22,18 +22,17 @@
 // breakers on /v1/breakers, -retry-max retries, traced attempts). A dead
 // slice — every replica down — degrades instead of failing: owner-routed
 // queries fall back to the last-good cached response ("degraded": true,
-// X-Stale-Evidence), scatter queries return partial results with
-// X-Missing-Shards, and /readyz reports degraded while at least -quorum
-// slices answer. Last-good retention is bounded by -stale-cache-entries /
-// -stale-cache-ttl and observable as stalegw_stale_cache_entries.
+// X-Stale-Evidence) for up to ten minutes, scatter queries return partial
+// results with X-Missing-Shards, and /readyz reports degraded while at least
+// -quorum slices answer. stalegw_cache_entries gauges the response cache.
 //
 // Usage:
 //
 //	stalegw -shards 'http://a:9001|http://b:9001,http://a:9002|http://b:9002'
 //	        [-addr :8787] [-epoch 1] [-vnodes 128] [-quorum 0 (majority)]
 //	        [-probe-interval 2s] [-cache-entries 4096] [-cache-ttl 5s]
-//	        [-hedge-after 30ms] [-stale-cache-entries 1024] [-stale-cache-ttl 10m]
-//	        [-debug-addr 127.0.0.1:0] [-retry-max 4] [-breaker-threshold 0.5]
+//	        [-hedge-after 30ms] [-debug-addr 127.0.0.1:0] [-retry-max 4]
+//	        [-breaker-threshold 0.5]
 package main
 
 import (
@@ -61,8 +60,6 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "shard liveness probe interval")
 	cacheEntries := flag.Int("cache-entries", 4096, "last-good response cache capacity")
 	cacheTTL := flag.Duration("cache-ttl", 5*time.Second, "last-good response cache TTL")
-	staleEntries := flag.Int("stale-cache-entries", 1024, "max expired last-good entries retained for serve-stale (0 = unbounded)")
-	staleTTL := flag.Duration("stale-cache-ttl", 10*time.Minute, "max age past expiry a last-good entry may be served stale (0 = unbounded)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "race a sibling replica after this long without a response (0 disables hedging)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	var rf resil.Flags
@@ -97,8 +94,6 @@ func main() {
 		Quorum:       *quorum,
 		CacheEntries: *cacheEntries,
 		CacheTTL:     *cacheTTL,
-		StaleEntries: *staleEntries,
-		StaleTTL:     *staleTTL,
 		HedgeAfter:   *hedgeAfter,
 		Breakers:     opts.Breaker,
 	})

@@ -113,7 +113,7 @@ func TestDegradedAnswerIsReencoded(t *testing.T) {
 			return evidence(ctx, d)
 		}})
 	clock := time.Unix(1000, 0)
-	srv.cache.now = func() time.Time { return clock }
+	srv.cache.SetClock(func() time.Time { return clock })
 	h := srv.Handler()
 
 	hit, missOnly := domains[0], domains[3] // both revoke a certificate

@@ -248,7 +248,7 @@ func TestStalenessServesDegradedFromLastGood(t *testing.T) {
 	})
 	health.Register("evidence", srv.EvidenceProbe)
 	clock := time.Unix(1000, 0)
-	srv.cache.now = func() time.Time { return clock }
+	srv.cache.SetClock(func() time.Time { return clock })
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -308,6 +308,24 @@ func TestStalenessServesDegradedFromLastGood(t *testing.T) {
 	}
 	if err := srv.EvidenceProbe(context.Background()); err != nil {
 		t.Fatalf("probe after recovery = %v", err)
+	}
+}
+
+// staleapid's response cache exports these seven families under these names:
+// the benchmark's hit-ratio gate reads them from every replica's /metrics.
+func TestCacheMetricFamilies(t *testing.T) {
+	store, _ := newTestStore(t)
+	NewServer(Config{Store: store, Health: obs.NewHealth()})
+	have := map[string]bool{}
+	for _, s := range obs.Default().Snapshot() {
+		have[s.Name] = true
+	}
+	for _, name := range []string{"staleapi_cache_hits_total", "staleapi_cache_misses_total",
+		"staleapi_cache_evictions_total", "staleapi_cache_expired_total", "staleapi_cache_stale_served_total",
+		"staleapi_singleflight_shared_total", "staleapi_cache_entries"} {
+		if !have[name] {
+			t.Errorf("no %s in the registry", name)
+		}
 	}
 }
 

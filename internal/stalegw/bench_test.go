@@ -24,10 +24,10 @@ func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nullWriter) WriteHeader(int)             {}
 
 // benchGateway is the gateway as the daemon wires it — obs.Middleware over
-// the handler, the resilient client with breakers, hedging armed, the
-// daemon's default last-good bounds, access logs teed into the ring — over
-// slices × 2 in-process replicas on loopback. The response cache TTL is a
-// nanosecond, so every request is a stored miss that dials a replica.
+// the handler, the resilient client with breakers, hedging armed, access
+// logs teed into the ring — over slices × 2 in-process replicas on loopback.
+// The response cache TTL is a nanosecond, so every request is a stored miss
+// that dials a replica.
 func benchGateway(b *testing.B, slices int, cfg Config) http.Handler {
 	prev := slog.Default()
 	slog.SetDefault(slog.New(obs.NewTeeHandler(slog.NewTextHandler(io.Discard, nil), nil)))
@@ -48,8 +48,6 @@ func benchGateway(b *testing.B, slices int, cfg Config) http.Handler {
 	cfg.Map = shard.NewReplicatedMap(1, shard.DefaultVNodes, groups)
 	cfg.Client = hc
 	cfg.CacheTTL = time.Nanosecond
-	cfg.StaleEntries = 1024
-	cfg.StaleTTL = 10 * time.Minute
 	cfg.HedgeAfter = 30 * time.Millisecond
 	cfg.Breakers = opts.Breaker
 	cfg.Health = obs.NewHealth()

@@ -13,8 +13,9 @@
 // slice is down does degradation begin.
 //
 // Degradation is graceful on both paths. Owner-routed queries whose whole
-// slice is down are answered from the gateway's last-good cache, marked
-// "degraded": true with X-Stale-Evidence and X-Missing-Shards headers.
+// slice is down are answered from the gateway's last-good cache for up to
+// ten minutes, marked "degraded": true with X-Stale-Evidence and
+// X-Missing-Shards headers.
 // Scatter-gather queries return partial results over the live slices, again
 // marked degraded with the missing slice indexes, instead of failing the
 // whole query because one slice died. Readiness is quorum-based over
@@ -39,16 +40,20 @@ import (
 	"time"
 
 	"stalecert/internal/dnsname"
+	"stalecert/internal/lru"
 	"stalecert/internal/obs"
 	"stalecert/internal/resil"
 	"stalecert/internal/shard"
-	"stalecert/internal/staleapi"
 	"stalecert/internal/x509sim"
 )
 
 // MissingShardsHeader lists the ring indexes a degraded response is missing
 // data from, comma-separated.
 const MissingShardsHeader = "X-Missing-Shards"
+
+// maxStaleAge bounds how old a last-good body may be and still be served
+// stale: past it, a dead slice's answer is a 502 naming the slice.
+const maxStaleAge = 10 * time.Minute
 
 // maxShardBody bounds how much of one shard response the gateway buffers; a
 // longer one fails its leg.
@@ -82,18 +87,12 @@ type Config struct {
 	// serve-stale degradation (defaults 4096, 5s).
 	CacheEntries int
 	CacheTTL     time.Duration
-	// StaleEntries/StaleTTL bound last-good retention past expiry: at most
-	// StaleEntries expired bodies are kept, none longer than StaleTTL past
-	// expiry (zero values = retain until capacity eviction, the legacy
-	// unbounded behavior).
-	StaleEntries int
-	StaleTTL     time.Duration
 	// HedgeAfter, when > 0, races a sibling replica after this long without
 	// a response (plus error-driven failover, which is always on).
 	HedgeAfter time.Duration
-	// HedgeClock paces the hedge timer (default: the real clock; tests
-	// inject a resil.FakeClock).
-	HedgeClock resil.Clock
+	// Clock paces the hedge timer and ages the response cache's entries
+	// (default: the real clock; tests inject a resil.FakeClock).
+	Clock resil.Clock
 	// Breakers, when set, lets replica selection skip replicas whose
 	// circuit is open before ever dialing them. Share the set wired into
 	// Client so selection sees the same circuits the transport trips.
@@ -109,7 +108,7 @@ type Gateway struct {
 	groups   [][]string // per slice: replica base URLs
 	hosts    [][]string // per slice: replica URL hosts (breaker peer keys)
 	client   *http.Client
-	cache    *staleapi.Cache
+	cache    *lru.Cache
 	health   *obs.Health
 	quorum   int
 	breakers *resil.BreakerSet
@@ -172,9 +171,10 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Health == nil {
 		cfg.Health = obs.DefaultHealth()
 	}
-	cache := staleapi.NewCache(cfg.CacheEntries, cfg.CacheTTL)
-	cache.SetStaleBounds(cfg.StaleEntries, cfg.StaleTTL)
-	cache.SetSizeGauge(obs.Default().Gauge("stalegw_stale_cache_entries"))
+	cache := lru.New("stalegw", cfg.CacheEntries, cfg.CacheTTL)
+	if cfg.Clock != nil {
+		cache.SetClock(cfg.Clock.Now)
+	}
 	g := &Gateway{
 		m:           cfg.Map,
 		ring:        ring,
@@ -185,7 +185,7 @@ func New(cfg Config) (*Gateway, error) {
 		health:      cfg.Health,
 		quorum:      cfg.Quorum,
 		breakers:    cfg.Breakers,
-		hedge:       resil.Hedge{After: cfg.HedgeAfter, Clock: cfg.HedgeClock},
+		hedge:       resil.Hedge{After: cfg.HedgeAfter, Clock: cfg.Clock},
 		rr:          make([]atomic.Uint32, n),
 		replicaErrs: make([][]error, n),
 	}
@@ -367,11 +367,17 @@ func missingHeader(missing []int) string {
 
 // markDegraded rewrites a cached JSON body as a degraded verdict: the data
 // is last-good, not live, and the payload says so exactly like a staleapid
-// serving stale evidence would.
+// serving stale evidence would. A body that was already a replica's
+// last-good verdict keeps its own evidence age, plus the gateway's.
 func markDegraded(res result, age time.Duration) result {
 	var m map[string]any
 	if json.Unmarshal(res.body, &m) != nil {
 		return res
+	}
+	if prior, ok := m["evidence_age"].(string); ok {
+		if d, err := time.ParseDuration(prior); err == nil {
+			age += d
+		}
 	}
 	m["degraded"] = true
 	m["evidence_age"] = age.Round(time.Millisecond).String()
@@ -397,19 +403,14 @@ func (g *Gateway) handleOwnerRouted(w http.ResponseWriter, r *http.Request, endp
 	}
 	idx := g.ring.Lookup(shard.KeyForDomain(domain))
 	path := "/v1/domain/" + domain + "/" + endpoint
-	v, info, err := g.cache.Do(path, func() (any, error) {
-		res, ferr := g.fetchSlice(r.Context(), idx, path)
-		if ferr != nil {
-			return nil, ferr
-		}
-		return res, nil
+	res, info, err := g.cached(path, func() (any, error) {
+		return g.fetchSlice(r.Context(), idx, path)
 	})
 	if err != nil {
 		w.Header().Set(MissingShardsHeader, strconv.Itoa(idx))
 		obs.WriteJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error(), MissingShards: []int{idx}})
 		return
 	}
-	res := v.(result)
 	if info.Stale {
 		mStaleServed.Inc()
 		res = markDegraded(res, info.Age)
@@ -418,6 +419,21 @@ func (g *Gateway) handleOwnerRouted(w http.ResponseWriter, r *http.Request, endp
 			fmt.Sprintf("shard:%d age=%s", idx, info.Age.Round(time.Millisecond)))
 	}
 	g.writeResult(w, res)
+}
+
+// cached answers key from the response cache, running load on a miss. When
+// load fails the retained last-good body stands in for it, unless that body
+// is older than maxStaleAge: then load's error is returned, as if nothing
+// were retained.
+func (g *Gateway) cached(key string, load func() (any, error)) (result, lru.CacheInfo, error) {
+	v, info, err := g.cache.Do(key, load)
+	if err != nil {
+		return result{}, info, err
+	}
+	if info.Stale && info.Age > maxStaleAge {
+		return result{}, lru.CacheInfo{}, info.Err
+	}
+	return v.(result), info, nil
 }
 
 // leg is one scatter-gather response.
@@ -527,7 +543,7 @@ func (g *Gateway) handleCert(w http.ResponseWriter, r *http.Request) {
 	// hint. The upstream path keeps the request's spelling; a replica answers
 	// both.
 	key := "cert:" + shard.KeyForFingerprint(fpRaw)
-	v, info, err := g.cache.Do(key, func() (any, error) {
+	res, info, err := g.cached(key, func() (any, error) {
 		return g.lookupCert(r.Context(), key, "/v1/cert/"+fpRaw)
 	})
 	var missing []int
@@ -541,7 +557,6 @@ func (g *Gateway) handleCert(w http.ResponseWriter, r *http.Request) {
 		obs.WriteJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error(), MissingShards: missing})
 		return
 	}
-	res := v.(result)
 	if info.Stale {
 		mStaleServed.Inc()
 		if len(missing) > 0 {
@@ -583,7 +598,7 @@ func (g *Gateway) handleDomains(w http.ResponseWriter, r *http.Request) {
 			merged.MissingShards = append(merged.MissingShards, l.idx)
 			continue
 		}
-		var dr staleapi.DomainsResponse
+		var dr DomainsResponse
 		if uerr := json.Unmarshal(l.res.body, &dr); uerr != nil || l.res.status != http.StatusOK {
 			merged.MissingShards = append(merged.MissingShards, l.idx)
 			continue

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"stalecert/internal/obs"
+	"stalecert/internal/resil"
 	"stalecert/internal/shard"
 	"stalecert/internal/x509sim"
 )
@@ -569,20 +570,70 @@ func TestScatterReplicaFailover(t *testing.T) {
 	}
 }
 
-// The gateway's serve-stale cache exports its entry count and honors the
-// stale-retention TTL bound.
-func TestStaleCacheGaugeAndBounds(t *testing.T) {
-	_, gw := newReplicatedFleet(t, 2, 1, Config{CacheTTL: time.Millisecond, StaleTTL: 10 * time.Millisecond},
-		func(slice, replica int, mux *http.ServeMux) {
-			mux.HandleFunc("GET /v1/domain/{e2ld}/staleness", func(w http.ResponseWriter, _ *http.Request) {
-				fmt.Fprint(w, `{"ok":true}`)
-			})
+// A dead slice's last-good body is served for ten minutes and no longer, on
+// the owner-routed and the fingerprint path alike: younger, a degraded 200
+// with both headers; older, a 502 naming the slice.
+func TestLastGoodAgeBound(t *testing.T) {
+	fp := strings.Repeat("ef", 32)
+	clock := resil.NewFakeClock(time.Unix(1_700_000_000, 0))
+	shards, gw := newFleet(t, 2, Config{CacheTTL: time.Minute, Clock: clock}, func(idx int, mux *http.ServeMux) {
+		mux.HandleFunc("GET /v1/domain/{e2ld}/staleness", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintf(w, `{"domain":%q}`, r.PathValue("e2ld"))
 		})
-	d := domainsOwnedBy(t, 2, 0, 1)[0]
-	if resp, _ := gwGet(t, gw, "/v1/domain/"+d+"/staleness"); resp.StatusCode != http.StatusOK {
-		t.Fatal("warm-up failed")
+		mux.HandleFunc("GET /v1/cert/{fp}", func(w http.ResponseWriter, _ *http.Request) {
+			if idx != 1 {
+				w.WriteHeader(http.StatusNotFound)
+				return
+			}
+			fmt.Fprintf(w, `{"fingerprint":%q}`, fp)
+		})
+	})
+	paths := []string{"/v1/domain/" + domainsOwnedBy(t, 2, 1, 1)[0] + "/staleness", "/v1/cert/" + fp}
+	for _, p := range paths {
+		if resp, body := gwGet(t, gw, p); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s warm-up: status %d: %s", p, resp.StatusCode, body)
+		}
 	}
-	if v := obs.Default().Gauge("stalegw_stale_cache_entries").Value(); v < 1 {
-		t.Fatalf("stalegw_stale_cache_entries = %v, want >= 1", v)
+	shards[1].ts.Close()
+
+	clock.Advance(maxStaleAge - time.Second)
+	for _, p := range paths {
+		resp, body := gwGet(t, gw, p)
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"degraded": true`) ||
+			resp.Header.Get(MissingShardsHeader) != "1" || resp.Header.Get(obs.StaleEvidenceHeader) == "" {
+			t.Fatalf("%s inside the bound: status %d, %s %q, %s %q: %s; want the degraded last-good body", p,
+				resp.StatusCode, MissingShardsHeader, resp.Header.Get(MissingShardsHeader),
+				obs.StaleEvidenceHeader, resp.Header.Get(obs.StaleEvidenceHeader), body)
+		}
+	}
+
+	clock.Advance(2 * time.Second)
+	for _, p := range paths {
+		resp, body := gwGet(t, gw, p)
+		var ej errorJSON
+		if err := json.Unmarshal(body, &ej); err != nil {
+			t.Fatalf("%s: %v: %s", p, err, body)
+		}
+		if resp.StatusCode != http.StatusBadGateway || resp.Header.Get(MissingShardsHeader) != "1" ||
+			len(ej.MissingShards) != 1 || ej.MissingShards[0] != 1 {
+			t.Fatalf("%s past the bound: status %d, %s %q: %s; want a 502 naming slice 1", p,
+				resp.StatusCode, MissingShardsHeader, resp.Header.Get(MissingShardsHeader), body)
+		}
+	}
+}
+
+// The gateway's relay cache reports under the gateway's own names, and no
+// staleapid family shows in the gateway's registry.
+func TestCacheMetricsAreTheGateways(t *testing.T) {
+	newFleet(t, 1, Config{}, nil)
+	var hits bool
+	for _, s := range obs.Default().Snapshot() {
+		if strings.HasPrefix(s.Name, "staleapi_") {
+			t.Errorf("the gateway's registry holds %s", s.FullName())
+		}
+		hits = hits || s.Name == "stalegw_cache_hits_total"
+	}
+	if !hits {
+		t.Error("the gateway's registry has no stalegw_cache_hits_total")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"stalecert/internal/obs"
+	"stalecert/internal/resil"
 	"stalecert/internal/shard"
 )
 
@@ -240,10 +241,13 @@ func TestCertNoStorageScattersEveryTime(t *testing.T) {
 }
 
 // A replica serving a last-good verdict says so in X-Stale-Evidence as well
-// as in the body. The gateway used to relay the body alone.
+// as in the body. The gateway used to relay the body alone. Served stale by
+// the gateway, the verdict's evidence is as old as the replica said plus the
+// time the gateway held it; the gateway used to give its own age alone.
 func TestReplicaStaleEvidenceHeaderIsRelayed(t *testing.T) {
 	const evidence = "staleness:relayed.com age=3m0s"
-	shards, gw := newFleet(t, 2, Config{CacheTTL: 50 * time.Millisecond}, func(_ int, mux *http.ServeMux) {
+	clock := resil.NewFakeClock(time.Unix(1_700_000_000, 0))
+	shards, gw := newFleet(t, 2, Config{CacheTTL: 5 * time.Second, Clock: clock}, func(_ int, mux *http.ServeMux) {
 		mux.HandleFunc("GET /v1/domain/{e2ld}/staleness", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set(obs.StaleEvidenceHeader, evidence)
 			fmt.Fprintf(w, `{"domain":%q,"degraded":true,"evidence_age":"3m0s"}`, r.PathValue("e2ld"))
@@ -263,11 +267,17 @@ func TestReplicaStaleEvidenceHeaderIsRelayed(t *testing.T) {
 	// came with the body.
 	owner := shard.MustRing(2, shard.DefaultVNodes).Lookup(shard.KeyForDomain("relayed.com"))
 	shards[owner].ts.Close()
-	time.Sleep(100 * time.Millisecond)
+	clock.Advance(10 * time.Second)
 	resp, body := gwGet(t, gw, "/v1/domain/relayed.com/staleness")
 	got := resp.Header.Values(obs.StaleEvidenceHeader)
 	if resp.StatusCode != http.StatusOK || len(got) != 2 || !strings.HasPrefix(got[0], fmt.Sprintf("shard:%d ", owner)) || got[1] != evidence {
 		t.Fatalf("served stale: status %d, %s = %q: %s", resp.StatusCode, obs.StaleEvidenceHeader, got, body)
+	}
+	var verdict struct {
+		EvidenceAge string `json:"evidence_age"`
+	}
+	if err := json.Unmarshal(body, &verdict); err != nil || verdict.EvidenceAge != "3m10s" {
+		t.Fatalf("served stale: evidence_age %q (%v), want 3m10s: %s", verdict.EvidenceAge, err, body)
 	}
 }
 

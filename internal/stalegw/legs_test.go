@@ -96,7 +96,7 @@ func TestCertMissingShardsReachEveryWaiter(t *testing.T) {
 		})
 	})
 	shards[1].ts.Close()
-	shared := obs.Default().Counter("staleapi_singleflight_shared_total")
+	shared := obs.Default().Counter("stalegw_singleflight_shared_total")
 	before := shared.Value()
 
 	type answer struct {
