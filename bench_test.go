@@ -26,18 +26,11 @@ var (
 	benchResults *stalecert.Results
 )
 
-func benchScenario() worldsim.Scenario {
-	s := worldsim.Default()
-	s.Start = simtime.MustParse("2016-01-01")
-	s.BaseDailyRegistrations = 2
-	s.AnnualRegistrationGrowth = 1.12
-	return s
-}
-
 func benchRun(b *testing.B) *stalecert.Results {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchResults = stalecert.Run(benchScenario())
+		s, _ := worldsim.ScenarioFor("test")
+		benchResults = stalecert.Run(s)
 	})
 	return benchResults
 }
@@ -505,7 +498,7 @@ func BenchmarkAblationMerkleProofs(b *testing.B) {
 // BenchmarkWorldSimulation measures raw simulation throughput (days/op over
 // a one-year horizon at bench scale).
 func BenchmarkWorldSimulation(b *testing.B) {
-	s := benchScenario()
+	s, _ := worldsim.ScenarioFor("test")
 	s.End = s.Start + 365
 	s.WHOISWindow = simtime.Span{Start: s.Start, End: s.End}
 	s.ADNSWindow = simtime.Span{Start: s.End - 30, End: s.End}

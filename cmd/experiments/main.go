@@ -1,14 +1,19 @@
 // Command experiments regenerates the paper's tables and figures over a
-// simulated world.
+// simulated world, or prints the run's JSON report.
 //
 // Usage:
 //
-//	experiments [-scale quick|test|full] [-seed N] [-artifact NAME | -all | -headline]
-//	            [observability flags: obs.BindFlags]
+//	experiments [-scale quick|test|full] [-seed N] [-artifact NAME | -all | -headline | -json]
+//	            [-csv] [-stages] [observability flags: obs.BindFlags]
 //
 // Artifacts: table3 table4 table5 table6 table7
 //
 //	figure4 figure5a figure5b figure6 figure7 figure8 figure9
+//	revocation mitigations
+//
+// With none of -artifact, -all, -headline or -json it prints Table 4 and
+// the headline. internal/experiments/testdata holds the -all output at
+// -scale test and -scale full.
 //
 // Example:
 //
@@ -20,13 +25,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"stalecert"
-	"stalecert/internal/core"
 	"stalecert/internal/obs"
-	"stalecert/internal/simtime"
 )
 
 func main() {
@@ -35,6 +37,7 @@ func main() {
 	artifact := flag.String("artifact", "", "single artifact to print (e.g. table4, figure6)")
 	all := flag.Bool("all", false, "print every table and figure")
 	headline := flag.Bool("headline", false, "print the headline 90-day-cap estimate")
+	asJSON := flag.Bool("json", false, "print the JSON report: sizes, stage timings, Table 4, medians, survival, headline")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	stages := flag.Bool("stages", false, "print the per-stage timing tree to stderr")
 	obsFlags := obs.BindFlags(flag.CommandLine)
@@ -47,7 +50,7 @@ func main() {
 		_ = stopDebug(sctx)
 	}()
 
-	s, err := scenarioFor(*scale)
+	s, err := stalecert.ScenarioFor(*scale)
 	if err != nil {
 		logger.Error("bad scenario", "err", err)
 		os.Exit(2)
@@ -64,117 +67,23 @@ func main() {
 	}
 
 	switch {
-	case *headline:
-		printHeadline(r)
-	case *all:
-		for _, name := range artifactNames() {
-			printArtifact(r, name, *csv)
-			fmt.Println()
+	case *asJSON:
+		if err := r.WriteReport(os.Stdout); err != nil {
+			logger.Error("encode report", "err", err)
+			os.Exit(1)
 		}
-		printHeadline(r)
+	case *headline:
+		r.WriteHeadline(os.Stdout)
+	case *all:
+		r.WriteAll(os.Stdout, *csv)
 	case *artifact != "":
-		printArtifact(r, *artifact, *csv)
+		if err := r.WriteArtifact(os.Stdout, *artifact, *csv); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	default:
-		printArtifact(r, "table4", *csv)
+		_ = r.WriteArtifact(os.Stdout, "table4", *csv) // a known name
 		fmt.Println()
-		printHeadline(r)
+		r.WriteHeadline(os.Stdout)
 	}
-}
-
-func scenarioFor(scale string) (stalecert.Scenario, error) {
-	switch scale {
-	case "quick":
-		s := stalecert.QuickScenario()
-		s.Start = simtime.MustParse("2019-01-01")
-		return s, nil
-	case "test":
-		s := stalecert.DefaultScenario()
-		s.Start = simtime.MustParse("2016-01-01")
-		s.BaseDailyRegistrations = 2
-		s.AnnualRegistrationGrowth = 1.12
-		return s, nil
-	case "full":
-		return stalecert.DefaultScenario(), nil
-	}
-	return stalecert.Scenario{}, fmt.Errorf("unknown scale %q (want quick, test, or full)", scale)
-}
-
-func artifactNames() []string {
-	return []string{
-		"table3", "table4", "table5", "table6", "table7",
-		"figure4", "figure5a", "figure5b", "figure6", "figure7", "figure8", "figure9",
-		"revocation", "mitigations",
-	}
-}
-
-func printArtifact(r *stalecert.Results, name string, csv bool) {
-	switch name {
-	case "table3":
-		emit(r.Table3(), csv)
-	case "table4":
-		emit(r.Table4(), csv)
-	case "table5":
-		t, _ := r.Table5(7, 100_000, 0.01)
-		emit(t, csv)
-	case "table6":
-		emit(r.Table6(7), csv)
-	case "table7":
-		emit(r.Table7(), csv)
-	case "figure4":
-		emit(r.Figure4(), csv)
-	case "figure5a":
-		emit(r.Figure5a(), csv)
-	case "figure5b":
-		emit(r.Figure5b(), csv)
-	case "figure6":
-		fmt.Print(r.Figure6().Render())
-		med := r.Figure6Medians()
-		fmt.Printf("medians: registrant=%.0fd managed=%.0fd keyCompromise=%.0fd\n",
-			med[core.MethodRegistrantChange], med[core.MethodManagedTLS], med[core.MethodKeyCompromise])
-	case "figure7":
-		fmt.Print(r.Figure7().Render())
-	case "figure8":
-		fmt.Print(r.Figure8().Render())
-		at90 := r.Figure8At(90)
-		fmt.Printf("survival at 90d: registrant=%.1f%% managed=%.1f%% keyCompromise=%.1f%%\n",
-			100*at90[core.MethodRegistrantChange], 100*at90[core.MethodManagedTLS], 100*at90[core.MethodKeyCompromise])
-	case "figure9":
-		emit(r.Figure9Table(nil), csv)
-	case "revocation":
-		emit(r.RevocationEffectiveness(), csv)
-	case "mitigations":
-		emit(r.MitigationsTable(1), csv)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown artifact %q; known: %v\n", name, artifactNames())
-		os.Exit(2)
-	}
-}
-
-type renderable interface {
-	Render() string
-	CSV() string
-}
-
-func emit(t renderable, csv bool) {
-	if csv {
-		fmt.Print(t.CSV())
-		return
-	}
-	fmt.Print(t.Render())
-}
-
-func printHeadline(r *stalecert.Results) {
-	h := r.Headline()
-	fmt.Println("== Headline: 90-day maximum lifetime ==")
-	methods := make([]core.Method, 0, len(h.DayReductionPct))
-	for m := range h.DayReductionPct {
-		methods = append(methods, m)
-	}
-	sort.Slice(methods, func(i, j int) bool { return methods[i] < methods[j] })
-	for _, m := range methods {
-		fmt.Printf("%-26s stale certs -%.1f%%  staleness-days -%.1f%%\n",
-			m, h.CertReductionPct[m], h.DayReductionPct[m])
-	}
-	fmt.Printf("overall staleness-day reduction: %.1f%%\n", h.OverallDayReductionPct)
-	fmt.Printf("new third-party stale e2LDs per day (sim scale): %.1f\n", h.NewStaleE2LDsPerDay)
 }

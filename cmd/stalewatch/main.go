@@ -7,7 +7,7 @@
 // interval…32× backoff between failed rounds), evidence.Gatherer asks WHOIS,
 // DNS and the CRL snapshot what the domain's certificates make worth asking,
 // and core.DomainStaleness decides — so an alert here is exactly a verdict of
-// GET /v1/domain/{e2ld}/staleness there, and of batch staled.
+// GET /v1/domain/{e2ld}/staleness there, and of the batch pipeline.
 //
 // Usage:
 //

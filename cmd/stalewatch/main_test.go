@@ -20,7 +20,7 @@ import (
 // TestAlertLines runs each row as a round does — roundDomains over the
 // certificates, core.DomainStaleness per domain, alertLines over its verdicts
 // — and requires the alerts to be the row's kinds and, independently, the
-// batch detectors' (staled's) verdicts for certificates still valid on now.
+// batch detectors' verdicts for certificates still valid on now.
 func TestAlertLines(t *testing.T) {
 	const marker = "cloudflaressl.com"
 	isManaged := func(c *x509sim.Certificate) bool { return monitor.HasProviderMarker(c, marker) }
@@ -95,8 +95,8 @@ func TestAlertLines(t *testing.T) {
 				t.Fatalf("alerts = %q, want %q", got, row.want)
 			}
 
-			// staled's verdicts for the same corpus and events, still valid on
-			// now, once per watched domain of the certificate.
+			// The batch detectors' verdicts for the same corpus and events,
+			// still valid on now, once per watched domain of the certificate.
 			batch, _ := core.DetectRevoked(idx, row.ev.Revocations, simtime.NoDay)
 			batch = append(batch, core.DetectRegistrantChange(idx, row.ev.ReRegistrations)...)
 			batch = append(batch, core.DetectManagedTLSDeparture(idx, row.ev.Departures, isManaged)...)

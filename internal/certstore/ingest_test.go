@@ -59,7 +59,7 @@ func managedPred(c *x509sim.Certificate) bool {
 // Store is simply abandoned with its file handle open), reopen the store,
 // and verify the ingester resumes from the persisted checkpoint with no
 // duplicate or missing index entries; then verify a per-domain staleness
-// query against the store matches the batch staled pipeline's verdict.
+// query against the store matches the batch pipeline's verdict.
 func TestIngesterKillAndRestart(t *testing.T) {
 	log := ctlog.New("resume-log", ctlog.Shard{})
 	srv := ctlog.NewServer(log)
@@ -166,7 +166,7 @@ func TestIngesterKillAndRestart(t *testing.T) {
 	}
 
 	// The staleness verdict served off the store must match the batch
-	// staled pipeline run over the same corpus and events.
+	// pipeline run over the same corpus and events.
 	evidence := core.DomainEvidence{
 		Revocations: []crl.Entry{
 			{Issuer: all[40].Issuer, Serial: 100, RevokedAt: 600, Reason: crl.KeyCompromise},

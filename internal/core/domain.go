@@ -12,7 +12,7 @@ import (
 // Index is the read surface the detection pipelines need: point lookups by
 // CRL join key and by e2LD, plus full enumeration. Both the in-memory batch
 // Corpus and the persistent certstore.Store implement it, so the batch
-// (staled) and live (stalewatch, staleapid) paths share one index
+// (experiments) and live (stalewatch, staleapid) paths share one index
 // implementation — the tentpole invariant is that a detector gives the same
 // verdict whichever backs it.
 type Index interface {

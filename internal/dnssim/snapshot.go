@@ -3,9 +3,7 @@ package dnssim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
-	"sync"
 
 	"stalecert/internal/obs"
 	"stalecert/internal/simtime"
@@ -86,32 +84,6 @@ func (s *Snapshot) CountByType() map[RRType]int {
 	return out
 }
 
-// Store-level history.
-
-// SnapshotStore holds consecutive daily snapshots in day order.
-type SnapshotStore struct {
-	mu    sync.RWMutex
-	snaps []*Snapshot
-}
-
-// Add appends a snapshot; days must be strictly increasing.
-func (st *SnapshotStore) Add(s *Snapshot) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if n := len(st.snaps); n > 0 && st.snaps[n-1].Day >= s.Day {
-		return fmt.Errorf("dnssim: snapshot day %v not after %v", s.Day, st.snaps[n-1].Day)
-	}
-	st.snaps = append(st.snaps, s)
-	return nil
-}
-
-// Len returns the number of stored snapshots.
-func (st *SnapshotStore) Len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.snaps)
-}
-
 // Departure records that a domain stopped matching a pattern between two
 // consecutive scan days: present on LastSeen, absent on FirstGone. This is
 // exactly the paper's managed-TLS departure signal (Cloudflare NS/CNAME
@@ -141,17 +113,6 @@ func FindDepartures(prev, next *Snapshot, pred func(Record) bool) []Departure {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
-	return out
-}
-
-// Departures runs FindDepartures over every consecutive snapshot pair.
-func (st *SnapshotStore) Departures(pred func(Record) bool) []Departure {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var out []Departure
-	for i := 1; i < len(st.snaps); i++ {
-		out = append(out, FindDepartures(st.snaps[i-1], st.snaps[i], pred)...)
-	}
 	return out
 }
 

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"stalecert/internal/simtime"
 )
 
 func isCloudflare(r Record) bool {
@@ -38,25 +36,6 @@ func TestSnapshotBasics(t *testing.T) {
 	}
 }
 
-func TestSnapshotStoreOrdering(t *testing.T) {
-	st := &SnapshotStore{}
-	if err := st.Add(NewSnapshot(10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(NewSnapshot(11)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(NewSnapshot(11)); err == nil {
-		t.Fatal("duplicate day accepted")
-	}
-	if err := st.Add(NewSnapshot(5)); err == nil {
-		t.Fatal("out-of-order day accepted")
-	}
-	if st.Len() != 2 {
-		t.Fatalf("store holds %d snapshots, want the two accepted", st.Len())
-	}
-}
-
 func TestFindDepartures(t *testing.T) {
 	prev := NewSnapshot(100)
 	prev.Add("leaving.com", Record{Name: "leaving.com", Type: TypeNS, Data: "kiki.ns.cloudflare.com"})
@@ -77,27 +56,6 @@ func TestFindDepartures(t *testing.T) {
 	d := deps[0]
 	if d.Domain != "leaving.com" || d.LastSeen != 100 || d.FirstGone != 101 {
 		t.Fatalf("departure = %+v", d)
-	}
-}
-
-func TestStoreDeparturesAcrossDays(t *testing.T) {
-	st := &SnapshotStore{}
-	for day := 0; day < 5; day++ {
-		s := NewSnapshot(simtime.Day(day))
-		// a.com departs between day 2 and 3; b.com stays throughout.
-		if day <= 2 {
-			s.Add("a.com", Record{Name: "a.com", Type: TypeNS, Data: "kiki.ns.cloudflare.com"})
-		} else {
-			s.Add("a.com", Record{Name: "a.com", Type: TypeNS, Data: "ns.elsewhere.net"})
-		}
-		s.Add("b.com", Record{Name: "b.com", Type: TypeCNAME, Data: "b.cdn.cloudflare.com"})
-		if err := st.Add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deps := st.Departures(isCloudflare)
-	if len(deps) != 1 || deps[0].Domain != "a.com" || deps[0].FirstGone != 3 {
-		t.Fatalf("departures = %+v", deps)
 	}
 }
 

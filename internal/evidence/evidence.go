@@ -6,7 +6,7 @@
 // join is driven from the CT side: a remote source is asked only when the
 // domain's certificates leave its answer something to match. The result feeds
 // core.DomainStaleness, which applies the batch pipelines' filters, so live
-// verdicts match staled's.
+// verdicts match the batch pipeline's.
 package evidence
 
 import (

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure from the paper's
 // evaluation over a simulated world: it runs the full pipeline (world →
-// datasets → corpus → detectors) and formats each artifact via
-// internal/report. cmd/experiments and the repository benchmarks are thin
-// wrappers around this package.
+// datasets → corpus → detectors), formats each artifact via internal/report
+// and writes the JSON report. cmd/experiments is flag parsing around this
+// package; testdata holds its -all output, which TestAllGolden pins.
 package experiments
 
 import (
@@ -40,7 +40,7 @@ type Results struct {
 
 	// Stages are the run's timing spans: the root "pipeline" stage first,
 	// then one per stage in run order (world build, corpus indexing, and the
-	// three detectors). StageTree is the view cmd/staled -json emits.
+	// three detectors). StageTree is the view `experiments -json` emits.
 	Stages []obs.SpanRecord
 }
 

@@ -1,26 +1,17 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"stalecert/internal/core"
-	"stalecert/internal/simtime"
 	"stalecert/internal/worldsim"
 	"stalecert/internal/x509sim"
 )
-
-// testScenario spans 2017 through the paper's end so the LE growth era, the
-// GoDaddy breach, and all three collection windows are inside the run, at
-// reduced scale.
-func testScenario() worldsim.Scenario {
-	s := worldsim.Default()
-	s.Start = simtime.MustParse("2016-01-01")
-	s.BaseDailyRegistrations = 2.0
-	s.AnnualRegistrationGrowth = 1.12
-	return s
-}
 
 var (
 	testResultsOnce sync.Once
@@ -31,9 +22,37 @@ var (
 func results(t *testing.T) *Results {
 	t.Helper()
 	testResultsOnce.Do(func() {
-		testResults = Run(testScenario())
+		s, _ := worldsim.ScenarioFor("test")
+		testResults = Run(s)
 	})
 	return testResults
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/all_test.golden from this run")
+
+// TestAllGolden pins what `experiments -all -scale test` prints, byte for
+// byte. After a deliberate change to the output, rerun with -update.
+func TestAllGolden(t *testing.T) {
+	const golden = "testdata/all_test.golden"
+	var got bytes.Buffer
+	results(t).WriteAll(&got, false)
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(g), len(w)) {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] {
+			g, w = append(g, "<EOF>"), append(w, "<EOF>")
+			t.Fatalf("%s differs at line %d:\n got: %q\nwant: %q", golden, i+1, g[i], w[i])
+		}
+	}
 }
 
 func TestPipelineFindsAllThreeStaleClasses(t *testing.T) {

@@ -1,15 +1,19 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"stalecert/internal/obs"
 )
 
-// TestStageTreeView pins the `stages` object cmd/staled -json emits: the
+// TestStageTreeView pins the `stages` object `experiments -json` emits: the
 // root, the stage order, the item counts and the calendar day ranges.
 func TestStageTreeView(t *testing.T) {
 	r := results(t)
@@ -66,7 +70,7 @@ func TestStageTreeView(t *testing.T) {
 		t.Errorf("span store after Detect = %+v", kept)
 	}
 
-	// The wire names staled -json consumers read.
+	// The wire names `experiments -json` consumers read.
 	raw, err := json.Marshal(tree)
 	if err != nil {
 		t.Fatal(err)
@@ -81,5 +85,65 @@ func TestStageTreeView(t *testing.T) {
 		!strings.HasPrefix(lines[0], "pipeline") || !strings.HasPrefix(lines[1], "  world_build") ||
 		!strings.Contains(lines[4], "  items=") || !strings.Contains(lines[4], "  days=") {
 		t.Errorf("rendered stage tree:\n%s", text)
+	}
+}
+
+// TestReportWireKeys pins the rest of the `experiments -json` report: its
+// keys in order, the method names keying each map, and detections equal to
+// Table 4's certificate counts.
+func TestReportWireKeys(t *testing.T) {
+	r := results(t)
+	var buf bytes.Buffer
+	if err := r.WriteReport(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&buf)
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	values := map[string]json.RawMessage{}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		values[k.(string)] = v
+	}
+	want := []string{"domains", "stages", "certificates", "detections", "daily_e2lds",
+		"staleness_median_days", "survival_at_90d", "headline_90d_day_reduction_pct",
+		"overall_90d_day_reduction_pct"}
+	if strings.Join(keys, " ") != strings.Join(want, " ") {
+		t.Fatalf("report keys = %v, want %v", keys, want)
+	}
+
+	detections := map[string]int{}
+	for _, row := range r.Table4Rows() {
+		detections[row.Method.String()] = row.Certs
+	}
+	var got map[string]int
+	if err := json.Unmarshal(values["detections"], &got); err != nil || !maps.Equal(got, detections) {
+		t.Errorf("detections = %v (%v), want Table 4's %v", got, err, detections)
+	}
+	all := fmt.Sprint(slices.Sorted(maps.Keys(detections)))
+	thirdParty := fmt.Sprint([]string{"Domain registrant change", "Managed TLS departure", "Revoked: key compromise"})
+	for key, methods := range map[string]string{
+		"daily_e2lds":                    all,
+		"staleness_median_days":          thirdParty,
+		"survival_at_90d":                thirdParty,
+		"headline_90d_day_reduction_pct": thirdParty,
+	} {
+		var m map[string]float64
+		if err := json.Unmarshal(values[key], &m); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if got := fmt.Sprint(slices.Sorted(maps.Keys(m))); got != methods {
+			t.Errorf("%s keys = %s, want %s", key, got, methods)
+		}
 	}
 }

@@ -26,8 +26,8 @@ func (r *SpanRecord) End() {
 	DefaultSpans().Record(*r)
 }
 
-// StageJSON is the stage-timing view of a span tree emitted by cmd/staled
-// -json and rendered by cmd/experiments -stages.
+// StageJSON is the stage-timing view of a span tree emitted by
+// `experiments -json` and rendered by `experiments -stages`.
 type StageJSON struct {
 	Name     string      `json:"name"`
 	Ms       float64     `json:"ms"`

@@ -26,19 +26,6 @@ const (
 	StatusUnavailable // infrastructure unreachable / blocked
 )
 
-// String names the status.
-func (s Status) String() string {
-	switch s {
-	case StatusGood:
-		return "good"
-	case StatusRevoked:
-		return "revoked"
-	case StatusUnavailable:
-		return "unavailable"
-	}
-	return "status?"
-}
-
 // Checker answers revocation queries for certificates.
 type Checker interface {
 	Check(cert *x509sim.Certificate, now simtime.Day) (Status, crl.Reason, error)
@@ -66,10 +53,10 @@ func (c *CRLChecker) Check(cert *x509sim.Certificate, now simtime.Day) (Status, 
 // ErrBlocked marks revocation traffic dropped by an on-path attacker.
 var ErrBlocked = errors.New("revcheck: revocation traffic blocked")
 
-// Intercepted wraps a checker behind an on-path attacker who drops
-// revocation traffic — the paper's TLS-interception threat model, where
-// soft-fail policies are defeated by simply blackholing status fetches.
-func Intercepted(inner Checker) Checker { return blackholed{} }
+// Intercepted is the checker a client sees behind an on-path attacker who
+// drops all revocation traffic — the paper's TLS-interception threat model,
+// where soft-fail policies are defeated by simply blackholing status fetches.
+func Intercepted() Checker { return blackholed{} }
 
 // blackholed is a checker whose every lookup is dropped on the path.
 type blackholed struct{}
@@ -95,16 +82,13 @@ type Profile struct {
 	// (Chrome and Edge for subscriber certs; most non-browser clients).
 	ChecksRevocation bool
 	FailMode         FailMode
-	// HonorsMustStaple hard-fails must-staple certificates even under
-	// SoftFail (Firefox's one exception, §2.4 footnote).
-	HonorsMustStaple bool
 }
 
 // The paper's client landscape.
 var (
 	ProfileChrome  = Profile{Name: "Chrome", ChecksRevocation: false}
 	ProfileEdge    = Profile{Name: "Edge", ChecksRevocation: false}
-	ProfileFirefox = Profile{Name: "Firefox", ChecksRevocation: true, FailMode: SoftFail, HonorsMustStaple: true}
+	ProfileFirefox = Profile{Name: "Firefox", ChecksRevocation: true, FailMode: SoftFail}
 	ProfileSafari  = Profile{Name: "Safari", ChecksRevocation: true, FailMode: SoftFail}
 	ProfileCurl    = Profile{Name: "curl", ChecksRevocation: false}
 	ProfileStrict  = Profile{Name: "hard-fail", ChecksRevocation: true, FailMode: HardFail}
@@ -115,29 +99,17 @@ func Profiles() []Profile {
 	return []Profile{ProfileChrome, ProfileEdge, ProfileFirefox, ProfileSafari, ProfileCurl, ProfileStrict}
 }
 
-// Decision is the outcome of a client's revocation evaluation.
-type Decision struct {
-	Accepted bool
-	// Checked reports whether a status lookup was attempted.
-	Checked bool
-	// Status is the lookup result when Checked.
-	Status Status
-}
-
-// Evaluate runs a profile's revocation logic for a certificate. mustStaple
-// marks certificates carrying the OCSP must-staple extension.
-func (p Profile) Evaluate(cert *x509sim.Certificate, now simtime.Day, checker Checker, mustStaple bool) Decision {
+// Evaluate runs a profile's revocation logic for a certificate and reports
+// whether the client accepts it.
+func (p Profile) Evaluate(cert *x509sim.Certificate, now simtime.Day, checker Checker) bool {
 	if !p.ChecksRevocation {
-		return Decision{Accepted: true}
+		return true
 	}
 	status, _, err := checker.Check(cert, now)
 	if err != nil || status == StatusUnavailable {
-		if p.FailMode == HardFail || (mustStaple && p.HonorsMustStaple) {
-			return Decision{Accepted: false, Checked: true, Status: StatusUnavailable}
-		}
-		return Decision{Accepted: true, Checked: true, Status: StatusUnavailable} // soft-fail
+		return p.FailMode == SoftFail
 	}
-	return Decision{Accepted: status != StatusRevoked, Checked: true, Status: status}
+	return status != StatusRevoked
 }
 
 // EffectivenessRow measures one profile's protection against a revoked
@@ -158,15 +130,15 @@ type EffectivenessRow struct {
 // certificates, with and without an interceptor, reproducing the paper's
 // argument that revocation is "absent or easily circumvented".
 func MeasureEffectiveness(certs []*x509sim.Certificate, now simtime.Day, checker Checker) []EffectivenessRow {
-	blocked := Intercepted(checker)
+	blocked := Intercepted()
 	rows := make([]EffectivenessRow, 0, len(Profiles()))
 	for _, p := range Profiles() {
 		row := EffectivenessRow{Profile: p, Total: len(certs)}
 		for _, cert := range certs {
-			if p.Evaluate(cert, now, checker, false).Accepted {
+			if p.Evaluate(cert, now, checker) {
 				row.AcceptedDirect++
 			}
-			if p.Evaluate(cert, now, blocked, false).Accepted {
+			if p.Evaluate(cert, now, blocked) {
 				row.AcceptedIntercepted++
 			}
 		}

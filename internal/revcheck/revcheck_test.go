@@ -62,27 +62,14 @@ func TestProfilesAgainstRevokedCert(t *testing.T) {
 		{ProfileCurl, true, true},     // never checks
 		{ProfileStrict, false, false}, // hard-fail
 	}
-	blocked := Intercepted(checker)
+	blocked := Intercepted()
 	for _, c := range cases {
-		if got := c.profile.Evaluate(revoked, 200, checker, false).Accepted; got != c.direct {
+		if got := c.profile.Evaluate(revoked, 200, checker); got != c.direct {
 			t.Errorf("%s direct accepted = %v, want %v", c.profile.Name, got, c.direct)
 		}
-		if got := c.profile.Evaluate(revoked, 200, blocked, false).Accepted; got != c.intercepted {
+		if got := c.profile.Evaluate(revoked, 200, blocked); got != c.intercepted {
 			t.Errorf("%s intercepted accepted = %v, want %v", c.profile.Name, got, c.intercepted)
 		}
-	}
-}
-
-func TestMustStapleHardFailsFirefoxOnly(t *testing.T) {
-	auths, revoked, _ := testAuthorities(t)
-	blocked := Intercepted(&CRLChecker{Authorities: auths})
-	// Firefox honours must-staple: blocked traffic → reject.
-	if ProfileFirefox.Evaluate(revoked, 200, blocked, true).Accepted {
-		t.Error("Firefox accepted a blocked must-staple cert")
-	}
-	// Safari does not: soft-fail even with must-staple.
-	if !ProfileSafari.Evaluate(revoked, 200, blocked, true).Accepted {
-		t.Error("Safari should soft-fail must-staple")
 	}
 }
 

@@ -110,7 +110,7 @@ func TestCruiseLinerEraIssuerSwitch(t *testing.T) {
 	s.Start = simtime.MustParse("2017-06-01")
 	s.End = simtime.MustParse("2020-12-31")
 	s.BaseDailyRegistrations = 4
-	s.CDNBase, s.CDNPeak = 0.4, 0.4 // lots of CDN traffic for signal
+	s.CDNPeak = 0.4 // lots of CDN traffic for signal
 	s.WHOISWindow = simtime.Span{}
 	s.ADNSWindow = simtime.Span{}
 	s.CRLWindow = simtime.Span{}

@@ -14,6 +14,7 @@
 package worldsim
 
 import (
+	"fmt"
 	"math"
 
 	"stalecert/internal/simtime"
@@ -57,65 +58,67 @@ type Scenario struct {
 	BaseDailyRegistrations   float64
 	AnnualRegistrationGrowth float64
 
-	// HTTPSBase is pre-Let's-Encrypt adoption probability for a new domain;
-	// HTTPSPeak is the asymptote approached after automation arrives.
-	HTTPSBase float64
-	HTTPSPeak float64
-
-	// CDNBase/CDNPeak bound the fraction of HTTPS domains choosing managed
-	// TLS via the CDN (growing over time, §7.1); PlatformShare is the
-	// cPanel-style hosting share.
-	CDNBase       float64
-	CDNPeak       float64
-	PlatformShare float64
+	// CDNPeak bounds the fraction of HTTPS domains choosing managed TLS via
+	// the CDN, which grows from cdnBase over time (§7.1).
+	CDNPeak float64
 
 	// DomainRenewProb is the chance a registrant renews at expiry.
 	DomainRenewProb float64
 	// ReRegistrationProb is the chance a released domain is re-registered
-	// by a new owner; DropCatchProb is the sub-probability that the
-	// re-registration happens immediately at release (drop-catch services).
+	// by a new owner.
 	ReRegistrationProb float64
-	DropCatchProb      float64
-	// ReRegistrationMaxDelay bounds the non-drop-catch re-registration
-	// delay after release, in days.
-	ReRegistrationMaxDelay int
-
-	// CertManualRenewProb is the chance a manually-managed certificate is
-	// renewed at expiry (automated CAs always renew while the domain is
-	// held and validation reuse allows).
-	CertManualRenewProb float64
-	// RenewBeforeDays is the automation renewal window before expiry.
-	RenewBeforeDays int
 
 	// CompromiseProbLong/Short are per-certificate key-compromise
-	// probabilities for long-lived (>180d) and short-lived certificates;
-	// compromise is discovered CompromiseMeanDelay days (exponential,
-	// capped at CompromiseMaxDelay) after issuance.
+	// probabilities for long-lived (>180d) and short-lived certificates.
 	CompromiseProbLong  float64
 	CompromiseProbShort float64
-	CompromiseMeanDelay float64
-	CompromiseMaxDelay  int
-	// OtherRevocationProb is the chance a certificate is revoked for a
-	// non-compromise reason (superseded, cessation, ...) at a uniform point
-	// of its life.
-	OtherRevocationProb float64
 
-	// GoDaddyBreach enables the November 2021 mass revocation; BreachShare
-	// is the fraction of then-valid GoDaddy certificates revoked.
+	// GoDaddyBreach enables the November 2021 mass revocation.
 	GoDaddyBreach bool
-	BreachShare   float64
-
-	// CDNAnnualChurn is the fraction of CDN customers departing per year.
-	CDNAnnualChurn float64
-
-	// CruiseBoatSize caps customers per cruise-liner certificate.
-	CruiseBoatSize int
 
 	// Collection windows (zero spans disable a collection).
 	WHOISWindow simtime.Span
 	ADNSWindow  simtime.Span
 	CRLWindow   simtime.Span
 }
+
+// Calibration that no scale or test varies.
+const (
+	// httpsBase is pre-Let's-Encrypt adoption probability for a new domain;
+	// httpsPeak is the asymptote approached after automation arrives.
+	httpsBase = 0.15
+	httpsPeak = 0.90
+	// cdnBase is the starting CDN share (see CDNPeak); platformShare is the
+	// cPanel-style hosting share.
+	cdnBase       = 0.06
+	platformShare = 0.12
+	// dropCatchProb is the sub-probability that a re-registration happens
+	// immediately at release (drop-catch services); otherwise it comes up
+	// to reRegistrationMaxDelay days after release.
+	dropCatchProb          = 0.45
+	reRegistrationMaxDelay = 300
+	// certManualRenewProb is the chance a manually-managed certificate is
+	// renewed at expiry (automated CAs always renew while the domain is
+	// held and validation reuse allows); renewBeforeDays is the automation
+	// renewal window before expiry.
+	certManualRenewProb = 0.80
+	renewBeforeDays     = 30
+	// Compromise is discovered compromiseMeanDelay days (exponential,
+	// capped at compromiseMaxDelay) after issuance.
+	compromiseMeanDelay = 18
+	compromiseMaxDelay  = 600
+	// otherRevocationProb is the chance a certificate is revoked for a
+	// non-compromise reason (superseded, cessation, ...) at a uniform point
+	// of its life.
+	otherRevocationProb = 0.06
+	// breachShare is the fraction of then-valid GoDaddy certificates the
+	// breach revokes.
+	breachShare = 0.50
+	// cdnAnnualChurn is the fraction of CDN customers departing per year.
+	cdnAnnualChurn = 0.22
+	// cruiseBoatSize caps customers per cruise-liner certificate.
+	cruiseBoatSize = 30
+)
 
 // Default returns the full-scale default scenario.
 func Default() Scenario {
@@ -125,26 +128,12 @@ func Default() Scenario {
 		End:                      DefaultEnd,
 		BaseDailyRegistrations:   8,
 		AnnualRegistrationGrowth: 1.13,
-		HTTPSBase:                0.15,
-		HTTPSPeak:                0.90,
-		CDNBase:                  0.06,
 		CDNPeak:                  0.32,
-		PlatformShare:            0.12,
 		DomainRenewProb:          0.65,
 		ReRegistrationProb:       0.60,
-		DropCatchProb:            0.45,
-		ReRegistrationMaxDelay:   300,
-		CertManualRenewProb:      0.80,
-		RenewBeforeDays:          30,
 		CompromiseProbLong:       0.003,
 		CompromiseProbShort:      0.0006,
-		CompromiseMeanDelay:      18,
-		CompromiseMaxDelay:       600,
-		OtherRevocationProb:      0.06,
 		GoDaddyBreach:            true,
-		BreachShare:              0.50,
-		CDNAnnualChurn:           0.22,
-		CruiseBoatSize:           30,
 		WHOISWindow:              simtime.Span{Start: WHOISWindowStart, End: WHOISWindowEnd + 1},
 		ADNSWindow:               simtime.Span{Start: ADNSWindowStart, End: ADNSWindowEnd + 1},
 		CRLWindow:                simtime.Span{Start: CRLWindowStart, End: CRLWindowEnd + 1},
@@ -158,6 +147,28 @@ func Quick() Scenario {
 	s.BaseDailyRegistrations = 1.2
 	s.AnnualRegistrationGrowth = 1.10
 	return s
+}
+
+// ScenarioFor returns the scenario for a named scale. "full" is Default.
+// "test" starts in 2016 at a quarter of the registrations, so Let's
+// Encrypt's growth era, the GoDaddy breach and all three collection windows
+// are inside the run. "quick" is Quick from 2019.
+func ScenarioFor(scale string) (Scenario, error) {
+	switch scale {
+	case "quick":
+		s := Quick()
+		s.Start = simtime.MustParse("2019-01-01")
+		return s, nil
+	case "test":
+		s := Default()
+		s.Start = simtime.MustParse("2016-01-01")
+		s.BaseDailyRegistrations = 2
+		s.AnnualRegistrationGrowth = 1.12
+		return s, nil
+	case "full":
+		return Default(), nil
+	}
+	return Scenario{}, fmt.Errorf("unknown scale %q (want quick, test, or full)", scale)
 }
 
 // yearsSince returns fractional years between two days.
@@ -178,7 +189,7 @@ func (s Scenario) registrationRate(day simtime.Day) float64 {
 // httpsProb is the chance a domain registered on day deploys HTTPS.
 func (s Scenario) httpsProb(day simtime.Day) float64 {
 	if day < LetsEncryptLaunch {
-		return s.HTTPSBase
+		return httpsBase
 	}
 	// Logistic ramp reaching ~peak by 2020.
 	t := yearsSince(LetsEncryptLaunch, day)
@@ -186,7 +197,7 @@ func (s Scenario) httpsProb(day simtime.Day) float64 {
 	if frac > 1 {
 		frac = 1
 	}
-	return s.HTTPSBase + (s.HTTPSPeak-s.HTTPSBase)*frac
+	return httpsBase + (httpsPeak-httpsBase)*frac
 }
 
 // cdnProb is the chance an HTTPS domain uses the CDN at day.
@@ -198,5 +209,5 @@ func (s Scenario) cdnProb(day simtime.Day) float64 {
 	if t < 0 {
 		t = 0
 	}
-	return s.CDNBase + (s.CDNPeak-s.CDNBase)*t
+	return cdnBase + (s.CDNPeak-cdnBase)*t
 }

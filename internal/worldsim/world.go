@@ -144,7 +144,7 @@ func NewWorld(s Scenario) *World {
 		NameServers:   []string{"kiki.ns.cloudflare.com", "uma.ns.cloudflare.com"},
 		EdgeSuffix:    "cdn.cloudflare.com",
 		MarkerSuffix:  "cloudflaressl.com",
-		BoatSize:      s.CruiseBoatSize,
+		BoatSize:      cruiseBoatSize,
 		CruiseCA:      w.CAs[ca.IssuerComodoDV],
 		PerDomainCA:   w.CAs[ca.IssuerCloudflareECC],
 		PerDomainFrom: CloudflarePerDomainFrom,
@@ -382,7 +382,7 @@ func (w *World) chooseHosting(d *domainState, day simtime.Day) {
 			return
 		}
 		fallthrough
-	case r < w.S.cdnProb(day)+w.S.PlatformShare:
+	case r < w.S.cdnProb(day)+platformShare:
 		d.hosting = HostPlatform
 		d.issuer = ca.IssuerCPanel
 		d.account = "platform:cpanel"
@@ -445,7 +445,7 @@ func (w *World) issueFor(d *domainState, day simtime.Day) {
 func (w *World) afterIssue(d *domainState, cert *x509sim.Certificate, day simtime.Day) {
 	prof, _ := w.Dir.Profile(cert.Issuer)
 	if prof.Automated {
-		w.schedule(cert.NotAfter-simtime.Day(w.S.RenewBeforeDays), evRenewAuto, d.name, cert)
+		w.schedule(cert.NotAfter-renewBeforeDays, evRenewAuto, d.name, cert)
 	} else {
 		w.schedule(cert.NotAfter+1, evRenewManual, d.name, cert)
 	}
@@ -461,15 +461,15 @@ func (w *World) maybeScheduleCompromise(cert *x509sim.Certificate, day simtime.D
 	if w.rng.Float64() >= p {
 		return
 	}
-	delay := int(w.rng.ExpFloat64() * w.S.CompromiseMeanDelay)
-	if delay > w.S.CompromiseMaxDelay {
-		delay = w.S.CompromiseMaxDelay
+	delay := int(w.rng.ExpFloat64() * compromiseMeanDelay)
+	if delay > compromiseMaxDelay {
+		delay = compromiseMaxDelay
 	}
 	w.schedule(day+simtime.Day(delay), evCompromise, "", cert)
 }
 
 func (w *World) maybeScheduleOtherRevocation(cert *x509sim.Certificate, day simtime.Day) {
-	if w.rng.Float64() >= w.S.OtherRevocationProb {
+	if w.rng.Float64() >= otherRevocationProb {
 		return
 	}
 	at := day + simtime.Day(w.rng.Intn(cert.LifetimeDays()))
@@ -478,10 +478,8 @@ func (w *World) maybeScheduleOtherRevocation(cert *x509sim.Certificate, day simt
 
 // scheduleCDNLifecycle schedules churn and renewal sweeps for a CDN customer.
 func (w *World) scheduleCDNLifecycle(name string, day simtime.Day) {
-	if w.S.CDNAnnualChurn > 0 {
-		years := w.rng.ExpFloat64() / w.S.CDNAnnualChurn
-		w.schedule(day+simtime.Day(years*365), evCDNDepart, name, nil)
-	}
+	years := w.rng.ExpFloat64() / cdnAnnualChurn
+	w.schedule(day+simtime.Day(years*365), evCDNDepart, name, nil)
 	// Cloudflare reissues well before expiry (~120-day cadence on 365-day
 	// certs), stacking overlapping validity — which lengthens managed-TLS
 	// staleness (Figure 6).
@@ -516,8 +514,8 @@ func (w *World) onDomainExpiry(e *event) {
 	releaseDay := reg.Expires + registry.GraceDays + registry.RedemptionDays + registry.PendingDeleteDays + 1
 	if w.rng.Float64() < w.S.ReRegistrationProb {
 		delay := simtime.Day(1)
-		if w.rng.Float64() >= w.S.DropCatchProb && w.S.ReRegistrationMaxDelay > 0 {
-			delay = 1 + simtime.Day(w.rng.Intn(w.S.ReRegistrationMaxDelay))
+		if w.rng.Float64() >= dropCatchProb {
+			delay = 1 + simtime.Day(w.rng.Intn(reRegistrationMaxDelay))
 		}
 		w.schedule(releaseDay+delay, evReRegister, e.domain, nil)
 	}
@@ -588,7 +586,7 @@ func (w *World) onRenewManual(e *event) {
 	if d == nil || !d.active || !d.intendKeep {
 		return // owners intending to drop the domain stop issuing (§7.1)
 	}
-	if w.rng.Float64() >= w.S.CertManualRenewProb {
+	if w.rng.Float64() >= certManualRenewProb {
 		return
 	}
 	caInst := w.CAs[e.cert.Issuer]
@@ -674,7 +672,7 @@ func (w *World) triggerGoDaddyBreach(day simtime.Day) {
 		if day-c.NotBefore > 90 {
 			continue
 		}
-		if w.rng.Float64() >= w.S.BreachShare {
+		if w.rng.Float64() >= breachShare {
 			continue
 		}
 		at := day + simtime.Day(w.rng.Intn(window+1))

@@ -20,7 +20,8 @@
 //
 // # Quick start
 //
-//	results := stalecert.Run(stalecert.QuickScenario())
+//	s, _ := stalecert.ScenarioFor("quick")
+//	results := stalecert.Run(s)
 //	for _, row := range results.Table4Rows() {
 //		fmt.Printf("%-26s %6d certs (%.1f/day)\n", row.Method, row.Certs, row.CertsPerDay())
 //	}
@@ -44,7 +45,7 @@ import (
 )
 
 // Scenario parameterises a world simulation; see worldsim.Scenario for every
-// knob. Build one with DefaultScenario or QuickScenario and adjust fields.
+// knob. Build one with ScenarioFor and adjust fields.
 type Scenario = worldsim.Scenario
 
 // World is a simulated internet mid- or post-run.
@@ -92,13 +93,10 @@ type CapResult = core.CapResult
 // Day is the day-granular simulation clock (days since 2013-01-01 UTC).
 type Day = simtime.Day
 
-// DefaultScenario returns the paper-scale default: 2013-03 through 2023-05,
-// roughly 60K e2LDs and 350K certificates. A full run takes tens of seconds.
-func DefaultScenario() Scenario { return worldsim.Default() }
-
-// QuickScenario returns a reduced-scale scenario with the same dynamics,
-// suitable for tests and exploration.
-func QuickScenario() Scenario { return worldsim.Quick() }
+// ScenarioFor returns the scenario for a scale: "full" is the paper's
+// 2013-03 through 2023-05 (a run takes tens of seconds), "test" and "quick"
+// keep the same dynamics over fewer domains and years.
+func ScenarioFor(scale string) (Scenario, error) { return worldsim.ScenarioFor(scale) }
 
 // Simulate runs a world to completion and returns it with all datasets
 // populated.

@@ -9,8 +9,7 @@ import (
 )
 
 func apiScenario() stalecert.Scenario {
-	s := stalecert.QuickScenario()
-	s.Start = simtime.MustParse("2019-01-01")
+	s, _ := stalecert.ScenarioFor("quick")
 	s.End = simtime.MustParse("2021-06-30")
 	s.BaseDailyRegistrations = 2
 	s.WHOISWindow = simtime.Span{Start: simtime.MustParse("2019-01-01"), End: simtime.MustParse("2021-06-30")}
