@@ -14,7 +14,6 @@ import (
 	"stalecert/internal/certstore"
 	"stalecert/internal/core"
 	"stalecert/internal/ctlog"
-	"stalecert/internal/dnssim"
 	"stalecert/internal/merkle"
 	"stalecert/internal/simtime"
 	"stalecert/internal/worldsim"
@@ -251,65 +250,6 @@ func allEntries(b *testing.B, col *ctlog.Collection) []ctlog.Entry {
 			b.Fatal(err)
 		}
 		out = append(out, es...)
-	}
-	return out
-}
-
-// BenchmarkAblationSnapshotDiff compares the full-snapshot map differ
-// against the compact sorted-merge ScanLog differ on identical data.
-func BenchmarkAblationSnapshotDiff(b *testing.B) {
-	const domains = 5000
-	prev := dnssim.NewSnapshot(100)
-	next := dnssim.NewSnapshot(101)
-	var prevSorted, nextSorted []string
-	for i := 0; i < domains; i++ {
-		d := fmt.Sprintf("d%06d.com", i)
-		rec := dnssim.Record{Name: d, Type: dnssim.TypeNS, Data: "kiki.ns.cloudflare.com"}
-		prev.Add(d, rec)
-		prevSorted = append(prevSorted, d)
-		if i%100 == 0 { // 1% depart
-			next.Add(d, dnssim.Record{Name: d, Type: dnssim.TypeNS, Data: "ns.other.net"})
-		} else {
-			next.Add(d, rec)
-			nextSorted = append(nextSorted, d)
-		}
-	}
-	pred := func(r dnssim.Record) bool { return r.Data == "kiki.ns.cloudflare.com" }
-
-	b.Run("full-snapshot-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			deps := dnssim.FindDepartures(prev, next, pred)
-			if len(deps) != domains/100 {
-				b.Fatalf("departures = %d", len(deps))
-			}
-		}
-	})
-	b.Run("sorted-merge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			deps := sortedMergeDiff(prevSorted, nextSorted)
-			if len(deps) != domains/100 {
-				b.Fatalf("departures = %d", len(deps))
-			}
-		}
-	})
-}
-
-func sortedMergeDiff(prev, next []string) []string {
-	var out []string
-	j, k := 0, 0
-	for j < len(prev) {
-		switch {
-		case k >= len(next) || prev[j] < next[k]:
-			out = append(out, prev[j])
-			j++
-		case prev[j] == next[k]:
-			j++
-			k++
-		default:
-			k++
-		}
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 // Command dnsscand is the active-DNS half of the pipeline: it can serve an
 // authoritative zone over UDP (-serve) and scan a domain list against a DNS
-// server (-scan), printing each domain's A/AAAA/NS/CNAME records and whether
-// it is delegated to a Cloudflare-style managed-TLS provider.
+// server (-scan), printing per domain whether it is delegated to the
+// managed-TLS provider — managed-tls or self, or the error — by asking
+// monitor.ProviderDelegated, the apex NS and www CNAME questions staleapid
+// asks.
 //
 // Usage:
 //
@@ -24,6 +26,7 @@ import (
 
 	"stalecert/internal/dnsname"
 	"stalecert/internal/dnssim"
+	"stalecert/internal/monitor"
 	"stalecert/internal/obs"
 )
 
@@ -68,8 +71,8 @@ func runServe(logger *slog.Logger, zonefile, apex, addr string) {
 		for _, r := range []dnssim.Record{
 			{Name: "self." + apex, Type: dnssim.TypeNS, TTL: 86400, Data: "ns1.hoster.net"},
 			{Name: "self." + apex, Type: dnssim.TypeA, TTL: 300, Data: "198.51.100.7"},
-			{Name: "cdn." + apex, Type: dnssim.TypeNS, TTL: 86400, Data: "kiki.ns.cloudflare.com"},
-			{Name: "www.cdn." + apex, Type: dnssim.TypeCNAME, TTL: 300, Data: "cdn-" + apex + ".cdn.cloudflare.com"},
+			{Name: "cdn." + apex, Type: dnssim.TypeNS, TTL: 86400, Data: "kiki." + monitor.NSSuffix},
+			{Name: "www.cdn." + apex, Type: dnssim.TypeCNAME, TTL: 300, Data: "cdn-" + apex + "." + monitor.EdgeSuffix},
 		} {
 			if err := zone.Add(r); err != nil {
 				logger.Error("demo zone", "err", err)
@@ -116,46 +119,21 @@ func runScan(logger *slog.Logger, server, domainList string) {
 		logger.Error("-scan requires -domains")
 		os.Exit(2)
 	}
-	var list []string
-	for _, d := range strings.Split(domainList, ",") {
-		list = append(list, dnsname.Canonical(strings.TrimSpace(d)))
-	}
-
 	r := &dnssim.Resolver{ServerAddr: server, Timeout: 2 * time.Second}
-	ws := &dnssim.WireScanner{Resolver: r}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-
-	snap, err := ws.Scan(ctx, 0, list)
-	if err != nil {
-		logger.Error("scan failed", "err", err)
-		os.Exit(1)
-	}
-
-	isCF := func(rec dnssim.Record) bool {
-		switch rec.Type {
-		case dnssim.TypeNS:
-			return dnsname.IsSubdomain(rec.Data, "ns.cloudflare.com")
-		case dnssim.TypeCNAME:
-			return dnsname.IsSubdomain(rec.Data, "cdn.cloudflare.com")
-		}
-		return false
-	}
-	for _, d := range list {
-		if !snap.Scanned(d) {
-			fmt.Printf("%-30s UNREACHABLE\n", d)
-			continue
-		}
+	failed := false
+	for _, d := range strings.Split(domainList, ",") {
+		d = dnsname.Canonical(strings.TrimSpace(d))
 		tag := "self"
-		if snap.Matches(d, isCF) {
+		if delegated, err := monitor.ProviderDelegated(ctx, r, d); err != nil {
+			tag, failed = err.Error(), true
+		} else if delegated {
 			tag = "managed-tls"
 		}
-		fmt.Printf("%-30s %-12s %d records\n", d, tag, len(snap.Records(d)))
-		for _, rec := range snap.Records(d) {
-			fmt.Printf("    %s\n", rec)
-		}
+		fmt.Printf("%-30s %s\n", d, tag)
 	}
-	counts := snap.CountByType()
-	fmt.Printf("totals: A=%d AAAA=%d NS=%d CNAME=%d\n",
-		counts[dnssim.TypeA], counts[dnssim.TypeAAAA], counts[dnssim.TypeNS], counts[dnssim.TypeCNAME])
+	if failed {
+		os.Exit(1)
+	}
 }

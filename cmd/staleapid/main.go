@@ -27,8 +27,7 @@
 //	staleapid -store /var/lib/stalecert [-addr :8786] [-log http://127.0.0.1:8784]
 //	          [-interval 5s] [-lag-threshold 0] [-whois 127.0.0.1:4343]
 //	          [-dns 127.0.0.1:5353] [-crl http://127.0.0.1:8785]
-//	          [-now 2023-01-01] [-marker cloudflaressl.com]
-//	          [-cache-entries 1024] [-cache-ttl 5s]
+//	          [-now 2023-01-01] [-cache-entries 1024] [-cache-ttl 5s]
 //	          [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //	          [-shard i/N] [-shard-epoch 1] [-shard-vnodes 128]
 //
@@ -89,7 +88,6 @@ func main() {
 	dnsAddr := flag.String("dns", "", "authoritative DNS for departure evidence (empty disables)")
 	crlURL := flag.String("crl", "", "CRL server base URL for revocation evidence (empty disables)")
 	now := flag.String("now", "2023-01-01", "evaluation day")
-	marker := flag.String("marker", "cloudflaressl.com", "managed-TLS marker SAN suffix")
 	cacheEntries := flag.Int("cache-entries", 1024, "staleness cache capacity")
 	cacheTTL := flag.Duration("cache-ttl", 5*time.Second, "staleness cache TTL")
 	shardFlag := flag.String("shard", "", "ring slice this replica ingests and serves, as i/N (empty = whole keyspace)")
@@ -178,7 +176,7 @@ func main() {
 	// come from a snapshot of the whole CA directory refreshed every
 	// -cache-ttl in the background — CRL fetches run under the flags' retry
 	// budget (and chaos injection when seeded) — never inside a request.
-	gather := &evidence.Gatherer{Index: store, Marker: *marker, Now: nowDay}
+	gather := &evidence.Gatherer{Index: store, Now: nowDay}
 	if *whoisAddr != "" {
 		gather.Whois = &whois.Client{Addr: *whoisAddr}
 	}

@@ -143,7 +143,6 @@ func run() int {
 	interval := flag.Duration("interval", 10*time.Second, "poll interval")
 	once := flag.Bool("once", false, "poll once and exit")
 	now := flag.String("now", "2023-01-01", "evaluation day")
-	marker := flag.String("marker", "cloudflaressl.com", "managed-TLS marker SAN suffix")
 	jsonl := flag.Bool("jsonl", false, "emit alerts as JSON lines")
 	storeDir := flag.String("store", "", "keep the certificate store at this directory and resume from its checkpoint (empty: a scratch store)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
@@ -213,7 +212,7 @@ func run() int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	gather := &evidence.Gatherer{Index: store, Marker: *marker, Now: nowDay}
+	gather := &evidence.Gatherer{Index: store, Now: nowDay}
 	if *whoisAddr != "" {
 		gather.Whois = &whois.Client{Addr: *whoisAddr}
 	}

@@ -22,8 +22,7 @@ import (
 // — and requires the alerts to be the row's kinds and, independently, the
 // batch detectors' verdicts for certificates still valid on now.
 func TestAlertLines(t *testing.T) {
-	const marker = "cloudflaressl.com"
-	isManaged := func(c *x509sim.Certificate) bool { return monitor.HasProviderMarker(c, marker) }
+	isManaged := func(c *x509sim.Certificate) bool { return monitor.HasProviderMarker(c, monitor.MarkerSuffix) }
 	cert := func(serial uint64, nb, na simtime.Day, names ...string) *x509sim.Certificate {
 		c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial), names, nb, na)
 		if err != nil {
@@ -49,7 +48,7 @@ func TestAlertLines(t *testing.T) {
 			ev: core.DomainEvidence{Revocations: revoked(1, 150)}, want: []string{"revoked-but-valid stale.com 2013-05-31"}},
 		{name: "re-registered inside validity", cert: cert(2, 100, 460, "stale.com", "www.stale.com"),
 			ev: core.DomainEvidence{ReRegistrations: resold(200)}, want: []string{"registrant-change stale.com 2013-07-20"}},
-		{name: "delegation lost while a managed certificate is valid", cert: cert(3, 100, 460, "sni7."+marker, "stale.com"),
+		{name: "delegation lost while a managed certificate is valid", cert: cert(3, 100, 460, "sni7."+monitor.MarkerSuffix, "stale.com"),
 			ev:   core.DomainEvidence{Departures: []dnssim.Departure{{Domain: "stale.com", LastSeen: now - 1, FirstGone: now}}},
 			want: []string{"managed-tls-departure stale.com 2013-10-28"}},
 		{name: "a verdict on an expired certificate is not an alert", cert: cert(4, 100, 250, "stale.com"),

@@ -15,6 +15,7 @@ import (
 	"stalecert/internal/crl"
 	"stalecert/internal/ctlog"
 	"stalecert/internal/dnssim"
+	"stalecert/internal/monitor"
 	"stalecert/internal/simtime"
 	"stalecert/internal/whois"
 	"stalecert/internal/worldsim"
@@ -165,7 +166,9 @@ func TestWireDNSScanAgreesWithScanLog(t *testing.T) {
 	}
 	defer dnsSrv.Close()
 
-	// The last in-process scan day's provider-matched set...
+	// The last in-process scan day's provider-delegated set must be exactly
+	// what the daemons' question, asked over UDP, finds for every domain
+	// today: world state has not advanced since the final scan day.
 	days := w.ADNS.Days()
 	if len(days) == 0 {
 		t.Fatal("no scan days")
@@ -174,22 +177,22 @@ func TestWireDNSScanAgreesWithScanLog(t *testing.T) {
 	for _, d := range w.ADNS.MatchedOn(len(days) - 1) {
 		lastMatched[d] = true
 	}
-
-	// ...must agree with a wire scan of the same domains today (world state
-	// has not advanced since the final scan day).
-	sample := w.AllDomains()
-	if len(sample) > 40 {
-		sample = sample[:40]
-	}
-	scanner := &dnssim.WireScanner{Resolver: &dnssim.Resolver{ServerAddr: addr.String(), Timeout: 2 * time.Second}}
-	snap, err := scanner.Scan(context.Background(), w.Today(), sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range sample {
-		wireCDN := snap.Matches(d, w.CDN.IsProviderRecord)
-		if wireCDN != lastMatched[d] {
-			t.Fatalf("domain %s: wire says cdn=%v, scanlog says %v", d, wireCDN, lastMatched[d])
+	resolver := &dnssim.Resolver{ServerAddr: addr.String(), Timeout: 2 * time.Second}
+	delegated := 0
+	for _, d := range w.AllDomains() {
+		wire, err := monitor.ProviderDelegated(context.Background(), resolver, d)
+		if err != nil {
+			t.Fatalf("domain %s: %v", d, err)
 		}
+		if wire != lastMatched[d] {
+			t.Fatalf("domain %s: wire says delegated=%v, scanlog says %v", d, wire, lastMatched[d])
+		}
+		if wire {
+			delegated++
+		}
+	}
+	t.Logf("%d of %d domains delegated", delegated, len(w.AllDomains()))
+	if delegated == 0 || delegated == len(w.AllDomains()) {
+		t.Fatalf("%d of %d domains delegated: the comparison needs both kinds", delegated, len(w.AllDomains()))
 	}
 }

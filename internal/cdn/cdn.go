@@ -7,7 +7,7 @@
 // "cruise-liner" certificates packing dozens of customers into one SAN list
 // (issued through COMODO until mid-2019), then per-customer certificates from
 // the provider's own CA. Every managed certificate carries a marker SAN
-// (sni<N>.<marker-suffix>) which is how the paper distinguishes
+// (sni<N>.<monitor.MarkerSuffix>) which is how the paper distinguishes
 // provider-managed from customer-uploaded certificates.
 package cdn
 
@@ -56,15 +56,6 @@ func (c Customer) Active() bool { return c.Departed == simtime.NoDay }
 
 // Config wires a provider.
 type Config struct {
-	Name string
-	// NameServers are the provider's authoritative NS host names
-	// (e.g. kiki.ns.cloudflare.com).
-	NameServers []string
-	// EdgeSuffix is the CNAME target suffix (e.g. cdn.cloudflare.com).
-	EdgeSuffix string
-	// MarkerSuffix hosts the managed-certificate marker SANs
-	// (e.g. cloudflaressl.com → sni12345.cloudflaressl.com).
-	MarkerSuffix string
 	// BoatSize caps customers per cruise-liner certificate (default 50).
 	BoatSize int
 	// CruiseCA issues cruise-liner certificates (pre-transition).
@@ -77,9 +68,17 @@ type Config struct {
 	PerDomainFrom simtime.Day
 	// Store is the DNS store delegations are installed into.
 	Store *dnssim.Store
-	// EdgeIPs are the provider's anycast addresses.
-	EdgeIPs []string
 }
+
+// The provider's side of a delegation, named under monitor's suffixes: NS
+// delegation installs nameServers and points the apex at the anycast edgeIP;
+// CNAME delegation points www at an edge name under monitor.EdgeSuffix.
+var nameServers = []string{"kiki." + monitor.NSSuffix, "uma." + monitor.NSSuffix}
+
+const (
+	edgeIP  = "104.16.0.1"
+	account = "cdn:cloudflare" // the provider's CA account identity
+)
 
 // Provider is a managed-TLS provider. Safe for concurrent use.
 type Provider struct {
@@ -91,7 +90,6 @@ type Provider struct {
 	byDomain  map[string]*boat // active cruise-liner membership
 	perDomain map[string][]*x509sim.Certificate
 	nextSNI   int
-	account   string
 }
 
 // boat is one cruise-liner certificate group sharing a key.
@@ -119,45 +117,11 @@ func New(cfg Config) *Provider {
 		customers: make(map[string]*Customer),
 		byDomain:  make(map[string]*boat),
 		perDomain: make(map[string][]*x509sim.Certificate),
-		account:   "cdn:" + cfg.Name,
 	}
 }
-
-// Name returns the provider name.
-func (p *Provider) Name() string { return p.cfg.Name }
 
 // Account is the provider's CA account identity.
-func (p *Provider) Account() string { return p.account }
-
-// IsProviderRecord reports whether a DNS record delegates to this provider —
-// the predicate the departure detector scans daily snapshots with.
-func (p *Provider) IsProviderRecord(r dnssim.Record) bool {
-	switch r.Type {
-	case dnssim.TypeNS:
-		for _, ns := range p.cfg.NameServers {
-			if r.Data == ns {
-				return true
-			}
-		}
-	case dnssim.TypeCNAME:
-		return dnsname.IsSubdomain(r.Data, p.cfg.EdgeSuffix)
-	}
-	return false
-}
-
-// IsManagedCert reports whether a certificate is provider-managed: it
-// carries an sni<N>.<marker-suffix> SAN.
-func (p *Provider) IsManagedCert(c *x509sim.Certificate) bool {
-	return HasMarkerSAN(c, p.cfg.MarkerSuffix)
-}
-
-// HasMarkerSAN reports whether a certificate carries a managed-TLS marker
-// SAN under the given suffix: the §4.3 test the live path applies, so the
-// world the simulator builds and the evidence gatherer that reads it agree on
-// which certificates are managed.
-func HasMarkerSAN(c *x509sim.Certificate, markerSuffix string) bool {
-	return monitor.HasProviderMarker(c, markerSuffix)
-}
+func (p *Provider) Account() string { return account }
 
 // Enroll takes a customer domain onto the provider at day: installs the
 // delegation into DNS and issues (or re-issues) the managed certificate.
@@ -203,29 +167,19 @@ func (p *Provider) installDNS(domain string, mode Mode) error {
 		switch mode {
 		case ModeNS:
 			zone.Remove(domain, dnssim.TypeNS, "")
-			for _, ns := range p.cfg.NameServers {
+			for _, ns := range nameServers {
 				if e := zone.Add(dnssim.Record{Name: domain, Type: dnssim.TypeNS, TTL: 86400, Data: ns}); e != nil {
 					err = e
 					return
 				}
 			}
-			if len(p.cfg.EdgeIPs) > 0 {
-				zone.Remove(domain, dnssim.TypeA, "")
-			}
-			for _, ip := range p.cfg.EdgeIPs {
-				if e := zone.Add(dnssim.Record{Name: domain, Type: dnssim.TypeA, TTL: 300, Data: ip}); e != nil {
-					err = e
-					return
-				}
-			}
+			zone.Remove(domain, dnssim.TypeA, "")
+			err = zone.Add(dnssim.Record{Name: domain, Type: dnssim.TypeA, TTL: 300, Data: edgeIP})
 		case ModeCNAME:
 			www := "www." + domain
 			zone.Remove(www, dnssim.TypeCNAME, "")
-			target := edgeLabel(domain) + "." + p.cfg.EdgeSuffix
-			if e := zone.Add(dnssim.Record{Name: www, Type: dnssim.TypeCNAME, TTL: 300, Data: target}); e != nil {
-				err = e
-				return
-			}
+			target := edgeLabel(domain) + "." + monitor.EdgeSuffix
+			err = zone.Add(dnssim.Record{Name: www, Type: dnssim.TypeCNAME, TTL: 300, Data: target})
 		}
 	})
 	return err
@@ -242,11 +196,11 @@ func (p *Provider) removeDNS(domain string, mode Mode) {
 	p.cfg.Store.Mutate(func() {
 		switch mode {
 		case ModeNS:
-			for _, ns := range p.cfg.NameServers {
+			for _, ns := range nameServers {
 				zone.Remove(domain, dnssim.TypeNS, ns)
 			}
 		case ModeCNAME:
-			target := edgeLabel(domain) + "." + p.cfg.EdgeSuffix
+			target := edgeLabel(domain) + "." + monitor.EdgeSuffix
 			zone.Remove("www."+domain, dnssim.TypeCNAME, target)
 		}
 	})
@@ -279,7 +233,7 @@ func (p *Provider) enrollInBoat(domain string, day simtime.Day) (*x509sim.Certif
 		p.nextSNI++
 		b = &boat{
 			id:      p.nextSNI,
-			marker:  fmt.Sprintf("sni%d.%s", p.nextSNI, p.cfg.MarkerSuffix),
+			marker:  fmt.Sprintf("sni%d.%s", p.nextSNI, monitor.MarkerSuffix),
 			members: make(map[string]bool),
 		}
 		p.boats = append(p.boats, b)
@@ -306,7 +260,7 @@ func (p *Provider) reissueBoat(b *boat, day simtime.Day) (*x509sim.Certificate, 
 	if len(names) == 1 {
 		return nil, nil // boat emptied; nothing to issue
 	}
-	cert, err := p.cfg.CruiseCA.Issue(ca.Request{Account: p.account, Names: names, Key: key}, day)
+	cert, err := p.cfg.CruiseCA.Issue(ca.Request{Account: account, Names: names, Key: key}, day)
 	if err != nil {
 		return nil, fmt.Errorf("cdn: cruise-liner issue: %w", err)
 	}
@@ -322,10 +276,10 @@ func (p *Provider) reissueBoat(b *boat, day simtime.Day) (*x509sim.Certificate, 
 func (p *Provider) issuePerDomain(domain string, day simtime.Day) (*x509sim.Certificate, error) {
 	p.mu.Lock()
 	p.nextSNI++
-	marker := fmt.Sprintf("sni%d.%s", p.nextSNI, p.cfg.MarkerSuffix)
+	marker := fmt.Sprintf("sni%d.%s", p.nextSNI, monitor.MarkerSuffix)
 	p.mu.Unlock()
 	cert, err := p.cfg.PerDomainCA.Issue(ca.Request{
-		Account: p.account,
+		Account: account,
 		Names:   []string{marker, domain, "*." + domain},
 	}, day)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"stalecert/internal/ca"
 	"stalecert/internal/dnssim"
+	"stalecert/internal/monitor"
 	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
@@ -26,16 +27,11 @@ func testProvider(t *testing.T, perDomainFrom simtime.Day) (*Provider, *dnssim.S
 	store := dnssim.NewStore()
 	store.AddZone(dnssim.NewZone("com"))
 	p := New(Config{
-		Name:          "cloudflare",
-		NameServers:   []string{"kiki.ns.cloudflare.com", "uma.ns.cloudflare.com"},
-		EdgeSuffix:    "cdn.cloudflare.com",
-		MarkerSuffix:  "cloudflaressl.com",
 		BoatSize:      3,
 		CruiseCA:      cruise,
 		PerDomainCA:   perDom,
 		PerDomainFrom: perDomainFrom,
 		Store:         store,
-		EdgeIPs:       []string{"104.16.0.1"},
 	})
 	return p, store
 }
@@ -51,13 +47,13 @@ func TestEnrollNSInstallsDelegation(t *testing.T) {
 	}
 	zone := store.Zone("com")
 	ns := zone.Lookup("shop.com", dnssim.TypeNS)
-	if len(ns) != 2 || !p.IsProviderRecord(ns[0]) {
+	if len(ns) != 2 || !monitor.IsCloudflareRecord(ns[0]) {
 		t.Fatalf("NS records = %v", ns)
 	}
 	if a := zone.Lookup("shop.com", dnssim.TypeA); len(a) != 1 || a[0].Data != "104.16.0.1" {
 		t.Fatalf("A records = %v", a)
 	}
-	if !p.IsManagedCert(cert) {
+	if !monitor.HasProviderMarker(cert, monitor.MarkerSuffix) {
 		t.Fatalf("cert missing marker SAN: %v", cert.Names)
 	}
 	if !cert.Covers("shop.com") || !cert.Covers("www.shop.com") {
@@ -71,7 +67,7 @@ func TestEnrollCNAME(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := store.Zone("com").Lookup("www.blog.com", dnssim.TypeCNAME)
-	if len(rec) != 1 || !p.IsProviderRecord(rec[0]) {
+	if len(rec) != 1 || !monitor.IsCloudflareRecord(rec[0]) {
 		t.Fatalf("CNAME = %v", rec)
 	}
 }
@@ -140,7 +136,7 @@ func TestDepartReissuesBoatWithoutDomain(t *testing.T) {
 	// DNS delegation removed.
 	zone := store.Zone("com")
 	for _, r := range zone.Lookup("leave.com", dnssim.TypeNS) {
-		if p.IsProviderRecord(r) {
+		if monitor.IsCloudflareRecord(r) {
 			t.Fatal("provider NS still present after departure")
 		}
 	}
@@ -229,25 +225,5 @@ func TestRenewOnlyNearExpiry(t *testing.T) {
 	}
 	if err := p.Renew("ghost.com", 0, 30); !errors.Is(err, ErrNotEnrolled) {
 		t.Fatalf("renew unknown: %v", err)
-	}
-}
-
-func TestHasMarkerSAN(t *testing.T) {
-	c, err := x509sim.New(1, 1, 1, []string{"sni123.cloudflaressl.com", "x.com"}, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !HasMarkerSAN(c, "cloudflaressl.com") {
-		t.Fatal("marker not detected")
-	}
-	plain, _ := x509sim.New(1, 1, 1, []string{"x.com"}, 0, 1)
-	if HasMarkerSAN(plain, "cloudflaressl.com") {
-		t.Fatal("false positive marker")
-	}
-	// A customer-uploaded cert that happens to contain the bare suffix is
-	// not a managed cert.
-	bare, _ := x509sim.New(1, 1, 1, []string{"cloudflaressl.com"}, 0, 1)
-	if HasMarkerSAN(bare, "cloudflaressl.com") {
-		t.Fatal("bare suffix misdetected")
 	}
 }

@@ -1,9 +1,8 @@
 // Package dnssim implements the active-DNS substrate: resource records and
 // zones, an RFC 1035 wire codec with name compression, a UDP authoritative
-// server, a scanning resolver, and a daily snapshot store with a
-// day-over-day differ — the machinery behind the paper's aDNS dataset
-// (300M A/AAAA, 274M NS, 10M CNAME records per day) and its managed-TLS
-// departure detection.
+// server and a resolver — the machinery behind the paper's aDNS dataset
+// (300M A/AAAA, 274M NS, 10M CNAME records per day) — and the Departure its
+// managed-TLS detection reports.
 package dnssim
 
 import (
@@ -14,6 +13,7 @@ import (
 	"sync"
 
 	"stalecert/internal/dnsname"
+	"stalecert/internal/simtime"
 )
 
 // RRType is a DNS resource-record type code (RFC 1035 / 3596 values).
@@ -254,4 +254,13 @@ func ParseZoneFile(apex, text string) (*Zone, error) {
 		}
 	}
 	return z, nil
+}
+
+// Departure records that a domain stopped delegating to the managed-TLS
+// provider between two consecutive scan days: delegated on LastSeen, not on
+// FirstGone (Cloudflare NS/CNAME present one day, gone the next).
+type Departure struct {
+	Domain    string
+	LastSeen  simtime.Day
+	FirstGone simtime.Day
 }

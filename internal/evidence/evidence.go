@@ -38,8 +38,6 @@ type Gatherer struct {
 	Resolver *dnssim.Resolver
 	// CRL is the background-refreshed revocation set.
 	CRL *crl.Snapshot
-	// Marker is the SAN suffix identifying provider-managed certificates.
-	Marker string
 	// Now is the evaluation day a lost delegation is dated to.
 	Now simtime.Day
 
@@ -58,7 +56,7 @@ func (g *Gatherer) Gather(ctx context.Context, domain string) (core.DomainEviden
 	ev := core.DomainEvidence{
 		RevocationCutoff: simtime.NoDay,
 		IsManaged: func(c *x509sim.Certificate) bool {
-			return monitor.HasProviderMarker(c, g.Marker)
+			return monitor.HasProviderMarker(c, monitor.MarkerSuffix)
 		},
 	}
 	var certs []*x509sim.Certificate
@@ -129,7 +127,7 @@ func (g *Gatherer) whois(ctx context.Context, domain string, ev *core.DomainEvid
 
 // dns turns a missing provider delegation into a departure on Now.
 func (g *Gatherer) dns(ctx context.Context, domain string, ev *core.DomainEvidence) error {
-	delegated, err := monitor.ProviderDelegated(ctx, g.Resolver, monitor.IsCloudflareRecord, domain)
+	delegated, err := monitor.ProviderDelegated(ctx, g.Resolver, domain)
 	if err == nil && !delegated {
 		ev.Departures = []dnssim.Departure{{Domain: domain, LastSeen: g.Now - 1, FirstGone: g.Now}}
 	}

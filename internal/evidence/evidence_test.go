@@ -27,7 +27,6 @@ import (
 const (
 	rigDomains = 400
 	rigNow     = simtime.Day(19000)
-	rigMarker  = "cloudflaressl.com"
 )
 
 var rigCAs = []string{"CA1", "CA2", "CA3", "CA4"}
@@ -61,7 +60,7 @@ type rig struct {
 func (r *rig) asks(domain string) (whoisAsked, dnsAsked bool) {
 	certs := r.corpus.ByE2LD(domain)
 	for _, c := range certs {
-		if monitor.HasProviderMarker(c, rigMarker) && c.ValidOn(rigNow) {
+		if monitor.HasProviderMarker(c, monitor.MarkerSuffix) && c.ValidOn(rigNow) {
 			dnsAsked = true
 		}
 	}
@@ -88,7 +87,7 @@ func newRig(tb testing.TB, seed int64) *rig {
 			issuer := 1 + rnd.Intn(len(rigCAs))
 			names := []string{domain, "www." + domain}
 			if rnd.Intn(3) == 0 {
-				names = append(names, fmt.Sprintf("sni%d.%s", serial, rigMarker))
+				names = append(names, fmt.Sprintf("sni%d.%s", serial, monitor.MarkerSuffix))
 			}
 			nb := rigNow - simtime.Day(30+rnd.Intn(300))
 			na := nb + 398
@@ -169,7 +168,6 @@ func newRig(tb testing.TB, seed int64) *rig {
 		Whois:    &whois.Client{Addr: whoisAddr.String()},
 		Resolver: &dnssim.Resolver{ServerAddr: dnsAddr.String(), Timeout: 2 * time.Second},
 		CRL:      &crl.Snapshot{Fetcher: &crl.Fetcher{Base: crlTS.URL}, Names: rigCAs, Service: "evidence-test"},
-		Marker:   rigMarker,
 		Now:      rigNow,
 	}
 	return r
@@ -225,7 +223,7 @@ func TestGatherVerdictsEqualFlatCRLVerdicts(t *testing.T) {
 // are passed in; they never depended on what was asked.
 func (r *rig) askEverything(ctx context.Context, domain string, revocations []crl.Entry) (core.DomainEvidence, error) {
 	ev := core.DomainEvidence{Revocations: revocations, RevocationCutoff: simtime.NoDay,
-		IsManaged: func(c *x509sim.Certificate) bool { return monitor.HasProviderMarker(c, rigMarker) }}
+		IsManaged: func(c *x509sim.Certificate) bool { return monitor.HasProviderMarker(c, monitor.MarkerSuffix) }}
 	rec, err := whois.Query(ctx, r.gather.Whois.Addr, domain)
 	switch {
 	case err == nil:
@@ -233,7 +231,7 @@ func (r *rig) askEverything(ctx context.Context, domain string, revocations []cr
 	case !errors.Is(err, whois.ErrNoMatch):
 		return ev, err
 	}
-	delegated, err := monitor.ProviderDelegated(ctx, r.gather.Resolver, monitor.IsCloudflareRecord, domain)
+	delegated, err := monitor.ProviderDelegated(ctx, r.gather.Resolver, domain)
 	if err == nil && !delegated {
 		ev.Departures = []dnssim.Departure{{Domain: domain, LastSeen: rigNow - 1, FirstGone: rigNow}}
 	}
@@ -286,7 +284,7 @@ func TestGatherVerdictsEqualAskEverythingVerdicts(t *testing.T) {
 			case wantWhois:
 				whoisOnly++
 				for _, c := range r.corpus.ByE2LD(domain) {
-					if monitor.HasProviderMarker(c, rigMarker) {
+					if monitor.HasProviderMarker(c, monitor.MarkerSuffix) {
 						lapsedOnly++ // managed, but nothing managed is still valid
 						break
 					}
@@ -363,7 +361,7 @@ func TestGatherRunsWhoisAndDNSConcurrently(t *testing.T) {
 		}
 	}()
 
-	managed, err := x509sim.New(1, 1, 1, []string{"overlap.com", "sni1." + rigMarker}, rigNow-30, rigNow+30)
+	managed, err := x509sim.New(1, 1, 1, []string{"overlap.com", "sni1." + monitor.MarkerSuffix}, rigNow-30, rigNow+30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +369,6 @@ func TestGatherRunsWhoisAndDNSConcurrently(t *testing.T) {
 		Index:    core.NewCorpus([]*x509sim.Certificate{managed}, core.CorpusOptions{}),
 		Whois:    &whois.Client{Addr: whoisAddr.String()},
 		Resolver: &dnssim.Resolver{ServerAddr: pc.LocalAddr().String(), Timeout: time.Second, Retries: 1},
-		Marker:   rigMarker,
 		Now:      rigNow,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

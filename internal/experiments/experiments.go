@@ -9,8 +9,8 @@ import (
 	"math/rand"
 	"time"
 
-	"stalecert/internal/cdn"
 	"stalecert/internal/core"
+	"stalecert/internal/monitor"
 	"stalecert/internal/obs"
 	"stalecert/internal/popularity"
 	"stalecert/internal/reputation"
@@ -127,7 +127,7 @@ func detect(w *worldsim.World, p *pipeline) *Results {
 	// Pipeline 3: managed TLS departure from daily aDNS diffs.
 	sp = p.start("detect_managed_tls")
 	isManaged := func(c *x509sim.Certificate) bool {
-		return cdn.HasMarkerSAN(c, "cloudflaressl.com")
+		return monitor.HasProviderMarker(c, monitor.MarkerSuffix)
 	}
 	r.Managed = core.DetectManagedTLSDeparture(r.Corpus, w.ADNS.Departures(), isManaged)
 	r.ManagedWindow = w.S.ADNSWindow

@@ -185,7 +185,7 @@ func (f *Fleet) startReplica(name string, slice int, ingestBreakers *resil.Break
 	snap := &crl.Snapshot{Fetcher: &crl.Fetcher{Base: f.CRL.URL, Chaos: chaos}, Names: []string{caName}, Service: "staleapid"}
 	m.Health.Register("crl-snapshot", snap.Ready)
 	Until(t, func() error { return snap.Refresh(ctx) })
-	gather := &evidence.Gatherer{Index: store, CRL: snap, Marker: "cloudflaressl.com", Now: Day}
+	gather := &evidence.Gatherer{Index: store, CRL: snap, Now: Day}
 	m.Handle(staleapi.NewServer(staleapi.Config{
 		Store:    store,
 		Evidence: gather.Gather,

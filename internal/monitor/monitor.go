@@ -1,7 +1,9 @@
-// Package monitor reads the two managed-TLS signals the live evidence
-// gatherer (internal/evidence) and the benchmark's oracle share: whether a
-// certificate carries a provider marker SAN, and whether a domain's DNS still
-// delegates to the provider. The verdicts built on them are internal/core's.
+// Package monitor owns the managed-TLS provider's identity and the two
+// signals read from it (§4.3): whether a certificate carries the provider's
+// marker SAN, and whether a domain's DNS still delegates to the provider. The
+// batch scan (worldsim.ScanLog), the live evidence gatherer
+// (internal/evidence), dnsscand -scan and the benchmark's oracle all ask
+// these; the verdicts built on them are internal/core's.
 package monitor
 
 import (
@@ -15,6 +17,15 @@ import (
 	"stalecert/internal/x509sim"
 )
 
+// The provider's names: managed certificates carry an sni<N>.MarkerSuffix
+// SAN, NS delegation points at hosts under NSSuffix, and CNAME delegation at
+// edge names under EdgeSuffix.
+const (
+	MarkerSuffix = "cloudflaressl.com"
+	NSSuffix     = "ns.cloudflare.com"
+	EdgeSuffix   = "cdn.cloudflare.com"
+)
+
 // HasProviderMarker reports whether the certificate carries a provider
 // marker SAN (an sni*.<suffix> name), identifying it as provider-managed.
 func HasProviderMarker(cert *x509sim.Certificate, suffix string) bool {
@@ -26,23 +37,22 @@ func HasProviderMarker(cert *x509sim.Certificate, suffix string) bool {
 	return false
 }
 
-// IsCloudflareRecord matches the delegation records of the managed-TLS
-// provider the daemons watch: an NS under ns.cloudflare.com or a CNAME under
-// cdn.cloudflare.com.
+// IsCloudflareRecord matches the provider's delegation records: an NS under
+// NSSuffix or a CNAME under EdgeSuffix.
 func IsCloudflareRecord(r dnssim.Record) bool {
 	switch r.Type {
 	case dnssim.TypeNS:
-		return dnsname.IsSubdomain(r.Data, "ns.cloudflare.com")
+		return dnsname.IsSubdomain(r.Data, NSSuffix)
 	case dnssim.TypeCNAME:
-		return dnsname.IsSubdomain(r.Data, "cdn.cloudflare.com")
+		return dnsname.IsSubdomain(r.Data, EdgeSuffix)
 	}
 	return false
 }
 
-// ProviderDelegated reports whether the domain's apex NS or www CNAME points
-// at the provider. The two questions are asked in turn and the second is
+// ProviderDelegated reports whether the domain's apex NS or www CNAME is a
+// provider record. The two questions are asked in turn and the second is
 // skipped when the first already answers.
-func ProviderDelegated(ctx context.Context, resolver *dnssim.Resolver, isProvider func(dnssim.Record) bool, domain string) (bool, error) {
+func ProviderDelegated(ctx context.Context, resolver *dnssim.Resolver, domain string) (bool, error) {
 	for _, q := range []struct {
 		name string
 		typ  dnssim.RRType
@@ -56,7 +66,7 @@ func ProviderDelegated(ctx context.Context, resolver *dnssim.Resolver, isProvide
 			return false, fmt.Errorf("dns %s %v: %w", q.name, q.typ, err)
 		}
 		for _, r := range recs {
-			if isProvider(r) {
+			if IsCloudflareRecord(r) {
 				return true, nil
 			}
 		}

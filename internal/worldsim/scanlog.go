@@ -4,19 +4,18 @@ import (
 	"sort"
 
 	"stalecert/internal/dnssim"
+	"stalecert/internal/monitor"
 	"stalecert/internal/simtime"
 )
 
 // ScanLog is the compact daily active-DNS record: per day, the sorted set of
 // domains whose DNS currently delegates to the managed-TLS provider, plus
-// record-type counts for dataset accounting (Table 3). It is the
-// memory-bounded equivalent of storing full dnssim snapshots for every day
-// of the collection window; the ablation bench quantifies the tradeoff
-// against the full-snapshot differ.
+// record-type counts for dataset accounting (Table 3). A domain counts as
+// delegated when its apex NS or www CNAME is a monitor.IsCloudflareRecord,
+// the predicate the live evidence gatherer asks over the wire.
 type ScanLog struct {
 	days    []simtime.Day
 	matched [][]string // sorted provider-delegated domains per day
-	scanned []int      // domains scanned per day
 	counts  map[dnssim.RRType]int
 }
 
@@ -28,9 +27,7 @@ func NewScanLog() *ScanLog {
 // Scan records one day's scan over every domain the world has seen.
 func (l *ScanLog) Scan(day simtime.Day, w *World) {
 	var matched []string
-	scanned := 0
 	for name := range w.domains {
-		scanned++
 		zone := w.zoneFor(name)
 		if zone == nil {
 			continue
@@ -38,13 +35,13 @@ func (l *ScanLog) Scan(day simtime.Day, w *World) {
 		isCDN := false
 		ns := zone.Lookup(name, dnssim.TypeNS)
 		for _, r := range ns {
-			if w.CDN.IsProviderRecord(r) {
+			if monitor.IsCloudflareRecord(r) {
 				isCDN = true
 			}
 		}
 		cname := zone.Lookup("www."+name, dnssim.TypeCNAME)
 		for _, r := range cname {
-			if w.CDN.IsProviderRecord(r) {
+			if monitor.IsCloudflareRecord(r) {
 				isCDN = true
 			}
 		}
@@ -59,7 +56,6 @@ func (l *ScanLog) Scan(day simtime.Day, w *World) {
 	sort.Strings(matched)
 	l.days = append(l.days, day)
 	l.matched = append(l.matched, matched)
-	l.scanned = append(l.scanned, scanned)
 }
 
 // Days returns the scan days.

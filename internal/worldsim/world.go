@@ -13,6 +13,7 @@ import (
 	"stalecert/internal/ctlog"
 	"stalecert/internal/dnsname"
 	"stalecert/internal/dnssim"
+	"stalecert/internal/monitor"
 	"stalecert/internal/psl"
 	"stalecert/internal/registry"
 	"stalecert/internal/simtime"
@@ -140,16 +141,11 @@ func NewWorld(s Scenario) *World {
 	}
 
 	w.CDN = cdn.New(cdn.Config{
-		Name:          "cloudflare",
-		NameServers:   []string{"kiki.ns.cloudflare.com", "uma.ns.cloudflare.com"},
-		EdgeSuffix:    "cdn.cloudflare.com",
-		MarkerSuffix:  "cloudflaressl.com",
 		BoatSize:      cruiseBoatSize,
 		CruiseCA:      w.CAs[ca.IssuerComodoDV],
 		PerDomainCA:   w.CAs[ca.IssuerCloudflareECC],
 		PerDomainFrom: CloudflarePerDomainFrom,
 		Store:         w.DNS,
-		EdgeIPs:       []string{"104.16.0.1"},
 	})
 	return w
 }
@@ -164,7 +160,7 @@ func (w *World) mintKey() x509sim.KeyID {
 // while enrolled).
 func (w *World) validateControl(domain, account string, _ simtime.Day) error {
 	// The provider controls its own marker/edge namespace outright.
-	if account == w.CDN.Account() && dnsname.IsSubdomain(domain, "cloudflaressl.com") {
+	if account == w.CDN.Account() && dnsname.IsSubdomain(domain, monitor.MarkerSuffix) {
 		return nil
 	}
 	e2ld, err := w.PSL.ETLDPlusOne(domain)

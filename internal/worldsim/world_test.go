@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"stalecert/internal/ca"
-	"stalecert/internal/cdn"
 	"stalecert/internal/crl"
+	"stalecert/internal/monitor"
 	"stalecert/internal/simtime"
 )
 
@@ -97,7 +97,7 @@ func TestWorldCDNDeparturesDetected(t *testing.T) {
 	// Departed domains must have had Cloudflare-managed certs at some point.
 	managed := 0
 	for _, c := range w.CDN.Certificates() {
-		if cdn.HasMarkerSAN(c, "cloudflaressl.com") {
+		if monitor.HasProviderMarker(c, monitor.MarkerSuffix) {
 			managed++
 		}
 	}
@@ -204,7 +204,6 @@ func TestScanLogDepartureMerge(t *testing.T) {
 	l := NewScanLog()
 	l.days = []simtime.Day{10, 11, 12}
 	l.matched = [][]string{{"a.com", "b.com", "c.com"}, {"b.com"}, {"b.com", "d.com"}}
-	l.scanned = []int{3, 3, 4}
 	deps := l.Departures()
 	if len(deps) != 2 {
 		t.Fatalf("departures = %+v", deps)
