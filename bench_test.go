@@ -6,12 +6,10 @@ package stalecert_test
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
 	"stalecert"
-	"stalecert/internal/certstore"
 	"stalecert/internal/core"
 	"stalecert/internal/ctlog"
 	"stalecert/internal/merkle"
@@ -282,115 +280,6 @@ func BenchmarkAblationDomainIndex(b *testing.B) {
 				_ = got
 			}
 		}
-	})
-}
-
-// Certstore benchmark fixture: a 100K-certificate store built once and
-// shared. Domains are distinct e2LDs so a lookup's working set is small and
-// the index/scan contrast is pure lookup cost.
-var (
-	csBenchOnce    sync.Once
-	csBenchStore   *certstore.Store
-	csBenchDomains []string
-	csBenchFPs     []x509sim.Fingerprint
-	csBenchErr     error
-)
-
-func certstoreBench(b *testing.B) (*certstore.Store, []string, []x509sim.Fingerprint) {
-	b.Helper()
-	csBenchOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "certstore-bench-*")
-		if err != nil {
-			csBenchErr = err
-			return
-		}
-		s, err := certstore.Open(certstore.Options{Dir: dir})
-		if err != nil {
-			csBenchErr = err
-			return
-		}
-		const n = 100_000
-		batch := make([]*x509sim.Certificate, 0, 1024)
-		for i := 0; i < n; i++ {
-			domain := fmt.Sprintf("d%06d.com", i)
-			c, err := x509sim.New(
-				x509sim.SerialNumber(i+1), x509sim.IssuerID(i%7+1), x509sim.KeyID(i+1),
-				[]string{domain, "www." + domain}, 100, 900)
-			if err != nil {
-				csBenchErr = err
-				return
-			}
-			batch = append(batch, c)
-			if i%157 == 0 {
-				csBenchDomains = append(csBenchDomains, domain)
-				csBenchFPs = append(csBenchFPs, c.Fingerprint())
-			}
-			if len(batch) == cap(batch) {
-				if _, err := s.Append(batch); err != nil {
-					csBenchErr = err
-					return
-				}
-				batch = batch[:0]
-			}
-		}
-		if _, err := s.Append(batch); err != nil {
-			csBenchErr = err
-			return
-		}
-		csBenchStore = s
-	})
-	if csBenchErr != nil {
-		b.Fatal(csBenchErr)
-	}
-	return csBenchStore, csBenchDomains, csBenchFPs
-}
-
-// BenchmarkCertstoreLookup is the subsystem's acceptance benchmark: sharded
-// index lookups against a 100K-cert store versus a linear corpus scan, plus
-// parallel readers exercising the per-shard read locks.
-func BenchmarkCertstoreLookup(b *testing.B) {
-	store, domains, fps := certstoreBench(b)
-
-	b.Run("sharded-e2ld", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := store.ByE2LD(domains[i%len(domains)]); len(got) == 0 {
-				b.Fatal("missing domain")
-			}
-		}
-	})
-	b.Run("sharded-fingerprint", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := store.ByFingerprint(fps[i%len(fps)]); !ok {
-				b.Fatal("missing fingerprint")
-			}
-		}
-	})
-	b.Run("linear-scan", func(b *testing.B) {
-		corpus := core.NewCorpus(store.Certs(), core.CorpusOptions{NoIndex: true})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := corpus.ByE2LD(domains[i%len(domains)]); len(got) == 0 {
-				b.Fatal("missing domain")
-			}
-		}
-	})
-	b.Run("parallel-readers", func(b *testing.B) {
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				if got := store.ByE2LD(domains[i%len(domains)]); len(got) == 0 {
-					b.Fatal("missing domain")
-				}
-				if _, ok := store.ByFingerprint(fps[i%len(fps)]); !ok {
-					b.Fatal("missing fingerprint")
-				}
-				i++
-			}
-		})
 	})
 }
 

@@ -4,13 +4,13 @@
 //
 // Usage:
 //
-//	crlfetch -server http://127.0.0.1:8785 -cas Sectigo,DigiCert [-days 7] [-retries 2]
+//	crlfetch -server http://127.0.0.1:8785 -cas Sectigo,DigiCert [-days 7]
 //	         [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
 //
-// -retries is the per-CRL retry budget inside one collection day; it sets
-// the attempts of the fetcher's resilient client, whose ledger sees one
-// outcome per CA per day. A non-zero -chaos-seed injects deterministic faults
-// beneath that client for collection-robustness experiments.
+// -retry-max is the per-CRL attempt budget inside one collection day; the
+// fetcher's ledger sees one outcome per CA per day whatever the attempts
+// beneath it. A non-zero -chaos-seed injects deterministic faults beneath
+// that client for collection-robustness experiments.
 //
 // With -cas omitted the built-in CA directory is fetched.
 package main
@@ -34,7 +34,6 @@ func main() {
 	server := flag.String("server", "http://127.0.0.1:8785", "crld base URL")
 	cas := flag.String("cas", "", "comma-separated CA names (default: built-in directory)")
 	days := flag.Int("days", 1, "number of daily collection rounds")
-	retries := flag.Int("retries", 2, "extra attempts per CRL per day")
 	timeout := flag.Duration("timeout", 30*time.Second, "overall timeout")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	var rf resil.Flags
@@ -59,7 +58,8 @@ func main() {
 	defer cancel()
 
 	ledger := crl.NewCoverageLedger()
-	fetcher := &crl.Fetcher{Base: *server, Ledger: ledger, Retries: *retries, Chaos: rf.Chaos()}
+	fetcher := crl.NewFetcher(*server, &rf)
+	fetcher.Ledger = ledger
 
 	reasonCounts := map[crl.Reason]int{}
 	var total int

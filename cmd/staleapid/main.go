@@ -143,8 +143,7 @@ func main() {
 			logger.Error("bad -shard", "err", err)
 			os.Exit(2)
 		}
-		ring, err := shard.NewRing(assign.Count, *shardVNodes)
-		if err != nil {
+		if _, err := shard.NewRing(assign.Count, *shardVNodes); err != nil {
 			logger.Error("bad ring shape", "err", err)
 			os.Exit(2)
 		}
@@ -152,7 +151,6 @@ func main() {
 		// every entry, but persists only this replica's ring slice; the slice
 		// is pinned into the store so a restart under a different -shard
 		// refuses to mix.
-		ing.Keep = shard.KeepFunc(ring, store.PSL(), assign.Index)
 		ing.Shard = &certstore.ShardConfig{
 			Epoch:  *shardEpoch,
 			Index:  assign.Index,
@@ -184,11 +182,7 @@ func main() {
 		gather.Resolver = &dnssim.Resolver{ServerAddr: *dnsAddr, Timeout: 2 * time.Second}
 	}
 	if *crlURL != "" {
-		fetcher := &crl.Fetcher{Base: *crlURL, Chaos: rf.Chaos()}
-		if rf.RetryMax > 1 {
-			fetcher.Retries = rf.RetryMax - 1
-		}
-		gather.CRL = &crl.Snapshot{Fetcher: fetcher, Names: ca.NewDirectory().Names(), Service: "staleapid"}
+		gather.CRL = &crl.Snapshot{Fetcher: crl.NewFetcher(*crlURL, &rf), Names: ca.NewDirectory().Names(), Service: "staleapid"}
 		obs.DefaultHealth().Register("crl-snapshot", gather.CRL.Ready)
 		go gather.CRL.Run(ctx, *cacheTTL)
 	}

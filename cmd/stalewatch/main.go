@@ -223,7 +223,7 @@ func run() int {
 		// The first gather loads the snapshot; a long-running watcher then
 		// refreshes it once per poll interval in the background.
 		gather.CRL = &crl.Snapshot{
-			Fetcher: &crl.Fetcher{Base: *crlURL},
+			Fetcher: crl.NewFetcher(*crlURL, &rf),
 			Names:   ca.NewDirectory().Names(),
 			Service: "stalewatch",
 		}

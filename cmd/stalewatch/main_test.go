@@ -2,14 +2,21 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"stalecert/internal/ca"
 	"stalecert/internal/core"
 	"stalecert/internal/crl"
+	"stalecert/internal/ctlog"
 	"stalecert/internal/dnssim"
 	"stalecert/internal/monitor"
 	"stalecert/internal/simtime"
@@ -113,5 +120,64 @@ func TestAlertLines(t *testing.T) {
 				t.Fatalf("alerts %q, batch detectors %q", gotKeys, wantKeys)
 			}
 		})
+	}
+}
+
+// TestRetryMaxBoundsCRLAttempts runs stalewatch -once against a distribution
+// point that refuses each CA's first request: -retry-max 1 asks every CA
+// once, the flag default asks again and collects the list.
+func TestRetryMaxBoundsCRLAttempts(t *testing.T) {
+	day := simtime.MustParse("2022-06-01")
+	log := ctlog.New("watch-log", ctlog.Shard{})
+	c, err := x509sim.New(1, 1, 1, []string{"stale.com"}, day-10, day+80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.AddChain(c, day); err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(ctlog.NewServer(log).Handler())
+	defer cts.Close()
+
+	savedArgs, savedFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = savedArgs, savedFlags }()
+	for _, tc := range []struct {
+		flags []string
+		perCA int
+	}{
+		{flags: []string{"-retry-max", "1"}, perCA: 1},
+		{perCA: 2},
+	} {
+		var mu sync.Mutex
+		hits := map[string]int{}
+		crlTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			name := strings.TrimPrefix(r.URL.Path, "/crl/")
+			mu.Lock()
+			hits[name]++
+			first := hits[name] == 1
+			mu.Unlock()
+			if first {
+				http.Error(w, "automated access denied", http.StatusForbidden)
+				return
+			}
+			_, _ = w.Write(crl.NewAuthority(name).Snapshot(day).Marshal())
+		}))
+		flag.CommandLine = flag.NewFlagSet("stalewatch", flag.ContinueOnError)
+		os.Args = append([]string{"stalewatch", "-once", "-jsonl", "-now", day.String(),
+			"-log", cts.URL, "-crl", crlTS.URL}, tc.flags...)
+		code := run()
+		crlTS.Close()
+		if code != 0 {
+			t.Fatalf("%v: exit %d", tc.flags, code)
+		}
+		names := ca.NewDirectory().Names()
+		if len(hits) != len(names) {
+			t.Fatalf("%v: asked %d CAs, want %d", tc.flags, len(hits), len(names))
+		}
+		for _, name := range names {
+			if hits[name] != tc.perCA {
+				t.Errorf("%v: %s asked %d times, want %d", tc.flags, name, hits[name], tc.perCA)
+			}
+		}
 	}
 }

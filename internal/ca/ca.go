@@ -180,12 +180,6 @@ func (c *CA) validateName(name string, req Request, day simtime.Day) error {
 	return nil
 }
 
-// Renew reissues an existing certificate for a fresh lifetime with the same
-// names and key, relying on validation reuse when possible.
-func (c *CA) Renew(cert *x509sim.Certificate, account string, day simtime.Day) (*x509sim.Certificate, error) {
-	return c.Issue(Request{Account: account, Names: cert.Names, Key: cert.Key}, day)
-}
-
 // Revoke publishes a revocation for a certificate this CA issued. Reason
 // keyCompromise is downgraded to unspecified before the profile's reporting
 // start day — reproducing Let's Encrypt only publishing key compromise from

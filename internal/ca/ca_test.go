@@ -187,7 +187,8 @@ func TestRenewKeepsNamesAndKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	renewed, err := c.Renew(orig, "a", 80)
+	// A renewal is an Issue with the old names and key.
+	renewed, err := c.Issue(Request{Account: "a", Names: orig.Names, Key: orig.Key}, 80)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,6 @@ const (
 	ModeCNAME             // www CNAME points at the provider edge
 )
 
-// String names the mode.
-func (m Mode) String() string {
-	if m == ModeNS {
-		return "NS"
-	}
-	return "CNAME"
-}
-
 // Customer is one enrolled domain.
 type Customer struct {
 	Domain   string

@@ -92,3 +92,69 @@ func BenchmarkIngestSync(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkLookup is the index read a staleness or certificate miss starts
+// with (certstore.by_e2ld_ns, certstore.by_fingerprint_ns), over a store
+// shaped like the benchmark rig's: 1 000 e2LDs of five certificates each.
+// parallel runs both reads from every P against the per-shard read locks.
+func BenchmarkLookup(b *testing.B) {
+	s, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const domains, perDomain = 1000, 5
+	certs := make([]*x509sim.Certificate, 0, domains*perDomain)
+	names := make([]string, domains)
+	for i := range names {
+		names[i] = fmt.Sprintf("rig%05d.com", i)
+		for k := 0; k < perDomain; k++ {
+			serial := len(certs) + 1
+			c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial),
+				[]string{names[i], "www." + names[i]}, 100, 900)
+			if err != nil {
+				b.Fatal(err)
+			}
+			certs = append(certs, c)
+		}
+	}
+	if _, err := s.Append(certs); err != nil {
+		b.Fatal(err)
+	}
+	fps := make([]x509sim.Fingerprint, len(certs))
+	for i, c := range certs {
+		fps[i] = c.Fingerprint()
+	}
+
+	b.Run("e2ld", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(s.ByE2LD(names[i%domains])) != perDomain {
+				b.Fatal("missing domain")
+			}
+		}
+	})
+	b.Run("fingerprint", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := s.ByFingerprint(fps[i%len(fps)]); !ok {
+				b.Fatal("missing fingerprint")
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				if len(s.ByE2LD(names[i%domains])) != perDomain {
+					b.Error("missing domain")
+					return
+				}
+				if _, ok := s.ByFingerprint(fps[i%len(fps)]); !ok {
+					b.Error("missing fingerprint")
+					return
+				}
+			}
+		})
+	})
+}

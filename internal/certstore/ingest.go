@@ -10,6 +10,7 @@ import (
 	"stalecert/internal/ctlog"
 	"stalecert/internal/merkle"
 	"stalecert/internal/obs"
+	"stalecert/internal/shard"
 	"stalecert/internal/x509sim"
 )
 
@@ -46,18 +47,18 @@ type Ingester struct {
 	Client *ctlog.Client
 	// BatchSize is the get-entries page size (0 = the client default).
 	BatchSize uint64
-	// Keep, when non-nil, filters which certificates this replica persists.
-	// Every entry is still fetched and checked for index contiguity — the
+	// Shard, when non-nil, is the ring slice this replica persists. Every
+	// entry is still fetched and checked for index contiguity — the
 	// checkpoint advances over every entry, and every round's tree head must
-	// extend the last one's; no entry is hashed — but only certificates Keep
-	// accepts reach the store. A sharded fleet points N ingesters at the same
-	// log with disjoint Keep predicates.
-	Keep func(*x509sim.Certificate) bool
-	// Shard declares which ring slice Keep implements. It is validated
-	// against the store's persisted assignment on the first sync: a store
-	// pinned to one slice refuses ingest under another (or under none), and
-	// a store that already ingested unsharded refuses retroactive pinning.
+	// extend the last one's; no entry is hashed — but only certificates the
+	// slice owns reach the store. A sharded fleet points N ingesters at the
+	// same log with disjoint slices. The slice is validated against the
+	// store's persisted assignment on the first sync: a store pinned to one
+	// slice refuses ingest under another (or under none), and a store that
+	// already ingested unsharded refuses retroactive pinning.
 	Shard *ShardConfig
+	// keep is Shard's filter, built on the first sync; nil keeps everything.
+	keep func(*x509sim.Certificate) bool
 	// lag is the entries behind the head after the last Sync.
 	lag uint64
 	// shardChecked tracks the one-time Shard/store agreement check.
@@ -123,9 +124,14 @@ func (ing *Ingester) checkShard() error {
 			return fmt.Errorf("certstore: store is pinned to shard %s; refusing unsharded ingest (pass the matching -shard flag)", sc.Label())
 		}
 	} else {
+		ring, err := shard.NewRing(ing.Shard.Count, ing.Shard.VNodes)
+		if err != nil {
+			return fmt.Errorf("certstore: shard %s: %w", ing.Shard.Label(), err)
+		}
 		if err := ing.Store.EnsureShardConfig(*ing.Shard); err != nil {
 			return err
 		}
+		ing.keep = shard.KeepFunc(ring, ing.Store.PSL(), ing.Shard.Index)
 		label := ing.Shard.Label()
 		ing.mKept = ingestKeptCounter(label)
 		ing.mSkipped = ingestSkippedCounter(label)
@@ -201,7 +207,7 @@ func (ing *Ingester) ingest(entries []ctlog.Entry, sth ctlog.SignedTreeHead) (in
 	certs := make([]*x509sim.Certificate, 0, len(entries))
 	var kept, skipped uint64
 	for _, e := range entries {
-		if ing.Keep != nil && !ing.Keep(e.Cert) {
+		if ing.keep != nil && !ing.keep(e.Cert) {
 			skipped++
 		} else {
 			certs = append(certs, e.Cert)

@@ -86,7 +86,6 @@ func TestSyncVerifiesTheHeadEveryRound(t *testing.T) {
 			st := openTemp(t, Options{})
 			ing := NewIngester(st, impatientClient(ts))
 			if sharded {
-				ing.Keep = shard.KeepFunc(shard.MustRing(2, shard.DefaultVNodes), st.PSL(), 0)
 				ing.Shard = &ShardConfig{Epoch: 1, Index: 0, Count: 2, VNodes: shard.DefaultVNodes, Hash: shard.HashName}
 			}
 			round := func(what string, wantErr bool, wantProofs int) {

@@ -85,7 +85,6 @@ func TestSyncSurvivesFailureBetweenBatches(t *testing.T) {
 				ing := NewIngester(st, impatientClient(ts))
 				ing.BatchSize = pageSize
 				if sharded {
-					ing.Keep = shard.KeepFunc(ring, st.PSL(), 1)
 					ing.Shard = &ShardConfig{Epoch: 1, Index: 1, Count: 2, VNodes: shard.DefaultVNodes, Hash: shard.HashName}
 				}
 				return ing

@@ -181,7 +181,7 @@ func TestIngesterKillAndRestart(t *testing.T) {
 		IsManaged:        managedPred,
 	}
 
-	batch := store2.Corpus(core.CorpusOptions{})
+	batch := core.NewCorpus(store2.Certs(), core.CorpusOptions{PSL: store2.PSL()})
 	var batchAll []core.StaleCert
 	revoked, _ := core.DetectRevoked(batch, evidence.Revocations, simtime.NoDay)
 	batchAll = append(batchAll, revoked...)

@@ -46,7 +46,6 @@ func TestShardedIngestDisjointUnion(t *testing.T) {
 		defer st.Close()
 		stores[i] = st
 		ing := NewIngester(st, client)
-		ing.Keep = shard.KeepFunc(ring, st.PSL(), i)
 		ing.Shard = &ShardConfig{Epoch: 1, Index: i, Count: 2, VNodes: shard.DefaultVNodes, Hash: shard.HashName}
 		if _, err := ing.Sync(ctx); err != nil {
 			t.Fatalf("shard %d sync: %v", i, err)
@@ -100,7 +99,6 @@ func TestShardedIngestValidation(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	ring := shard.MustRing(3, shard.DefaultVNodes)
 	sc := ShardConfig{Epoch: 2, Index: 1, Count: 3, VNodes: shard.DefaultVNodes, Hash: shard.HashName}
 
 	st, err := Open(Options{Dir: dir})
@@ -108,7 +106,6 @@ func TestShardedIngestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ing := NewIngester(st, client)
-	ing.Keep = shard.KeepFunc(ring, st.PSL(), 1)
 	ing.Shard = &sc
 	if _, err := ing.Sync(ctx); err != nil {
 		t.Fatal(err)

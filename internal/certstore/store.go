@@ -478,9 +478,6 @@ func (s *Store) Close() error {
 	return s.active.Close()
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SegmentCount returns sealed segments + the active one.
 func (s *Store) SegmentCount() int {
 	s.mu.RLock()
@@ -533,16 +530,6 @@ func (s *Store) ByShortFingerprint(prefix [8]byte) (*x509sim.Certificate, bool) 
 
 // PSL returns the public suffix list the e2LD index was built with.
 func (s *Store) PSL() *psl.List { return s.psl }
-
-// Corpus materialises a detector-ready core.Corpus snapshot from the store
-// (applying the corpus's analysis-time filters); the batch pipelines run
-// unchanged against it while live queries keep hitting the store directly.
-func (s *Store) Corpus(opts core.CorpusOptions) *core.Corpus {
-	if opts.PSL == nil {
-		opts.PSL = s.psl
-	}
-	return core.NewCorpus(s.Certs(), opts)
-}
 
 // Domains returns every indexed e2LD, sorted. Diagnostic; takes every shard
 // read lock in turn.

@@ -264,7 +264,7 @@ func TestStoreCorpusSnapshot(t *testing.T) {
 		mkCert(t, 1, []string{"snap.example.com"}, 0, 100),
 		mkCert(t, 2, []string{"snap.example.com"}, 0, 150),
 	})
-	corpus := s.Corpus(core.CorpusOptions{})
+	corpus := core.NewCorpus(s.Certs(), core.CorpusOptions{PSL: s.PSL()})
 	if corpus.Len() != 2 {
 		t.Fatalf("corpus Len = %d", corpus.Len())
 	}

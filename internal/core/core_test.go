@@ -19,24 +19,6 @@ func cert(t *testing.T, serial uint64, names []string, nb, na simtime.Day) *x509
 	return c
 }
 
-func TestTaxonomyTables(t *testing.T) {
-	if len(Table1) != 4 {
-		t.Fatalf("Table 1 rows = %d", len(Table1))
-	}
-	if len(Table2) != 7 {
-		t.Fatalf("Table 2 rows = %d", len(Table2))
-	}
-	tp := ThirdPartyEvents()
-	if len(tp) != 3 {
-		t.Fatalf("third-party impersonation events = %d, want 3", len(tp))
-	}
-	for _, e := range tp {
-		if e.Category != SubscriberAuthentication {
-			t.Fatalf("third-party event %q in category %v", e.Name, e.Category)
-		}
-	}
-}
-
 func TestCorpusDedupAndIndex(t *testing.T) {
 	a := cert(t, 1, []string{"a.com", "www.a.com"}, 0, 100)
 	dup := a.Clone()

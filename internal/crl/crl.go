@@ -54,18 +54,6 @@ func (r Reason) String() string {
 	return fmt.Sprintf("reason(%d)", uint8(r))
 }
 
-// MozillaPermitted reports whether Mozilla policy permits CAs to assert this
-// reason on subscriber certificates (six of the ten codes; see §3 of the
-// paper).
-func (r Reason) MozillaPermitted() bool {
-	switch r {
-	case Unspecified, KeyCompromise, AffiliationChanged, Superseded,
-		CessationOfOperation, PrivilegeWithdrawn:
-		return true
-	}
-	return false
-}
-
 // Entry is a single revocation: CRLs carry only the issuer key, serial,
 // revocation time and reason — never the certificate body — which is why the
 // pipeline must join them against CT.
@@ -220,11 +208,4 @@ func (a *Authority) Snapshot(day simtime.Day) *List {
 		return l.Entries[i].Serial < l.Entries[j].Serial
 	})
 	return l
-}
-
-// Count returns the number of revocations recorded so far.
-func (a *Authority) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.entries)
 }

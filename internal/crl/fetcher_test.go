@@ -2,12 +2,14 @@ package crl
 
 import (
 	"context"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
 	"stalecert/internal/obs"
+	"stalecert/internal/resil"
 	"stalecert/internal/x509sim"
 )
 
@@ -31,7 +33,7 @@ func TestLedgerDistinguishesExhaustedFromNeverAttempted(t *testing.T) {
 	defer srv.Close()
 
 	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: srv.URL, Ledger: ledger, Retries: 3}
+	f := &Fetcher{Base: srv.URL, Ledger: ledger, Attempts: 4}
 	_, err := f.FetchAll(ctx, []string{"alpha", "beta"})
 	if err == nil {
 		t.Fatal("expected context cancellation error")
@@ -72,7 +74,7 @@ func TestLedgerRecordsRetryExhausted(t *testing.T) {
 	defer srv.Close()
 
 	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: srv.URL, Ledger: ledger, Retries: 2}
+	f := &Fetcher{Base: srv.URL, Ledger: ledger, Attempts: 3}
 	lists, err := f.FetchAll(context.Background(), []string{"blocked", "good"})
 	if err != nil {
 		t.Fatalf("FetchAll: %v", err)
@@ -134,7 +136,7 @@ func TestFetcherRidesTheResilientTransport(t *testing.T) {
 	retries := obs.Default().Counter("resil_retries_total", "service", "crl-fetcher")
 	before := retries.Value()
 	ledger := NewCoverageLedger()
-	lists, err := (&Fetcher{Base: srv.URL, Ledger: ledger, Retries: 3}).FetchAll(context.Background(), []string{"Flaky"})
+	lists, err := (&Fetcher{Base: srv.URL, Ledger: ledger, Attempts: 4}).FetchAll(context.Background(), []string{"Flaky"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,5 +151,45 @@ func TestFetcherRidesTheResilientTransport(t *testing.T) {
 	}
 	if c := ledger.Total(); c.Attempted != 1 || c.Succeeded != 1 {
 		t.Errorf("ledger = %+v, want one successful collection", c)
+	}
+}
+
+// TestNewFetcherTakesTheRetryFlags: the fetcher a main builds spends
+// -retry-max attempts per CRL. Against a distribution point that refuses the
+// first request, -retry-max 1 leaves the CA exhausted and the flag default
+// collects its list on the second attempt.
+func TestNewFetcherTakesTheRetryFlags(t *testing.T) {
+	a := NewAuthority("Flaky")
+	a.Revoke(1, x509sim.SerialNumber(9), 10, KeyCompromise)
+	for _, tc := range []struct {
+		args     []string
+		wantHits int64
+		wantOK   bool
+	}{
+		{args: []string{"-retry-max", "1"}, wantHits: 1},
+		{args: nil, wantHits: 2, wantOK: true},
+	} {
+		var hits atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if hits.Add(1) == 1 {
+				http.Error(w, "automated access denied", http.StatusForbidden)
+				return
+			}
+			_, _ = w.Write(a.Snapshot(20).Marshal())
+		}))
+		var rf resil.Flags
+		fs := flag.NewFlagSet("crlfetch", flag.ContinueOnError)
+		rf.BindFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		lists, err := NewFetcher(srv.URL, &rf).FetchAll(context.Background(), []string{"Flaky"})
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lists["Flaky"] != nil; got != tc.wantOK || hits.Load() != tc.wantHits {
+			t.Errorf("%v: collected=%v after %d requests, want %v after %d", tc.args, got, hits.Load(), tc.wantOK, tc.wantHits)
+		}
 	}
 }

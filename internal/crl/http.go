@@ -234,12 +234,21 @@ func (l *CoverageLedger) Total() Coverage {
 // retry loop, call and attempt spans, and chaos hook — and records one
 // outcome per CA per collection in a ledger.
 type Fetcher struct {
-	Base    string // server base URL
-	Ledger  *CoverageLedger
-	Retries int // extra attempts per CRL per day (default 2)
+	Base   string // server base URL
+	Ledger *CoverageLedger
+	// Attempts is the attempt budget per CRL per day, the first included
+	// (default 3).
+	Attempts int
 	// Chaos, when set, injects faults beneath the fetcher's client
 	// (-chaos-seed).
 	Chaos *resil.Chaos
+}
+
+// NewFetcher is the fetcher a main builds: -retry-max is its attempt budget
+// and -chaos-seed injects faults beneath it, as for every other outbound
+// call.
+func NewFetcher(base string, rf *resil.Flags) *Fetcher {
+	return &Fetcher{Base: base, Attempts: rf.RetryMax, Chaos: rf.Chaos()}
 }
 
 const (
@@ -263,14 +272,14 @@ func retryAll(error) resil.Verdict { return resil.Retryable }
 // day, whatever the attempts beneath it; resil_retries_total{service=
 // "crl-fetcher"} counts the retries.
 func (f *Fetcher) FetchAll(ctx context.Context, names []string) (map[string]*List, error) {
-	retries := f.Retries
-	if retries == 0 {
-		retries = 2
+	attempts := f.Attempts
+	if attempts == 0 {
+		attempts = 3
 	}
 	hc := resil.NewHTTPClient(resil.Options{
 		Service: "crl-fetcher",
 		Chaos:   f.Chaos,
-		Policy: resil.Policy{MaxAttempts: retries + 1, BaseDelay: fetchBackoff, MaxDelay: 100 * fetchBackoff,
+		Policy: resil.Policy{MaxAttempts: attempts, BaseDelay: fetchBackoff, MaxDelay: 100 * fetchBackoff,
 			PerAttempt: fetchAttemptTimeout, Classify: retryAll},
 	})
 	out := make(map[string]*List, len(names))

@@ -82,7 +82,7 @@ func entry(issuer, serial, day int) Entry {
 
 func newTestSnapshot(ts *httptest.Server, clock resil.Clock, names ...string) *Snapshot {
 	return &Snapshot{
-		Fetcher: &Fetcher{Base: ts.URL, Retries: 1},
+		Fetcher: &Fetcher{Base: ts.URL, Attempts: 2},
 		Names:   names,
 		Service: "snapshot-test",
 		Clock:   clock,

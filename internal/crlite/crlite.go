@@ -146,21 +146,6 @@ func Build(revoked, valid [][]byte, fpRate float64) (*Filter, error) {
 	return f, nil
 }
 
-// IsRevoked reports whether a universe key is revoked. Keys outside the
-// build universe get a best-effort (Bloom-probabilistic) answer, as in real
-// CRLite, where the filter is rebuilt as the universe changes.
-func (f *Filter) IsRevoked(key []byte) bool {
-	for i, b := range f.levels {
-		if !b.contains(key) {
-			// Not matched at level i: the key belongs to the side excluded
-			// at this level. Even levels include revoked keys.
-			return i%2 == 1
-		}
-	}
-	// Matched every level: classified by the deepest level's side.
-	return len(f.levels)%2 == 1
-}
-
 // NumLevels returns the cascade depth.
 func (f *Filter) NumLevels() int { return len(f.levels) }
 

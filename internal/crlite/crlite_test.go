@@ -8,6 +8,23 @@ import (
 	"testing/quick"
 )
 
+// IsRevoked is the lookup a relying party runs against the cascade, the
+// oracle every test holds a filter to; the reproduction ships only Build and
+// the size accounting. Keys outside the build universe get a best-effort
+// (Bloom-probabilistic) answer, as in real CRLite, where the filter is
+// rebuilt as the universe changes.
+func (f *Filter) IsRevoked(key []byte) bool {
+	for i, b := range f.levels {
+		if !b.contains(key) {
+			// Not matched at level i: the key belongs to the side excluded
+			// at this level. Even levels include revoked keys.
+			return i%2 == 1
+		}
+	}
+	// Matched every level: classified by the deepest level's side.
+	return len(f.levels)%2 == 1
+}
+
 func keys(prefix byte, n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {

@@ -77,19 +77,6 @@ func (c *Client) get(ctx context.Context, path string, q url.Values, out any) er
 	return c.do(req, out)
 }
 
-func (c *Client) post(ctx context.Context, path string, body, out any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, out)
-}
-
 func (c *Client) do(req *http.Request, out any) error {
 	resp, err := c.send(req)
 	if err != nil {
@@ -120,9 +107,17 @@ func (c *Client) send(req *http.Request) (*http.Response, error) {
 
 // AddChain submits a certificate and returns the log's SCT.
 func (c *Client) AddChain(ctx context.Context, cert *x509sim.Certificate) (SCT, error) {
-	req := addChainRequest{Chain: []string{base64.StdEncoding.EncodeToString(cert.Marshal())}}
+	raw, err := json.Marshal(addChainRequest{Chain: []string{base64.StdEncoding.EncodeToString(cert.Marshal())}})
+	if err != nil {
+		return SCT{}, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/ct/v1/add-chain", bytes.NewReader(raw))
+	if err != nil {
+		return SCT{}, err
+	}
+	req.Header.Set("Content-Type", "application/json")
 	var resp addChainResponse
-	if err := c.post(ctx, "/ct/v1/add-chain", req, &resp); err != nil {
+	if err := c.do(req, &resp); err != nil {
 		return SCT{}, err
 	}
 	sct := SCT{LogName: resp.LogName, Index: resp.Index, Timestamp: simtime.Day(resp.Timestamp)}

@@ -39,9 +39,6 @@ func ShardedLogs(operator string, firstYear, lastYear int, includeUnsharded bool
 	return logs
 }
 
-// Add appends a log to the collection.
-func (c *Collection) Add(l *Log) { c.logs = append(c.logs, l) }
-
 // Logs returns the member logs.
 func (c *Collection) Logs() []*Log { return c.logs }
 

@@ -261,11 +261,3 @@ func (l *Log) ConsistencyProof(first, second uint64) ([]merkle.Hash, error) {
 	defer l.mu.Unlock()
 	return l.tree.ConsistencyProof(first, second)
 }
-
-// RootAt returns the Merkle root at an earlier size (for verification in
-// tests and the monitor).
-func (l *Log) RootAt(size uint64) (merkle.Hash, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tree.RootAt(size)
-}

@@ -10,6 +10,14 @@ import (
 	"stalecert/internal/x509sim"
 )
 
+// RootAt returns the Merkle root at an earlier size, the oracle the
+// consistency tests check proofs against.
+func (l *Log) RootAt(size uint64) (merkle.Hash, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tree.RootAt(size)
+}
+
 func testCert(t *testing.T, serial uint64, name string, nb, na simtime.Day) *x509sim.Certificate {
 	t.Helper()
 	c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial), []string{name}, nb, na)

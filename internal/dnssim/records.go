@@ -8,7 +8,6 @@ package dnssim
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 	"sync"
 
@@ -192,22 +191,6 @@ func (z *Zone) Lookup(name string, t RRType) []Record {
 		return nil
 	}
 	return append([]Record(nil), set...)
-}
-
-// Names returns every owner name in the zone, sorted.
-func (z *Zone) Names() []string {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	seen := make(map[string]bool)
-	for k := range z.sets {
-		seen[k.Name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Len returns the number of records.

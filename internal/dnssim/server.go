@@ -136,9 +136,6 @@ func NewServer(store *Store) *Server {
 	return &Server{store: store}
 }
 
-// Store returns the server's zone store.
-func (s *Server) Store() *Store { return s.store }
-
 // Start begins serving on addr ("127.0.0.1:0" for an ephemeral port) and
 // returns the bound address.
 func (s *Server) Start(addr string) (net.Addr, error) {

@@ -402,7 +402,7 @@ func TestGatherFailsWhenACAHasNeverLoaded(t *testing.T) {
 	g := &Gatherer{
 		Index: core.NewCorpus(nil, core.CorpusOptions{}),
 		CRL: &crl.Snapshot{
-			Fetcher: &crl.Fetcher{Base: ts.URL, Retries: 1},
+			Fetcher: &crl.Fetcher{Base: ts.URL, Attempts: 2},
 			Names:   []string{"Open", "Walled"},
 		},
 	}

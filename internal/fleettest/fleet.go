@@ -172,7 +172,6 @@ func (f *Fleet) startReplica(name string, slice int, ingestBreakers *resil.Break
 	}))
 	var self *shard.Self
 	if slice >= 0 {
-		ing.Keep = shard.KeepFunc(shard.MustRing(f.spec.Slices, shard.DefaultVNodes), store.PSL(), slice)
 		ing.Shard = &certstore.ShardConfig{Epoch: 1, Index: slice, Count: f.spec.Slices,
 			VNodes: shard.DefaultVNodes, Hash: shard.HashName}
 		self = &shard.Self{Version: shard.MapVersion, Epoch: 1, Hash: shard.HashName,

@@ -18,7 +18,6 @@ import (
 type Hist struct {
 	counts [histBuckets]uint64
 	count  uint64
-	sum    uint64
 	max    int64
 	min    int64
 }
@@ -66,7 +65,6 @@ func (h *Hist) Record(d time.Duration) {
 	}
 	h.counts[histIndex(v)]++
 	h.count++
-	h.sum += uint64(v)
 	if v > h.max {
 		h.max = v
 	}
@@ -81,27 +79,12 @@ func (h *Hist) Merge(other *Hist) {
 		h.counts[i] += c
 	}
 	h.count += other.count
-	h.sum += other.sum
 	if other.max > h.max {
 		h.max = other.max
 	}
 	if other.min >= 0 && (h.min < 0 || other.min < h.min) {
 		h.min = other.min
 	}
-}
-
-// Count returns the number of recorded observations.
-func (h *Hist) Count() uint64 { return h.count }
-
-// Max returns the largest recorded value (0 when empty).
-func (h *Hist) Max() time.Duration { return time.Duration(h.max) }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Hist) Mean() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.count)
 }
 
 // Quantile returns the value at quantile q in [0, 1] by the nearest-rank

@@ -6,6 +6,15 @@ import (
 	"time"
 )
 
+// The tests read a histogram's count and maximum through these; nothing that
+// ships needs them.
+
+// Count returns the number of recorded observations.
+func (h *Hist) Count() uint64 { return h.count }
+
+// Max returns the largest recorded value (0 when empty).
+func (h *Hist) Max() time.Duration { return time.Duration(h.max) }
+
 // TestHistQuantileUniform feeds a known uniform distribution (1µs..100ms in
 // 1µs steps) and checks the recovered quantiles land within the histogram's
 // ~1.6% relative bucket width of the exact order statistics.
@@ -35,10 +44,6 @@ func TestHistQuantileUniform(t *testing.T) {
 	}
 	if h.Max() != 100000*time.Microsecond {
 		t.Errorf("max = %v, want 100ms", h.Max())
-	}
-	wantMean := time.Duration((n + 1) / 2 * int64(time.Microsecond))
-	if diff := h.Mean() - wantMean; diff < -time.Microsecond || diff > time.Microsecond {
-		t.Errorf("mean = %v, want ≈ %v", h.Mean(), wantMean)
 	}
 }
 
@@ -84,7 +89,7 @@ func TestHistMerge(t *testing.T) {
 
 func TestHistEmptyAndEdge(t *testing.T) {
 	h := NewHist()
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Max() != 0 {
+	if h.Quantile(0.99) != 0 || h.Max() != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 	h.Record(0)

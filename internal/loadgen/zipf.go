@@ -32,14 +32,6 @@ func (s *splitmix64) float64v() float64 {
 	return float64(s.next()>>11) / (1 << 53)
 }
 
-// intn returns a uniform int in [0, n).
-func (s *splitmix64) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(s.next() % uint64(n))
-}
-
 // Zipf draws ranks 0..N-1 with probability proportional to 1/(rank+1)^S —
 // rank 0 is the hottest key. Unlike math/rand's Zipf it accepts any exponent
 // S > 0 (web traffic is typically S ≈ 0.9–1.1, below math/rand's s > 1

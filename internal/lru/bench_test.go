@@ -30,6 +30,29 @@ func storeExpiring(c *Cache, now *time.Time, from, n int) {
 	}
 }
 
+// BenchmarkDo is the response cache on a warm key (staleapi.cache_hit_ns)
+// and on a new one each time (staleapi.cache_miss_ns), at the benchmark
+// harness's 1 024 entries.
+func BenchmarkDo(b *testing.B) {
+	loader := func() (any, error) { return 1, nil }
+	b.Run("hit", func(b *testing.B) {
+		c := New("lru", 1024, 5*time.Second)
+		_, _, _ = c.Do("hot", loader)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, _, _ = c.Do("hot", loader)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		c := New("lru", 1024, 5*time.Second)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _, _ = c.Do("k"+strconv.Itoa(i), loader)
+		}
+	})
+}
+
 func BenchmarkStoreOverExpired(b *testing.B) {
 	for _, n := range []int{256, 4096} {
 		b.Run("entries="+strconv.Itoa(n), func(b *testing.B) {

@@ -105,14 +105,6 @@ func (t *Tree) AppendLeafHash(lh Hash) uint64 {
 	return idx
 }
 
-// LeafHashAt returns the stored leaf hash at index i.
-func (t *Tree) LeafHashAt(i uint64) (Hash, error) {
-	if i >= t.Size() {
-		return Hash{}, ErrIndexOutOfRange
-	}
-	return t.leaves[i], nil
-}
-
 // Root returns the current tree root (EmptyRoot for an empty tree).
 func (t *Tree) Root() Hash {
 	if len(t.stack) == 0 {

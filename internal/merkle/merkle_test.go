@@ -188,17 +188,6 @@ func TestConsistencyProofErrors(t *testing.T) {
 	}
 }
 
-func TestLeafHashAt(t *testing.T) {
-	tr, leaves := buildTree(5)
-	h, err := tr.LeafHashAt(3)
-	if err != nil || h != leaves[3] {
-		t.Fatal("LeafHashAt mismatch")
-	}
-	if _, err := tr.LeafHashAt(5); err != ErrIndexOutOfRange {
-		t.Fatal("out-of-range LeafHashAt not rejected")
-	}
-}
-
 func TestAppendDataReturnsSequentialIndexes(t *testing.T) {
 	tr := &Tree{}
 	for i := 0; i < 10; i++ {

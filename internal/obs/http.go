@@ -16,17 +16,6 @@ import (
 	"time"
 )
 
-// Handler serves the debug surface for a registry with the process-wide
-// DefaultHealth probe set:
-//
-//	/metrics      Prometheus text exposition format
-//	/debug/pprof  the net/http/pprof profiles
-//	/healthz      liveness (always 200 while the process serves)
-//	/readyz       readiness: 200 once every registered probe passes
-//
-// plus any extensions added via RegisterDebug.
-func Handler(r *Registry) http.Handler { return HandlerFor(r, DefaultHealth()) }
-
 // Process-wide debug-surface extensions (e.g. resil's /v1/breakers). Other
 // packages register here from init so obs never needs to import them.
 var (
@@ -43,8 +32,15 @@ func RegisterDebug(pattern string, handler http.Handler) {
 	debugExtMu.Unlock()
 }
 
-// HandlerFor serves the debug surface for an explicit registry and probe set
-// (tests and the federation aggregator construct private ones).
+// HandlerFor serves the debug surface for a registry and probe set:
+//
+//	/metrics      Prometheus text exposition format
+//	/debug/pprof  the net/http/pprof profiles
+//	/healthz      liveness (always 200 while the process serves)
+//	/readyz       readiness: 200 once every registered probe passes
+//
+// plus any extensions added via RegisterDebug. Daemons pass DefaultHealth;
+// tests and the federation aggregator construct private probe sets.
 func HandlerFor(r *Registry, health *Health) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -25,7 +25,7 @@ func populated() *Registry {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler(populated()))
+	srv := httptest.NewServer(HandlerFor(populated(), DefaultHealth()))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -67,7 +67,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestPprofMounted(t *testing.T) {
-	srv := httptest.NewServer(Handler(NewRegistry()))
+	srv := httptest.NewServer(HandlerFor(NewRegistry(), DefaultHealth()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/pprof/")
 	if err != nil {
@@ -81,7 +81,7 @@ func TestPprofMounted(t *testing.T) {
 
 func TestStartDebug(t *testing.T) {
 	r := populated()
-	addr, shutdown, err := StartDebugServer("127.0.0.1:0", Handler(r))
+	addr, shutdown, err := StartDebugServer("127.0.0.1:0", HandlerFor(r, DefaultHealth()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestMetricsAfterScrape(t *testing.T) {
 	logSrv := httptest.NewServer(ctlog.NewServer(l).Handler())
 	defer logSrv.Close()
 
-	bound, shutdown, err := obs.StartDebugServer("127.0.0.1:0", obs.Handler(obs.Default()))
+	bound, shutdown, err := obs.StartDebugServer("127.0.0.1:0", obs.HandlerFor(obs.Default(), obs.DefaultHealth()))
 	if err != nil {
 		t.Fatalf("StartDebugServer: %v", err)
 	}

@@ -188,11 +188,6 @@ func (l *List) ETLDPlusOne(name string) (string, error) {
 	return oneBelow(name, suffix), nil
 }
 
-// IsPublicSuffix reports whether name is exactly a public suffix.
-func (l *List) IsPublicSuffix(name string) bool {
-	return name != "" && l.PublicSuffix(name) == name
-}
-
 // lastLabel returns the final label of name.
 func lastLabel(name string) string {
 	if i := strings.LastIndexByte(name, '.'); i >= 0 {

@@ -81,19 +81,6 @@ func TestETLDPlusOneErrors(t *testing.T) {
 	}
 }
 
-func TestIsPublicSuffix(t *testing.T) {
-	l := Default()
-	if !l.IsPublicSuffix("co.uk") {
-		t.Error("co.uk should be a public suffix")
-	}
-	if l.IsPublicSuffix("example.com") {
-		t.Error("example.com should not be a public suffix")
-	}
-	if l.IsPublicSuffix("") {
-		t.Error("empty name should not be a public suffix")
-	}
-}
-
 func TestNewRejectsBadRules(t *testing.T) {
 	if _, err := New([]string{"bad rule with spaces"}); err == nil {
 		t.Fatal("expected error for malformed rule")
@@ -105,7 +92,7 @@ func TestParseIgnoresCommentsAndBlanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.IsPublicSuffix("com") || !l.IsPublicSuffix("net") {
+	if l.PublicSuffix("a.com") != "com" || l.PublicSuffix("a.net") != "net" {
 		t.Fatal("parsed rules missing")
 	}
 }

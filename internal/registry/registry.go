@@ -1,5 +1,5 @@
 // Package registry implements the gTLD domain-registration lifecycle behind
-// the paper's registrant-change analysis: registration, renewal, transfer,
+// the paper's registrant-change analysis: registration, renewal,
 // expiration through the 45-day grace and 30-day redemption periods, pending
 // delete, and public re-registration (drop-catch) — which is the only
 // registrant change that surfaces as a new registry creation date.
@@ -54,17 +54,6 @@ type Registration struct {
 	Registrar  string
 	Created    simtime.Day // registry creation date
 	Expires    simtime.Day
-	// Transfers lists (day, newRegistrant) changes that did NOT reset the
-	// creation date — the cases the paper's method cannot see.
-	Transfers []Transfer
-}
-
-// Transfer is an ownership change within a registration.
-type Transfer struct {
-	Day           simtime.Day
-	To            string
-	PreRelease    bool // registrar sold the expired name before deletion
-	FromRegistrar string
 }
 
 // Errors returned by Registry operations.
@@ -202,37 +191,6 @@ func (r *Registry) Renew(domain string, day simtime.Day, years int) error {
 	return nil
 }
 
-// Transfer changes the registrant of a live registration without touching
-// the creation date — the registrant-change flavours (cases 1 and 2 in §2.1)
-// that thin WHOIS cannot reveal. preRelease marks case 2 (sale of an expired
-// domain before deletion), allowed only during grace/redemption.
-func (r *Registry) Transfer(domain, newRegistrant string, day simtime.Day, preRelease bool) error {
-	domain, err := r.checkDomain(domain)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := r.domains[domain]
-	if st == nil || st.current == nil {
-		return fmt.Errorf("%w: %q", ErrNotFound, domain)
-	}
-	if preRelease {
-		if st.status != StatusGrace && st.status != StatusRedemption {
-			return fmt.Errorf("registry: pre-release transfer of %q requires grace/redemption, is %v", domain, st.status)
-		}
-		// Pre-release sale restores the registration.
-		st.status = StatusActive
-		st.current.Expires = day + 365
-		heap.Push(&r.schedule, dueEntry{domain: domain, due: st.current.Expires + 1})
-	} else if st.status != StatusActive {
-		return fmt.Errorf("registry: transfer of %q requires active status, is %v", domain, st.status)
-	}
-	st.current.Transfers = append(st.current.Transfers, Transfer{Day: day, To: newRegistrant, PreRelease: preRelease})
-	st.current.Registrant = newRegistrant
-	return nil
-}
-
 // Tick advances the lifecycle clock to day, moving expired domains through
 // grace → redemption → pendingDelete → available. Released registrations move
 // to history; their creation dates remain queryable via History. Tick is
@@ -327,18 +285,6 @@ func (r *Registry) History(domain string) []Registration {
 		return nil
 	}
 	return append([]Registration(nil), st.history...)
-}
-
-// Domains returns every domain that has ever been registered, sorted.
-func (r *Registry) Domains() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.domains))
-	for d := range r.domains {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ActiveDomains returns the currently registered domains, sorted.

@@ -164,12 +164,6 @@ func (f *Feed) AddURL(r URLReport) { f.urls[r.Domain] = append(f.urls[r.Domain],
 // AddFile records a file report.
 func (f *Feed) AddFile(r FileReport) { f.files[r.Domain] = append(f.files[r.Domain], r) }
 
-// URLs returns the URL reports for a domain.
-func (f *Feed) URLs(domain string) []URLReport { return f.urls[domain] }
-
-// Files returns the file reports for a domain.
-func (f *Feed) Files(domain string) []FileReport { return f.files[domain] }
-
 // Analysis is the Table 5 output.
 type Analysis struct {
 	Sampled int

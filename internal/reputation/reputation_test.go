@@ -111,7 +111,7 @@ func TestSynthesizeDeterministicAndBounded(t *testing.T) {
 	count := func(f *Feed) int {
 		n := 0
 		for _, d := range domains {
-			if len(f.URLs(d)) > 0 || len(f.Files(d)) > 0 {
+			if len(f.urls[d]) > 0 || len(f.files[d]) > 0 {
 				n++
 			}
 		}

@@ -143,10 +143,3 @@ func (c *FakeClock) fireLocked() {
 	}
 	c.timers = live
 }
-
-// Slept returns every duration Sleep was asked to wait.
-func (c *FakeClock) Slept() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.slept...)
-}

@@ -12,6 +12,13 @@ var errBoom = errors.New("boom")
 
 // retry runs the transport's retry loop over op: each attempt is one round
 // trip whose error is op's, under the attempt's context.
+// Slept returns every duration Sleep was asked to wait.
+func (c *FakeClock) Slept() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]time.Duration(nil), c.slept...)
+}
+
 func retry(ctx context.Context, p Policy, op func(ctx context.Context) error) error {
 	tr := &Transport{Policy: p, Base: roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		if err := op(req.Context()); err != nil {

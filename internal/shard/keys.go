@@ -42,8 +42,8 @@ func CertOwners(r *Ring, list *psl.List, cert *x509sim.Certificate) []int {
 }
 
 // KeepFunc returns the ingest filter for one replica: keep exactly the
-// certificates whose owner set includes index. Plugged into
-// certstore.Ingester.Keep, it turns N replicas tailing one log into a
+// certificates whose owner set includes index. The filter a certstore
+// Ingester builds from its Shard, it turns N replicas tailing one log into a
 // partitioned fleet.
 func KeepFunc(r *Ring, list *psl.List, index int) func(*x509sim.Certificate) bool {
 	return func(cert *x509sim.Certificate) bool {

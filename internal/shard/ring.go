@@ -78,8 +78,6 @@ type point struct {
 // Ring is an immutable consistent-hash ring over shards 0..N-1. Safe for
 // concurrent use.
 type Ring struct {
-	shards int
-	vnodes int
 	points []point // sorted by pos
 }
 
@@ -93,7 +91,7 @@ func NewRing(n, v int) (*Ring, error) {
 	if err := checkRingSize(n, v); err != nil {
 		return nil, err
 	}
-	r := &Ring{shards: n, vnodes: v, points: make([]point, 0, n*v)}
+	r := &Ring{points: make([]point, 0, n*v)}
 	for i := 0; i < n; i++ {
 		for j := 0; j < v; j++ {
 			r.points = append(r.points, point{pos: hash64(fmt.Sprintf("vnode/%d/%d", i, j)), owner: i})
@@ -111,12 +109,6 @@ func MustRing(n, v int) *Ring {
 	}
 	return r
 }
-
-// Shards returns the shard count.
-func (r *Ring) Shards() int { return r.shards }
-
-// VNodes returns the per-shard virtual-node count.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Lookup returns the shard owning key: the owner of the first virtual node
 // at or clockwise of the key's ring position.

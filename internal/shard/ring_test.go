@@ -100,7 +100,8 @@ func TestRingGrowthMovesMinimalKeys(t *testing.T) {
 // answering /v1/domain/{e2ld}/staleness is the shard the ingest filter
 // stored the domain's certificates on.
 func TestCertOwnersCoRouteWithDomain(t *testing.T) {
-	r := MustRing(3, DefaultVNodes)
+	const shards = 3
+	r := MustRing(shards, DefaultVNodes)
 	list := psl.Default()
 
 	for i := 0; i < 50; i++ {
@@ -118,7 +119,7 @@ func TestCertOwnersCoRouteWithDomain(t *testing.T) {
 		if !KeepFunc(r, list, want)(cert) {
 			t.Fatalf("KeepFunc(%d) rejected %s's certificate", want, domain)
 		}
-		for idx := 0; idx < r.Shards(); idx++ {
+		for idx := 0; idx < shards; idx++ {
 			if idx != want && KeepFunc(r, list, idx)(cert) {
 				t.Fatalf("KeepFunc(%d) kept %s's certificate owned by %d", idx, domain, want)
 			}

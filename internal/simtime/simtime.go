@@ -129,17 +129,3 @@ func (s Span) Len() int {
 
 // Contains reports whether day d falls inside the span.
 func (s Span) Contains(d Day) bool { return d >= s.Start && d < s.End }
-
-// Intersect returns the overlap of two spans (possibly empty).
-func (s Span) Intersect(o Span) Span {
-	r := Span{Start: max(s.Start, o.Start), End: min(s.End, o.End)}
-	if r.End < r.Start {
-		r.End = r.Start
-	}
-	return r
-}
-
-// String renders the span as "[start, end)".
-func (s Span) String() string {
-	return fmt.Sprintf("[%s, %s)", s.Start, s.End)
-}

@@ -110,38 +110,10 @@ func TestSpanBasics(t *testing.T) {
 	}
 }
 
-func TestSpanIntersect(t *testing.T) {
-	a := Span{Start: 0, End: 100}
-	b := Span{Start: 50, End: 150}
-	got := a.Intersect(b)
-	if got.Start != 50 || got.End != 100 {
-		t.Fatalf("intersect = %v", got)
-	}
-	disjoint := a.Intersect(Span{Start: 200, End: 300})
-	if disjoint.Len() != 0 {
-		t.Fatalf("disjoint intersect len = %d", disjoint.Len())
-	}
-}
-
 func TestQuickDayRoundTrip(t *testing.T) {
 	f := func(n int16) bool {
 		d := Day(n)
 		return FromTime(d.Time()) == d
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickSpanIntersectCommutativeAndBounded(t *testing.T) {
-	f := func(a0, a1, b0, b1 int16) bool {
-		a := Span{Day(a0), Day(a1)}
-		b := Span{Day(b0), Day(b1)}
-		ab, ba := a.Intersect(b), b.Intersect(a)
-		if ab.Len() != ba.Len() {
-			return false
-		}
-		return ab.Len() <= a.Len() && ab.Len() <= b.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -16,13 +15,6 @@ import (
 type CDF struct {
 	samples []float64
 	sorted  bool
-}
-
-// NewCDF builds a CDF from samples.
-func NewCDF(samples []float64) *CDF {
-	c := &CDF{samples: append([]float64(nil), samples...)}
-	c.sort()
-	return c
 }
 
 // Add appends a sample.
@@ -76,36 +68,6 @@ func (c *CDF) Quantile(q float64) float64 {
 
 // Median returns the 0.5 quantile.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
-
-// Mean returns the arithmetic mean (NaN when empty).
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, v := range c.samples {
-		s += v
-	}
-	return s / float64(len(c.samples))
-}
-
-// Max returns the largest sample (NaN when empty).
-func (c *CDF) Max() float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	c.sort()
-	return c.samples[len(c.samples)-1]
-}
-
-// Sum returns the sample total.
-func (c *CDF) Sum() float64 {
-	s := 0.0
-	for _, v := range c.samples {
-		s += v
-	}
-	return s
-}
 
 // Point is one (x, y) pair of a rendered curve.
 type Point struct {
@@ -200,32 +162,3 @@ func (s *MonthlySeries) Months() []simtime.Month {
 
 // Count returns the events for (key, month).
 func (s *MonthlySeries) Count(key string, m simtime.Month) int { return s.counts[key][m] }
-
-// Total returns all events for a key.
-func (s *MonthlySeries) Total(key string) int {
-	t := 0
-	for _, n := range s.counts[key] {
-		t += n
-	}
-	return t
-}
-
-// DailyRate summarises a count over a date range as the paper's Table 4
-// "daily / total" pairs.
-type DailyRate struct {
-	Total int
-	Days  int
-}
-
-// PerDay returns the average daily rate.
-func (r DailyRate) PerDay() float64 {
-	if r.Days == 0 {
-		return 0
-	}
-	return float64(r.Total) / float64(r.Days)
-}
-
-// String renders "daily (total)".
-func (r DailyRate) String() string {
-	return fmt.Sprintf("%.0f/day (%d total over %d days)", r.PerDay(), r.Total, r.Days)
-}

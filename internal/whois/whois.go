@@ -184,9 +184,6 @@ func (a *Archive) Observe(domain string, created simtime.Day) {
 	a.created[domain] = dates
 }
 
-// ObserveRecord records a full WHOIS record.
-func (a *Archive) ObserveRecord(r Record) { a.Observe(r.Domain, r.Created) }
-
 // Rows returns the raw observation count (dataset-size accounting).
 func (a *Archive) Rows() int {
 	a.mu.RLock()

@@ -34,23 +34,6 @@ const (
 	HostPlatform                // methods 4/5: registrar / hosting platform
 )
 
-// String names the hosting mode.
-func (h Hosting) String() string {
-	switch h {
-	case HostNone:
-		return "none"
-	case HostSelf:
-		return "self"
-	case HostCDNNS:
-		return "cdn-ns"
-	case HostCDNCNAME:
-		return "cdn-cname"
-	case HostPlatform:
-		return "platform"
-	}
-	return "hosting?"
-}
-
 // domainState is the simulator's ground truth for one e2LD registration
 // cycle.
 type domainState struct {
