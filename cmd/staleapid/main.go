@@ -29,14 +29,17 @@
 //	          [-dns 127.0.0.1:5353] [-crl http://127.0.0.1:8785]
 //	          [-now 2023-01-01] [-cache-entries 1024] [-cache-ttl 5s]
 //	          [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
-//	          [-shard i/N] [-shard-epoch 1] [-shard-vnodes 128]
+//	          [-shard i/N]
 //
 // With -shard i/N the replica is one slice of a consistent-hash fleet: it
 // still tails the whole log (every page checked for index contiguity, every
 // round's tree head for consistency with the last; entries are not hashed) but
 // persists only the e2LDs its ring slice owns, pins that slice into the
 // store, and reports it at /v1/shardmap for the gateway (cmd/stalegw) to
-// validate.
+// validate. The ring's epoch, vnodes and hash are constants of the build
+// (internal/shard): a store pinned to another slice, or by a build with
+// another ring, makes staleapid exit at startup; re-ingest it into a fresh
+// -store.
 //
 // Replicating a slice needs no extra wiring: start several staleapids with
 // the same -shard i/N (separate -store dirs), and each independently tails
@@ -83,7 +86,6 @@ func main() {
 	logURL := flag.String("log", "http://127.0.0.1:8784", "CT log base URL to tail")
 	interval := flag.Duration("interval", 5*time.Second, "ingest sync interval")
 	lagThreshold := flag.Uint64("lag-threshold", 0, "max entries behind the log head to count as ready")
-	shards := flag.Int("shards", 0, "index shard count (0 = auto)")
 	whoisAddr := flag.String("whois", "", "WHOIS server for registrant-change evidence (empty disables)")
 	dnsAddr := flag.String("dns", "", "authoritative DNS for departure evidence (empty disables)")
 	crlURL := flag.String("crl", "", "CRL server base URL for revocation evidence (empty disables)")
@@ -91,8 +93,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 1024, "staleness cache capacity")
 	cacheTTL := flag.Duration("cache-ttl", 5*time.Second, "staleness cache TTL")
 	shardFlag := flag.String("shard", "", "ring slice this replica ingests and serves, as i/N (empty = whole keyspace)")
-	shardEpoch := flag.Uint64("shard-epoch", 1, "shard-map epoch (must match the gateway's -epoch)")
-	shardVNodes := flag.Int("shard-vnodes", shard.DefaultVNodes, "virtual nodes per shard on the ring")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	var rf resil.Flags
 	rf.BindFlags(flag.CommandLine)
@@ -108,6 +108,19 @@ func main() {
 		logger.Error("bad -now", "err", err)
 		os.Exit(2)
 	}
+	// The ingester still tails the whole log, its checkpoint advancing over
+	// every entry, but persists only this replica's ring slice; Open pins the
+	// slice into the store, so a restart under a different -shard refuses to
+	// mix.
+	var slice *shard.Assignment
+	if *shardFlag != "" {
+		a, err := shard.ParseAssignment(*shardFlag)
+		if err != nil {
+			logger.Error("bad -shard", "err", err)
+			os.Exit(2)
+		}
+		slice = &a
+	}
 
 	// Readiness: the store (and its checkpoint, if any) must be loaded, and
 	// the ingester must have synced to within -lag-threshold of the log
@@ -117,7 +130,7 @@ func main() {
 	obs.DefaultHealth().Register("store-checkpoint", cpReady.Probe)
 	obs.DefaultHealth().Register("ingest-caught-up", caughtUp.Probe)
 
-	store, err := certstore.Open(certstore.Options{Dir: *storeDir, Shards: *shards})
+	store, err := certstore.Open(certstore.Options{Dir: *storeDir, Slice: slice})
 	if err != nil {
 		logger.Error("open store", "dir", *storeDir, "err", err)
 		os.Exit(1)
@@ -136,36 +149,8 @@ func main() {
 	// attempt spans then carry service="staleapid" in stitched fleet traces,
 	// so a cross-daemon trace reads staleapid → ctlogd.
 	ing := certstore.NewIngester(store, ctlog.NewClientWithOptions(*logURL, nil, rf.Options("staleapid")))
-	var self *shard.Self
-	if *shardFlag != "" {
-		assign, err := shard.ParseAssignment(*shardFlag)
-		if err != nil {
-			logger.Error("bad -shard", "err", err)
-			os.Exit(2)
-		}
-		if _, err := shard.NewRing(assign.Count, *shardVNodes); err != nil {
-			logger.Error("bad ring shape", "err", err)
-			os.Exit(2)
-		}
-		// The ingester still tails the whole log, its checkpoint advancing over
-		// every entry, but persists only this replica's ring slice; the slice
-		// is pinned into the store so a restart under a different -shard
-		// refuses to mix.
-		ing.Shard = &certstore.ShardConfig{
-			Epoch:  *shardEpoch,
-			Index:  assign.Index,
-			Count:  assign.Count,
-			VNodes: *shardVNodes,
-			Hash:   shard.HashName,
-		}
-		self = &shard.Self{
-			Version: shard.MapVersion,
-			Epoch:   *shardEpoch,
-			Hash:    shard.HashName,
-			VNodes:  *shardVNodes,
-			Shard:   assign,
-		}
-		logger.Info("sharded ingest", "shard", assign.String(), "epoch", *shardEpoch, "vnodes", *shardVNodes)
+	if slice != nil {
+		logger.Info("sharded ingest", "shard", slice.String(), "epoch", shard.Epoch, "vnodes", shard.DefaultVNodes)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -192,7 +177,6 @@ func main() {
 		Now:          func() simtime.Day { return nowDay },
 		CacheEntries: *cacheEntries,
 		CacheTTL:     *cacheTTL,
-		Shard:        self,
 	})
 	// Evidence failures — a failed gather, a remote source that failed the last
 	// time it was asked (a domain it cannot matter to does not ask it, so only

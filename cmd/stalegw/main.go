@@ -13,7 +13,9 @@
 // Each -shards element is one slice's replica group: one base URL, or
 // several separated by "|" (e.g. http://a:9001|http://b:9001). All replicas
 // of a slice must run staleapid with the same -shard i/N assignment (they
-// pin identical SHARD files and tail the same log). Per call the gateway
+// pin identical SHARD files and tail the same log). The ring's epoch, vnodes
+// and hash are constants of the build (internal/shard), so the gateway and
+// its replicas agree on them by being built from one tree. Per call the gateway
 // dials a healthy replica (probe + breaker state, rotated), fails over to
 // siblings on error, and with -hedge-after > 0 races a sibling when the
 // first replica is slow — first response wins, the loser is cancelled.
@@ -29,7 +31,7 @@
 // Usage:
 //
 //	stalegw -shards 'http://a:9001|http://b:9001,http://a:9002|http://b:9002'
-//	        [-addr :8787] [-epoch 1] [-vnodes 128] [-quorum 0 (majority)]
+//	        [-addr :8787] [-quorum 0 (majority)]
 //	        [-probe-interval 2s] [-cache-entries 4096] [-cache-ttl 5s]
 //	        [-hedge-after 30ms] [-debug-addr 127.0.0.1:0] [-retry-max 4]
 //	        [-breaker-threshold 0.5]
@@ -54,8 +56,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8787", "API listen address")
 	shardList := flag.String("shards", "", "comma-separated slices in ring-index order, each one base URL or |-separated replica URLs (required)")
-	epoch := flag.Uint64("epoch", 1, "shard-map epoch the fleet must agree on")
-	vnodes := flag.Int("vnodes", shard.DefaultVNodes, "virtual nodes per shard on the ring")
 	quorum := flag.Int("quorum", 0, "min live shards for (degraded) readiness; 0 = majority")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "shard liveness probe interval")
 	cacheEntries := flag.Int("cache-entries", 4096, "last-good response cache capacity")
@@ -89,7 +89,7 @@ func main() {
 	// circuits) and the gateway (which routes around open ones).
 	opts := rf.Options("stalegw")
 	gw, err := stalegw.New(stalegw.Config{
-		Map:          shard.NewReplicatedMap(*epoch, *vnodes, groups),
+		Map:          shard.NewMap(groups),
 		Client:       resil.NewHTTPClient(opts),
 		Quorum:       *quorum,
 		CacheEntries: *cacheEntries,
@@ -112,7 +112,7 @@ func main() {
 	for _, g := range groups {
 		replicas += len(g)
 	}
-	logger.Info("serving query gateway", "addr", *addr, "slices", len(groups), "replicas", replicas, "epoch", *epoch)
+	logger.Info("serving query gateway", "addr", *addr, "slices", len(groups), "replicas", replicas, "epoch", shard.Epoch)
 	if !obs.ServeUntilDone(ctx, logger, httpSrv, nil, stopDebug) {
 		os.Exit(1)
 	}

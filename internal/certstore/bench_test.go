@@ -98,33 +98,8 @@ func BenchmarkIngestSync(b *testing.B) {
 // shaped like the benchmark rig's: 1 000 e2LDs of five certificates each.
 // parallel runs both reads from every P against the per-shard read locks.
 func BenchmarkLookup(b *testing.B) {
-	s, err := Open(Options{Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	const domains, perDomain = 1000, 5
-	certs := make([]*x509sim.Certificate, 0, domains*perDomain)
-	names := make([]string, domains)
-	for i := range names {
-		names[i] = fmt.Sprintf("rig%05d.com", i)
-		for k := 0; k < perDomain; k++ {
-			serial := len(certs) + 1
-			c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial),
-				[]string{names[i], "www." + names[i]}, 100, 900)
-			if err != nil {
-				b.Fatal(err)
-			}
-			certs = append(certs, c)
-		}
-	}
-	if _, err := s.Append(certs); err != nil {
-		b.Fatal(err)
-	}
-	fps := make([]x509sim.Fingerprint, len(certs))
-	for i, c := range certs {
-		fps[i] = c.Fingerprint()
-	}
+	s, names, fps := lookupStore(b)
+	const domains, perDomain = lookupDomains, lookupPerDomain
 
 	b.Run("e2ld", func(b *testing.B) {
 		b.ReportAllocs()
@@ -157,4 +132,52 @@ func BenchmarkLookup(b *testing.B) {
 			}
 		})
 	})
+}
+
+const lookupDomains, lookupPerDomain = 1000, 5
+
+// lookupStore is BenchmarkLookup's store: lookupDomains e2LDs of
+// lookupPerDomain certificates each, with the names and fingerprints.
+func lookupStore(tb testing.TB) (*Store, []string, []x509sim.Fingerprint) {
+	tb.Helper()
+	s, err := Open(Options{Dir: tb.TempDir()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	certs := make([]*x509sim.Certificate, 0, lookupDomains*lookupPerDomain)
+	names := make([]string, lookupDomains)
+	for i := range names {
+		names[i] = fmt.Sprintf("rig%05d.com", i)
+		for k := 0; k < lookupPerDomain; k++ {
+			serial := len(certs) + 1
+			c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial),
+				[]string{names[i], "www." + names[i]}, 100, 900)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			certs = append(certs, c)
+		}
+	}
+	if _, err := s.Append(certs); err != nil {
+		tb.Fatal(err)
+	}
+	fps := make([]x509sim.Fingerprint, len(certs))
+	for i, c := range certs {
+		fps[i] = c.Fingerprint()
+	}
+	return s, names, fps
+}
+
+// TestLookupAllocCeilings caps BenchmarkLookup's two reads one above what
+// they cost today, with or without -race: by e2LD the one defensive copy it
+// returns, by fingerprint nothing, so there the ceiling is 0.
+func TestLookupAllocCeilings(t *testing.T) {
+	s, names, fps := lookupStore(t)
+	if got := testing.AllocsPerRun(1000, func() { s.ByE2LD(names[7]) }); got > 2 {
+		t.Errorf("ByE2LD allocates %.0f times, ceiling 2", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { s.ByFingerprint(fps[7]) }); got > 0 {
+		t.Errorf("ByFingerprint allocates %.0f times, ceiling 0", got)
+	}
 }

@@ -47,33 +47,31 @@ type Ingester struct {
 	Client *ctlog.Client
 	// BatchSize is the get-entries page size (0 = the client default).
 	BatchSize uint64
-	// Shard, when non-nil, is the ring slice this replica persists. Every
+	// keep is the filter of the store's slice; nil keeps everything. Every
 	// entry is still fetched and checked for index contiguity — the
 	// checkpoint advances over every entry, and every round's tree head must
 	// extend the last one's; no entry is hashed — but only certificates the
 	// slice owns reach the store. A sharded fleet points N ingesters at the
-	// same log with disjoint slices. The slice is validated against the
-	// store's persisted assignment on the first sync: a store pinned to one
-	// slice refuses ingest under another (or under none), and a store that
-	// already ingested unsharded refuses retroactive pinning.
-	Shard *ShardConfig
-	// keep is Shard's filter, built on the first sync; nil keeps everything.
+	// same log, each into a store opened as another slice.
 	keep func(*x509sim.Certificate) bool
 	// lag is the entries behind the head after the last Sync.
-	lag uint64
-	// shardChecked tracks the one-time Shard/store agreement check.
-	shardChecked bool
-	mKept        *obs.Counter
-	mSkipped     *obs.Counter
+	lag      uint64
+	mKept    *obs.Counter
+	mSkipped *obs.Counter
 }
 
 // NewIngester tails client into store, from the store's checkpoint if it
-// has one.
+// has one, keeping only the certificates of the store's slice.
 func NewIngester(store *Store, client *ctlog.Client) *Ingester {
 	if _, ok := store.Checkpoint(); ok {
 		mIngestResumes.Inc()
 	}
-	return &Ingester{Store: store, Client: client}
+	ing := &Ingester{Store: store, Client: client}
+	if a := store.Slice(); a != nil {
+		ing.keep = shard.KeepFunc(*a, store.PSL())
+		ing.mKept, ing.mSkipped = ingestKeptCounter(a.String()), ingestSkippedCounter(a.String())
+	}
+	return ing
 }
 
 // Lag returns the entries the store trailed the log head by at the end of
@@ -111,35 +109,6 @@ func (ing *Ingester) verifyHead(ctx context.Context, cp Checkpoint, sth ctlog.Si
 	return nil
 }
 
-// checkShard runs the one-time agreement check between the ingester's
-// declared slice and the store's persisted one — the "validated at ingest
-// time" half of the shard-map contract. A mismatch is permanent for the
-// process, so it is re-reported on every round rather than cached away.
-func (ing *Ingester) checkShard() error {
-	if ing.shardChecked {
-		return nil
-	}
-	if ing.Shard == nil {
-		if sc, ok := ing.Store.ShardConfig(); ok {
-			return fmt.Errorf("certstore: store is pinned to shard %s; refusing unsharded ingest (pass the matching -shard flag)", sc.Label())
-		}
-	} else {
-		ring, err := shard.NewRing(ing.Shard.Count, ing.Shard.VNodes)
-		if err != nil {
-			return fmt.Errorf("certstore: shard %s: %w", ing.Shard.Label(), err)
-		}
-		if err := ing.Store.EnsureShardConfig(*ing.Shard); err != nil {
-			return err
-		}
-		ing.keep = shard.KeepFunc(ring, ing.Store.PSL(), ing.Shard.Index)
-		label := ing.Shard.Label()
-		ing.mKept = ingestKeptCounter(label)
-		ing.mSkipped = ingestSkippedCounter(label)
-	}
-	ing.shardChecked = true
-	return nil
-}
-
 // syncBatchPages is how many get-entries pages Sync appends at a time (4 096
 // entries at the default page size): what a catch-up holds in memory, and
 // what a crash makes it refetch.
@@ -162,9 +131,6 @@ func (ing *Ingester) Sync(ctx context.Context) (int, error) {
 }
 
 func (ing *Ingester) sync(ctx context.Context) (int, error) {
-	if err := ing.checkShard(); err != nil {
-		return 0, err
-	}
 	sth, err := ing.Client.GetSTH(ctx)
 	if err != nil {
 		return 0, err

@@ -83,11 +83,12 @@ func TestSyncVerifiesTheHeadEveryRound(t *testing.T) {
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
 
-			st := openTemp(t, Options{})
-			ing := NewIngester(st, impatientClient(ts))
+			opts := Options{}
 			if sharded {
-				ing.Shard = &ShardConfig{Epoch: 1, Index: 0, Count: 2, VNodes: shard.DefaultVNodes, Hash: shard.HashName}
+				opts.Slice = &shard.Assignment{Index: 0, Count: 2}
 			}
+			st := openTemp(t, opts)
+			ing := NewIngester(st, impatientClient(ts))
 			round := func(what string, wantErr bool, wantProofs int) {
 				t.Helper()
 				before, _ := st.Checkpoint()

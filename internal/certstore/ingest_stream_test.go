@@ -58,7 +58,7 @@ func TestSyncSurvivesFailureBetweenBatches(t *testing.T) {
 		durable  = (failFrom - 1) / syncBatchPages * syncBatchPages * pageSize
 	)
 	log, certs := streamLog(t, total)
-	ring := shard.MustRing(2, shard.DefaultVNodes)
+	slice := &shard.Assignment{Index: 1, Count: 2}
 
 	for _, sharded := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
@@ -81,18 +81,22 @@ func TestSyncSurvivesFailureBetweenBatches(t *testing.T) {
 			}))
 			defer ts.Close()
 
+			open := func(dir string) (*Store, error) {
+				opts := Options{Dir: dir}
+				if sharded {
+					opts.Slice = slice
+				}
+				return Open(opts)
+			}
 			configure := func(st *Store) *Ingester {
 				ing := NewIngester(st, impatientClient(ts))
 				ing.BatchSize = pageSize
-				if sharded {
-					ing.Shard = &ShardConfig{Epoch: 1, Index: 1, Count: 2, VNodes: shard.DefaultVNodes, Hash: shard.HashName}
-				}
 				return ing
 			}
 			kept := func(upTo int) []*x509sim.Certificate {
 				var out []*x509sim.Certificate
 				for _, c := range certs[:upTo] {
-					if !sharded || shard.KeepFunc(ring, psl.Default(), 1)(c) {
+					if !sharded || shard.KeepFunc(*slice, psl.Default())(c) {
 						out = append(out, c)
 					}
 				}
@@ -100,7 +104,7 @@ func TestSyncSurvivesFailureBetweenBatches(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			st1, err := Open(Options{Dir: dir})
+			st1, err := open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +126,7 @@ func TestSyncSurvivesFailureBetweenBatches(t *testing.T) {
 			}
 			// SIGKILL-equivalent: st1 is abandoned, never Closed.
 
-			st2, err := Open(Options{Dir: dir})
+			st2, err := open(dir)
 			if err != nil {
 				t.Fatalf("reopen after the failed round: %v", err)
 			}
@@ -147,7 +151,7 @@ func TestSyncSurvivesFailureBetweenBatches(t *testing.T) {
 				t.Fatalf("certstore_ingest_lag_entries = %v after a completed round", got)
 			}
 
-			oneShot, err := Open(Options{Dir: t.TempDir()})
+			oneShot, err := open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}

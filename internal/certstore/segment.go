@@ -146,8 +146,13 @@ func readSegment(path string) (*segmentScan, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseSegment(filepath.Base(path), raw)
+}
+
+// parseSegment is readSegment over the bytes of the segment file name.
+func parseSegment(name string, raw []byte) (*segmentScan, error) {
 	if len(raw) < len(segmentMagic) || string(raw[:len(segmentMagic)]) != segmentMagic {
-		return nil, fmt.Errorf("%w: %s: bad magic", ErrCorruptSegment, filepath.Base(path))
+		return nil, fmt.Errorf("%w: %s: bad magic", ErrCorruptSegment, name)
 	}
 	scan := &segmentScan{goodBytes: int64(len(segmentMagic))}
 	off := len(segmentMagic)
@@ -158,7 +163,7 @@ func readSegment(path string) (*segmentScan, error) {
 		}
 		n := int(binary.BigEndian.Uint32(raw[off:]))
 		if n > maxRecordBytes {
-			return nil, fmt.Errorf("%w: %s: record length %d at offset %d", ErrCorruptSegment, filepath.Base(path), n, off)
+			return nil, fmt.Errorf("%w: %s: record length %d at offset %d", ErrCorruptSegment, name, n, off)
 		}
 		if len(raw)-off-4 < n {
 			scan.torn = true
@@ -168,7 +173,7 @@ func readSegment(path string) (*segmentScan, error) {
 		if err != nil {
 			// A complete-length but undecodable record is real corruption,
 			// not a torn append.
-			return nil, fmt.Errorf("%w: %s: record at offset %d: %v", ErrCorruptSegment, filepath.Base(path), off, err)
+			return nil, fmt.Errorf("%w: %s: record at offset %d: %v", ErrCorruptSegment, name, off, err)
 		}
 		scan.certs = append(scan.certs, cert)
 		off += 4 + n

@@ -32,6 +32,7 @@ import (
 	"stalecert/internal/merkle"
 	"stalecert/internal/obs"
 	"stalecert/internal/psl"
+	"stalecert/internal/shard"
 	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
@@ -63,13 +64,13 @@ const DefaultMaxSegmentBytes = 4 << 20
 type Options struct {
 	// Dir is the store directory; created if missing. Required.
 	Dir string
-	// Shards is the index shard count; defaults to the next power of two
-	// ≥ 2*GOMAXPROCS, clamped to [4, 256].
-	Shards int
 	// PSL defaults to psl.Default().
 	PSL *psl.List
 	// MaxSegmentBytes defaults to DefaultMaxSegmentBytes.
 	MaxSegmentBytes int64
+	// Slice, when non-nil, is the ring slice the store holds (see
+	// Store.Slice); nil is the whole keyspace.
+	Slice *shard.Assignment
 }
 
 // Checkpoint is the persisted CT ingest resume point: the next entry index
@@ -108,21 +109,25 @@ type Store struct {
 	activeSz int64
 	certs    []*x509sim.Certificate // insertion order, shared across snapshots
 	cp       *Checkpoint
-	shardCfg *ShardConfig
+	slice    *shard.Assignment // set by Open, never changed
 	closed   bool
 }
 
-// shardFileName persists the fleet-slice assignment beside MANIFEST and
-// CHECKPOINT.
-const shardFileName = "SHARD"
+// Slice returns the ring slice the store holds, nil for the whole keyspace.
+func (s *Store) Slice() *shard.Assignment {
+	if s.slice == nil {
+		return nil
+	}
+	a := *s.slice
+	return &a
+}
 
-// ShardConfig is the persisted fleet-slice assignment of a sharded store:
-// which ring slice this store's certificates are, and the ring parameters
-// the slice was cut with. A store ingested as one slice must never be
-// re-tailed as another — the data on disk would be the wrong subset — so the
-// assignment is written once and every later ingester validates against it
-// (see Ingester.Sync).
-type ShardConfig struct {
+// shardFile is the SHARD file beside MANIFEST and CHECKPOINT: the ring slice
+// a sharded store's certificates are and the ring it was cut from. A store
+// ingested as one slice must never be re-tailed as another — the data on disk
+// would be the wrong subset — so Open writes it once and checks it on every
+// later open.
+type shardFile struct {
 	Epoch  uint64 `json:"epoch"`
 	Index  int    `json:"index"`
 	Count  int    `json:"count"`
@@ -130,57 +135,57 @@ type ShardConfig struct {
 	Hash   string `json:"hash"`
 }
 
-// Label renders the metric label form "i/N".
-func (sc ShardConfig) Label() string { return fmt.Sprintf("%d/%d", sc.Index, sc.Count) }
+const shardFileName = "SHARD"
 
-// ShardConfig returns the persisted slice assignment, if the store was ever
-// ingested sharded.
-func (s *Store) ShardConfig() (ShardConfig, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.shardCfg == nil {
-		return ShardConfig{}, false
+// checkSlice compares the slice a store is opened as with the one its SHARD
+// file pins, and reports whether the file is still to be written. A pinned
+// store refuses to open unsharded or as another slice, and a pin from a ring
+// this build does not cut (another shard.Epoch, vnodes or hash) is refused
+// outright: its data is the wrong subset under every slice.
+func checkSlice(dir string, want *shard.Assignment) (write bool, err error) {
+	raw, err := os.ReadFile(filepath.Join(dir, shardFileName))
+	if errors.Is(err, os.ErrNotExist) {
+		return want != nil, nil
+	} else if err != nil {
+		return false, err
 	}
-	return *s.shardCfg, true
+	var f shardFile
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return false, fmt.Errorf("certstore: corrupt shard assignment: %v", err)
+	}
+	pinned := shard.Assignment{Index: f.Index, Count: f.Count}
+	switch {
+	case f.Epoch != shard.Epoch || f.VNodes != shard.DefaultVNodes || f.Hash != shard.HashName:
+		return false, fmt.Errorf("certstore: store %s is pinned to shard %s of epoch %d (%d vnodes, %s), not this build's epoch %d (%d vnodes, %s); re-ingest it into a fresh store",
+			dir, pinned, f.Epoch, f.VNodes, f.Hash, shard.Epoch, shard.DefaultVNodes, shard.HashName)
+	case want == nil:
+		return false, fmt.Errorf("certstore: store %s is pinned to shard %s; refusing to open it unsharded (pass the matching -shard flag)", dir, pinned)
+	case *want != pinned:
+		return false, fmt.Errorf("certstore: store %s is pinned to shard %s; refusing to open it as shard %s", dir, pinned, want)
+	}
+	return false, nil
 }
 
-// EnsureShardConfig pins the store to one ring slice. The first call on a
-// store that has never held certificates persists the assignment; later
-// calls (and calls from restarted ingesters) succeed only when the
-// assignment is identical. Attaching a slice to a store that already holds
-// unsharded data is refused — the data would not be the claimed subset.
-func (s *Store) EnsureShardConfig(sc ShardConfig) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.shardCfg != nil {
-		if *s.shardCfg != sc {
-			return fmt.Errorf("certstore: store %s is pinned to shard %s (epoch %d, %d vnodes, %s); refusing %s (epoch %d, %d vnodes, %s)",
-				s.dir, s.shardCfg.Label(), s.shardCfg.Epoch, s.shardCfg.VNodes, s.shardCfg.Hash,
-				sc.Label(), sc.Epoch, sc.VNodes, sc.Hash)
-		}
-		return nil
-	}
+// pin writes the SHARD file for a, refusing a store that already holds
+// certificates: they were ingested unsharded, not as the slice.
+func (s *Store) pin(a shard.Assignment) error {
 	if len(s.certs) > 0 {
 		return fmt.Errorf("certstore: store %s holds %d certificates ingested unsharded; cannot retroactively pin it to shard %s",
-			s.dir, len(s.certs), sc.Label())
+			s.dir, len(s.certs), a)
 	}
-	raw, err := json.MarshalIndent(sc, "", "  ")
+	raw, err := json.MarshalIndent(shardFile{Epoch: shard.Epoch, Index: a.Index, Count: a.Count,
+		VNodes: shard.DefaultVNodes, Hash: shard.HashName}, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(s.dir, shardFileName), append(raw, '\n')); err != nil {
-		return err
-	}
-	s.shardCfg = &sc
-	return nil
+	return writeFileAtomic(filepath.Join(s.dir, shardFileName), append(raw, '\n'))
 }
 
 // ErrClosed is returned by writes on a closed store.
 var ErrClosed = errors.New("certstore: store is closed")
 
+// defaultShards is the index shard count: the next power of two
+// ≥ 2*GOMAXPROCS, clamped to [4, 256].
 func defaultShards() int {
 	n := 4
 	for n < 2*runtime.GOMAXPROCS(0) && n < 256 {
@@ -190,17 +195,23 @@ func defaultShards() int {
 }
 
 // Open opens (or creates) the store at opts.Dir, verifies sealed segments
-// against the manifest, truncates any torn tail off the active segment, and
-// rebuilds the sharded indexes.
+// against the manifest, truncates any torn tail off the active segment,
+// rebuilds the sharded indexes, and pins or checks opts.Slice (checkSlice).
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("certstore: Options.Dir is required")
 	}
+	if opts.Slice != nil {
+		if err := opts.Slice.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	write, err := checkSlice(opts.Dir, opts.Slice)
+	if err != nil {
+		return nil, err
+	}
 	if opts.PSL == nil {
 		opts.PSL = psl.Default()
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = defaultShards()
 	}
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = DefaultMaxSegmentBytes
@@ -212,7 +223,7 @@ func Open(opts Options) (*Store, error) {
 		dir:    opts.Dir,
 		psl:    opts.PSL,
 		maxSeg: opts.MaxSegmentBytes,
-		idx:    newShardedIndex(opts.Shards, opts.PSL),
+		idx:    newShardedIndex(defaultShards(), opts.PSL),
 	}
 
 	man, err := loadManifest(opts.Dir)
@@ -285,14 +296,15 @@ func Open(opts Options) (*Store, error) {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	if raw, err := os.ReadFile(filepath.Join(opts.Dir, shardFileName)); err == nil {
-		var sc ShardConfig
-		if err := json.Unmarshal(raw, &sc); err != nil {
-			return nil, fmt.Errorf("certstore: corrupt shard assignment: %v", err)
+	if write {
+		if err := s.pin(*opts.Slice); err != nil {
+			s.active.Close()
+			return nil, err
 		}
-		s.shardCfg = &sc
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
+	}
+	if opts.Slice != nil {
+		a := *opts.Slice
+		s.slice = &a
 	}
 	s.publishGauges()
 	return s, nil

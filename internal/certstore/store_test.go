@@ -35,7 +35,7 @@ func openTemp(t testing.TB, opts Options) *Store {
 }
 
 func TestStoreAppendAndLookups(t *testing.T) {
-	s := openTemp(t, Options{Shards: 8})
+	s := openTemp(t, Options{})
 	certs := []*x509sim.Certificate{
 		mkCert(t, 1, []string{"a.example.com", "b.example.com"}, 0, 100),
 		mkCert(t, 2, []string{"example.org", "*.example.org"}, 10, 200),
@@ -220,7 +220,7 @@ func TestStoreDetectsSealedCorruption(t *testing.T) {
 }
 
 func TestStoreConcurrentReadersAndWriter(t *testing.T) {
-	s := openTemp(t, Options{Shards: 4})
+	s := openTemp(t, Options{})
 	const n = 200
 	var wg sync.WaitGroup
 	wg.Add(1)

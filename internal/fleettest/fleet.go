@@ -126,7 +126,7 @@ func Start(t testing.TB, spec Spec) *Fleet {
 	breakers := resil.NewBreakerSet(resil.BreakerConfig{Service: spec.Name + "-gw",
 		MinRequests: 2, Threshold: 0.5, Cooldown: time.Minute})
 	gw, err := stalegw.New(stalegw.Config{
-		Map: shard.NewReplicatedMap(1, shard.DefaultVNodes, groups),
+		Map: shard.NewMap(groups),
 		Client: resil.NewHTTPClient(resil.Options{Service: "stalegw", Breaker: breakers, Spans: f.Gateway.Spans,
 			Policy: resil.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, PerAttempt: 2 * time.Second}}),
 		CacheTTL:   GatewayCacheTTL,
@@ -153,7 +153,11 @@ func Start(t testing.TB, spec Spec) *Fleet {
 // and the CRLs here are fixed, so each runs once to what /readyz waits for.
 func (f *Fleet) startReplica(name string, slice int, ingestBreakers *resil.BreakerSet) *Member {
 	t, ctx := f.t, context.Background()
-	store, err := certstore.Open(certstore.Options{Dir: t.TempDir()})
+	opts := certstore.Options{Dir: t.TempDir()}
+	if slice >= 0 {
+		opts.Slice = &shard.Assignment{Index: slice, Count: f.spec.Slices}
+	}
+	store, err := certstore.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +174,6 @@ func (f *Fleet) startReplica(name string, slice int, ingestBreakers *resil.Break
 		Service: "staleapid", Breaker: ingestBreakers, Chaos: chaos, Spans: m.Spans,
 		Policy: resil.Policy{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, PerAttempt: 500 * time.Millisecond},
 	}))
-	var self *shard.Self
-	if slice >= 0 {
-		ing.Shard = &certstore.ShardConfig{Epoch: 1, Index: slice, Count: f.spec.Slices,
-			VNodes: shard.DefaultVNodes, Hash: shard.HashName}
-		self = &shard.Self{Version: shard.MapVersion, Epoch: 1, Hash: shard.HashName,
-			VNodes: shard.DefaultVNodes, Shard: shard.Assignment{Index: slice, Count: f.spec.Slices}}
-	}
 	// One round tails to the head; under chaos it can exhaust its attempts,
 	// and the next one resumes from the checkpoint.
 	Until(t, func() error { _, err := ing.Sync(ctx); return err })
@@ -191,7 +188,6 @@ func (f *Fleet) startReplica(name string, slice int, ingestBreakers *resil.Break
 		Now:      func() simtime.Day { return Day },
 		CacheTTL: time.Nanosecond, // "cached": false whichever sibling answers
 		Health:   m.Health,
-		Shard:    self,
 	}).Handler())
 	return m
 }

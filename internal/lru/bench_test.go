@@ -53,6 +53,25 @@ func BenchmarkDo(b *testing.B) {
 	})
 }
 
+// TestDoAllocCeilings caps BenchmarkDo: a hit allocates nothing today, with
+// or without -race, and a miss (its new key's string included) is capped one
+// above its 5.
+func TestDoAllocCeilings(t *testing.T) {
+	loader := func() (any, error) { return 1, nil }
+	c := New("lru", 1024, 5*time.Second)
+	_, _, _ = c.Do("hot", loader)
+	if got := testing.AllocsPerRun(1000, func() { _, _, _ = c.Do("hot", loader) }); got > 0 {
+		t.Errorf("a hit allocates %.0f times, ceiling 0", got)
+	}
+	miss := 0
+	if got := testing.AllocsPerRun(1000, func() {
+		miss++
+		_, _, _ = c.Do("k"+strconv.Itoa(miss), loader)
+	}); got > 6 {
+		t.Errorf("a miss allocates %.0f times, ceiling 6", got)
+	}
+}
+
 func BenchmarkStoreOverExpired(b *testing.B) {
 	for _, n := range []int{256, 4096} {
 		b.Run("entries="+strconv.Itoa(n), func(b *testing.B) {

@@ -23,3 +23,22 @@ func BenchmarkVerifyConsistency(b *testing.B) {
 		}
 	}
 }
+
+// TestVerifyConsistencyAllocCeiling: BenchmarkVerifyConsistency's check
+// allocates nothing today, with or without -race, and the ceiling keeps it
+// so.
+func TestVerifyConsistencyAllocCeiling(t *testing.T) {
+	tr, _ := buildTree(10000)
+	old, err := tr.RootAt(5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := tr.ConsistencyProof(5000, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tr.Root()
+	if got := testing.AllocsPerRun(200, func() { VerifyConsistency(5000, 10000, old, root, proof) }); got > 0 {
+		t.Errorf("a 5 000 -> 10 000 consistency check allocates %.0f times, ceiling 0", got)
+	}
+}

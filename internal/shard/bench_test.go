@@ -11,3 +11,12 @@ func BenchmarkOwner(b *testing.B) {
 		r.Lookup(KeyForDomain("rig00007.com"))
 	}
 }
+
+// TestOwnerAllocCeiling caps BenchmarkOwner one above what it costs today
+// (the ring key's one string), with or without -race.
+func TestOwnerAllocCeiling(t *testing.T) {
+	r := MustRing(2, DefaultVNodes)
+	if got := testing.AllocsPerRun(1000, func() { r.Lookup(KeyForDomain("rig00007.com")) }); got > 2 {
+		t.Errorf("one routing decision allocates %.0f times, ceiling 2", got)
+	}
+}

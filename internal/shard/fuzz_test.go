@@ -11,8 +11,10 @@ import (
 // every key to one of the document's slices.
 func FuzzShardMapJSON(f *testing.F) {
 	for _, m := range []Map{
-		NewMap(1, DefaultVNodes, []string{"http://a:9001", "http://a:9002", "http://a:9003"}),
-		NewReplicatedMap(7, 16, [][]string{{"http://a:9001", "http://b:9001"}, {"http://a:9002"}}),
+		NewMap([][]string{{"http://a:9001"}, {"http://a:9002"}, {"http://a:9003"}}),
+		{Version: MapVersion, Epoch: 7, Hash: HashName, VNodes: 16, Shards: []Member{
+			{Index: 0, Addr: "http://a:9001", Replicas: []string{"http://a:9001", "http://b:9001"}},
+			{Index: 1, Addr: "http://a:9002"}}},
 	} {
 		doc, err := json.Marshal(m)
 		if err != nil {

@@ -41,14 +41,15 @@ func CertOwners(r *Ring, list *psl.List, cert *x509sim.Certificate) []int {
 	return owners
 }
 
-// KeepFunc returns the ingest filter for one replica: keep exactly the
-// certificates whose owner set includes index. The filter a certstore
-// Ingester builds from its Shard, it turns N replicas tailing one log into a
-// partitioned fleet.
-func KeepFunc(r *Ring, list *psl.List, index int) func(*x509sim.Certificate) bool {
+// KeepFunc returns the ingest filter for the replica holding slice a, which
+// must Validate: keep exactly the certificates whose owner set includes
+// a.Index. The filter a certstore Ingester builds from its store's slice, it
+// turns N replicas tailing one log into a partitioned fleet.
+func KeepFunc(a Assignment, list *psl.List) func(*x509sim.Certificate) bool {
+	r := MustRing(a.Count, DefaultVNodes)
 	return func(cert *x509sim.Certificate) bool {
 		for _, o := range CertOwners(r, list, cert) {
-			if o == index {
+			if o == a.Index {
 				return true
 			}
 		}

@@ -38,6 +38,13 @@ const HashName = "fnv1a-splitmix64"
 // shard load within ~±12% at 10k keys while the ring stays a few KiB.
 const DefaultVNodes = 128
 
+// Epoch numbers the placement this build computes. Every replica and gateway
+// of one build reports it, and a store's SHARD file pins it. A change that
+// moves any certificate to another slice (the hash, the vnodes, the names
+// CertOwners keys on) bumps it in the same diff: stores pinned under the old
+// epoch then refuse to open and are rebuilt by re-ingesting the log.
+const Epoch = 1
+
 // maxRingPoints bounds shards × vnodes (16 MiB of points): a shard map is a
 // document other processes hand us, and one mistyped or hostile vnodes value
 // must be refused, not allocated.

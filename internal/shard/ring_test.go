@@ -116,11 +116,11 @@ func TestCertOwnersCoRouteWithDomain(t *testing.T) {
 		if len(owners) != 1 || owners[0] != want {
 			t.Fatalf("cert for %s owned by %v, domain routes to %d", domain, owners, want)
 		}
-		if !KeepFunc(r, list, want)(cert) {
+		if !KeepFunc(Assignment{Index: want, Count: shards}, list)(cert) {
 			t.Fatalf("KeepFunc(%d) rejected %s's certificate", want, domain)
 		}
 		for idx := 0; idx < shards; idx++ {
-			if idx != want && KeepFunc(r, list, idx)(cert) {
+			if idx != want && KeepFunc(Assignment{Index: idx, Count: shards}, list)(cert) {
 				t.Fatalf("KeepFunc(%d) kept %s's certificate owned by %d", idx, domain, want)
 			}
 		}
@@ -191,7 +191,8 @@ func TestAssignmentParsing(t *testing.T) {
 	if err != nil || a.Index != 2 || a.Count != 5 {
 		t.Fatalf("ParseAssignment(2/5) = %+v, %v", a, err)
 	}
-	for _, bad := range []string{"", "3", "5/5", "-1/3", "a/b", "1/0"} {
+	// 0/9000: 9 000 slices x DefaultVNodes is past the ring-point bound.
+	for _, bad := range []string{"", "3", "5/5", "-1/3", "a/b", "1/0", "0/9000"} {
 		if _, err := ParseAssignment(bad); err == nil {
 			t.Errorf("ParseAssignment(%q) accepted", bad)
 		}
@@ -199,25 +200,30 @@ func TestAssignmentParsing(t *testing.T) {
 }
 
 func TestMapValidateAndAgrees(t *testing.T) {
-	m := NewMap(3, 64, []string{"http://a", "http://b"})
+	m := NewMap([][]string{{"http://a"}, {"http://b"}})
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Ring(); err != nil {
 		t.Fatal(err)
 	}
-	self := Self{Version: MapVersion, Epoch: 3, Hash: HashName, VNodes: 64,
-		Shard: Assignment{Index: 1, Count: 2}}
+	self := NewSelf(&Assignment{Index: 1, Count: 2}, 0)
 	if err := m.Agrees(1, self); err != nil {
 		t.Fatalf("consistent self-report rejected: %v", err)
 	}
-	for name, bad := range map[string]Self{
-		"epoch":  {Version: MapVersion, Epoch: 4, Hash: HashName, VNodes: 64, Shard: Assignment{1, 2}},
-		"hash":   {Version: MapVersion, Epoch: 3, Hash: "md5", VNodes: 64, Shard: Assignment{1, 2}},
-		"vnodes": {Version: MapVersion, Epoch: 3, Hash: HashName, VNodes: 65, Shard: Assignment{1, 2}},
-		"slice":  {Version: MapVersion, Epoch: 3, Hash: HashName, VNodes: 64, Shard: Assignment{0, 2}},
-		"count":  {Version: MapVersion, Epoch: 3, Hash: HashName, VNodes: 64, Shard: Assignment{1, 3}},
+	if err := NewMap([][]string{{"http://a"}}).Agrees(0, NewSelf(nil, 0)); err != nil {
+		t.Fatalf("whole-keyspace self-report rejected by a one-slice map: %v", err)
+	}
+	for name, edit := range map[string]func(*Self){
+		"version": func(s *Self) { s.Version++ },
+		"epoch":   func(s *Self) { s.Epoch++ },
+		"hash":    func(s *Self) { s.Hash = "md5" },
+		"vnodes":  func(s *Self) { s.VNodes++ },
+		"slice":   func(s *Self) { s.Shard = Assignment{0, 2} },
+		"count":   func(s *Self) { s.Shard = Assignment{1, 3} },
 	} {
+		bad := self
+		edit(&bad)
 		if err := m.Agrees(1, bad); err == nil {
 			t.Errorf("mismatched %s accepted", name)
 		}

@@ -19,7 +19,8 @@ type Assignment struct {
 // String renders the canonical "i/N" form (the -shard flag syntax).
 func (a Assignment) String() string { return fmt.Sprintf("%d/%d", a.Index, a.Count) }
 
-// Validate checks the assignment names a real slice.
+// Validate checks the assignment names a real slice of a ring NewRing would
+// build with DefaultVNodes.
 func (a Assignment) Validate() error {
 	if a.Count <= 0 {
 		return fmt.Errorf("shard: assignment %s: count must be >= 1", a)
@@ -27,7 +28,7 @@ func (a Assignment) Validate() error {
 	if a.Index < 0 || a.Index >= a.Count {
 		return fmt.Errorf("shard: assignment %s: index out of range [0,%d)", a, a.Count)
 	}
-	return nil
+	return checkRingSize(a.Count, DefaultVNodes)
 }
 
 // ParseAssignment parses the -shard flag's "i/N" form.
@@ -82,27 +83,11 @@ type Map struct {
 	Shards  []Member `json:"shards"`
 }
 
-// NewMap builds an epoch's map over the given shard base URLs, in ring-index
-// order.
-func NewMap(epoch uint64, vnodes int, addrs []string) Map {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	m := Map{Version: MapVersion, Epoch: epoch, Hash: HashName, VNodes: vnodes}
-	for i, a := range addrs {
-		m.Shards = append(m.Shards, Member{Index: i, Addr: a})
-	}
-	return m
-}
-
-// NewReplicatedMap builds an epoch's map where each slice is served by a
-// replica group (one or more base URLs), in ring-index order. Single-address
-// groups degenerate to the NewMap wire form.
-func NewReplicatedMap(epoch uint64, vnodes int, groups [][]string) Map {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	m := Map{Version: MapVersion, Epoch: epoch, Hash: HashName, VNodes: vnodes}
+// NewMap builds this build's map (Epoch, HashName, DefaultVNodes) where each
+// slice is served by a replica group of one or more base URLs, in ring-index
+// order. A single-address group uses the addr-only wire form.
+func NewMap(groups [][]string) Map {
+	m := Map{Version: MapVersion, Epoch: Epoch, Hash: HashName, VNodes: DefaultVNodes}
 	for i, g := range groups {
 		mem := Member{Index: i}
 		if len(g) > 0 {
@@ -174,7 +159,7 @@ func (m Map) Ring() (*Ring, error) {
 }
 
 // Self is the shard-map view one replica serves at /v1/shardmap: the ring
-// parameters it was started with, its own slice, and its live certificate
+// parameters it was built with, its own slice, and its live certificate
 // count (so an operator — or a CI smoke — can check that the fleet's slices
 // sum to the log without overlap).
 type Self struct {
@@ -184,6 +169,17 @@ type Self struct {
 	VNodes  int        `json:"vnodes"`
 	Shard   Assignment `json:"shard"`
 	Certs   int        `json:"certs"`
+}
+
+// NewSelf is the view of a replica holding slice a and certs certificates;
+// a nil slice is the whole keyspace, slice 0/1.
+func NewSelf(a *Assignment, certs int) Self {
+	s := Self{Version: MapVersion, Epoch: Epoch, Hash: HashName, VNodes: DefaultVNodes,
+		Shard: Assignment{Index: 0, Count: 1}, Certs: certs}
+	if a != nil {
+		s.Shard = *a
+	}
+	return s
 }
 
 // Agrees reports whether a replica's self-report is consistent with this map

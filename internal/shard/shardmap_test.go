@@ -7,7 +7,7 @@ import (
 )
 
 func TestReplicatedMapValidate(t *testing.T) {
-	m := NewReplicatedMap(7, 64, [][]string{
+	m := NewMap([][]string{
 		{"http://a0", "http://a1"},
 		{"http://b0", "http://b1"},
 	})
@@ -23,7 +23,7 @@ func TestReplicatedMapValidate(t *testing.T) {
 		t.Fatalf("Addr = %q, want first replica", m.Shards[1].Addr)
 	}
 
-	single := NewReplicatedMap(7, 64, [][]string{{"http://a"}, {"http://b"}})
+	single := NewMap([][]string{{"http://a"}, {"http://b"}})
 	if err := single.Validate(); err != nil {
 		t.Fatalf("single-replica groups rejected: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestReplicatedMapValidateRejections(t *testing.T) {
 		},
 	}
 	for name, tc := range cases {
-		m := NewReplicatedMap(1, 64, tc.groups)
+		m := NewMap(tc.groups)
 		err := m.Validate()
 		if err == nil {
 			t.Errorf("%s: accepted", name)
@@ -76,12 +76,11 @@ func TestReplicatedMapValidateRejections(t *testing.T) {
 }
 
 func TestReplicatedAgrees(t *testing.T) {
-	m := NewReplicatedMap(9, 64, [][]string{
+	m := NewMap([][]string{
 		{"http://a0", "http://a1"},
 		{"http://b0", "http://b1"},
 	})
-	ok := Self{Version: MapVersion, Epoch: 9, Hash: HashName, VNodes: 64,
-		Shard: Assignment{Index: 1, Count: 2}}
+	ok := NewSelf(&Assignment{Index: 1, Count: 2}, 0)
 	// Both replicas of slice 1 report the same slice; both must agree.
 	for replica := 0; replica < 2; replica++ {
 		if err := m.Agrees(1, ok); err != nil {
@@ -92,7 +91,7 @@ func TestReplicatedAgrees(t *testing.T) {
 	// Mixed-epoch replica set: one replica restarted into the next epoch
 	// must be rejected even though its slice assignment is right.
 	stale := ok
-	stale.Epoch = 10
+	stale.Epoch = Epoch + 1
 	if err := m.Agrees(1, stale); err == nil {
 		t.Error("mixed-epoch replica accepted")
 	}
@@ -113,7 +112,7 @@ func TestReplicatedAgrees(t *testing.T) {
 }
 
 func TestReplicatedMapJSONRoundTrip(t *testing.T) {
-	m := NewReplicatedMap(3, 128, [][]string{
+	m := NewMap([][]string{
 		{"http://a0", "http://a1"},
 		{"http://b"},
 	})

@@ -50,7 +50,6 @@ type Server struct {
 	now      func() simtime.Day
 	cache    *lru.Cache
 	health   *obs.Health
-	shard    shard.Self
 
 	// evMu guards evErr, the most recent evidence outcome backing
 	// EvidenceProbe.
@@ -72,10 +71,6 @@ type Config struct {
 	// Health backs /healthz and /readyz on the API listener; defaults to
 	// obs.DefaultHealth() so the daemon's probes show on both ports.
 	Health *obs.Health
-	// Shard is this replica's ring slice, served at /v1/shardmap with the
-	// live certificate count filled in per request. Nil means the whole
-	// keyspace: the default 0/1 assignment an unsharded daemon reports.
-	Shard *shard.Self
 }
 
 // NewCache is lru.New under staleapid's metric names, the constructor the
@@ -99,21 +94,12 @@ func NewServer(cfg Config) *Server {
 	if cfg.Health == nil {
 		cfg.Health = obs.DefaultHealth()
 	}
-	if cfg.Shard == nil {
-		cfg.Shard = &shard.Self{
-			Version: shard.MapVersion,
-			Hash:    shard.HashName,
-			VNodes:  shard.DefaultVNodes,
-			Shard:   shard.Assignment{Index: 0, Count: 1},
-		}
-	}
 	return &Server{
 		store:    cfg.Store,
 		evidence: cfg.Evidence,
 		now:      cfg.Now,
 		cache:    lru.New("staleapi", cfg.CacheEntries, cfg.CacheTTL),
 		health:   cfg.Health,
-		shard:    *cfg.Shard,
 	}
 }
 
@@ -346,9 +332,7 @@ func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShardmap(w http.ResponseWriter, _ *http.Request) {
-	self := s.shard
-	self.Certs = s.store.Len()
-	obs.WriteJSON(w, http.StatusOK, self)
+	obs.WriteJSON(w, http.StatusOK, shard.NewSelf(s.store.Slice(), s.store.Len()))
 }
 
 // domainParam canonicalises and validates the e2LD path segment.

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"stalecert/internal/certstore"
 	"stalecert/internal/obs"
 	"stalecert/internal/shard"
 )
@@ -81,12 +82,21 @@ func TestDomainsEndpoint(t *testing.T) {
 	}
 }
 
+// TestShardmapEndpoint: a replica reports the slice its store holds with the
+// ring of this build, and an unsharded replica reports the whole keyspace in
+// a form a one-slice gateway map agrees with.
 func TestShardmapEndpoint(t *testing.T) {
-	store, certs := newTestStore(t)
-	self := &shard.Self{Version: shard.MapVersion, Epoch: 7, Hash: shard.HashName,
-		VNodes: shard.DefaultVNodes, Shard: shard.Assignment{Index: 1, Count: 3}}
-	srv := NewServer(Config{Store: store, Health: obs.NewHealth(), Shard: self})
-	ts := httptest.NewServer(srv.Handler())
+	slice := &shard.Assignment{Index: 1, Count: 3}
+	pinned, err := certstore.Open(certstore.Options{Dir: t.TempDir(), Slice: slice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinned.Close()
+	_, certs := newTestStore(t)
+	if _, err := pinned.Append(certs); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(Config{Store: pinned, Health: obs.NewHealth()}).Handler())
 	defer ts.Close()
 
 	resp, body := get(t, ts, "/v1/shardmap")
@@ -97,13 +107,16 @@ func TestShardmapEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 7 || got.Shard != (shard.Assignment{Index: 1, Count: 3}) || got.Certs != len(certs) {
-		t.Fatalf("shardmap = %+v, want epoch 7 slice 1/3 certs %d", got, len(certs))
+	if got.Epoch != shard.Epoch || got.Shard != *slice || got.Certs != len(certs) {
+		t.Fatalf("shardmap = %+v, want epoch %d slice 1/3 certs %d", got, shard.Epoch, len(certs))
+	}
+	if err := shard.NewMap([][]string{{"http://a"}, {ts.URL}, {"http://c"}}).Agrees(1, got); err != nil {
+		t.Fatalf("a 3-slice map disagrees with slice 1's report: %v", err)
 	}
 
 	// An unsharded server reports the whole keyspace: slice 0/1.
-	plain := NewServer(Config{Store: store, Health: obs.NewHealth()})
-	tp := httptest.NewServer(plain.Handler())
+	store, _ := newTestStore(t)
+	tp := httptest.NewServer(NewServer(Config{Store: store, Health: obs.NewHealth()}).Handler())
 	defer tp.Close()
 	_, body = get(t, tp, "/v1/shardmap")
 	if err := json.Unmarshal(body, &got); err != nil {
@@ -111,5 +124,8 @@ func TestShardmapEndpoint(t *testing.T) {
 	}
 	if got.Shard != (shard.Assignment{Index: 0, Count: 1}) || got.Version != shard.MapVersion {
 		t.Fatalf("unsharded shardmap = %+v, want slice 0/1", got)
+	}
+	if err := shard.NewMap([][]string{{tp.URL}}).Agrees(0, got); err != nil {
+		t.Fatalf("a one-slice map disagrees with an unsharded replica: %v", err)
 	}
 }

@@ -45,7 +45,7 @@ func benchGateway(b *testing.B, slices int, cfg Config) http.Handler {
 	opts := resil.Options{Service: "stalegw", Breaker: resil.NewBreakerSet(resil.BreakerConfig{Service: "stalegw"})}
 	hc := resil.NewHTTPClient(opts)
 	b.Cleanup(hc.CloseIdleConnections)
-	cfg.Map = shard.NewReplicatedMap(1, shard.DefaultVNodes, groups)
+	cfg.Map = shard.NewMap(groups)
 	cfg.Client = hc
 	cfg.CacheTTL = time.Nanosecond
 	cfg.HedgeAfter = 30 * time.Millisecond

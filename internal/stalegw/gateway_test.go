@@ -55,17 +55,17 @@ func newFakeShard(t *testing.T, idx, count int, epoch uint64, wire func(mux *htt
 func newFleet(t *testing.T, n int, cfg Config, wire func(idx int, mux *http.ServeMux)) ([]*fakeShard, *Gateway) {
 	t.Helper()
 	shards := make([]*fakeShard, n)
-	addrs := make([]string, n)
+	groups := make([][]string, n)
 	for i := range shards {
 		i := i
-		shards[i] = newFakeShard(t, i, n, 1, func(mux *http.ServeMux) {
+		shards[i] = newFakeShard(t, i, n, shard.Epoch, func(mux *http.ServeMux) {
 			if wire != nil {
 				wire(i, mux)
 			}
 		})
-		addrs[i] = shards[i].ts.URL
+		groups[i] = []string{shards[i].ts.URL}
 	}
-	cfg.Map = shard.NewMap(1, shard.DefaultVNodes, addrs)
+	cfg.Map = shard.NewMap(groups)
 	cfg.Health = obs.NewHealth()
 	gw, err := New(cfg)
 	if err != nil {
@@ -332,9 +332,9 @@ func TestQuorumReadiness(t *testing.T) {
 	}
 
 	// A mis-mapped replica (wrong epoch) is down even though it's serving.
-	wrong := newFakeShard(t, 0, 2, 99, nil)
-	right := newFakeShard(t, 1, 2, 1, nil)
-	m := shard.NewMap(1, shard.DefaultVNodes, []string{wrong.ts.URL, right.ts.URL})
+	wrong := newFakeShard(t, 0, 2, shard.Epoch+1, nil)
+	right := newFakeShard(t, 1, 2, shard.Epoch, nil)
+	m := shard.NewMap([][]string{{wrong.ts.URL}, {right.ts.URL}})
 	gw2, err := New(Config{Map: m, Health: obs.NewHealth(), Quorum: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func newReplicatedFleet(t *testing.T, n, reps int, cfg Config, wire func(slice, 
 	for i := range shards {
 		for r := 0; r < reps; r++ {
 			i, r := i, r
-			f := newFakeShard(t, i, n, 1, func(mux *http.ServeMux) {
+			f := newFakeShard(t, i, n, shard.Epoch, func(mux *http.ServeMux) {
 				if wire != nil {
 					wire(i, r, mux)
 				}
@@ -382,7 +382,7 @@ func newReplicatedFleet(t *testing.T, n, reps int, cfg Config, wire func(slice, 
 			groups[i] = append(groups[i], f.ts.URL)
 		}
 	}
-	cfg.Map = shard.NewReplicatedMap(1, shard.DefaultVNodes, groups)
+	cfg.Map = shard.NewMap(groups)
 	cfg.Health = obs.NewHealth()
 	gw, err := New(cfg)
 	if err != nil {
