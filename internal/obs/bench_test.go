@@ -22,7 +22,7 @@ func (w *discardWriter) WriteHeader(int)             {}
 func productionLogger(tb testing.TB) {
 	tb.Helper()
 	prev, prevLevel := slog.Default(), LogLevel()
-	setupLogger(io.Discard, "text", "info")
+	SetupLogger(io.Discard, "text", "info")
 	tb.Cleanup(func() {
 		slog.SetDefault(prev)
 		SetLogLevel(prevLevel)
@@ -63,18 +63,33 @@ func (stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: http.NoBody, Request: req}, nil
 }
 
-// Allocation ceilings for the two per-request instrumentation paths, a few
-// above what they cost today (29 and 18; the race detector adds two): a
-// change that reintroduces label formatting, boxed log arguments, a second
-// request clone or a lower-cased level per record fails here before it shows
-// up as a slower fleet.
+// Allocation ceilings for the per-request instrumentation paths, two above
+// what they cost today (10, 10 and 9; the race detector adds two): a change
+// that reintroduces label formatting, boxed log arguments, a slog.Record on
+// the text path, a second request clone or a lower-cased level per record
+// fails here before it shows up as a slower fleet. The traced row is the
+// replica side of every gateway hop: the request carries a traceparent.
 func TestInstrumentationAllocCeilings(t *testing.T) {
 	productionLogger(t)
 	h := middlewareUnderTest(NewRegistry())
 	w := &discardWriter{h: http.Header{}}
 	sreq := httptest.NewRequest(http.MethodGet, "/v1/domain/example.com/staleness", nil)
-	if got := testing.AllocsPerRun(2000, func() { h.ServeHTTP(w, sreq) }); got > 31 {
-		t.Errorf("one Middleware request allocates %.0f times, ceiling 31", got)
+	if got := testing.AllocsPerRun(2000, func() { h.ServeHTTP(w, sreq) }); got > 12 {
+		t.Errorf("one Middleware request allocates %.0f times, ceiling 12", got)
+	}
+	// A trace ID per request, as on a gateway hop: one repeated would pile
+	// every request's span into a single kept trace.
+	traced := make([]*http.Request, 2001)
+	for i := range traced {
+		traced[i] = httptest.NewRequest(http.MethodGet, "/v1/domain/example.com/staleness", nil)
+		traced[i].Header.Set(TraceHeader, NewRequestID().String())
+	}
+	next := 0
+	if got := testing.AllocsPerRun(2000, func() {
+		h.ServeHTTP(w, traced[next])
+		next++
+	}); got > 12 {
+		t.Errorf("one Middleware request with a traceparent allocates %.0f times, ceiling 12", got)
 	}
 
 	tr := &Transport{Base: stubTransport{}, Registry: NewRegistry(), Service: "bench"}
@@ -86,7 +101,27 @@ func TestInstrumentationAllocCeilings(t *testing.T) {
 		if _, err := tr.RoundTrip(creq); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 22 {
-		t.Errorf("one obs.Transport round trip allocates %.0f times, ceiling 22", got)
+	}); got > 11 {
+		t.Errorf("one obs.Transport round trip allocates %.0f times, ceiling 11", got)
+	}
+}
+
+// A warm registry lookup by label pairs allocates nothing: the variadic
+// label slice stays on the caller's stack.
+func TestWarmLookupAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	for _, c := range []struct {
+		name string
+		look func()
+	}{
+		{"one pair", func() { reg.Counter("one_total", "service", "svc").Inc() }},
+		{"three pairs", func() {
+			reg.Histogram("three_seconds", nil, "service", "svc", "route", "/r", "code", "2xx").Observe(1)
+		}},
+	} {
+		c.look()
+		if got := testing.AllocsPerRun(1000, c.look); got != 0 {
+			t.Errorf("%s: a warm lookup allocates %.0f times, want 0", c.name, got)
+		}
 	}
 }

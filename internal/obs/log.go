@@ -7,37 +7,33 @@ import (
 	"log/slog"
 	"os"
 	"strings"
+	"sync"
 	"time"
 )
 
-// SetupLogger builds a slog logger writing to stderr in the given format
-// ("text" or "json") at the given level ("debug", "info", "warn", "error"),
-// installs it as the slog default, and returns it. The level is backed by
-// the process-wide slog.LevelVar, so PUT /v1/loglevel retargets a live
-// daemon, and the handler tees every record into the process log ring
-// (DefaultLogRing) for /v1/logs. Unknown values fall back to text/info with
-// a warning naming the bad value and the fallback.
-func SetupLogger(format, level string) *slog.Logger {
-	return setupLogger(os.Stderr, format, level)
-}
-
-// setupLogger is SetupLogger with an injectable sink (tests capture the
-// warning output).
-func setupLogger(w io.Writer, format, level string) *slog.Logger {
+// SetupLogger builds a slog logger writing to w (stderr in the daemons) in
+// the given format ("text" or "json") at the given level ("debug", "info",
+// "warn", "error"), installs it as the slog default, and returns it. The
+// level is backed by the process-wide slog.LevelVar, so PUT /v1/loglevel
+// retargets a live daemon, and the handler tees every record into the
+// process log ring (DefaultLogRing) for /v1/logs. Unknown values fall back
+// to text/info with a warning naming the bad value and the fallback.
+func SetupLogger(w io.Writer, format, level string) *slog.Logger {
 	lv, levelOK := parseLevelName(level)
 	if !levelOK {
 		lv = slog.LevelInfo
 	}
 	logLevel.Set(lv)
 	opts := &slog.HandlerOptions{Level: &logLevel}
-	var h slog.Handler
+	tee := &teeHandler{}
 	f := strings.ToLower(format)
 	if f == "json" {
-		h = slog.NewJSONHandler(w, opts)
+		tee.inner = slog.NewJSONHandler(w, opts)
 	} else {
-		h = slog.NewTextHandler(w, opts)
+		tee.text = &lockedWriter{w: w}
+		tee.inner = slog.NewTextHandler(tee.text, opts)
 	}
-	l := slog.New(NewTeeHandler(h, nil))
+	l := slog.New(tee)
 	slog.SetDefault(l)
 	if !levelOK {
 		l.Warn("unknown -log-level, falling back", "value", level, "fallback", "info")
@@ -46,6 +42,21 @@ func setupLogger(w io.Writer, format, level string) *slog.Logger {
 		l.Warn("unknown -log-format, falling back", "value", format, "fallback", "text")
 	}
 	return l
+}
+
+// lockedWriter serialises writes to a log sink: slog's text handler and
+// Middleware's access-log encoder each write whole lines through it, so
+// lines never interleave. buf is the encoder's line, reused under mu.
+type lockedWriter struct {
+	mu  sync.Mutex
+	w   io.Writer
+	buf []byte
+}
+
+func (l *lockedWriter) Write(b []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(b)
 }
 
 // parseLevelName maps the -log-level flag values to slog levels, reporting
@@ -127,7 +138,7 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 // stop func gracefully shuts the debug server down and stops the SLO engine
 // (no-op when disabled).
 func (f *Flags) Setup(component string) (*slog.Logger, func(context.Context) error) {
-	logger := SetupLogger(f.LogFormat, f.LogLevel).With("component", component)
+	logger := SetupLogger(os.Stderr, f.LogFormat, f.LogLevel).With("component", component)
 	if f.LogBuffer > 0 {
 		SetDefaultLogRing(NewLogRing(f.LogBuffer))
 	} else {

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// restoreLogging saves the process-wide logging state mutated by setupLogger
+// restoreLogging saves the process-wide logging state mutated by SetupLogger
 // (default logger + LevelVar) and restores it when the test ends.
 func restoreLogging(t *testing.T) {
 	t.Helper()
@@ -22,7 +22,7 @@ func restoreLogging(t *testing.T) {
 func TestSetupLoggerKnownValues(t *testing.T) {
 	restoreLogging(t)
 	var buf bytes.Buffer
-	setupLogger(&buf, "json", "warn")
+	SetupLogger(&buf, "json", "warn")
 	if LogLevel() != slog.LevelWarn {
 		t.Errorf("level = %v, want warn", LogLevel())
 	}
@@ -38,7 +38,7 @@ func TestSetupLoggerKnownValues(t *testing.T) {
 func TestSetupLoggerUnknownLevelWarns(t *testing.T) {
 	restoreLogging(t)
 	var buf bytes.Buffer
-	setupLogger(&buf, "text", "verbose")
+	SetupLogger(&buf, "text", "verbose")
 	out := buf.String()
 	if !strings.Contains(out, "unknown -log-level, falling back") {
 		t.Fatalf("no warning for unknown level: %q", out)
@@ -54,7 +54,7 @@ func TestSetupLoggerUnknownLevelWarns(t *testing.T) {
 func TestSetupLoggerUnknownFormatWarns(t *testing.T) {
 	restoreLogging(t)
 	var buf bytes.Buffer
-	setupLogger(&buf, "yaml", "info")
+	SetupLogger(&buf, "yaml", "info")
 	out := buf.String()
 	if !strings.Contains(out, "unknown -log-format, falling back") {
 		t.Fatalf("no warning for unknown format: %q", out)
@@ -72,7 +72,7 @@ func TestSetupLoggerUnknownFormatWarns(t *testing.T) {
 func TestSetupLoggerUnknownBothWarnTwice(t *testing.T) {
 	restoreLogging(t)
 	var buf bytes.Buffer
-	setupLogger(&buf, "xml", "chatty")
+	SetupLogger(&buf, "xml", "chatty")
 	out := buf.String()
 	if !strings.Contains(out, "unknown -log-level, falling back") ||
 		!strings.Contains(out, "unknown -log-format, falling back") {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -173,12 +174,7 @@ func NewLogRing(capacity int) *LogRing {
 	return &LogRing{buf: make([]LogRecord, capacity)}
 }
 
-func (r *LogRing) reg() *Registry {
-	if r.Registry != nil {
-		return r.Registry
-	}
-	return Default()
-}
+func (r *LogRing) reg() *Registry { return cmp.Or(r.Registry, Default()) }
 
 // Append stores one record, assigning its sequence number and evicting the
 // oldest record at capacity, and counts it in log_records_total.
@@ -335,13 +331,7 @@ func DefaultLogRing() *LogRing { return defaultLogRing.Load() }
 
 // SetDefaultLogRing replaces the process-wide log ring; nil disables ring
 // buffering (stderr logging is unaffected).
-func SetDefaultLogRing(r *LogRing) {
-	if r == nil {
-		defaultLogRing.Store(nil)
-		return
-	}
-	defaultLogRing.Store(r)
-}
+func SetDefaultLogRing(r *LogRing) { defaultLogRing.Store(r) }
 
 // logLevel is the process-wide level gate shared by the stderr handler and
 // the ring tee; PUT /v1/loglevel retargets it live.
@@ -362,6 +352,9 @@ type teeHandler struct {
 	ring   *LogRing
 	attrs  []slog.Attr // pre-flattened WithAttrs chain (group-qualified keys)
 	groups []string
+	// text is inner's sink when inner is SetupLogger's text handler and there
+	// are no attrs or groups: Middleware then writes its line (logAccess).
+	text *lockedWriter
 }
 
 // NewTeeHandler wraps inner so every handled record is also appended to ring
@@ -413,11 +406,7 @@ func walkAttr(prefix string, a slog.Attr, leaf func(key string, v slog.Value)) {
 }
 
 func (h *teeHandler) Handle(ctx context.Context, rec slog.Record) error {
-	ring := h.ring
-	if ring == nil {
-		ring = DefaultLogRing()
-	}
-	if ring != nil {
+	if ring := cmp.Or(h.ring, DefaultLogRing()); ring != nil {
 		lr := LogRecord{
 			Time:  rec.Time,
 			Level: rec.Level.String(),

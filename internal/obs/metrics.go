@@ -8,6 +8,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math"
@@ -170,11 +171,11 @@ type metric struct {
 }
 
 // Registry is a set of named metrics. Looking up a series that was looked up
-// before with the same arguments is one lock-free map read — no label string
-// is built and no lock taken, so per-request call sites need no handle
-// caching of their own; updates on the returned instruments are pure
-// atomics. The zero value is not usable; construct with NewRegistry (or use
-// Default).
+// before with the same arguments is one lock-free map read — no label set is
+// rendered, nothing allocated and no lock taken, so per-request call sites
+// need no handle caching of their own; updates on the returned instruments
+// are pure atomics. The zero value is not usable; construct with NewRegistry
+// (or use Default).
 type Registry struct {
 	mu       sync.RWMutex
 	metrics  map[string]*metric // by family + rendered label set
@@ -184,19 +185,22 @@ type Registry struct {
 	// rendering them. Copy-on-write under mu — the key space is the call
 	// sites' bounded label values — and dropped by Reset together with the
 	// series, so a hit can never return a handle Snapshot no longer lists.
-	byArgs atomic.Pointer[map[seriesKey]*metric]
+	byArgs atomic.Pointer[map[string]*metric]
+	// gen counts Resets, so a caller that keeps handles (Middleware's route
+	// handles) can tell when they name series Snapshot no longer lists.
+	gen atomic.Uint64
 }
 
-// seriesKey is a lookup's arguments, uninterpreted: label pairs in another
-// order name the same series under another key.
-type seriesKey struct {
-	family string
-	pairs  [2 * maxKeyedLabels]string
+// appendArgs appends a lookup's arguments as byArgs keys them, uninterpreted
+// (label pairs in another order name the same series under another key):
+// each string length-prefixed, so no two argument lists share a key.
+func appendArgs(b []byte, family string, labelPairs []string) []byte {
+	b = append(binary.AppendUvarint(b, uint64(len(family))), family...)
+	for _, s := range labelPairs {
+		b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	return b
 }
-
-// maxKeyedLabels is the most label pairs a lookup can have and still be
-// resolved by argument; no instrumented call site passes more.
-const maxKeyedLabels = 3
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -236,14 +240,13 @@ func (r *Registry) Histogram(name string, bounds []float64, labelPairs ...string
 }
 
 func (r *Registry) lookup(family string, kind Kind, bounds []float64, labelPairs []string) *metric {
-	key := seriesKey{family: family}
-	keyed := len(labelPairs) <= len(key.pairs)
-	if keyed {
-		copy(key.pairs[:], labelPairs)
-		if byArgs := r.byArgs.Load(); byArgs != nil {
-			if m, ok := (*byArgs)[key]; ok {
-				return m.mustBe(kind)
-			}
+	// Indexing the map with string(key) copies nothing: a warm lookup
+	// allocates only when its arguments outgrow buf.
+	var buf [128]byte
+	key := appendArgs(buf[:0], family, labelPairs)
+	if byArgs := r.byArgs.Load(); byArgs != nil {
+		if m, ok := (*byArgs)[string(key)]; ok {
+			return m.mustBe(kind)
 		}
 	}
 
@@ -272,13 +275,11 @@ func (r *Registry) lookup(family string, kind Kind, bounds []float64, labelPairs
 		r.families[family] = kind
 	}
 	m.mustBe(kind)
-	if keyed {
-		next := map[seriesKey]*metric{key: m}
-		if byArgs := r.byArgs.Load(); byArgs != nil {
-			maps.Copy(next, *byArgs)
-		}
-		r.byArgs.Store(&next)
+	next := map[string]*metric{string(key): m}
+	if byArgs := r.byArgs.Load(); byArgs != nil {
+		maps.Copy(next, *byArgs)
 	}
+	r.byArgs.Store(&next)
 	return m
 }
 
@@ -388,4 +389,5 @@ func (r *Registry) Reset() {
 	r.families = make(map[string]Kind)
 	r.hooks = nil
 	r.byArgs.Store(nil)
+	r.gen.Add(1)
 }

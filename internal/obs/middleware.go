@@ -1,12 +1,14 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -42,10 +44,7 @@ func SetServerChaosLatency(d time.Duration, rate float64) {
 		serverChaosCfg.Store(nil)
 		return
 	}
-	if rate > 1 {
-		rate = 1
-	}
-	serverChaosCfg.Store(&serverChaos{latency: d, rate: rate})
+	serverChaosCfg.Store(&serverChaos{latency: d, rate: min(rate, 1)})
 }
 
 // Middleware wraps an HTTP handler with the per-request observability every
@@ -83,27 +82,31 @@ func Middleware(reg *Registry, service string, next http.Handler) http.Handler {
 // resolves DefaultSpans per request (tests and fleet simulations pass
 // private stores).
 func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.Handler) http.Handler {
-	if reg == nil {
-		reg = Default()
-	}
+	reg = cmp.Or(reg, Default())
 	inFlight := reg.Gauge("http_in_flight_requests", "service", service)
 	panics := reg.Counter("http_panics_total", "service", service)
+	var routes sync.Map // ServeMux pattern → *routeHandles
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		parentSpan := ""
-		id, ok := ParseTraceparent(r.Header.Get(TraceHeader))
+		in := r.Header.Get(TraceHeader)
+		id, ok := ParseTraceparent(in)
 		if ok {
 			// The incoming span ID is the caller's client span: it parents
 			// this hop's server span, which gets a fresh span ID of its own.
-			parentSpan = id.Span()
+			// ToLower returns the header's own bytes when they are already
+			// id.Span()'s lower-case hex.
+			parentSpan = strings.ToLower(in[36:52])
 			id = id.Child()
 		} else {
 			id = NewRequestID()
 		}
-		r = r.WithContext(ContextWithRequestID(r.Context(), id))
-		w.Header().Set(TraceHeader, id.String())
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, ctx: requestIDContext{r.Context(), id}}
+		r = r.WithContext(&sw.ctx)
+		tp := id.String()
+		trace, spanID := tp[3:35], tp[36:52]
+		w.Header().Set(TraceHeader, tp)
 
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		inFlight.Add(1)
 		defer func() {
 			inFlight.Add(-1)
@@ -116,7 +119,7 @@ func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.
 				sw.status = http.StatusInternalServerError
 				spanErr = fmt.Sprintf("panic: %v", rec)
 				slog.Error("handler panic", "service", service, "method", r.Method,
-					"path", r.URL.Path, "request_id", id.Trace(),
+					"path", r.URL.Path, "request_id", trace,
 					"panic", rec, "stack", string(debug.Stack()))
 				// Crash black box: snapshot profiles + the log ring (which now
 				// ends with the record above) into the capture directory.
@@ -124,46 +127,53 @@ func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.
 					c.TriggerAsync("panic-" + service)
 				}
 			}
-			elapsed := time.Since(start)
-			route := routeLabel(r)
-			trace := id.Trace()
-			reg.Counter("http_requests_total", "service", service, "route", route, "code", statusClass(sw.status)).Inc()
-
-			st := spans
-			if st == nil {
-				st = DefaultSpans()
+			end := time.Now()
+			elapsed := end.Sub(start)
+			rt := routeFor(&routes, reg, service, r)
+			code := min(max(sw.status/100, 0), len(rt.codes)-1)
+			requests := rt.codes[code].Load()
+			if requests == nil {
+				requests = reg.Counter("http_requests_total", "service", service, "route", rt.route,
+					"code", statusClass(sw.status))
+				rt.codes[code].Store(requests)
 			}
-			kept := st.RecordRoot(SpanRecord{
+			requests.Inc()
+			span := rt.span
+			if r.Method != rt.method {
+				span = r.Method + " " + rt.route
+			}
+
+			kept := cmp.Or(spans, DefaultSpans()).RecordRoot(SpanRecord{
 				TraceID:  trace,
-				SpanID:   id.Span(),
+				SpanID:   spanID,
 				ParentID: parentSpan,
 				Service:  service,
-				Name:     r.Method + " " + route,
+				Name:     span,
 				Kind:     SpanServer,
 				Start:    start,
 				Duration: elapsed,
-				Route:    route,
+				Route:    rt.route,
 				Status:   sw.status,
 				Err:      spanErr,
 			})
-			hist := reg.Histogram("http_request_seconds", nil, "service", service, "route", route)
 			if kept {
-				hist.ObserveExemplar(elapsed.Seconds(), trace)
+				rt.latency.ObserveExemplar(elapsed.Seconds(), trace)
 			} else {
-				hist.Observe(elapsed.Seconds())
+				rt.latency.Observe(elapsed.Seconds())
 			}
 			// Straight to the handler with pc 0, slog's pattern for wrappers:
 			// no runtime.Callers walk for a source no handler here prints.
 			ctx := context.Background()
 			if h := slog.Default().Handler(); h.Enabled(ctx, slog.LevelInfo) {
-				rec := slog.NewRecord(time.Now(), slog.LevelInfo, "http request", 0)
-				rec.AddAttrs(
-					slog.String("service", service), slog.String("method", r.Method),
-					slog.String("route", route), slog.String("path", r.URL.Path),
-					slog.Int("status", sw.status), slog.Int64("bytes", sw.bytes),
-					slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
-					slog.String("remote", r.RemoteAddr), slog.String("request_id", trace))
-				_ = h.Handle(ctx, rec) // as slog.Logger does, a handler's error is dropped
+				a := &accessLog{time: end, service: service, method: r.Method,
+					route: rt.route, path: r.URL.Path, remote: r.RemoteAddr, requestID: trace,
+					status: sw.status, bytes: sw.bytes,
+					durationMS: float64(elapsed.Microseconds()) / 1000}
+				if tee, ok := h.(*teeHandler); ok && tee.text != nil {
+					tee.logAccess(a)
+				} else {
+					_ = h.Handle(ctx, a.record()) // as slog.Logger does, a handler's error is dropped
+				}
 			}
 		}()
 		if chaos := serverChaosCfg.Load(); chaos != nil && chaos.should() {
@@ -172,6 +182,34 @@ func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.
 		}
 		next.ServeHTTP(sw, r)
 	})
+}
+
+// routeHandles are one route's per-request instruments, resolved on its
+// first request since the registry's last Reset (gen): the span name for the
+// method that asked first, the latency histogram, and the request counters
+// by status class, each registered on first use. Middleware keys them by
+// ServeMux pattern, so the mux's routes bound their number.
+type routeHandles struct {
+	gen                 uint64
+	route, method, span string
+	latency             *Histogram
+	codes               [7]atomic.Pointer[Counter] // by status/100, "other" at either end
+}
+
+// routeFor returns r's route handles from routes, resolving them when the
+// route has none for reg's current generation. The generation is read first:
+// handles resolved across a Reset are then tagged older than they are and
+// resolved again, never kept as current.
+func routeFor(routes *sync.Map, reg *Registry, service string, r *http.Request) *routeHandles {
+	gen := reg.gen.Load()
+	if v, ok := routes.Load(r.Pattern); ok && v.(*routeHandles).gen == gen {
+		return v.(*routeHandles)
+	}
+	route := routeLabel(r)
+	rt := &routeHandles{gen: gen, route: route, method: r.Method, span: r.Method + " " + route,
+		latency: reg.Histogram("http_request_seconds", nil, "service", service, "route", route)}
+	routes.Store(r.Pattern, rt)
+	return rt
 }
 
 // routeLabel derives the metrics route label for a finished request. The
@@ -202,11 +240,13 @@ func statusClass(code int) string {
 var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
 // statusWriter captures the status code and body size written by a handler.
+// It also holds the context carrying the request ID: one allocation for both.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
 	wrote  bool
+	ctx    requestIDContext
 }
 
 func (w *statusWriter) WriteHeader(code int) {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -68,23 +69,12 @@ var defaultCapture atomic.Pointer[ProfileCapture]
 
 // SetDefaultCapture installs (or, with nil, clears) the capture set that
 // crash black-boxes are written through.
-func SetDefaultCapture(c *ProfileCapture) {
-	if c == nil {
-		defaultCapture.Store(nil)
-		return
-	}
-	defaultCapture.Store(c)
-}
+func SetDefaultCapture(c *ProfileCapture) { defaultCapture.Store(c) }
 
 // DefaultCapture returns the process-wide capture target, or nil.
 func DefaultCapture() *ProfileCapture { return defaultCapture.Load() }
 
-func (p *ProfileCapture) logger() *slog.Logger {
-	if p.Logger != nil {
-		return p.Logger
-	}
-	return slog.Default()
-}
+func (p *ProfileCapture) logger() *slog.Logger { return cmp.Or(p.Logger, slog.Default()) }
 
 func (p *ProfileCapture) max() int {
 	if p.Max > 0 {
@@ -186,11 +176,7 @@ func (p *ProfileCapture) Capture(reason string) (ProfileEntry, error) {
 
 	// Black box: the log lines leading up to whatever triggered this capture,
 	// snapshotted next to the profiles they explain.
-	ring := p.Logs
-	if ring == nil {
-		ring = DefaultLogRing()
-	}
-	if ring != nil {
+	if ring := cmp.Or(p.Logs, DefaultLogRing()); ring != nil {
 		if err := ring.SnapshotDir(dir); err != nil {
 			p.logger().Warn("log black-box snapshot failed", "err", err)
 		} else {
@@ -273,9 +259,7 @@ func (p *ProfileCapture) List() []ProfileEntry {
 		var seq int
 		if _, err := fmt.Sscanf(last, "p%06d", &seq); err == nil {
 			p.mu.Lock()
-			if seq > p.seq {
-				p.seq = seq
-			}
+			p.seq = max(p.seq, seq)
 			p.mu.Unlock()
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,7 +82,9 @@ func FormatLabels(pairs []string) string {
 		return ""
 	}
 	if len(pairs)%2 != 0 {
-		panic(fmt.Sprintf("obs: odd label pairs %q", pairs))
+		// A copy goes into the message: boxing pairs itself would make every
+		// registry lookup's variadic label slice escape to the heap.
+		panic(fmt.Sprintf("obs: odd label pairs %q", slices.Clone(pairs)))
 	}
 	type kv struct{ k, v string }
 	kvs := make([]kv, 0, len(pairs)/2)

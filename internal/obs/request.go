@@ -14,8 +14,9 @@ import (
 //
 // The trace ID is the correlation key: every hop of one logical operation
 // (scrape -> get-sth -> get-entries) logs the same trace, while each hop
-// mints its own span ID.
-const TraceHeader = "traceparent"
+// mints its own span ID. The name is spelled in net/http's canonical form, so
+// reading or setting it canonicalises nothing.
+const TraceHeader = "Traceparent"
 
 // RequestID identifies one logical request across service boundaries.
 type RequestID struct {
@@ -104,16 +105,32 @@ func isHex(s string) bool {
 
 type requestIDKey struct{}
 
+// requestIDContext is context.WithValue for a request ID in one allocation:
+// Value hands out a pointer to the ID it holds instead of boxing a copy.
+type requestIDContext struct {
+	context.Context
+	id RequestID
+}
+
+func (c *requestIDContext) Value(key any) any {
+	if key == (requestIDKey{}) {
+		return &c.id
+	}
+	return c.Context.Value(key)
+}
+
 // ContextWithRequestID returns ctx carrying the request ID.
 func ContextWithRequestID(ctx context.Context, id RequestID) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
+	return &requestIDContext{ctx, id}
 }
 
 // RequestIDFromContext extracts the request ID placed by Middleware or
 // ContextWithRequestID; ok is false when none is set.
 func RequestIDFromContext(ctx context.Context) (RequestID, bool) {
-	id, ok := ctx.Value(requestIDKey{}).(RequestID)
-	return id, ok
+	if id, ok := ctx.Value(requestIDKey{}).(*RequestID); ok {
+		return *id, true
+	}
+	return RequestID{}, false
 }
 
 type attemptKey struct{}

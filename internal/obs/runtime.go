@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -23,9 +24,7 @@ import (
 // ticker. Safe to call more than once per registry; later calls only update
 // the daemon label set registered first.
 func RegisterRuntimeMetrics(reg *Registry, daemon string) {
-	if reg == nil {
-		reg = Default()
-	}
+	reg = cmp.Or(reg, Default())
 	goVersion, revision := buildIdentity()
 	reg.Gauge("build_info",
 		"daemon", daemon, "go_version", goVersion, "revision", revision).Set(1)
@@ -46,9 +45,10 @@ func RegisterRuntimeMetrics(reg *Registry, daemon string) {
 	})
 }
 
-var buildIdentityOnce = sync.OnceValues(func() (string, string) {
-	goVersion := runtime.Version()
-	revision := "unknown"
+// buildIdentity returns the go toolchain version and (short) VCS revision the
+// binary was built from, resolved once per process.
+var buildIdentity = sync.OnceValues(func() (goVersion, revision string) {
+	goVersion, revision = runtime.Version(), "unknown"
 	if info, ok := debug.ReadBuildInfo(); ok {
 		if info.GoVersion != "" {
 			goVersion = info.GoVersion
@@ -72,7 +72,3 @@ var buildIdentityOnce = sync.OnceValues(func() (string, string) {
 	}
 	return goVersion, revision
 })
-
-// buildIdentity returns the go toolchain version and (short) VCS revision the
-// binary was built from, resolved once per process.
-func buildIdentity() (goVersion, revision string) { return buildIdentityOnce() }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -173,19 +174,9 @@ type SLOEngine struct {
 	states []*sloState
 }
 
-func (e *SLOEngine) reg() *Registry {
-	if e.Reg != nil {
-		return e.Reg
-	}
-	return Default()
-}
+func (e *SLOEngine) reg() *Registry { return cmp.Or(e.Reg, Default()) }
 
-func (e *SLOEngine) logger() *slog.Logger {
-	if e.Logger != nil {
-		return e.Logger
-	}
-	return slog.Default()
-}
+func (e *SLOEngine) logger() *slog.Logger { return cmp.Or(e.Logger, slog.Default()) }
 
 // Run evaluates immediately and then on every Interval tick until ctx ends.
 func (e *SLOEngine) Run(ctx context.Context) {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -184,15 +185,9 @@ func NewSpanStore(capacity int, sample float64, slow time.Duration) *SpanStore {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	if sample < 0 {
-		sample = 0
-	}
-	if sample > 1 {
-		sample = 1
-	}
 	return &SpanStore{
 		capacity: capacity,
-		sample:   sample,
+		sample:   min(max(sample, 0), 1),
 		slow:     slow,
 		pending:  make(map[string]*pendingTrace),
 		kept:     make(map[string]*TraceRecord),
@@ -213,12 +208,7 @@ func DefaultSpans() *SpanStore { return defaultSpans.Load() }
 // recording entirely. Flags.Setup calls this from the -trace-* flags.
 func SetDefaultSpans(s *SpanStore) { defaultSpans.Store(s) }
 
-func (s *SpanStore) reg() *Registry {
-	if s.Registry != nil {
-		return s.Registry
-	}
-	return Default()
-}
+func (s *SpanStore) reg() *Registry { return cmp.Or(s.Registry, Default()) }
 
 // Record buffers one non-root span of an in-flight trace. Spans arriving
 // after the trace was kept are appended to the kept record directly, so
@@ -255,9 +245,7 @@ func (s *SpanStore) RecordRoot(rec SpanRecord) bool {
 		tr.Spans = append(tr.Spans, rec)
 		tr.Error = tr.Error || rec.failed()
 		tr.AddService(rec.Service)
-		if rec.Duration > tr.Duration {
-			tr.Duration = rec.Duration
-		}
+		tr.Duration = max(tr.Duration, rec.Duration)
 		return true
 	}
 	p := s.pending[rec.TraceID]

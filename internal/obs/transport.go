@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"log/slog"
 	"net/http"
@@ -39,14 +40,7 @@ type Transport struct {
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	base := t.Base
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	reg := t.Registry
-	if reg == nil {
-		reg = Default()
-	}
+	reg := cmp.Or(t.Registry, Default())
 	parentSpan := ""
 	id, hadID := RequestIDFromContext(req.Context())
 	if hadID {
@@ -57,11 +51,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	// RoundTrippers must not mutate the caller's request.
 	req = req.Clone(req.Context())
-	req.Header.Set(TraceHeader, id.String())
+	tp := id.String()
+	req.Header.Set(TraceHeader, tp)
 
 	peer := req.URL.Host
 	start := time.Now()
-	resp, err := base.RoundTrip(req)
+	resp, err := cmp.Or(t.Base, http.DefaultTransport).RoundTrip(req)
 	elapsed := time.Since(start)
 
 	code := "error"
@@ -78,8 +73,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		Observe(elapsed.Seconds())
 
 	rec := SpanRecord{
-		TraceID:  id.Trace(),
-		SpanID:   id.Span(),
+		TraceID:  tp[3:35],
+		SpanID:   tp[36:52],
 		ParentID: parentSpan,
 		Service:  t.Service,
 		Name:     req.Method + " " + req.URL.Path,
@@ -91,10 +86,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		Attempt:  AttemptFromContext(req.Context()),
 		Err:      errStr,
 	}
-	st := t.Spans
-	if st == nil {
-		st = DefaultSpans()
-	}
+	st := cmp.Or(t.Spans, DefaultSpans())
 	if hadID {
 		st.Record(rec)
 	} else {

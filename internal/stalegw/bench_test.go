@@ -25,13 +25,16 @@ func (w *nullWriter) WriteHeader(int)             {}
 
 // benchGateway is the gateway as the daemon wires it — obs.Middleware over
 // the handler, the resilient client with breakers, hedging armed, access
-// logs teed into the ring — over slices × 2 in-process replicas on loopback.
-// The response cache TTL is a nanosecond, so every request is a stored miss
-// that dials a replica.
+// logs teed into the ring by the logger obs.SetupLogger installs — over
+// slices × 2 in-process replicas on loopback. The response cache TTL is a
+// nanosecond, so every request is a stored miss that dials a replica.
 func benchGateway(b *testing.B, slices int, cfg Config) http.Handler {
-	prev := slog.Default()
-	slog.SetDefault(slog.New(obs.NewTeeHandler(slog.NewTextHandler(io.Discard, nil), nil)))
-	b.Cleanup(func() { slog.SetDefault(prev) })
+	prev, prevLevel := slog.Default(), obs.LogLevel()
+	obs.SetupLogger(io.Discard, "text", "info")
+	b.Cleanup(func() {
+		slog.SetDefault(prev)
+		obs.SetLogLevel(prevLevel)
+	})
 
 	groups := make([][]string, slices)
 	for s := range groups {
