@@ -5,11 +5,7 @@
 // Usage:
 //
 //	crld [-addr :8785] [-seed-revocations N] [-fail-rate 0.02] [-now 2023-01-01]
-//	     [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
-//
-// A non-zero -chaos-seed wraps the listener in resil.NewChaosListener,
-// dropping a deterministic fraction of accepted connections on top of the
-// application-level -fail-rate 403s.
+//	     [observability flags: obs.BindFlags]
 //
 // The server hosts the reproduction's built-in CA directory; each CA is
 // seeded with synthetic revocations across the standard reason codes.
@@ -28,7 +24,6 @@ import (
 	"stalecert/internal/ca"
 	"stalecert/internal/crl"
 	"stalecert/internal/obs"
-	"stalecert/internal/resil"
 	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
@@ -40,8 +35,6 @@ func main() {
 	now := flag.String("now", "2023-01-01", "simulated current day (CRL thisUpdate)")
 	seed := flag.Int64("seed", 1, "randomness seed")
 	obsFlags := obs.BindFlags(flag.CommandLine)
-	var rf resil.Flags
-	rf.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger, stopDebug := obsFlags.Setup("crld")
@@ -77,10 +70,6 @@ func main() {
 	if err != nil {
 		logger.Error("listen", "addr", *addr, "err", err)
 		os.Exit(1)
-	}
-	if rf.ChaosSeed != 0 {
-		logger.Warn("chaos listener active", "seed", rf.ChaosSeed, "drop_rate", 0.2)
-		ln = resil.NewChaosListener(ln, rf.ChaosSeed, 0.2)
 	}
 	logger.Info("serving CRLs", "cas", len(srv.Names()), "addr", ln.Addr().String(), "fail_rate", *failRate)
 	for _, n := range srv.Names() {

@@ -6,14 +6,10 @@
 //
 //	ctlogd [-addr :8784] [-name mylog] [-shard-start 2022-01-01 -shard-end 2023-01-01]
 //	       [-seed-entries N] [-seed-domains 1]
-//	       [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
+//	       [observability flags: obs.BindFlags]
 //
-// A non-zero -chaos-seed wraps the listener in resil.NewChaosListener, which
-// drops a deterministic fraction of accepted connections — server-side fault
-// injection for exercising client reconnect paths in acceptance tests.
-//
-// With -seed-entries the log is pre-populated with synthetic certificates so
-// ctscan has something to fetch.
+// With -seed-entries the log is pre-populated with synthetic certificates,
+// so a tailing staleapid or stalewatch has something to fetch.
 package main
 
 import (
@@ -28,7 +24,6 @@ import (
 
 	"stalecert/internal/ctlog"
 	"stalecert/internal/obs"
-	"stalecert/internal/resil"
 	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
@@ -42,8 +37,6 @@ func main() {
 	seedDomains := flag.Int("seed-domains", 1, "spread seeded certificates across N distinct e2LDs (1 = all under example.com)")
 	now := flag.String("now", "2023-01-01", "simulated current day for SCT timestamps")
 	obsFlags := obs.BindFlags(flag.CommandLine)
-	var rf resil.Flags
-	rf.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger, stopDebug := obsFlags.Setup("ctlogd")
@@ -104,10 +97,6 @@ func main() {
 	if err != nil {
 		logger.Error("listen", "addr", *addr, "err", err)
 		os.Exit(1)
-	}
-	if rf.ChaosSeed != 0 {
-		logger.Warn("chaos listener active", "seed", rf.ChaosSeed, "drop_rate", 0.2)
-		ln = resil.NewChaosListener(ln, rf.ChaosSeed, 0.2)
 	}
 	logger.Info("serving CT log", "name", l.Name(), "shard", l.Shard().String(),
 		"size", sth.Size, "addr", ln.Addr().String())

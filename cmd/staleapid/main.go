@@ -48,9 +48,8 @@
 // fails over or hedges between.
 //
 // Every outbound call (CT log tail, CRL fetches) goes through the resilience
-// layer: -retry-max bounds attempts, -breaker-threshold tunes the per-peer
-// circuit breakers (visible on the debug listener at /v1/breakers), and a
-// non-zero -chaos-seed injects deterministic faults for acceptance testing.
+// layer: -retry-max bounds attempts, and -breaker-threshold tunes the
+// per-peer circuit breakers (visible on the debug listener at /v1/breakers).
 // When live evidence fails but a last-good verdict is cached, the staleness
 // endpoint serves it with "degraded": true and an X-Stale-Evidence header
 // instead of a 502, and /readyz reports 200-degraded rather than 503.
@@ -158,7 +157,7 @@ func main() {
 	// Evidence sources; any left unconfigured disables its check. Revocations
 	// come from a snapshot of the whole CA directory refreshed every
 	// -cache-ttl in the background — CRL fetches run under the flags' retry
-	// budget (and chaos injection when seeded) — never inside a request.
+	// budget — never inside a request.
 	gather := &evidence.Gatherer{Index: store, Now: nowDay}
 	if *whoisAddr != "" {
 		gather.Whois = &whois.Client{Addr: *whoisAddr}

@@ -178,7 +178,7 @@ func TestNewFetcherTakesTheRetryFlags(t *testing.T) {
 			_, _ = w.Write(a.Snapshot(20).Marshal())
 		}))
 		var rf resil.Flags
-		fs := flag.NewFlagSet("crlfetch", flag.ContinueOnError)
+		fs := flag.NewFlagSet("staleapid", flag.ContinueOnError)
 		rf.BindFlags(fs)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatal(err)

@@ -231,24 +231,20 @@ func (l *CoverageLedger) Total() Coverage {
 }
 
 // Fetcher downloads CRLs from a Server through resil's client stack — its
-// retry loop, call and attempt spans, and chaos hook — and records one
-// outcome per CA per collection in a ledger.
+// retry loop and its call and attempt spans — and records one outcome per CA
+// per collection in a ledger.
 type Fetcher struct {
 	Base   string // server base URL
 	Ledger *CoverageLedger
 	// Attempts is the attempt budget per CRL per day, the first included
 	// (default 3).
 	Attempts int
-	// Chaos, when set, injects faults beneath the fetcher's client
-	// (-chaos-seed).
-	Chaos *resil.Chaos
 }
 
-// NewFetcher is the fetcher a main builds: -retry-max is its attempt budget
-// and -chaos-seed injects faults beneath it, as for every other outbound
-// call.
+// NewFetcher is the fetcher a main builds: -retry-max is its attempt budget,
+// as for every other outbound call.
 func NewFetcher(base string, rf *resil.Flags) *Fetcher {
-	return &Fetcher{Base: base, Attempts: rf.RetryMax, Chaos: rf.Chaos()}
+	return &Fetcher{Base: base, Attempts: rf.RetryMax}
 }
 
 const (
@@ -278,7 +274,6 @@ func (f *Fetcher) FetchAll(ctx context.Context, names []string) (map[string]*Lis
 	}
 	hc := resil.NewHTTPClient(resil.Options{
 		Service: "crl-fetcher",
-		Chaos:   f.Chaos,
 		Policy: resil.Policy{MaxAttempts: attempts, BaseDelay: fetchBackoff, MaxDelay: 100 * fetchBackoff,
 			PerAttempt: fetchAttemptTimeout, Classify: retryAll},
 	})

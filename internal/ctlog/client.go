@@ -47,7 +47,8 @@ func NewClient(baseURL string, hc *http.Client) *Client {
 }
 
 // NewClientWithOptions creates a client with explicit resilience options
-// (daemons pass their resil.Flags.Options; tests pass chaos wiring).
+// (daemons pass their resil.Flags.Options; fleets pass their own breakers,
+// span store and retry policy).
 func NewClientWithOptions(baseURL string, hc *http.Client, opts resil.Options) *Client {
 	if opts.Service == "" {
 		opts.Service = "ctlog-client"

@@ -84,9 +84,9 @@ func TestObservabilityFederationEndToEnd(t *testing.T) {
 		t.Fatalf("readyz after seeding = %d, want 200", code)
 	}
 
-	// Scrape the log through an instrumented client (ctscan-style).
+	// Scrape the log through an instrumented client, as a tailer does.
 	client := NewClient(ctSrv.URL, &http.Client{
-		Transport: &obs.Transport{Registry: reg, Service: "ctscan"},
+		Transport: &obs.Transport{Registry: reg, Service: "ct-tail"},
 	})
 	entries, _, err := client.Scrape(context.Background(), ScrapeOptions{VerifyInclusion: true})
 	if err != nil {
@@ -172,7 +172,7 @@ func TestObservabilityFederationEndToEnd(t *testing.T) {
 			obs.LabelValue(s, "code") == "2xx" && s.Value > 0 {
 			red = true
 		}
-		if s.Name == "http_client_requests_total" && obs.LabelValue(s, "service") == "ctscan" &&
+		if s.Name == "http_client_requests_total" && obs.LabelValue(s, "service") == "ct-tail" &&
 			obs.LabelValue(s, "peer") == ctURL.Host && s.Value > 0 {
 			perPeer = true
 		}

@@ -138,6 +138,7 @@ func Spawn(t testing.TB, name string, args ...string) *Member {
 // under test — keeping every trace, with an obsagg over all of them, and
 // returns once each /readyz passes: replicas caught up and holding a CRL
 // snapshot, the slice quorum met, obsagg through its first scrape round.
+// With Spec.ChaosSeed the replicas' -log and -crl name the fault proxies.
 func StartBinaries(t testing.TB, spec Spec) *Fleet {
 	t.Helper()
 	if len(spec.Revoked) > 0 {
@@ -145,13 +146,12 @@ func StartBinaries(t testing.TB, spec Spec) *Fleet {
 	}
 	f := &Fleet{spec: spec, t: t}
 	common := []string{"-now", Day.String(), "-trace-sample", "1"}
-	chaos := []string{"-chaos-seed", strconv.FormatInt(spec.ChaosSeed, 10)}
-	f.Log = Spawn(t, "ctlogd", slices.Concat(common, chaos, []string{"-name", spec.Name + "-log"})...)
+	f.Log = Spawn(t, "ctlogd", slices.Concat(common, []string{"-name", spec.Name + "-log"})...)
 	// -fail-rate 0: crld's default scrape protection makes a first load luck.
 	f.CRL = Spawn(t, "crld", slices.Concat(common, []string{"-fail-rate", "0"})...)
 	groups := f.seedAndServe(func(name string, slice int) *Member {
-		args := slices.Concat(common, chaos, []string{"-store", t.TempDir(), "-log", f.Log.URL,
-			"-interval", "100ms", "-crl", f.CRL.URL, "-cache-ttl", "1s"})
+		args := slices.Concat(common, []string{"-store", t.TempDir(), "-log", f.logVia,
+			"-interval", "100ms", "-crl", f.crlVia, "-cache-ttl", "1s"})
 		if slice >= 0 {
 			args = append(args, "-shard", fmt.Sprintf("%d/%d", slice, spec.Slices))
 		}

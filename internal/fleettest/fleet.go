@@ -42,8 +42,10 @@ type Spec struct {
 	// stalegw. Zero slices: the reference replica only, no gateway.
 	Slices, Replicas int
 	HedgeAfter       time.Duration // stalegw's hedge delay; 0: none
-	// ChaosSeed, non-zero, is -chaos-seed: ~20 % deterministic faults in every
-	// staleapid's CT tail and CRL fetches and, with binaries, ctlogd's listener.
+	// ChaosSeed, non-zero, puts fault proxies (Faults.Proxy) sharing one
+	// stream of this seed, ~20 % faults, in front of ctlogd and crld: every
+	// staleapid tails the log and fetches CRLs through them. Seeding and the
+	// gateway reach their members directly.
 	ChaosSeed int64
 }
 
@@ -60,6 +62,9 @@ type Fleet struct {
 	GW   *stalegw.Gateway
 	spec Spec
 	t    testing.TB
+	// What the replicas reach Log and CRL through: their URLs, or the
+	// fault proxies in front of them.
+	logVia, crlVia string
 }
 
 // Members lists every daemon of the fleet but obsagg.
@@ -71,14 +76,20 @@ func (f *Fleet) Members() []*Member {
 	return ms
 }
 
-// seedAndServe submits the Spec's certificates as any RFC 6962 client would
-// and starts the reference (slice -1) and the replicas, whose URLs it returns.
+// seedAndServe submits the Spec's certificates as any RFC 6962 client would,
+// puts the fault proxies up when the Spec asks for them, and starts the
+// reference (slice -1) and the replicas, whose URLs it returns.
 func (f *Fleet) seedAndServe(start func(name string, slice int) *Member) [][]string {
 	client := ctlog.NewClient(f.Log.URL, nil)
 	for i, c := range f.spec.Certs {
 		if _, err := client.AddChain(context.Background(), c); err != nil {
 			f.t.Fatalf("seed cert %d: %v", i, err)
 		}
+	}
+	f.logVia, f.crlVia = f.Log.URL, f.CRL.URL
+	if f.spec.ChaosSeed != 0 {
+		faults := NewFaults(f.spec.ChaosSeed, DefaultRates(0.2))
+		f.logVia, f.crlVia = faults.Proxy(f.t, f.Log.URL), faults.Proxy(f.t, f.CRL.URL)
 	}
 	f.Reference = start("staleapid", -1)
 	groups := make([][]string, f.spec.Slices)
@@ -165,20 +176,16 @@ func (f *Fleet) startReplica(name string, slice int, ingestBreakers *resil.Break
 	m := Serve(t, name, 0)
 	m.Store = store
 
-	var chaos *resil.Chaos
-	if f.spec.ChaosSeed != 0 {
-		chaos = resil.NewChaos(f.spec.ChaosSeed, resil.DefaultRates(0.2))
-	}
 	// Tight backoff rides out injected faults, PerAttempt cuts off blackholes.
-	ing := certstore.NewIngester(store, ctlog.NewClientWithOptions(f.Log.URL, nil, resil.Options{
-		Service: "staleapid", Breaker: ingestBreakers, Chaos: chaos, Spans: m.Spans,
+	ing := certstore.NewIngester(store, ctlog.NewClientWithOptions(f.logVia, nil, resil.Options{
+		Service: "staleapid", Breaker: ingestBreakers, Spans: m.Spans,
 		Policy: resil.Policy{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, PerAttempt: 500 * time.Millisecond},
 	}))
 	// One round tails to the head; under chaos it can exhaust its attempts,
 	// and the next one resumes from the checkpoint.
 	Until(t, func() error { _, err := ing.Sync(ctx); return err })
 
-	snap := &crl.Snapshot{Fetcher: &crl.Fetcher{Base: f.CRL.URL, Chaos: chaos}, Names: []string{caName}, Service: "staleapid"}
+	snap := &crl.Snapshot{Fetcher: &crl.Fetcher{Base: f.crlVia}, Names: []string{caName}, Service: "staleapid"}
 	m.Health.Register("crl-snapshot", snap.Ready)
 	Until(t, func() error { return snap.Refresh(ctx) })
 	gather := &evidence.Gatherer{Index: store, CRL: snap, Now: Day}

@@ -3,7 +3,8 @@
 // N×R staleapid replicas behind a stalegw, an obsagg over them. Start runs
 // it in this process, wired as the cmd/ mains wire the same libraries, and
 // is where behaviour is asserted; StartBinaries spawns the built daemons and
-// covers only the mains' flag wiring. Serve and Spawn start one member.
+// covers only the mains' flag wiring. Serve and Spawn start one member, and
+// Faults.Proxy a seeded fault injector in front of one.
 package fleettest
 
 import (

@@ -18,17 +18,6 @@ import (
 // Hash is a SHA-256 digest.
 type Hash [32]byte
 
-// String renders the first 8 bytes in hex.
-func (h Hash) String() string {
-	const digits = "0123456789abcdef"
-	var b [16]byte
-	for i := 0; i < 8; i++ {
-		b[2*i] = digits[h[i]>>4]
-		b[2*i+1] = digits[h[i]&0xf]
-	}
-	return string(b[:])
-}
-
 // LeafHash computes SHA-256(0x00 || data), the RFC 6962 leaf hash.
 func LeafHash(data []byte) Hash {
 	h := sha256.New()

@@ -1,6 +1,7 @@
 package merkle
 
 import (
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -250,3 +251,6 @@ func BenchmarkInclusionProof(b *testing.B) {
 		}
 	}
 }
+
+// String renders the first 8 bytes in hex, what failure messages print.
+func (h Hash) String() string { return hex.EncodeToString(h[:8]) }

@@ -87,19 +87,21 @@ type Flags struct {
 	TraceSlow   time.Duration
 
 	// SLO and triggered-profiling knobs.
-	SLO             string
-	SLOInterval     time.Duration
-	ProfileDir      string
-	ChaosSrvLatency time.Duration
-	ChaosSrvRate    float64
+	SLO         []SLOSpec
+	SLOInterval time.Duration
+	ProfileDir  string
 }
+
+// defaultSLO is -slo's default.
+const defaultSLO = "availability:99.9,latency:99:250ms"
 
 // BindFlags registers -debug-addr, -log-format, -log-level, -log-buffer, the
 // tracing flags -trace-buffer/-trace-sample/-trace-slow, the SLO flags
-// -slo/-slo-interval, -profile-dir and the server-side chaos latency flags
-// on fs.
+// -slo/-slo-interval and -profile-dir on fs. A -slo that does not parse
+// fails fs.Parse.
 func BindFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
+	f.SLO, _ = ParseSLOSpecs(defaultSLO) // it parses: TestSLOFlagParsesWithTheFlags
 	fs.StringVar(&f.DebugAddr, "debug-addr", "",
 		"serve /metrics and /debug/pprof on this address (empty disables)")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "log output format: text or json")
@@ -112,29 +114,27 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 		"fraction of healthy traces tail-kept (errors and slow traces are always kept)")
 	fs.DurationVar(&f.TraceSlow, "trace-slow", 250*time.Millisecond,
 		"root latency at or above which a trace is always kept")
-	fs.StringVar(&f.SLO, "slo", "availability:99.9,latency:99:250ms",
-		"comma-separated SLO objectives evaluated over the RED metrics "+
-			"(availability:<pct> and latency:<pct>:<threshold>; \"off\" disables)")
+	fs.Func("slo", "comma-separated SLO objectives evaluated over the RED metrics "+
+		"(availability:<pct> and latency:<pct>:<threshold>; \"off\" disables) (default "+defaultSLO+")",
+		func(v string) (err error) {
+			f.SLO, err = ParseSLOSpecs(v)
+			return err
+		})
 	fs.DurationVar(&f.SLOInterval, "slo-interval", 10*time.Second,
 		"SLO burn-rate sampling interval")
 	fs.StringVar(&f.ProfileDir, "profile-dir", "",
 		"directory for triggered pprof captures served at /v1/profiles (empty disables)")
-	fs.DurationVar(&f.ChaosSrvLatency, "chaos-server-latency", 0,
-		"TEST ONLY: delay injected into handled requests (0 disables)")
-	fs.Float64Var(&f.ChaosSrvRate, "chaos-server-latency-rate", 1,
-		"TEST ONLY: fraction of requests receiving -chaos-server-latency")
 	return f
 }
 
 // Setup installs the configured logger (tagged with the component name),
 // sizes the process-wide log ring (-log-buffer) and span store (-trace-*
 // flags), registers the build_info and Go runtime gauges, starts the SLO
-// burn-rate engine (-slo) with triggered profiling
-// (-profile-dir) mounted at /v1/profile(s) — captures embed a log-ring
-// black-box snapshot — arms server-side chaos latency when asked, and, when
-// -debug-addr is set, starts the debug endpoint server — the Default
-// registry and DefaultHealth probes behind the request-scoped Middleware, so
-// the debug surface itself has RED metrics and access logs. The returned
+// burn-rate engine (-slo) with triggered profiling (-profile-dir) mounted at
+// /v1/profile(s) — captures embed a log-ring black-box snapshot — and, when
+// -debug-addr is set, starts the debug endpoint server — the Default registry
+// and DefaultHealth probes behind the request-scoped Middleware, so the debug
+// surface itself has RED metrics and access logs. The returned
 // stop func gracefully shuts the debug server down and stops the SLO engine
 // (no-op when disabled).
 func (f *Flags) Setup(component string) (*slog.Logger, func(context.Context) error) {
@@ -164,12 +164,10 @@ func (f *Flags) Setup(component string) (*slog.Logger, func(context.Context) err
 	SetDefaultCapture(capture)
 
 	sloStop := func() {}
-	if specs, err := ParseSLOSpecs(f.SLO); err != nil {
-		logger.Error("bad -slo, SLO engine disabled", "err", err)
-	} else if len(specs) > 0 {
+	if len(f.SLO) > 0 {
 		engine := &SLOEngine{
 			Service:  component,
-			Specs:    specs,
+			Specs:    f.SLO,
 			Interval: f.SLOInterval,
 			Logger:   logger,
 		}
@@ -183,12 +181,6 @@ func (f *Flags) Setup(component string) (*slog.Logger, func(context.Context) err
 		ctx, cancel := context.WithCancel(context.Background())
 		sloStop = cancel
 		go engine.Run(ctx)
-	}
-
-	if f.ChaosSrvLatency > 0 {
-		logger.Warn("server-side chaos latency active", "latency", f.ChaosSrvLatency,
-			"rate", f.ChaosSrvRate)
-		SetServerChaosLatency(f.ChaosSrvLatency, f.ChaosSrvRate)
 	}
 
 	stop := func(context.Context) error { sloStop(); return nil }

@@ -13,40 +13,6 @@ import (
 	"time"
 )
 
-// serverChaos is the process-wide server-side latency injection config
-// (-chaos-server-latency): a deterministic counter-paced delay added to a
-// fraction of handled requests, the knob acceptance tests use to force a
-// latency SLO burn without a slow dependency. Nil means disabled.
-type serverChaos struct {
-	latency time.Duration
-	rate    float64
-	n       atomic.Uint64
-}
-
-// should reports whether the n-th request gets the injected delay:
-// floor-crossing on a counter spaces injections evenly (rate 0.25 delays
-// exactly every 4th request), independent of timing.
-func (c *serverChaos) should() bool {
-	n := c.n.Add(1)
-	return uint64(float64(n)*c.rate) > uint64(float64(n-1)*c.rate)
-}
-
-var serverChaosCfg atomic.Pointer[serverChaos]
-
-// SetServerChaosLatency configures (or, with d <= 0 or rate <= 0, clears)
-// deterministic server-side latency injection: every Middleware-wrapped
-// handler in the process sleeps d before serving the affected fraction of
-// requests, counted in obs_chaos_server_latency_total. TEST/ACCEPTANCE
-// ONLY — it exists so a forced latency regression flips the SLO burn-rate
-// alert and exercises triggered profiling end to end.
-func SetServerChaosLatency(d time.Duration, rate float64) {
-	if d <= 0 || rate <= 0 {
-		serverChaosCfg.Store(nil)
-		return
-	}
-	serverChaosCfg.Store(&serverChaos{latency: d, rate: min(rate, 1)})
-}
-
 // Middleware wraps an HTTP handler with the per-request observability every
 // daemon surface shares:
 //
@@ -176,10 +142,6 @@ func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.
 				}
 			}
 		}()
-		if chaos := serverChaosCfg.Load(); chaos != nil && chaos.should() {
-			reg.Counter("obs_chaos_server_latency_total", "service", service).Inc()
-			time.Sleep(chaos.latency)
-		}
 		next.ServeHTTP(sw, r)
 	})
 }

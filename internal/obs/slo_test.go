@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"log/slog"
 	"math"
 	"testing"
@@ -228,5 +230,22 @@ func TestParseSLOSpecs(t *testing.T) {
 		if _, err := ParseSLOSpecs(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
+	}
+}
+
+// -slo is parsed with the flags: a bad value fails Parse, as any bad flag
+// does, rather than leaving a running daemon without its burn-rate engine.
+func TestSLOFlagParsesWithTheFlags(t *testing.T) {
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := BindFlags(fs)
+	if len(f.SLO) != 2 || f.SLO[1].Threshold != 250*time.Millisecond {
+		t.Fatalf("default -slo = %+v", f.SLO)
+	}
+	if err := fs.Parse([]string{"-slo", "latency:99"}); err == nil {
+		t.Fatal("-slo latency:99 parsed")
+	}
+	if err := fs.Parse([]string{"-slo", "off"}); err != nil || len(f.SLO) != 0 {
+		t.Fatalf("-slo off: %v, %+v", err, f.SLO)
 	}
 }

@@ -1,17 +1,16 @@
 // Package resil is the fleet-wide resilience layer, one outbound HTTP client
 // stack: an http.RoundTripper (Transport) running policy-driven retries with
-// exponential backoff and Retry-After honoring (Policy), per-peer three-state
-// circuit breakers exported as obs metrics and a /v1/breakers debug endpoint
-// (Breaker/BreakerSet), and deterministic fault injection for chaos tests
-// (Chaos/ChaosListener).
+// exponential backoff and Retry-After honoring (Policy), and per-peer
+// three-state circuit breakers exported as obs metrics and a /v1/breakers
+// debug endpoint (Breaker/BreakerSet).
 //
 // The composition order for an instrumented client is
 //
-//	resil.Transport → obs.Transport → resil.Chaos (tests only) → net/http
+//	resil.Transport → obs.Transport → net/http
 //
-// so every attempt — including injected and retried ones — is individually
-// traced and counted by the obs layer, while the caller above the resilient
-// transport sees only the final outcome.
+// so every attempt — retried ones included — is individually traced and
+// counted by the obs layer, while the caller above the resilient transport
+// sees only the final outcome.
 //
 // Everything is stdlib-only and safe for concurrent use.
 package resil
@@ -33,9 +32,6 @@ type Options struct {
 	// Breaker, when non-nil, gates every attempt through the peer's circuit
 	// in this shared per-peer family; nil disables circuit breaking.
 	Breaker *BreakerSet
-	// Chaos, when non-nil, injects faults between the resilient transport
-	// and the instrumented base — test wiring only.
-	Chaos *Chaos
 	// Spans, when non-nil, receives the call and per-attempt client spans
 	// instead of the process-wide obs.DefaultSpans store (fleet simulations
 	// and tests give each in-process daemon its own store).
@@ -44,7 +40,7 @@ type Options struct {
 
 // InstrumentClient wraps hc (nil = default-client semantics) so every call
 // goes through the full resilience stack: retries, per-peer circuit
-// breaking, per-attempt obs instrumentation, and optional chaos injection.
+// breaking and per-attempt obs instrumentation.
 // The original client is not mutated; a client already carrying a
 // resil.Transport is returned unchanged.
 func InstrumentClient(hc *http.Client, opts Options) *http.Client {
@@ -53,17 +49,7 @@ func InstrumentClient(hc *http.Client, opts Options) *http.Client {
 			return hc // already resilient
 		}
 	}
-	// Chaos sits at the very bottom, beneath the obs transport, so injected
-	// faults are traced and counted per attempt exactly like wild ones.
-	if opts.Chaos != nil {
-		c := http.Client{}
-		if hc != nil {
-			c = *hc
-		}
-		c.Transport = opts.Chaos.WithBase(c.Transport)
-		hc = &c
-	}
-	// Per-attempt instrumentation next, so each retry is its own traced,
+	// Per-attempt instrumentation beneath, so each retry is its own traced,
 	// counted client call.
 	instrumented := obs.InstrumentClient(hc, opts.Service)
 	if ot, ok := instrumented.Transport.(*obs.Transport); ok && opts.Spans != nil {
@@ -91,31 +77,19 @@ type Flags struct {
 	// BreakerThreshold is the windowed failure fraction that opens a
 	// circuit (-breaker-threshold, default 0.5; 0 disables breaking).
 	BreakerThreshold float64
-	// ChaosSeed, when non-zero, injects ~20% faults into every outbound
-	// call using the given deterministic seed (-chaos-seed, test-only).
-	ChaosSeed int64
 }
 
 // BindFlags registers the resilience flags on fs.
 func (f *Flags) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&f.RetryMax, "retry-max", 4, "total outbound attempt budget including the first (1 disables retries)")
 	fs.Float64Var(&f.BreakerThreshold, "breaker-threshold", 0.5, "windowed failure fraction that opens a peer's circuit (0 disables breaking)")
-	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 0, "TEST ONLY: non-zero seed injects ~20% deterministic faults into outbound calls")
 }
 
 // Options materializes the bound flags into client options for one service.
 func (f *Flags) Options(service string) Options {
-	opts := Options{Service: service, Policy: Policy{MaxAttempts: f.RetryMax}, Chaos: f.Chaos()}
+	opts := Options{Service: service, Policy: Policy{MaxAttempts: f.RetryMax}}
 	if f.BreakerThreshold > 0 {
 		opts.Breaker = NewBreakerSet(BreakerConfig{Service: service, Threshold: f.BreakerThreshold})
 	}
 	return opts
-}
-
-// Chaos returns a fresh -chaos-seed fault stream, nil when the seed is zero.
-func (f *Flags) Chaos() *Chaos {
-	if f.ChaosSeed == 0 {
-		return nil
-	}
-	return NewChaos(f.ChaosSeed, DefaultRates(0.2))
 }

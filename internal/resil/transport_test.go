@@ -170,7 +170,8 @@ func TestTransportRetriesStatusTheClassifierRetries(t *testing.T) {
 			return &http.Response{StatusCode: 403, Status: "403 Forbidden", Header: http.Header{},
 				Body: io.NopCloser(strings.NewReader("denied")), Request: req}, nil
 		}
-		return okTransport("payload").RoundTrip(req)
+		return &http.Response{StatusCode: 200, Status: "200 OK", Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader("payload")), Request: req}, nil
 	})
 	p := fastPolicy(NewFakeClock(time.Now()))
 	p.Classify = func(error) Verdict { return Retryable }

@@ -60,7 +60,7 @@ func chaosSeedFor(t *testing.T, rate float64, cleanDraws int) int64 {
 
 func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	// ctlogd: healthy, but the evidence client reaches it through a seeded
-	// chaos transport that 503s the first attempt. Its handler logs with the
+	// fault proxy that 503s the first attempt. Its handler logs with the
 	// request context, so the record carries the trace ID. Both daemons keep
 	// every trace (-trace-sample 1).
 	ct := fleettest.Serve(t, "ctlogd", 1)
@@ -72,14 +72,14 @@ func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	})
 	ct.Handle(ctMux)
 
-	// staleapid: fetches evidence through the resilience stack with chaos at
-	// the bottom, logging the fetch outcome under the same request context.
+	// staleapid: fetches evidence through the resilience stack and the proxy,
+	// logging the fetch outcome under the same request context.
 	api := fleettest.Serve(t, "staleapid", 1)
 	apiLogger := ringLogger(api, "staleapid")
 	const faultRate = 0.5
+	ctVia := fleettest.NewFaults(chaosSeedFor(t, faultRate, 4), fleettest.Rates{Status5xx: faultRate}).Proxy(t, ct.URL)
 	evidenceClient := resil.InstrumentClient(nil, resil.Options{
 		Service: "staleapid",
-		Chaos:   resil.NewChaos(chaosSeedFor(t, faultRate, 4), resil.Rates{Status5xx: faultRate}),
 		Spans:   api.Spans,
 		Policy: resil.Policy{
 			MaxAttempts: 3,
@@ -89,7 +89,7 @@ func TestChaosFailureCorrelatedAcrossFleetLogs(t *testing.T) {
 	})
 	apiMux := http.NewServeMux()
 	apiMux.HandleFunc("GET /v1/domain/{e2ld}/staleness", func(w http.ResponseWriter, r *http.Request) {
-		req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet, ct.URL+"/ct/v1/get-sth", nil)
+		req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet, ctVia+"/ct/v1/get-sth", nil)
 		resp, err := evidenceClient.Do(req)
 		if err != nil {
 			apiLogger.ErrorContext(r.Context(), "evidence fetch failed", "err", err)
