@@ -14,13 +14,15 @@
 // Staleness evidence comes from WHOIS (registrant change), authoritative DNS
 // (managed-TLS departure) and CRLs (revocation); any source left unconfigured
 // disables its check (cmd/stalewatch is this daemon's ingester, gatherer and
-// detector run as a tool, so its alerts are these verdicts). An
-// uncached query asks WHOIS when the domain holds certificates and DNS when
-// one of them is provider-managed and still valid — the only cases in which
-// the answer can become a verdict; the CRLs of the whole CA directory
-// are held in a memory snapshot refreshed in the background every
-// -cache-ttl, so revocation evidence is at most one refresh older than the
-// cache entry it backs. /readyz stays unready until the first complete load.
+// detector run as a tool, so its alerts are these verdicts). A miss asks
+// WHOIS when the domain holds certificates and DNS when one of them is
+// provider-managed and still valid, the only cases in which the answer can
+// become a verdict. -cache-ttl also bounds answer age: an answer younger than
+// it is reused for the domain, and a verdict expires a -cache-ttl after its
+// oldest answer was fetched. The whole CA directory's CRLs are a memory
+// snapshot refreshed in the background every -cache-ttl, so revocation
+// evidence is at most one refresh older than the cache entry it backs.
+// /readyz stays unready until the first complete load.
 //
 // Usage:
 //
@@ -90,7 +92,7 @@ func main() {
 	crlURL := flag.String("crl", "", "CRL server base URL for revocation evidence (empty disables)")
 	now := flag.String("now", "2023-01-01", "evaluation day")
 	cacheEntries := flag.Int("cache-entries", 1024, "staleness cache capacity")
-	cacheTTL := flag.Duration("cache-ttl", 5*time.Second, "staleness cache TTL")
+	cacheTTL := flag.Duration("cache-ttl", 5*time.Second, "staleness cache TTL, and how long a WHOIS or DNS answer is reused")
 	shardFlag := flag.String("shard", "", "ring slice this replica ingests and serves, as i/N (empty = whole keyspace)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	var rf resil.Flags
@@ -158,7 +160,7 @@ func main() {
 	// come from a snapshot of the whole CA directory refreshed every
 	// -cache-ttl in the background — CRL fetches run under the flags' retry
 	// budget — never inside a request.
-	gather := &evidence.Gatherer{Index: store, Now: nowDay}
+	gather := &evidence.Gatherer{Index: store, Now: nowDay, MaxAge: *cacheTTL}
 	if *whoisAddr != "" {
 		gather.Whois = &whois.Client{Addr: *whoisAddr}
 	}

@@ -74,3 +74,72 @@ func TestDomainStalenessAllocCeilings(t *testing.T) {
 		}
 	}
 }
+
+// batchFixture is a corpus of 2 000 certificates over 400 e2LDs, every other
+// one provider-managed, with a re-registration per domain, a departure for
+// every other domain and a revocation for one certificate in four, some of
+// each event outside the certificates' validity.
+func batchFixture(tb testing.TB) (*Corpus, []crl.Entry, []whois.ReRegistration, []dnssim.Departure) {
+	tb.Helper()
+	const now = simtime.Day(3650)
+	var certs []*x509sim.Certificate
+	var revs []crl.Entry
+	var rereg []whois.ReRegistration
+	var deps []dnssim.Departure
+	for d := 0; d < 400; d++ {
+		domain := fmt.Sprintf("batch%03d.com", d)
+		for j := 0; j < 5; j++ {
+			n := len(certs) + 1
+			names := []string{domain, "www." + domain}
+			if n%2 == 0 {
+				names = append(names, fmt.Sprintf("sni%d.managed.example", n))
+			}
+			nb := now - simtime.Day(n%300)
+			c, err := x509sim.New(x509sim.SerialNumber(n), 1, x509sim.KeyID(n), names, nb, nb+200)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			certs = append(certs, c)
+			if n%4 == 0 {
+				revs = append(revs, crl.Entry{Issuer: 1, Serial: c.Serial, RevokedAt: nb + simtime.Day(n%250), Reason: crl.Reason(n % 6)})
+			}
+		}
+		rereg = append(rereg, whois.ReRegistration{Domain: domain, NewCreation: now - simtime.Day(d%365)})
+		if d%2 == 0 {
+			deps = append(deps, dnssim.Departure{Domain: domain, LastSeen: now - 1, FirstGone: now})
+		}
+	}
+	return NewCorpus(certs, CorpusOptions{}), revs, rereg, deps
+}
+
+func isBatchManaged(c *x509sim.Certificate) bool { return len(c.Names) > 2 }
+
+// batchDetect is one pass of the three batch detectors.
+func batchDetect(idx *Corpus, revs []crl.Entry, rereg []whois.ReRegistration, deps []dnssim.Departure) int {
+	revoked, _ := DetectRevoked(idx, revs, simtime.NoDay)
+	return len(revoked) + len(DetectRegistrantChange(idx, rereg)) + len(DetectManagedTLSDeparture(idx, deps, isBatchManaged))
+}
+
+// BenchmarkBatchDetect is the three batch detectors over a corpus, reported
+// per certificate as ns/cert (core.batch_detect_us_per_cert).
+func BenchmarkBatchDetect(b *testing.B) {
+	idx, revs, rereg, deps := batchFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if batchDetect(idx, revs, rereg, deps) == 0 {
+			b.Fatal("no verdicts")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*idx.Len()), "ns/cert")
+}
+
+// TestBatchDetectAllocCeiling caps one BenchmarkBatchDetect pass one above
+// what it costs today (631: per e2LD an index copy in each event detector,
+// and the verdict slices).
+func TestBatchDetectAllocCeiling(t *testing.T) {
+	idx, revs, rereg, deps := batchFixture(t)
+	if got := testing.AllocsPerRun(20, func() { batchDetect(idx, revs, rereg, deps) }); got > 632 {
+		t.Errorf("one pass allocates %.0f times, ceiling 632", got)
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"stalecert/internal/crl"
 	"stalecert/internal/dnssim"
 	"stalecert/internal/psl"
@@ -53,6 +55,8 @@ type DomainEvidence struct {
 	// IsManaged identifies provider-managed certificates for the departure
 	// check; nil disables that method.
 	IsManaged ManagedCertPred
+	// ObservedAt is when the oldest WHOIS or DNS answer used was fetched, or zero.
+	ObservedAt time.Time
 }
 
 // DomainStaleness runs the three detectors' per-domain logic for one e2LD

@@ -13,18 +13,29 @@ import (
 	"stalecert/internal/x509sim"
 )
 
-// bulkLog is a log of n certificates in the shape ctlogd -seed-entries and the
+// bulkCerts is n certificates in the shape ctlogd -seed-entries and the
 // benchmark's bulk corpus use: one SAN under one of 1 000 e2LDs.
-func bulkLog(tb testing.TB, n int) *Log {
+func bulkCerts(tb testing.TB, n int) []*x509sim.Certificate {
 	tb.Helper()
 	now := simtime.MustParse("2023-01-01")
-	l := New("bench-log", Shard{})
-	for i := 0; i < n; i++ {
+	certs := make([]*x509sim.Certificate, n)
+	for i := range certs {
 		c, err := x509sim.New(x509sim.SerialNumber(i+1), 1, x509sim.KeyID(i+1),
 			[]string{fmt.Sprintf("seed%06d.example-%03d.com", i, i%1000)}, now-30, now+60)
 		if err != nil {
 			tb.Fatal(err)
 		}
+		certs[i] = c
+	}
+	return certs
+}
+
+// bulkLog is a log of n bulkCerts.
+func bulkLog(tb testing.TB, n int) *Log {
+	tb.Helper()
+	now := simtime.MustParse("2023-01-01")
+	l := New("bench-log", Shard{})
+	for i, c := range bulkCerts(tb, n) {
 		if _, err := l.AddChain(c, now-simtime.Day(i%30)); err != nil {
 			tb.Fatal(err)
 		}
@@ -122,5 +133,44 @@ func TestIngestAllocCeilings(t *testing.T) {
 		}
 	}) / MaxEntriesPerGet; got > 4 {
 		t.Errorf("one decoded entry allocates %.2f times, ceiling 4", got)
+	}
+}
+
+// BenchmarkAddChain is Log.AddChain of a certificate the log has not seen
+// (ctlog.add_chain_us): leaf encoding, the decode check, the leaf hash, the
+// tree append and the SCT. Each pass over 4 096 bulkCerts is submitted a day
+// later, so every submission is a new leaf; the log starts afresh every
+// 65 536 entries.
+func BenchmarkAddChain(b *testing.B) {
+	certs := bulkCerts(b, 4096)
+	now := simtime.MustParse("2023-01-01")
+	var l *Log
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%65536 == 0 {
+			b.StopTimer()
+			l = New("bench-log", Shard{})
+			b.StartTimer()
+		}
+		if _, err := l.AddChain(certs[i%len(certs)], now+simtime.Day(i%65536/len(certs))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestAddChainAllocCeiling caps BenchmarkAddChain one above what a new leaf
+// costs today (12).
+func TestAddChainAllocCeiling(t *testing.T) {
+	certs := bulkCerts(t, 4096)
+	now := simtime.MustParse("2023-01-01")
+	l, i := New("bench-log", Shard{}), 0
+	if got := testing.AllocsPerRun(2000, func() {
+		if _, err := l.AddChain(certs[i%len(certs)], now+simtime.Day(i/len(certs))); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got > 13 {
+		t.Errorf("one new leaf allocates %.0f times, ceiling 13", got)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func testStore(t *testing.T) *Store {
+func testStore(t testing.TB) *Store {
 	t.Helper()
 	com := NewZone("com")
 	for _, r := range []Record{

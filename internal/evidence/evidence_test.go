@@ -19,6 +19,7 @@ import (
 	"stalecert/internal/dnssim"
 	"stalecert/internal/monitor"
 	"stalecert/internal/obs"
+	"stalecert/internal/resil"
 	"stalecert/internal/simtime"
 	"stalecert/internal/whois"
 	"stalecert/internal/x509sim"
@@ -412,17 +413,10 @@ func TestGatherFailsWhenACAHasNeverLoaded(t *testing.T) {
 	}
 }
 
-// BenchmarkGather is one cache miss's evidence work against in-process
-// whoisd, dnsscand and crld equivalents, by what the domain holds: unmanaged
-// (certificates, none provider-managed and valid) is a WHOIS dial and the
-// snapshot join; managed adds the DNS delegation questions, concurrently;
-// nocerts (a name the index has never seen) asks nobody.
-func BenchmarkGather(b *testing.B) {
-	r := newRig(b, 7)
-	ctx := context.Background()
-	if _, err := r.gather.Gather(ctx, r.domains[0]); err != nil { // first load
-		b.Fatal(err)
-	}
+// classes sorts the rig's domains by what a gather asks for them: managed
+// (WHOIS and DNS), unmanaged (WHOIS only), and nocerts, made-up names the
+// index has never seen.
+func (r *rig) classes() map[string][]string {
 	classes := map[string][]string{}
 	for i, domain := range r.domains {
 		switch whoisAsked, dnsAsked := r.asks(domain); {
@@ -433,9 +427,159 @@ func BenchmarkGather(b *testing.B) {
 		}
 		classes["nocerts"] = append(classes["nocerts"], fmt.Sprintf("absent%04d.com", i))
 	}
+	return classes
+}
+
+// TestKeptAnswersAreReusedUntilMaxAge: with MaxAge set, a second gather of
+// a domain asks no server and yields the verdict the first did, dated to the
+// first's fetch; once the clock passes MaxAge, one more gather leaves exactly
+// its own answer kept. A gather that asks nothing is undated.
+func TestKeptAnswersAreReusedUntilMaxAge(t *testing.T) {
+	r := newRig(t, 7)
+	ctx := context.Background()
+	clock := resil.NewFakeClock(time.Unix(1_700_000_000, 0))
+	r.gather.MaxAge, r.gather.Clock = 5*time.Second, clock
+	t0 := clock.Now()
+	classes := r.classes()
+	domains := append(classes["unmanaged"][:20:20], classes["managed"][:20]...)
+	first := map[string][]core.StaleCert{}
+	for _, d := range domains {
+		ev, err := r.gather.Gather(ctx, d)
+		if err != nil || !ev.ObservedAt.Equal(t0) {
+			t.Fatalf("first gather of %s: ObservedAt %v, %v; want t0", d, ev.ObservedAt, err)
+		}
+		first[d] = core.DomainStaleness(r.corpus, d, ev)
+	}
+	if n := len(r.gather.answers); n != 60 {
+		t.Fatalf("%d answers kept after 20 WHOIS-only and 20 WHOIS+DNS gathers, want 60", n)
+	}
+	clock.Advance(5*time.Second - time.Nanosecond)
+	whoisBefore, dnsBefore := whoisServed(), dnsServed()
+	for _, d := range domains {
+		ev, err := r.gather.Gather(ctx, d)
+		if err != nil || !ev.ObservedAt.Equal(t0) {
+			t.Fatalf("second gather of %s: ObservedAt %v, %v; want t0", d, ev.ObservedAt, err)
+		}
+		if got := core.DomainStaleness(r.corpus, d, ev); !reflect.DeepEqual(got, first[d]) {
+			t.Fatalf("%s from kept answers:\n got %v\nwant %v", d, got, first[d])
+		}
+	}
+	if whoisServed() != whoisBefore || dnsServed() != dnsBefore {
+		t.Fatalf("gathers within MaxAge asked whoisd %d and dnsscand %d times, want none",
+			whoisServed()-whoisBefore, dnsServed()-dnsBefore)
+	}
+	if ev, _ := r.gather.Gather(ctx, classes["nocerts"][0]); !ev.ObservedAt.IsZero() {
+		t.Fatalf("a gather that asked nothing is dated %v", ev.ObservedAt)
+	}
+
+	clock.Advance(time.Nanosecond)
+	d := classes["unmanaged"][20]
+	if ev, err := r.gather.Gather(ctx, d); err != nil || !ev.ObservedAt.Equal(clock.Now()) {
+		t.Fatalf("gather of %s past MaxAge: ObservedAt %v, %v; want now", d, ev.ObservedAt, err)
+	}
+	if len(r.gather.answers) != 1 || len(r.gather.kept) != 1 {
+		t.Fatalf("past MaxAge one gather leaves %d answers, %d in fetch order; want 1 and 1", len(r.gather.answers), len(r.gather.kept))
+	}
+}
+
+// TestConcurrentGathersKeepAnswersConsistent: gathers on eight goroutines
+// store, reuse and expire answers while the clock moves past MaxAge, and each
+// yields the verdict a lone gather did.
+func TestConcurrentGathersKeepAnswersConsistent(t *testing.T) {
+	r := newRig(t, 7)
+	ctx := context.Background()
+	clock := resil.NewFakeClock(time.Unix(1_700_000_000, 0))
+	r.gather.MaxAge, r.gather.Clock = 3*time.Second, clock
+	domains := r.domains[:60]
+	want := map[string][]core.StaleCert{}
+	for _, d := range domains {
+		ev, err := r.gather.Gather(ctx, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[d] = core.DomainStaleness(r.corpus, d, ev)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3*len(domains); i++ {
+				d := domains[(i*7+w)%len(domains)]
+				ev, err := r.gather.Gather(ctx, d)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := core.DomainStaleness(r.corpus, d, ev); !reflect.DeepEqual(got, want[d]) {
+					t.Errorf("%s: got %v, want %v", d, got, want[d])
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		clock.Advance(time.Second)
+		time.Sleep(time.Millisecond)
+	}
+	wg.Wait()
+}
+
+// TestReusedGatherAllocCeiling caps a gather served from kept answers one
+// above what it costs today (5 and 6: the index read, the snapshot join's
+// map and slice), and checks it touches no socket.
+func TestReusedGatherAllocCeiling(t *testing.T) {
+	r := newRig(t, 7)
+	ctx := context.Background()
+	r.gather.MaxAge = time.Hour
+	classes := r.classes()
+	for class, ceiling := range map[string]float64{"unmanaged": 6, "managed": 7} {
+		d := classes[class][0]
+		if _, err := r.gather.Gather(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+		whoisBefore, dnsBefore := whoisServed(), dnsServed()
+		if got := testing.AllocsPerRun(200, func() { _, _ = r.gather.Gather(ctx, d) }); got > ceiling {
+			t.Errorf("%s: a reused gather allocates %.0f times, ceiling %.0f", class, got, ceiling)
+		}
+		if whoisServed() != whoisBefore || dnsServed() != dnsBefore {
+			t.Errorf("%s: a reused gather asked a server", class)
+		}
+	}
+}
+
+// BenchmarkGather is one cache miss's evidence work against in-process
+// whoisd, dnsscand and crld equivalents, by what the domain holds: unmanaged
+// (certificates, none provider-managed and valid) is a WHOIS dial and the
+// snapshot join; managed adds the DNS delegation questions, concurrently;
+// nocerts (a name the index has never seen) asks nobody. The reused rows are
+// the first two with every answer kept (MaxAge): no socket is touched.
+func BenchmarkGather(b *testing.B) {
+	r := newRig(b, 7)
+	ctx := context.Background()
+	if _, err := r.gather.Gather(ctx, r.domains[0]); err != nil { // first load
+		b.Fatal(err)
+	}
+	classes := r.classes()
 	for _, class := range []string{"unmanaged", "managed", "nocerts"} {
 		domains := classes[class]
 		b.Run(class, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.gather.Gather(ctx, domains[i%len(domains)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	r.gather.MaxAge = time.Hour
+	for _, class := range []string{"unmanaged", "managed"} {
+		domains := classes[class]
+		for _, d := range domains {
+			if _, err := r.gather.Gather(ctx, d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(class+"/reused", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.gather.Gather(ctx, domains[i%len(domains)]); err != nil {

@@ -188,12 +188,13 @@ func (f *Fleet) startReplica(name string, slice int, ingestBreakers *resil.Break
 	snap := &crl.Snapshot{Fetcher: &crl.Fetcher{Base: f.crlVia}, Names: []string{caName}, Service: "staleapid"}
 	m.Health.Register("crl-snapshot", snap.Ready)
 	Until(t, func() error { return snap.Refresh(ctx) })
-	gather := &evidence.Gatherer{Index: store, CRL: snap, Now: Day}
+	const ttl = time.Nanosecond // "cached": false whichever sibling answers
+	gather := &evidence.Gatherer{Index: store, CRL: snap, Now: Day, MaxAge: ttl}
 	m.Handle(staleapi.NewServer(staleapi.Config{
 		Store:    store,
 		Evidence: gather.Gather,
 		Now:      func() simtime.Day { return Day },
-		CacheTTL: time.Nanosecond, // "cached": false whichever sibling answers
+		CacheTTL: ttl,
 		Health:   m.Health,
 	}).Handler())
 	return m

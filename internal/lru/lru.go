@@ -48,9 +48,14 @@ type Cache struct {
 type entry struct {
 	key     string
 	val     any
-	stored  time.Time
+	stored  time.Time // when the value's inputs were observed: its age runs from here
 	expires time.Time
 }
+
+// Dated is a loader value computed from inputs observed earlier: Do dates its
+// entry from an earlier, non-zero AsOf, so it expires a TTL after its oldest
+// input and a stale read reports that input's age.
+type Dated interface{ AsOf() time.Time }
 
 // CacheInfo describes where a Do result came from.
 type CacheInfo struct {
@@ -59,7 +64,7 @@ type CacheInfo struct {
 	// Stale: the loader failed and the value is the retained last-good
 	// (expired) entry — degraded service, not an error.
 	Stale bool
-	// Age is how long ago a stale value was originally computed.
+	// Age is how long ago a stale value was computed (if Dated, observed).
 	Age time.Duration
 	// Err is the loader error a stale value stands in for, shared by every
 	// caller of the flight that failed.
@@ -160,6 +165,9 @@ func (c *Cache) Do(key string, loader func() (any, error)) (v any, info CacheInf
 		} else {
 			el = c.ll.PushFront(&entry{key: key})
 			c.items[key] = el
+		}
+		if d, ok := cl.val.(Dated); ok && !d.AsOf().IsZero() && d.AsOf().Before(now) {
+			now = d.AsOf()
 		}
 		ent := el.Value.(*entry)
 		ent.val, ent.stored, ent.expires = cl.val, now, now.Add(c.ttl)

@@ -98,6 +98,40 @@ func TestCacheServesStaleOnLoaderFailure(t *testing.T) {
 	}
 }
 
+// dated is a value whose inputs were observed at a given time.
+type dated time.Time
+
+func (d dated) AsOf() time.Time { return time.Time(d) }
+
+// TestDatedValueExpiresFromItsInputs: a value computed at t0+3s from an input
+// observed at t0 is fresh until t0+TTL, and its stale age runs from t0; a
+// zero or future AsOf dates it from the store.
+func TestDatedValueExpiresFromItsInputs(t *testing.T) {
+	c := New("lru", 8, 5*time.Second)
+	t0 := time.Unix(1000, 0)
+	now := t0.Add(3 * time.Second)
+	c.now = func() time.Time { return now }
+	boom := errors.New("upstream down")
+
+	c.Do("old", func() (any, error) { return dated(t0), nil })
+	c.Do("zero", func() (any, error) { return dated(time.Time{}), nil })
+	c.Do("future", func() (any, error) { return dated(now.Add(time.Hour)), nil })
+	now = t0.Add(5*time.Second - time.Nanosecond)
+	if _, info, _ := c.Do("old", func() (any, error) { return nil, boom }); !info.Hit {
+		t.Fatalf("old at t0+5s-1ns: %+v, want a hit", info)
+	}
+	now = t0.Add(5 * time.Second)
+	_, info, _ := c.Do("old", func() (any, error) { return nil, boom })
+	if !info.Stale || info.Age != 5*time.Second {
+		t.Fatalf("old at t0+5s: %+v, want stale, 5s old", info)
+	}
+	for _, k := range []string{"zero", "future"} {
+		if _, info, _ := c.Do(k, func() (any, error) { return nil, boom }); !info.Hit {
+			t.Errorf("%s at t0+5s: %+v, want a hit until t0+8s", k, info)
+		}
+	}
+}
+
 func TestCacheStaleNotServedWithoutLastGood(t *testing.T) {
 	c := New("lru", 8, time.Minute)
 	boom := errors.New("upstream down")

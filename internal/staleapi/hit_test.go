@@ -79,10 +79,11 @@ func TestHitBytesEqualWriteJSON(t *testing.T) {
 
 	staleVerdicts := 0
 	for _, d := range domains {
-		resp, err := srv.staleness(context.Background(), d)
+		verdict, err := srv.staleness(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
+		resp := verdict.resp
 		staleVerdicts += len(resp.Stale)
 		path := "/v1/domain/" + d + "/staleness"
 		if got, want := serveOK(t, h, path).Body.String(), wantJSON(t, resp); got != want {
@@ -125,11 +126,12 @@ func TestDegradedAnswerIsReencoded(t *testing.T) {
 	fail.Store(true)
 	for _, d := range []string{hit, missOnly} {
 		fail.Store(false)
-		want, err := srv.staleness(context.Background(), d)
+		verdict, err := srv.staleness(context.Background(), d)
 		fail.Store(true)
-		if err != nil || len(want.Stale) == 0 {
-			t.Fatalf("%s: verdict %+v, %v", d, want, err)
+		if err != nil || len(verdict.resp.Stale) == 0 {
+			t.Fatalf("%s: verdict %+v, %v", d, verdict, err)
 		}
+		want := verdict.resp
 		want.Degraded, want.EvidenceAge = true, "3m0s"
 		rec := serveOK(t, h, "/v1/domain/"+d+"/staleness")
 		if got := rec.Body.String(); got != wantJSON(t, want) {

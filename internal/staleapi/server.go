@@ -362,13 +362,7 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 	}
 	mStalenessChecks.Inc()
 	ctx := r.Context()
-	v, info, err := s.cache.Do("staleness:"+domain, func() (any, error) {
-		resp, err := s.staleness(ctx, domain)
-		if err != nil {
-			return nil, err
-		}
-		return &cachedVerdict{resp: resp}, nil
-	})
+	v, info, err := s.cache.Do("staleness:"+domain, func() (any, error) { return s.staleness(ctx, domain) })
 	if err != nil {
 		mEvidenceErrors.Inc()
 		s.noteEvidence(err)
@@ -388,7 +382,8 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 	resp := verdict.resp
 	if info.Stale {
 		// Live evidence failed but a last-good verdict is retained: serve it
-		// marked degraded rather than 502ing the query.
+		// marked degraded rather than 502ing the query, aged from its oldest
+		// remote answer (the verdict is Dated).
 		mEvidenceErrors.Inc()
 		s.noteEvidence(fmt.Errorf("serving stale evidence for %s", domain))
 		resp.Degraded = true
@@ -406,10 +401,15 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 // serves. That body is built by the first hit, not by the miss — on a key
 // space larger than the cache most verdicts are never asked for twice.
 type cachedVerdict struct {
-	resp    StalenessResponse
-	once    sync.Once
-	hitBody []byte
+	resp     StalenessResponse
+	observed time.Time // the evidence's ObservedAt
+	once     sync.Once
+	hitBody  []byte
 }
+
+// AsOf makes the verdict an lru.Dated value: it expires a TTL after its
+// oldest remote answer was fetched, and its degraded age counts from there.
+func (v *cachedVerdict) AsOf() time.Time { return v.observed }
 
 // hit returns resp with "cached": true exactly as obs.WriteJSON encodes it.
 func (v *cachedVerdict) hit() []byte {
@@ -443,7 +443,7 @@ func (s *Server) EvidenceProbe(context.Context) error {
 // per-domain detector logic against the store index, render. The stage
 // timings (evidence vs detect) are mirrored into the request's distributed
 // trace, so a slow staleness query shows which half cost the time.
-func (s *Server) staleness(ctx context.Context, domain string) (StalenessResponse, error) {
+func (s *Server) staleness(ctx context.Context, domain string) (*cachedVerdict, error) {
 	id, _ := obs.RequestIDFromContext(ctx) // zero outside a traced request: stages go unrecorded
 	var ev core.DomainEvidence
 	ev.RevocationCutoff = simtime.NoDay
@@ -453,7 +453,7 @@ func (s *Server) staleness(ctx context.Context, domain string) (StalenessRespons
 		ev, err = s.evidence(ctx, domain)
 		sp.End()
 		if err != nil {
-			return StalenessResponse{}, fmt.Errorf("evidence for %s: %w", domain, err)
+			return nil, fmt.Errorf("evidence for %s: %w", domain, err)
 		}
 	}
 	now := s.now()
@@ -480,5 +480,5 @@ func (s *Server) staleness(ctx context.Context, domain string) (StalenessRespons
 		resp.Stale = append(resp.Stale, sj)
 		mStaleResults.Inc()
 	}
-	return resp, nil
+	return &cachedVerdict{resp: resp, observed: ev.ObservedAt}, nil
 }

@@ -78,6 +78,44 @@ func BenchmarkGatewayOwnerRouted(b *testing.B) {
 	})
 }
 
+// BenchmarkNullRelay is BenchmarkGatewayOwnerRouted's denominator: the same
+// query relayed by the least a gateway can be, http.Client.Get and io.Copy,
+// to the same replica behind the same middleware, itself behind the same
+// middleware and logger.
+func BenchmarkNullRelay(b *testing.B) {
+	prev, prevLevel := slog.Default(), obs.LogLevel()
+	obs.SetupLogger(io.Discard, "text", "info")
+	b.Cleanup(func() {
+		slog.SetDefault(prev)
+		obs.SetLogLevel(prevLevel)
+	})
+	replica := httptest.NewServer(obs.Middleware(obs.NewRegistry(), "staleapid", replicaMux(0, 1)))
+	b.Cleanup(replica.Close)
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
+	b.Cleanup(hc.CloseIdleConnections)
+	h := obs.Middleware(obs.NewRegistry(), "stalegw", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := hc.Get(replica.URL + r.URL.Path)
+		if err != nil {
+			w.WriteHeader(http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
+	}))
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := &nullWriter{h: http.Header{}}
+		for pb.Next() {
+			domain := "bench" + strconv.FormatInt(next.Add(1)%4096, 10) + ".com"
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/domain/"+domain+"/staleness", nil))
+		}
+	})
+}
+
 // BenchmarkGatewayCert is one fingerprint lookup over two slices, 400
 // fingerprints spread evenly: "scatter" with storage off, so every lookup
 // asks both slices as every lookup past the TTL used to, and "hinted" with
