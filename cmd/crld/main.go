@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crld [-addr :8785] [-seed-revocations N] [-fail-rate 0.02] [-now 2023-01-01]
-//	     [observability flags: obs.BindFlags]
+//	     [observability flags: obs.BindServingFlags]
 //
 // The server hosts the reproduction's built-in CA directory; each CA is
 // seeded with synthetic revocations across the standard reason codes.
@@ -34,7 +34,7 @@ func main() {
 	failRate := flag.Float64("fail-rate", 0.02, "per-request scrape-protection failure probability")
 	now := flag.String("now", "2023-01-01", "simulated current day (CRL thisUpdate)")
 	seed := flag.Int64("seed", 1, "randomness seed")
-	obsFlags := obs.BindFlags(flag.CommandLine)
+	obsFlags := obs.BindServingFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger, stopDebug := obsFlags.Setup("crld")

@@ -6,7 +6,7 @@
 //
 //	ctlogd [-addr :8784] [-name mylog] [-shard-start 2022-01-01 -shard-end 2023-01-01]
 //	       [-seed-entries N] [-seed-domains 1]
-//	       [observability flags: obs.BindFlags]
+//	       [observability flags: obs.BindServingFlags]
 //
 // With -seed-entries the log is pre-populated with synthetic certificates,
 // so a tailing staleapid or stalewatch has something to fetch.
@@ -36,7 +36,7 @@ func main() {
 	seedEntries := flag.Int("seed-entries", 0, "pre-populate with N synthetic certificates")
 	seedDomains := flag.Int("seed-domains", 1, "spread seeded certificates across N distinct e2LDs (1 = all under example.com)")
 	now := flag.String("now", "2023-01-01", "simulated current day for SCT timestamps")
-	obsFlags := obs.BindFlags(flag.CommandLine)
+	obsFlags := obs.BindServingFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger, stopDebug := obsFlags.Setup("ctlogd")

@@ -10,7 +10,7 @@
 //	dnsscand -serve -zonefile com.zone [-addr 127.0.0.1:5353]
 //	dnsscand -scan -server 127.0.0.1:5353 -domains example.com,foo.com
 //
-// Both modes accept the observability flags obs.BindFlags registers.
+// Both modes accept obs.BindFlags' -debug-addr, -log-format and -log-level.
 package main
 
 import (

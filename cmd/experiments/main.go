@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-scale quick|test|full] [-seed N] [-artifact NAME | -all | -headline | -json]
-//	            [-csv] [-stages] [observability flags: obs.BindFlags]
+//	            [-csv] [-stages] [-debug-addr ADDR] [-log-format text|json] [-log-level info]
 //
 // Artifacts: table3 table4 table5 table6 table7
 //

@@ -5,13 +5,13 @@
 // merges the per-daemon log rings into one time-ordered instance-labelled
 // log stream — one Prometheus scrape target, one trace query surface and one
 // log query surface for the whole deployment — plus a plain-text fleet
-// summary. Scrape failures, jobs whose server error rate crosses a
-// threshold, stitched traces slower than -fleet-trace-slow, federated SLO
-// burn-rate alerts (slo_alert_firing on any target) and per-job error-log
-// bursts above -error-burst-threshold raise structured log alerts;
-// -alert-rearm re-fires a still-active alert after a quiet period instead of
-// once ever. Every round's samples are also appended to an in-memory
-// time-series database (bounded by -tsdb-retention and -tsdb-max-series)
+// summary. Scrape failures, jobs whose server error rate crosses 10%,
+// stitched traces slower than 1s, federated SLO burn-rate alerts
+// (slo_alert_firing on any target) and per-job error-log bursts above one
+// record/s raise structured log alerts; a still-active alert re-fires after
+// 5 quiet minutes. The fleet view keeps 512 stitched traces and 4 096 log
+// records. Every round's samples are also appended to an in-memory
+// time-series database (15 minutes of history, at most 50 000 series)
 // that answers instant and range expression queries at /fleet/query —
 // rate(), irate(), count_over_time(), histogram_quantile(), sum/min/max by
 // label, arithmetic and comparisons — and drives -record recording rules and
@@ -21,12 +21,9 @@
 // Usage:
 //
 //	obsagg -targets ctlogd=http://127.0.0.1:9090,crld=http://127.0.0.1:9091 \
-//	       [-addr 127.0.0.1:8790] [-scrape-interval 10s] [-error-rate-threshold 0.1]
-//	       [-fleet-trace-slow 1s] [-fleet-trace-buffer 512] [-alert-rearm 5m]
-//	       [-fleet-log-buffer 4096] [-error-burst-threshold 1]
-//	       [-tsdb-retention 15m] [-tsdb-max-series 50000]
+//	       [-addr 127.0.0.1:8790] [-scrape-interval 10s]
 //	       [-record name=expr ...] [-alert-rule name=expr ...]
-//	       [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
+//	       [-retry-max 4] [observability flags: obs.BindServingFlags]
 //
 // Scrapes run through the resilience layer (retries + per-peer circuit
 // breakers). When some targets are down the aggregator keeps serving their
@@ -66,19 +63,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8790", "listen address for the federated surface")
 	targets := flag.String("targets", "", "comma-separated job=URL scrape targets (required)")
 	interval := flag.Duration("scrape-interval", 10*time.Second, "scrape interval")
-	threshold := flag.Float64("error-rate-threshold", 0.1, "per-job 5xx/total fraction that raises an alert (0 disables)")
-	fleetSlow := flag.Duration("fleet-trace-slow", time.Second, "stitched-trace duration that raises a slow-trace alert (0 disables)")
-	fleetBuffer := flag.Int("fleet-trace-buffer", 512, "stitched traces retained in the fleet view")
-	alertRearm := flag.Duration("alert-rearm", 5*time.Minute,
-		"quiet period after which a still-active slow-trace, SLO burn or error-burst alert re-fires (0 = once ever)")
-	fleetLogBuffer := flag.Int("fleet-log-buffer", obsagg.DefaultFleetLogBuffer,
-		"merged log records retained in the fleet view")
-	errorBurst := flag.Float64("error-burst-threshold", 1,
-		"per-job error-log records/second (from federated log_records_total) that raises a fleet alert (0 disables)")
-	tsdbRetention := flag.Duration("tsdb-retention", obsagg.DefaultTSDBRetention,
-		"how much per-series history the fleet TSDB retains (also the staleness window for vanished targets)")
-	tsdbMaxSeries := flag.Int("tsdb-max-series", obsagg.DefaultTSDBMaxSeries,
-		"cap on live TSDB series; appends past it are dropped and counted")
 	var recordingRules []obsagg.RecordingRule
 	flag.Func("record", "recording rule name=expr, evaluated each round into the TSDB (repeatable)",
 		func(spec string) error {
@@ -99,7 +83,7 @@ func main() {
 			alertRules = append(alertRules, r)
 			return nil
 		})
-	obsFlags := obs.BindFlags(flag.CommandLine)
+	obsFlags := obs.BindServingFlags(flag.CommandLine)
 	var rf resil.Flags
 	rf.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -116,16 +100,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The trace and log buffers and the TSDB keep their zero-value defaults.
 	agg := &obsagg.Aggregator{
 		Targets:             parsed,
 		Logger:              logger,
-		ErrorRateThreshold:  *threshold,
-		TraceSlow:           *fleetSlow,
-		TraceBuffer:         *fleetBuffer,
-		AlertRearm:          *alertRearm,
-		FleetLogBuffer:      *fleetLogBuffer,
-		ErrorBurstThreshold: *errorBurst,
-		TSDB:                &obsagg.TSDB{Retention: *tsdbRetention, MaxSeries: *tsdbMaxSeries},
+		ErrorRateThreshold:  0.1,
+		TraceSlow:           time.Second,
+		AlertRearm:          5 * time.Minute,
+		ErrorBurstThreshold: 1,
 		RecordingRules:      recordingRules,
 		AlertRules:          alertRules,
 		SelfJob:             "obsagg",

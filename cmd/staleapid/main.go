@@ -30,7 +30,7 @@
 //	          [-interval 5s] [-lag-threshold 0] [-whois 127.0.0.1:4343]
 //	          [-dns 127.0.0.1:5353] [-crl http://127.0.0.1:8785]
 //	          [-now 2023-01-01] [-cache-entries 1024] [-cache-ttl 5s]
-//	          [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
+//	          [-retry-max 4] [observability flags: obs.BindServingFlags]
 //	          [-shard i/N]
 //
 // With -shard i/N the replica is one slice of a consistent-hash fleet: it
@@ -50,8 +50,8 @@
 // fails over or hedges between.
 //
 // Every outbound call (CT log tail, CRL fetches) goes through the resilience
-// layer: -retry-max bounds attempts, and -breaker-threshold tunes the
-// per-peer circuit breakers (visible on the debug listener at /v1/breakers).
+// layer: -retry-max bounds attempts, and per-peer circuit breakers open at
+// a 0.5 failure fraction (visible on the debug listener at /v1/breakers).
 // When live evidence fails but a last-good verdict is cached, the staleness
 // endpoint serves it with "degraded": true and an X-Stale-Evidence header
 // instead of a 502, and /readyz reports 200-degraded rather than 503.
@@ -94,7 +94,7 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 1024, "staleness cache capacity")
 	cacheTTL := flag.Duration("cache-ttl", 5*time.Second, "staleness cache TTL, and how long a WHOIS or DNS answer is reused")
 	shardFlag := flag.String("shard", "", "ring slice this replica ingests and serves, as i/N (empty = whole keyspace)")
-	obsFlags := obs.BindFlags(flag.CommandLine)
+	obsFlags := obs.BindServingFlags(flag.CommandLine)
 	var rf resil.Flags
 	rf.BindFlags(flag.CommandLine)
 	flag.Parse()

@@ -33,8 +33,8 @@
 //	stalegw -shards 'http://a:9001|http://b:9001,http://a:9002|http://b:9002'
 //	        [-addr :8787] [-quorum 0 (majority)]
 //	        [-probe-interval 2s] [-cache-entries 4096] [-cache-ttl 5s]
-//	        [-hedge-after 30ms] [-debug-addr 127.0.0.1:0] [-retry-max 4]
-//	        [-breaker-threshold 0.5]
+//	        [-hedge-after 30ms] [-retry-max 4]
+//	        [observability flags: obs.BindServingFlags]
 package main
 
 import (
@@ -61,7 +61,7 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 4096, "last-good response cache capacity")
 	cacheTTL := flag.Duration("cache-ttl", 5*time.Second, "last-good response cache TTL")
 	hedgeAfter := flag.Duration("hedge-after", 0, "race a sibling replica after this long without a response (0 disables hedging)")
-	obsFlags := obs.BindFlags(flag.CommandLine)
+	obsFlags := obs.BindServingFlags(flag.CommandLine)
 	var rf resil.Flags
 	rf.BindFlags(flag.CommandLine)
 	flag.Parse()

@@ -13,7 +13,8 @@
 //
 //	stalewatch -log http://127.0.0.1:8784 [-whois 127.0.0.1:4343] [-dns 127.0.0.1:5353]
 //	           [-crl http://127.0.0.1:8785] [-domains a.com,b.com] [-interval 10s] [-once]
-//	           [-jsonl] [-store DIR] [observability flags: obs.BindFlags] [resilience flags: resil.Flags.BindFlags]
+//	           [-jsonl] [-store DIR] [-retry-max 4]
+//	           [-debug-addr ADDR] [-log-format text|json] [-log-level info]
 //
 // Point it at cmd/ctlogd, cmd/whoisd, cmd/dnsscand and cmd/crld instances
 // (or real deployments of the same protocols); a source left unconfigured
@@ -171,11 +172,11 @@ func run() int {
 		fmt.Println(string(b))
 	}
 
-	opts := rf.Options("stalewatch")
-	if opts.Breaker != nil {
-		opts.Breaker = resil.NewBreakerSet(resil.BreakerConfig{
-			Service:   "stalewatch",
-			Threshold: rf.BreakerThreshold,
+	// The log client's breaker set is built here, not by rf.Options, so that
+	// its state changes reach the alert stream.
+	opts := resil.Options{Service: "stalewatch", Policy: resil.Policy{MaxAttempts: rf.RetryMax},
+		Breaker: resil.NewBreakerSet(resil.BreakerConfig{
+			Service: "stalewatch",
 			OnStateChange: func(peer string, from, to resil.State) {
 				if *jsonl {
 					emit(breakerLine{Kind: "breaker_" + to.String(), Peer: peer, From: from.String(), To: to.String()})
@@ -183,8 +184,7 @@ func run() int {
 				}
 				logger.Warn("breaker state change", "peer", peer, "from", from.String(), "to", to.String())
 			},
-		})
-	}
+		})}
 	watch := map[string]bool{}
 	for _, d := range strings.Split(*domains, ",") {
 		if d != "" {

@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	whoisd [-addr 127.0.0.1:4343] [-seed-domains N] [observability flags: obs.BindFlags]
+//	whoisd [-addr 127.0.0.1:4343] [-seed-domains N]
+//	       [-debug-addr ADDR] [-log-format text|json] [-log-level info]
 //	whoisd -query example000001.com [-server 127.0.0.1:4343]
 package main
 

@@ -120,9 +120,7 @@ var textSafe = func() (t [256]bool) {
 // line, appended and written under the lock slog's handler writes under.
 func (h *teeHandler) logAccess(a *accessLog) {
 	a.render()
-	if ring := cmp.Or(h.ring, DefaultLogRing()); ring != nil {
-		ring.Append(a.logRecord())
-	}
+	cmp.Or(h.ring, defaultLogRing).Append(a.logRecord())
 	t := h.text
 	t.mu.Lock()
 	defer t.mu.Unlock()

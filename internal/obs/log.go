@@ -16,8 +16,8 @@ import (
 // "warn", "error"), installs it as the slog default, and returns it. The
 // level is backed by the process-wide slog.LevelVar, so PUT /v1/loglevel
 // retargets a live daemon, and the handler tees every record into the
-// process log ring (DefaultLogRing) for /v1/logs. Unknown values fall back
-// to text/info with a warning naming the bad value and the fallback.
+// process log ring for /v1/logs. Unknown values fall back to text/info with
+// a warning naming the bad value and the fallback.
 func SetupLogger(w io.Writer, format, level string) *slog.Logger {
 	lv, levelOK := parseLevelName(level)
 	if !levelOK {
@@ -75,18 +75,17 @@ func parseLevelName(level string) (slog.Level, bool) {
 	return slog.LevelInfo, false
 }
 
-// Flags carries the standard observability flag values every cmd/ binary
-// accepts. Bind with BindFlags before flag.Parse, then call Setup.
+// Flags carries the observability flag values. BindFlags binds the base set
+// every cmd/ binary accepts; BindServingFlags adds the set for the daemons
+// that serve HTTP through Middleware. Bind before flag.Parse, then call
+// Setup.
 type Flags struct {
 	DebugAddr   string
 	LogFormat   string
 	LogLevel    string
-	LogBuffer   int
-	TraceBuffer int
 	TraceSample float64
-	TraceSlow   time.Duration
 
-	// SLO and triggered-profiling knobs.
+	// SLO and triggered-profiling knobs: nil and "" start nothing.
 	SLO         []SLOSpec
 	SLOInterval time.Duration
 	ProfileDir  string
@@ -95,25 +94,26 @@ type Flags struct {
 // defaultSLO is -slo's default.
 const defaultSLO = "availability:99.9,latency:99:250ms"
 
-// BindFlags registers -debug-addr, -log-format, -log-level, -log-buffer, the
-// tracing flags -trace-buffer/-trace-sample/-trace-slow, the SLO flags
-// -slo/-slo-interval and -profile-dir on fs. A -slo that does not parse
-// fails fs.Parse.
+// BindFlags registers the base set -debug-addr, -log-format and -log-level
+// on fs. Its Flags samples healthy traces at -trace-sample's default and
+// runs no SLO engine and no profile capture.
 func BindFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
-	f.SLO, _ = ParseSLOSpecs(defaultSLO) // it parses: TestSLOFlagParsesWithTheFlags
+	f := &Flags{TraceSample: defaultTraceSample}
 	fs.StringVar(&f.DebugAddr, "debug-addr", "",
 		"serve /metrics and /debug/pprof on this address (empty disables)")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "log output format: text or json")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log level: debug, info, warn or error")
-	fs.IntVar(&f.LogBuffer, "log-buffer", DefaultLogBuffer,
-		"structured log records retained in memory for /v1/logs (0 disables the ring)")
-	fs.IntVar(&f.TraceBuffer, "trace-buffer", 256,
-		"kept traces retained in memory for /v1/traces (0 disables tracing)")
-	fs.Float64Var(&f.TraceSample, "trace-sample", 0.10,
+	return f
+}
+
+// BindServingFlags registers the base set plus the serving set
+// -trace-sample, -slo, -slo-interval and -profile-dir on fs. A -slo that
+// does not parse fails fs.Parse.
+func BindServingFlags(fs *flag.FlagSet) *Flags {
+	f := BindFlags(fs)
+	f.SLO, _ = ParseSLOSpecs(defaultSLO) // it parses: TestSLOFlagParsesWithTheFlags
+	fs.Float64Var(&f.TraceSample, "trace-sample", f.TraceSample,
 		"fraction of healthy traces tail-kept (errors and slow traces are always kept)")
-	fs.DurationVar(&f.TraceSlow, "trace-slow", 250*time.Millisecond,
-		"root latency at or above which a trace is always kept")
 	fs.Func("slo", "comma-separated SLO objectives evaluated over the RED metrics "+
 		"(availability:<pct> and latency:<pct>:<threshold>; \"off\" disables) (default "+defaultSLO+")",
 		func(v string) (err error) {
@@ -128,29 +128,20 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 }
 
 // Setup installs the configured logger (tagged with the component name),
-// sizes the process-wide log ring (-log-buffer) and span store (-trace-*
-// flags), registers the build_info and Go runtime gauges, starts the SLO
-// burn-rate engine (-slo) with triggered profiling (-profile-dir) mounted at
-// /v1/profile(s) — captures embed a log-ring black-box snapshot — and, when
-// -debug-addr is set, starts the debug endpoint server — the Default registry
-// and DefaultHealth probes behind the request-scoped Middleware, so the debug
-// surface itself has RED metrics and access logs. The returned
-// stop func gracefully shuts the debug server down and stops the SLO engine
-// (no-op when disabled).
+// samples the process-wide span store at TraceSample, registers the
+// build_info and Go runtime gauges, starts the SLO burn-rate engine (SLO)
+// with triggered profiling (ProfileDir) mounted at /v1/profile(s) — captures
+// embed a log-ring black-box snapshot — and, when DebugAddr is set, starts
+// the debug endpoint server — the Default registry and DefaultHealth probes
+// behind the request-scoped Middleware, so the debug surface itself has RED
+// metrics and access logs. The returned stop func gracefully shuts the
+// debug server down and stops the SLO engine (no-op when disabled).
 func (f *Flags) Setup(component string) (*slog.Logger, func(context.Context) error) {
 	logger := SetupLogger(os.Stderr, f.LogFormat, f.LogLevel).With("component", component)
-	if f.LogBuffer > 0 {
-		SetDefaultLogRing(NewLogRing(f.LogBuffer))
-	} else {
-		SetDefaultLogRing(nil)
-	}
-	if f.TraceBuffer > 0 {
-		SetDefaultSpans(NewSpanStore(f.TraceBuffer, f.TraceSample, f.TraceSlow))
-	} else {
-		SetDefaultSpans(nil)
-	}
+	SetDefaultSpans(NewSpanStore(traceBuffer, f.TraceSample, traceSlow))
 	RegisterRuntimeMetrics(Default(), component)
 
+	endpoints := "/metrics /debug/pprof /healthz /readyz /v1/traces /v1/logs /v1/loglevel"
 	var capture *ProfileCapture
 	if f.ProfileDir != "" {
 		capture = &ProfileCapture{Dir: f.ProfileDir, Logger: logger}
@@ -158,6 +149,7 @@ func (f *Flags) Setup(component string) (*slog.Logger, func(context.Context) err
 		RegisterDebug("POST /v1/profile", h)
 		RegisterDebug("GET /v1/profiles", h)
 		RegisterDebug("GET /v1/profiles/{id}/{file}", h)
+		endpoints += " /v1/profiles"
 	}
 	// The panic-recovery black box: Middleware triggers a capture (profiles +
 	// log snapshot) through this process-wide pointer.
@@ -190,8 +182,7 @@ func (f *Flags) Setup(component string) (*slog.Logger, func(context.Context) err
 		if err != nil {
 			logger.Error("debug server failed to start", "addr", f.DebugAddr, "err", err)
 		} else {
-			logger.Info("debug endpoints up", "addr", bound,
-				"endpoints", "/metrics /debug/pprof /healthz /readyz /v1/traces /v1/logs /v1/loglevel /v1/profiles")
+			logger.Info("debug endpoints up", "addr", bound, "endpoints", endpoints)
 			stop = func(ctx context.Context) error { sloStop(); return shutdown(ctx) }
 		}
 	}

@@ -2,9 +2,14 @@ package obs
 
 import (
 	"bytes"
+	"context"
+	"flag"
 	"log/slog"
+	"os"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // restoreLogging saves the process-wide logging state mutated by SetupLogger
@@ -77,5 +82,82 @@ func TestSetupLoggerUnknownBothWarnTwice(t *testing.T) {
 	if !strings.Contains(out, "unknown -log-level, falling back") ||
 		!strings.Contains(out, "unknown -log-format, falling back") {
 		t.Errorf("expected both warnings, got: %q", out)
+	}
+}
+
+// flagNames lists the flags registered on fs, sorted.
+func flagNames(fs *flag.FlagSet) []string {
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	return names
+}
+
+// The base set is what every binary binds; the serving set adds exactly the
+// four knobs of a daemon serving HTTP through Middleware.
+func TestBindFlagsBaseAndServingSets(t *testing.T) {
+	fs := flag.NewFlagSet("base", flag.ContinueOnError)
+	base := BindFlags(fs)
+	if got, want := flagNames(fs), []string{"debug-addr", "log-format", "log-level"}; !slices.Equal(got, want) {
+		t.Errorf("BindFlags registers %v, want %v", got, want)
+	}
+	if base.SLO != nil || base.ProfileDir != "" || base.TraceSample != defaultTraceSample {
+		t.Errorf("base Flags = %+v, want no SLO, no profile dir, sample %v", base, defaultTraceSample)
+	}
+
+	fs = flag.NewFlagSet("serving", flag.ContinueOnError)
+	BindServingFlags(fs)
+	want := []string{"debug-addr", "log-format", "log-level", "profile-dir", "slo", "slo-interval", "trace-sample"}
+	if got := flagNames(fs); !slices.Equal(got, want) {
+		t.Errorf("BindServingFlags registers %v, want %v", got, want)
+	}
+}
+
+// Setup on a base Flags starts no SLO engine, where a serving one does, and
+// its "debug endpoints up" line names only what is mounted: no /v1/profiles
+// without -profile-dir.
+func TestSetupOnBaseFlagsStartsNoSLOEngine(t *testing.T) {
+	restoreLogging(t)
+	defer SetDefaultSpans(DefaultSpans())
+	defer SetDefaultCapture(DefaultCapture())
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(prev *os.File) { os.Stderr = prev }(os.Stderr)
+	os.Stderr = stderr
+
+	base := BindFlags(flag.NewFlagSet("base", flag.ContinueOnError))
+	base.DebugAddr = "127.0.0.1:0"
+	_, stopBase := base.Setup("setup-base")
+	defer stopBase(context.Background())
+	_, stopServing := BindServingFlags(flag.NewFlagSet("serving", flag.ContinueOnError)).Setup("setup-serving")
+	defer stopServing(context.Background())
+
+	burning := func(service string) bool {
+		for _, s := range Default().Snapshot() {
+			if s.Name == "slo_burn_rate" && LabelValue(s, "service") == service {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !burning("setup-serving"); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the serving Flags' SLO engine exported no slo_burn_rate")
+		}
+	}
+	if burning("setup-base") {
+		t.Error("Setup on a base Flags started an SLO engine")
+	}
+
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "debug endpoints up") {
+		t.Fatalf("no debug listener line in %q", out)
+	}
+	if strings.Contains(string(out), "/v1/profiles") {
+		t.Errorf("debug listener line names an unmounted /v1/profiles: %q", out)
 	}
 }

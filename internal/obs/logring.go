@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -162,14 +161,14 @@ type LogRing struct {
 	seq  uint64
 }
 
-// DefaultLogBuffer is the -log-buffer default.
-const DefaultLogBuffer = 1024
+// logBuffer is the process log ring's capacity.
+const logBuffer = 1024
 
 // NewLogRing builds a ring retaining at most capacity records (<= 0 uses
-// DefaultLogBuffer).
+// logBuffer).
 func NewLogRing(capacity int) *LogRing {
 	if capacity <= 0 {
-		capacity = DefaultLogBuffer
+		capacity = logBuffer
 	}
 	return &LogRing{buf: make([]LogRecord, capacity)}
 }
@@ -179,9 +178,6 @@ func (r *LogRing) reg() *Registry { return cmp.Or(r.Registry, Default()) }
 // Append stores one record, assigning its sequence number and evicting the
 // oldest record at capacity, and counts it in log_records_total.
 func (r *LogRing) Append(rec LogRecord) {
-	if r == nil {
-		return
-	}
 	r.reg().Counter("log_records_total",
 		"service", rec.Service, "level", levelLabel(rec.Level)).Inc()
 	r.mu.Lock()
@@ -213,9 +209,6 @@ func levelLabel(level string) string {
 
 // Query returns matching records oldest-first; Limit keeps the newest N.
 func (r *LogRing) Query(f LogFilter) []LogRecord {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]LogRecord, 0, r.size)
@@ -237,9 +230,6 @@ func (r *LogRing) Query(f LogFilter) []LogRecord {
 
 // Len reports the number of retained records.
 func (r *LogRing) Len() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.size
@@ -260,9 +250,6 @@ func (r *LogRing) WriteJSONL(w io.Writer) error {
 
 // SnapshotFile atomically writes the ring as JSONL to path.
 func (r *LogRing) SnapshotFile(path string) error {
-	if r == nil {
-		return fmt.Errorf("obs: no log ring to snapshot")
-	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -316,22 +303,10 @@ func (r *LogRing) SnapshotDir(dir string) error {
 	return r.SnapshotFile(filepath.Join(dir, LogSnapshotName))
 }
 
-// The process-wide default ring SetupLogger's tee feeds; sized by the
-// -log-buffer flag in Flags.Setup. A live default (like DefaultSpans) means
-// logging is ring-buffered even before Setup runs.
-var defaultLogRing atomic.Pointer[LogRing]
-
-func init() {
-	defaultLogRing.Store(NewLogRing(DefaultLogBuffer))
-}
-
-// DefaultLogRing returns the process-wide log ring, or nil when ring
-// buffering is disabled (-log-buffer=0).
-func DefaultLogRing() *LogRing { return defaultLogRing.Load() }
-
-// SetDefaultLogRing replaces the process-wide log ring; nil disables ring
-// buffering (stderr logging is unaffected).
-func SetDefaultLogRing(r *LogRing) { defaultLogRing.Store(r) }
+// defaultLogRing is the process-wide ring SetupLogger's tee feeds, serving
+// /v1/logs; it exists before Setup runs, so logging is ring-buffered from
+// the first record.
+var defaultLogRing = NewLogRing(logBuffer)
 
 // logLevel is the process-wide level gate shared by the stderr handler and
 // the ring tee; PUT /v1/loglevel retargets it live.
@@ -344,9 +319,7 @@ func SetLogLevel(lv slog.Level) { logLevel.Set(lv) }
 func LogLevel() slog.Level { return logLevel.Level() }
 
 // teeHandler forwards records to the stderr handler unchanged while also
-// appending a structured copy to the log ring. Ring == nil resolves
-// DefaultLogRing per record, so Flags.Setup's ring sizing applies to the
-// already-installed default logger.
+// appending a structured copy to the log ring (nil: the process ring).
 type teeHandler struct {
 	inner  slog.Handler
 	ring   *LogRing
@@ -358,7 +331,7 @@ type teeHandler struct {
 }
 
 // NewTeeHandler wraps inner so every handled record is also appended to ring
-// (nil ring: the process-wide DefaultLogRing at handle time).
+// (nil ring: the process ring).
 func NewTeeHandler(inner slog.Handler, ring *LogRing) slog.Handler {
 	return &teeHandler{inner: inner, ring: ring}
 }
@@ -406,58 +379,52 @@ func walkAttr(prefix string, a slog.Attr, leaf func(key string, v slog.Value)) {
 }
 
 func (h *teeHandler) Handle(ctx context.Context, rec slog.Record) error {
-	if ring := cmp.Or(h.ring, DefaultLogRing()); ring != nil {
-		lr := LogRecord{
-			Time:  rec.Time,
-			Level: rec.Level.String(),
-			Msg:   rec.Message,
-		}
-		if lr.Time.IsZero() {
-			lr.Time = time.Now()
-		}
-		if id, ok := RequestIDFromContext(ctx); ok {
-			lr.TraceID = id.Trace()
-			lr.SpanID = id.Span()
-		}
-		if n := len(h.attrs) + rec.NumAttrs(); n > 0 {
-			lr.Attrs = make(map[string]string, n)
-			set := func(key string, val slog.Value) {
-				v := val.String()
-				switch key {
-				case "component", "service":
-					if lr.Service == "" {
-						lr.Service = v
-					}
-				case "request_id", "trace_id":
-					// The middleware/transport access logs carry the trace ID
-					// as an attr; promote it so ?trace= filtering works for
-					// records logged without a request context.
-					if lr.TraceID == "" {
-						lr.TraceID = v
-					}
-				}
-				lr.Attrs[key] = v
-			}
-			for _, a := range h.attrs {
-				set(a.Key, a.Value)
-			}
-			prefix := strings.Join(h.groups, ".")
-			rec.Attrs(func(a slog.Attr) bool {
-				walkAttr(prefix, a, set)
-				return true
-			})
-		}
-		ring.Append(lr)
+	lr := LogRecord{
+		Time:  rec.Time,
+		Level: rec.Level.String(),
+		Msg:   rec.Message,
 	}
+	if lr.Time.IsZero() {
+		lr.Time = time.Now()
+	}
+	if id, ok := RequestIDFromContext(ctx); ok {
+		lr.TraceID = id.Trace()
+		lr.SpanID = id.Span()
+	}
+	if n := len(h.attrs) + rec.NumAttrs(); n > 0 {
+		lr.Attrs = make(map[string]string, n)
+		set := func(key string, val slog.Value) {
+			v := val.String()
+			switch key {
+			case "component", "service":
+				if lr.Service == "" {
+					lr.Service = v
+				}
+			case "request_id", "trace_id":
+				// The middleware/transport access logs carry the trace ID
+				// as an attr; promote it so ?trace= filtering works for
+				// records logged without a request context.
+				if lr.TraceID == "" {
+					lr.TraceID = v
+				}
+			}
+			lr.Attrs[key] = v
+		}
+		for _, a := range h.attrs {
+			set(a.Key, a.Value)
+		}
+		prefix := strings.Join(h.groups, ".")
+		rec.Attrs(func(a slog.Attr) bool {
+			walkAttr(prefix, a, set)
+			return true
+		})
+	}
+	cmp.Or(h.ring, defaultLogRing).Append(lr)
 	return h.inner.Handle(ctx, rec)
 }
 
 // serveLogs answers GET /v1/logs for one ring.
 func serveLogs(ring *LogRing, w http.ResponseWriter, r *http.Request) {
-	if ring == nil {
-		http.Error(w, "log ring disabled", http.StatusNotFound)
-		return
-	}
 	f, err := ParseLogFilter(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -520,10 +487,9 @@ func serveLogLevel(w http.ResponseWriter, r *http.Request) {
 }
 
 func init() {
-	// Every debug listener serves the process-wide ring and level control;
-	// both resolve per request so Setup's sizing takes effect immediately.
+	// Every debug listener serves the process-wide ring and level control.
 	RegisterDebug("GET /v1/logs", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serveLogs(DefaultLogRing(), w, r)
+		serveLogs(defaultLogRing, w, r)
 	}))
 	RegisterDebug("GET /v1/loglevel", http.HandlerFunc(serveLogLevel))
 	RegisterDebug("PUT /v1/loglevel", http.HandlerFunc(serveLogLevel))

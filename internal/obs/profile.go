@@ -53,8 +53,8 @@ type ProfileCapture struct {
 	Cooldown time.Duration
 	// Logger receives capture outcomes (nil: slog.Default()).
 	Logger *slog.Logger
-	// Logs is the ring snapshotted into each capture set (nil: the
-	// process-wide DefaultLogRing at capture time).
+	// Logs is the ring snapshotted into each capture set (nil: the process
+	// ring).
 	Logs *LogRing
 
 	mu        sync.Mutex
@@ -176,12 +176,10 @@ func (p *ProfileCapture) Capture(reason string) (ProfileEntry, error) {
 
 	// Black box: the log lines leading up to whatever triggered this capture,
 	// snapshotted next to the profiles they explain.
-	if ring := cmp.Or(p.Logs, DefaultLogRing()); ring != nil {
-		if err := ring.SnapshotDir(dir); err != nil {
-			p.logger().Warn("log black-box snapshot failed", "err", err)
-		} else {
-			entry.Files = append(entry.Files, LogSnapshotName)
-		}
+	if err := cmp.Or(p.Logs, defaultLogRing).SnapshotDir(dir); err != nil {
+		p.logger().Warn("log black-box snapshot failed", "err", err)
+	} else {
+		entry.Files = append(entry.Files, LogSnapshotName)
 	}
 
 	meta, err := json.MarshalIndent(entry, "", "  ")

@@ -238,7 +238,7 @@ func TestParseSLOSpecs(t *testing.T) {
 func TestSLOFlagParsesWithTheFlags(t *testing.T) {
 	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f := BindFlags(fs)
+	f := BindServingFlags(fs)
 	if len(f.SLO) != 2 || f.SLO[1].Threshold != 250*time.Millisecond {
 		t.Fatalf("default -slo = %+v", f.SLO)
 	}

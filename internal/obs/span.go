@@ -194,10 +194,19 @@ func NewSpanStore(capacity int, sample float64, slow time.Duration) *SpanStore {
 	}
 }
 
+// The process-wide span store's shape: traceBuffer kept traces, healthy
+// ones sampled at defaultTraceSample (-trace-sample's default), and a root at
+// or over traceSlow always kept.
+const (
+	traceBuffer        = 256
+	defaultTraceSample = 0.10
+	traceSlow          = 250 * time.Millisecond
+)
+
 var defaultSpans atomic.Pointer[SpanStore]
 
 func init() {
-	defaultSpans.Store(NewSpanStore(256, 0.10, 250*time.Millisecond))
+	defaultSpans.Store(NewSpanStore(traceBuffer, defaultTraceSample, traceSlow))
 }
 
 // DefaultSpans returns the process-wide span store Middleware and Transport
@@ -205,7 +214,7 @@ func init() {
 func DefaultSpans() *SpanStore { return defaultSpans.Load() }
 
 // SetDefaultSpans replaces the process-wide span store; nil disables span
-// recording entirely. Flags.Setup calls this from the -trace-* flags.
+// recording entirely. Flags.Setup calls this with -trace-sample.
 func SetDefaultSpans(s *SpanStore) { defaultSpans.Store(s) }
 
 func (s *SpanStore) reg() *Registry { return cmp.Or(s.Registry, Default()) }
@@ -518,5 +527,5 @@ func serveTraceTree(s *SpanStore, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The local drill-down: this process's ring lines for the trace.
-	WriteJSON(w, http.StatusOK, tr.Tree(DefaultLogRing().Query(LogFilter{TraceID: tr.TraceID})))
+	WriteJSON(w, http.StatusOK, tr.Tree(defaultLogRing.Query(LogFilter{TraceID: tr.TraceID})))
 }

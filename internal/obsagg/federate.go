@@ -211,9 +211,9 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) {
 
 // scrape is the one HTTP exchange of a round: GET path on the target's debug
 // listener under the scrape timeout, the 200 body handed to decode. optional
-// says a 404 means the daemon runs without that endpoint (-trace-buffer=0,
-// -log-buffer=0 or an older build) and there is nothing to decode, rather
-// than that the scrape failed.
+// says a 404 means the target has no such endpoint (an older build or a
+// foreign target) and there is nothing to decode, rather than that the
+// scrape failed.
 func (a *Aggregator) scrape(ctx context.Context, hc *http.Client, t Target, path string, optional bool, decode func(io.Reader) error) error {
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()

@@ -36,8 +36,8 @@ type logTargetState struct {
 	lastTime time.Time // newest record time merged (the next ?since= basis)
 }
 
-// scrapeLogs fetches one target's fresh log records; targets running without
-// a ring (-log-buffer=0 or an older build) answer 404 and are skipped.
+// scrapeLogs fetches one target's fresh log records; targets without a
+// /v1/logs (an older build or a foreign target) answer 404 and are skipped.
 func (a *Aggregator) scrapeLogs(ctx context.Context, hc *http.Client, t Target) ([]obs.LogRecord, error) {
 	key := t.Job + "\x00" + t.Instance()
 	a.mu.RLock()

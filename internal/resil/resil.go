@@ -74,22 +74,16 @@ func NewHTTPClient(opts Options) *http.Client { return InstrumentClient(nil, opt
 type Flags struct {
 	// RetryMax is the total attempt budget (-retry-max, default 4).
 	RetryMax int
-	// BreakerThreshold is the windowed failure fraction that opens a
-	// circuit (-breaker-threshold, default 0.5; 0 disables breaking).
-	BreakerThreshold float64
 }
 
-// BindFlags registers the resilience flags on fs.
+// BindFlags registers -retry-max on fs.
 func (f *Flags) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&f.RetryMax, "retry-max", 4, "total outbound attempt budget including the first (1 disables retries)")
-	fs.Float64Var(&f.BreakerThreshold, "breaker-threshold", 0.5, "windowed failure fraction that opens a peer's circuit (0 disables breaking)")
 }
 
-// Options materializes the bound flags into client options for one service.
+// Options materializes the bound flags into client options for one service,
+// with per-peer circuit breakers at BreakerConfig's defaults.
 func (f *Flags) Options(service string) Options {
-	opts := Options{Service: service, Policy: Policy{MaxAttempts: f.RetryMax}}
-	if f.BreakerThreshold > 0 {
-		opts.Breaker = NewBreakerSet(BreakerConfig{Service: service, Threshold: f.BreakerThreshold})
-	}
-	return opts
+	return Options{Service: service, Policy: Policy{MaxAttempts: f.RetryMax},
+		Breaker: NewBreakerSet(BreakerConfig{Service: service})}
 }
