@@ -15,6 +15,7 @@ import (
 
 	"stalecert/internal/obs"
 	"stalecert/internal/obsagg"
+	"stalecert/internal/resil"
 	"stalecert/internal/x509sim"
 )
 
@@ -54,8 +55,9 @@ func TestObservabilityFederationEndToEnd(t *testing.T) {
 	slog.SetDefault(slog.New(slog.NewJSONHandler(logs, &slog.HandlerOptions{Level: slog.LevelDebug})))
 	defer slog.SetDefault(oldLogger)
 
-	// ctlogd-style daemon: private registry, readiness probe, middleware.
-	reg := obs.NewRegistry()
+	// ctlogd-style daemon: the process registry, where the tailer's client
+	// metrics land too, readiness probe, middleware.
+	reg := obs.Default()
 	health := obs.NewHealth()
 	ready := obs.NewReady("ct tree not yet seeded")
 	health.Register("ct-tree-loaded", ready.Probe)
@@ -85,9 +87,7 @@ func TestObservabilityFederationEndToEnd(t *testing.T) {
 	}
 
 	// Scrape the log through an instrumented client, as a tailer does.
-	client := NewClient(ctSrv.URL, &http.Client{
-		Transport: &obs.Transport{Registry: reg, Service: "ct-tail"},
-	})
+	client := NewClientWithOptions(ctSrv.URL, nil, resil.Options{Service: "ct-tail"})
 	entries, _, err := client.Scrape(context.Background(), ScrapeOptions{VerifyInclusion: true})
 	if err != nil {
 		t.Fatal(err)

@@ -100,7 +100,7 @@ func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.
 			requests := rt.codes[code].Load()
 			if requests == nil {
 				requests = reg.Counter("http_requests_total", "service", service, "route", rt.route,
-					"code", statusClass(sw.status))
+					"code", StatusClass(sw.status))
 				rt.codes[code].Store(requests)
 			}
 			requests.Inc()
@@ -191,8 +191,8 @@ func routeLabel(r *http.Request) string {
 	return p
 }
 
-// statusClass buckets a status code as "2xx", "4xx", ... for metric labels.
-func statusClass(code int) string {
+// StatusClass buckets a status code as "2xx", "4xx", ... for metric labels.
+func StatusClass(code int) string {
 	if code < 100 || code > 599 {
 		return "other"
 	}

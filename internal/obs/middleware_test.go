@@ -151,65 +151,11 @@ func TestMiddlewareMintsIDWhenHeaderAbsentOrBad(t *testing.T) {
 	}
 }
 
-func TestTransportPropagatesContextID(t *testing.T) {
-	reg := NewRegistry()
-	var serverSeen string
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serverSeen = r.Header.Get(TraceHeader)
-	}))
-	defer ts.Close()
-
-	parent := NewRequestID()
-	hc := &http.Client{Transport: &Transport{Registry: reg, Service: "tester"}}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL, nil)
-	req = req.WithContext(ContextWithRequestID(req.Context(), parent))
-	resp, err := hc.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	sent, ok := ParseTraceparent(serverSeen)
-	if !ok {
-		t.Fatalf("server saw unparseable traceparent %q", serverSeen)
-	}
-	if sent.TraceID != parent.TraceID {
-		t.Errorf("propagated trace = %s, want %s", sent.Trace(), parent.Trace())
-	}
-	if sent.SpanID == parent.SpanID {
-		t.Error("outbound hop reused the parent span ID")
-	}
-	peer := req.URL.Host
-	c := findSample(t, reg.Snapshot(), "http_client_requests_total",
-		`{code="2xx",peer="`+peer+`",service="tester"}`)
-	if c.Value != 1 {
-		t.Errorf("client counter = %v, want 1", c.Value)
-	}
-}
-
-func TestInstrumentClientIdempotent(t *testing.T) {
-	hc := NewHTTPClient(nil, "svc")
-	if again := InstrumentClient(hc, "svc"); again != hc {
-		t.Error("InstrumentClient re-wrapped an instrumented client")
-	}
-	plain := &http.Client{}
-	wrapped := InstrumentClient(plain, "svc")
-	if wrapped == plain {
-		t.Error("InstrumentClient did not wrap a plain client")
-	}
-	if _, ok := wrapped.Transport.(*Transport); !ok {
-		t.Error("wrapped transport is not a *Transport")
-	}
-	if plain.Transport != nil {
-		t.Error("InstrumentClient mutated the caller's client")
-	}
-}
-
 func TestStatusClass(t *testing.T) {
 	cases := map[int]string{200: "2xx", 204: "2xx", 301: "3xx", 404: "4xx", 500: "5xx", 99: "other", 600: "other"}
 	for code, want := range cases {
-		if got := statusClass(code); got != want {
-			t.Errorf("statusClass(%d) = %q, want %q", code, got, want)
+		if got := StatusClass(code); got != want {
+			t.Errorf("StatusClass(%d) = %q, want %q", code, got, want)
 		}
 	}
 }

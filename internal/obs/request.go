@@ -132,18 +132,3 @@ func RequestIDFromContext(ctx context.Context) (RequestID, bool) {
 	}
 	return RequestID{}, false
 }
-
-type attemptKey struct{}
-
-// ContextWithAttempt returns ctx carrying a retry attempt number (1-based).
-// The resilient transport tags each attempt's context so the per-attempt
-// client span records which try it was.
-func ContextWithAttempt(ctx context.Context, attempt int) context.Context {
-	return context.WithValue(ctx, attemptKey{}, attempt)
-}
-
-// AttemptFromContext extracts the attempt number, or 0 when unset.
-func AttemptFromContext(ctx context.Context) int {
-	n, _ := ctx.Value(attemptKey{}).(int)
-	return n
-}

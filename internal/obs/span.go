@@ -13,11 +13,11 @@ import (
 )
 
 // This file implements distributed trace capture: a bounded per-process span
-// store fed by Middleware (server spans), Transport (client spans, one per
-// resilience attempt) and StartStage (pipeline stages), with Dapper-style
-// tail-based sampling — the keep/drop decision is made when a trace's local
-// root span finishes, so error, degraded and slow traces are always kept
-// while the healthy bulk is sampled down. Kept traces are served on every
+// store fed by Middleware (server spans), resil.Transport (call spans and a
+// client span per attempt) and StartStage (pipeline stages), with
+// Dapper-style tail-based sampling — the keep/drop decision is made when a
+// trace's local root span finishes, so error, degraded and slow traces are
+// always kept while the healthy bulk is sampled down. Kept traces are served on every
 // daemon's debug listener as /v1/traces (summaries) and /v1/traces/{id}
 // (full span tree); cmd/obsagg stitches the per-daemon fragments into fleet
 // traces.
@@ -25,7 +25,7 @@ import (
 // Span kinds.
 const (
 	SpanServer = "server" // one handled HTTP request (Middleware)
-	SpanClient = "client" // one outbound HTTP attempt (Transport)
+	SpanClient = "client" // one outbound HTTP attempt (resil)
 	SpanCall   = "call"   // one logical outbound call spanning its retry attempts (resil)
 	SpanStage  = "stage"  // one pipeline stage (StartStage)
 )
@@ -209,8 +209,8 @@ func init() {
 	defaultSpans.Store(NewSpanStore(traceBuffer, defaultTraceSample, traceSlow))
 }
 
-// DefaultSpans returns the process-wide span store Middleware and Transport
-// feed; nil when tracing is disabled (SetDefaultSpans(nil)).
+// DefaultSpans returns the process-wide span store Middleware and
+// resil.Transport feed; nil when tracing is disabled (SetDefaultSpans(nil)).
 func DefaultSpans() *SpanStore { return defaultSpans.Load() }
 
 // SetDefaultSpans replaces the process-wide span store; nil disables span

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 func TestMiddlewareRecordsServerSpanAndExemplar(t *testing.T) {
@@ -81,54 +80,6 @@ func TestMiddlewareServerSpanParentsUnderCaller(t *testing.T) {
 	}
 	if span.SpanID == caller.Span() {
 		t.Fatal("server reused the caller's span ID instead of minting its own")
-	}
-}
-
-func TestTransportRecordsClientSpans(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-	}))
-	defer srv.Close()
-
-	reg := NewRegistry()
-	st := NewSpanStore(8, 1, 0)
-	st.Registry = reg
-	hc := &http.Client{Transport: &Transport{Registry: reg, Service: "cli", Spans: st}}
-
-	// No context ID: the transport originates the trace and the client span
-	// is its root — kept immediately at sample=1.
-	resp, err := hc.Get(srv.URL + "/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	traces := st.Traces(TraceFilter{WithSpans: true})
-	if len(traces) != 1 {
-		t.Fatalf("got %d kept traces, want 1", len(traces))
-	}
-	span := traces[0].Spans[0]
-	if span.Kind != SpanClient || span.Status != http.StatusTeapot || span.ParentID != "" || span.Peer == "" {
-		t.Fatalf("originated client span wrong: %+v", span)
-	}
-
-	// With a context ID the client span buffers under the caller's trace and
-	// parents beneath the caller's span.
-	id := NewRequestID()
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/y", nil)
-	req = req.WithContext(ContextWithRequestID(req.Context(), id))
-	resp, err = hc.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	st.RecordRoot(SpanRecord{TraceID: id.Trace(), SpanID: id.Span(), Service: "cli",
-		Name: "outer", Kind: SpanServer, Status: 200, Duration: time.Millisecond})
-	tr, ok := st.Trace(id.Trace())
-	if !ok || len(tr.Spans) != 2 {
-		t.Fatalf("caller trace wrong: ok=%v %+v", ok, tr)
-	}
-	if tr.Spans[0].ParentID != id.Span() {
-		t.Fatalf("client span parent = %q, want caller span %q", tr.Spans[0].ParentID, id.Span())
 	}
 }
 

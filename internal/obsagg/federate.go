@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"stalecert/internal/obs"
+	"stalecert/internal/resil"
 )
 
 // Target is one daemon an Aggregator scrapes: Job names the service class
@@ -158,7 +159,7 @@ func (a *Aggregator) client() *http.Client {
 	if a.Client != nil {
 		return a.Client
 	}
-	return obs.NewHTTPClient(a.reg(), "obsagg")
+	return resil.NewHTTPClient(resil.Options{Service: "obsagg", Policy: resil.Policy{MaxAttempts: 1}})
 }
 
 // ScrapeOnce runs one scrape round over every target.

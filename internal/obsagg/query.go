@@ -807,17 +807,24 @@ func parseQueryTime(s string, fallback time.Time) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("bad timestamp %q (unix seconds or RFC3339)", s)
 }
 
+// parseQueryStep reads a step as a Go duration or in seconds. Anything that
+// is not a positive time.Duration once converted — a step that rounds to
+// zero, or one past the largest duration, which would convert to a
+// negative — is an error.
 func parseQueryStep(s string) (time.Duration, error) {
 	if s == "" {
 		return 15 * time.Second, nil
 	}
-	if d, err := time.ParseDuration(s); err == nil && d > 0 {
-		return d, nil
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		if secs, ferr := strconv.ParseFloat(s, 64); ferr == nil && secs > 0 && secs < math.MaxInt64/float64(time.Second) {
+			d, err = time.Duration(secs*float64(time.Second)), nil
+		}
 	}
-	if secs, err := strconv.ParseFloat(s, 64); err == nil && secs > 0 {
-		return time.Duration(secs * float64(time.Second)), nil
+	if err != nil || d <= 0 {
+		return 0, fmt.Errorf("bad step %q", s)
 	}
-	return 0, fmt.Errorf("bad step %q", s)
+	return d, nil
 }
 
 // handleFleetQuery serves GET /fleet/query: ?query=<expr> with either
@@ -859,8 +866,10 @@ func (a *Aggregator) handleFleetQuery(w http.ResponseWriter, r *http.Request) {
 			writeQueryError(w, http.StatusBadRequest, fmt.Errorf("end precedes start"))
 			return
 		}
-		if int(end.Sub(start)/step) > maxRangeSteps {
-			writeQueryError(w, http.StatusBadRequest, fmt.Errorf("range of %s at step %s exceeds %d steps", end.Sub(start), step, maxRangeSteps))
+		// A span past the largest duration saturates: reject it rather than
+		// count its steps short.
+		if span := end.Sub(start); span == math.MaxInt64 || span/step > maxRangeSteps {
+			writeQueryError(w, http.StatusBadRequest, fmt.Errorf("range of %s at step %s exceeds %d steps", span, step, maxRangeSteps))
 			return
 		}
 		series := make(map[string]*matrixJSON)

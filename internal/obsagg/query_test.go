@@ -17,7 +17,7 @@ import (
 // queryDB builds a TSDB with a small fleet's worth of history: two jobs'
 // request counters climbing over 60s, a latency histogram, the SLO gauges,
 // error-log counters and breaker states the built-in rules and stalestat read.
-func queryDB(t *testing.T) *TSDB {
+func queryDB(t testing.TB) *TSDB {
 	t.Helper()
 	db := &TSDB{}
 	for i := 0; i <= 6; i++ {
@@ -348,6 +348,43 @@ func TestQueryRejections(t *testing.T) {
 			t.Errorf("%s = %d %q, want 200", expr, status, errMsg)
 		}
 	}
+	// Range parameters that are no range: a step that rounds to zero, steps
+	// past the largest duration, and a span too wide for a duration.
+	for _, tc := range []struct{ params, msg string }{
+		{"&start=0&end=60&step=1e-12", `bad step "1e-12"`},
+		{"&start=0&end=60&step=Inf", `bad step "Inf"`},
+		{"&start=0&end=60&step=1e300", `bad step "1e300"`},
+		{"&start=0001-01-01T00:00:00Z&end=9999-01-01T00:00:00Z&step=8760h", "exceeds 11000 steps"},
+	} {
+		rec := serveQuery(t, queryDB(t), "query=slo_burn_rate"+tc.params)
+		var r struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil || rec.Code != 400 || !strings.Contains(r.Error, tc.msg) {
+			t.Errorf("%s = %d %s, want 400 %q", tc.params, rec.Code, rec.Body, tc.msg)
+		}
+	}
+}
+
+// serveQuery asks /fleet/query over db at ts(60) with the raw query string,
+// failing the test on a panic or on no answer within five seconds — a range
+// loop that never ends fails instead of hanging the test.
+func serveQuery(t *testing.T, db *TSDB, rawQuery string) *httptest.ResponseRecorder {
+	t.Helper()
+	a := &Aggregator{Registry: obs.NewRegistry(), TSDB: db, Now: func() time.Time { return ts(60) }}
+	rec := httptest.NewRecorder()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		a.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/fleet/query?"+rawQuery, nil))
+	}()
+	select {
+	case p := <-done:
+		if p != nil {
+			t.Fatalf("%s: panic: %v", rawQuery, p)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no answer within 5s", rawQuery)
+	}
+	return rec
 }
 
 func TestFleetQueryHandler(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 
 // stubReplica answers every round trip with a 200 from memory, declared with
 // its length as net/http declares a server's, so the benchmark measures only
-// what the resil and obs transports add above it.
+// what the transport adds above it.
 type stubReplica struct{ body string }
 
 func (s stubReplica) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -23,18 +23,16 @@ func (s stubReplica) RoundTrip(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
-// BenchmarkTransportRoundTrip is one outbound call through the client stack
-// every daemon dials with (resil.Transport → obs.Transport → base): breaker
-// gate, call span, attempt span, per-peer metrics and the buffered body. The
-// call carries no request ID, so each one is its own trace whose root is the
-// call span — the span store settles it on return instead of buffering every
-// iteration under one never-finished trace. The two bodies are a staleness
-// verdict and the size of a full get-entries page.
+// BenchmarkTransportRoundTrip is one outbound call through the transport
+// every daemon dials with (resil.Transport → base): breaker gate, call span,
+// attempt span, per-peer metrics and the buffered body. The call carries no
+// request ID, so each one is its own trace whose root is the call span — the
+// span store settles it on return instead of buffering every iteration under
+// one never-finished trace.
 func BenchmarkTransportRoundTrip(b *testing.B) {
-	for _, body := range []string{`{"domain":"example.com","stale":false}`, strings.Repeat("x", 26<<10)} {
+	for _, body := range benchBodies {
 		b.Run(fmt.Sprintf("body=%dB", len(body)), func(b *testing.B) {
-			hc := InstrumentClient(&http.Client{Transport: stubReplica{body}},
-				Options{Service: "bench", Breaker: NewBreakerSet(BreakerConfig{Service: "bench"})})
+			hc := benchClient(body)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -44,15 +42,52 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 					return
 				}
 				for pb.Next() {
-					resp, err := hc.Transport.RoundTrip(req)
-					if err != nil {
+					if err := roundTrip(hc, req); err != nil {
 						b.Error(err)
 						return
 					}
-					_, _ = io.Copy(io.Discard, resp.Body)
-					_ = resp.Body.Close()
 				}
 			})
 		})
+	}
+}
+
+// benchBodies are a staleness verdict and the size of a full get-entries
+// page.
+var benchBodies = []string{`{"domain":"example.com","stale":false}`, strings.Repeat("x", 26<<10)}
+
+func benchClient(body string) *http.Client {
+	return InstrumentClient(&http.Client{Transport: stubReplica{body}},
+		Options{Service: "bench", Breaker: NewBreakerSet(BreakerConfig{Service: "bench"})})
+}
+
+// roundTrip makes one call through hc's transport and drains its body.
+func roundTrip(hc *http.Client, req *http.Request) error {
+	resp, err := hc.Transport.RoundTrip(req)
+	if err != nil {
+		return err
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return resp.Body.Close()
+}
+
+// TestTransportAllocCeiling caps one call of BenchmarkTransportRoundTrip's
+// shape at two above what it costs today (20 at either body size, 21 under
+// the race detector): a second request copy, a context value per
+// attempt or a label rendered per call fails here.
+func TestTransportAllocCeiling(t *testing.T) {
+	for _, body := range benchBodies {
+		hc := benchClient(body)
+		req, err := http.NewRequest(http.MethodGet, "http://replica.test/v1/domain/example.com/staleness", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(2000, func() {
+			if err := roundTrip(hc, req); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 22 {
+			t.Errorf("body=%dB: one call allocates %.0f times, ceiling 22", len(body), got)
+		}
 	}
 }

@@ -1,16 +1,12 @@
-// Package resil is the fleet-wide resilience layer, one outbound HTTP client
-// stack: an http.RoundTripper (Transport) running policy-driven retries with
-// exponential backoff and Retry-After honoring (Policy), and per-peer
+// Package resil is the fleet-wide outbound HTTP client stack, one
+// http.RoundTripper (Transport) over net/http: policy-driven retries with
+// exponential backoff and Retry-After honoring (Policy), per-peer
 // three-state circuit breakers exported as obs metrics and a /v1/breakers
-// debug endpoint (Breaker/BreakerSet).
-//
-// The composition order for an instrumented client is
-//
-//	resil.Transport → obs.Transport → net/http
-//
-// so every attempt — retried ones included — is individually traced and
-// counted by the obs layer, while the caller above the resilient transport
-// sees only the final outcome.
+// debug endpoint (Breaker/BreakerSet), and the client half of the
+// observability layer. Each logical call is a "call" span; each attempt —
+// retried ones included — sends its own traceparent and is individually
+// traced as a client span and counted in http_client_requests_total and
+// http_client_request_seconds, while the caller sees only the final outcome.
 //
 // Everything is stdlib-only and safe for concurrent use.
 package resil
@@ -39,24 +35,18 @@ type Options struct {
 }
 
 // InstrumentClient wraps hc (nil = default-client semantics) so every call
-// goes through the full resilience stack: retries, per-peer circuit
-// breaking and per-attempt obs instrumentation.
-// The original client is not mutated; a client already carrying a
-// resil.Transport is returned unchanged.
+// goes through the full stack: retries, per-peer circuit breaking and
+// per-attempt instrumentation. The original client is not mutated; a client
+// already carrying a resil.Transport is returned unchanged.
 func InstrumentClient(hc *http.Client, opts Options) *http.Client {
+	var wrapped http.Client
 	if hc != nil {
 		if _, ok := hc.Transport.(*Transport); ok {
 			return hc // already resilient
 		}
+		wrapped = *hc
 	}
-	// Per-attempt instrumentation beneath, so each retry is its own traced,
-	// counted client call.
-	instrumented := obs.InstrumentClient(hc, opts.Service)
-	if ot, ok := instrumented.Transport.(*obs.Transport); ok && opts.Spans != nil {
-		ot.Spans = opts.Spans
-	}
-	wrapped := *instrumented
-	wrapped.Transport = &Transport{Base: instrumented.Transport, Service: opts.Service, Policy: opts.Policy,
+	wrapped.Transport = &Transport{Base: wrapped.Transport, Service: opts.Service, Policy: opts.Policy,
 		Breakers: opts.Breaker, Spans: opts.Spans}
 	return &wrapped
 }

@@ -113,3 +113,67 @@ func TestCallSpanJoinsCallerTrace(t *testing.T) {
 		t.Fatalf("caller's children wrong: %+v", roots[0].Children)
 	}
 }
+
+// TestTransportRecordsClientSpans: each attempt is a client span under the
+// call span, carrying the ID the peer was sent, the peer and the status. A
+// call without a context ID roots its own trace; one with an ID buffers
+// under the caller's span.
+func TestTransportRecordsClientSpans(t *testing.T) {
+	var sent atomic.Value
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sent.Store(r.Header.Get(obs.TraceHeader))
+		w.WriteHeader(http.StatusTeapot)
+	}))
+	defer srv.Close()
+
+	st := obs.NewSpanStore(8, 1, 0)
+	st.Registry = obs.NewRegistry()
+	hc := NewHTTPClient(Options{Service: "client-span-test", Spans: st})
+	checkAttempt := func(call *obs.SpanTree) {
+		t.Helper()
+		if len(call.Children) != 1 {
+			t.Fatalf("call span has %d children, want the one attempt", len(call.Children))
+		}
+		a := call.Children[0]
+		id, _ := obs.ParseTraceparent(sent.Load().(string))
+		if a.Kind != obs.SpanClient || a.Attempt != 1 || a.Status != http.StatusTeapot || a.Peer == "" ||
+			a.Name != call.Name || a.SpanID != id.Span() || a.TraceID != id.Trace() {
+			t.Fatalf("attempt span wrong (peer was sent %s): %+v", sent.Load(), a.SpanRecord)
+		}
+	}
+
+	resp, err := hc.Get(srv.URL + "/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	traces := st.Traces(obs.TraceFilter{WithSpans: true})
+	if len(traces) != 1 {
+		t.Fatalf("got %d kept traces, want 1", len(traces))
+	}
+	roots := obs.BuildSpanTree(traces[0].Spans)
+	if len(roots) != 1 || roots[0].Kind != obs.SpanCall || roots[0].ParentID != "" {
+		t.Fatalf("originated trace's root is not the call span: %+v", roots)
+	}
+	checkAttempt(roots[0])
+
+	id := obs.NewRequestID()
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/y", nil)
+	req = req.WithContext(obs.ContextWithRequestID(req.Context(), id))
+	resp, err = hc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	st.RecordRoot(obs.SpanRecord{TraceID: id.Trace(), SpanID: id.Span(), Service: "client-span-test",
+		Name: "outer", Kind: obs.SpanServer, Status: 200, Duration: time.Millisecond})
+	tr, ok := st.Trace(id.Trace())
+	if !ok || len(tr.Spans) != 3 {
+		t.Fatalf("caller trace wrong: ok=%v %+v", ok, tr)
+	}
+	roots = obs.BuildSpanTree(tr.Spans)
+	if len(roots) != 1 || roots[0].SpanID != id.Span() || len(roots[0].Children) != 1 {
+		t.Fatalf("call span did not parent under the caller: %+v", roots)
+	}
+	checkAttempt(roots[0].Children[0])
+}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -31,15 +32,15 @@ const DefaultMaxBodyBytes = 64 << 20
 type Transport struct {
 	// Base performs the actual round trips (default http.DefaultTransport).
 	Base http.RoundTripper
-	// Service labels the call spans and resil_retries_total (default
-	// "unnamed").
+	// Service labels the spans, the client metrics and resil_retries_total
+	// (default "unnamed").
 	Service string
 	// Policy drives the retry loop.
 	Policy Policy
 	// Breakers, when set, gates every attempt through the peer's circuit.
 	Breakers *BreakerSet
-	// Spans receives the logical call span each round trip records; nil
-	// resolves the process-wide obs.DefaultSpans per call.
+	// Spans receives the call and attempt spans each round trip records;
+	// nil resolves the process-wide obs.DefaultSpans per call.
 	Spans *obs.SpanStore
 
 	maxBody int64 // 0 = DefaultMaxBodyBytes; tests lower it
@@ -89,16 +90,14 @@ func ReadBody(resp *http.Response, limit int64) ([]byte, error) {
 // RoundTrip implements http.RoundTripper. Beyond the retry loop it anchors
 // the call in the distributed trace: a logical "call" span covering every
 // attempt is recorded when the loop finishes, parented under the caller's
-// context span, and each attempt runs with that call span as its context ID
-// plus an attempt number — so the per-attempt client spans the obs transport
-// records underneath become numbered siblings and retries are visible in the
-// stored trace. A call with no request ID in its context (a free-standing
-// poller) mints the trace here, and the call span is its local root: the
-// tail-sampling keep/drop decision runs when the call completes.
+// context span, and each attempt is a client span beneath it carrying its
+// attempt number, so retries show as numbered siblings in the stored trace.
+// A call with no request ID in its context (a free-standing poller) mints
+// the trace here, and the call span is its local root: the tail-sampling
+// keep/drop decision runs when the call completes.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	p := t.Policy.withDefaults()
-	service := cmp.Or(t.Service, "unnamed")
-
+	c := call{p: t.Policy.withDefaults(), service: cmp.Or(t.Service, "unnamed"),
+		name: req.Method + " " + req.URL.Path, spans: cmp.Or(t.Spans, obs.DefaultSpans())}
 	parentSpan := ""
 	id, hadID := obs.RequestIDFromContext(req.Context())
 	if hadID {
@@ -107,10 +106,10 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	} else {
 		id = obs.NewRequestID()
 	}
-	ctx := obs.ContextWithRequestID(req.Context(), id)
+	c.id, c.tp = id, id.String()
 
 	start := time.Now()
-	resp, attempts, err := t.retryLoop(ctx, req, p, service)
+	resp, attempts, err := t.retryLoop(req, &c)
 	elapsed := time.Since(start)
 
 	status := 0
@@ -121,11 +120,11 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		status = resp.StatusCode
 	}
 	rec := obs.SpanRecord{
-		TraceID:  id.Trace(),
-		SpanID:   id.Span(),
+		TraceID:  c.tp[3:35],
+		SpanID:   c.tp[36:52],
 		ParentID: parentSpan,
-		Service:  service,
-		Name:     req.Method + " " + req.URL.Path,
+		Service:  c.service,
+		Name:     c.name,
 		Kind:     obs.SpanCall,
 		Start:    start,
 		Duration: elapsed,
@@ -134,35 +133,42 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		Attempt:  attempts,
 		Err:      errStr,
 	}
-	st := t.Spans
-	if st == nil {
-		st = obs.DefaultSpans()
-	}
 	if hadID {
-		st.Record(rec)
+		c.spans.Record(rec)
 	} else {
-		st.RecordRoot(rec)
+		c.spans.RecordRoot(rec)
 	}
 	return resp, err
 }
 
-// retryLoop is the one retry loop. It runs attempts under ctx (the caller's
-// context plus the call span's ID) until one is delivered, a terminal error
-// occurs, the budget is spent, or ctx's deadline cannot accommodate the next
-// backoff step — then it returns promptly with an error satisfying
+// call is what the attempts of one round trip share.
+type call struct {
+	p       Policy
+	service string
+	name    string         // the span name, "GET /path"
+	spans   *obs.SpanStore // nil when tracing is off
+	id      obs.RequestID  // the call span; each attempt's span is a child
+	tp      string         // id as a traceparent
+}
+
+// retryLoop is the one retry loop. It runs attempts under the caller's
+// context until one is delivered, a terminal error occurs, the budget is
+// spent, or the context's deadline cannot accommodate the next backoff step —
+// then it returns promptly with an error satisfying
 // errors.Is(err, context.DeadlineExceeded) instead of sleeping through it. An
-// attempt cut off while ctx still stands was cut off by its own per-attempt
-// budget and is retryable. A request whose body cannot be replayed gets no
+// attempt cut off while the caller's context still stands was cut off by its
+// own per-attempt budget and is retryable. A request whose body cannot be replayed gets no
 // second attempt, and when the budget is spent on a retryable status the
 // caller is handed that response rather than a synthesized error. It reports
 // how many attempts it spent.
-func (t *Transport) retryLoop(ctx context.Context, req *http.Request, p Policy, service string) (*http.Response, int, error) {
+func (t *Transport) retryLoop(req *http.Request, c *call) (*http.Response, int, error) {
+	ctx, p := req.Context(), &c.p
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, attempt - 1, joinCtx(err, lastErr)
 		}
-		resp, err := t.attempt(ctx, req, p, attempt)
+		resp, err := t.attempt(ctx, req, c, attempt)
 		if err == nil || (resp != nil && attempt >= p.MaxAttempts) {
 			return resp, attempt, nil
 		}
@@ -187,7 +193,7 @@ func (t *Transport) retryLoop(ctx context.Context, req *http.Request, p Policy, 
 		if deadline, ok := ctx.Deadline(); ok && p.Clock.Now().Add(delay).After(deadline) {
 			return nil, attempt, joinCtx(context.DeadlineExceeded, lastErr)
 		}
-		retryCounter(service).Inc()
+		retryCounter(c.service).Inc()
 		if serr := p.Clock.Sleep(ctx, delay); serr != nil {
 			return nil, attempt, joinCtx(serr, lastErr)
 		}
@@ -196,10 +202,13 @@ func (t *Transport) retryLoop(ctx context.Context, req *http.Request, p Policy, 
 
 // attempt runs one round trip. A delivered response comes back with a nil
 // error; a status the policy calls retryable comes back both as its response
-// and as the *HTTPError to classify. The attempt's request is a shallow copy
-// under the attempt's context: nothing here touches the headers, and the obs
-// transport below makes the one deep copy it needs to add traceparent.
-func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, attempt int) (*http.Response, error) {
+// and as the *HTTPError to classify. The attempt sends its own copy of the
+// request, under the attempt's context and with a traceparent naming its
+// client span, and records that span, the per-peer client metrics and a
+// debug log line from the round trip alone: a torn body fails the attempt
+// but shows on the call span.
+func (t *Transport) attempt(ctx context.Context, req *http.Request, c *call, attempt int) (*http.Response, error) {
+	p := &c.p
 	base := t.Base
 	if base == nil {
 		base = http.DefaultTransport
@@ -221,14 +230,14 @@ func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, at
 		return OutcomeFailure
 	}
 
-	// Tag the attempt number so the obs transport below records which try
-	// this was: retries show as numbered sibling spans in the trace.
-	actx := obs.ContextWithAttempt(ctx, attempt)
-	cancel := context.CancelFunc(func() {})
+	actx, cancel := ctx, context.CancelFunc(func() {})
 	if p.PerAttempt > 0 {
-		actx, cancel = context.WithTimeout(actx, p.PerAttempt)
+		actx, cancel = context.WithTimeout(ctx, p.PerAttempt)
 	}
-	areq := req.WithContext(actx)
+	// RoundTrippers must not mutate the caller's request.
+	areq := req.Clone(actx)
+	tp := c.id.Child().String()
+	areq.Header.Set(obs.TraceHeader, tp)
 	if attempt > 1 && req.GetBody != nil {
 		body, gerr := req.GetBody()
 		if gerr != nil {
@@ -239,7 +248,9 @@ func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, at
 		areq.Body = body
 	}
 
+	start := time.Now()
 	r, rerr := base.RoundTrip(areq)
+	c.record(areq, tp, attempt, start, time.Since(start), r, rerr)
 	if rerr != nil {
 		cancel()
 		report(fail())
@@ -279,4 +290,45 @@ func (t *Transport) attempt(ctx context.Context, req *http.Request, p Policy, at
 	}
 	report(OutcomeSuccess)
 	return r, nil
+}
+
+// record accounts for one attempt's round trip: the client span under the
+// call span, http_client_requests_total{service,peer,code} (code 2xx..5xx or
+// "error"), http_client_request_seconds{service,peer} and, at debug level,
+// an "http request" record with direction=client whose request_id joins the
+// peer's access log.
+func (c *call) record(req *http.Request, tp string, attempt int, start time.Time, elapsed time.Duration, resp *http.Response, err error) {
+	peer := req.URL.Host
+	code, status, errStr := "error", 0, ""
+	if err == nil {
+		code, status = obs.StatusClass(resp.StatusCode), resp.StatusCode
+	} else {
+		errStr = err.Error()
+	}
+	reg := obs.Default()
+	reg.Counter("http_client_requests_total", "service", c.service, "peer", peer, "code", code).Inc()
+	reg.Histogram("http_client_request_seconds", nil, "service", c.service, "peer", peer).
+		Observe(elapsed.Seconds())
+
+	c.spans.Record(obs.SpanRecord{
+		TraceID:  tp[3:35],
+		SpanID:   tp[36:52],
+		ParentID: c.tp[36:52],
+		Service:  c.service,
+		Name:     c.name,
+		Kind:     obs.SpanClient,
+		Start:    start,
+		Duration: elapsed,
+		Peer:     peer,
+		Status:   status,
+		Attempt:  attempt,
+		Err:      errStr,
+	})
+
+	if slog.Default().Enabled(context.Background(), slog.LevelDebug) {
+		slog.Debug("http request", "service", c.service, "direction", "client",
+			"method", req.Method, "peer", peer, "path", req.URL.Path, "status", status,
+			"err", err, "duration_ms", float64(elapsed.Microseconds())/1000,
+			"request_id", tp[3:35])
+	}
 }

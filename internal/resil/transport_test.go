@@ -1,15 +1,20 @@
 package resil
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stalecert/internal/obs"
 )
 
 // flaky is a RoundTripper scripted to fail n times before succeeding.
@@ -288,6 +293,80 @@ func TestInstrumentClientIdempotent(t *testing.T) {
 	again := InstrumentClient(hc, Options{Service: "x"})
 	if again != hc {
 		t.Fatal("InstrumentClient must not double-wrap a resilient client")
+	}
+	base := &flaky{}
+	plain := &http.Client{Transport: base, Timeout: time.Second}
+	wrapped := InstrumentClient(plain, Options{Service: "x"})
+	if wrapped == plain || wrapped.Timeout != time.Second {
+		t.Fatal("InstrumentClient did not wrap a copy of the plain client")
+	}
+	if tr, ok := wrapped.Transport.(*Transport); !ok || tr.Base != base {
+		t.Fatalf("wrapped transport is %T, want a *Transport over the client's own", wrapped.Transport)
+	}
+	if plain.Transport != base {
+		t.Error("InstrumentClient mutated the caller's client")
+	}
+}
+
+// TestTransportPropagatesContextID: each attempt sends the caller's trace
+// with a span ID of its own, and is counted, timed and logged under the
+// client's service — in obs.Default(), where every daemon's /metrics reads.
+func TestTransportPropagatesContextID(t *testing.T) {
+	var serverSeen string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serverSeen = r.Header.Get(obs.TraceHeader)
+	}))
+	defer ts.Close()
+	var logs bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	defer slog.SetDefault(prev)
+
+	parent := obs.NewRequestID()
+	hc := NewHTTPClient(Options{Service: "propagate-test"})
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/x", nil)
+	req = req.WithContext(obs.ContextWithRequestID(req.Context(), parent))
+	resp, err := hc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	sent, ok := obs.ParseTraceparent(serverSeen)
+	if !ok {
+		t.Fatalf("server saw unparseable traceparent %q", serverSeen)
+	}
+	if sent.TraceID != parent.TraceID {
+		t.Errorf("propagated trace = %s, want %s", sent.Trace(), parent.Trace())
+	}
+	if sent.SpanID == parent.SpanID {
+		t.Error("outbound hop reused the parent span ID")
+	}
+	if req.Header.Get(obs.TraceHeader) != "" {
+		t.Error("the caller's request was given a traceparent")
+	}
+	peer := req.URL.Host
+	reg := obs.Default()
+	if n := reg.Counter("http_client_requests_total", "service", "propagate-test", "peer", peer, "code", "2xx").Value(); n != 1 {
+		t.Errorf("client counter = %d, want 1", n)
+	}
+	if n := reg.Histogram("http_client_request_seconds", nil, "service", "propagate-test", "peer", peer).Count(); n != 1 {
+		t.Errorf("client latency observations = %d, want 1", n)
+	}
+
+	var rec map[string]any
+	if err := json.Unmarshal(logs.Bytes(), &rec); err != nil {
+		t.Fatalf("want one debug record, got %q: %v", logs.String(), err)
+	}
+	for k, want := range map[string]any{"msg": "http request", "level": "DEBUG", "service": "propagate-test",
+		"direction": "client", "method": "GET", "peer": peer, "path": "/x", "status": 200.0,
+		"request_id": parent.Trace()} {
+		if rec[k] != want {
+			t.Errorf("debug record %s = %v, want %v", k, rec[k], want)
+		}
+	}
+	if _, ok := rec["duration_ms"].(float64); !ok || len(rec) != 12 {
+		t.Errorf("debug record fields wrong: %v", rec)
 	}
 }
 
