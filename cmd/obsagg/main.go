@@ -120,12 +120,12 @@ func main() {
 	go agg.Run(ctx, *interval)
 
 	mux := http.NewServeMux()
-	fleet, health := agg.Handler(), obs.HandlerFor(obs.Default(), obs.DefaultHealth())
+	fleet := agg.Handler()
 	mux.Handle("/metrics", fleet)
 	mux.Handle("/fleet", fleet)
 	mux.Handle("/fleet/", fleet)
-	mux.Handle("GET /healthz", health)
-	mux.Handle("GET /readyz", health)
+	mux.HandleFunc("GET /healthz", obs.DefaultHealth().Healthz)
+	mux.HandleFunc("GET /readyz", obs.DefaultHealth().Readyz)
 	handler := obs.Middleware(obs.Default(), "obsagg", mux)
 
 	logger.Info("serving federated metrics", "targets", len(parsed), "addr", *addr,

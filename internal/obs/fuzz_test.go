@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"net/http"
+	"net/url"
 	"testing"
 )
 
@@ -32,6 +34,22 @@ func FuzzParseProm(f *testing.F) {
 		WriteSamples(&twice, again)
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatalf("exposition is not a fixed point\ninput: %q\nfirst:  %q\nsecond: %q", data, once.Bytes(), twice.Bytes())
+		}
+	})
+}
+
+// FuzzListingFilters: ParseTraceFilter and ParseLogFilter, the query
+// parsers behind /v1/traces, /v1/logs, /fleet/traces and /fleet/logs, never
+// panic on a query string, and a filter either accepts has no negative
+// MinDuration or Limit. Seeds in testdata/fuzz are the handler tests' URLs.
+func FuzzListingFilters(f *testing.F) {
+	f.Fuzz(func(t *testing.T, query string) {
+		r := &http.Request{URL: &url.URL{RawQuery: query}}
+		if tf, err := ParseTraceFilter(r); err == nil && (tf.MinDuration < 0 || tf.Limit < 0) {
+			t.Fatalf("ParseTraceFilter(%q) accepted min duration %v, limit %d", query, tf.MinDuration, tf.Limit)
+		}
+		if lf, err := ParseLogFilter(r); err == nil && lf.Limit < 0 {
+			t.Fatalf("ParseLogFilter(%q) accepted limit %d", query, lf.Limit)
 		}
 	})
 }

@@ -23,47 +23,31 @@ func seriesValue(reg *Registry, name, labels string) float64 {
 
 // The per-(route, code) lookups Middleware makes on every request resolve by
 // argument, without rendering labels. They must land in the very series a
-// spelled-out reg.Counter call returns and a snapshot lists — and still do after Registry.Reset dropped every series,
-// when a handle remembered across the Reset would count into an orphan.
-func TestRequestSeriesSurviveRegistryReset(t *testing.T) {
+// spelled-out reg.Counter call returns and a snapshot lists.
+func TestRequestSeriesResolveByArgument(t *testing.T) {
 	reg := NewRegistry()
 	h := MiddlewareSpans(reg, NewSpanStore(8, 0, 0), "svc", middlewareMux(t, nil))
-	drive := func() {
-		t.Helper()
-		for _, path := range []string{"/crl/LetsEncrypt", "/crl/Sectigo", "/fail"} {
-			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+	for _, path := range []string{"/crl/LetsEncrypt", "/crl/Sectigo", "/fail"} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+	}
+	// Label pairs in another order than the call sites pass them: the same
+	// series, reached through the rendered name.
+	for _, c := range []struct {
+		got  uint64
+		want uint64
+		what string
+	}{
+		{reg.Counter("http_requests_total", "code", "2xx", "route", "/crl/{ca}", "service", "svc").Value(), 2, "2xx server requests"},
+		{reg.Counter("http_requests_total", "route", "/fail", "code", "5xx", "service", "svc").Value(), 1, "5xx server requests"},
+		{reg.Histogram("http_request_seconds", nil, "route", "/crl/{ca}", "service", "svc").Count(), 2, "server latency observations"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.what, c.got, c.want)
 		}
 	}
-	check := func(when string) {
-		t.Helper()
-		// Label pairs in another order than the call sites pass them: the same
-		// series, reached through the rendered name.
-		for _, c := range []struct {
-			got  uint64
-			want uint64
-			what string
-		}{
-			{reg.Counter("http_requests_total", "code", "2xx", "route", "/crl/{ca}", "service", "svc").Value(), 2, "2xx server requests"},
-			{reg.Counter("http_requests_total", "route", "/fail", "code", "5xx", "service", "svc").Value(), 1, "5xx server requests"},
-			{reg.Histogram("http_request_seconds", nil, "route", "/crl/{ca}", "service", "svc").Count(), 2, "server latency observations"},
-		} {
-			if c.got != c.want {
-				t.Errorf("%s: %s = %d, want %d", when, c.what, c.got, c.want)
-			}
-		}
-		if v := seriesValue(reg, "http_requests_total", `{code="2xx",route="/crl/{ca}",service="svc"}`); v != 2 {
-			t.Errorf("%s: snapshot lists %v 2xx server requests, want 2", when, v)
-		}
+	if v := seriesValue(reg, "http_requests_total", `{code="2xx",route="/crl/{ca}",service="svc"}`); v != 2 {
+		t.Errorf("snapshot lists %v 2xx server requests, want 2", v)
 	}
-
-	drive()
-	check("before Reset")
-	reg.Reset()
-	if n := len(reg.Snapshot()); n != 0 {
-		t.Fatalf("Reset left %d series", n)
-	}
-	drive()
-	check("after Reset")
 }
 
 // Looking a series up as another kind panics on the by-argument path exactly

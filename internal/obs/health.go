@@ -76,22 +76,20 @@ func (h *Health) Check(ctx context.Context) []ProbeResult {
 // DefaultHealth).
 func (h *Health) Uptime() time.Duration { return time.Since(h.started) }
 
-func (h *Health) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// Healthz answers liveness: 200 with the uptime while the process serves.
+func (h *Health) Healthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "ok uptime=%s\n", h.Uptime().Round(time.Millisecond))
 }
 
-func (h *Health) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// Readyz runs every probe under a short deadline and answers with three-way
+// semantics: any hard failure → 503 unready; only Degraded failures → 200
+// with the degradations listed (the daemon serves, on last-good data); all
+// clean → 200 ready.
+func (h *Health) Readyz(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
 	defer cancel()
-	WriteReadyz(w, h.Check(ctx))
-}
-
-// WriteReadyz renders probe results with three-way semantics: any hard
-// failure → 503 unready; only Degraded failures → 200 with the degradations
-// listed (the daemon serves, on last-good data); all clean → 200 ready.
-// Exported so daemons with bespoke readyz handlers keep the same contract.
-func WriteReadyz(w http.ResponseWriter, results []ProbeResult) {
+	results := h.Check(ctx)
 	status := http.StatusOK
 	for _, res := range results {
 		if res.Err != nil && !IsDegraded(res.Err) {

@@ -52,8 +52,8 @@ func HandlerFor(r *Registry, health *Health) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /healthz", health.handleHealthz)
-	mux.HandleFunc("GET /readyz", health.handleReadyz)
+	mux.HandleFunc("GET /healthz", health.Healthz)
+	mux.HandleFunc("GET /readyz", health.Readyz)
 	debugExtMu.Lock()
 	for pattern, h := range debugExt {
 		mux.Handle(pattern, h)

@@ -12,17 +12,14 @@ import (
 )
 
 // SetupLogger builds a slog logger writing to w (stderr in the daemons) in
-// the given format ("text" or "json") at the given level ("debug", "info",
-// "warn", "error"), installs it as the slog default, and returns it. The
-// level is backed by the process-wide slog.LevelVar, so PUT /v1/loglevel
-// retargets a live daemon, and the handler tees every record into the
-// process log ring for /v1/logs. Unknown values fall back to text/info with
-// a warning naming the bad value and the fallback.
+// the given format ("text" or "json") at the given level (a ParseLogLevel
+// name), installs it as the slog default, and returns it. The level is
+// backed by the process-wide slog.LevelVar, so PUT /v1/loglevel retargets a
+// live daemon, and the handler tees every record into the process log ring
+// for /v1/logs. Unknown values fall back to text/info with a warning naming
+// the bad value and the fallback.
 func SetupLogger(w io.Writer, format, level string) *slog.Logger {
-	lv, levelOK := parseLevelName(level)
-	if !levelOK {
-		lv = slog.LevelInfo
-	}
+	lv, levelErr := ParseLogLevel(level) // slog.LevelInfo on error
 	logLevel.Set(lv)
 	opts := &slog.HandlerOptions{Level: &logLevel}
 	tee := &teeHandler{}
@@ -35,7 +32,7 @@ func SetupLogger(w io.Writer, format, level string) *slog.Logger {
 	}
 	l := slog.New(tee)
 	slog.SetDefault(l)
-	if !levelOK {
+	if levelErr != nil {
 		l.Warn("unknown -log-level, falling back", "value", level, "fallback", "info")
 	}
 	if f != "json" && f != "text" {
@@ -57,22 +54,6 @@ func (l *lockedWriter) Write(b []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.w.Write(b)
-}
-
-// parseLevelName maps the -log-level flag values to slog levels, reporting
-// whether the name was recognised.
-func parseLevelName(level string) (slog.Level, bool) {
-	switch strings.ToLower(level) {
-	case "debug":
-		return slog.LevelDebug, true
-	case "info":
-		return slog.LevelInfo, true
-	case "warn", "warning":
-		return slog.LevelWarn, true
-	case "error":
-		return slog.LevelError, true
-	}
-	return slog.LevelInfo, false
 }
 
 // Flags carries the observability flag values. BindFlags binds the base set

@@ -44,11 +44,17 @@ type LogRecord struct {
 	Instance string            `json:"instance,omitempty"`
 }
 
-// ParseLogLevel parses a level name in any case ("debug", "WARN", also
-// slog offset notation like "INFO+2") into a slog.Level.
+// ParseLogLevel parses a level name in any case ("debug", "WARN",
+// "warning", also slog offset notation like "INFO+2") into a slog.Level:
+// the one parser behind -log-level, PUT /v1/loglevel and ?level=. An
+// unknown name is an error, with slog.LevelInfo.
 func ParseLogLevel(s string) (slog.Level, error) {
 	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(strings.TrimSpace(s))); err != nil {
+	name := strings.TrimSpace(s)
+	if strings.EqualFold(name, "warning") {
+		name = "warn"
+	}
+	if err := lv.UnmarshalText([]byte(name)); err != nil {
 		return 0, fmt.Errorf("obs: bad log level %q", s)
 	}
 	return lv, nil

@@ -15,6 +15,32 @@ import (
 	"time"
 )
 
+// The spellings -log-level, PUT /v1/loglevel and ?level= all accept.
+func TestParseLogLevel(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want slog.Level
+		ok   bool
+	}{
+		{"debug", slog.LevelDebug, true},
+		{"INFO", slog.LevelInfo, true},
+		{"Warn", slog.LevelWarn, true},
+		{"warning", slog.LevelWarn, true},
+		{"WARNING", slog.LevelWarn, true},
+		{" error ", slog.LevelError, true},
+		{"INFO+2", slog.LevelInfo + 2, true},
+		{"warn-1", slog.LevelWarn - 1, true},
+		{"", 0, false},
+		{"verbose", 0, false},
+		{"warning+2", 0, false},
+	} {
+		got, err := ParseLogLevel(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseLogLevel(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+}
+
 func testRing(capacity int) *LogRing {
 	r := NewLogRing(capacity)
 	r.Registry = NewRegistry()

@@ -182,13 +182,9 @@ type Registry struct {
 	families map[string]Kind
 	hooks    []func()
 	// byArgs resolves (family, label pairs as passed) to the series without
-	// rendering them. Copy-on-write under mu — the key space is the call
-	// sites' bounded label values — and dropped by Reset together with the
-	// series, so a hit can never return a handle Snapshot no longer lists.
+	// rendering them. Copy-on-write under mu: the key space is the call
+	// sites' bounded label values.
 	byArgs atomic.Pointer[map[string]*metric]
-	// gen counts Resets, so a caller that keeps handles (Middleware's route
-	// handles) can tell when they name series Snapshot no longer lists.
-	gen atomic.Uint64
 }
 
 // appendArgs appends a lookup's arguments as byArgs keys them, uninterpreted
@@ -378,16 +374,4 @@ func (r *Registry) Snapshot() []Sample {
 		out = append(out, s)
 	}
 	return out
-}
-
-// Reset drops every registered metric and snapshot hook. Intended for tests
-// that assert on the Default registry.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.metrics = make(map[string]*metric)
-	r.families = make(map[string]Kind)
-	r.hooks = nil
-	r.byArgs.Store(nil)
-	r.gen.Add(1)
 }

@@ -147,28 +147,24 @@ func MiddlewareSpans(reg *Registry, spans *SpanStore, service string, next http.
 }
 
 // routeHandles are one route's per-request instruments, resolved on its
-// first request since the registry's last Reset (gen): the span name for the
-// method that asked first, the latency histogram, and the request counters
-// by status class, each registered on first use. Middleware keys them by
-// ServeMux pattern, so the mux's routes bound their number.
+// first request: the span name for the method that asked first, the latency
+// histogram, and the request counters by status class, each registered on
+// first use. Middleware keys them by ServeMux pattern, so the mux's routes
+// bound their number.
 type routeHandles struct {
-	gen                 uint64
 	route, method, span string
 	latency             *Histogram
 	codes               [7]atomic.Pointer[Counter] // by status/100, "other" at either end
 }
 
-// routeFor returns r's route handles from routes, resolving them when the
-// route has none for reg's current generation. The generation is read first:
-// handles resolved across a Reset are then tagged older than they are and
-// resolved again, never kept as current.
+// routeFor returns r's route handles from routes, resolving them on the
+// route's first request.
 func routeFor(routes *sync.Map, reg *Registry, service string, r *http.Request) *routeHandles {
-	gen := reg.gen.Load()
-	if v, ok := routes.Load(r.Pattern); ok && v.(*routeHandles).gen == gen {
+	if v, ok := routes.Load(r.Pattern); ok {
 		return v.(*routeHandles)
 	}
 	route := routeLabel(r)
-	rt := &routeHandles{gen: gen, route: route, method: r.Method, span: r.Method + " " + route,
+	rt := &routeHandles{route: route, method: r.Method, span: r.Method + " " + route,
 		latency: reg.Histogram("http_request_seconds", nil, "service", service, "route", route)}
 	routes.Store(r.Pattern, rt)
 	return rt

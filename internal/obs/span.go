@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -210,11 +211,11 @@ func init() {
 }
 
 // DefaultSpans returns the process-wide span store Middleware and
-// resil.Transport feed; nil when tracing is disabled (SetDefaultSpans(nil)).
+// resil.Transport feed.
 func DefaultSpans() *SpanStore { return defaultSpans.Load() }
 
-// SetDefaultSpans replaces the process-wide span store; nil disables span
-// recording entirely. Flags.Setup calls this with -trace-sample.
+// SetDefaultSpans replaces the process-wide span store. Flags.Setup calls
+// this with -trace-sample.
 func SetDefaultSpans(s *SpanStore) { defaultSpans.Store(s) }
 
 func (s *SpanStore) reg() *Registry { return cmp.Or(s.Registry, Default()) }
@@ -223,7 +224,7 @@ func (s *SpanStore) reg() *Registry { return cmp.Or(s.Registry, Default()) }
 // after the trace was kept are appended to the kept record directly, so
 // stragglers from concurrent goroutines are not lost.
 func (s *SpanStore) Record(rec SpanRecord) {
-	if s == nil || rec.TraceID == "" {
+	if rec.TraceID == "" {
 		return
 	}
 	s.reg().Counter("trace_spans_recorded_total", "service", rec.Service).Inc()
@@ -242,7 +243,7 @@ func (s *SpanStore) Record(rec SpanRecord) {
 // sampling decision, reporting whether the trace was kept (callers use this
 // to attach histogram exemplars only for retrievable traces).
 func (s *SpanStore) RecordRoot(rec SpanRecord) bool {
-	if s == nil || rec.TraceID == "" {
+	if rec.TraceID == "" {
 		return false
 	}
 	s.reg().Counter("trace_spans_recorded_total", "service", rec.Service).Inc()
@@ -402,9 +403,6 @@ func (f TraceFilter) Select(n int, at func(i int) *TraceRecord) []TraceRecord {
 
 // Traces returns kept traces newest-first under the filter.
 func (s *SpanStore) Traces(f TraceFilter) []TraceRecord {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return f.Select(len(s.keptOrder), func(i int) *TraceRecord { return s.kept[s.keptOrder[i]] })
@@ -412,9 +410,6 @@ func (s *SpanStore) Traces(f TraceFilter) []TraceRecord {
 
 // Trace returns one kept trace with its spans.
 func (s *SpanStore) Trace(id string) (TraceRecord, bool) {
-	if s == nil {
-		return TraceRecord{}, false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tr, ok := s.kept[id]
@@ -426,9 +421,6 @@ func (s *SpanStore) Trace(id string) (TraceRecord, bool) {
 
 // Len reports the number of kept traces.
 func (s *SpanStore) Len() int {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.keptOrder)
@@ -487,11 +479,13 @@ func ParseTraceFilter(r *http.Request) (TraceFilter, error) {
 		WithSpans: r.URL.Query().Get("spans") == "1",
 	}
 	if v := r.URL.Query().Get("min_ms"); v != "" {
-		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil {
+		// A duration from 0 to the largest one; NaN fails both comparisons.
+		ns, err := strconv.ParseFloat(v, 64)
+		ns *= float64(time.Millisecond)
+		if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
 			return f, fmt.Errorf("bad min_ms %q", v)
 		}
-		f.MinDuration = time.Duration(ms * float64(time.Millisecond))
+		f.MinDuration = time.Duration(ns)
 	}
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -504,10 +498,6 @@ func ParseTraceFilter(r *http.Request) (TraceFilter, error) {
 }
 
 func serveTraces(s *SpanStore, w http.ResponseWriter, r *http.Request) {
-	if s == nil {
-		http.Error(w, "tracing disabled", http.StatusNotFound)
-		return
-	}
 	f, err := ParseTraceFilter(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -517,10 +507,6 @@ func serveTraces(s *SpanStore, w http.ResponseWriter, r *http.Request) {
 }
 
 func serveTraceTree(s *SpanStore, w http.ResponseWriter, r *http.Request) {
-	if s == nil {
-		http.Error(w, "tracing disabled", http.StatusNotFound)
-		return
-	}
 	tr, ok := s.Trace(r.PathValue("id"))
 	if !ok {
 		http.Error(w, "unknown trace", http.StatusNotFound)

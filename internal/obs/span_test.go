@@ -252,16 +252,19 @@ func TestTraceHandlers(t *testing.T) {
 		t.Fatalf("unknown trace status %d, want 404", code)
 	}
 
-	var nilStore *SpanStore
-	h := httptest.NewServer(nilStore.Handler())
-	defer h.Close()
-	resp, err := h.Client().Get(h.URL + "/v1/traces")
-	if err != nil {
-		t.Fatal(err)
+	// A min_ms outside [0, the largest duration] is a 400 like a bad limit,
+	// never a filter that lists every trace.
+	for _, q := range []string{"-5", "9.3e12", "1e300", "Inf", "NaN"} {
+		if code, body := get("/v1/traces?min_ms=" + q); code != 400 {
+			t.Errorf("min_ms=%s: status %d, want 400; body %s", q, code, body)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("disabled store status %d, want 404", resp.StatusCode)
+	code, body = get("/v1/traces?min_ms=5")
+	if err := json.Unmarshal([]byte(body), &list); err != nil || code != 200 {
+		t.Fatalf("min_ms=5: %v status %d", err, code)
+	}
+	if len(list) != 1 || list[0].TraceID != "t1" {
+		t.Fatalf("min_ms=5 returned %+v", list)
 	}
 }
 

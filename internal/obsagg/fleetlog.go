@@ -27,12 +27,12 @@ const DefaultFleetLogBuffer = 4096
 
 // logScrapeOverlap is re-requested on every round so records landing just
 // before the previous scrape's cutoff are not missed; the sequence-number
-// high-water mark dedups the overlap.
+// high-water mark and the newest merged time dedup the overlap.
 const logScrapeOverlap = 2 * time.Second
 
 // logTargetState tracks per-target log-scrape progress.
 type logTargetState struct {
-	highSeq  uint64    // newest sequence number merged from this target
+	highSeq  uint64    // newest sequence number in the last batch
 	lastTime time.Time // newest record time merged (the next ?since= basis)
 }
 
@@ -55,11 +55,10 @@ func (a *Aggregator) scrapeLogs(ctx context.Context, hc *http.Client, t Target) 
 }
 
 // mergeLogs folds one target's scraped records into the fleet view: records
-// already merged (sequence number at or under the target's high-water mark)
-// are dropped, the rest gain job/instance labels and the merged slice is
-// re-sorted by record time — so /fleet/logs reads chronologically even when
-// instances' clocks or scrape rounds are skewed — and trimmed oldest-first
-// to the buffer bound.
+// already merged are dropped, the rest gain job/instance labels and the
+// merged slice is re-sorted by record time — so /fleet/logs reads
+// chronologically even when instances' clocks or scrape rounds are skewed —
+// and trimmed oldest-first to the buffer bound.
 func (a *Aggregator) mergeLogs(t Target, recs []obs.LogRecord) {
 	if len(recs) == 0 {
 		return
@@ -75,21 +74,17 @@ func (a *Aggregator) mergeLogs(t Target, recs []obs.LogRecord) {
 		st = &logTargetState{}
 		a.logStates[key] = st
 	}
-	// A restarted daemon starts a fresh sequence space: when the batch's
-	// newest seq is below the high-water mark, reset instead of dropping the
-	// new process's records forever.
-	maxSeq := uint64(0)
-	for _, r := range recs {
-		if r.Seq > maxSeq {
-			maxSeq = r.Seq
-		}
-	}
-	if maxSeq < st.highSeq {
-		st.highSeq = 0
-	}
+	// A record is already merged when its seq is at or under the mark and it
+	// is no newer than the newest merged record: a re-sent overlap record is
+	// both. A restarted daemon numbers from 1 again, but its records are
+	// newer, however far past the old mark its seqs have run. The mark then
+	// follows the batch, whose newest seq is the serving process's.
+	mark := *st
+	st.highSeq = 0
 	added := 0
 	for _, r := range recs {
-		if r.Seq <= st.highSeq {
+		st.highSeq = max(st.highSeq, r.Seq)
+		if r.Seq <= mark.highSeq && !r.Time.After(mark.lastTime) {
 			continue
 		}
 		r.Job = t.Job
@@ -98,11 +93,6 @@ func (a *Aggregator) mergeLogs(t Target, recs []obs.LogRecord) {
 		added++
 		if r.Time.After(st.lastTime) {
 			st.lastTime = r.Time
-		}
-	}
-	for _, r := range recs {
-		if r.Seq > st.highSeq {
-			st.highSeq = r.Seq
 		}
 	}
 	if added == 0 {

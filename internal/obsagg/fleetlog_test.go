@@ -73,9 +73,8 @@ func TestMergeLogsDedupAndRestartReset(t *testing.T) {
 		t.Fatalf("after overlap re-scrape: %d records, want 3", got)
 	}
 
-	// The daemon restarts: sequence numbers start over. The batch's newest
-	// seq (2) below the high-water mark (7) resets the mark so the fresh
-	// process's records are kept.
+	// The daemon restarts: sequence numbers start over, at later times, so
+	// the fresh process's records are kept.
 	a.mergeLogs(tgt, []obs.LogRecord{
 		{Seq: 1, Time: base.Add(3 * time.Second), Level: "INFO", Msg: "reborn"},
 		{Seq: 2, Time: base.Add(4 * time.Second), Level: "INFO", Msg: "again"},
@@ -86,6 +85,23 @@ func TestMergeLogsDedupAndRestartReset(t *testing.T) {
 	recs := a.FleetLogs(obs.LogFilter{})
 	if recs[len(recs)-1].Msg != "again" {
 		t.Errorf("restart records missing: %+v", recs)
+	}
+
+	// It restarts again and logs past the old mark (2) before the next
+	// scrape: seqs 1-10, every one of them its own, startup lines included.
+	var reborn []obs.LogRecord
+	for i := range 10 {
+		reborn = append(reborn, obs.LogRecord{Seq: uint64(i + 1), Time: base.Add(time.Duration(10+i) * time.Second),
+			Level: "INFO", Msg: "reborn past the mark"})
+	}
+	a.mergeLogs(tgt, reborn)
+	if got := len(a.FleetLogs(obs.LogFilter{})); got != 15 {
+		t.Fatalf("after a restart past the mark: %d records, want 15", got)
+	}
+	// The next scrape's overlap re-sends seqs 8-10 with one new record.
+	a.mergeLogs(tgt, append(reborn[7:], obs.LogRecord{Seq: 11, Time: base.Add(20 * time.Second), Level: "INFO", Msg: "new"}))
+	if got := len(a.FleetLogs(obs.LogFilter{})); got != 16 {
+		t.Fatalf("after the reborn process's overlap re-scrape: %d records, want 16", got)
 	}
 }
 

@@ -6,30 +6,26 @@ import (
 	"time"
 )
 
-// Clock abstracts time for the retry and breaker layers so unit tests can
-// exercise deadline arithmetic and window rotation without real sleeps.
+// Clock abstracts time for the retry, breaker and hedge layers so unit tests
+// can exercise deadline arithmetic, window rotation and hedge delays without
+// real sleeps.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
 	// Sleep blocks for d or until ctx is done, returning ctx.Err() in the
 	// latter case.
 	Sleep(ctx context.Context, d time.Duration) error
+	// AfterFunc returns a Timer that runs f on its own goroutine d from now.
+	// Hedging needs a timer (not Sleep) so a fake clock can hold the hedge
+	// delay open while the primary leg races it; FakeClock timers fire only
+	// when Advance or Sleep moves fake time past their deadline.
+	AfterFunc(d time.Duration, f func()) Timer
 }
 
 // Timer is a one-shot timer: it fires once at the deadline unless Stop wins.
 type Timer interface {
 	// Stop cancels the timer, reporting whether it had not yet fired.
 	Stop() bool
-}
-
-// TimerClock is a Clock that can also mint timers. Hedging needs a timer
-// (not Sleep) so a fake clock can hold the hedge delay open while the
-// primary leg races it; FakeClock timers fire only when Advance or Sleep
-// moves fake time past their deadline.
-type TimerClock interface {
-	Clock
-	// AfterFunc returns a Timer that runs f on its own goroutine d from now.
-	AfterFunc(d time.Duration, f func()) Timer
 }
 
 // realClock is the production Clock.

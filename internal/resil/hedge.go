@@ -17,9 +17,7 @@ type Hedge struct {
 	// After is the hedge delay: how long to wait for the running legs
 	// before racing the next one. 0 disables speculative hedging.
 	After time.Duration
-	// Clock paces the hedge timer (default: the real clock). Timer-driven
-	// hedging requires a TimerClock; the stock real and fake clocks both
-	// are one.
+	// Clock paces the hedge timer (default: the real clock).
 	Clock Clock
 }
 
@@ -60,8 +58,6 @@ func HedgeDo[T any](ctx context.Context, cfg Hedge, legs int, op func(ctx contex
 	if clock == nil {
 		clock = realClock{}
 	}
-	tc, timed := clock.(TimerClock)
-	timed = timed && cfg.After > 0
 
 	lctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -104,9 +100,9 @@ func HedgeDo[T any](ctx context.Context, cfg Hedge, legs int, op func(ctx contex
 		s.next++
 		s.running++
 		s.stats.Legs++
-		if timed && s.next < legs {
+		if cfg.After > 0 && s.next < legs {
 			arming := s.armed
-			s.timer = tc.AfterFunc(cfg.After, func() { hedge(arming) })
+			s.timer = clock.AfterFunc(cfg.After, func() { hedge(arming) })
 		}
 		return leg
 	}

@@ -107,30 +107,6 @@ func TestHedgeFailoverOnError(t *testing.T) {
 	}
 }
 
-func TestHedgeFailoverWithoutTimerClock(t *testing.T) {
-	// A plain Clock (no NewTimer) disables speculative hedging but error
-	// failover must still work.
-	v, stats, err := HedgeDo(context.Background(), Hedge{After: time.Hour, Clock: plainClock{}}, 2,
-		func(ctx context.Context, leg int) (string, error) {
-			if leg == 0 {
-				return "", errors.New("boom")
-			}
-			return "ok", nil
-		})
-	if err != nil || v != "ok" {
-		t.Fatalf("got %q, %v", v, err)
-	}
-	if stats.Failovers != 1 || stats.Winner != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-// plainClock implements Clock but not TimerClock.
-type plainClock struct{}
-
-func (plainClock) Now() time.Time                                   { return time.Unix(0, 0) }
-func (plainClock) Sleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
-
 func TestHedgeAllLegsFail(t *testing.T) {
 	fc := hedgeClock()
 	errLast := errors.New("last leg error")

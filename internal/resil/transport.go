@@ -145,10 +145,10 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 type call struct {
 	p       Policy
 	service string
-	name    string         // the span name, "GET /path"
-	spans   *obs.SpanStore // nil when tracing is off
-	id      obs.RequestID  // the call span; each attempt's span is a child
-	tp      string         // id as a traceparent
+	name    string // the span name, "GET /path"
+	spans   *obs.SpanStore
+	id      obs.RequestID // the call span; each attempt's span is a child
+	tp      string        // id as a traceparent
 }
 
 // retryLoop is the one retry loop. It runs attempts under the caller's

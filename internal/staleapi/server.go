@@ -112,18 +112,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/domain/{e2ld}/staleness", s.handleStaleness)
 	mux.HandleFunc("GET /v1/domains", s.handleDomains)
 	mux.HandleFunc("GET /v1/shardmap", s.handleShardmap)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "ok uptime=%s\n", s.health.Uptime().Round(time.Millisecond))
-	})
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET /healthz", s.health.Healthz)
+	mux.HandleFunc("GET /readyz", s.health.Readyz)
 	return mux
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	defer cancel()
-	obs.WriteReadyz(w, s.health.Check(ctx))
 }
 
 // CertJSON is the wire form of one certificate. The server does not encode

@@ -220,15 +220,8 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cert/{fp}", g.handleCert)
 	mux.HandleFunc("GET /v1/domains", g.handleDomains)
 	mux.HandleFunc("GET /v1/shardmap", g.handleShardmap)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "ok uptime=%s\n", g.health.Uptime().Round(time.Millisecond))
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-		defer cancel()
-		obs.WriteReadyz(w, g.health.Check(ctx))
-	})
+	mux.HandleFunc("GET /healthz", g.health.Healthz)
+	mux.HandleFunc("GET /readyz", g.health.Readyz)
 	return mux
 }
 
