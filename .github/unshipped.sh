@@ -6,6 +6,12 @@
 # pkg.Func, pkg.Func[...], pkg.T.Method or pkg.(*T).Method. Fails when an
 # unlinked function is missing from UNSHIPPED, or when UNSHIPPED lists one
 # that is now linked or gone. Run from the repository root.
+#
+# Blind spot: the linker keeps an exported method of a reachable type when
+# some interface method with the same name and signature is called, whether
+# or not anything calls this one (`go build -ldflags=-dumpdep` shows the edge
+# as <UsedInIface>). Such a method counts as linked here although only tests
+# may call it; find those by reading the dumpdep edges, not with this script.
 set -euo pipefail
 export LC_ALL=C
 

@@ -5,12 +5,15 @@
 // merges the per-daemon log rings into one time-ordered instance-labelled
 // log stream — one Prometheus scrape target, one trace query surface and one
 // log query surface for the whole deployment — plus a plain-text fleet
-// summary. Scrape failures, jobs whose server error rate crosses 10%,
-// stitched traces slower than 1s, federated SLO burn-rate alerts
-// (slo_alert_firing on any target) and per-job error-log bursts above one
-// record/s raise structured log alerts; a still-active alert re-fires after
-// 5 quiet minutes. The fleet view keeps 512 stitched traces and 4 096 log
-// records. Every round's samples are also appended to an in-memory
+// summary. Scrape failures, jobs whose server error rate crosses 10%
+// (errorRateThreshold), stitched traces slower than 1s (traceSlow),
+// federated SLO burn-rate alerts (slo_alert_firing on any target) and
+// per-job error-log bursts above one record/s (errorBurstThreshold) raise
+// structured log alerts; a still-active alert re-fires after 5 quiet minutes
+// (alertRearm). The fleet view keeps 512 stitched traces (fleetTraceBuffer)
+// and 4 096 log records (fleetLogBuffer), and obsagg's own series under
+// job="obsagg" (selfJob); these are constants in internal/obsagg. Every
+// round's samples are also appended to an in-memory
 // time-series database (15 minutes of history, at most 50 000 series)
 // that answers instant and range expression queries at /fleet/query —
 // rate(), irate(), count_over_time(), histogram_quantile(), sum/min/max by
@@ -100,18 +103,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The trace and log buffers and the TSDB keep their zero-value defaults.
+	// The TSDB keeps its zero-value defaults.
 	agg := &obsagg.Aggregator{
-		Targets:             parsed,
-		Logger:              logger,
-		ErrorRateThreshold:  0.1,
-		TraceSlow:           time.Second,
-		AlertRearm:          5 * time.Minute,
-		ErrorBurstThreshold: 1,
-		RecordingRules:      recordingRules,
-		AlertRules:          alertRules,
-		SelfJob:             "obsagg",
-		Client:              resil.NewHTTPClient(rf.Options("obsagg")),
+		Targets:        parsed,
+		Logger:         logger,
+		RecordingRules: recordingRules,
+		AlertRules:     alertRules,
+		Client:         resil.NewHTTPClient(rf.Options("obsagg")),
 	}
 	obs.DefaultHealth().Register("first-scrape-round", agg.Ready)
 

@@ -115,8 +115,6 @@ func TestFleetQueryAcceptance(t *testing.T) {
 	api.Handle(apiMux)
 
 	agg, aggURL := fleettest.Aggregate(t, api, ct)
-	agg.ErrorBurstThreshold = 5
-	agg.AlertRearm = time.Hour
 	agg.TSDB = &obsagg.TSDB{Retention: time.Minute, StaleAfter: time.Second}
 
 	// Drive a deterministic open-loop load while federating every 250ms.

@@ -543,14 +543,24 @@ func (s *Store) ByShortFingerprint(prefix [8]byte) (*x509sim.Certificate, bool) 
 // PSL returns the public suffix list the e2LD index was built with.
 func (s *Store) PSL() *psl.List { return s.psl }
 
-// Domains returns every indexed e2LD, sorted. Diagnostic; takes every shard
-// read lock in turn.
+// Domains returns the indexed e2LDs the store owns, sorted: every one when
+// unsharded, and on a pinned slice those the ring gives the slice. A
+// certificate naming several e2LDs is kept by each of their owners, so a
+// slice indexes e2LDs that another slice owns and lists. Diagnostic; takes
+// every shard read lock in turn.
 func (s *Store) Domains() []string {
+	owns := func(string) bool { return true }
+	if a := s.slice; a != nil {
+		ring := shard.MustRing(a.Count, shard.DefaultVNodes)
+		owns = func(d string) bool { return ring.Lookup(shard.KeyForDomain(d)) == a.Index }
+	}
 	var out []string
 	for _, sh := range s.idx.shards {
 		sh.mu.RLock()
 		for d := range sh.byE2LD {
-			out = append(out, d)
+			if owns(d) {
+				out = append(out, d)
+			}
 		}
 		sh.mu.RUnlock()
 	}

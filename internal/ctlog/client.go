@@ -256,19 +256,6 @@ func decodeEntriesJSON(body []byte, start uint64) ([]Entry, error) {
 	return entries, nil
 }
 
-// GetProofByHash fetches an inclusion proof for a leaf hash at a tree size.
-func (c *Client) GetProofByHash(ctx context.Context, leaf merkle.Hash, size uint64) (uint64, []merkle.Hash, error) {
-	q := url.Values{}
-	q.Set("hash", base64.StdEncoding.EncodeToString(leaf[:]))
-	q.Set("tree_size", fmt.Sprint(size))
-	var resp getProofByHashResponse
-	if err := c.get(ctx, "/ct/v1/get-proof-by-hash", q, &resp); err != nil {
-		return 0, nil, err
-	}
-	proof, err := decodeHashes(resp.AuditPath)
-	return resp.LeafIndex, proof, err
-}
-
 // GetConsistency fetches a consistency proof between two tree sizes.
 func (c *Client) GetConsistency(ctx context.Context, first, second uint64) ([]merkle.Hash, error) {
 	q := url.Values{}
@@ -287,14 +274,11 @@ type ScrapeOptions struct {
 	BatchSize uint64
 	// From resumes scraping at this index (for incremental monitors).
 	From uint64
-	// VerifyInclusion audits every fetched entry against the STH. Slow but
-	// used by tests to prove the wire pipeline end to end.
-	VerifyInclusion bool
 }
 
 // Scrape downloads the log from opts.From up to the current STH, checking
-// that entries arrive contiguous (and optionally every entry's inclusion).
-// It returns the entries and the STH they were fetched under.
+// that entries arrive contiguous. It returns the entries and the STH they
+// were fetched under.
 func (c *Client) Scrape(ctx context.Context, opts ScrapeOptions) ([]Entry, SignedTreeHead, error) {
 	sth, err := c.GetSTH(ctx)
 	if err != nil {
@@ -343,18 +327,6 @@ func (c *Client) ScrapePages(ctx context.Context, sth SignedTreeHead, opts Scrap
 		for i, e := range got {
 			if e.Index != start+uint64(i) {
 				return fmt.Errorf("ctlog: non-contiguous entries: got %d at position %d", e.Index, start+uint64(i))
-			}
-		}
-		if opts.VerifyInclusion {
-			for _, e := range got {
-				leaf := merkle.LeafHash(e.LeafData())
-				idx, proof, err := c.GetProofByHash(ctx, leaf, sth.Size)
-				if err != nil {
-					return fmt.Errorf("ctlog: proof for %d: %w", e.Index, err)
-				}
-				if idx != e.Index || !merkle.VerifyInclusion(leaf, idx, sth.Size, proof, sth.Root) {
-					return fmt.Errorf("ctlog: inclusion verification failed for %d", e.Index)
-				}
 			}
 		}
 		start += uint64(len(got))

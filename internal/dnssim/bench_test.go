@@ -15,7 +15,7 @@ func benchResolver(tb testing.TB) *Resolver {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { _ = srv.Close() })
-	return &Resolver{ServerAddr: addr.String(), Timeout: time.Second, Retries: 1}
+	return &Resolver{ServerAddr: addr.String(), Timeout: time.Second}
 }
 
 // resolveApexNS is the delegation check's first question, answered by the

@@ -20,8 +20,6 @@ type Resolver struct {
 	ServerAddr string
 	// Timeout per attempt (default 2s).
 	Timeout time.Duration
-	// Retries is the number of additional attempts (default 2).
-	Retries int
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -40,6 +38,10 @@ type NXDomainError struct{ Name string }
 
 func (e *NXDomainError) Error() string { return fmt.Sprintf("dnssim: NXDOMAIN for %q", e.Name) }
 
+// queryAttempts is how many times Query asks before it gives up on a
+// question that got no usable answer.
+const queryAttempts = 3
+
 // Query sends one question and returns the answer records. NODATA yields an
 // empty slice and nil error; NXDOMAIN yields *NXDomainError.
 func (r *Resolver) Query(ctx context.Context, name string, t RRType) ([]Record, error) {
@@ -47,12 +49,8 @@ func (r *Resolver) Query(ctx context.Context, name string, t RRType) ([]Record, 
 	if timeout == 0 {
 		timeout = 2 * time.Second
 	}
-	attempts := r.Retries + 1
-	if r.Retries == 0 {
-		attempts = 3
-	}
 	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < queryAttempts; i++ {
 		recs, err := r.queryOnce(ctx, name, t, timeout)
 		if err == nil {
 			return recs, nil

@@ -127,7 +127,7 @@ func TestServerTruncatesOversizedResponses(t *testing.T) {
 	}
 	defer srv.Close()
 
-	r := &Resolver{ServerAddr: addr.String(), Timeout: time.Second, Retries: 1}
+	r := &Resolver{ServerAddr: addr.String(), Timeout: time.Second}
 	_, err = r.Query(context.Background(), "big.test", TypeTXT)
 	if !errors.Is(err, ErrTruncatedR) {
 		t.Fatalf("expected truncation, got %v", err)

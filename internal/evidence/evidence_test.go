@@ -369,7 +369,7 @@ func TestGatherRunsWhoisAndDNSConcurrently(t *testing.T) {
 	g := &Gatherer{
 		Index:    core.NewCorpus([]*x509sim.Certificate{managed}, core.CorpusOptions{}),
 		Whois:    &whois.Client{Addr: whoisAddr.String()},
-		Resolver: &dnssim.Resolver{ServerAddr: pc.LocalAddr().String(), Timeout: time.Second, Retries: 1},
+		Resolver: &dnssim.Resolver{ServerAddr: pc.LocalAddr().String(), Timeout: time.Second},
 		Now:      rigNow,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -52,7 +52,7 @@ type Member struct {
 func Serve(t testing.TB, name string, traceSample float64) *Member {
 	service, _, _ := strings.Cut(name, "-") // staleapid-1-0 is a staleapid
 	m := &Member{Name: name, t: t, Reg: obs.NewRegistry(), Spans: obs.NewSpanStore(512, traceSample, 0),
-		Logs: obs.NewLogRing(256), Health: obs.NewHealth()}
+		Logs: obs.NewLogRing(), Health: obs.NewHealth()}
 	m.Spans.Registry, m.Logs.Registry = m.Reg, m.Reg
 	m.Handle(http.NotFoundHandler())
 	api := obs.MiddlewareSpans(m.Reg, m.Spans, service, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -42,9 +42,6 @@ type Config struct {
 	Duration time.Duration // wall-clock run length
 	Workers  int           // concurrent request slots
 	Seed     uint64        // drives the op mix; same seed → same op sequence
-	// WarmupFrac discards the leading fraction of the run from the recorded
-	// stats (connection setup, cold caches). Default 0.
-	WarmupFrac float64
 }
 
 // OpStats accumulates one operation's outcomes.
@@ -58,12 +55,9 @@ type OpStats struct {
 
 // Result is one finished load run.
 type Result struct {
-	Config  Config
-	Began   time.Time
-	Elapsed time.Duration
-	// Measured is the part of Elapsed after the warm-up: the window the
-	// recorded samples, and so every rate derived from them, cover.
-	Measured    time.Duration
+	Config      Config
+	Began       time.Time
+	Elapsed     time.Duration
 	PerOp       map[string]*OpStats
 	Total       *OpStats // all ops merged
 	AchievedQPS float64
@@ -133,8 +127,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	began := time.Now()
 	deadline := began.Add(cfg.Duration)
-	warmup := time.Duration(cfg.WarmupFrac * float64(cfg.Duration))
-	warmupUntil := began.Add(warmup)
 
 	states := make([]*workerState, cfg.Workers)
 	var wg sync.WaitGroup
@@ -144,9 +136,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		reqStart := time.Now()
 		bytes, err := op.Do(runCtx)
 		end := time.Now()
-		if end.Before(warmupUntil) {
-			return
-		}
 		lat := end.Sub(reqStart)
 		if !scheduled.IsZero() {
 			// Open loop: latency includes the time the request spent waiting
@@ -224,13 +213,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	elapsed := time.Since(began)
 
 	res := &Result{
-		Config:   cfg,
-		Began:    began,
-		Elapsed:  elapsed,
-		Measured: elapsed - warmup,
-		PerOp:    make(map[string]*OpStats, len(cfg.Ops)),
-		Total:    &OpStats{Name: "total", Latency: NewHist()},
-		Dropped:  dropped,
+		Config:  cfg,
+		Began:   began,
+		Elapsed: elapsed,
+		PerOp:   make(map[string]*OpStats, len(cfg.Ops)),
+		Total:   &OpStats{Name: "total", Latency: NewHist()},
+		Dropped: dropped,
 	}
 	for _, op := range cfg.Ops {
 		merged := &OpStats{Name: op.Name, Latency: NewHist()}
@@ -247,8 +235,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.Total.Bytes += merged.Bytes
 		res.Total.Latency.Merge(merged.Latency)
 	}
-	if res.Measured > 0 {
-		res.AchievedQPS = float64(res.Total.Count) / res.Measured.Seconds()
+	if elapsed > 0 {
+		res.AchievedQPS = float64(res.Total.Count) / elapsed.Seconds()
 	}
 	return res, nil
 }

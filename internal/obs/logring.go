@@ -170,13 +170,9 @@ type LogRing struct {
 // logBuffer is the process log ring's capacity.
 const logBuffer = 1024
 
-// NewLogRing builds a ring retaining at most capacity records (<= 0 uses
-// logBuffer).
-func NewLogRing(capacity int) *LogRing {
-	if capacity <= 0 {
-		capacity = logBuffer
-	}
-	return &LogRing{buf: make([]LogRecord, capacity)}
+// NewLogRing builds a ring retaining at most logBuffer records.
+func NewLogRing() *LogRing {
+	return &LogRing{buf: make([]LogRecord, logBuffer)}
 }
 
 func (r *LogRing) reg() *Registry { return cmp.Or(r.Registry, Default()) }
@@ -232,13 +228,6 @@ func (r *LogRing) Query(f LogFilter) []LogRecord {
 		out = out[len(out)-f.Limit:]
 	}
 	return out
-}
-
-// Len reports the number of retained records.
-func (r *LogRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.size
 }
 
 // WriteJSONL writes the ring's full contents oldest-first, one JSON record
@@ -312,7 +301,7 @@ func (r *LogRing) SnapshotDir(dir string) error {
 // defaultLogRing is the process-wide ring SetupLogger's tee feeds, serving
 // /v1/logs; it exists before Setup runs, so logging is ring-buffered from
 // the first record.
-var defaultLogRing = NewLogRing(logBuffer)
+var defaultLogRing = NewLogRing()
 
 // logLevel is the process-wide level gate shared by the stderr handler and
 // the ring tee; PUT /v1/loglevel retargets it live.

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -41,27 +42,24 @@ func TestParseLogLevel(t *testing.T) {
 	}
 }
 
-func testRing(capacity int) *LogRing {
-	r := NewLogRing(capacity)
+func testRing() *LogRing {
+	r := NewLogRing()
 	r.Registry = NewRegistry()
 	return r
 }
 
 func TestLogRingEvictionOrder(t *testing.T) {
-	r := testRing(4)
+	r := testRing()
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	for i := 0; i < 7; i++ {
+	for i := 0; i < logBuffer+3; i++ {
 		r.Append(LogRecord{Time: base.Add(time.Duration(i) * time.Second),
-			Level: "INFO", Msg: "m", Attrs: map[string]string{"i": string(rune('a' + i))}})
-	}
-	if got := r.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
+			Level: "INFO", Msg: "m", Attrs: map[string]string{"i": strconv.Itoa(i)}})
 	}
 	recs := r.Query(LogFilter{})
-	if len(recs) != 4 {
-		t.Fatalf("Query returned %d records, want 4", len(recs))
+	if len(recs) != logBuffer {
+		t.Fatalf("Query returned %d records, want %d", len(recs), logBuffer)
 	}
-	// Oldest-first, and only the newest four survive: seqs 4..7.
+	// Oldest-first, and only the newest logBuffer survive: seqs 4..logBuffer+3.
 	for i, rec := range recs {
 		if want := uint64(4 + i); rec.Seq != want {
 			t.Errorf("recs[%d].Seq = %d, want %d", i, rec.Seq, want)
@@ -75,7 +73,7 @@ func TestLogRingEvictionOrder(t *testing.T) {
 }
 
 func TestLogRingCountsRecords(t *testing.T) {
-	r := testRing(8)
+	r := testRing()
 	r.Append(LogRecord{Level: "INFO", Service: "ctlogd", Msg: "a"})
 	r.Append(LogRecord{Level: "ERROR", Service: "ctlogd", Msg: "b"})
 	r.Append(LogRecord{Level: "ERROR", Service: "ctlogd", Msg: "c"})
@@ -88,7 +86,7 @@ func TestLogRingCountsRecords(t *testing.T) {
 }
 
 func TestLogRingConcurrent(t *testing.T) {
-	r := testRing(64)
+	r := testRing()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -129,8 +127,8 @@ func TestLogRingConcurrent(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	<-done
-	if got := r.Len(); got != 64 {
-		t.Fatalf("Len = %d, want full ring 64", got)
+	if got := len(r.Query(LogFilter{})); got != logBuffer {
+		t.Fatalf("ring holds %d records, want a full ring of %d", got, logBuffer)
 	}
 	// Sequence numbers must be dense and strictly increasing across the
 	// retained window even under contention.
@@ -143,7 +141,7 @@ func TestLogRingConcurrent(t *testing.T) {
 }
 
 func TestLogFilterCombinations(t *testing.T) {
-	r := testRing(16)
+	r := testRing()
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	r.Append(LogRecord{Time: base, Level: "DEBUG", Msg: "poll round", TraceID: "aaa"})
 	r.Append(LogRecord{Time: base.Add(time.Second), Level: "INFO", Msg: "request served",
@@ -178,7 +176,7 @@ func TestLogFilterCombinations(t *testing.T) {
 }
 
 func TestLogsEndpoint(t *testing.T) {
-	r := testRing(16)
+	r := testRing()
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	r.Append(LogRecord{Time: base, Level: "INFO", Msg: "hello", TraceID: "t1"})
 	r.Append(LogRecord{Time: base.Add(time.Second), Level: "ERROR", Msg: "boom", TraceID: "t2"})
@@ -227,7 +225,7 @@ func TestLogsEndpoint(t *testing.T) {
 }
 
 func TestTeeHandlerRecordsAttrsAndTrace(t *testing.T) {
-	ring := testRing(16)
+	ring := testRing()
 	var stderr bytes.Buffer
 	inner := slog.NewTextHandler(&stderr, &slog.HandlerOptions{Level: slog.LevelDebug})
 	logger := slog.New(NewTeeHandler(inner, ring))
@@ -332,7 +330,7 @@ func TestLogLevelEndpoint(t *testing.T) {
 }
 
 func TestLogSnapshotRoundTrip(t *testing.T) {
-	r := testRing(8)
+	r := testRing()
 	r.Append(LogRecord{Time: time.Now().UTC(), Level: "ERROR", Service: "staleapid",
 		Msg: "boom", TraceID: "abc", Attrs: map[string]string{"err": "EOF"}})
 	r.Append(LogRecord{Time: time.Now().UTC(), Level: "INFO", Msg: "recovered"})

@@ -35,22 +35,18 @@ type ProfileEntry struct {
 	Files []string `json:"files"`
 }
 
-// ProfileCapture writes triggered pprof snapshots into a bounded directory
-// ring. Captures serialise on an internal mutex (the runtime allows one CPU
-// profile at a time) and automatic triggers are rate-limited by Cooldown so
-// a flapping alert cannot fill the disk. Each capture set also embeds a
-// black-box snapshot of the log ring (logs.jsonl) — the alert or panic that
-// triggered the capture ships with the log lines that preceded it.
+// ProfileCapture writes triggered pprof snapshots into a directory ring of
+// profileRing entries. Captures serialise on an internal mutex (the runtime
+// allows one CPU profile at a time) and automatic triggers are rate-limited
+// by profileCooldown so a flapping alert cannot fill the disk. Each capture
+// set also embeds a black-box snapshot of the log ring (logs.jsonl) — the
+// alert or panic that triggered the capture ships with the log lines that
+// preceded it.
 type ProfileCapture struct {
 	// Dir is the ring directory (created on first capture).
 	Dir string
-	// Max bounds retained entries; older entries are pruned (default 16).
-	Max int
 	// CPUDuration is the CPU profile length (default 2s).
 	CPUDuration time.Duration
-	// Cooldown is the minimum gap between TriggerAsync captures (default
-	// 1m); explicit Capture calls ignore it.
-	Cooldown time.Duration
 	// Logger receives capture outcomes (nil: slog.Default()).
 	Logger *slog.Logger
 	// Logs is the ring snapshotted into each capture set (nil: the process
@@ -62,6 +58,13 @@ type ProfileCapture struct {
 	lastAuto  time.Time
 	capturing bool
 }
+
+// profileRing bounds the retained capture sets, and profileCooldown is the
+// minimum gap between TriggerAsync captures.
+const (
+	profileRing     = 16
+	profileCooldown = time.Minute
+)
 
 // The process-wide capture target the Middleware panic path triggers;
 // Flags.Setup points it at the -profile-dir ring (nil when disabled).
@@ -75,13 +78,6 @@ func SetDefaultCapture(c *ProfileCapture) { defaultCapture.Store(c) }
 func DefaultCapture() *ProfileCapture { return defaultCapture.Load() }
 
 func (p *ProfileCapture) logger() *slog.Logger { return cmp.Or(p.Logger, slog.Default()) }
-
-func (p *ProfileCapture) max() int {
-	if p.Max > 0 {
-		return p.Max
-	}
-	return 16
-}
 
 func (p *ProfileCapture) cpuDuration() time.Duration {
 	if p.CPUDuration > 0 {
@@ -112,7 +108,7 @@ func safeReason(reason string) string {
 }
 
 // Capture synchronously snapshots CPU (for CPUDuration), heap and goroutine
-// profiles into a fresh ring entry and prunes the ring to Max. Concurrent
+// profiles into a fresh ring entry and prunes the ring to profileRing entries. Concurrent
 // calls coalesce: a capture already in flight makes Capture return an error
 // immediately rather than queue behind the CPU profiler.
 func (p *ProfileCapture) Capture(reason string) (ProfileEntry, error) {
@@ -196,15 +192,11 @@ func (p *ProfileCapture) Capture(reason string) (ProfileEntry, error) {
 }
 
 // TriggerAsync starts a capture in the background unless one ran within
-// Cooldown — the alert-hook entry point, safe to call from an SLO
-// evaluation tick.
+// profileCooldown — the alert-hook entry point, safe to call from an SLO
+// evaluation tick. Explicit Capture calls ignore the cooldown.
 func (p *ProfileCapture) TriggerAsync(reason string) {
-	cooldown := p.Cooldown
-	if cooldown <= 0 {
-		cooldown = time.Minute
-	}
 	p.mu.Lock()
-	if time.Since(p.lastAuto) < cooldown {
+	if time.Since(p.lastAuto) < profileCooldown {
 		p.mu.Unlock()
 		return
 	}
@@ -217,10 +209,10 @@ func (p *ProfileCapture) TriggerAsync(reason string) {
 	}()
 }
 
-// prune deletes the oldest ring entries beyond Max.
+// prune deletes the oldest ring entries beyond profileRing.
 func (p *ProfileCapture) prune() {
 	entries := p.List()
-	for len(entries) > p.max() {
+	for len(entries) > profileRing {
 		oldest := entries[0]
 		_ = os.RemoveAll(filepath.Join(p.Dir, oldest.ID))
 		entries = entries[1:]

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -57,18 +58,17 @@ func TestProfileCaptureWritesRingEntry(t *testing.T) {
 
 func TestProfileRingPrunesOldest(t *testing.T) {
 	p := testCapture(t)
-	p.Max = 2
-	for i := 0; i < 3; i++ {
+	for i := 0; i < profileRing+1; i++ {
 		if _, err := p.Capture("x"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	list := p.List()
-	if len(list) != 2 {
-		t.Fatalf("ring holds %d entries, want 2", len(list))
+	if len(list) != profileRing {
+		t.Fatalf("ring holds %d entries, want %d", len(list), profileRing)
 	}
-	if list[0].ID != "p000002-x" || list[1].ID != "p000003-x" {
-		t.Errorf("ring = %q, %q (oldest should be pruned)", list[0].ID, list[1].ID)
+	if newest := fmt.Sprintf("p%06d-x", profileRing+1); list[0].ID != "p000002-x" || list[len(list)-1].ID != newest {
+		t.Errorf("ring = %q … %q, want p000002-x … %s (oldest should be pruned)", list[0].ID, list[len(list)-1].ID, newest)
 	}
 }
 
@@ -150,7 +150,6 @@ func TestProfileHandler(t *testing.T) {
 
 func TestProfileTriggerAsyncCooldown(t *testing.T) {
 	p := testCapture(t)
-	p.Cooldown = time.Hour
 	p.TriggerAsync("alert")
 	// Second trigger inside the cooldown is dropped, so exactly one entry
 	// lands no matter how fast the alert flaps.

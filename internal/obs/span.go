@@ -419,13 +419,6 @@ func (s *SpanStore) Trace(id string) (TraceRecord, bool) {
 	return tr.Copy(true), true
 }
 
-// Len reports the number of kept traces.
-func (s *SpanStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.keptOrder)
-}
-
 // Copy returns the record with its own Services slice and, when withSpans,
 // its own span list (nil otherwise), safe to hand out from under a lock.
 func (tr *TraceRecord) Copy(withSpans bool) TraceRecord {

@@ -105,8 +105,8 @@ func TestSpanStoreRingEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		st.RecordRoot(serverSpan(fmt.Sprintf("t%d", i), time.Millisecond, 200))
 	}
-	if st.Len() != 3 {
-		t.Fatalf("kept %d traces, capacity 3", st.Len())
+	if got := len(st.Traces(TraceFilter{})); got != 3 {
+		t.Fatalf("kept %d traces, capacity 3", got)
 	}
 	if _, ok := st.Trace("t0"); ok {
 		t.Fatal("oldest trace survived eviction")
@@ -136,7 +136,7 @@ func TestSpanStoreConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := st.Len(); got != 16 {
+	if got := len(st.Traces(TraceFilter{})); got != 16 {
 		t.Fatalf("store holds %d traces, capacity 16", got)
 	}
 }

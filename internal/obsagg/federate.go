@@ -74,12 +74,36 @@ type targetState struct {
 	failures  uint64
 }
 
+// The built-in alerting policy and fleet-view bounds every Aggregator runs.
+const (
+	// errorRateThreshold is the 5xx/total fraction per job above which the
+	// error-rate alert fires, each round the job stays above it.
+	errorRateThreshold = 0.1
+	// errorBurstThreshold is the per-job error-log rate (records/second,
+	// from the federated log_records_total counters) above which the
+	// error-burst alert fires.
+	errorBurstThreshold = 1.0
+	// traceSlow is the end-to-end duration at which a stitched fleet trace
+	// raises the slow-trace alert.
+	traceSlow = time.Second
+	// alertRearm is the quiet period after which a still-active slow-trace,
+	// SLO-burn or error-burst alert fires again.
+	alertRearm = 5 * time.Minute
+	// selfJob is the job label the aggregator's own Registry snapshot is
+	// federated under, without an HTTP round trip.
+	selfJob = "obsagg"
+	// fleetTraceBuffer and fleetLogBuffer bound the stitched traces and the
+	// merged log records the fleet view retains.
+	fleetTraceBuffer = 512
+	fleetLogBuffer   = 4096
+)
+
 // Aggregator federates many daemons' metrics: each scrape round fetches
 // every target's /metrics, parses it, adds job/instance labels, and replaces
 // that target's series in the merged view. Scrape failures keep the previous
 // round's series (marking the target down in the fleet summary) and raise a
 // slog alert, as does any job whose server error rate crosses
-// ErrorRateThreshold.
+// errorRateThreshold.
 type Aggregator struct {
 	Targets []Target
 	// Client performs the scrapes; nil uses an instrumented client on reg.
@@ -88,29 +112,6 @@ type Aggregator struct {
 	Registry *obs.Registry
 	// Logger receives scrape-failure and error-rate alerts (nil: slog.Default()).
 	Logger *slog.Logger
-	// ErrorRateThreshold is the 5xx/total fraction per job above which an
-	// alert fires (0 disables).
-	ErrorRateThreshold float64
-	// SelfJob, when non-empty, merges Registry's own snapshot into the
-	// federated view under this job name without an HTTP round trip.
-	SelfJob string
-	// TraceSlow, when > 0, logs a one-shot "slow trace" alert for any
-	// stitched fleet trace whose end-to-end duration reaches it.
-	TraceSlow time.Duration
-	// TraceBuffer bounds stitched traces retained in the fleet view
-	// (<= 0 uses DefaultFleetTraceBuffer).
-	TraceBuffer int
-	// AlertRearm is the quiet period after which per-trace slow alerts,
-	// per-job SLO burn alerts and error-burst alerts may fire again (0: fire
-	// once and stay silenced).
-	AlertRearm time.Duration
-	// FleetLogBuffer bounds merged log records retained in the fleet view
-	// (<= 0 uses DefaultFleetLogBuffer).
-	FleetLogBuffer int
-	// ErrorBurstThreshold is the per-job error-log rate (records/second,
-	// from the federated log_records_total counters) above which a fleet
-	// error-burst alert fires (0 disables).
-	ErrorBurstThreshold float64
 	// TSDB stores every federation round's samples as queryable history
 	// (nil: a default-configured TSDB is created on first use).
 	TSDB *TSDB
@@ -182,22 +183,20 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) {
 			a.mergeLogs(t, logs)
 		}
 	}
-	if a.SelfJob != "" {
-		self := a.reg().Snapshot()
-		relabelled := make([]obs.Sample, 0, len(self))
-		for _, s := range self {
-			rs, err := obs.WithLabels(s, "job", a.SelfJob, "instance", "self")
-			if err != nil {
-				continue
-			}
-			relabelled = append(relabelled, rs)
+	self := a.reg().Snapshot()
+	relabelled := make([]obs.Sample, 0, len(self))
+	for _, s := range self {
+		rs, err := obs.WithLabels(s, "job", selfJob, "instance", "self")
+		if err != nil {
+			continue
 		}
-		a.mu.Lock()
-		a.ensureMaps()
-		a.byJob[a.SelfJob+"\x00self"] = relabelled
-		a.mu.Unlock()
-		a.tsdb().Append(a.now(), relabelled)
+		relabelled = append(relabelled, rs)
 	}
+	a.mu.Lock()
+	a.ensureMaps()
+	a.byJob[selfJob+"\x00self"] = relabelled
+	a.mu.Unlock()
+	a.tsdb().Append(a.now(), relabelled)
 	a.mu.Lock()
 	a.rounds++
 	a.mu.Unlock()

@@ -41,7 +41,6 @@ func TestAggregatorFederatesAndRelabels(t *testing.T) {
 	agg := &Aggregator{
 		Targets:  []Target{{Job: "ctlogd", URL: ts.URL}},
 		Registry: obs.NewRegistry(),
-		SelfJob:  "obsagg",
 	}
 	if err := agg.Ready(context.Background()); err == nil {
 		t.Error("aggregator ready before any scrape round")
@@ -72,7 +71,7 @@ func TestAggregatorFederatesAndRelabels(t *testing.T) {
 		t.Fatalf("scraped series missing from federation: %+v", fed)
 	}
 	if !selfFound {
-		t.Error("SelfJob series missing from federation")
+		t.Error("the aggregator's own series missing from federation")
 	}
 
 	// The federated exposition itself must parse (federation is composable).
@@ -138,10 +137,9 @@ func TestAggregatorErrorRateAlert(t *testing.T) {
 
 	var logBuf bytes.Buffer
 	agg := &Aggregator{
-		Targets:            []Target{{Job: "crld", URL: ts.URL}},
-		Registry:           obs.NewRegistry(),
-		Logger:             slog.New(slog.NewTextHandler(&logBuf, nil)),
-		ErrorRateThreshold: 0.5,
+		Targets:  []Target{{Job: "crld", URL: ts.URL}},
+		Registry: obs.NewRegistry(),
+		Logger:   slog.New(slog.NewTextHandler(&logBuf, nil)),
 	}
 	agg.ScrapeOnce(context.Background())
 	if !strings.Contains(logBuf.String(), "error rate above threshold") {

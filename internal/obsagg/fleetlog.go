@@ -21,10 +21,6 @@ import (
 // daemon suddenly spewing error logs pages from the same obsagg stream as
 // slow traces and SLO burns.
 
-// DefaultFleetLogBuffer bounds merged log records retained by an Aggregator
-// when FleetLogBuffer is unset.
-const DefaultFleetLogBuffer = 4096
-
 // logScrapeOverlap is re-requested on every round so records landing just
 // before the previous scrape's cutoff are not missed; the sequence-number
 // high-water mark and the newest merged time dedup the overlap.
@@ -111,12 +107,8 @@ func (a *Aggregator) mergeLogs(t Target, recs []obs.LogRecord) {
 		}
 		return ri.Seq < rj.Seq
 	})
-	max := a.FleetLogBuffer
-	if max <= 0 {
-		max = DefaultFleetLogBuffer
-	}
-	if len(a.fleetLogs) > max {
-		a.fleetLogs = append([]obs.LogRecord(nil), a.fleetLogs[len(a.fleetLogs)-max:]...)
+	if len(a.fleetLogs) > fleetLogBuffer {
+		a.fleetLogs = append([]obs.LogRecord(nil), a.fleetLogs[len(a.fleetLogs)-fleetLogBuffer:]...)
 	}
 }
 
@@ -147,7 +139,7 @@ func (a *Aggregator) handleFleetLogs(w http.ResponseWriter, r *http.Request) {
 
 // The fleet error-burst alert is the built-in "fleet-error-burst" rule on
 // the rules engine (rules.go): sum by (job) (irate(log_records_total{
-// level="error"}[retention])) > ErrorBurstThreshold. irate over the TSDB's
+// level="error"}[retention])) > errorBurstThreshold. irate over the TSDB's
 // last two appended points reproduces the legacy delta-between-checks
 // detector, including restart re-baselining — a counter reset contributes
 // only the post-restart value — while the ring-eviction-proof counter

@@ -106,17 +106,17 @@ func TestMergeLogsDedupAndRestartReset(t *testing.T) {
 }
 
 func TestMergeLogsBufferTrim(t *testing.T) {
-	a := &Aggregator{Registry: obs.NewRegistry(), Logger: quietLogger(), FleetLogBuffer: 3}
+	a := &Aggregator{Registry: obs.NewRegistry(), Logger: quietLogger()}
 	tgt := Target{Job: "ctlogd", URL: "http://a:1"}
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	var recs []obs.LogRecord
-	for i := 0; i < 6; i++ {
+	for i := 0; i < fleetLogBuffer+3; i++ {
 		recs = append(recs, obs.LogRecord{Seq: uint64(i + 1), Time: base.Add(time.Duration(i) * time.Second),
 			Level: "INFO", Msg: "m"})
 	}
 	a.mergeLogs(tgt, recs)
-	if got := len(a.FleetLogs(obs.LogFilter{})); got != 3 {
-		t.Fatalf("trimmed to %d, want 3", got)
+	if got := len(a.FleetLogs(obs.LogFilter{})); got != fleetLogBuffer {
+		t.Fatalf("trimmed to %d, want %d", got, fleetLogBuffer)
 	}
 	kept := a.FleetLogs(obs.LogFilter{})
 	if kept[0].Seq != 4 {
@@ -125,7 +125,7 @@ func TestMergeLogsBufferTrim(t *testing.T) {
 }
 
 func TestScrapeLogsEndToEnd(t *testing.T) {
-	ring := obs.NewLogRing(16)
+	ring := obs.NewLogRing()
 	ring.Registry = obs.NewRegistry()
 	base := time.Now().UTC()
 	ring.Append(obs.LogRecord{Time: base, Level: "INFO", Msg: "first", TraceID: "tr1"})
@@ -215,11 +215,9 @@ func TestAlertErrorBurst(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	a := &Aggregator{
-		Registry:            reg,
-		Logger:              quietLogger(),
-		ErrorBurstThreshold: 1, // >1 error record/second pages
-		AlertRearm:          time.Minute,
-		Now:                 func() time.Time { return clock },
+		Registry: reg,
+		Logger:   quietLogger(),
+		Now:      func() time.Time { return clock },
 	}
 	setErrTotal := func(job string, v float64) {
 		a.mu.Lock()
@@ -243,7 +241,7 @@ func TestAlertErrorBurst(t *testing.T) {
 		t.Fatal("first round fired")
 	}
 
-	// Round 2: 50 error records in 10s = 5/s > 1/s — fires.
+	// Round 2: 50 error records in 10s = 5/s > errorBurstThreshold (1/s) — fires.
 	clock = clock.Add(10 * time.Second)
 	setErrTotal("ctlogd", 60)
 	evalRound(a)
@@ -260,7 +258,7 @@ func TestAlertErrorBurst(t *testing.T) {
 	}
 
 	// Round 4: past the quiet period and still bursting — re-fires.
-	clock = clock.Add(2 * time.Minute)
+	clock = clock.Add(alertRearm)
 	setErrTotal("ctlogd", 1200)
 	evalRound(a)
 	if fired() != 2 {

@@ -18,18 +18,14 @@ import (
 // kept on all hops (error/slow keeps are local, but those hops' fragments
 // still carry the shared trace ID and merge with whatever else was kept).
 
-// DefaultFleetTraceBuffer bounds stitched traces retained by an Aggregator
-// when TraceBuffer is unset.
-const DefaultFleetTraceBuffer = 512
-
 // fleetTrace is one stitched trace being assembled across scrape rounds.
 type fleetTrace struct {
 	rec     obs.TraceRecord
 	spanIDs map[string]struct{}
 	// lastAlert is when the slow-trace alert last fired for this trace;
-	// zero means never. The alert re-arms after the aggregator's AlertRearm
-	// quiet period, so a trace that keeps growing across scrape rounds
-	// keeps alerting instead of firing exactly once forever.
+	// zero means never. The alert re-arms after the alertRearm quiet
+	// period, so a trace that keeps growing across scrape rounds keeps
+	// alerting.
 	lastAlert time.Time
 }
 
@@ -37,7 +33,7 @@ type fleetTrace struct {
 // spans dedup by span ID (re-scraping the same target is idempotent), the
 // summary extends to cover the earliest start and latest end seen, and the
 // root is taken from the earliest-starting fragment — the hop that
-// originated the request. Newly slow fleet traces raise a one-shot alert.
+// originated the request. A slow fleet trace raises a re-armable alert.
 func (a *Aggregator) mergeTraces(traces []obs.TraceRecord) {
 	type alert struct{ rec obs.TraceRecord }
 	var alerts []alert
@@ -57,11 +53,7 @@ func (a *Aggregator) mergeTraces(traces []obs.TraceRecord) {
 			}
 			a.traces[tr.TraceID] = ft
 			a.traceOrder = append(a.traceOrder, tr.TraceID)
-			max := a.TraceBuffer
-			if max <= 0 {
-				max = DefaultFleetTraceBuffer
-			}
-			for len(a.traceOrder) > max {
+			for len(a.traceOrder) > fleetTraceBuffer {
 				delete(a.traces, a.traceOrder[0])
 				a.traceOrder = a.traceOrder[1:]
 			}
@@ -90,7 +82,7 @@ func (a *Aggregator) mergeTraces(traces []obs.TraceRecord) {
 			ft.rec.Spans = append(ft.rec.Spans, sp)
 			ft.rec.AddService(sp.Service)
 		}
-		if a.TraceSlow > 0 && ft.rec.Duration >= a.TraceSlow && a.shouldAlert(ft) {
+		if ft.rec.Duration >= traceSlow && a.shouldAlert(ft) {
 			ft.lastAlert = a.now()
 			alerts = append(alerts, alert{rec: ft.rec.Copy(false)})
 		}
@@ -100,20 +92,16 @@ func (a *Aggregator) mergeTraces(traces []obs.TraceRecord) {
 		a.logger().Warn("slow trace", "trace_id", al.rec.TraceID,
 			"duration_ms", float64(al.rec.Duration.Microseconds())/1000,
 			"root", al.rec.Root, "services", strings.Join(al.rec.Services, ","),
-			"threshold_ms", float64(a.TraceSlow.Microseconds())/1000)
+			"threshold_ms", float64(traceSlow.Microseconds())/1000)
 		a.reg().Counter("obsagg_slow_traces_total").Inc()
 	}
 }
 
 // shouldAlert applies the re-arm policy: a never-alerted trace always
-// fires; an already-alerted one fires again only when AlertRearm > 0 and
-// the quiet period has passed since the last alert (AlertRearm == 0 keeps
-// the legacy one-shot behaviour).
+// fires; an already-alerted one fires again once alertRearm has passed
+// since its last alert.
 func (a *Aggregator) shouldAlert(ft *fleetTrace) bool {
-	if ft.lastAlert.IsZero() {
-		return true
-	}
-	return a.AlertRearm > 0 && a.now().Sub(ft.lastAlert) >= a.AlertRearm
+	return ft.lastAlert.IsZero() || a.now().Sub(ft.lastAlert) >= alertRearm
 }
 
 // FleetTraces returns stitched traces newest-first under the filter.

@@ -3,6 +3,7 @@ package obsagg
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -37,17 +38,18 @@ func TestAggregatorStitchesCrossDaemonTrace(t *testing.T) {
 
 	base := time.Now()
 	trace := "aaaabbbbccccddddaaaabbbbccccdddd"
-	// staleapid handled a request (root), fanned out one client call.
+	// staleapid handled a request (root), fanned out one client call; the
+	// request took traceSlow end to end.
 	upstream.Record(obs.SpanRecord{TraceID: trace, SpanID: "s-client", ParentID: "s-root",
 		Service: "staleapid", Name: "GET /ct/v1/get-sth", Kind: obs.SpanClient,
-		Start: base.Add(time.Millisecond), Duration: 8 * time.Millisecond, Status: 200})
+		Start: base.Add(100 * time.Millisecond), Duration: 800 * time.Millisecond, Status: 200})
 	upstream.RecordRoot(obs.SpanRecord{TraceID: trace, SpanID: "s-root",
 		Service: "staleapid", Name: "GET /v1/domain/{e2ld}/staleness", Kind: obs.SpanServer,
-		Route: "/v1/domain/{e2ld}/staleness", Start: base, Duration: 10 * time.Millisecond, Status: 200})
+		Route: "/v1/domain/{e2ld}/staleness", Start: base, Duration: traceSlow, Status: 200})
 	// ctlogd saw that client call as its own server request.
 	downstream.RecordRoot(obs.SpanRecord{TraceID: trace, SpanID: "c-root", ParentID: "s-client",
 		Service: "ctlogd", Name: "GET /ct/v1/get-sth", Kind: obs.SpanServer,
-		Route: "/ct/v1/get-sth", Start: base.Add(2 * time.Millisecond), Duration: 6 * time.Millisecond, Status: 200})
+		Route: "/ct/v1/get-sth", Start: base.Add(200 * time.Millisecond), Duration: 600 * time.Millisecond, Status: 200})
 
 	var logBuf bytes.Buffer
 	agg := &Aggregator{
@@ -55,9 +57,8 @@ func TestAggregatorStitchesCrossDaemonTrace(t *testing.T) {
 			{Job: "staleapid", URL: upstreamSrv.URL},
 			{Job: "ctlogd", URL: downstreamSrv.URL},
 		},
-		Registry:  obs.NewRegistry(),
-		Logger:    slog.New(slog.NewTextHandler(&logBuf, nil)),
-		TraceSlow: 5 * time.Millisecond,
+		Registry: obs.NewRegistry(),
+		Logger:   slog.New(slog.NewTextHandler(&logBuf, nil)),
 	}
 	agg.ScrapeOnce(context.Background())
 
@@ -154,22 +155,25 @@ func TestAggregatorToleratesTracelessTargets(t *testing.T) {
 }
 
 func TestFleetTraceBufferBounded(t *testing.T) {
-	agg := &Aggregator{Registry: obs.NewRegistry(), TraceBuffer: 3,
+	agg := &Aggregator{Registry: obs.NewRegistry(),
 		Logger: slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))}
 	var traces []obs.TraceRecord
-	for i := 0; i < 10; i++ {
-		id := string(rune('a'+i)) + "-trace"
+	for i := 0; i < fleetTraceBuffer+7; i++ {
+		id := fmt.Sprintf("trace-%d", i)
 		traces = append(traces, obs.TraceRecord{TraceID: id, Root: "svc x", Start: time.Now(),
 			Spans: []obs.SpanRecord{{TraceID: id, SpanID: id + "-s", Service: "svc"}}})
 	}
 	agg.mergeTraces(traces)
-	if got := len(agg.FleetTraces(obs.TraceFilter{})); got != 3 {
-		t.Fatalf("fleet buffer holds %d traces, capacity 3", got)
+	if got := len(agg.FleetTraces(obs.TraceFilter{})); got != fleetTraceBuffer {
+		t.Fatalf("fleet buffer holds %d traces, capacity %d", got, fleetTraceBuffer)
 	}
-	if _, ok := agg.FleetTrace("a-trace"); ok {
+	if _, ok := agg.FleetTrace("trace-6"); ok {
 		t.Fatal("oldest fleet trace survived eviction")
 	}
-	if _, ok := agg.FleetTrace("j-trace"); !ok {
+	if _, ok := agg.FleetTrace("trace-7"); !ok {
+		t.Fatal("oldest retained fleet trace missing")
+	}
+	if _, ok := agg.FleetTrace(fmt.Sprintf("trace-%d", fleetTraceBuffer+6)); !ok {
 		t.Fatal("newest fleet trace missing")
 	}
 }

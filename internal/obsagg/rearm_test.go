@@ -56,13 +56,11 @@ func TestSlowTraceAlertRearms(t *testing.T) {
 	var logs bytes.Buffer
 	clock := &fakeClock{t: time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)}
 	a := &Aggregator{
-		Registry:   obs.NewRegistry(),
-		Logger:     slog.New(slog.NewTextHandler(&logs, nil)),
-		TraceSlow:  10 * time.Millisecond,
-		AlertRearm: time.Minute,
-		Now:        clock.now,
+		Registry: obs.NewRegistry(),
+		Logger:   slog.New(slog.NewTextHandler(&logs, nil)),
+		Now:      clock.now,
 	}
-	tr := slowTrace("t1", clock.now(), 50*time.Millisecond)
+	tr := slowTrace("t1", clock.now(), traceSlow)
 
 	a.mergeTraces([]obs.TraceRecord{tr})
 	if got := alertCount(&logs); got != 1 {
@@ -77,33 +75,13 @@ func TestSlowTraceAlertRearms(t *testing.T) {
 	}
 
 	// Past the quiet period the alert re-arms.
-	clock.advance(time.Minute)
+	clock.advance(alertRearm)
 	a.mergeTraces([]obs.TraceRecord{tr})
 	if got := alertCount(&logs); got != 2 {
 		t.Fatalf("alerts after quiet period = %d, want 2", got)
 	}
 	if got := a.reg().Counter("obsagg_slow_traces_total").Value(); got != 2 {
 		t.Errorf("obsagg_slow_traces_total = %v, want 2", got)
-	}
-}
-
-// TestSlowTraceAlertOneShotWithoutRearm: AlertRearm == 0 keeps the legacy
-// fire-once-per-trace behaviour.
-func TestSlowTraceAlertOneShotWithoutRearm(t *testing.T) {
-	var logs bytes.Buffer
-	clock := &fakeClock{t: time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)}
-	a := &Aggregator{
-		Registry:  obs.NewRegistry(),
-		Logger:    slog.New(slog.NewTextHandler(&logs, nil)),
-		TraceSlow: 10 * time.Millisecond,
-		Now:       clock.now,
-	}
-	tr := slowTrace("t1", clock.now(), 50*time.Millisecond)
-	a.mergeTraces([]obs.TraceRecord{tr})
-	clock.advance(24 * time.Hour)
-	a.mergeTraces([]obs.TraceRecord{tr})
-	if got := alertCount(&logs); got != 1 {
-		t.Fatalf("one-shot alerts = %d, want 1", got)
 	}
 }
 
@@ -122,10 +100,9 @@ func TestSLOBurnRuleRearms(t *testing.T) {
 	var logs bytes.Buffer
 	clock := &fakeClock{t: time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)}
 	a := &Aggregator{
-		Registry:   obs.NewRegistry(),
-		Logger:     slog.New(slog.NewTextHandler(&logs, nil)),
-		AlertRearm: time.Minute,
-		Now:        clock.now,
+		Registry: obs.NewRegistry(),
+		Logger:   slog.New(slog.NewTextHandler(&logs, nil)),
+		Now:      clock.now,
 	}
 	firing := []obs.Sample{
 		{Name: "slo_burn_rate", Kind: obs.KindGauge, Value: 20,
@@ -171,7 +148,7 @@ func TestSLOBurnRuleRearms(t *testing.T) {
 	if got := count(); got != 1 {
 		t.Fatalf("fleet alerts inside quiet period = %d, want 1", got)
 	}
-	clock.advance(time.Minute)
+	clock.advance(alertRearm)
 	evalRound(a)
 	if got := count(); got != 2 {
 		t.Fatalf("fleet alerts after quiet period = %d, want 2", got)

@@ -118,25 +118,22 @@ func parseCached(expr string) (exprNode, error) {
 	return n, nil
 }
 
-// builtinAlertRules assembles the legacy alert families as rules, driven by
-// the aggregator's existing thresholds.
+// builtinAlertRules assembles the legacy alert families as rules, at the
+// aggregator's fixed thresholds.
 func (a *Aggregator) builtinAlertRules() []AlertRule {
-	var rules []AlertRule
-	if a.ErrorRateThreshold > 0 {
-		t := strconv.FormatFloat(a.ErrorRateThreshold, 'g', -1, 64)
-		rules = append(rules, AlertRule{
-			Name: "fleet-error-rate",
-			Expr: `sum by (job) (http_requests_total{code="5xx"}) / sum by (job) (http_requests_total) > ` + t,
-			// Log every breaching round, like the legacy alertErrorRates.
-			Message:   "error rate above threshold",
-			FireEvery: true,
-			Metric:    "obsagg_error_rate_alerts_total",
-			Annotate: func(pairs []string, v float64) []any {
-				return []any{"threshold", a.ErrorRateThreshold}
-			},
-		})
-	}
-	rules = append(rules, AlertRule{
+	window := a.tsdb().retention().String()
+	return []AlertRule{{
+		Name: "fleet-error-rate",
+		Expr: `sum by (job) (http_requests_total{code="5xx"}) / sum by (job) (http_requests_total) > ` +
+			strconv.FormatFloat(errorRateThreshold, 'g', -1, 64),
+		// Log every breaching round, like the legacy alertErrorRates.
+		Message:   "error rate above threshold",
+		FireEvery: true,
+		Metric:    "obsagg_error_rate_alerts_total",
+		Annotate: func(pairs []string, v float64) []any {
+			return []any{"threshold", errorRateThreshold}
+		},
+	}, {
 		Name:         "fleet-slo-burn",
 		Expr:         `max by (instance, job, severity, slo) (slo_alert_firing) >= 1`,
 		Message:      "fleet slo burn-rate alert",
@@ -144,29 +141,24 @@ func (a *Aggregator) builtinAlertRules() []AlertRule {
 		MetricLabels: []string{"job", "severity"},
 		KeyLabels:    []string{"job", "slo", "severity"},
 		Annotate:     a.annotateSLOBurn,
-	})
-	if a.ErrorBurstThreshold > 0 {
-		// irate (the last two appended points) reproduces the legacy
-		// "delta since last check / elapsed" burst detector, including its
-		// restart re-baselining: a counter reset contributes only the
-		// post-restart value, which stays under any sane threshold.
-		window := a.tsdb().retention().String()
-		t := strconv.FormatFloat(a.ErrorBurstThreshold, 'g', -1, 64)
-		rules = append(rules, AlertRule{
-			Name:         "fleet-error-burst",
-			Expr:         `sum by (job) (irate(log_records_total{level="error"}[` + window + `])) > ` + t,
-			Message:      "fleet error-log burst",
-			Metric:       "obsagg_error_burst_alerts_total",
-			MetricLabels: []string{"job"},
-			KeyLabels:    []string{"job"},
-			Annotate: func(pairs []string, v float64) []any {
-				job, _ := pairValue(pairs, "job")
-				return []any{"threshold_per_s", a.ErrorBurstThreshold,
-					"hint", "/fleet/logs?level=error&job=" + job}
-			},
-		})
-	}
-	return rules
+	}, {
+		// irate (the last two appended points) reproduces the legacy "delta
+		// since last check / elapsed" burst detector, including its restart
+		// re-baselining: a counter reset contributes only the post-restart
+		// value, which stays under any sane threshold.
+		Name: "fleet-error-burst",
+		Expr: `sum by (job) (irate(log_records_total{level="error"}[` + window + `])) > ` +
+			strconv.FormatFloat(errorBurstThreshold, 'g', -1, 64),
+		Message:      "fleet error-log burst",
+		Metric:       "obsagg_error_burst_alerts_total",
+		MetricLabels: []string{"job"},
+		KeyLabels:    []string{"job"},
+		Annotate: func(pairs []string, v float64) []any {
+			job, _ := pairValue(pairs, "job")
+			return []any{"threshold_per_s", errorBurstThreshold,
+				"hint", "/fleet/logs?level=error&job=" + job}
+		},
+	}}
 }
 
 // annotateSLOBurn decorates a firing SLO rule with the burn rate per window
@@ -253,7 +245,7 @@ func (a *Aggregator) evalAlertRule(db *TSDB, r AlertRule, now time.Time) {
 				a.ruleAlerts = make(map[string]time.Time)
 			}
 			last, seen := a.ruleAlerts[key]
-			fire = !seen || (a.AlertRearm > 0 && now.Sub(last) >= a.AlertRearm)
+			fire = !seen || now.Sub(last) >= alertRearm
 			if fire {
 				a.ruleAlerts[key] = now
 			}

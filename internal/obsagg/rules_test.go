@@ -89,7 +89,6 @@ func TestUserAlertRuleRearms(t *testing.T) {
 		Registry:   obs.NewRegistry(),
 		Logger:     slog.New(slog.NewTextHandler(&logs, nil)),
 		Now:        clock.now,
-		AlertRearm: time.Minute,
 		AlertRules: []AlertRule{{Name: "hot", Expr: `temp_celsius > 30`}},
 	}
 	a.mu.Lock()
@@ -106,7 +105,7 @@ func TestUserAlertRuleRearms(t *testing.T) {
 	if count() != 1 {
 		t.Fatalf("quiet-period alerts = %d", count())
 	}
-	clock.advance(time.Minute)
+	clock.advance(alertRearm)
 	evalRound(a)
 	if count() != 2 {
 		t.Fatalf("post-rearm alerts = %d", count())
@@ -119,11 +118,9 @@ func TestErrorRateRuleFiresEveryRound(t *testing.T) {
 	clock := &fakeClock{t: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)}
 	var logs bytes.Buffer
 	a := &Aggregator{
-		Registry:           obs.NewRegistry(),
-		Logger:             slog.New(slog.NewTextHandler(&logs, nil)),
-		Now:                clock.now,
-		ErrorRateThreshold: 0.5,
-		AlertRearm:         time.Hour, // would silence a re-armed rule; FireEvery ignores it
+		Registry: obs.NewRegistry(),
+		Logger:   slog.New(slog.NewTextHandler(&logs, nil)),
+		Now:      clock.now,
 	}
 	a.mu.Lock()
 	a.byJob = map[string][]obs.Sample{"api@x": {
@@ -136,7 +133,7 @@ func TestErrorRateRuleFiresEveryRound(t *testing.T) {
 	if count() != 1 {
 		t.Fatalf("first round alerts = %d, want 1", count())
 	}
-	clock.advance(time.Second)
+	clock.advance(time.Second) // inside alertRearm, which would silence a re-armed rule
 	evalRound(a)
 	if count() != 2 {
 		t.Fatalf("second round alerts = %d, want 2 (fires every round)", count())
@@ -164,6 +161,15 @@ func TestGhostTargetMarkedStale(t *testing.T) {
 	ctx := context.Background()
 	a.ScrapeOnce(ctx)
 	instance := a.Targets[0].Instance()
+	// The target's federated series, beside the aggregator's own.
+	federated := func() (n int) {
+		for _, s := range a.Federated() {
+			if obs.LabelValue(s, "job") == "ctlogd" {
+				n++
+			}
+		}
+		return n
+	}
 
 	if sel := a.tsdb().Latest("ingest_lag_seconds", nil, clock.now()); len(sel) != 1 || sel[0].Points[0].V != 42 {
 		t.Fatalf("live target not queryable: %+v", sel)
@@ -175,7 +181,7 @@ func TestGhostTargetMarkedStale(t *testing.T) {
 	srv.Close()
 	clock.advance(10 * time.Second)
 	a.ScrapeOnce(ctx)
-	if got := len(a.Federated()); got == 0 {
+	if got := federated(); got == 0 {
 		t.Fatal("last-good series dropped before staleness window elapsed")
 	}
 	if sel := a.tsdb().Latest("ingest_lag_seconds", nil, clock.now()); len(sel) != 1 {
@@ -186,7 +192,7 @@ func TestGhostTargetMarkedStale(t *testing.T) {
 	// series, instant queries go quiet, history remains.
 	clock.advance(time.Minute)
 	a.ScrapeOnce(ctx)
-	if got := len(a.Federated()); got != 0 {
+	if got := federated(); got != 0 {
 		t.Fatalf("ghost target still has %d federated series", got)
 	}
 	if sel := a.tsdb().Latest("ingest_lag_seconds", nil, clock.now()); len(sel) != 0 {

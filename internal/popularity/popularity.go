@@ -33,9 +33,6 @@ func (l *List) Rank(domain string) (int, bool) {
 	return r, ok
 }
 
-// Len returns the list size.
-func (l *List) Len() int { return len(l.ranks) }
-
 // Samples is a time series of biannual ranking lists.
 type Samples struct {
 	lists []*List

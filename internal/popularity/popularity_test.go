@@ -19,7 +19,7 @@ func TestListRank(t *testing.T) {
 	if _, ok := l.Rank("absent.com"); ok {
 		t.Fatal("absent domain ranked")
 	}
-	if l.Len() != 3 {
+	if len(l.ranks) != 3 {
 		t.Fatal("len")
 	}
 }
@@ -79,8 +79,8 @@ func TestGenerateBiannual(t *testing.T) {
 		t.Fatalf("samples = %d", len(lists))
 	}
 	for _, l := range lists {
-		if l.Len() != 1000 {
-			t.Fatalf("list size = %d", l.Len())
+		if len(l.ranks) != 1000 {
+			t.Fatalf("list size = %d", len(l.ranks))
 		}
 	}
 	// Determinism.

@@ -96,8 +96,8 @@ func TestCallSpanJoinsCallerTrace(t *testing.T) {
 	resp.Body.Close()
 
 	// Nothing kept yet: the enclosing request is still open.
-	if st.Len() != 0 {
-		t.Fatalf("call finalized the caller's trace early: %d kept", st.Len())
+	if kept := len(st.Traces(obs.TraceFilter{})); kept != 0 {
+		t.Fatalf("call finalized the caller's trace early: %d kept", kept)
 	}
 	st.RecordRoot(obs.SpanRecord{TraceID: id.Trace(), SpanID: id.Span(),
 		Service: "join-test", Name: "outer", Kind: obs.SpanServer, Status: 200})

@@ -115,7 +115,7 @@ func TestVerdictExpiresWithItsOldestAnswer(t *testing.T) {
 	gather := &evidence.Gatherer{
 		Index:    store,
 		Whois:    &whois.Client{Addr: whoisAddr.String()},
-		Resolver: &dnssim.Resolver{ServerAddr: dnsAddr.String(), Timeout: time.Second, Retries: 1},
+		Resolver: &dnssim.Resolver{ServerAddr: dnsAddr.String(), Timeout: time.Second},
 		Now:      day,
 		MaxAge:   ttl,
 		Clock:    clock,

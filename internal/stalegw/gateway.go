@@ -563,7 +563,8 @@ func (g *Gateway) handleCert(w http.ResponseWriter, r *http.Request) {
 }
 
 // DomainsResponse is the gateway's merged /v1/domains payload: the shards'
-// listings unioned, plus the degradation markers partial results carry.
+// listings, disjoint because each lists only the e2LDs it owns, merged and
+// sorted, plus the degradation markers partial results carry.
 type DomainsResponse struct {
 	Domains       []string `json:"domains"`
 	Total         int      `json:"total"`
@@ -604,7 +605,6 @@ func (g *Gateway) handleDomains(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sort.Strings(merged.Domains)
-	merged.Domains = dedupeSorted(merged.Domains)
 	if len(merged.Domains) > limit {
 		merged.Domains = merged.Domains[:limit]
 	}
@@ -614,18 +614,6 @@ func (g *Gateway) handleDomains(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(MissingShardsHeader, missingHeader(merged.MissingShards))
 	}
 	obs.WriteJSON(w, http.StatusOK, merged)
-}
-
-// dedupeSorted collapses adjacent duplicates (a multi-e2LD certificate is
-// deliberately stored on several shards; its domains are not).
-func dedupeSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || s[i-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // handleShardmap serves the gateway's full topology document — the fleet

@@ -207,7 +207,7 @@ func TestSLOBurnAlertLeavesLogBlackBox(t *testing.T) {
 	}
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	reg := obs.NewRegistry()
-	ring := obs.NewLogRing(32)
+	ring := obs.NewLogRing()
 	ring.Registry = reg
 	// The log lines that preceded the incident — what the black box must ship.
 	ring.Append(obs.LogRecord{Time: time.Now().UTC(), Level: "INFO", Service: "svc",

@@ -210,9 +210,9 @@ func TestShardedFleetMatchesUnshardedVerdicts(t *testing.T) {
 // randomCorpus is a seeded log: 30 domains of one to four certificates under
 // three issuers, a quarter of them revoked inside or before their validity,
 // a fifth re-issued under the same (issuer, serial), which the CRL join
-// cannot tell apart. No certificate names two registrable domains: one that
-// does lives on two slices, and the gateway's /v1/domains then counts its
-// domains twice in "total" (ROADMAP item 3).
+// cannot tell apart. The two bodies of such a twin name the same e2LD: twins
+// whose e2LD sets differ can make a slice pick another representative for
+// the (issuer, serial) than the unsharded store does (ROADMAP item 3(b)).
 func randomCorpus(t *testing.T, seed int64) (domains []string, certs []*x509sim.Certificate, revoked []crl.Entry) {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
@@ -239,6 +239,49 @@ func randomCorpus(t *testing.T, seed int64) (domains []string, certs []*x509sim.
 		}
 	}
 	return domains, certs, revoked
+}
+
+// TestBoatListedOnceByTheGateway: a boat, one managed certificate naming
+// three customers' e2LDs, is kept by both slices that own one of them, and
+// the gateway's /v1/domains counts each of its domains once.
+func TestBoatListedOnceByTheGateway(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sharding acceptance is not a -short test")
+	}
+	ring := shard.MustRing(2, shard.DefaultVNodes)
+	var customers []string
+	onSlice := [2]int{}
+	for i := 0; len(customers) < 3; i++ {
+		d := fmt.Sprintf("customer%d.com", i)
+		o := ring.Lookup(shard.KeyForDomain(d))
+		if onSlice[o] < 2 && (len(customers) < 2 || onSlice[1-o] > 0) {
+			customers = append(customers, d)
+			onSlice[o]++
+		}
+	}
+	boat, err := x509sim.New(1, 1, 1, append([]string{"sni1.boat.example"}, customers...), 100, 1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fleettest.Start(t, fleettest.Spec{Name: "boat", Certs: []*x509sim.Certificate{boat},
+		Slices: 2, Replicas: 1})
+	for i, group := range f.Replicas {
+		if group[0].Store.Len() != 1 {
+			t.Fatalf("slice %d holds %d certificates, want the boat", i, group[0].Store.Len())
+		}
+	}
+	_, want := f.Reference.Get("/v1/domains")
+	resp, got := f.Gateway.Get("/v1/domains")
+	if resp.StatusCode != http.StatusOK || got != want {
+		t.Fatalf("domain listing diverges (status %d):\nunsharded: %s\ngateway:   %s", resp.StatusCode, want, got)
+	}
+	var listing stalegw.DomainsResponse
+	if err := json.Unmarshal([]byte(got), &listing); err != nil {
+		t.Fatal(err)
+	}
+	if distinct := len(customers) + 1; listing.Total != distinct || len(listing.Domains) != distinct {
+		t.Fatalf("gateway lists %d domains with total %d, want %d distinct: %s", len(listing.Domains), listing.Total, distinct, got)
+	}
 }
 
 // TestFleetMatchesReferenceOverRandomCorpora is the differential property
