@@ -8,14 +8,14 @@
 //	       [-seed-entries N] [-seed-domains 1]
 //	       [observability flags: obs.BindServingFlags]
 //
-// With -seed-entries the log is pre-populated with synthetic certificates,
-// so a tailing staleapid or stalewatch has something to fetch.
+// With -seed-entries the log is pre-populated with synthetic certificates
+// (ctlog.Bulk), minted and hashed on every core and appended in index order
+// with no SCTs, so a tailing staleapid or stalewatch has something to fetch.
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -25,7 +25,6 @@ import (
 	"stalecert/internal/ctlog"
 	"stalecert/internal/obs"
 	"stalecert/internal/simtime"
-	"stalecert/internal/x509sim"
 )
 
 func main() {
@@ -67,27 +66,9 @@ func main() {
 	srv := ctlog.NewServer(l)
 	srv.SetNow(nowDay)
 
-	for i := 0; i < *seedEntries; i++ {
-		// One e2LD by default (the historical seed%06d.example.com shape);
-		// -seed-domains > 1 spreads SANs across distinct registrable domains
-		// so Zipf-distributed load (internal/loadgen) has a population to skew.
-		name := fmt.Sprintf("seed%06d.example.com", i)
-		if *seedDomains > 1 {
-			name = fmt.Sprintf("seed%06d.example-%03d.com", i, i%*seedDomains)
-		}
-		cert, err := x509sim.New(
-			x509sim.SerialNumber(i+1), 1, x509sim.KeyID(i+1),
-			[]string{name},
-			nowDay-30, nowDay+60,
-		)
-		if err != nil {
-			logger.Error("seed cert", "err", err)
-			os.Exit(1)
-		}
-		if _, err := l.AddChain(cert, nowDay-simtime.Day(i%30)); err != nil {
-			logger.Error("seed add-chain", "err", err)
-			os.Exit(1)
-		}
+	if err := l.AddBatch(*seedEntries, ctlog.Bulk(*seedDomains, nowDay)); err != nil {
+		logger.Error("seed", "err", err)
+		os.Exit(1)
 	}
 
 	sth := l.STH()

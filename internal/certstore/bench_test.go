@@ -7,19 +7,19 @@ import (
 	"testing"
 
 	"stalecert/internal/ctlog"
+	"stalecert/internal/shard"
 	"stalecert/internal/simtime"
 	"stalecert/internal/x509sim"
 )
 
-// bulkCerts is n certificates in the shape ctlogd -seed-entries and the
-// benchmark's bulk corpus use: one SAN under one of 1 000 e2LDs.
+// bulkCerts is the first n certificates of ctlog.Bulk over 1 000 e2LDs, the
+// shape ctlogd -seed-entries and the benchmark's bulk corpus use.
 func bulkCerts(tb testing.TB, n int) []*x509sim.Certificate {
 	tb.Helper()
-	now := simtime.MustParse("2023-01-01")
+	mint := ctlog.Bulk(1000, simtime.MustParse("2023-01-01"))
 	certs := make([]*x509sim.Certificate, n)
 	for i := range certs {
-		c, err := x509sim.New(x509sim.SerialNumber(i+1), 1, x509sim.KeyID(i+1),
-			[]string{fmt.Sprintf("seed%06d.example-%03d.com", i, i%1000)}, now-30, now+60)
+		c, _, err := mint(i)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -61,35 +61,40 @@ func BenchmarkStoreAppend(b *testing.B) {
 }
 
 // BenchmarkIngestSync is one replica's whole catch-up on the bulk corpus:
-// get-entries over loopback, decode, Append, checkpoint, into a fresh store.
+// get-entries over loopback, decode, Append, checkpoint, into a fresh store,
+// unsharded and as slice 0 of 2 (which fetches every entry and keeps about
+// half).
 func BenchmarkIngestSync(b *testing.B) {
 	log := ctlog.New("bench-log", ctlog.Shard{})
-	day := simtime.MustParse("2023-01-01")
-	for i, c := range bulkCerts(b, benchCerts) {
-		if _, err := log.AddChain(c, day-simtime.Day(i%30)); err != nil {
-			b.Fatal(err)
-		}
+	if err := log.AddBatch(benchCerts, ctlog.Bulk(1000, simtime.MustParse("2023-01-01"))); err != nil {
+		b.Fatal(err)
 	}
 	ts := httptest.NewServer(ctlog.NewServer(log).Handler())
 	defer ts.Close()
 	client := ctlog.NewClient(ts.URL, nil)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, err := Open(Options{Dir: b.TempDir()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		added, err := NewIngester(s, client).Sync(ctx)
-		if err != nil || added != benchCerts {
-			b.Fatalf("Sync = %d, %v", added, err)
-		}
-		b.StopTimer()
-		s.Close()
-		b.StartTimer()
+	for _, bc := range []struct {
+		name  string
+		slice *shard.Assignment
+	}{{"unsharded", nil}, {"slice=0of2", &shard.Assignment{Index: 0, Count: 2}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := Open(Options{Dir: b.TempDir(), Slice: bc.slice})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				added, err := NewIngester(s, client).Sync(ctx)
+				if err != nil || added == 0 || bc.slice == nil && added != benchCerts {
+					b.Fatalf("Sync = %d, %v", added, err)
+				}
+				b.StopTimer()
+				s.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }
 

@@ -3,8 +3,6 @@ package certstore
 import (
 	"sync"
 
-	"stalecert/internal/core"
-	"stalecert/internal/psl"
 	"stalecert/internal/x509sim"
 )
 
@@ -70,12 +68,11 @@ func newIndexShard(slot int) *indexShard {
 // fingerprint, dedup key and e2LDs may live on different shards,
 // because every query is a point lookup in exactly one key space.
 type shardedIndex struct {
-	psl    *psl.List
 	shards []*indexShard
 }
 
-func newShardedIndex(n int, list *psl.List) *shardedIndex {
-	idx := &shardedIndex{psl: list, shards: make([]*indexShard, n)}
+func newShardedIndex(n int) *shardedIndex {
+	idx := &shardedIndex{shards: make([]*indexShard, n)}
 	for i := range idx.shards {
 		idx.shards[i] = newIndexShard(i)
 	}
@@ -170,28 +167,29 @@ type domainCert struct {
 	cert *x509sim.Certificate
 }
 
-// addBatch indexes a batch of certificates; fps[i] is certs[i]'s fingerprint.
-// Callers must have deduplicated the batch against the index already
-// (Store.Append does, under its write mutex); addBatch stages the work per
-// shard so each shard's lock is taken once per batch regardless of batch size.
-func (idx *shardedIndex) addBatch(certs []*x509sim.Certificate, fps []x509sim.Fingerprint) {
+// addBatch indexes a batch of prepared certificates. Callers must have
+// deduplicated the batch against the index already (Store.commit does, under
+// its write mutex); addBatch stages the work per shard so each shard's lock
+// is taken once per batch regardless of batch size.
+func (idx *shardedIndex) addBatch(batch []prepared) {
 	stage := make([]staged, len(idx.shards))
-	for i, c := range certs {
-		st := &stage[idx.fpShard(fps[i]).slot]
+	for i, p := range batch {
+		st := &stage[idx.fpShard(p.fp).slot]
 		st.fpAt = append(st.fpAt, i)
-		st = &stage[idx.keyShard(c.DedupKey()).slot]
-		st.keys = append(st.keys, c)
-		for _, e2 := range core.CertE2LDs(idx.psl, c) {
+		st = &stage[idx.keyShard(p.cert.DedupKey()).slot]
+		st.keys = append(st.keys, p.cert)
+		for _, e2 := range p.e2lds {
 			st = &stage[idx.domainShard(e2).slot]
-			st.domains = append(st.domains, domainCert{e2, c})
+			st.domains = append(st.domains, domainCert{e2, p.cert})
 		}
 	}
 	for i := range stage {
 		st, sh := &stage[i], idx.shards[i]
 		sh.mu.Lock()
 		for _, at := range st.fpAt {
-			sh.byFP[fps[at]] = certs[at]
-			sh.byShort[shortOf(fps[at])] = certs[at]
+			p := &batch[at]
+			sh.byFP[p.fp] = p.cert
+			sh.byShort[shortOf(p.fp)] = p.cert
 		}
 		for _, c := range st.keys {
 			sh.byKey[c.DedupKey()] = c

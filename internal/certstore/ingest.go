@@ -11,7 +11,6 @@ import (
 	"stalecert/internal/merkle"
 	"stalecert/internal/obs"
 	"stalecert/internal/shard"
-	"stalecert/internal/x509sim"
 )
 
 // Ingester metrics: sync rounds, entries and certificates absorbed, lag
@@ -47,13 +46,14 @@ type Ingester struct {
 	Client *ctlog.Client
 	// BatchSize is the get-entries page size (0 = the client default).
 	BatchSize uint64
-	// keep is the filter of the store's slice; nil keeps everything. Every
-	// entry is still fetched and checked for index contiguity — the
+	// ring is the store's slice's ring, nil when the store holds everything.
+	// Every entry is still fetched and checked for index contiguity — the
 	// checkpoint advances over every entry, and every round's tree head must
 	// extend the last one's; no entry is hashed — but only certificates the
-	// slice owns reach the store. A sharded fleet points N ingesters at the
-	// same log, each into a store opened as another slice.
-	keep func(*x509sim.Certificate) bool
+	// slice owns (shard.Keeps) reach the store. A sharded fleet points N
+	// ingesters at the same log, each into a store opened as another slice.
+	ring  *shard.Ring
+	slice int
 	// lag is the entries behind the head after the last Sync.
 	lag      uint64
 	mKept    *obs.Counter
@@ -68,7 +68,7 @@ func NewIngester(store *Store, client *ctlog.Client) *Ingester {
 	}
 	ing := &Ingester{Store: store, Client: client}
 	if a := store.Slice(); a != nil {
-		ing.keep = shard.KeepFunc(*a, store.PSL())
+		ing.ring, ing.slice = shard.MustRing(a.Count, shard.DefaultVNodes), a.Index
 		ing.mKept, ing.mSkipped = ingestKeptCounter(a.String()), ingestSkippedCounter(a.String())
 	}
 	return ing
@@ -110,8 +110,9 @@ func (ing *Ingester) verifyHead(ctx context.Context, cp Checkpoint, sth ctlog.Si
 }
 
 // syncBatchPages is how many get-entries pages Sync appends at a time (4 096
-// entries at the default page size): what a catch-up holds in memory, and
-// what a crash makes it refetch.
+// entries at the default page size): what a catch-up holds in memory, twice
+// over while one batch is appended and the next scraped, and what a crash
+// makes it refetch.
 const syncBatchPages = 16
 
 // Sync performs one ingest round: fetch the log's head, verify it against
@@ -130,6 +131,22 @@ func (ing *Ingester) Sync(ctx context.Context) (int, error) {
 	return added, err
 }
 
+// scraped is one batch the scrape stage hands the append stage: the kept
+// certificates of its entries, prepared, and the index after its last entry.
+type scraped struct {
+	certs   []prepared
+	entries int
+	pages   int
+	next    uint64
+}
+
+// sync runs a round in two stages with one batch in flight. The calling
+// goroutine scrapes: it fetches and decodes pages and prepares each entry
+// once (fingerprint, e2LDs, the slice's keep decision). The append stage
+// dedups, writes, fsyncs, indexes and checkpoints the previous batch
+// meanwhile. A scrape error drops the batch being gathered; an append error
+// cancels the scrape. Either way the round returns after the append stage
+// has finished the batches it was handed.
 func (ing *Ingester) sync(ctx context.Context) (int, error) {
 	sth, err := ing.Client.GetSTH(ctx)
 	if err != nil {
@@ -139,68 +156,93 @@ func (ing *Ingester) sync(ctx context.Context) (int, error) {
 	if err := ing.verifyHead(ctx, cp, sth); err != nil {
 		return 0, err
 	}
-	var batch []ctlog.Entry
-	added, pages := 0, 0
-	flush := func() error {
-		n, err := ing.ingest(batch, sth)
-		added += n
-		batch, pages = batch[:0], 0
-		return err
+	// Set before any batch lands, so the gauge never reads 0 in the middle of
+	// a round that is behind.
+	ing.setLag(sth.Size, cp.NextIndex)
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	batches, done := make(chan scraped), make(chan struct{})
+	var added int
+	var appendErr error
+	go func() {
+		defer close(done)
+		for b := range batches {
+			if appendErr == nil {
+				var n int
+				n, appendErr = ing.ingest(b, sth)
+				added += n
+				if appendErr != nil {
+					cancel()
+				}
+			}
+		}
+	}()
+
+	b := scraped{next: cp.NextIndex}
+	send := func() error {
+		select {
+		case batches <- b:
+			b = scraped{next: b.next}
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	err = ing.Client.ScrapePages(ctx, sth, ctlog.ScrapeOptions{
 		From:      cp.NextIndex,
 		BatchSize: ing.BatchSize,
 	}, func(page []ctlog.Entry) error {
-		batch = append(batch, page...)
-		if pages++; pages < syncBatchPages {
+		ing.gather(&b, page)
+		if b.pages++; b.pages < syncBatchPages {
 			return nil
 		}
-		return flush()
+		return send()
 	})
-	if err != nil {
-		return added, err
+	if err == nil {
+		// The last, short batch; an idle round still records the head it ran under.
+		err = send()
 	}
-	// The last, short batch; an idle round still records the head it ran under.
-	err = flush()
+	close(batches)
+	<-done
+	if appendErr != nil {
+		return added, appendErr
+	}
 	return added, err
 }
 
-// ingest appends entries' kept certificates and then moves the checkpoint
-// past them.
-func (ing *Ingester) ingest(entries []ctlog.Entry, sth ctlog.SignedTreeHead) (int, error) {
-	cp, _ := ing.Store.Checkpoint()
-	next := cp.NextIndex
-	certs := make([]*x509sim.Certificate, 0, len(entries))
-	var kept, skipped uint64
-	for _, e := range entries {
-		if ing.keep != nil && !ing.keep(e.Cert) {
-			skipped++
-		} else {
-			certs = append(certs, e.Cert)
-			kept++
-		}
-		if e.Index >= next {
-			next = e.Index + 1
-		}
+// gather adds page's entries to b, preparing each entry's certificate once and
+// keeping it if the store's slice owns it.
+func (ing *Ingester) gather(b *scraped, page []ctlog.Entry) {
+	if b.certs == nil {
+		b.certs = make([]prepared, 0, syncBatchPages*len(page))
 	}
+	for _, e := range page {
+		p := prepareCert(ing.Store.psl, e.Cert)
+		if ing.ring == nil || shard.Keeps(ing.ring, ing.slice, p.e2lds, p.fp) {
+			b.certs = append(b.certs, p)
+		}
+		b.next = max(b.next, e.Index+1)
+	}
+	b.entries += len(page)
+}
+
+// ingest appends a batch's kept certificates and then moves the checkpoint
+// past its entries.
+func (ing *Ingester) ingest(b scraped, sth ctlog.SignedTreeHead) (int, error) {
 	if ing.mKept != nil {
-		ing.mKept.Add(kept)
-		ing.mSkipped.Add(skipped)
+		ing.mKept.Add(uint64(len(b.certs)))
+		ing.mSkipped.Add(uint64(b.entries - len(b.certs)))
 	}
-	added, err := ing.Store.Append(certs)
+	added, err := ing.Store.commit(b.certs)
 	if err != nil {
 		return added, err
 	}
-	mEntriesTailed.Add(uint64(len(entries)))
-	if sth.Size > next {
-		ing.lag = sth.Size - next
-	} else {
-		ing.lag = 0
-	}
-	mIngestLag.Set(float64(ing.lag))
+	mEntriesTailed.Add(uint64(b.entries))
+	ing.setLag(sth.Size, b.next)
 	if err := ing.Store.SetCheckpoint(Checkpoint{
 		LogName:   sth.LogName,
-		NextIndex: next,
+		NextIndex: b.next,
 		STHSize:   sth.Size,
 		STHRoot:   hex.EncodeToString(sth.Root[:]),
 		Timestamp: sth.Timestamp,
@@ -208,6 +250,12 @@ func (ing *Ingester) ingest(entries []ctlog.Entry, sth ctlog.SignedTreeHead) (in
 		return added, err
 	}
 	return added, nil
+}
+
+// setLag records how far next trails a head of size entries.
+func (ing *Ingester) setLag(size, next uint64) {
+	ing.lag = size - min(size, next)
+	mIngestLag.Set(float64(ing.lag))
 }
 
 // Run syncs every interval until the context is cancelled, logging nothing

@@ -1,12 +1,18 @@
 package certstore
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -230,5 +236,121 @@ func TestSyncRefusesEntriesPastTheTreeHead(t *testing.T) {
 	}
 	if cp, _ := st.Checkpoint(); cp.NextIndex != 20 || cp.STHSize != 20 {
 		t.Fatalf("checkpoint moved to %+v on a refused round", cp)
+	}
+}
+
+// TestIdleRoundLeavesTheCheckpoint: a round with nothing new leaves
+// CHECKPOINT as it was — the same bytes in the same file, not a fresh copy
+// renamed over it — and a round that moved the head still replaces it.
+func TestIdleRoundLeavesTheCheckpoint(t *testing.T) {
+	log, _ := streamLog(t, 10)
+	ts := httptest.NewServer(ctlog.NewServer(log).Handler())
+	defer ts.Close()
+	st := openTemp(t, Options{})
+	ing := NewIngester(st, impatientClient(ts))
+	round := func() (os.FileInfo, []byte) {
+		t.Helper()
+		if _, err := ing.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(st.dir, checkpointName)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi, raw
+	}
+
+	first, raw := round()
+	if idle, idleRaw := round(); !os.SameFile(first, idle) || !bytes.Equal(raw, idleRaw) {
+		t.Fatalf("an idle round rewrote CHECKPOINT (same file %v, same bytes %v)", os.SameFile(first, idle), bytes.Equal(raw, idleRaw))
+	}
+	if _, err := log.AddChain(mkCert(t, 11, []string{"stream0010.com"}, 100, 1200), simtime.MustParse("2022-06-02")); err != nil {
+		t.Fatal(err)
+	}
+	if moved, movedRaw := round(); os.SameFile(first, moved) || bytes.Equal(raw, movedRaw) {
+		t.Fatalf("a round that moved the head left CHECKPOINT in place:\n%s", movedRaw)
+	}
+}
+
+// TestSyncStopsScrapingWhenAnAppendFails: the store refuses writes while the
+// round is two batches in. The round fails with the store's error, keeps
+// whole batches only, and fetches no page past the batch after the one the
+// append stage gave up on, instead of scraping the rest of the log.
+func TestSyncStopsScrapingWhenAnAppendFails(t *testing.T) {
+	const total, pageSize, closeAt = 300, 4, 2*syncBatchPages + 1
+	log, certs := streamLog(t, total)
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := ctlog.NewServer(log).Handler()
+	var pages atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/ct/v1/get-entries" && pages.Add(1) == closeAt {
+			st.Close()
+		}
+		honest.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	ing := NewIngester(st, impatientClient(ts))
+	ing.BatchSize = pageSize
+	if _, err := ing.Sync(context.Background()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Sync into a store closed mid-round = %v, want ErrClosed", err)
+	}
+	if got, limit := pages.Load(), int64(4*syncBatchPages); got > limit {
+		t.Fatalf("the round fetched %d pages after its store failed, more than %d", got, limit)
+	}
+	// The store may hold a batch past the checkpoint (closed between that
+	// batch's fsync and its checkpoint); the next round dedups it.
+	reopened := openTemp(t, Options{Dir: dir})
+	cp, _ := reopened.Checkpoint()
+	held := reopened.Certs()
+	const batch = syncBatchPages * pageSize
+	if cp.NextIndex == 0 || cp.NextIndex%batch != 0 || len(held)%batch != 0 || uint64(len(held)) < cp.NextIndex {
+		t.Fatalf("checkpoint at %d over %d stored certificates, want whole batches, at least one", cp.NextIndex, len(held))
+	}
+	if !reflect.DeepEqual(held, certs[:len(held)]) {
+		t.Fatalf("reopened store is not the log's first %d certificates in order", len(held))
+	}
+}
+
+// TestSyncSizesNothingByAnUncheckedHead: an empty store accepts any first
+// tree head, so a head claiming 2^40 entries must cost the round no more
+// memory than the entries the log actually serves.
+func TestSyncSizesNothingByAnUncheckedHead(t *testing.T) {
+	log, _ := streamLog(t, 20)
+	honest := ctlog.NewServer(log).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/ct/v1/get-sth" {
+			honest.ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		zero32 := strings.Repeat("A", 43) + "="
+		fmt.Fprintf(w, `{"log_name":"stream-log","tree_size":%d,"timestamp":1,"sha256_root_hash":"%s","tree_head_signature":"%s"}`,
+			uint64(1)<<40, zero32, zero32)
+	}))
+	defer ts.Close()
+	st := openTemp(t, Options{})
+	ing := NewIngester(st, impatientClient(ts))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ing.Sync(context.Background())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Sync completed a round under a head the log cannot serve")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("a round under a 2^40-entry head allocated %d MiB", grew>>20)
+	}
+	if _, ok := st.Checkpoint(); ok || len(st.Certs()) != 0 {
+		t.Fatal("a failed first round left a checkpoint or certificates")
 	}
 }

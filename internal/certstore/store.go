@@ -223,7 +223,7 @@ func Open(opts Options) (*Store, error) {
 		dir:    opts.Dir,
 		psl:    opts.PSL,
 		maxSeg: opts.MaxSegmentBytes,
-		idx:    newShardedIndex(defaultShards(), opts.PSL),
+		idx:    newShardedIndex(defaultShards()),
 	}
 
 	man, err := loadManifest(opts.Dir)
@@ -281,9 +281,12 @@ func Open(opts Options) (*Store, error) {
 		s.man = man
 		// Re-index with fingerprint dedup across segments (replayed batches
 		// may straddle a seal).
-		fresh, fps := s.freshOf(loaded)
-		s.idx.addBatch(fresh, fps)
-		s.certs = fresh
+		fresh := s.freshOf(s.prepare(loaded))
+		s.idx.addBatch(fresh)
+		s.certs = make([]*x509sim.Certificate, len(fresh))
+		for i, p := range fresh {
+			s.certs[i] = p.cert
+		}
 	}
 
 	if raw, err := os.ReadFile(filepath.Join(opts.Dir, checkpointName)); err == nil {
@@ -310,24 +313,42 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// freshOf returns the certificates of certs that are neither indexed nor
-// repeated earlier in certs, in order, with their fingerprints: the one
-// fingerprint computed per certificate decides freshness here and keys the
-// index in addBatch. Callers hold s.mu or own the store (Open).
-func (s *Store) freshOf(certs []*x509sim.Certificate) ([]*x509sim.Certificate, []x509sim.Fingerprint) {
-	fresh := make([]*x509sim.Certificate, 0, len(certs))
-	fps := make([]x509sim.Fingerprint, 0, len(certs))
-	seen := make(map[x509sim.Fingerprint]bool, len(certs))
-	for _, c := range certs {
-		fp := c.Fingerprint()
-		if seen[fp] || s.idx.containsFP(fp) {
+// prepared is a certificate with what storing it needs, computed once and
+// outside the store's lock: its fingerprint, which decides freshness and keys
+// the index, and its e2LDs, which key the index and decide a slice's keep.
+type prepared struct {
+	cert  *x509sim.Certificate
+	fp    x509sim.Fingerprint
+	e2lds []string
+}
+
+func prepareCert(list *psl.List, c *x509sim.Certificate) prepared {
+	return prepared{cert: c, fp: c.Fingerprint(), e2lds: core.CertE2LDs(list, c)}
+}
+
+// prepare is prepareCert of every certificate.
+func (s *Store) prepare(certs []*x509sim.Certificate) []prepared {
+	batch := make([]prepared, len(certs))
+	for i, c := range certs {
+		batch[i] = prepareCert(s.psl, c)
+	}
+	return batch
+}
+
+// freshOf returns the certificates of batch that are neither indexed nor
+// repeated earlier in batch, in order, compacted into batch's own array.
+// Callers hold s.mu or own the store (Open).
+func (s *Store) freshOf(batch []prepared) []prepared {
+	fresh := batch[:0]
+	seen := make(map[x509sim.Fingerprint]bool, len(batch))
+	for _, p := range batch {
+		if seen[p.fp] || s.idx.containsFP(p.fp) {
 			continue
 		}
-		seen[fp] = true
-		fresh = append(fresh, c)
-		fps = append(fps, fp)
+		seen[p.fp] = true
+		fresh = append(fresh, p)
 	}
-	return fresh, fps
+	return fresh
 }
 
 // publishGauges refreshes the size gauges; callers hold no locks it needs.
@@ -353,7 +374,13 @@ func (s *Store) publishGauges() {
 // paper's criterion). It returns the number actually added. The batch is a
 // single file append; the per-shard index locks are each taken once.
 func (s *Store) Append(certs []*x509sim.Certificate) (int, error) {
-	if len(certs) == 0 {
+	return s.commit(s.prepare(certs))
+}
+
+// commit is Append of a prepared batch: under the write mutex it dedups,
+// writes, fsyncs and indexes.
+func (s *Store) commit(batch []prepared) (int, error) {
+	if len(batch) == 0 {
 		return 0, nil
 	}
 	mAppends.Inc()
@@ -362,19 +389,19 @@ func (s *Store) Append(certs []*x509sim.Certificate) (int, error) {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	fresh, fps := s.freshOf(certs)
-	mDeduped.Add(uint64(len(certs) - len(fresh)))
+	fresh := s.freshOf(batch)
+	mDeduped.Add(uint64(len(batch) - len(fresh)))
 	if len(fresh) == 0 {
 		s.mu.Unlock()
 		return 0, nil
 	}
 	size := 0
-	for _, c := range fresh {
-		size += 4 + c.MarshaledLen()
+	for _, p := range fresh {
+		size += 4 + p.cert.MarshaledLen()
 	}
 	buf := make([]byte, 0, size)
-	for _, c := range fresh {
-		buf = appendRecord(buf, c)
+	for _, p := range fresh {
+		buf = appendRecord(buf, p.cert)
 	}
 	if _, err := s.active.Write(buf); err != nil {
 		s.mu.Unlock()
@@ -385,10 +412,12 @@ func (s *Store) Append(certs []*x509sim.Certificate) (int, error) {
 		return 0, fmt.Errorf("certstore: fsync: %w", err)
 	}
 	s.activeSz += int64(len(buf))
-	s.certs = append(s.certs, fresh...)
+	for _, p := range fresh {
+		s.certs = append(s.certs, p.cert)
+	}
 	// Index before releasing the write mutex so a concurrent Append's dedup
 	// check sees this batch.
-	s.idx.addBatch(fresh, fps)
+	s.idx.addBatch(fresh)
 	var sealErr error
 	if s.activeSz >= s.maxSeg {
 		sealErr = s.sealLocked()
@@ -445,7 +474,9 @@ func (s *Store) sealLocked() error {
 	return nil
 }
 
-// SetCheckpoint atomically persists the CT ingest resume point.
+// SetCheckpoint atomically persists the CT ingest resume point. A checkpoint
+// equal to the stored one is not written again: an idle ingest round leaves
+// the file alone.
 func (s *Store) SetCheckpoint(cp Checkpoint) error {
 	raw, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {
@@ -455,6 +486,9 @@ func (s *Store) SetCheckpoint(cp Checkpoint) error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
+	}
+	if s.cp != nil && *s.cp == cp {
+		return nil
 	}
 	if err := writeFileAtomic(filepath.Join(s.dir, checkpointName), append(raw, '\n')); err != nil {
 		return err

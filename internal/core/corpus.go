@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"stalecert/internal/psl"
 	"stalecert/internal/x509sim"
@@ -105,7 +105,7 @@ func NewCorpus(certs []*x509sim.Certificate, opts CorpusOptions) *Corpus {
 	if !opts.NoIndex {
 		c.byE2LD = make(map[string][]*x509sim.Certificate)
 		for _, cert := range deduped {
-			for _, e2 := range c.certE2LDs(cert) {
+			for _, e2 := range c.E2LDsOf(cert) {
 				c.byE2LD[e2] = append(c.byE2LD[e2], cert)
 			}
 		}
@@ -118,33 +118,22 @@ func NewCorpus(certs []*x509sim.Certificate, opts CorpusOptions) *Corpus {
 // persistent certstore index, so batch and live paths bucket names
 // identically.
 func CertE2LDs(list *psl.List, cert *x509sim.Certificate) []string {
-	var out []string
-	seen := make(map[string]bool, len(cert.Names))
+	out := make([]string, 0, len(cert.Names))
 	for _, n := range cert.Names {
 		base := n
 		if len(base) > 2 && base[0] == '*' {
 			base = base[2:]
 		}
-		e2, err := list.ETLDPlusOne(base)
-		if err != nil {
-			continue
-		}
-		if !seen[e2] {
-			seen[e2] = true
+		if e2, err := list.ETLDPlusOne(base); err == nil {
 			out = append(out, e2)
 		}
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// certE2LDs returns the distinct e2LDs covered by a certificate's SANs.
-func (c *Corpus) certE2LDs(cert *x509sim.Certificate) []string {
-	return CertE2LDs(c.psl, cert)
-}
-
-// E2LDsOf exposes certE2LDs for analyses.
-func (c *Corpus) E2LDsOf(cert *x509sim.Certificate) []string { return c.certE2LDs(cert) }
+// E2LDsOf is CertE2LDs under the corpus's PSL, for analyses.
+func (c *Corpus) E2LDsOf(cert *x509sim.Certificate) []string { return CertE2LDs(c.psl, cert) }
 
 // Len returns the corpus size after dedup and filtering.
 func (c *Corpus) Len() int { return len(c.certs) }
@@ -174,7 +163,7 @@ func (c *Corpus) ByE2LD(domain string) []*x509sim.Certificate {
 	}
 	var out []*x509sim.Certificate
 	for _, cert := range c.certs {
-		for _, e2 := range c.certE2LDs(cert) {
+		for _, e2 := range c.E2LDsOf(cert) {
 			if e2 == domain {
 				out = append(out, cert)
 				break

@@ -12,6 +12,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"runtime"
 	"sync"
 
 	"stalecert/internal/merkle"
@@ -104,39 +106,38 @@ var (
 
 // Log is an append-only certificate log. It is safe for concurrent use.
 type Log struct {
-	name string
+	name  string
+	shard Shard     // set by New, never changed
+	key   []byte    // MAC key standing in for the log's signing key
+	macs  sync.Pool // of *macState keyed with key
 
-	mu    sync.RWMutex
-	shard Shard
-	tree  merkle.Tree
+	mu   sync.RWMutex
+	tree merkle.Tree
 	// leaves[i] is entry i's leaf input (Entry.LeafData), immutable: the bytes
 	// hashed into the tree, served by get-entries, the log's only copy.
 	leaves [][]byte
 	byLeaf map[merkle.Hash]uint64 // leaf hash -> index (submission dedup)
-	key    []byte                 // MAC key standing in for the log's signing key
 	clock  simtime.Day            // latest timestamp seen; STHs are stamped with it
 }
 
 // New creates a log. The name doubles as key material so two logs with
 // different names never produce colliding "signatures".
 func New(name string, shard Shard) *Log {
-	return &Log{
+	l := &Log{
 		name:   name,
 		shard:  shard,
 		byLeaf: make(map[merkle.Hash]uint64),
 		key:    []byte("ctlog-key:" + name),
 	}
+	l.macs.New = func() any { return &macState{h: hmac.New(sha256.New, l.key)} }
+	return l
 }
 
 // Name returns the log's name.
 func (l *Log) Name() string { return l.name }
 
 // Shard returns the log's temporal shard.
-func (l *Log) Shard() Shard {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.shard
-}
+func (l *Log) Shard() Shard { return l.shard }
 
 // Size returns the current number of entries.
 func (l *Log) Size() uint64 {
@@ -149,31 +150,106 @@ func (l *Log) Size() uint64 {
 // Resubmitting an identical entry body returns the original SCT (logs
 // deduplicate submissions). Certificates outside the shard are rejected.
 func (l *Log) AddChain(cert *x509sim.Certificate, now simtime.Day) (SCT, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.shard.Accepts(cert.NotAfter) {
-		return SCT{}, fmt.Errorf("%w: notAfter %s not in %s", ErrWrongShard, cert.NotAfter, l.shard)
+	p, err := l.prepare(cert, now)
+	if err != nil {
+		return SCT{}, err
 	}
-	if now > l.clock {
-		l.clock = now
+	l.mu.Lock()
+	index := l.commit(p)
+	l.mu.Unlock()
+	return l.signSCT(index, now), nil
+}
+
+// pending is a submission prepare has checked and hashed, ready to commit.
+type pending struct {
+	leaf []byte
+	hash merkle.Hash
+	ts   simtime.Day
+}
+
+// prepare is the part of a submission that needs no lock: the shard check,
+// the leaf encoding, the decode check and the leaf hash.
+func (l *Log) prepare(cert *x509sim.Certificate, now simtime.Day) (pending, error) {
+	if !l.shard.Accepts(cert.NotAfter) {
+		return pending{}, fmt.Errorf("%w: notAfter %s not in %s", ErrWrongShard, cert.NotAfter, l.shard)
 	}
 	leaf := Entry{Timestamp: now, Cert: cert}.LeafData()
 	// The leaf is all the log keeps, so it must decode: a certificate built
 	// around x509sim.New (no SAN, inverted validity) would otherwise fail
 	// every later read of its page.
 	if _, err := DecodeLeafInput(leaf); err != nil {
-		return SCT{}, fmt.Errorf("%w: %v", ErrRejected, err)
+		return pending{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	lh := merkle.LeafHash(leaf)
-	if idx, ok := l.byLeaf[lh]; ok {
-		// Same leaf, so same timestamp as the original submission.
-		return l.signSCT(idx, now), nil
+	return pending{leaf: leaf, hash: merkle.LeafHash(leaf), ts: now}, nil
+}
+
+// commit appends a prepared submission, or finds the entry an identical one
+// made (same leaf, so same timestamp), and returns its index. Caller holds
+// l.mu.
+func (l *Log) commit(p pending) uint64 {
+	if p.ts > l.clock {
+		l.clock = p.ts
+	}
+	if idx, ok := l.byLeaf[p.hash]; ok {
+		return idx
 	}
 	index := l.tree.Size()
-	l.tree.AppendLeafHash(lh)
-	l.leaves = append(l.leaves, leaf)
-	l.byLeaf[lh] = index
-	return l.signSCT(index, now), nil
+	l.tree.AppendLeafHash(p.hash)
+	l.leaves = append(l.leaves, p.leaf)
+	l.byLeaf[p.hash] = index
+	return index
+}
+
+// Mint makes submission i of a batch: the certificate and its day.
+type Mint func(i int) (*x509sim.Certificate, simtime.Day, error)
+
+// AddBatch submits mint(0) … mint(n-1) as AddChain called in that order
+// would, minting no SCTs. Minting and prepare run on GOMAXPROCS goroutines,
+// each over a contiguous share; commit then runs in index order under one
+// lock. The submissions before the first that fails stay committed, as in an
+// AddChain loop, and AddBatch returns that failure.
+func (l *Log) AddBatch(n int, mint Mint) error {
+	subs, errs := make([]pending, n), make([]error, n)
+	var wg sync.WaitGroup
+	for w, workers := 0, runtime.GOMAXPROCS(0); w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w * n / workers; i < (w+1)*n/workers; i++ {
+				cert, day, err := mint(i)
+				if err == nil {
+					subs[i], err = l.prepare(cert, day)
+				}
+				errs[i] = err
+			}
+		}()
+	}
+	wg.Wait()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, p := range subs {
+		if errs[i] != nil {
+			return fmt.Errorf("ctlog: submission %d: %w", i, errs[i])
+		}
+		l.commit(p)
+	}
+	return nil
+}
+
+// Bulk is the synthetic corpus ctlogd -seed-entries serves and the ingest
+// benchmarks read. Submission i is serial i+1 (key i+1, issuer 1), valid
+// from now-30 to now+60, submitted on now - i%30, and names
+// seed<i>.example.com — or, with domains > 1, seed<i>.example-<i%domains>.com,
+// so that load has that many e2LDs to skew over.
+func Bulk(domains int, now simtime.Day) Mint {
+	return func(i int) (*x509sim.Certificate, simtime.Day, error) {
+		name := fmt.Sprintf("seed%06d.example.com", i)
+		if domains > 1 {
+			name = fmt.Sprintf("seed%06d.example-%03d.com", i, i%domains)
+		}
+		c, err := x509sim.New(x509sim.SerialNumber(i+1), 1, x509sim.KeyID(i+1), []string{name}, now-30, now+60)
+		return c, now - simtime.Day(i%30), err
+	}
 }
 
 func (l *Log) signSCT(index uint64, ts simtime.Day) SCT {
@@ -198,16 +274,26 @@ func (l *Log) VerifySTH(h SignedTreeHead) bool {
 	return h.LogName == l.name && hmac.Equal(want[:], h.Signature[:])
 }
 
+// macState is one keyed HMAC and the buffers a signature is made in, kept
+// off the stack so the hash interface's calls do not move them to the heap.
+type macState struct {
+	h   hash.Hash
+	msg [1 + 8 + 8 + len(merkle.Hash{})]byte
+	sum [sha256.Size]byte
+}
+
+// mac signs (kind, a, b, root) with the log's key on a pooled HMAC whose
+// keyed state Reset restores, so a signature allocates nothing.
 func (l *Log) mac(kind byte, a, b uint64, root merkle.Hash) [32]byte {
-	m := hmac.New(sha256.New, l.key)
-	var buf [17]byte
-	buf[0] = kind
-	binary.BigEndian.PutUint64(buf[1:], a)
-	binary.BigEndian.PutUint64(buf[9:], b)
-	m.Write(buf[:])
-	m.Write(root[:])
-	var out [32]byte
-	m.Sum(out[:0])
+	st := l.macs.Get().(*macState)
+	st.msg[0] = kind
+	binary.BigEndian.PutUint64(st.msg[1:], a)
+	binary.BigEndian.PutUint64(st.msg[9:], b)
+	copy(st.msg[17:], root[:])
+	st.h.Reset()
+	st.h.Write(st.msg[:])
+	out := [32]byte(st.h.Sum(st.sum[:0]))
+	l.macs.Put(st)
 	return out
 }
 

@@ -41,18 +41,28 @@ func CertOwners(r *Ring, list *psl.List, cert *x509sim.Certificate) []int {
 	return owners
 }
 
-// KeepFunc returns the ingest filter for the replica holding slice a, which
-// must Validate: keep exactly the certificates whose owner set includes
-// a.Index. The filter a certstore Ingester builds from its store's slice, it
-// turns N replicas tailing one log into a partitioned fleet.
+// Keeps reports whether slice index of r keeps a certificate with these
+// e2LDs (core.CertE2LDs of it) and fingerprint: whether CertOwners would
+// include index, decided in one pass with no owner set or key built. This is
+// the filter a certstore Ingester applies to every entry, turning N replicas
+// tailing one log into a partitioned fleet.
+func Keeps(r *Ring, index int, e2lds []string, fp x509sim.Fingerprint) bool {
+	if len(e2lds) == 0 {
+		return r.Lookup(KeyForFingerprint(fp.Hex())) == index
+	}
+	for _, d := range e2lds {
+		if r.lookupDomain(d) == index {
+			return true
+		}
+	}
+	return false
+}
+
+// KeepFunc returns the keep decision of the replica holding slice a, which
+// must Validate, for one certificate: Keeps over its e2LDs and fingerprint.
 func KeepFunc(a Assignment, list *psl.List) func(*x509sim.Certificate) bool {
 	r := MustRing(a.Count, DefaultVNodes)
 	return func(cert *x509sim.Certificate) bool {
-		for _, o := range CertOwners(r, list, cert) {
-			if o == a.Index {
-				return true
-			}
-		}
-		return false
+		return Keeps(r, a.Index, core.CertE2LDs(list, cert), cert.Fingerprint())
 	}
 }

@@ -25,7 +25,6 @@ package shard
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 )
@@ -61,13 +60,18 @@ func checkRingSize(n, v int) error {
 	return nil
 }
 
-// hash64 maps a key to a ring position: FNV-1a for speed, finished with a
+// hash64 maps the key prefix+s to a ring position, taking it in two parts
+// so a caller need not build it: FNV-1a for speed, finished with a
 // splitmix64 avalanche because FNV's high bits mix poorly for short, similar
 // keys (exactly the shape of e2LDs and hex prefixes).
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	x := h.Sum64()
+func hash64(prefix, s string) uint64 {
+	x := uint64(14695981039346656037)
+	for _, part := range [2]string{prefix, s} {
+		for i := 0; i < len(part); i++ {
+			x ^= uint64(part[i])
+			x *= 1099511628211
+		}
+	}
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -101,7 +105,7 @@ func NewRing(n, v int) (*Ring, error) {
 	r := &Ring{points: make([]point, 0, n*v)}
 	for i := 0; i < n; i++ {
 		for j := 0; j < v; j++ {
-			r.points = append(r.points, point{pos: hash64(fmt.Sprintf("vnode/%d/%d", i, j)), owner: i})
+			r.points = append(r.points, point{pos: hash64("", fmt.Sprintf("vnode/%d/%d", i, j)), owner: i})
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].pos < r.points[b].pos })
@@ -119,8 +123,15 @@ func MustRing(n, v int) *Ring {
 
 // Lookup returns the shard owning key: the owner of the first virtual node
 // at or clockwise of the key's ring position.
-func (r *Ring) Lookup(key string) int {
-	pos := hash64(key)
+func (r *Ring) Lookup(key string) int { return r.owner(hash64("", key)) }
+
+// lookupDomain is Lookup(KeyForDomain(e2ld)) without building the key.
+func (r *Ring) lookupDomain(e2ld string) int {
+	return r.owner(hash64(domainKeyPrefix, domainKeyBody(e2ld)))
+}
+
+// owner returns the shard of the first virtual node at or clockwise of pos.
+func (r *Ring) owner(pos uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= pos })
 	if i == len(r.points) {
 		i = 0 // wrap past the highest point to the ring's start
@@ -130,9 +141,11 @@ func (r *Ring) Lookup(key string) int {
 
 // KeyForDomain is the ring key for a registrable domain. Lowercased so the
 // routing decision matches the case-folded index key.
-func KeyForDomain(e2ld string) string {
-	return "d/" + strings.ToLower(strings.TrimSuffix(e2ld, "."))
-}
+func KeyForDomain(e2ld string) string { return domainKeyPrefix + domainKeyBody(e2ld) }
+
+const domainKeyPrefix = "d/"
+
+func domainKeyBody(e2ld string) string { return strings.ToLower(strings.TrimSuffix(e2ld, ".")) }
 
 // KeyForFingerprint is the ring key for a certificate fingerprint, given in
 // either the 64-hex full form or the 16-hex short-prefix form. Both forms of

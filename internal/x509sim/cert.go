@@ -149,6 +149,10 @@ var (
 // and keeps the codec's length fields in one byte.
 const MaxNames = 256
 
+// MaxMarshaledLen is the longest Marshal encoding: MaxNames SANs of 253
+// octets, the longest DNS name.
+const MaxMarshaledLen = 3 + bodyFixed + MaxNames*(1+253)
+
 // New validates and canonicalises a certificate. Names are canonicalised,
 // deduplicated and sorted; usage defaults to serverAuth when zero.
 func New(serial SerialNumber, issuer IssuerID, key KeyID, names []string, notBefore, notAfter simtime.Day) (*Certificate, error) {
