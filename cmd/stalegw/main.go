@@ -1,24 +1,27 @@
 // Command stalegw is the stateless query gateway in front of a sharded
-// staleapid fleet. It keeps no certificate state: a consistent-hash shard
-// map (-shards, in ring-index order) tells it which replica group owns
-// which e2LD slice, and it routes:
+// staleapid fleet. It keeps no certificate state: the -shards text, slices in
+// ring-index order, tells it which replica group owns which e2LD slice of
+// the consistent-hash ring, and it routes:
 //
 //	GET /v1/domain/{e2ld}/certs        → the owning slice
 //	GET /v1/domain/{e2ld}/staleness    → the owning slice
 //	GET /v1/cert/{fp}                  → scatter-gather, the hit wins
 //	GET /v1/domains[?prefix=&limit=]   → scatter-merge of every slice
-//	GET /v1/shardmap                   → the gateway's topology document
+//	GET /v1/shardmap                   → the -shards topology, rendered
 //	GET /healthz, /readyz              liveness; readiness = slice quorum
 //
 // Each -shards element is one slice's replica group: one base URL, or
-// several separated by "|" (e.g. http://a:9001|http://b:9001). All replicas
-// of a slice must run staleapid with the same -shard i/N assignment (they
-// pin identical SHARD files and tail the same log). The ring's epoch, vnodes
-// and hash are constants of the build (internal/shard), so the gateway and
-// its replicas agree on them by being built from one tree. Per call the gateway
-// dials a healthy replica (probe + breaker state, rotated), fails over to
-// siblings on error, and with -hedge-after > 0 races a sibling when the
-// first replica is slow — first response wins, the loser is cancelled.
+// several separated by "|" (e.g. http://a:9001|http://b:9001). The gateway
+// checks the text before it serves: an empty slice or replica entry, a
+// replica that is not a URL with a host, or an address listed twice exits 2.
+// All replicas of a slice must run staleapid with the same -shard i/N
+// assignment (they pin identical SHARD files and tail the same log). The
+// ring's epoch, vnodes and hash are constants of the build (internal/shard),
+// so the gateway and its replicas agree on them by being built from one
+// tree. Per call the gateway dials a healthy replica (probe + breaker state,
+// rotated), fails over to siblings on error, and with -hedge-after > 0 races
+// a sibling when the first replica is slow — first response wins, the loser
+// is cancelled.
 //
 // Every fan-out leg rides the resilience layer (per-replica circuit
 // breakers on /v1/breakers, -retry-max retries, traced attempts). A dead
@@ -43,7 +46,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -71,25 +73,11 @@ func main() {
 		logger.Error("missing required -shards list")
 		os.Exit(2)
 	}
-	var groups [][]string
-	for _, slice := range strings.Split(*shardList, ",") {
-		if slice = strings.TrimSpace(slice); slice == "" {
-			continue
-		}
-		var group []string
-		for _, a := range strings.Split(slice, "|") {
-			if a = strings.TrimSpace(a); a != "" {
-				group = append(group, a)
-			}
-		}
-		groups = append(groups, group)
-	}
-
 	// One breaker set shared between the resilient client (which trips
 	// circuits) and the gateway (which routes around open ones).
 	opts := rf.Options("stalegw")
 	gw, err := stalegw.New(stalegw.Config{
-		Map:          shard.NewMap(groups),
+		Shards:       *shardList,
 		Client:       resil.NewHTTPClient(opts),
 		Quorum:       *quorum,
 		CacheEntries: *cacheEntries,
@@ -108,11 +96,7 @@ func main() {
 
 	handler := obs.Middleware(obs.Default(), "stalegw", gw.Handler())
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	replicas := 0
-	for _, g := range groups {
-		replicas += len(g)
-	}
-	logger.Info("serving query gateway", "addr", *addr, "slices", len(groups), "replicas", replicas, "epoch", shard.Epoch)
+	logger.Info("serving query gateway", "addr", *addr, "shards", *shardList, "epoch", shard.Epoch)
 	if !obs.ServeUntilDone(ctx, logger, httpSrv, nil, stopDebug) {
 		os.Exit(1)
 	}

@@ -88,8 +88,7 @@ func TestWireCRLFetchMatchesWorldRevocations(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ledger := crl.NewCoverageLedger()
-	fetcher := &crl.Fetcher{Base: ts.URL, Ledger: ledger}
+	fetcher := &crl.Fetcher{Base: ts.URL}
 	lists, err := fetcher.FetchAll(context.Background(), names)
 	if err != nil {
 		t.Fatal(err)

@@ -36,9 +36,10 @@ const (
 	manifestName   = "MANIFEST"
 	checkpointName = "CHECKPOINT"
 
-	// maxRecordBytes bounds one record. A certificate with 256 maximal SANs
-	// encodes well under 64 KiB; anything larger is corruption.
-	maxRecordBytes = 1 << 16
+	// maxRecordBytes bounds one record at the longest certificate x509sim
+	// decodes, the bound Append's certificates were held to; anything larger
+	// is corruption.
+	maxRecordBytes = x509sim.MaxMarshaledLen
 )
 
 // Segment-layer errors.

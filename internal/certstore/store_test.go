@@ -1,6 +1,7 @@
 package certstore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,6 +131,32 @@ func TestStoreReopenRestoresEverything(t *testing.T) {
 	added, err := re.Append(want[:5])
 	if err != nil || added != 0 {
 		t.Fatalf("post-reopen dedup Append = %d, %v", added, err)
+	}
+}
+
+// The largest certificate x509sim decodes, MaxNames SANs of 253 octets, is
+// a record the store reads back: the writer and the reader share one bound.
+func TestStoreReopensLargestCertificate(t *testing.T) {
+	dir := t.TempDir()
+	s := openTemp(t, Options{Dir: dir})
+	label := strings.Repeat("a", 63)
+	names := make([]string, x509sim.MaxNames)
+	for i := range names {
+		names[i] = fmt.Sprintf("%s.%s.%s.%s%03d.com", label, label, label, strings.Repeat("b", 54), i)
+	}
+	big := mkCert(t, 1, names, 0, 90)
+	if big.MarshaledLen() != x509sim.MaxMarshaledLen {
+		t.Fatalf("largest certificate encodes to %d bytes, MaxMarshaledLen is %d", big.MarshaledLen(), x509sim.MaxMarshaledLen)
+	}
+	if _, err := s.Append([]*x509sim.Certificate{big}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openTemp(t, Options{Dir: dir})
+	if _, ok := re.ByFingerprint(big.Fingerprint()); !ok || re.Len() != 1 {
+		t.Fatalf("reopened store: Len %d, largest certificate found %v", re.Len(), ok)
 	}
 }
 

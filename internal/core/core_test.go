@@ -36,11 +36,6 @@ func TestCorpusDedupAndIndex(t *testing.T) {
 	if _, ok := c.ByKey(a.DedupKey()); !ok {
 		t.Fatal("ByKey miss")
 	}
-	// NoIndex fallback returns the same results.
-	noIdx := NewCorpus([]*x509sim.Certificate{a, b}, CorpusOptions{NoIndex: true})
-	if got := noIdx.ByE2LD("a.com"); len(got) != 1 {
-		t.Fatalf("NoIndex ByE2LD = %v", got)
-	}
 }
 
 func TestCorpusFQDNCapFilter(t *testing.T) {

@@ -33,9 +33,6 @@ type CorpusOptions struct {
 	PSL *psl.List
 	// MaxPerFQDN defaults to MaxCertsPerFQDN; set negative to disable.
 	MaxPerFQDN int
-	// NoIndex skips the e2LD inverted index; lookups then scan linearly.
-	// Exists for the ablation benchmark.
-	NoIndex bool
 }
 
 // NewCorpus builds a corpus from certificates (already CT-deduplicated
@@ -102,12 +99,10 @@ func NewCorpus(certs []*x509sim.Certificate, opts CorpusOptions) *Corpus {
 	for _, cert := range deduped {
 		c.byKey[cert.DedupKey()] = cert
 	}
-	if !opts.NoIndex {
-		c.byE2LD = make(map[string][]*x509sim.Certificate)
-		for _, cert := range deduped {
-			for _, e2 := range c.E2LDsOf(cert) {
-				c.byE2LD[e2] = append(c.byE2LD[e2], cert)
-			}
+	c.byE2LD = make(map[string][]*x509sim.Certificate)
+	for _, cert := range deduped {
+		for _, e2 := range c.E2LDsOf(cert) {
+			c.byE2LD[e2] = append(c.byE2LD[e2], cert)
 		}
 	}
 	return c
@@ -147,29 +142,16 @@ func (c *Corpus) ByKey(key x509sim.DedupKey) (*x509sim.Certificate, bool) {
 	return cert, ok
 }
 
-// ByE2LD returns every certificate naming an FQDN under the given e2LD.
-// With NoIndex it scans the corpus (the ablation baseline). The returned
-// slice is a defensive copy: callers may sort or filter it in place without
-// corrupting the shared index.
+// ByE2LD returns every certificate naming an FQDN under the given e2LD. The
+// returned slice is a defensive copy: callers may sort or filter it in place
+// without corrupting the shared index.
 func (c *Corpus) ByE2LD(domain string) []*x509sim.Certificate {
-	if c.byE2LD != nil {
-		certs := c.byE2LD[domain]
-		if len(certs) == 0 {
-			return nil
-		}
-		out := make([]*x509sim.Certificate, len(certs))
-		copy(out, certs)
-		return out
+	certs := c.byE2LD[domain]
+	if len(certs) == 0 {
+		return nil
 	}
-	var out []*x509sim.Certificate
-	for _, cert := range c.certs {
-		for _, e2 := range c.E2LDsOf(cert) {
-			if e2 == domain {
-				out = append(out, cert)
-				break
-			}
-		}
-	}
+	out := make([]*x509sim.Certificate, len(certs))
+	copy(out, certs)
 	return out
 }
 

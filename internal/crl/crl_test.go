@@ -102,9 +102,9 @@ func TestSnapshotSorted(t *testing.T) {
 
 func TestServerFetcherEndToEnd(t *testing.T) {
 	srv := NewServer(1)
-	reliable := NewAuthority("Reliable")
+	reliable := NewAuthority("e2e-Reliable")
 	reliable.Revoke(1, 100, 50, KeyCompromise)
-	blocked := NewAuthority("Blocked")
+	blocked := NewAuthority("e2e-Blocked")
 	blocked.Revoke(2, 200, 60, Superseded)
 	srv.Host(reliable, 0)
 	srv.Host(blocked, 1.0) // always refuses: scrape protection
@@ -113,59 +113,47 @@ func TestServerFetcherEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: ts.URL, Ledger: ledger}
-	got, err := f.FetchAll(context.Background(), srv.Names())
+	f := &Fetcher{Base: ts.URL}
+	var got map[string]*List
+	var err error
+	counts := fetchCounts(srv.Names(), func() { got, err = f.FetchAll(context.Background(), srv.Names()) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
 		t.Fatalf("fetched %d CRLs", len(got))
 	}
-	l := got["Reliable"]
+	l := got["e2e-Reliable"]
 	if l == nil || len(l.Entries) != 1 || l.Entries[0].Reason != KeyCompromise {
 		t.Fatalf("reliable CRL = %+v", l)
 	}
 	if l.ThisUpdate != 70 {
 		t.Fatalf("thisUpdate = %v", l.ThisUpdate)
 	}
-
-	rows := ledger.Rows()
-	if len(rows) != 2 {
-		t.Fatalf("ledger rows = %d", len(rows))
-	}
-	// Sorted ascending by coverage: Blocked first.
-	if rows[0].CAName != "Blocked" || rows[0].Succeeded != 0 {
-		t.Fatalf("rows[0] = %+v", rows[0])
-	}
-	if rows[1].CAName != "Reliable" || rows[1].Percent() != 100 {
-		t.Fatalf("rows[1] = %+v", rows[1])
-	}
-	total := ledger.Total()
-	if total.Attempted != 2 || total.Succeeded != 1 {
-		t.Fatalf("total = %+v", total)
+	if counts["e2e-Blocked"] != [3]uint64{0, 1, 0} || counts["e2e-Reliable"] != [3]uint64{1, 0, 0} {
+		t.Fatalf("crl_fetch_total counted %v, want Blocked exhausted and Reliable ok", counts)
 	}
 }
 
 func TestFetcherRetriesTransientFailures(t *testing.T) {
 	srv := NewServer(7)
-	flaky := NewAuthority("Flaky")
+	flaky := NewAuthority("retry-flaky")
 	flaky.Revoke(1, 1, 0, Unspecified)
 	srv.Host(flaky, 0.5)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: ts.URL, Ledger: ledger, Attempts: 11}
+	f := &Fetcher{Base: ts.URL, Attempts: 11}
 	// With 10 retries at 50% fail rate, collection succeeds essentially always.
-	for day := 0; day < 20; day++ {
-		if _, err := f.FetchAll(context.Background(), []string{"Flaky"}); err != nil {
-			t.Fatal(err)
+	counts := fetchCounts([]string{"retry-flaky"}, func() {
+		for day := 0; day < 20; day++ {
+			if _, err := f.FetchAll(context.Background(), []string{"retry-flaky"}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	cov := ledger.Rows()[0]
-	if cov.Attempted != 20 || cov.Succeeded < 19 {
-		t.Fatalf("coverage = %+v", cov)
+	})
+	if c := counts["retry-flaky"]; c[0]+c[1]+c[2] != 20 || c[0] < 19 {
+		t.Fatalf("crl_fetch_total counted %v over 20 collections", c)
 	}
 }
 
@@ -173,17 +161,20 @@ func TestFetcherUnknownCA(t *testing.T) {
 	srv := NewServer(1)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: ts.URL, Ledger: ledger}
-	got, err := f.FetchAll(context.Background(), []string{"nope"})
+	f := &Fetcher{Base: ts.URL}
+	var got map[string]*List
+	var err error
+	counts := fetchCounts([]string{"unknown-nope"}, func() {
+		got, err = f.FetchAll(context.Background(), []string{"unknown-nope"})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatal("unknown CA returned a CRL")
 	}
-	if ledger.Rows()[0].Succeeded != 0 {
-		t.Fatal("failure not recorded")
+	if counts["unknown-nope"] != [3]uint64{0, 1, 0} {
+		t.Fatalf("failure counted %v, want one exhausted collection", counts["unknown-nope"])
 	}
 }
 

@@ -13,18 +13,42 @@ import (
 	"stalecert/internal/x509sim"
 )
 
-// TestLedgerDistinguishesExhaustedFromNeverAttempted is the regression test
-// for the coverage-ledger fix: a CA whose retries all fail must appear in the
-// ledger as attempted-and-exhausted, while CAs the run never reached (the
-// context was already cancelled) must leave no row at all. Previously a
-// cancellation mid-retry dropped the in-flight CA from the ledger, making
-// "retries exhausted" indistinguishable from "never attempted".
+// fetchCounts runs fn and returns, per CA, how many collections it ended in
+// each outcome as counted by crl_fetch_total: [ok, retry_exhausted,
+// canceled]. Each test names its CAs uniquely, as the counters are global.
+func fetchCounts(cas []string, fn func()) map[string][3]uint64 {
+	read := func(ca string) (n [3]uint64) {
+		for o := range n {
+			n[o] = fetchOutcomeCounter(ca, Outcome(o)).Value()
+		}
+		return n
+	}
+	before := make(map[string][3]uint64, len(cas))
+	for _, ca := range cas {
+		before[ca] = read(ca)
+	}
+	fn()
+	got := make(map[string][3]uint64, len(cas))
+	for _, ca := range cas {
+		after := read(ca)
+		for o := range after {
+			after[o] -= before[ca][o]
+		}
+		got[ca] = after
+	}
+	return got
+}
+
+// TestLedgerDistinguishesExhaustedFromNeverAttempted: a CA whose retries are
+// cut off by cancellation is counted once as canceled, while a CA the run
+// never reached is not counted at all, so "never attempted" stays
+// distinguishable from both "retries exhausted" and "canceled".
 func TestLedgerDistinguishesExhaustedFromNeverAttempted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Every request for CA "alpha" is blocked; cancel the run while its
-		// retries are in flight so "beta" is never attempted.
+		// Every request for the first CA is blocked; cancel the run while its
+		// retries are in flight so the second is never attempted.
 		if calls.Add(1) == 2 {
 			cancel()
 		}
@@ -32,38 +56,28 @@ func TestLedgerDistinguishesExhaustedFromNeverAttempted(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: srv.URL, Ledger: ledger, Attempts: 4}
-	_, err := f.FetchAll(ctx, []string{"alpha", "beta"})
+	f := &Fetcher{Base: srv.URL, Attempts: 4}
+	var err error
+	got := fetchCounts([]string{"cancel-alpha", "cancel-beta"}, func() {
+		_, err = f.FetchAll(ctx, []string{"cancel-alpha", "cancel-beta"})
+	})
 	if err == nil {
 		t.Fatal("expected context cancellation error")
 	}
-
-	rows := ledger.Rows()
-	if len(rows) != 1 {
-		t.Fatalf("ledger rows = %d (%v), want exactly 1: the in-flight CA", len(rows), rows)
+	if got["cancel-alpha"] != [3]uint64{0, 0, 1} {
+		t.Errorf("in-flight CA counted %v, want one canceled collection", got["cancel-alpha"])
 	}
-	got := rows[0]
-	if got.CAName != "alpha" {
-		t.Errorf("ledger row CA = %q, want alpha", got.CAName)
-	}
-	if got.Attempted != 1 || got.Succeeded != 0 || got.Canceled != 1 {
-		t.Errorf("alpha coverage = %+v, want Attempted=1 Succeeded=0 Canceled=1", got)
-	}
-	// beta must NOT be in the ledger: it was never attempted.
-	for _, r := range rows {
-		if r.CAName == "beta" {
-			t.Error("never-attempted CA beta must not appear in the ledger")
-		}
+	if got["cancel-beta"] != [3]uint64{} {
+		t.Errorf("never-attempted CA counted %v, want nothing", got["cancel-beta"])
 	}
 }
 
 // TestLedgerRecordsRetryExhausted checks the uncancelled failure path: all
-// retries fail, the CA is recorded as exhausted, and the fetch moves on.
+// retries fail, the CA is counted as exhausted, and the fetch moves on.
 func TestLedgerRecordsRetryExhausted(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/crl/good" {
-			a := NewAuthority("good")
+		if r.URL.Path == "/crl/exhaust-good" {
+			a := NewAuthority("exhaust-good")
 			a.Revoke(1, x509sim.SerialNumber(1), 10, KeyCompromise)
 			w.Header().Set("Content-Type", "application/pkix-crl")
 			_, _ = w.Write(a.Snapshot(20).Marshal())
@@ -73,40 +87,29 @@ func TestLedgerRecordsRetryExhausted(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	ledger := NewCoverageLedger()
-	f := &Fetcher{Base: srv.URL, Ledger: ledger, Attempts: 3}
-	lists, err := f.FetchAll(context.Background(), []string{"blocked", "good"})
+	f := &Fetcher{Base: srv.URL, Attempts: 3}
+	names := []string{"exhaust-blocked", "exhaust-good"}
+	var lists map[string]*List
+	var err error
+	got := fetchCounts(names, func() { lists, err = f.FetchAll(context.Background(), names) })
 	if err != nil {
 		t.Fatalf("FetchAll: %v", err)
 	}
-	if len(lists) != 1 || lists["good"] == nil {
-		t.Fatalf("lists = %v, want only good", lists)
+	if len(lists) != 1 || lists["exhaust-good"] == nil {
+		t.Fatalf("lists = %v, want only exhaust-good", lists)
 	}
-
-	rows := ledger.Rows()
-	if len(rows) != 2 {
-		t.Fatalf("ledger rows = %d, want 2", len(rows))
+	if got["exhaust-blocked"] != [3]uint64{0, 1, 0} {
+		t.Errorf("blocked CA counted %v, want one exhausted collection", got["exhaust-blocked"])
 	}
-	byName := map[string]Coverage{}
-	for _, r := range rows {
-		byName[r.CAName] = r
-	}
-	if c := byName["blocked"]; c.Attempted != 1 || c.Exhausted != 1 || c.Canceled != 0 {
-		t.Errorf("blocked coverage = %+v, want Attempted=1 Exhausted=1", c)
-	}
-	if c := byName["good"]; c.Attempted != 1 || c.Succeeded != 1 {
-		t.Errorf("good coverage = %+v, want Attempted=1 Succeeded=1", c)
-	}
-	total := ledger.Total()
-	if total.Attempted != 2 || total.Succeeded != 1 || total.Exhausted != 1 {
-		t.Errorf("total = %+v", total)
+	if got["exhaust-good"] != [3]uint64{1, 0, 0} {
+		t.Errorf("good CA counted %v, want one successful collection", got["exhaust-good"])
 	}
 }
 
 // TestFetcherRidesTheResilientTransport: one CA's fetch is one call through
 // resil's transport. A distribution point that never answers, a 403 and a
-// body cut mid-transfer are all retried there, the ledger records the single
-// outcome, and the retries are counted under the fetcher's service in
+// body cut mid-transfer are all retried there, crl_fetch_total counts the
+// single outcome, and the retries are counted under the fetcher's service in
 // resil_retries_total.
 func TestFetcherRidesTheResilientTransport(t *testing.T) {
 	a := NewAuthority("Flaky")
@@ -135,12 +138,15 @@ func TestFetcherRidesTheResilientTransport(t *testing.T) {
 
 	retries := obs.Default().Counter("resil_retries_total", "service", "crl-fetcher")
 	before := retries.Value()
-	ledger := NewCoverageLedger()
-	lists, err := (&Fetcher{Base: srv.URL, Ledger: ledger, Attempts: 4}).FetchAll(context.Background(), []string{"Flaky"})
+	var lists map[string]*List
+	var err error
+	got := fetchCounts([]string{"transport-flaky"}, func() {
+		lists, err = (&Fetcher{Base: srv.URL, Attempts: 4}).FetchAll(context.Background(), []string{"transport-flaky"})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := lists["Flaky"]; l == nil || len(l.Entries) != 1 || l.Entries[0].Serial != 9 {
+	if l := lists["transport-flaky"]; l == nil || len(l.Entries) != 1 || l.Entries[0].Serial != 9 {
 		t.Fatalf("lists = %v, want Flaky's one revocation", lists)
 	}
 	if hits.Load() != 4 {
@@ -149,8 +155,8 @@ func TestFetcherRidesTheResilientTransport(t *testing.T) {
 	if got := retries.Value() - before; got != 3 {
 		t.Errorf("resil_retries_total{service=crl-fetcher} moved by %d, want 3", got)
 	}
-	if c := ledger.Total(); c.Attempted != 1 || c.Succeeded != 1 {
-		t.Errorf("ledger = %+v, want one successful collection", c)
+	if got["transport-flaky"] != [3]uint64{1, 0, 0} {
+		t.Errorf("crl_fetch_total counted %v, want one successful collection", got["transport-flaky"])
 	}
 }
 

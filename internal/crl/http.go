@@ -112,7 +112,7 @@ func (s *Server) Handler() http.Handler {
 // Outcome classifies one daily fetch of one CA's CRL.
 type Outcome uint8
 
-// Fetch outcomes. A CA that never appears in the ledger was never attempted
+// Fetch outcomes. A CA that crl_fetch_total never counts was never attempted
 // at all — distinct from OutcomeRetryExhausted (every attempt failed) and
 // OutcomeCanceled (the collection run was cut off mid-retry).
 const (
@@ -141,18 +141,11 @@ type CoverageLedger struct {
 	by map[string]*Coverage
 }
 
-// Coverage is one CA's fetch record. Attempted = Succeeded + Exhausted +
-// Canceled; CAs never attempted have no Coverage row at all.
+// Coverage is one CA's fetch record; CAs never attempted have no row.
 type Coverage struct {
 	CAName    string
 	Attempted int
 	Succeeded int
-	// Exhausted counts collections where every attempt (including retries)
-	// failed; Canceled counts collections cut off by context cancellation
-	// mid-retry. Both are distinct from "never attempted", which leaves no
-	// trace in the ledger.
-	Exhausted int
-	Canceled  int
 }
 
 // Percent returns the success percentage (100% when nothing was attempted).
@@ -168,17 +161,8 @@ func NewCoverageLedger() *CoverageLedger {
 	return &CoverageLedger{by: make(map[string]*Coverage)}
 }
 
-// Record adds one fetch outcome (success or retries-exhausted failure).
+// Record adds one collection of ca's CRL, successful or not.
 func (l *CoverageLedger) Record(ca string, ok bool) {
-	if ok {
-		l.RecordOutcome(ca, OutcomeOK)
-	} else {
-		l.RecordOutcome(ca, OutcomeRetryExhausted)
-	}
-}
-
-// RecordOutcome adds one classified fetch outcome.
-func (l *CoverageLedger) RecordOutcome(ca string, o Outcome) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	c := l.by[ca]
@@ -187,13 +171,8 @@ func (l *CoverageLedger) RecordOutcome(ca string, o Outcome) {
 		l.by[ca] = c
 	}
 	c.Attempted++
-	switch o {
-	case OutcomeOK:
+	if ok {
 		c.Succeeded++
-	case OutcomeRetryExhausted:
-		c.Exhausted++
-	case OutcomeCanceled:
-		c.Canceled++
 	}
 }
 
@@ -224,18 +203,15 @@ func (l *CoverageLedger) Total() Coverage {
 	for _, c := range l.by {
 		t.Attempted += c.Attempted
 		t.Succeeded += c.Succeeded
-		t.Exhausted += c.Exhausted
-		t.Canceled += c.Canceled
 	}
 	return t
 }
 
 // Fetcher downloads CRLs from a Server through resil's client stack — its
-// retry loop and its call and attempt spans — and records one outcome per CA
-// per collection in a ledger.
+// retry loop and its call and attempt spans — and counts one outcome per CA
+// per collection in crl_fetch_total{ca,outcome}.
 type Fetcher struct {
-	Base   string // server base URL
-	Ledger *CoverageLedger
+	Base string // server base URL
 	// Attempts is the attempt budget per CRL per day, the first included
 	// (default 3).
 	Attempts int
@@ -264,8 +240,8 @@ func retryAll(error) resil.Verdict { return resil.Retryable }
 
 // FetchAll performs one daily collection over the named CAs, returning the
 // successfully fetched lists keyed by CA name. Each CA is one call through
-// the resilient client, so the ledger sees exactly one outcome per CA per
-// day, whatever the attempts beneath it; resil_retries_total{service=
+// the resilient client, so crl_fetch_total counts exactly one outcome per CA
+// per day, whatever the attempts beneath it; resil_retries_total{service=
 // "crl-fetcher"} counts the retries.
 func (f *Fetcher) FetchAll(ctx context.Context, names []string) (map[string]*List, error) {
 	attempts := f.Attempts
@@ -280,8 +256,8 @@ func (f *Fetcher) FetchAll(ctx context.Context, names []string) (map[string]*Lis
 	out := make(map[string]*List, len(names))
 	for _, name := range names {
 		if ctx.Err() != nil {
-			// CAs we never reached stay out of the ledger entirely: "never
-			// attempted" must stay distinguishable from "retries exhausted".
+			// CAs we never reached are not counted at all: "never attempted"
+			// must stay distinguishable from "retries exhausted".
 			return out, ctx.Err()
 		}
 		list, err := f.fetchOne(ctx, hc, name)
@@ -293,9 +269,6 @@ func (f *Fetcher) FetchAll(ctx context.Context, names []string) (map[string]*Lis
 			outcome = OutcomeCanceled
 		default:
 			outcome = OutcomeRetryExhausted
-		}
-		if f.Ledger != nil {
-			f.Ledger.RecordOutcome(name, outcome)
 		}
 		fetchOutcomeCounter(name, outcome).Inc()
 		if outcome == OutcomeCanceled {

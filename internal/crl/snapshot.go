@@ -42,7 +42,7 @@ const (
 )
 
 // Snapshot is the fleet-wide revocation set held in memory: every named CA's
-// CRL, fetched through Fetcher (its retries, ledger and metrics apply) and
+// CRL, fetched through Fetcher (its retries and metrics apply) and
 // indexed by the (issuer, serial) CT-join key. Readers get an immutable View
 // swapped in atomically by each refresh round; a CA whose fetch fails keeps
 // its last-good list, so a view never silently lacks a CA. The zero value

@@ -182,3 +182,29 @@ func TestAddChainBodyIsCapped(t *testing.T) {
 		t.Fatalf("largest certificate: %v, tree size %d", err, l.Size())
 	}
 }
+
+// A SAN longer than the longest DNS name is a 400 that submits nothing:
+// MaxNames SANs of 255 octets encode past MaxMarshaledLen, past the record
+// certstore reads back, so accepting it would keep every replica that
+// ingests it from reopening its store.
+func TestAddChainRefusesOverlongSAN(t *testing.T) {
+	l, _, client := newTestServer(t)
+	c := testCert(t, 1, "long.com", 0, 90)
+	c.Names = make([]string, x509sim.MaxNames)
+	for i := range c.Names {
+		c.Names[i] = fmt.Sprintf("%03d%s.com", i, strings.Repeat("a", 248))
+	}
+	raw := c.Marshal()
+	if len(raw) <= x509sim.MaxMarshaledLen {
+		t.Fatalf("hand-built certificate encodes to %d bytes, want past %d", len(raw), x509sim.MaxMarshaledLen)
+	}
+	body := `{"chain":["` + base64.StdEncoding.EncodeToString(raw) + `"]}`
+	resp, err := http.Post(client.base+"/ct/v1/add-chain", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || l.Size() != 0 {
+		t.Fatalf("%d-byte certificate: status %d, tree size %d; want 400 and 0", len(raw), resp.StatusCode, l.Size())
+	}
+}

@@ -149,7 +149,7 @@ func StartBinaries(t testing.TB, spec Spec) *Fleet {
 	f.Log = Spawn(t, "ctlogd", slices.Concat(common, []string{"-name", spec.Name + "-log"})...)
 	// -fail-rate 0: crld's default scrape protection makes a first load luck.
 	f.CRL = Spawn(t, "crld", slices.Concat(common, []string{"-fail-rate", "0"})...)
-	groups := f.seedAndServe(func(name string, slice int) *Member {
+	shards := f.seedAndServe(func(name string, slice int) *Member {
 		args := slices.Concat(common, []string{"-store", t.TempDir(), "-log", f.logVia,
 			"-interval", "100ms", "-crl", f.crlVia, "-cache-ttl", "1s"})
 		if slice >= 0 {
@@ -158,11 +158,7 @@ func StartBinaries(t testing.TB, spec Spec) *Fleet {
 		return Spawn(t, name, args...)
 	})
 	if spec.Slices > 0 {
-		shards := make([]string, len(groups))
-		for s, urls := range groups {
-			shards[s] = strings.Join(urls, "|")
-		}
-		f.Gateway = Spawn(t, "stalegw", "-trace-sample", "1", "-shards", strings.Join(shards, ","),
+		f.Gateway = Spawn(t, "stalegw", "-trace-sample", "1", "-shards", shards,
 			"-hedge-after", spec.HedgeAfter.String(), "-probe-interval", "200ms", "-cache-ttl", GatewayCacheTTL.String())
 	}
 	var targets []string

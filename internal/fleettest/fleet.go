@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,8 +79,9 @@ func (f *Fleet) Members() []*Member {
 
 // seedAndServe submits the Spec's certificates as any RFC 6962 client would,
 // puts the fault proxies up when the Spec asks for them, and starts the
-// reference (slice -1) and the replicas, whose URLs it returns.
-func (f *Fleet) seedAndServe(start func(name string, slice int) *Member) [][]string {
+// reference (slice -1) and the replicas, whose URLs it returns as stalegw's
+// -shards text.
+func (f *Fleet) seedAndServe(start func(name string, slice int) *Member) string {
 	client := ctlog.NewClient(f.Log.URL, nil)
 	for i, c := range f.spec.Certs {
 		if _, err := client.AddChain(context.Background(), c); err != nil {
@@ -92,16 +94,18 @@ func (f *Fleet) seedAndServe(start func(name string, slice int) *Member) [][]str
 		f.logVia, f.crlVia = faults.Proxy(f.t, f.Log.URL), faults.Proxy(f.t, f.CRL.URL)
 	}
 	f.Reference = start("staleapid", -1)
-	groups := make([][]string, f.spec.Slices)
-	for s := range groups {
+	shards := make([]string, f.spec.Slices)
+	for s := range shards {
 		var group []*Member
+		var urls []string
 		for r := 0; r < f.spec.Replicas; r++ {
 			m := start(fmt.Sprintf("staleapid-%d-%d", s, r), s)
-			group, groups[s] = append(group, m), append(groups[s], m.URL)
+			group, urls = append(group, m), append(urls, m.URL)
 		}
 		f.Replicas = append(f.Replicas, group)
+		shards[s] = strings.Join(urls, "|")
 	}
-	return groups
+	return strings.Join(shards, ",")
 }
 
 // Start runs the fleet in this process, span stores keeping failed traces
@@ -125,7 +129,7 @@ func Start(t testing.TB, spec Spec) *Fleet {
 	f.CRL.Handle(crlSrv.Handler())
 	// A fast-recovering breaker, so an unlucky trip cannot stall a chaos run.
 	ingestBreakers := resil.NewBreakerSet(resil.BreakerConfig{Service: spec.Name, Cooldown: 200 * time.Millisecond})
-	groups := f.seedAndServe(func(name string, slice int) *Member { return f.startReplica(name, slice, ingestBreakers) })
+	shards := f.seedAndServe(func(name string, slice int) *Member { return f.startReplica(name, slice, ingestBreakers) })
 	if spec.Slices == 0 {
 		return f
 	}
@@ -137,7 +141,7 @@ func Start(t testing.TB, spec Spec) *Fleet {
 	breakers := resil.NewBreakerSet(resil.BreakerConfig{Service: spec.Name + "-gw",
 		MinRequests: 2, Threshold: 0.5, Cooldown: time.Minute})
 	gw, err := stalegw.New(stalegw.Config{
-		Map: shard.NewMap(groups),
+		Shards: shards,
 		Client: resil.NewHTTPClient(resil.Options{Service: "stalegw", Breaker: breakers, Spans: f.Gateway.Spans,
 			Policy: resil.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, PerAttempt: 2 * time.Second}}),
 		CacheTTL:   GatewayCacheTTL,

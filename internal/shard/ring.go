@@ -1,6 +1,6 @@
 // Package shard partitions the certstore keyspace across a fleet of
-// staleapid replicas with a consistent-hash ring, and defines the versioned
-// shard-map document the fleet agrees on.
+// staleapid replicas with a consistent-hash ring, and renders the views of
+// it that the gateway and each replica serve at /v1/shardmap.
 //
 // The partition key is the registrable domain (e2LD): the paper's staleness
 // verdict is a per-domain computation over the domain's *whole* certificate
@@ -29,8 +29,8 @@ import (
 	"strings"
 )
 
-// HashName identifies the ring's hash construction in shard-map documents;
-// fleets refuse to mix maps built with different hashes.
+// HashName identifies the ring's hash construction in /v1/shardmap views;
+// the gateway refuses a replica whose view names another hash.
 const HashName = "fnv1a-splitmix64"
 
 // DefaultVNodes is the virtual-node count per shard. 128 keeps the max/mean
@@ -44,9 +44,9 @@ const DefaultVNodes = 128
 // epoch then refuse to open and are rebuilt by re-ingesting the log.
 const Epoch = 1
 
-// maxRingPoints bounds shards × vnodes (16 MiB of points): a shard map is a
-// document other processes hand us, and one mistyped or hostile vnodes value
-// must be refused, not allocated.
+// maxRingPoints bounds shards × vnodes (16 MiB of points): the slice count
+// comes from a flag (stalegw's -shards, staleapid's -shard i/N), and a
+// mistyped one must be refused, not allocated.
 const maxRingPoints = 1 << 20
 
 // checkRingSize rejects a ring shape NewRing would not build.

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// MapVersion identifies the shard-map document layout; bump on incompatible
-// change so mixed fleets refuse to interoperate instead of mis-routing.
+// MapVersion identifies the /v1/shardmap layout; bump on incompatible change
+// so a gateway refuses replicas of another layout instead of mis-routing.
 const MapVersion = 1
 
 // Assignment is one replica's slice of the ring: shard Index of Count.
@@ -46,35 +46,19 @@ func ParseAssignment(s string) (Assignment, error) {
 	return a, a.Validate()
 }
 
-// Member is one shard's entry in the fleet map. Addr is the shard's API base
-// URL; replicas serving their own /v1/shardmap omit it. Replicas, when
-// present, lists every base URL serving this slice (Addr is then the first
-// replica, kept for wire compatibility with single-replica maps).
+// Member is one slice's entry in the gateway's /v1/shardmap. Addr is the
+// slice's first replica; Replicas, when the slice has more than one, lists
+// them all.
 type Member struct {
 	Index    int      `json:"index"`
 	Addr     string   `json:"addr,omitempty"`
 	Replicas []string `json:"replicas,omitempty"`
 }
 
-// Group returns the slice's replica addresses: Replicas when populated, else
-// the single Addr. Callers route to any member of the group; all replicas of
-// a slice pin identical SHARD files and tail the same log.
-func (m Member) Group() []string {
-	if len(m.Replicas) > 0 {
-		return m.Replicas
-	}
-	if m.Addr != "" {
-		return []string{m.Addr}
-	}
-	return nil
-}
-
-// Map is the versioned, epoch-numbered shard-map document. The gateway
-// serves its configured map at /v1/shardmap; each staleapid serves a Self
-// view of its own slice. Two processes interoperate only when version,
-// epoch, hash and vnodes all agree — the gateway validates every shard's
-// self-report against its map and refuses to route to a replica holding a
-// different ring.
+// Map is the fleet view the gateway serves at /v1/shardmap: this build's
+// ring parameters and, per slice, its replicas. It is output only; the
+// gateway takes its topology from the -shards text and checks each
+// replica's Self against the build's constants.
 type Map struct {
 	Version int      `json:"version"`
 	Epoch   uint64   `json:"epoch"`
@@ -83,9 +67,9 @@ type Map struct {
 	Shards  []Member `json:"shards"`
 }
 
-// NewMap builds this build's map (Epoch, HashName, DefaultVNodes) where each
+// NewMap renders this build's map (Epoch, HashName, DefaultVNodes) where each
 // slice is served by a replica group of one or more base URLs, in ring-index
-// order. A single-address group uses the addr-only wire form.
+// order. A single-address group uses the addr-only form.
 func NewMap(groups [][]string) Map {
 	m := Map{Version: MapVersion, Epoch: Epoch, Hash: HashName, VNodes: DefaultVNodes}
 	for i, g := range groups {
@@ -99,63 +83,6 @@ func NewMap(groups [][]string) Map {
 		m.Shards = append(m.Shards, mem)
 	}
 	return m
-}
-
-// Validate checks the document is a coherent ring description: known version
-// and hash, positive vnodes, and members covering exactly indexes 0..N-1.
-func (m Map) Validate() error {
-	if m.Version != MapVersion {
-		return fmt.Errorf("shard: map version %d (want %d)", m.Version, MapVersion)
-	}
-	if m.Hash != HashName {
-		return fmt.Errorf("shard: map hash %q (want %q)", m.Hash, HashName)
-	}
-	if m.VNodes <= 0 {
-		return fmt.Errorf("shard: map vnodes %d (want > 0)", m.VNodes)
-	}
-	if len(m.Shards) == 0 {
-		return fmt.Errorf("shard: map has no shards")
-	}
-	if err := checkRingSize(len(m.Shards), m.VNodes); err != nil {
-		return err
-	}
-	seen := make([]bool, len(m.Shards))
-	addrs := make(map[string]int, len(m.Shards))
-	for _, sh := range m.Shards {
-		if sh.Index < 0 || sh.Index >= len(m.Shards) || seen[sh.Index] {
-			return fmt.Errorf("shard: map indexes are not exactly 0..%d", len(m.Shards)-1)
-		}
-		seen[sh.Index] = true
-		group := sh.Group()
-		if len(group) == 0 {
-			return fmt.Errorf("shard: slice %d has an empty replica group", sh.Index)
-		}
-		if len(sh.Replicas) > 0 && sh.Addr != "" && sh.Addr != sh.Replicas[0] {
-			return fmt.Errorf("shard: slice %d addr %q is not its first replica %q",
-				sh.Index, sh.Addr, sh.Replicas[0])
-		}
-		for _, a := range group {
-			if a == "" {
-				return fmt.Errorf("shard: slice %d has an empty replica address", sh.Index)
-			}
-			if prev, dup := addrs[a]; dup {
-				if prev == sh.Index {
-					return fmt.Errorf("shard: slice %d lists replica %q twice", sh.Index, a)
-				}
-				return fmt.Errorf("shard: replica %q serves both slice %d and slice %d", a, prev, sh.Index)
-			}
-			addrs[a] = sh.Index
-		}
-	}
-	return nil
-}
-
-// Ring derives the map's consistent-hash ring.
-func (m Map) Ring() (*Ring, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return NewRing(len(m.Shards), m.VNodes)
 }
 
 // Self is the shard-map view one replica serves at /v1/shardmap: the ring
@@ -182,22 +109,22 @@ func NewSelf(a *Assignment, certs int) Self {
 	return s
 }
 
-// Agrees reports whether a replica's self-report is consistent with this map
-// placing it at index: same document version, epoch, hash and vnodes, and
-// the replica believes it owns exactly that slice of a same-sized fleet.
-func (m Map) Agrees(index int, s Self) error {
+// Agrees reports whether a replica's self-report matches this build's ring
+// and places the replica at slice index of count: same view version, epoch,
+// hash and vnodes, and exactly that slice of a same-sized fleet.
+func (s Self) Agrees(index, count int) error {
 	switch {
-	case s.Version != m.Version:
-		return fmt.Errorf("shard %d: map version %d (gateway has %d)", index, s.Version, m.Version)
-	case s.Epoch != m.Epoch:
-		return fmt.Errorf("shard %d: map epoch %d (gateway has %d)", index, s.Epoch, m.Epoch)
-	case s.Hash != m.Hash:
-		return fmt.Errorf("shard %d: ring hash %q (gateway has %q)", index, s.Hash, m.Hash)
-	case s.VNodes != m.VNodes:
-		return fmt.Errorf("shard %d: %d vnodes (gateway has %d)", index, s.VNodes, m.VNodes)
-	case s.Shard.Index != index || s.Shard.Count != len(m.Shards):
+	case s.Version != MapVersion:
+		return fmt.Errorf("shard %d: map version %d (this build has %d)", index, s.Version, MapVersion)
+	case s.Epoch != Epoch:
+		return fmt.Errorf("shard %d: map epoch %d (this build has %d)", index, s.Epoch, Epoch)
+	case s.Hash != HashName:
+		return fmt.Errorf("shard %d: ring hash %q (this build has %q)", index, s.Hash, HashName)
+	case s.VNodes != DefaultVNodes:
+		return fmt.Errorf("shard %d: %d vnodes (this build has %d)", index, s.VNodes, DefaultVNodes)
+	case s.Shard.Index != index || s.Shard.Count != count:
 		return fmt.Errorf("shard %d: replica claims slice %s (gateway expects %d/%d)",
-			index, s.Shard, index, len(m.Shards))
+			index, s.Shard, index, count)
 	}
 	return nil
 }

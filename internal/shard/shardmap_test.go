@@ -2,115 +2,65 @@ package shard
 
 import (
 	"encoding/json"
-	"strings"
+	"reflect"
 	"testing"
 )
 
-func TestReplicatedMapValidate(t *testing.T) {
-	m := NewMap([][]string{
-		{"http://a0", "http://a1"},
-		{"http://b0", "http://b1"},
-	})
-	if err := m.Validate(); err != nil {
-		t.Fatalf("valid 2x2 map rejected: %v", err)
-	}
-	if got := m.Shards[0].Group(); len(got) != 2 || got[0] != "http://a0" || got[1] != "http://a1" {
-		t.Fatalf("Group() = %v", got)
-	}
-	// Wire compatibility: Addr is the first replica, so a legacy reader
-	// that only understands addr still routes somewhere valid.
-	if m.Shards[1].Addr != "http://b0" {
-		t.Fatalf("Addr = %q, want first replica", m.Shards[1].Addr)
-	}
-
-	single := NewMap([][]string{{"http://a"}, {"http://b"}})
-	if err := single.Validate(); err != nil {
-		t.Fatalf("single-replica groups rejected: %v", err)
-	}
-	if len(single.Shards[0].Replicas) != 0 {
-		t.Fatal("single-address group should use the legacy addr-only wire form")
-	}
-}
-
-func TestReplicatedMapValidateRejections(t *testing.T) {
-	cases := map[string]struct {
-		groups [][]string
-		want   string
-	}{
-		"empty group": {
-			groups: [][]string{{"http://a"}, {}},
-			want:   "empty replica group",
-		},
-		"empty address": {
-			groups: [][]string{{"http://a", ""}, {"http://b"}},
-			want:   "empty replica address",
-		},
-		"duplicate within slice": {
-			groups: [][]string{{"http://a", "http://a"}, {"http://b"}},
-			want:   "twice",
-		},
-		"duplicate across slices": {
-			groups: [][]string{{"http://a", "http://shared"}, {"http://shared", "http://b"}},
-			want:   "serves both slice",
-		},
-	}
-	for name, tc := range cases {
-		m := NewMap(tc.groups)
-		err := m.Validate()
-		if err == nil {
-			t.Errorf("%s: accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
-		}
-	}
-
-	// A hand-built member whose addr disagrees with its replica list is
-	// ambiguous and must be rejected.
-	bad := Map{Version: MapVersion, Epoch: 1, Hash: HashName, VNodes: 64,
-		Shards: []Member{{Index: 0, Addr: "http://x", Replicas: []string{"http://a", "http://b"}}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("addr != replicas[0] accepted")
-	}
-}
-
+// A replica agrees with the gateway only when its self-report names this
+// build's ring and exactly the slice the gateway's -shards text gives it.
 func TestReplicatedAgrees(t *testing.T) {
-	m := NewMap([][]string{
-		{"http://a0", "http://a1"},
-		{"http://b0", "http://b1"},
-	})
-	ok := NewSelf(&Assignment{Index: 1, Count: 2}, 0)
-	// Both replicas of slice 1 report the same slice; both must agree.
-	for replica := 0; replica < 2; replica++ {
-		if err := m.Agrees(1, ok); err != nil {
-			t.Fatalf("replica %d of slice 1 rejected: %v", replica, err)
+	self := NewSelf(&Assignment{Index: 1, Count: 2}, 0)
+	if err := self.Agrees(1, 2); err != nil {
+		t.Fatalf("consistent self-report rejected: %v", err)
+	}
+	if err := NewSelf(nil, 0).Agrees(0, 1); err != nil {
+		t.Fatalf("whole-keyspace self-report rejected for a one-slice fleet: %v", err)
+	}
+	for name, edit := range map[string]func(*Self){
+		"version": func(s *Self) { s.Version++ },
+		// A replica restarted into the next epoch, its slice still right.
+		"epoch":  func(s *Self) { s.Epoch++ },
+		"hash":   func(s *Self) { s.Hash = "md5" },
+		"vnodes": func(s *Self) { s.VNodes++ },
+		// A mis-pinned SHARD file: the replica serves another slice.
+		"slice": func(s *Self) { s.Shard = Assignment{0, 2} },
+		// A replica from a differently-sharded deployment.
+		"count": func(s *Self) { s.Shard = Assignment{1, 3} },
+	} {
+		bad := self
+		edit(&bad)
+		if err := bad.Agrees(1, 2); err == nil {
+			t.Errorf("mismatched %s accepted", name)
 		}
-	}
-
-	// Mixed-epoch replica set: one replica restarted into the next epoch
-	// must be rejected even though its slice assignment is right.
-	stale := ok
-	stale.Epoch = Epoch + 1
-	if err := m.Agrees(1, stale); err == nil {
-		t.Error("mixed-epoch replica accepted")
-	}
-
-	// Wrong group: a replica that believes it serves a different slice
-	// (mis-pinned SHARD file) must be rejected for this index.
-	wrongSlice := ok
-	wrongSlice.Shard = Assignment{Index: 0, Count: 2}
-	if err := m.Agrees(1, wrongSlice); err == nil {
-		t.Error("replica claiming the wrong slice accepted")
-	}
-	// Wrong fleet size: a replica from a differently-sharded deployment.
-	wrongCount := ok
-	wrongCount.Shard = Assignment{Index: 1, Count: 3}
-	if err := m.Agrees(1, wrongCount); err == nil {
-		t.Error("replica from a 3-slice fleet accepted into a 2-slice map")
 	}
 }
 
+// NewMap renders a coherent view: this build's ring parameters, slices at
+// indexes 0..N-1 that each name a replica, a ring of that shape, and a
+// replica of this build at slice i agrees with the place the view gives it.
+func TestMapValidateAndAgrees(t *testing.T) {
+	m := NewMap([][]string{{"http://a"}, {"http://b"}})
+	if m.Version != MapVersion || m.Epoch != Epoch || m.Hash != HashName || m.VNodes != DefaultVNodes {
+		t.Fatalf("map parameters %d/%d/%q/%d are not this build's", m.Version, m.Epoch, m.Hash, m.VNodes)
+	}
+	if _, err := NewRing(len(m.Shards), m.VNodes); err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range m.Shards {
+		if sh.Index != i || sh.Addr == "" {
+			t.Fatalf("slice %d rendered as %+v", i, sh)
+		}
+		if err := NewSelf(&Assignment{Index: i, Count: len(m.Shards)}, 0).Agrees(i, len(m.Shards)); err != nil {
+			t.Fatalf("consistent self-report rejected at slice %d: %v", i, err)
+		}
+	}
+	if err := NewSelf(&Assignment{Index: 0, Count: 2}, 0).Agrees(1, len(m.Shards)); err == nil {
+		t.Error("replica claiming slice 0 accepted at slice 1")
+	}
+}
+
+// The rendered view decodes back to itself: a replicated slice keeps its
+// first replica as addr and its full replica list, a single one only addr.
 func TestReplicatedMapJSONRoundTrip(t *testing.T) {
 	m := NewMap([][]string{
 		{"http://a0", "http://a1"},
@@ -124,13 +74,13 @@ func TestReplicatedMapJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("round-tripped map invalid: %v", err)
+	if !reflect.DeepEqual(back, m) {
+		t.Fatalf("round-tripped map = %+v, want %+v", back, m)
 	}
-	if g := back.Shards[0].Group(); len(g) != 2 || g[1] != "http://a1" {
-		t.Fatalf("round-tripped group = %v", g)
+	if sh := back.Shards[0]; sh.Addr != "http://a0" || len(sh.Replicas) != 2 || sh.Replicas[1] != "http://a1" {
+		t.Fatalf("round-tripped replicated slice = %+v", sh)
 	}
-	if g := back.Shards[1].Group(); len(g) != 1 || g[0] != "http://b" {
-		t.Fatalf("round-tripped single group = %v", g)
+	if sh := back.Shards[1]; sh.Addr != "http://b" || len(sh.Replicas) != 0 {
+		t.Fatalf("round-tripped single slice = %+v", sh)
 	}
 }

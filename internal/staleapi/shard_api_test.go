@@ -110,8 +110,8 @@ func TestShardmapEndpoint(t *testing.T) {
 	if got.Epoch != shard.Epoch || got.Shard != *slice || got.Certs != len(certs) {
 		t.Fatalf("shardmap = %+v, want epoch %d slice 1/3 certs %d", got, shard.Epoch, len(certs))
 	}
-	if err := shard.NewMap([][]string{{"http://a"}, {ts.URL}, {"http://c"}}).Agrees(1, got); err != nil {
-		t.Fatalf("a 3-slice map disagrees with slice 1's report: %v", err)
+	if err := got.Agrees(1, 3); err != nil {
+		t.Fatalf("slice 1's report disagrees with a 3-slice fleet: %v", err)
 	}
 
 	// An unsharded server reports the whole keyspace: slice 0/1.
@@ -125,7 +125,7 @@ func TestShardmapEndpoint(t *testing.T) {
 	if got.Shard != (shard.Assignment{Index: 0, Count: 1}) || got.Version != shard.MapVersion {
 		t.Fatalf("unsharded shardmap = %+v, want slice 0/1", got)
 	}
-	if err := shard.NewMap([][]string{{tp.URL}}).Agrees(0, got); err != nil {
-		t.Fatalf("a one-slice map disagrees with an unsharded replica: %v", err)
+	if err := got.Agrees(0, 1); err != nil {
+		t.Fatalf("an unsharded replica disagrees with a one-slice fleet: %v", err)
 	}
 }

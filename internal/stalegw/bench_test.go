@@ -13,7 +13,6 @@ import (
 
 	"stalecert/internal/obs"
 	"stalecert/internal/resil"
-	"stalecert/internal/shard"
 )
 
 // nullWriter is a ResponseWriter that costs nothing.
@@ -48,17 +47,11 @@ func benchGateway(b *testing.B, slices int, cfg Config) http.Handler {
 	opts := resil.Options{Service: "stalegw", Breaker: resil.NewBreakerSet(resil.BreakerConfig{Service: "stalegw"})}
 	hc := resil.NewHTTPClient(opts)
 	b.Cleanup(hc.CloseIdleConnections)
-	cfg.Map = shard.NewMap(groups)
 	cfg.Client = hc
 	cfg.CacheTTL = time.Nanosecond
 	cfg.HedgeAfter = 30 * time.Millisecond
 	cfg.Breakers = opts.Breaker
-	cfg.Health = obs.NewHealth()
-	gw, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return obs.Middleware(obs.NewRegistry(), "stalegw", gw.Handler())
+	return obs.Middleware(obs.NewRegistry(), "stalegw", newGateway(b, groups, cfg).Handler())
 }
 
 // BenchmarkGatewayOwnerRouted is one owner-routed staleness query against one

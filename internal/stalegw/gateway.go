@@ -1,6 +1,6 @@
 // Package stalegw is the stateless query gateway in front of a sharded
-// staleapid fleet. It holds no certificate state of its own: a versioned
-// shard.Map tells it which replica group owns which ring slice, and every
+// staleapid fleet. It holds no certificate state of its own: the -shards
+// text tells it which replica group owns which ring slice, and every
 // query is either owner-routed (domain endpoints — the e2LD names exactly
 // one slice) or scatter-gathered (fingerprint and listing endpoints — the
 // owner cannot be derived from the request alone).
@@ -74,11 +74,10 @@ var (
 
 // Config assembles a Gateway.
 type Config struct {
-	// Map is the fleet topology: every member must carry its API base URL.
-	Map shard.Map
+	// Shards is the fleet topology in stalegw's -shards syntax (parseShards).
+	Shards string
 	// Client performs shard calls. Wire a resil-instrumented client so each
-	// fan-out leg gets per-shard circuit breaking, retries and trace spans;
-	// nil falls back to http.DefaultClient (tests only).
+	// fan-out leg gets per-shard circuit breaking, retries and trace spans.
 	Client *http.Client
 	// Quorum is the minimum live shards for degraded readiness (default
 	// majority, n/2+1). Below it /readyz reports 503.
@@ -103,7 +102,7 @@ type Config struct {
 
 // Gateway routes /v1 queries to the owning slices' replica groups.
 type Gateway struct {
-	m        shard.Map
+	m        shard.Map // what /v1/shardmap renders
 	ring     *shard.Ring
 	groups   [][]string // per slice: replica base URLs
 	hosts    [][]string // per slice: replica URL hosts (breaker peer keys)
@@ -130,31 +129,21 @@ type Gateway struct {
 	replicaErrs [][]error
 }
 
-// New validates the map and builds the gateway.
+// New checks the topology and builds the gateway.
 func New(cfg Config) (*Gateway, error) {
-	ring, err := cfg.Map.Ring()
+	shards, ring, err := parseShards(cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	n := len(cfg.Map.Shards)
+	n := len(shards)
 	groups := make([][]string, n)
 	hosts := make([][]string, n)
-	for _, m := range cfg.Map.Shards {
-		for _, a := range m.Group() {
-			a = strings.TrimRight(a, "/")
-			u, uerr := url.Parse(a)
-			if uerr != nil || u.Host == "" {
-				return nil, fmt.Errorf("stalegw: shard %d: bad replica address %q", m.Index, a)
-			}
-			groups[m.Index] = append(groups[m.Index], a)
-			hosts[m.Index] = append(hosts[m.Index], u.Host)
+	for i, group := range shards {
+		for _, a := range group {
+			u, _ := url.Parse(a) // parseShards parsed it
+			groups[i] = append(groups[i], strings.TrimRight(a, "/"))
+			hosts[i] = append(hosts[i], u.Host)
 		}
-		if len(groups[m.Index]) == 0 {
-			return nil, fmt.Errorf("stalegw: shard %d has no address", m.Index)
-		}
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
 	}
 	if cfg.Quorum <= 0 {
 		cfg.Quorum = n/2 + 1
@@ -176,7 +165,7 @@ func New(cfg Config) (*Gateway, error) {
 		cache.SetClock(cfg.Clock.Now)
 	}
 	g := &Gateway{
-		m:           cfg.Map,
+		m:           shard.NewMap(shards),
 		ring:        ring,
 		groups:      groups,
 		hosts:       hosts,
@@ -206,6 +195,47 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.health.Register("shard-quorum", g.QuorumProbe)
 	return g, nil
+}
+
+// parseShards parses and checks the -shards text, the one place the fleet's
+// topology enters the gateway: slices in ring-index order separated by ",",
+// each one replica base URL or several separated by "|", spaces around
+// either separator ignored. It refuses an empty slice or replica entry, a
+// replica that is not a URL with a host, an address listed twice (a trailing
+// "/" aside) and a slice count the ring refuses. It returns each slice's
+// replicas as written and the ring over the slices.
+func parseShards(text string) ([][]string, *shard.Ring, error) {
+	parts := strings.Split(text, ",")
+	ring, err := shard.NewRing(len(parts), shard.DefaultVNodes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("stalegw: -shards: %w", err)
+	}
+	groups := make([][]string, len(parts))
+	seen := make(map[string]int)
+	for i, slice := range parts {
+		if strings.TrimSpace(slice) == "" {
+			return nil, nil, fmt.Errorf("stalegw: -shards: slice %d is empty", i)
+		}
+		for _, a := range strings.Split(slice, "|") {
+			a = strings.TrimSpace(a)
+			if a == "" {
+				return nil, nil, fmt.Errorf("stalegw: -shards: slice %d has an empty replica entry", i)
+			}
+			if u, err := url.Parse(a); err != nil || u.Host == "" {
+				return nil, nil, fmt.Errorf("stalegw: -shards: slice %d: replica %q is not a URL with a host", i, a)
+			}
+			key := strings.TrimRight(a, "/")
+			if prev, dup := seen[key]; dup {
+				if prev == i {
+					return nil, nil, fmt.Errorf("stalegw: -shards: slice %d lists replica %q twice", i, a)
+				}
+				return nil, nil, fmt.Errorf("stalegw: -shards: replica %q serves both slice %d and slice %d", a, prev, i)
+			}
+			seen[key] = i
+			groups[i] = append(groups[i], a)
+		}
+	}
+	return groups, ring, nil
 }
 
 // Handler returns the gateway mux. Wrap it in obs.Middleware for RED
@@ -616,14 +646,14 @@ func (g *Gateway) handleDomains(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, merged)
 }
 
-// handleShardmap serves the gateway's full topology document — the fleet
-// view, where each staleapid serves only its own slice.
+// handleShardmap serves the -shards topology rendered as the fleet view,
+// where each staleapid serves only its own slice.
 func (g *Gateway) handleShardmap(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, g.m)
 }
 
 // probeReplica checks one replica of one slice is ready AND agrees with the
-// gateway's map: a live replica holding a different ring (wrong epoch,
+// gateway's topology: a live replica holding a different ring (wrong epoch,
 // vnodes, slice...) would silently mis-route, so it counts as down.
 func (g *Gateway) probeReplica(ctx context.Context, idx, r int) error {
 	addr := g.groups[idx][r]
@@ -645,7 +675,7 @@ func (g *Gateway) probeReplica(ctx context.Context, idx, r int) error {
 	if err := json.Unmarshal(res.body, &self); err != nil {
 		return fmt.Errorf("shard %d replica %d: bad shardmap document: %w", idx, r, err)
 	}
-	if err := g.m.Agrees(idx, self); err != nil {
+	if err := self.Agrees(idx, len(g.groups)); err != nil {
 		return fmt.Errorf("replica %d: %w", r, err)
 	}
 	return nil

@@ -65,13 +65,28 @@ func newFleet(t *testing.T, n int, cfg Config, wire func(idx int, mux *http.Serv
 		})
 		groups[i] = []string{shards[i].ts.URL}
 	}
-	cfg.Map = shard.NewMap(groups)
+	return shards, newGateway(t, groups, cfg)
+}
+
+// newGateway builds a gateway over the replica groups, written as a -shards
+// text, with its own health registry and, unless cfg has one, the default
+// HTTP client.
+func newGateway(t testing.TB, groups [][]string, cfg Config) *Gateway {
+	t.Helper()
+	slices := make([]string, len(groups))
+	for i, g := range groups {
+		slices[i] = strings.Join(g, "|")
+	}
+	cfg.Shards = strings.Join(slices, ",")
+	if cfg.Client == nil {
+		cfg.Client = http.DefaultClient
+	}
 	cfg.Health = obs.NewHealth()
 	gw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return shards, gw
+	return gw
 }
 
 func gwGet(t *testing.T, gw *Gateway, path string) (*http.Response, []byte) {
@@ -303,8 +318,8 @@ func TestOwnerServeStaleDegraded(t *testing.T) {
 	}
 }
 
-// Readiness is quorum-based over probe rounds, and a shard whose shard-map
-// self-report disagrees with the gateway's map counts as down.
+// Readiness is quorum-based over probe rounds, and a shard whose /v1/shardmap
+// self-report disagrees with the gateway's topology counts as down.
 func TestQuorumReadiness(t *testing.T) {
 	shards, gw := newFleet(t, 3, Config{Quorum: 2}, nil)
 	ctx := context.Background()
@@ -334,33 +349,10 @@ func TestQuorumReadiness(t *testing.T) {
 	// A mis-mapped replica (wrong epoch) is down even though it's serving.
 	wrong := newFakeShard(t, 0, 2, shard.Epoch+1, nil)
 	right := newFakeShard(t, 1, 2, shard.Epoch, nil)
-	m := shard.NewMap([][]string{{wrong.ts.URL}, {right.ts.URL}})
-	gw2, err := New(Config{Map: m, Health: obs.NewHealth(), Quorum: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw2 := newGateway(t, [][]string{{wrong.ts.URL}, {right.ts.URL}}, Config{Quorum: 1})
 	gw2.ProbeOnce(ctx)
 	if err := gw2.QuorumProbe(ctx); err == nil || !obs.IsDegraded(err) {
 		t.Fatalf("mis-mapped shard: err = %v, want degraded (1/2 up)", err)
-	}
-}
-
-// The gateway's own shardmap endpoint serves the full topology.
-func TestGatewayShardmap(t *testing.T) {
-	_, gw := newFleet(t, 2, Config{}, nil)
-	resp, body := gwGet(t, gw, "/v1/shardmap")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var m shard.Map
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Shards) != 2 || m.Shards[0].Addr == "" {
-		t.Fatalf("map = %+v", m)
 	}
 }
 
@@ -382,13 +374,7 @@ func newReplicatedFleet(t *testing.T, n, reps int, cfg Config, wire func(slice, 
 			groups[i] = append(groups[i], f.ts.URL)
 		}
 	}
-	cfg.Map = shard.NewMap(groups)
-	cfg.Health = obs.NewHealth()
-	gw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return shards, gw
+	return shards, newGateway(t, groups, cfg)
 }
 
 // domainsOwnedBy returns count distinct domains the ring places on slice idx.

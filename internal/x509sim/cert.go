@@ -149,9 +149,13 @@ var (
 // and keeps the codec's length fields in one byte.
 const MaxNames = 256
 
-// MaxMarshaledLen is the longest Marshal encoding: MaxNames SANs of 253
-// octets, the longest DNS name.
-const MaxMarshaledLen = 3 + bodyFixed + MaxNames*(1+253)
+// maxNameLen is the longest SAN: 253 octets, the longest DNS name, which New
+// holds through dnsname.Check and Unmarshal holds by length alone.
+const maxNameLen = 253
+
+// MaxMarshaledLen is the longest encoding of a certificate New builds, and
+// the longest Unmarshal accepts: MaxNames SANs of maxNameLen octets.
+const MaxMarshaledLen = 3 + bodyFixed + MaxNames*(1+maxNameLen)
 
 // New validates and canonicalises a certificate. Names are canonicalised,
 // deduplicated and sorted; usage defaults to serverAuth when zero.
@@ -304,7 +308,8 @@ func (c *Certificate) AppendMarshal(b []byte) []byte {
 }
 
 // Unmarshal decodes a certificate produced by Marshal. It rejects trailing
-// bytes so framing bugs surface immediately.
+// bytes so framing bugs surface immediately, and a SAN longer than any New
+// accepts, so no decoded certificate encodes past MaxMarshaledLen.
 func Unmarshal(b []byte) (*Certificate, error) {
 	c, rest, err := unmarshalPrefix(b)
 	if err != nil {
@@ -351,6 +356,9 @@ func unmarshalPrefix(b []byte) (*Certificate, []byte, error) {
 			return nil, nil, ErrTruncated
 		}
 		l := int(b[0])
+		if l > maxNameLen {
+			return nil, nil, ErrBadName
+		}
 		if len(b) < 1+l {
 			return nil, nil, ErrTruncated
 		}

@@ -78,6 +78,19 @@ func TestCodecMaxLengthNames(t *testing.T) {
 	}
 }
 
+// Unmarshal refuses a SAN of 254 octets, one past what New accepts, so no
+// decoded certificate encodes past MaxMarshaledLen.
+func TestCodecRefusesOverlongName(t *testing.T) {
+	c, err := New(1, 1, 1, []string{maxLenName(t, 1)}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Names[0] += "a"
+	if _, err := Unmarshal(c.Marshal()); !errors.Is(err, ErrBadName) {
+		t.Fatalf("254-octet SAN err = %v, want ErrBadName", err)
+	}
+}
+
 func TestCodecZeroValidity(t *testing.T) {
 	// A certificate valid for exactly one day: NotBefore == NotAfter.
 	c, err := New(5, 1, 5, []string{"oneday.example.com"}, 42, 42)
