@@ -101,7 +101,7 @@ func BenchmarkIngestSync(b *testing.B) {
 // BenchmarkLookup is the index read a staleness or certificate miss starts
 // with (certstore.by_e2ld_ns, certstore.by_fingerprint_ns), over a store
 // shaped like the benchmark rig's: 1 000 e2LDs of five certificates each.
-// parallel runs both reads from every P against the per-shard read locks.
+// parallel runs both reads from every P, which share the index's one read lock.
 func BenchmarkLookup(b *testing.B) {
 	s, names, fps := lookupStore(b)
 	const domains, perDomain = lookupDomains, lookupPerDomain

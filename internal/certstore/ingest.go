@@ -10,7 +10,6 @@ import (
 	"stalecert/internal/ctlog"
 	"stalecert/internal/merkle"
 	"stalecert/internal/obs"
-	"stalecert/internal/shard"
 )
 
 // Ingester metrics: sync rounds, entries and certificates absorbed, lag
@@ -46,14 +45,6 @@ type Ingester struct {
 	Client *ctlog.Client
 	// BatchSize is the get-entries page size (0 = the client default).
 	BatchSize uint64
-	// ring is the store's slice's ring, nil when the store holds everything.
-	// Every entry is still fetched and checked for index contiguity — the
-	// checkpoint advances over every entry, and every round's tree head must
-	// extend the last one's; no entry is hashed — but only certificates the
-	// slice owns (shard.Keeps) reach the store. A sharded fleet points N
-	// ingesters at the same log, each into a store opened as another slice.
-	ring  *shard.Ring
-	slice int
 	// lag is the entries behind the head after the last Sync.
 	lag      uint64
 	mKept    *obs.Counter
@@ -61,14 +52,18 @@ type Ingester struct {
 }
 
 // NewIngester tails client into store, from the store's checkpoint if it
-// has one, keeping only the certificates of the store's slice.
+// has one, keeping only the certificates of the store's slice. Every entry is
+// still fetched and checked for index contiguity — the checkpoint advances
+// over every entry, and every round's tree head must extend the last one's;
+// no entry is hashed — but only certificates the slice owns (shard.Keeps)
+// reach the store. A sharded fleet points N ingesters at the same log, each
+// into a store opened as another slice.
 func NewIngester(store *Store, client *ctlog.Client) *Ingester {
 	if _, ok := store.Checkpoint(); ok {
 		mIngestResumes.Inc()
 	}
 	ing := &Ingester{Store: store, Client: client}
-	if a := store.Slice(); a != nil {
-		ing.ring, ing.slice = shard.MustRing(a.Count, shard.DefaultVNodes), a.Index
+	if a := store.slice; a != nil {
 		ing.mKept, ing.mSkipped = ingestKeptCounter(a.String()), ingestSkippedCounter(a.String())
 	}
 	return ing
@@ -219,7 +214,7 @@ func (ing *Ingester) gather(b *scraped, page []ctlog.Entry) {
 	}
 	for _, e := range page {
 		p := prepareCert(ing.Store.psl, e.Cert)
-		if ing.ring == nil || shard.Keeps(ing.ring, ing.slice, p.e2lds, p.fp) {
+		if ing.Store.keeps(p) {
 			b.certs = append(b.certs, p)
 		}
 		b.next = max(b.next, e.Index+1)

@@ -66,6 +66,25 @@ type manifest struct {
 
 func segmentFileName(n int) string { return fmt.Sprintf("seg-%06d.log", n) }
 
+// nextSegment names the segment past the highest-numbered one m names. A file
+// by that name can only be an orphan of a crash between createSegment and the
+// manifest write: it holds nothing the store committed.
+func (m *manifest) nextSegment() string {
+	last := segmentNumber(m.Active)
+	for _, meta := range m.Sealed {
+		last = max(last, segmentNumber(meta.Name))
+	}
+	return segmentFileName(last + 1)
+}
+
+// segmentNumber is the n of segmentFileName(n), and 0 for a name of another
+// form, which no segmentFileName can collide with.
+func segmentNumber(name string) int {
+	var n int
+	_, _ = fmt.Sscanf(name, "seg-%d.log", &n)
+	return n
+}
+
 // writeFileAtomic replaces path with data via a same-directory temp file and
 // rename, fsyncing both the file and (best-effort) the directory.
 func writeFileAtomic(path string, data []byte) error {
@@ -202,8 +221,9 @@ func verifySealed(dir string, meta segmentMeta) ([]*x509sim.Certificate, error) 
 }
 
 // createSegment creates a fresh segment file with its magic header, fsynced.
+// A file already at path is one the manifest does not name, and is replaced.
 func createSegment(path string) (*os.File, int64, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, 0, err
 	}

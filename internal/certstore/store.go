@@ -7,9 +7,9 @@
 //   - an append-only segmented on-disk store reusing the x509sim binary
 //     codec, with a crash-safe manifest (sealed segments are checksummed,
 //     the active segment's torn tail is truncated on open);
-//   - N-way sharded in-memory indexes — by e2LD (via the PSL), by (issuer,
-//     serial) CRL join key, and by fingerprint — each shard independently
-//     RW-locked so parallel readers scale;
+//   - in-memory indexes — by e2LD (via the PSL), by (issuer, serial) CRL
+//     join key, and by fingerprint — under one RW lock that a batch is
+//     indexed under, so a reader sees each batch whole or not at all;
 //   - a persisted CT ingest checkpoint, so a restarted tailer resumes from
 //     where it stopped instead of re-scraping the log.
 //
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -37,8 +36,8 @@ import (
 	"stalecert/internal/x509sim"
 )
 
-// Store metric families: segment/cert/byte totals, per-shard index sizes,
-// append and dedup counters, and the persisted checkpoint position.
+// Store metric families: segment/cert/byte totals, append and dedup
+// counters, and the persisted checkpoint position.
 var (
 	mSegments    = obs.Default().Gauge("certstore_segments")
 	mCerts       = obs.Default().Gauge("certstore_certs")
@@ -51,10 +50,6 @@ var (
 	mCheckpointN = obs.Default().Gauge("certstore_checkpoint_next_index")
 )
 
-func shardGauge(i int) *obs.Gauge {
-	return obs.Default().Gauge("certstore_index_shard_certs", "shard", fmt.Sprint(i))
-}
-
 // DefaultMaxSegmentBytes seals the active segment once it crosses 4 MiB —
 // small enough that tests exercise sealing, large enough that a real ingest
 // isn't manifest-bound.
@@ -64,8 +59,6 @@ const DefaultMaxSegmentBytes = 4 << 20
 type Options struct {
 	// Dir is the store directory; created if missing. Required.
 	Dir string
-	// PSL defaults to psl.Default().
-	PSL *psl.List
 	// MaxSegmentBytes defaults to DefaultMaxSegmentBytes.
 	MaxSegmentBytes int64
 	// Slice, when non-nil, is the ring slice the store holds (see
@@ -96,12 +89,13 @@ func (cp Checkpoint) Root() (merkle.Hash, error) {
 }
 
 // Store is an open certificate store. All methods are safe for concurrent
-// use; reads only take per-shard read locks.
+// use; lookups take only the index's read lock.
 type Store struct {
 	dir    string
 	psl    *psl.List
 	maxSeg int64
-	idx    *shardedIndex
+	idx    *index
+	ring   *shard.Ring // the slice's ring, nil when unsharded; set by Open
 
 	mu       sync.RWMutex // guards everything below
 	man      *manifest
@@ -184,19 +178,9 @@ func (s *Store) pin(a shard.Assignment) error {
 // ErrClosed is returned by writes on a closed store.
 var ErrClosed = errors.New("certstore: store is closed")
 
-// defaultShards is the index shard count: the next power of two
-// ≥ 2*GOMAXPROCS, clamped to [4, 256].
-func defaultShards() int {
-	n := 4
-	for n < 2*runtime.GOMAXPROCS(0) && n < 256 {
-		n *= 2
-	}
-	return n
-}
-
 // Open opens (or creates) the store at opts.Dir, verifies sealed segments
 // against the manifest, truncates any torn tail off the active segment,
-// rebuilds the sharded indexes, and pins or checks opts.Slice (checkSlice).
+// rebuilds the index, and pins or checks opts.Slice (checkSlice).
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("certstore: Options.Dir is required")
@@ -210,9 +194,6 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.PSL == nil {
-		opts.PSL = psl.Default()
-	}
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = DefaultMaxSegmentBytes
 	}
@@ -221,9 +202,9 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{
 		dir:    opts.Dir,
-		psl:    opts.PSL,
+		psl:    psl.Default(),
 		maxSeg: opts.MaxSegmentBytes,
-		idx:    newShardedIndex(defaultShards()),
+		idx:    newIndex(),
 	}
 
 	man, err := loadManifest(opts.Dir)
@@ -281,7 +262,7 @@ func Open(opts Options) (*Store, error) {
 		s.man = man
 		// Re-index with fingerprint dedup across segments (replayed batches
 		// may straddle a seal).
-		fresh := s.freshOf(s.prepare(loaded))
+		fresh := s.idx.freshOf(s.prepare(loaded))
 		s.idx.addBatch(fresh)
 		s.certs = make([]*x509sim.Certificate, len(fresh))
 		for i, p := range fresh {
@@ -307,7 +288,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.Slice != nil {
 		a := *opts.Slice
-		s.slice = &a
+		s.slice, s.ring = &a, shard.MustRing(a.Count, shard.DefaultVNodes)
 	}
 	s.publishGauges()
 	return s, nil
@@ -335,20 +316,10 @@ func (s *Store) prepare(certs []*x509sim.Certificate) []prepared {
 	return batch
 }
 
-// freshOf returns the certificates of batch that are neither indexed nor
-// repeated earlier in batch, in order, compacted into batch's own array.
-// Callers hold s.mu or own the store (Open).
-func (s *Store) freshOf(batch []prepared) []prepared {
-	fresh := batch[:0]
-	seen := make(map[x509sim.Fingerprint]bool, len(batch))
-	for _, p := range batch {
-		if seen[p.fp] || s.idx.containsFP(p.fp) {
-			continue
-		}
-		seen[p.fp] = true
-		fresh = append(fresh, p)
-	}
-	return fresh
+// keeps reports whether the store's slice owns p (shard.Keeps); an unsharded
+// store keeps every certificate.
+func (s *Store) keeps(p prepared) bool {
+	return s.ring == nil || shard.Keeps(s.ring, s.slice.Index, p.e2lds, p.fp)
 }
 
 // publishGauges refreshes the size gauges; callers hold no locks it needs.
@@ -364,15 +335,13 @@ func (s *Store) publishGauges() {
 	mSegments.Set(float64(segs))
 	mStoreBytes.Set(float64(bytes))
 	mCerts.Set(float64(n))
-	for i, c := range s.idx.shardCounts() {
-		shardGauge(i).Set(float64(c))
-	}
 }
 
 // Append durably stores and indexes every certificate not already present
 // (by fingerprint, so a precert and its final cert deduplicate, matching the
 // paper's criterion). It returns the number actually added. The batch is a
-// single file append; the per-shard index locks are each taken once.
+// single file append and is indexed under one write lock, so no lookup sees
+// part of it.
 func (s *Store) Append(certs []*x509sim.Certificate) (int, error) {
 	return s.commit(s.prepare(certs))
 }
@@ -389,7 +358,7 @@ func (s *Store) commit(batch []prepared) (int, error) {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	fresh := s.freshOf(batch)
+	fresh := s.idx.freshOf(batch)
 	mDeduped.Add(uint64(len(batch) - len(fresh)))
 	if len(fresh) == 0 {
 		s.mu.Unlock()
@@ -446,14 +415,7 @@ func (s *Store) sealLocked() error {
 	if scan.torn {
 		return fmt.Errorf("%w: %s: torn tail while sealing", ErrCorruptSegment, name)
 	}
-	next := segmentFileName(len(s.man.Sealed) + 1)
-	// Find an unused name (sealing is monotonic but be defensive).
-	for {
-		if _, err := os.Stat(filepath.Join(s.dir, next)); errors.Is(err, os.ErrNotExist) {
-			break
-		}
-		next = segmentFileName(len(s.man.Sealed) + 2)
-	}
+	next := s.man.nextSegment()
 	f, sz, err := createSegment(filepath.Join(s.dir, next))
 	if err != nil {
 		return err
@@ -550,18 +512,32 @@ func (s *Store) Certs() []*x509sim.Certificate {
 
 // ByKey resolves a CRL (issuer, serial) join key.
 func (s *Store) ByKey(k x509sim.DedupKey) (*x509sim.Certificate, bool) {
-	return s.idx.byKey(k)
+	s.idx.mu.RLock()
+	defer s.idx.mu.RUnlock()
+	c, ok := s.idx.byKey[k]
+	return c, ok
 }
 
 // ByE2LD returns every certificate naming an FQDN under the e2LD. The slice
 // is a defensive copy.
 func (s *Store) ByE2LD(domain string) []*x509sim.Certificate {
-	return s.idx.byE2LD(domain)
+	s.idx.mu.RLock()
+	defer s.idx.mu.RUnlock()
+	certs := s.idx.byE2LD[domain]
+	if len(certs) == 0 {
+		return nil
+	}
+	out := make([]*x509sim.Certificate, len(certs))
+	copy(out, certs)
+	return out
 }
 
 // ByFingerprint resolves a full 32-byte fingerprint.
 func (s *Store) ByFingerprint(fp x509sim.Fingerprint) (*x509sim.Certificate, bool) {
-	return s.idx.byFingerprint(fp)
+	s.idx.mu.RLock()
+	defer s.idx.mu.RUnlock()
+	c, ok := s.idx.byFP[fp]
+	return c, ok
 }
 
 // ByShortFingerprint resolves the 8-byte prefix form that
@@ -571,7 +547,10 @@ func (s *Store) ByShortFingerprint(prefix [8]byte) (*x509sim.Certificate, bool) 
 	for i := 0; i < 8; i++ {
 		v = v<<8 | shortFP(prefix[i])
 	}
-	return s.idx.byShortFingerprint(v)
+	s.idx.mu.RLock()
+	defer s.idx.mu.RUnlock()
+	c, ok := s.idx.byShort[v]
+	return c, ok
 }
 
 // PSL returns the public suffix list the e2LD index was built with.
@@ -580,24 +559,17 @@ func (s *Store) PSL() *psl.List { return s.psl }
 // Domains returns the indexed e2LDs the store owns, sorted: every one when
 // unsharded, and on a pinned slice those the ring gives the slice. A
 // certificate naming several e2LDs is kept by each of their owners, so a
-// slice indexes e2LDs that another slice owns and lists. Diagnostic; takes
-// every shard read lock in turn.
+// slice indexes e2LDs that another slice owns and lists. Diagnostic; holds
+// the index's read lock while it walks the e2LD map.
 func (s *Store) Domains() []string {
-	owns := func(string) bool { return true }
-	if a := s.slice; a != nil {
-		ring := shard.MustRing(a.Count, shard.DefaultVNodes)
-		owns = func(d string) bool { return ring.Lookup(shard.KeyForDomain(d)) == a.Index }
-	}
 	var out []string
-	for _, sh := range s.idx.shards {
-		sh.mu.RLock()
-		for d := range sh.byE2LD {
-			if owns(d) {
-				out = append(out, d)
-			}
+	s.idx.mu.RLock()
+	for d := range s.idx.byE2LD {
+		if s.ring == nil || s.ring.Lookup(shard.KeyForDomain(d)) == s.slice.Index {
+			out = append(out, d)
 		}
-		sh.mu.RUnlock()
 	}
+	s.idx.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }

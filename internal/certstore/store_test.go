@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"stalecert/internal/core"
 	"stalecert/internal/simtime"
@@ -246,42 +247,123 @@ func TestStoreDetectsSealedCorruption(t *testing.T) {
 	}
 }
 
+// Two crashes between createSegment and the manifest write leave two orphan
+// segment files past the active one. Sealing overwrites them instead of
+// spinning on their names, and every committed certificate survives a reopen.
+func TestStoreSealsOverOrphanSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, MaxSegmentBytes: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := mkCert(t, 1000, []string{"orphan.example.net"}, 0, 100)
+	for _, n := range []int{1, 2} {
+		if err := os.WriteFile(filepath.Join(dir, segmentFileName(n)), appendRecord([]byte(segmentMagic), orphan), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []*x509sim.Certificate
+	for i := uint64(1); i <= 60; i++ {
+		want = append(want, mkCert(t, i, []string{"orphaned.example.com"}, 0, 100))
+	}
+	// At the bound the store's lock is still held, so the store is not closed.
+	appended := make(chan error, 1)
+	go func() {
+		for at := 0; at < len(want); at += 5 {
+			if _, err := s.Append(want[at : at+5]); err != nil {
+				appended <- err
+				return
+			}
+		}
+		appended <- s.Close()
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("appends past two orphan segments had not returned 5 s later")
+	}
+	if s.SegmentCount() < 4 {
+		t.Fatalf("SegmentCount = %d, want the active segment sealed past both orphans", s.SegmentCount())
+	}
+	re := openTemp(t, Options{Dir: dir})
+	if re.Len() != len(want) {
+		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(want))
+	}
+	for _, c := range want {
+		if _, ok := re.ByFingerprint(c.Fingerprint()); !ok {
+			t.Fatalf("lost serial %d after reopen", c.Serial)
+		}
+	}
+	if _, ok := re.ByFingerprint(orphan.Fingerprint()); ok {
+		t.Fatal("an orphan segment's certificate was indexed")
+	}
+}
+
+// A writer appends batches of thousands of certificates over many e2LDs while
+// readers look each domain up. Every certificate ByE2LD returns must also be
+// found by its (issuer, serial) key and both fingerprint forms: a reader sees
+// a batch whole or not at all.
 func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 	s := openTemp(t, Options{})
-	const n = 200
+	const batches, perBatch, domains = 40, 2048, 512
+	certs := make([]*x509sim.Certificate, batches*perBatch)
+	fps := make(map[*x509sim.Certificate]x509sim.Fingerprint, len(certs))
+	for i := range certs {
+		c := mkCert(t, uint64(i+1), []string{fmt.Sprintf("w%d.rw%03d.com", i, i%domains)}, 0, 100)
+		certs[i], fps[c] = c, c.Fingerprint()
+	}
 	var wg sync.WaitGroup
+	written := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := uint64(1); i <= n; i++ {
-			if _, err := s.Append([]*x509sim.Certificate{
-				mkCert(t, i, []string{"rw.example.com"}, 0, 100),
-			}); err != nil {
+		defer close(written)
+		for at := 0; at < len(certs); at += perBatch {
+			if _, err := s.Append(certs[at : at+perBatch]); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
-	for r := 0; r < 4; r++ {
+	// The readers call nothing that takes Store.mu: commit holds it across a
+	// whole batch, so a reader waiting on it would never meet a batch mid-way.
+	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				certs := s.ByE2LD("example.com")
-				for _, c := range certs {
+			for i := 0; ; i++ {
+				select {
+				case <-written:
+					return
+				default:
+				}
+				// Newest first: an unfinished batch is at the list's end.
+				list := s.ByE2LD(fmt.Sprintf("rw%03d.com", i%domains))
+				for k := len(list) - 1; k >= 0; k-- {
+					c := list[k]
 					if c == nil {
 						t.Error("nil cert from ByE2LD during writes")
 						return
 					}
+					fp := fps[c]
+					_, byKey := s.ByKey(c.DedupKey())
+					_, byFP := s.ByFingerprint(fp)
+					_, byShort := s.ByShortFingerprint([8]byte(fp[:8]))
+					if !byKey || !byFP || !byShort {
+						t.Errorf("ByE2LD returned serial %d before its batch was whole: ByKey %v, ByFingerprint %v, ByShortFingerprint %v",
+							c.Serial, byKey, byFP, byShort)
+						return
+					}
 				}
-				s.ByKey(x509sim.DedupKey{Issuer: 1, Serial: 5})
-				s.Len()
 			}
 		}()
 	}
 	wg.Wait()
-	if s.Len() != n {
-		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	if s.Len() != len(certs) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(certs))
 	}
 }
 

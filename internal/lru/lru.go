@@ -5,6 +5,7 @@ package lru
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 	"time"
 
@@ -13,9 +14,10 @@ import (
 
 // call is one in-flight computation other callers can wait on.
 type call struct {
-	done chan struct{}
-	val  any
-	err  error
+	done     chan struct{}
+	val      any
+	err      error
+	returned bool // the loader returned rather than panicking
 }
 
 // Cache is a TTL'd LRU with singleflight semantics: concurrent Do calls for
@@ -152,7 +154,21 @@ func (c *Cache) Do(key string, loader func() (any, error)) (v any, info CacheInf
 	c.mu.Unlock()
 	c.misses.Inc()
 
+	defer c.finish(key, cl)
 	cl.val, cl.err = loader()
+	cl.returned = true
+	return serveStale(cl)
+}
+
+// finish ends the flight cl: it wakes the waiters, frees key and caches a good
+// value. Do defers it, so a loader that panics ends its flight too: the
+// waiters get an error naming the panic, which goes on up the loader's
+// goroutine.
+func (c *Cache) finish(key string, cl *call) {
+	r := recover()
+	if !cl.returned {
+		cl.val, cl.err = nil, fmt.Errorf("lru: loader for %q panicked: %v", key, r)
+	}
 	close(cl.done)
 
 	c.mu.Lock()
@@ -179,7 +195,9 @@ func (c *Cache) Do(key string, loader func() (any, error)) (v any, info CacheInf
 	}
 	c.size.Set(float64(c.ll.Len()))
 	c.mu.Unlock()
-	return serveStale(cl)
+	if r != nil {
+		panic(r)
+	}
 }
 
 // Peek returns the value the cache still holds for key, fresh or expired. It

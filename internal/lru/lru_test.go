@@ -2,6 +2,7 @@ package lru
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,5 +219,59 @@ func TestCachePeekLeavesNoTrace(t *testing.T) {
 	}
 	if _, ok := c.Peek("b"); !ok {
 		t.Fatal("the more recently used key was evicted")
+	}
+}
+
+// A loader that panics still ends its flight: a caller waiting on it gets an
+// error naming the panic, the panic goes on up the loader's goroutine, and the
+// next Do for the key runs its own loader.
+func TestCacheLoaderPanicFreesKey(t *testing.T) {
+	c := New("lru", 8, time.Minute)
+	entered, release := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do("k", func() (any, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	shared := c.shared.Value()
+	waited := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do("k", func() (any, error) { return "unused", nil })
+		waited <- err
+	}()
+	for deadline := time.Now().Add(2 * time.Second); c.shared.Value() == shared; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second caller never joined the flight")
+		}
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("the loader's goroutine recovered %v, want the panic", r)
+	}
+	select {
+	case err := <-waited:
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("the waiter got %v, want an error naming the panic", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a caller waiting on the panicked flight had not returned 2 s later")
+	}
+	got := make(chan any, 1)
+	go func() {
+		v, _, _ := c.Do("k", func() (any, error) { return "ok", nil })
+		got <- v
+	}()
+	select {
+	case v := <-got:
+		if v != "ok" {
+			t.Fatalf("Do after the panic = %v, want the new loader's value", v)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Do for the key had not returned 2 s after its loader panicked")
 	}
 }
