@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"stalecert/internal/ctlog"
@@ -185,4 +186,73 @@ func TestLookupAllocCeilings(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, func() { s.ByFingerprint(fps[7]) }); got > 0 {
 		t.Errorf("ByFingerprint allocates %.0f times, ceiling 0", got)
 	}
+}
+
+const openCerts = 100000
+
+// closedStore writes the first n bulkCerts into a store and closes it,
+// returning its directory.
+func closedStore(tb testing.TB, n int) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.Append(bulkCerts(tb, n)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// BenchmarkOpen is a replica's restart over 100 000 bulk certificates:
+// read and verify the segments, then index them (certstore.open_ms_per_kcert
+// is its time over 100).
+func BenchmarkOpen(b *testing.B) {
+	dir := closedStore(b, openCerts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(Options{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if s.Len() != openCerts {
+			b.Fatalf("reopened %d certificates, want %d", s.Len(), openCerts)
+		}
+		s.Close()
+		b.StartTimer()
+	}
+}
+
+// TestHeapPerCert caps the live heap a reopened store of 100 000 bulk
+// certificates holds per certificate, 10 % above what it holds today
+// (270 B). It is the figure a compact index has to bring down.
+func TestHeapPerCert(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes and reopens 100 000 certificates")
+	}
+	dir := closedStore(t, openCerts)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perCert := float64(after.HeapAlloc-before.HeapAlloc) / openCerts
+	t.Logf("%.1f B of live heap per certificate", perCert)
+	if perCert > 297 {
+		t.Errorf("a reopened store holds %.1f B per certificate, ceiling 297", perCert)
+	}
+	runtime.KeepAlive(s)
 }

@@ -31,11 +31,14 @@ type index struct {
 	byE2LD  map[string][]*x509sim.Certificate
 }
 
-func newIndex() *index {
+// newIndex sizes the three per-certificate maps for n certificates. Open
+// passes the count it read and verified off disk; nothing else sizes them,
+// least of all a tree head a catch-up has not checked yet.
+func newIndex(n int) *index {
 	return &index{
-		byFP:    make(map[x509sim.Fingerprint]*x509sim.Certificate),
-		byShort: make(map[shortFP]*x509sim.Certificate),
-		byKey:   make(map[x509sim.DedupKey]*x509sim.Certificate),
+		byFP:    make(map[x509sim.Fingerprint]*x509sim.Certificate, n),
+		byShort: make(map[shortFP]*x509sim.Certificate, n),
+		byKey:   make(map[x509sim.DedupKey]*x509sim.Certificate, n),
 		byE2LD:  make(map[string][]*x509sim.Certificate),
 	}
 }

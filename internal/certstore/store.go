@@ -204,7 +204,7 @@ func Open(opts Options) (*Store, error) {
 		dir:    opts.Dir,
 		psl:    psl.Default(),
 		maxSeg: opts.MaxSegmentBytes,
-		idx:    newIndex(),
+		idx:    newIndex(0),
 	}
 
 	man, err := loadManifest(opts.Dir)
@@ -262,6 +262,7 @@ func Open(opts Options) (*Store, error) {
 		s.man = man
 		// Re-index with fingerprint dedup across segments (replayed batches
 		// may straddle a seal).
+		s.idx = newIndex(len(loaded))
 		fresh := s.idx.freshOf(s.prepare(loaded))
 		s.idx.addBatch(fresh)
 		s.certs = make([]*x509sim.Certificate, len(fresh))

@@ -67,7 +67,12 @@ type DomainEvidence struct {
 // certificate); registrant-change and managed-departure events apply their
 // batch validity checks. Results are in the detectors' canonical order.
 func DomainStaleness(idx Index, domain string, ev DomainEvidence) []StaleCert {
-	certs := idx.ByE2LD(domain)
+	return CertsStaleness(idx, domain, idx.ByE2LD(domain), ev)
+}
+
+// CertsStaleness is DomainStaleness over certs, the list one idx.ByE2LD(domain)
+// returned, for a caller that reports on the same list.
+func CertsStaleness(idx Index, domain string, certs []*x509sim.Certificate, ev DomainEvidence) []StaleCert {
 	if len(certs) == 0 {
 		return nil
 	}

@@ -327,12 +327,11 @@ func (l *Log) leafInputs(start, end uint64) ([][]byte, error) {
 	return l.leaves[start : end+1], nil
 }
 
-// InclusionProof returns the audit path for a leaf hash at a tree size. Like
-// the other two proof methods it takes the write lock: building a proof
-// memoizes subtree roots inside the tree.
+// InclusionProof returns the audit path for a leaf hash at a tree size. Both
+// proof methods read roots the tree stored as it grew, under the read lock.
 func (l *Log) InclusionProof(leaf merkle.Hash, size uint64) (index uint64, proof []merkle.Hash, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	idx, ok := l.byLeaf[leaf]
 	if !ok || idx >= size {
 		return 0, nil, ErrNotFound
@@ -343,7 +342,7 @@ func (l *Log) InclusionProof(leaf merkle.Hash, size uint64) (index uint64, proof
 
 // ConsistencyProof returns the consistency proof between two tree sizes.
 func (l *Log) ConsistencyProof(first, second uint64) ([]merkle.Hash, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	return l.tree.ConsistencyProof(first, second)
 }

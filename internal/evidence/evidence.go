@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -125,11 +126,12 @@ func (g *Gatherer) Gather(ctx context.Context, domain string) (core.DomainEviden
 		if view, crlErr = g.CRL.Current(ctx); crlErr == nil {
 			// Two bodies issued under one (issuer, serial) share a key; each
 			// revocation entry must still appear once, as in the flat CRL set.
-			seen := make(map[x509sim.DedupKey]bool, len(certs))
+			// Few keys are revoked, so the entries already joined are the set.
 			for _, c := range certs {
-				if key := c.DedupKey(); !seen[key] {
-					seen[key] = true
-					ev.Revocations = append(ev.Revocations, view.Lookup(key)...)
+				key := c.DedupKey()
+				entries := view.Lookup(key)
+				if len(entries) > 0 && !slices.ContainsFunc(ev.Revocations, func(e crl.Entry) bool { return e.Key() == key }) {
+					ev.Revocations = append(ev.Revocations, entries...)
 				}
 			}
 		}

@@ -3,16 +3,17 @@
 // separation, signed-tree-head roots, and inclusion and consistency proofs
 // with their verifiers.
 //
-// The tree is append-only. Roots are maintained incrementally with a stack of
-// perfect-subtree roots (O(log n) per append); proof generation uses the
-// recursive RFC 6962 definitions over the stored leaf hashes, with aligned
-// perfect subtrees cached so repeated proofs cost O(log^2 n) instead of O(n).
+// The tree is append-only. An append stores the root of every aligned perfect
+// subtree it completes (amortised one hash per leaf, about two hashes of
+// storage per leaf), so roots and proofs follow the recursive RFC 6962
+// definitions over stored roots: O(log n) hashes for a root, at most
+// O(log² n) for a proof, and neither writes to the tree.
 package merkle
 
 import (
 	"crypto/sha256"
 	"errors"
-	"fmt"
+	"math/bits"
 )
 
 // Hash is a SHA-256 digest.
@@ -45,23 +46,11 @@ func EmptyRoot() Hash { return sha256.Sum256(nil) }
 // Tree is an append-only RFC 6962 Merkle tree. The zero value is an empty
 // tree ready for use.
 type Tree struct {
-	leaves []Hash
-	// stack holds roots of the maximal perfect subtrees covering the leaves,
-	// ordered from largest to smallest; folding it right-to-left yields the
-	// current root in O(log n).
-	stack []stackEntry
-	// cache memoizes roots of aligned perfect subtrees (start, size pow2),
-	// which never change once complete.
-	cache map[rangeKey]Hash
-}
-
-type stackEntry struct {
-	root Hash
-	size uint64 // power of two
-}
-
-type rangeKey struct {
-	start, size uint64
+	// levels[h][i] is the root of the aligned perfect subtree of 2^h leaves
+	// starting at leaf i·2^h: levels[0] holds the leaf hashes, and an append
+	// stores each carry it computes. Stored roots never change, so reading
+	// them needs no lock against other readers.
+	levels [][]Hash
 }
 
 // Errors returned by proof generation.
@@ -72,7 +61,12 @@ var (
 )
 
 // Size returns the number of leaves.
-func (t *Tree) Size() uint64 { return uint64(len(t.leaves)) }
+func (t *Tree) Size() uint64 {
+	if len(t.levels) == 0 {
+		return 0
+	}
+	return uint64(len(t.levels[0]))
+}
 
 // AppendData hashes data as a leaf and appends it, returning its index.
 func (t *Tree) AppendData(data []byte) uint64 {
@@ -81,28 +75,24 @@ func (t *Tree) AppendData(data []byte) uint64 {
 
 // AppendLeafHash appends an already-hashed leaf, returning its index.
 func (t *Tree) AppendLeafHash(lh Hash) uint64 {
-	idx := uint64(len(t.leaves))
-	t.leaves = append(t.leaves, lh)
+	idx := t.Size()
 	// Merge equal-sized perfect subtrees like binary counter carries.
-	e := stackEntry{root: lh, size: 1}
-	for len(t.stack) > 0 && t.stack[len(t.stack)-1].size == e.size {
-		top := t.stack[len(t.stack)-1]
-		t.stack = t.stack[:len(t.stack)-1]
-		e = stackEntry{root: NodeHash(top.root, e.root), size: e.size * 2}
+	for h := 0; ; h++ {
+		if h == len(t.levels) {
+			t.levels = append(t.levels, nil)
+		}
+		t.levels[h] = append(t.levels[h], lh)
+		n := len(t.levels[h])
+		if n%2 == 1 {
+			return idx
+		}
+		lh = NodeHash(t.levels[h][n-2], lh)
 	}
-	t.stack = append(t.stack, e)
-	return idx
 }
 
 // Root returns the current tree root (EmptyRoot for an empty tree).
 func (t *Tree) Root() Hash {
-	if len(t.stack) == 0 {
-		return EmptyRoot()
-	}
-	r := t.stack[len(t.stack)-1].root
-	for i := len(t.stack) - 2; i >= 0; i-- {
-		r = NodeHash(t.stack[i].root, r)
-	}
+	r, _ := t.RootAt(t.Size())
 	return r
 }
 
@@ -117,29 +107,15 @@ func (t *Tree) RootAt(size uint64) (Hash, error) {
 	return t.rootRange(0, size), nil
 }
 
-// rootRange computes MTH(D[start:start+size]) with caching of aligned
-// perfect subtrees.
+// rootRange computes MTH(D[start:start+size]): an aligned perfect subtree is
+// a stored root, any other range splits at its largest power of two.
 func (t *Tree) rootRange(start, size uint64) Hash {
-	if size == 1 {
-		return t.leaves[start]
-	}
-	perfect := size&(size-1) == 0 && start%size == 0
-	var key rangeKey
-	if perfect {
-		key = rangeKey{start, size}
-		if h, ok := t.cache[key]; ok {
-			return h
-		}
+	if size&(size-1) == 0 && start%size == 0 {
+		h := bits.TrailingZeros64(size)
+		return t.levels[h][start>>h]
 	}
 	k := largestPowerOfTwoBelow(size)
-	h := NodeHash(t.rootRange(start, k), t.rootRange(start+k, size-k))
-	if perfect {
-		if t.cache == nil {
-			t.cache = make(map[rangeKey]Hash)
-		}
-		t.cache[key] = h
-	}
-	return h
+	return NodeHash(t.rootRange(start, k), t.rootRange(start+k, size-k))
 }
 
 // InclusionProof returns the RFC 6962 audit path for leaf index within the
@@ -210,16 +186,9 @@ func VerifyInclusion(leafHash Hash, index, size uint64, proof []Hash, root Hash)
 		}
 		if fn&1 == 1 || fn == sn {
 			r = NodeHash(p, r)
-			if fn&1 == 0 {
-				for fn&1 == 0 && fn != 0 {
-					fn >>= 1
-					sn >>= 1
-				}
-				if fn == 0 {
-					// consumed the whole path on this side
-					sn = 0
-					continue
-				}
+			for fn&1 == 0 && fn != 0 {
+				fn >>= 1
+				sn >>= 1
 			}
 		} else {
 			r = NodeHash(r, p)
@@ -265,15 +234,9 @@ func VerifyConsistency(size1, size2 uint64, root1, root2 Hash, proof []Hash) boo
 		if fn&1 == 1 || fn == sn {
 			fr = NodeHash(p, fr)
 			cr = NodeHash(p, cr)
-			if fn&1 == 0 {
-				for fn&1 == 0 && fn != 0 {
-					fn >>= 1
-					sn >>= 1
-				}
-				if fn == 0 {
-					sn = 0
-					continue
-				}
+			for fn&1 == 0 && fn != 0 {
+				fn >>= 1
+				sn >>= 1
 			}
 		} else {
 			cr = NodeHash(cr, p)
@@ -286,13 +249,4 @@ func VerifyConsistency(size1, size2 uint64, root1, root2 Hash, proof []Hash) boo
 
 // largestPowerOfTwoBelow returns the largest power of two strictly less
 // than n (n must be >= 2).
-func largestPowerOfTwoBelow(n uint64) uint64 {
-	if n < 2 {
-		panic(fmt.Sprintf("merkle: largestPowerOfTwoBelow(%d)", n))
-	}
-	k := uint64(1)
-	for k<<1 < n {
-		k <<= 1
-	}
-	return k
-}
+func largestPowerOfTwoBelow(n uint64) uint64 { return 1 << (bits.Len64(n-1) - 1) }

@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -63,30 +61,19 @@ func HandlerFor(r *Registry, health *Health) http.Handler {
 }
 
 // WriteJSON answers with v as 2-space-indented JSON under the given status:
-// the one encoding of every indented JSON body the fleet serves (staleapid
-// and stalegw verdicts, trace listings and trees).
+// the encoding every indented JSON body the fleet serves is held to, whether
+// encoded here or appended by hand (staleapid's certificates, listings and
+// verdicts).
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", JSONContentType)
 	w.WriteHeader(status)
-	_ = encodeJSON(w, v)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // JSONContentType is the Content-Type of every WriteJSON body.
 const JSONContentType = "application/json; charset=utf-8"
-
-func encodeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
-// EncodeJSON returns the body WriteJSON would send for v, for a caller that
-// keeps the bytes and serves them again through WriteBody.
-func EncodeJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := encodeJSON(&buf, v)
-	return buf.Bytes(), err
-}
 
 // WriteBody answers with an already encoded body. Content-Length is set, so
 // net/http neither sniffs nor chunk-frames it whatever its size, and the body

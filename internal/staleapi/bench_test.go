@@ -89,3 +89,31 @@ func BenchmarkHandlerHit(b *testing.B) {
 		})
 	}
 }
+
+// missRig is a replica whose staleness cache holds 16 verdicts and the
+// requests for 64 domains asked in turn, so every request misses and evicts,
+// as on a key space larger than the cache. A third of the verdicts list a
+// revoked certificate.
+func missRig(tb testing.TB) (http.Handler, []*http.Request) {
+	store, domains, _, evidence := seededCorpus(tb, 1, 64)
+	h := NewServer(Config{Store: store, Evidence: evidence, CacheEntries: 16, CacheTTL: time.Hour, Health: obs.NewHealth()}).Handler()
+	reqs := make([]*http.Request, len(domains))
+	for i, d := range domains {
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/v1/domain/"+d+"/staleness", nil)
+	}
+	return h, reqs
+}
+
+// BenchmarkHandlerMiss is a staleness request that misses the cache, handler
+// only: the detector's run over the store, the verdict's body and the cache
+// insert. The evidence is an in-memory map, so no source is asked.
+func BenchmarkHandlerMiss(b *testing.B) {
+	h, reqs := missRig(b)
+	b.Run("staleness", func(b *testing.B) {
+		w := &discardWriter{h: http.Header{}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.ServeHTTP(w, reqs[i%len(reqs)])
+		}
+	})
+}

@@ -64,3 +64,26 @@ func FuzzCertBody(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStalenessBody: for any verdict fields, stalenessBody writes the bytes
+// encoding/json writes for the StalenessResponse: with a nil, an empty, or a
+// one- to three-entry stale list whose entries drop the omitempty domain and
+// reason in turn, and with or without the degraded markers.
+func FuzzStalenessBody(f *testing.F) {
+	f.Add("example.com", "2023-01-01", 3, uint8(3), "ab12", "revocation", "2022-06-01", 214,
+		"www.example.com", "keyCompromise", false, false, "")
+	f.Fuzz(func(t *testing.T, domain, now string, indexed int, nStale uint8, fp, method, day string, days int,
+		staleDomain, reason string, cached, degraded bool, age string) {
+		r := StalenessResponse{Domain: domain, Now: now, CertsIndexed: indexed, Cached: cached, Degraded: degraded, EvidenceAge: age}
+		if n := int(nStale % 5); n > 0 {
+			r.Stale = make([]StaleJSON, 0, n-1)
+			for k := 0; k < n-1; k++ {
+				r.Stale = append(r.Stale, StaleJSON{Fingerprint: fp, Method: method, EventDay: day, StalenessDays: days - k,
+					Domain: []string{staleDomain, "", staleDomain}[k], Reason: []string{reason, reason, ""}[k]})
+			}
+		}
+		if got, want := string(stalenessBody(&r)), wantJSON(t, r); got != want {
+			t.Fatalf("verdict body differs from encoding/json:\ngot:  %q\nwant: %q", got, want)
+		}
+	})
+}

@@ -222,6 +222,51 @@ func appendString(b []byte, s string) []byte {
 	return append(append(append(b, '"'), s...), '"')
 }
 
+// staleBodySize is about what stalenessBody writes for one stale entry.
+const staleBodySize = 224
+
+// stalenessBody is the /v1/domain/{e2ld}/staleness body: r as obs.WriteJSON
+// would send it, in one pass.
+func stalenessBody(r *StalenessResponse) []byte {
+	b := make([]byte, 0, 128+len(r.Domain)+len(r.Stale)*staleBodySize)
+	b = appendString(appendKey(append(b, '{'), 1, "domain"), r.Domain)
+	b = appendString(appendKey(append(b, ','), 1, "now"), r.Now)
+	b = strconv.AppendInt(appendKey(append(b, ','), 1, "certs_indexed"), int64(r.CertsIndexed), 10)
+	b = appendKey(append(b, ','), 1, "stale")
+	switch {
+	case r.Stale == nil:
+		b = append(b, "null"...)
+	case len(r.Stale) == 0:
+		b = append(b, "[]"...)
+	default:
+		sep := byte('[')
+		for _, s := range r.Stale {
+			b = append(appendNewline(append(b, sep), 2), '{')
+			b = appendString(appendKey(b, 3, "fingerprint"), s.Fingerprint)
+			b = appendString(appendKey(append(b, ','), 3, "method"), s.Method)
+			b = appendString(appendKey(append(b, ','), 3, "event_day"), s.EventDay)
+			b = strconv.AppendInt(appendKey(append(b, ','), 3, "staleness_days"), int64(s.StalenessDays), 10)
+			if s.Domain != "" {
+				b = appendString(appendKey(append(b, ','), 3, "domain"), s.Domain)
+			}
+			if s.Reason != "" {
+				b = appendString(appendKey(append(b, ','), 3, "reason"), s.Reason)
+			}
+			b = append(appendNewline(b, 2), '}')
+			sep = ','
+		}
+		b = append(appendNewline(b, 1), ']')
+	}
+	b = strconv.AppendBool(appendKey(append(b, ','), 1, "cached"), r.Cached)
+	if r.Degraded {
+		b = append(appendKey(append(b, ','), 1, "degraded"), "true"...)
+	}
+	if r.EvidenceAge != "" {
+		b = appendString(appendKey(append(b, ','), 1, "evidence_age"), r.EvidenceAge)
+	}
+	return append(b, "\n}\n"...)
+}
+
 // StaleJSON is one staleness verdict.
 type StaleJSON struct {
 	Fingerprint   string `json:"fingerprint"`
@@ -384,11 +429,11 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.noteEvidence(nil)
 	}
-	obs.WriteJSON(w, http.StatusOK, resp)
+	obs.WriteBody(w, http.StatusOK, obs.JSONContentType, stalenessBody(&resp))
 }
 
 // cachedVerdict is what the cache holds for one domain's staleness: the
-// response a miss and a degraded answer encode afresh, and the body every hit
+// response a miss and a degraded answer append afresh, and the body every hit
 // serves. That body is built by the first hit, not by the miss — on a key
 // space larger than the cache most verdicts are never asked for twice.
 type cachedVerdict struct {
@@ -402,12 +447,12 @@ type cachedVerdict struct {
 // oldest remote answer was fetched, and its degraded age counts from there.
 func (v *cachedVerdict) AsOf() time.Time { return v.observed }
 
-// hit returns resp with "cached": true exactly as obs.WriteJSON encodes it.
+// hit returns the body of resp with "cached": true.
 func (v *cachedVerdict) hit() []byte {
 	v.once.Do(func() {
 		resp := v.resp
 		resp.Cached = true
-		v.hitBody, _ = obs.EncodeJSON(resp) // strings, ints and bools: cannot fail
+		v.hitBody = stalenessBody(&resp)
 	})
 	return v.hitBody
 }
@@ -449,12 +494,13 @@ func (s *Server) staleness(ctx context.Context, domain string) (*cachedVerdict, 
 	}
 	now := s.now()
 	sp := obs.StartStage(id, "staleapid", "detect")
-	stale := core.DomainStaleness(s.store, domain, ev)
+	certs := s.store.ByE2LD(domain) // one read: the verdict and its count see the same list
+	stale := core.CertsStaleness(s.store, domain, certs, ev)
 	sp.End()
 	resp := StalenessResponse{
 		Domain:       domain,
 		Now:          now.String(),
-		CertsIndexed: len(s.store.ByE2LD(domain)),
+		CertsIndexed: len(certs),
 		Stale:        make([]StaleJSON, 0, len(stale)),
 	}
 	for _, sc := range stale {
