@@ -79,6 +79,7 @@ import (
 	"stalecert/internal/simtime"
 	"stalecert/internal/staleapi"
 	"stalecert/internal/whois"
+	"stalecert/internal/x509sim"
 )
 
 func main() {
@@ -192,7 +193,7 @@ func main() {
 		return obs.Degraded(gather.Failing())
 	})
 
-	go ing.Run(ctx, *interval, func(added int, err error) {
+	go ing.Run(ctx, *interval, func(stored []*x509sim.Certificate, err error) {
 		switch {
 		case err != nil:
 			logger.Error("ingest sync failed", "err", err)
@@ -200,8 +201,8 @@ func main() {
 		case ing.Lag() > *lagThreshold:
 			caughtUp.Fail(fmt.Errorf("ingest lag %d entries exceeds threshold %d", ing.Lag(), *lagThreshold))
 		default:
-			if added > 0 {
-				logger.Info("ingested", "added", added, "total", store.Len())
+			if len(stored) > 0 {
+				logger.Info("ingested", "added", len(stored), "total", store.Len())
 			}
 			caughtUp.OK()
 		}

@@ -6,7 +6,7 @@
 // certstore.Ingester tails (checkpoint, per-round tree-head consistency,
 // interval…32× backoff between failed rounds), evidence.Gatherer asks WHOIS,
 // DNS and the CRL snapshot what the domain's certificates make worth asking,
-// and core.DomainStaleness decides — so an alert here is exactly a verdict of
+// and core.CertsStaleness decides — so an alert here is exactly a verdict of
 // GET /v1/domain/{e2ld}/staleness there, and of the batch pipeline.
 //
 // Usage:
@@ -81,7 +81,7 @@ type alertLine struct {
 
 // alertLines renders one domain's verdicts as alerts: a verdict is an alert
 // while its certificate is still valid on now — an expired one is history,
-// not a threat. Which verdicts exist is core.DomainStaleness's decision.
+// not a threat. Which verdicts exist is core.CertsStaleness's decision.
 func alertLines(domain string, stale []core.StaleCert, now simtime.Day) []alertLine {
 	var lines []alertLine
 	for _, sc := range stale {
@@ -232,25 +232,33 @@ func run() int {
 		}
 	}
 
-	// round evaluates the domains named by the certificates the round stored:
-	// the two calls staleapi.Server makes for /v1/domain/{e2ld}/staleness. A
-	// round that failed part-way still stored, and so still reports, its
-	// whole batches.
-	round := func(added int, err error) {
+	// round evaluates the domains named by the certificates the round stored,
+	// as staleapi.Server answers /v1/domain/{e2ld}/staleness: the evidence,
+	// then the verdicts over one read of the domain's listing, which also
+	// gives the certs= count. A round that failed part-way still stored, and
+	// so still reports, its whole batches. Under -once the first round ends
+	// the run, and its error the exit status.
+	exit := 0
+	runCtx, endRun := context.WithCancel(ctx)
+	defer endRun()
+	round := func(stored []*x509sim.Certificate, err error) {
 		if err != nil && ctx.Err() == nil {
 			logger.Error("ingest round failed", "err", err)
 		}
-		if added == 0 {
-			return
+		if *once {
+			if err != nil {
+				exit = 1
+			}
+			endRun()
 		}
-		certs := store.Certs()
-		for _, domain := range roundDomains(store.PSL(), certs[len(certs)-added:], watch) {
+		for _, domain := range roundDomains(store.PSL(), stored, watch) {
 			ev, err := gather.Gather(ctx, domain)
 			if err != nil {
 				logger.Error("evidence failed", "domain", domain, "err", err)
 				continue
 			}
-			lines := alertLines(domain, core.DomainStaleness(store, domain, ev), nowDay)
+			certs := store.ByE2LD(domain)
+			lines := alertLines(domain, core.CertsStaleness(store, domain, certs, ev), nowDay)
 			for _, a := range lines {
 				if *jsonl {
 					emit(a)
@@ -259,19 +267,13 @@ func run() int {
 				fmt.Printf("ALERT %-22s %-20s serial=%d issuer=%d: %s\n", a.Kind, a.Domain, a.Serial, a.Issuer, a.Detail)
 			}
 			if len(lines) == 0 && !*jsonl {
-				fmt.Printf("ok    %-20s certs=%d\n", domain, len(store.ByE2LD(domain)))
+				fmt.Printf("ok    %-20s certs=%d\n", domain, len(certs))
 			}
 		}
 	}
-	if *once {
-		added, err := ing.Sync(ctx)
-		round(added, err)
-		if err != nil {
-			return 1
-		}
-		return 0
+	ing.Run(runCtx, *interval, round)
+	if !*once {
+		logger.Info("shutting down")
 	}
-	ing.Run(ctx, *interval, round)
-	logger.Info("shutting down")
-	return 0
+	return exit
 }

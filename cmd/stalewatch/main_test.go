@@ -25,9 +25,10 @@ import (
 )
 
 // TestAlertLines runs each row as a round does — roundDomains over the
-// certificates, core.DomainStaleness per domain, alertLines over its verdicts
-// — and requires the alerts to be the row's kinds and, independently, the
-// batch detectors' verdicts for certificates still valid on now.
+// certificates it stored, core.CertsStaleness over each domain's listing,
+// alertLines over its verdicts — and requires the alerts to be the row's
+// kinds and, independently, the batch detectors' verdicts for certificates
+// still valid on now.
 func TestAlertLines(t *testing.T) {
 	isManaged := func(c *x509sim.Certificate) bool { return monitor.HasProviderMarker(c, monitor.MarkerSuffix) }
 	cert := func(serial uint64, nb, na simtime.Day, names ...string) *x509sim.Certificate {
@@ -82,8 +83,8 @@ func TestAlertLines(t *testing.T) {
 				watch[row.watch] = true
 			}
 			var lines []alertLine
-			for _, d := range roundDomains(idx.PSL(), idx.Certs(), watch) {
-				lines = append(lines, alertLines(d, core.DomainStaleness(idx, d, row.ev), now)...)
+			for _, d := range roundDomains(idx.PSL(), []*x509sim.Certificate{row.cert}, watch) {
+				lines = append(lines, alertLines(d, core.CertsStaleness(idx, d, idx.ByE2LD(d), row.ev), now)...)
 			}
 			var got, gotKeys []string
 			for _, l := range lines {

@@ -10,6 +10,7 @@ import (
 	"stalecert/internal/ctlog"
 	"stalecert/internal/merkle"
 	"stalecert/internal/obs"
+	"stalecert/internal/x509sim"
 )
 
 // Ingester metrics: sync rounds, entries and certificates absorbed, lag
@@ -43,8 +44,6 @@ func ingestSkippedCounter(shard string) *obs.Counter {
 type Ingester struct {
 	Store  *Store
 	Client *ctlog.Client
-	// BatchSize is the get-entries page size (0 = the client default).
-	BatchSize uint64
 	// lag is the entries behind the head after the last Sync.
 	lag      uint64
 	mKept    *obs.Counter
@@ -118,12 +117,8 @@ const syncBatchPages = 16
 // resumes after them. It returns the number of new certificates stored
 // (after dedup), also beside an error.
 func (ing *Ingester) Sync(ctx context.Context) (int, error) {
-	mIngestRounds.Inc()
-	added, err := ing.sync(ctx)
-	if err != nil {
-		mIngestErrors.Inc()
-	}
-	return added, err
+	stored, err := ing.sync(ctx)
+	return len(stored), err
 }
 
 // scraped is one batch the scrape stage hands the append stage: the kept
@@ -141,15 +136,22 @@ type scraped struct {
 // dedups, writes, fsyncs, indexes and checkpoints the previous batch
 // meanwhile. A scrape error drops the batch being gathered; an append error
 // cancels the scrape. Either way the round returns after the append stage
-// has finished the batches it was handed.
-func (ing *Ingester) sync(ctx context.Context) (int, error) {
+// has finished the batches it was handed. It returns the certificates the
+// round stored, in order.
+func (ing *Ingester) sync(ctx context.Context) (_ []*x509sim.Certificate, err error) {
+	mIngestRounds.Inc()
+	defer func() {
+		if err != nil {
+			mIngestErrors.Inc()
+		}
+	}()
 	sth, err := ing.Client.GetSTH(ctx)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	cp, _ := ing.Store.Checkpoint()
 	if err := ing.verifyHead(ctx, cp, sth); err != nil {
-		return 0, err
+		return nil, err
 	}
 	// Set before any batch lands, so the gauge never reads 0 in the middle of
 	// a round that is behind.
@@ -158,15 +160,15 @@ func (ing *Ingester) sync(ctx context.Context) (int, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	batches, done := make(chan scraped), make(chan struct{})
-	var added int
+	var stored []*x509sim.Certificate
 	var appendErr error
 	go func() {
 		defer close(done)
 		for b := range batches {
 			if appendErr == nil {
-				var n int
-				n, appendErr = ing.ingest(b, sth)
-				added += n
+				var got []*x509sim.Certificate
+				got, appendErr = ing.ingest(b, sth)
+				stored = append(stored, got...)
 				if appendErr != nil {
 					cancel()
 				}
@@ -184,10 +186,7 @@ func (ing *Ingester) sync(ctx context.Context) (int, error) {
 			return ctx.Err()
 		}
 	}
-	err = ing.Client.ScrapePages(ctx, sth, ctlog.ScrapeOptions{
-		From:      cp.NextIndex,
-		BatchSize: ing.BatchSize,
-	}, func(page []ctlog.Entry) error {
+	err = ing.Client.ScrapePages(ctx, sth, ctlog.ScrapeOptions{From: cp.NextIndex}, func(page []ctlog.Entry) error {
 		ing.gather(&b, page)
 		if b.pages++; b.pages < syncBatchPages {
 			return nil
@@ -201,9 +200,9 @@ func (ing *Ingester) sync(ctx context.Context) (int, error) {
 	close(batches)
 	<-done
 	if appendErr != nil {
-		return added, appendErr
+		return stored, appendErr
 	}
-	return added, err
+	return stored, err
 }
 
 // gather adds page's entries to b, preparing each entry's certificate once and
@@ -223,15 +222,15 @@ func (ing *Ingester) gather(b *scraped, page []ctlog.Entry) {
 }
 
 // ingest appends a batch's kept certificates and then moves the checkpoint
-// past its entries.
-func (ing *Ingester) ingest(b scraped, sth ctlog.SignedTreeHead) (int, error) {
+// past its entries. It returns the certificates it stored.
+func (ing *Ingester) ingest(b scraped, sth ctlog.SignedTreeHead) ([]*x509sim.Certificate, error) {
 	if ing.mKept != nil {
 		ing.mKept.Add(uint64(len(b.certs)))
 		ing.mSkipped.Add(uint64(b.entries - len(b.certs)))
 	}
-	added, err := ing.Store.commit(b.certs)
+	stored, err := ing.Store.commit(b.certs)
 	if err != nil {
-		return added, err
+		return stored, err
 	}
 	mEntriesTailed.Add(uint64(b.entries))
 	ing.setLag(sth.Size, b.next)
@@ -242,9 +241,9 @@ func (ing *Ingester) ingest(b scraped, sth ctlog.SignedTreeHead) (int, error) {
 		STHRoot:   hex.EncodeToString(sth.Root[:]),
 		Timestamp: sth.Timestamp,
 	}); err != nil {
-		return added, err
+		return stored, err
 	}
-	return added, nil
+	return stored, nil
 }
 
 // setLag records how far next trails a head of size entries.
@@ -254,18 +253,19 @@ func (ing *Ingester) setLag(size, next uint64) {
 }
 
 // Run syncs every interval until the context is cancelled, logging nothing
-// itself — callers observe progress through the metric families. The first
+// itself — callers observe progress through the metric families and onSync,
+// which gets each round's stored certificates, in order, and error. The first
 // sync happens immediately. A failed round does not end the loop: the
 // checkpoint stays where the last success left it and the next round is
 // scheduled with exponential backoff (interval … 32×interval), so an
 // ingester rides out a restarting log server and resumes tailing with no
 // gap or duplication once it returns.
-func (ing *Ingester) Run(ctx context.Context, interval time.Duration, onSync func(added int, err error)) {
+func (ing *Ingester) Run(ctx context.Context, interval time.Duration, onSync func(stored []*x509sim.Certificate, err error)) {
 	wait := interval
 	for {
-		added, err := ing.Sync(ctx)
+		stored, err := ing.sync(ctx)
 		if onSync != nil {
-			onSync(added, err)
+			onSync(stored, err)
 		}
 		if err == nil || errors.Is(err, context.Canceled) {
 			wait = interval

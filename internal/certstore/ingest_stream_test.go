@@ -49,6 +49,18 @@ func impatientClient(ts *httptest.Server) *ctlog.Client {
 	})
 }
 
+// shortPage caps a get-entries request at n entries, as a log may.
+func shortPage(r *http.Request, n int) *http.Request {
+	if r.URL.Path == "/ct/v1/get-entries" {
+		q := r.URL.Query()
+		start, _ := strconv.Atoi(q.Get("start"))
+		end, _ := strconv.Atoi(q.Get("end"))
+		q.Set("end", strconv.Itoa(min(end, start+n-1)))
+		r.URL.RawQuery = q.Encode()
+	}
+	return r
+}
+
 // TestSyncSurvivesFailureBetweenBatches is the streaming counterpart of the
 // kill-and-restart test: the log starts answering 500 at get-entries page
 // failFrom, past the client's retry budget. Sync must fail with exactly the
@@ -83,7 +95,7 @@ func TestSyncSurvivesFailureBetweenBatches(t *testing.T) {
 						lagMidRound = append(lagMidRound, mIngestLag.Value()) // Sync is sequential: no race
 					}
 				}
-				honest.ServeHTTP(w, r)
+				honest.ServeHTTP(w, shortPage(r, pageSize))
 			}))
 			defer ts.Close()
 
@@ -94,11 +106,7 @@ func TestSyncSurvivesFailureBetweenBatches(t *testing.T) {
 				}
 				return Open(opts)
 			}
-			configure := func(st *Store) *Ingester {
-				ing := NewIngester(st, impatientClient(ts))
-				ing.BatchSize = pageSize
-				return ing
-			}
+			configure := func(st *Store) *Ingester { return NewIngester(st, impatientClient(ts)) }
 			kept := func(upTo int) []*x509sim.Certificate {
 				var out []*x509sim.Certificate
 				for _, c := range certs[:upTo] {
@@ -295,11 +303,10 @@ func TestSyncStopsScrapingWhenAnAppendFails(t *testing.T) {
 		if r.URL.Path == "/ct/v1/get-entries" && pages.Add(1) == closeAt {
 			st.Close()
 		}
-		honest.ServeHTTP(w, r)
+		honest.ServeHTTP(w, shortPage(r, pageSize))
 	}))
 	defer ts.Close()
 	ing := NewIngester(st, impatientClient(ts))
-	ing.BatchSize = pageSize
 	if _, err := ing.Sync(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sync into a store closed mid-round = %v, want ErrClosed", err)
 	}

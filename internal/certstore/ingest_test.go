@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -334,13 +335,14 @@ func TestIngesterSurvivesLogRestart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var mu sync.Mutex
-	totalAdded, errRounds := 0, 0
+	var stored []*x509sim.Certificate
+	errRounds := 0
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ing.Run(ctx, 2*time.Millisecond, func(added int, err error) {
+		ing.Run(ctx, 2*time.Millisecond, func(round []*x509sim.Certificate, err error) {
 			mu.Lock()
-			totalAdded += added
+			stored = append(stored, round...)
 			if err != nil && ctx.Err() == nil {
 				errRounds++
 			}
@@ -377,11 +379,11 @@ func TestIngesterSurvivesLogRestart(t *testing.T) {
 	cancel()
 	<-done
 
-	// No gap, no duplicate: every cert present, added counts sum exactly,
-	// checkpoint at the head.
+	// No gap, no duplicate: every cert present, the rounds handed over
+	// exactly the store's certificates in order, checkpoint at the head.
 	mu.Lock()
-	if totalAdded != len(all) {
-		t.Fatalf("total added = %d, want %d (duplicates or gaps)", totalAdded, len(all))
+	if len(stored) != len(all) || !reflect.DeepEqual(stored, store.Certs()) {
+		t.Fatalf("rounds stored %d certificates, want the store's %d in order (duplicates or gaps)", len(stored), len(all))
 	}
 	mu.Unlock()
 	for _, c := range all {

@@ -10,6 +10,8 @@
 //   - in-memory indexes — by e2LD (via the PSL), by (issuer, serial) CRL
 //     join key, and by fingerprint — under one RW lock that a batch is
 //     indexed under, so a reader sees each batch whole or not at all;
+//   - a published state (the certificate list, sizes and checkpoint) that
+//     readers load without a lock while the writer holds Store.mu;
 //   - a persisted CT ingest checkpoint, so a restarted tailer resumes from
 //     where it stopped instead of re-scraping the log.
 //
@@ -26,6 +28,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"stalecert/internal/core"
 	"stalecert/internal/merkle"
@@ -89,23 +92,40 @@ func (cp Checkpoint) Root() (merkle.Hash, error) {
 }
 
 // Store is an open certificate store. All methods are safe for concurrent
-// use; lookups take only the index's read lock.
+// use. Store.mu serialises the writers (commit, SetCheckpoint, Close), and
+// no read takes it: lookups take only the index's read lock, and Len,
+// Checkpoint, SegmentCount and Certs load the state the last write
+// published, so no reader waits out a batch's write and fsync.
 type Store struct {
 	dir    string
 	psl    *psl.List
 	maxSeg int64
 	idx    *index
-	ring   *shard.Ring // the slice's ring, nil when unsharded; set by Open
+	ring   *shard.Ring       // the slice's ring, nil when unsharded; set by Open
+	slice  *shard.Assignment // set by Open, never changed
+	pub    atomic.Pointer[state]
 
-	mu       sync.RWMutex // guards everything below
+	mu       sync.Mutex // serialises writers; guards everything below
 	man      *manifest
 	active   *os.File
 	activeSz int64
-	certs    []*x509sim.Certificate // insertion order, shared across snapshots
-	cp       *Checkpoint
-	slice    *shard.Assignment // set by Open, never changed
+	certs    []*x509sim.Certificate // insertion order; only appended to
 	closed   bool
 }
+
+// state is what the store's readers see: the certificates, segment count,
+// bytes and checkpoint as of the last write. It is never changed once
+// published.
+type state struct {
+	certs []*x509sim.Certificate // capped at its length, so no append writes inside it
+	segs  int
+	bytes int64
+	cp    *Checkpoint
+}
+
+// syncFile is the fsync commit makes before it indexes a batch; a test holds
+// a commit inside it.
+var syncFile = (*os.File).Sync
 
 // Slice returns the ring slice the store holds, nil for the whole keyspace.
 func (s *Store) Slice() *shard.Assignment {
@@ -271,13 +291,12 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 
+	var cp *Checkpoint
 	if raw, err := os.ReadFile(filepath.Join(opts.Dir, checkpointName)); err == nil {
-		var cp Checkpoint
-		if err := json.Unmarshal(raw, &cp); err != nil {
+		cp = new(Checkpoint)
+		if err := json.Unmarshal(raw, cp); err != nil {
 			return nil, fmt.Errorf("certstore: corrupt checkpoint: %v", err)
 		}
-		s.cp = &cp
-		mCheckpointN.Set(float64(cp.NextIndex))
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
@@ -291,7 +310,7 @@ func Open(opts Options) (*Store, error) {
 		a := *opts.Slice
 		s.slice, s.ring = &a, shard.MustRing(a.Count, shard.DefaultVNodes)
 	}
-	s.publishGauges()
+	s.publish(cp)
 	return s, nil
 }
 
@@ -323,19 +342,21 @@ func (s *Store) keeps(p prepared) bool {
 	return s.ring == nil || shard.Keeps(s.ring, s.slice.Index, p.e2lds, p.fp)
 }
 
-// publishGauges refreshes the size gauges; callers hold no locks it needs.
-func (s *Store) publishGauges() {
-	s.mu.RLock()
-	segs := len(s.man.Sealed) + 1
-	var bytes int64 = s.activeSz
+// publish makes the writer's state, with checkpoint cp, the one readers
+// load, and sets the gauges from it. Callers hold s.mu or own the store
+// (Open).
+func (s *Store) publish(cp *Checkpoint) {
+	st := &state{certs: s.certs[:len(s.certs):len(s.certs)], segs: len(s.man.Sealed) + 1, bytes: s.activeSz, cp: cp}
 	for _, m := range s.man.Sealed {
-		bytes += m.Bytes
+		st.bytes += m.Bytes
 	}
-	n := len(s.certs)
-	s.mu.RUnlock()
-	mSegments.Set(float64(segs))
-	mStoreBytes.Set(float64(bytes))
-	mCerts.Set(float64(n))
+	s.pub.Store(st)
+	mSegments.Set(float64(st.segs))
+	mStoreBytes.Set(float64(st.bytes))
+	mCerts.Set(float64(len(st.certs)))
+	if cp != nil {
+		mCheckpointN.Set(float64(cp.NextIndex))
+	}
 }
 
 // Append durably stores and indexes every certificate not already present
@@ -344,26 +365,27 @@ func (s *Store) publishGauges() {
 // single file append and is indexed under one write lock, so no lookup sees
 // part of it.
 func (s *Store) Append(certs []*x509sim.Certificate) (int, error) {
-	return s.commit(s.prepare(certs))
+	stored, err := s.commit(s.prepare(certs))
+	return len(stored), err
 }
 
 // commit is Append of a prepared batch: under the write mutex it dedups,
-// writes, fsyncs and indexes.
-func (s *Store) commit(batch []prepared) (int, error) {
+// writes, fsyncs, indexes and publishes. It returns the certificates it
+// stored, in order; the slice is capped, so a caller may append to it.
+func (s *Store) commit(batch []prepared) ([]*x509sim.Certificate, error) {
 	if len(batch) == 0 {
-		return 0, nil
+		return nil, nil
 	}
 	mAppends.Inc()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
+		return nil, ErrClosed
 	}
 	fresh := s.idx.freshOf(batch)
 	mDeduped.Add(uint64(len(batch) - len(fresh)))
 	if len(fresh) == 0 {
-		s.mu.Unlock()
-		return 0, nil
+		return nil, nil
 	}
 	size := 0
 	for _, p := range fresh {
@@ -374,14 +396,13 @@ func (s *Store) commit(batch []prepared) (int, error) {
 		buf = appendRecord(buf, p.cert)
 	}
 	if _, err := s.active.Write(buf); err != nil {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("certstore: append: %w", err)
+		return nil, fmt.Errorf("certstore: append: %w", err)
 	}
-	if err := s.active.Sync(); err != nil {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("certstore: fsync: %w", err)
+	if err := syncFile(s.active); err != nil {
+		return nil, fmt.Errorf("certstore: fsync: %w", err)
 	}
 	s.activeSz += int64(len(buf))
+	from := len(s.certs)
 	for _, p := range fresh {
 		s.certs = append(s.certs, p.cert)
 	}
@@ -392,13 +413,9 @@ func (s *Store) commit(batch []prepared) (int, error) {
 	if s.activeSz >= s.maxSeg {
 		sealErr = s.sealLocked()
 	}
-	s.mu.Unlock()
+	s.publish(s.pub.Load().cp)
 	mAppended.Add(uint64(len(fresh)))
-	s.publishGauges()
-	if sealErr != nil {
-		return len(fresh), sealErr
-	}
-	return len(fresh), nil
+	return s.certs[from:len(s.certs):len(s.certs)], sealErr
 }
 
 // sealLocked closes the active segment, records it (with checksum) in the
@@ -450,25 +467,22 @@ func (s *Store) SetCheckpoint(cp Checkpoint) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.cp != nil && *s.cp == cp {
+	if old := s.pub.Load().cp; old != nil && *old == cp {
 		return nil
 	}
 	if err := writeFileAtomic(filepath.Join(s.dir, checkpointName), append(raw, '\n')); err != nil {
 		return err
 	}
-	s.cp = &cp
-	mCheckpointN.Set(float64(cp.NextIndex))
+	s.publish(&cp)
 	return nil
 }
 
 // Checkpoint returns the persisted resume point, if any.
 func (s *Store) Checkpoint() (Checkpoint, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.cp == nil {
-		return Checkpoint{}, false
+	if cp := s.pub.Load().cp; cp != nil {
+		return *cp, true
 	}
-	return *s.cp, true
+	return Checkpoint{}, false
 }
 
 // Close flushes and closes the active segment. The store rejects writes
@@ -488,27 +502,15 @@ func (s *Store) Close() error {
 }
 
 // SegmentCount returns sealed segments + the active one.
-func (s *Store) SegmentCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.man.Sealed) + 1
-}
+func (s *Store) SegmentCount() int { return s.pub.Load().segs }
 
 // Len returns the number of stored (deduplicated) certificates.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.certs)
-}
+func (s *Store) Len() int { return len(s.pub.Load().certs) }
 
 // Certs returns a snapshot copy of the stored certificates in insertion
 // order. Callers may keep or sort it freely.
 func (s *Store) Certs() []*x509sim.Certificate {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*x509sim.Certificate, len(s.certs))
-	copy(out, s.certs)
-	return out
+	return append([]*x509sim.Certificate{}, s.pub.Load().certs...)
 }
 
 // ByKey resolves a CRL (issuer, serial) join key.

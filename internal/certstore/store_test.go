@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -326,19 +327,39 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			if err := s.SetCheckpoint(Checkpoint{NextIndex: uint64(at + perBatch)}); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
-	// The readers call nothing that takes Store.mu: commit holds it across a
-	// whole batch, so a reader waiting on it would never meet a batch mid-way.
+	// No reader takes Store.mu, which commit holds across a whole batch, so
+	// these readers meet batches mid-way.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			lastLen := 0
 			for i := 0; ; i++ {
 				select {
 				case <-written:
 					return
 				default:
+				}
+				// The checkpoint is set after its batch's commit, so it never
+				// runs ahead of the certificates it covers.
+				cp, _ := s.Checkpoint()
+				n := s.Len()
+				if n < lastLen || n%perBatch != 0 || cp.NextIndex > uint64(n) {
+					t.Errorf("Len %d after %d, checkpoint at %d: want whole batches, never fewer, none past the checkpoint's", n, lastLen, cp.NextIndex)
+					return
+				}
+				lastLen = n
+				if i%64 == 0 {
+					if got := s.Certs(); len(got) < n || len(got)%perBatch != 0 || !reflect.DeepEqual(got[:n], certs[:n]) {
+						t.Errorf("Certs = %d certificates after Len %d, want whole batches in order", len(got), n)
+						return
+					}
 				}
 				// Newest first: an unfinished batch is at the list's end.
 				list := s.ByE2LD(fmt.Sprintf("rw%03d.com", i%domains))
@@ -364,6 +385,82 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 	wg.Wait()
 	if s.Len() != len(certs) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(certs))
+	}
+}
+
+// TestReadersDoNotWaitOnCommit holds a commit inside its fsync, with
+// Store.mu held. Len, Checkpoint, SegmentCount and Certs must answer
+// meanwhile, with what the last commit published.
+func TestReadersDoNotWaitOnCommit(t *testing.T) {
+	s := openTemp(t, Options{})
+	first := []*x509sim.Certificate{
+		mkCert(t, 1, []string{"held.example.com"}, 0, 100),
+		mkCert(t, 2, []string{"held.example.org"}, 0, 100),
+	}
+	if _, err := s.Append(first); err != nil {
+		t.Fatal(err)
+	}
+	cp := Checkpoint{LogName: "held", NextIndex: 2}
+	if err := s.SetCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	inSync, release := make(chan struct{}), make(chan struct{})
+	syncFile = func(f *os.File) error {
+		close(inSync)
+		<-release
+		return f.Sync()
+	}
+	committed := make(chan error)
+	go func() {
+		_, err := s.Append([]*x509sim.Certificate{mkCert(t, 3, []string{"held.example.net"}, 0, 100)})
+		committed <- err
+	}()
+	<-inSync
+
+	type seen struct {
+		n, segs int
+		cp      Checkpoint
+		ok      bool
+		certs   []*x509sim.Certificate
+		took    time.Duration
+	}
+	read := make(chan seen, 1)
+	go func() {
+		began := time.Now()
+		var v seen
+		v.n = s.Len()
+		v.cp, v.ok = s.Checkpoint()
+		v.segs = s.SegmentCount()
+		v.certs = s.Certs()
+		v.took = time.Since(began)
+		read <- v
+	}()
+	var v seen
+	answered := false
+	select {
+	case v = <-read:
+		answered = true
+	case <-time.After(time.Second):
+	}
+	close(release)
+	err := <-committed
+	syncFile = (*os.File).Sync
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !answered {
+		<-read
+		t.Fatal("the readers waited out a commit held in its fsync")
+	}
+	if v.took > 10*time.Millisecond {
+		t.Fatalf("the readers took %v while a commit was held in its fsync", v.took)
+	}
+	if v.n != 2 || !v.ok || v.cp != cp || v.segs != 1 || !reflect.DeepEqual(v.certs, first) {
+		t.Fatalf("during the held commit: Len %d, Checkpoint %+v %v, SegmentCount %d, Certs %d; want the last commit's 2, %+v, 1",
+			v.n, v.cp, v.ok, v.segs, len(v.certs), cp)
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d after the held commit returned, want 3", s.Len())
 	}
 }
 

@@ -270,8 +270,6 @@ func (c *Client) GetConsistency(ctx context.Context, first, second uint64) ([]me
 
 // ScrapeOptions tunes Scrape.
 type ScrapeOptions struct {
-	// BatchSize is the get-entries page size (default MaxEntriesPerGet).
-	BatchSize uint64
 	// From resumes scraping at this index (for incremental monitors).
 	From uint64
 }
@@ -308,15 +306,8 @@ func (c *Client) ScrapePages(ctx context.Context, sth SignedTreeHead, opts Scrap
 	} else {
 		mScrapeLag.Set(0)
 	}
-	batch := opts.BatchSize
-	if batch == 0 {
-		batch = MaxEntriesPerGet
-	}
 	for start := opts.From; start < sth.Size; {
-		end := start + batch - 1
-		if end >= sth.Size {
-			end = sth.Size - 1
-		}
+		end := min(start+MaxEntriesPerGet, sth.Size) - 1
 		got, err := c.GetEntries(ctx, start, end)
 		if err != nil {
 			return fmt.Errorf("ctlog: scrape [%d,%d]: %w", start, end, err)

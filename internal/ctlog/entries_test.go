@@ -196,8 +196,22 @@ func TestGetEntriesRejectsOverlongPage(t *testing.T) {
 	if got, err := client.GetEntries(ctx, 4, 9); err == nil || !strings.Contains(err.Error(), "returned 9 entries") {
 		t.Fatalf("GetEntries(4, 9) from a log that sends 9 = %d entries, %v", len(got), err)
 	}
-	if _, _, err := client.Scrape(ctx, ScrapeOptions{BatchSize: 10}); err == nil {
-		t.Fatal("Scrape accepted over-long pages")
+	// A round's last page runs past its head once the log has grown since.
+	sth, err := client.GetSTH(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 3; i++ {
+		c, err := x509sim.New(x509sim.SerialNumber(100+i), 1, x509sim.KeyID(100+i), []string{"late.example.com"}, 10, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.AddChain(c, 200); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.ScrapePages(ctx, sth, ScrapeOptions{From: sth.Size - 10}, func([]Entry) error { return nil }); err == nil || !strings.Contains(err.Error(), "returned 13 entries") {
+		t.Fatalf("ScrapePages over a page past its head = %v", err)
 	}
 	// A short page stays legal: the server may return fewer.
 	short := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -216,11 +230,25 @@ func TestGetEntriesRejectsOverlongPage(t *testing.T) {
 	}
 }
 
+// pagesOf serves get-entries pages of at most n entries, as a log may.
+func pagesOf(n int, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/ct/v1/get-entries" {
+			q := r.URL.Query()
+			start, _ := strconv.Atoi(q.Get("start"))
+			end, _ := strconv.Atoi(q.Get("end"))
+			q.Set("end", strconv.Itoa(min(end, start+n-1)))
+			r.URL.RawQuery = q.Encode()
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 // TestScrapePagesStopsOnCallbackError: the callback's error ends the round
 // and comes back unwrapped, after exactly the pages delivered so far.
 func TestScrapePagesStopsOnCallbackError(t *testing.T) {
 	l := variedLog(t)
-	ts := httptest.NewServer(NewServer(l).Handler())
+	ts := httptest.NewServer(pagesOf(8, NewServer(l).Handler()))
 	defer ts.Close()
 	stop := errors.New("enough")
 	var seen []uint64
@@ -229,7 +257,7 @@ func TestScrapePagesStopsOnCallbackError(t *testing.T) {
 	if err != nil || sth.Size != l.Size() {
 		t.Fatalf("get-sth = size %d of %d, %v", sth.Size, l.Size(), err)
 	}
-	err = client.ScrapePages(context.Background(), sth, ScrapeOptions{BatchSize: 8},
+	err = client.ScrapePages(context.Background(), sth, ScrapeOptions{},
 		func(page []Entry) error {
 			seen = append(seen, page[0].Index)
 			if len(seen) == 3 {

@@ -140,7 +140,11 @@ func TestHTTPBatchLimitPaging(t *testing.T) {
 }
 
 func TestHTTPScrapeWithInclusionVerification(t *testing.T) {
-	_, srv, client := newTestServer(t)
+	l := New("wiretest", Shard{})
+	srv := NewServer(l)
+	ts := httptest.NewServer(pagesOf(10, srv.Handler()))
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 	srv.SetNow(7)
 	for i := 0; i < 33; i++ {
@@ -149,7 +153,7 @@ func TestHTTPScrapeWithInclusionVerification(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, sth, err := client.Scrape(ctx, ScrapeOptions{BatchSize: 10})
+	entries, sth, err := client.Scrape(ctx, ScrapeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,10 +110,8 @@ func IsSubdomain(child, parent string) bool {
 	if parent == "" {
 		return false
 	}
-	if child == parent {
-		return true
-	}
-	return strings.HasSuffix(child, "."+parent)
+	n := len(child) - len(parent)
+	return n >= 0 && child[n:] == parent && (n == 0 || child[n-1] == '.')
 }
 
 // MatchWildcard reports whether pattern (possibly "*.example.com") covers

@@ -93,6 +93,8 @@ func TestIsSubdomain(t *testing.T) {
 		{"example.com", "a.example.com", false},
 		{"deep.a.example.com", "example.com", true},
 		{"example.com", "", false},
+		{"xcloudflaressl.com", "cloudflaressl.com", false}, // suffix, not at a label boundary
+		{"example.org", "example.com", false},              // equal length, mismatch
 	}
 	for _, c := range cases {
 		if got := IsSubdomain(c.child, c.parent); got != c.want {
