@@ -180,18 +180,13 @@ func main() {
 		CacheEntries: *cacheEntries,
 		CacheTTL:     *cacheTTL,
 	})
-	// Evidence failures — a failed gather, a remote source that failed the last
-	// time it was asked (a domain it cannot matter to does not ask it, so only
-	// its own next answer clears it), or a CA whose CRL refresh failed and is
-	// served from its last-good list — degrade readiness (200 with a degraded
-	// body) rather than flipping the daemon unready: queries still answer from
-	// last-good.
-	obs.DefaultHealth().Register("evidence", func(ctx context.Context) error {
-		if err := srv.EvidenceProbe(ctx); err != nil {
-			return err
-		}
-		return obs.Degraded(gather.Failing())
-	})
+	// Evidence failures — a remote source that failed the last time it was
+	// asked (a domain it cannot matter to does not ask it, so only its own
+	// next answer clears it), or a CA whose CRL refresh failed and is served
+	// from its last-good list — degrade readiness (200 with a degraded body)
+	// rather than flipping the daemon unready: queries still answer from
+	// last-good. The gatherer is the one record of them.
+	obs.DefaultHealth().Register("evidence", func(context.Context) error { return obs.Degraded(gather.Failing()) })
 
 	go ing.Run(ctx, *interval, func(stored []*x509sim.Certificate, err error) {
 		switch {

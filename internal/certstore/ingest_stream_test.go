@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -107,10 +108,11 @@ func TestSyncSurvivesFailureBetweenBatches(t *testing.T) {
 				return Open(opts)
 			}
 			configure := func(st *Store) *Ingester { return NewIngester(st, impatientClient(ts)) }
+			ring := shard.MustRing(slice.Count, shard.DefaultVNodes)
 			kept := func(upTo int) []*x509sim.Certificate {
 				var out []*x509sim.Certificate
 				for _, c := range certs[:upTo] {
-					if !sharded || shard.KeepFunc(*slice, psl.Default())(c) {
+					if !sharded || slices.Contains(shard.CertOwners(ring, psl.Default(), c), slice.Index) {
 						out = append(out, c)
 					}
 				}

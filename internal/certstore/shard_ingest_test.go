@@ -175,36 +175,43 @@ func TestShardedIngestValidation(t *testing.T) {
 	ingest(Options{Dir: plain})
 }
 
-// TestParentShardFileOpens: testdata/parent-shard is an empty store the
-// commit before Open took the slice pinned to slice 1/3. It opens as 1/3 and
-// as nothing else, and pinning a fresh store to 1/3 writes the same bytes.
-func TestParentShardFileOpens(t *testing.T) {
+// TestParentShardFileIsRefused: testdata/parent-shard is an empty store
+// pinned to slice 1/3 under epoch 1, whose placement keys still held the
+// provider marker. It opens as no slice, each refusal asking for a re-ingest,
+// and pinning a fresh store to 1/3 writes the same bytes under epoch 2.
+func TestParentShardFileIsRefused(t *testing.T) {
 	const parent = "testdata/parent-shard"
 	slice := &shard.Assignment{Index: 1, Count: 3}
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(parent)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{Dir: dir}); err == nil {
-		t.Fatal("the parent's 1/3 store opened unsharded")
+	for _, opts := range []Options{{Dir: dir}, {Dir: dir, Slice: slice}} {
+		st, err := Open(opts)
+		if err == nil {
+			st.Close()
+			t.Fatalf("the epoch-1 store opened as slice %v", opts.Slice)
+		}
+		if !strings.Contains(err.Error(), "of epoch 1") || !strings.Contains(err.Error(), "re-ingest it into a fresh store") {
+			t.Fatalf("open as slice %v: %v, want the epoch-1 pin refused with a re-ingest", opts.Slice, err)
+		}
 	}
-	st, err := Open(Options{Dir: dir, Slice: slice})
-	if err != nil {
-		t.Fatalf("open the parent-pinned store: %v", err)
-	}
-	st.Close()
 
 	fresh := t.TempDir()
-	st, err = Open(Options{Dir: fresh, Slice: slice})
+	st, err := Open(Options{Dir: fresh, Slice: slice})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	want, err := os.ReadFile(filepath.Join(parent, shardFileName))
+	old, err := os.ReadFile(filepath.Join(parent, shardFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := bytes.Replace(old, []byte(`"epoch": 1,`), []byte(`"epoch": 2,`), 1)
+	if bytes.Equal(want, old) {
+		t.Fatalf("%s pins no epoch 1: %q", parent, old)
+	}
 	if got, err := os.ReadFile(filepath.Join(fresh, shardFileName)); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("SHARD for 1/3 = %q, %v; the parent wrote %q", got, err, want)
+		t.Fatalf("SHARD for 1/3 = %q, %v; want %q", got, err, want)
 	}
 }

@@ -23,9 +23,9 @@ import (
 
 // api serves the rig's certificates from a certstore through staleapi, wired
 // as cmd/staleapid wires it: the rig's gatherer over the store, and an
-// evidence probe folding the server's last gather, the gatherer's per-source
-// memory and the snapshot's lagging CAs. Every request is a miss (1 ns TTL)
-// whose verdict is retained as last-good.
+// evidence probe reporting what the gatherer says is failing (its per-source
+// memory, then the snapshot's lagging CAs). Every request is a miss (1 ns
+// TTL) whose verdict is retained as last-good.
 func (r *rig) api(t *testing.T) *httptest.Server {
 	t.Helper()
 	store, err := certstore.Open(certstore.Options{Dir: t.TempDir()})
@@ -46,12 +46,7 @@ func (r *rig) api(t *testing.T) *httptest.Server {
 		CacheTTL: time.Nanosecond,
 		Health:   health,
 	})
-	health.Register("evidence", func(ctx context.Context) error {
-		if err := srv.EvidenceProbe(ctx); err != nil {
-			return err
-		}
-		return obs.Degraded(g.Failing())
-	})
+	health.Register("evidence", func(context.Context) error { return obs.Degraded(g.Failing()) })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts

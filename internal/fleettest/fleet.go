@@ -139,7 +139,7 @@ func Start(t testing.TB, spec Spec) *Fleet {
 	// closes slowly, so a kill stays visible on /v1/breakers.
 	f.Gateway = Serve(t, "stalegw", 0)
 	breakers := resil.NewBreakerSet(resil.BreakerConfig{Service: spec.Name + "-gw",
-		MinRequests: 2, Threshold: 0.5, Cooldown: time.Minute})
+		MinRequests: 2, Cooldown: time.Minute})
 	gw, err := stalegw.New(stalegw.Config{
 		Shards: shards,
 		Client: resil.NewHTTPClient(resil.Options{Service: "stalegw", Breaker: breakers, Spans: f.Gateway.Spans,

@@ -40,10 +40,12 @@ func (s State) String() string {
 }
 
 // The sliding failure-rate window every breaker judges its peer over, kept in
-// breakerBuckets slices so old outcomes age out a slice at a time.
+// breakerBuckets slices so old outcomes age out a slice at a time, and the
+// failure fraction in it that opens the circuit.
 const (
-	breakerWindow  = 30 * time.Second
-	breakerBuckets = 10
+	breakerWindow    = 30 * time.Second
+	breakerBuckets   = 10
+	breakerThreshold = 0.5
 )
 
 // BreakerConfig tunes a BreakerSet. The zero value applies the documented
@@ -51,9 +53,6 @@ const (
 type BreakerConfig struct {
 	// Service labels the breaker metric families.
 	Service string
-	// Threshold is the failure fraction in the window that opens the
-	// circuit (default 0.5).
-	Threshold float64
 	// MinRequests is the window volume below which the circuit never opens
 	// (default 10) — a single failed call out of one must not trip.
 	MinRequests int
@@ -69,9 +68,6 @@ type BreakerConfig struct {
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Service == "" {
 		c.Service = "unnamed"
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.5
 	}
 	if c.MinRequests <= 0 {
 		c.MinRequests = 10
@@ -254,7 +250,7 @@ func (b *Breaker) reportClosed(o Outcome) {
 	// in the window but must not re-trip.
 	var notify func()
 	if okN, failN := b.window(); !ok && b.state == Closed && okN+failN >= uint64(b.cfg.MinRequests) &&
-		float64(failN)/float64(okN+failN) >= b.cfg.Threshold {
+		float64(failN)/float64(okN+failN) >= breakerThreshold {
 		notify = b.transition(Open, now)
 	}
 	b.mu.Unlock()

@@ -11,7 +11,6 @@ import (
 func testBreakerConfig(fc *FakeClock) BreakerConfig {
 	return BreakerConfig{
 		Service:     "test",
-		Threshold:   0.5,
 		MinRequests: 4,
 		Cooldown:    5 * time.Second,
 		Clock:       fc,

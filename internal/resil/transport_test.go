@@ -240,7 +240,7 @@ func TestTransportBreakerIntegration(t *testing.T) {
 		return nil, errors.New("reset")
 	})
 	breakers := NewBreakerSet(BreakerConfig{
-		Service: "test", MinRequests: 4, Threshold: 0.5, Clock: fc,
+		Service: "test", MinRequests: 4, Clock: fc,
 		Cooldown: 5 * time.Second,
 	})
 	tr := &Transport{Base: base, Policy: fastPolicy(fc), Breakers: breakers}

@@ -7,14 +7,15 @@ import (
 	"testing"
 
 	"stalecert/internal/core"
+	"stalecert/internal/monitor"
 	"stalecert/internal/psl"
 	"stalecert/internal/x509sim"
 )
 
 // keepCorpus is a seeded mix of the certificate shapes placement has cases
 // for: single names, www pairs, wildcards, boats (a provider-marker SAN plus
-// customer domains, some sharing an e2LD), and names with no registrable
-// domain alone or beside a registrable one.
+// customer domains, some sharing an e2LD), names with no registrable domain
+// alone or beside a registrable one, and a marker SAN alone.
 func keepCorpus(t *testing.T, seed uint64, n int) []*x509sim.Certificate {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0))
@@ -24,7 +25,7 @@ func keepCorpus(t *testing.T, seed uint64, n int) []*x509sim.Certificate {
 	certs := make([]*x509sim.Certificate, 0, n)
 	for i := 0; len(certs) < n; i++ {
 		var names []string
-		switch rng.IntN(6) {
+		switch rng.IntN(7) {
 		case 0:
 			names = []string{domain()}
 		case 1:
@@ -43,6 +44,8 @@ func keepCorpus(t *testing.T, seed uint64, n int) []*x509sim.Certificate {
 			if rng.IntN(2) == 0 {
 				names = append(names, domain())
 			}
+		case 6:
+			names = []string{fmt.Sprintf("sni%05d.%s", rng.IntN(1000), monitor.MarkerSuffix)}
 		}
 		c, err := x509sim.New(x509sim.SerialNumber(i+1), 1, x509sim.KeyID(i+1), names, 100, 500)
 		if err != nil {
@@ -83,5 +86,56 @@ func TestKeepsMatchesCertOwners(t *testing.T) {
 	}
 	if bare == 0 || boats == 0 {
 		t.Fatalf("corpora hold %d certificates with no registrable domain and %d on several slices; want both", bare, boats)
+	}
+}
+
+// The provider marker is no placement key: a boat whose customers all lie off
+// the marker's slice is not kept there, and a certificate naming only the
+// marker is kept where its fingerprint places it.
+func TestMarkerIsNotAPlacementKey(t *testing.T) {
+	const count = 4
+	r := MustRing(count, DefaultVNodes)
+	list := psl.Default()
+	markerSlice := r.Lookup(KeyForDomain(monitor.MarkerSuffix))
+	check := func(c *x509sim.Certificate, want int) {
+		t.Helper()
+		if got := CertOwners(r, list, c); !slices.Equal(got, []int{want}) {
+			t.Fatalf("%v is owned by %v, want [%d] (the marker's slice is %d)", c.Names, got, want, markerSlice)
+		}
+		for index := 0; index < count; index++ {
+			if Keeps(r, index, core.CertE2LDs(list, c), c.Fingerprint()) != (index == want) {
+				t.Fatalf("slice %d's ingest filter disagrees with %v's owner %d", index, c.Names, want)
+			}
+		}
+	}
+
+	// A boat of five customers, all on one slice that is not the marker's.
+	var customers []string
+	for i := 0; len(customers) < 10; i++ {
+		d := fmt.Sprintf("cust%03d.com", i)
+		if r.Lookup(KeyForDomain(d)) == (markerSlice+1)%count {
+			customers = append(customers, d, "*."+d)
+		}
+	}
+	boat, err := x509sim.New(1, 1, 1, append([]string{"sni1." + monitor.MarkerSuffix}, customers...), 100, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(boat, (markerSlice+1)%count)
+
+	// Marker-only certificates, one whose fingerprint lies off the marker's
+	// slice among them.
+	off := false
+	for serial := 1; serial <= 8; serial++ {
+		c, err := x509sim.New(x509sim.SerialNumber(serial), 1, x509sim.KeyID(serial), []string{fmt.Sprintf("sni%d.%s", serial, monitor.MarkerSuffix)}, 100, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		home := r.Lookup(KeyForFingerprint(c.Fingerprint().Hex()))
+		off = off || home != markerSlice
+		check(c, home)
+	}
+	if !off {
+		t.Fatal("every marker-only certificate's fingerprint lies on the marker's slice; want one off it")
 	}
 }

@@ -5,12 +5,12 @@
 // The partition key is the registrable domain (e2LD): the paper's staleness
 // verdict is a per-domain computation over the domain's *whole* certificate
 // history, so a domain's certificates must co-locate on one shard for the
-// verdict to stay a single lookup. Certificates inherit their owner set from
-// their SANs' e2LDs (a certificate spanning several e2LDs is kept by every
-// owning shard so each domain's history stays complete); a certificate with
-// no registrable name falls back to its fingerprint. Point lookups by bare
-// fingerprint cannot recover the e2LD, so the query gateway scatter-gathers
-// those — see internal/stalegw.
+// verdict to stay a single lookup. A certificate's placement keys (keys.go)
+// are its SANs' e2LDs except the provider marker's, which names no domain
+// anyone operates; it is kept by every shard owning one, so each domain's
+// history stays complete, and falls back to its fingerprint when no key
+// remains. Point lookups by bare fingerprint cannot recover the e2LD, so the
+// query gateway scatter-gathers those — see internal/stalegw.
 //
 // Hashing is FNV-1a finished with a splitmix64 avalanche (the same finalizer
 // loadgen's PRNG and the trace tail-sampler use), so placement is a pure
@@ -39,10 +39,11 @@ const DefaultVNodes = 128
 
 // Epoch numbers the placement this build computes. Every replica and gateway
 // of one build reports it, and a store's SHARD file pins it. A change that
-// moves any certificate to another slice (the hash, the vnodes, the names
-// CertOwners keys on) bumps it in the same diff: stores pinned under the old
-// epoch then refuse to open and are rebuilt by re-ingesting the log.
-const Epoch = 1
+// moves any certificate to another slice (the hash, the vnodes, the
+// placement keys) bumps it in the same diff: stores pinned under the old
+// epoch then refuse to open and are rebuilt by re-ingesting the log. Epoch 2
+// dropped the provider marker from the placement keys.
+const Epoch = 2
 
 // maxRingPoints bounds shards × vnodes (16 MiB of points): the slice count
 // comes from a flag (stalegw's -shards, staleapid's -shard i/N), and a
@@ -124,11 +125,6 @@ func MustRing(n, v int) *Ring {
 // Lookup returns the shard owning key: the owner of the first virtual node
 // at or clockwise of the key's ring position.
 func (r *Ring) Lookup(key string) int { return r.owner(hash64("", key)) }
-
-// lookupDomain is Lookup(KeyForDomain(e2ld)) without building the key.
-func (r *Ring) lookupDomain(e2ld string) int {
-	return r.owner(hash64(domainKeyPrefix, domainKeyBody(e2ld)))
-}
 
 // owner returns the shard of the first virtual node at or clockwise of pos.
 func (r *Ring) owner(pos uint64) int {

@@ -3,8 +3,10 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"stalecert/internal/core"
 	"stalecert/internal/psl"
 	"stalecert/internal/x509sim"
 )
@@ -116,12 +118,9 @@ func TestCertOwnersCoRouteWithDomain(t *testing.T) {
 		if len(owners) != 1 || owners[0] != want {
 			t.Fatalf("cert for %s owned by %v, domain routes to %d", domain, owners, want)
 		}
-		if !KeepFunc(Assignment{Index: want, Count: shards}, list)(cert) {
-			t.Fatalf("KeepFunc(%d) rejected %s's certificate", want, domain)
-		}
 		for idx := 0; idx < shards; idx++ {
-			if idx != want && KeepFunc(Assignment{Index: idx, Count: shards}, list)(cert) {
-				t.Fatalf("KeepFunc(%d) kept %s's certificate owned by %d", idx, domain, want)
+			if Keeps(r, idx, core.CertE2LDs(list, cert), cert.Fingerprint()) != slices.Contains(owners, idx) {
+				t.Fatalf("slice %d's ingest filter disagrees with %s's owners %v", idx, domain, owners)
 			}
 		}
 	}

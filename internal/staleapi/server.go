@@ -50,11 +50,6 @@ type Server struct {
 	now      func() simtime.Day
 	cache    *lru.Cache
 	health   *obs.Health
-
-	// evMu guards evErr, the most recent evidence outcome backing
-	// EvidenceProbe.
-	evMu  sync.Mutex
-	evErr error
 }
 
 // Config assembles a Server.
@@ -401,7 +396,6 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 	v, info, err := s.cache.Do("staleness:"+domain, func() (any, error) { return s.staleness(ctx, domain) })
 	if err != nil {
 		mEvidenceErrors.Inc()
-		s.noteEvidence(err)
 		status := http.StatusBadGateway
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout
@@ -421,13 +415,10 @@ func (s *Server) handleStaleness(w http.ResponseWriter, r *http.Request) {
 		// marked degraded rather than 502ing the query, aged from its oldest
 		// remote answer (the verdict is Dated).
 		mEvidenceErrors.Inc()
-		s.noteEvidence(fmt.Errorf("serving stale evidence for %s", domain))
 		resp.Degraded = true
 		resp.EvidenceAge = info.Age.Round(time.Millisecond).String()
 		w.Header().Set(obs.StaleEvidenceHeader,
 			fmt.Sprintf("staleness:%s age=%s", domain, resp.EvidenceAge))
-	} else {
-		s.noteEvidence(nil)
 	}
 	obs.WriteBody(w, http.StatusOK, obs.JSONContentType, stalenessBody(&resp))
 }
@@ -455,24 +446,6 @@ func (v *cachedVerdict) hit() []byte {
 		v.hitBody = stalenessBody(&resp)
 	})
 	return v.hitBody
-}
-
-// noteEvidence tracks the last gather's outcome behind the evidence-degraded
-// readiness probe: a failure flips /readyz to degraded (200 — the daemon still
-// answers, on last-good data), the next gather that succeeds clears it.
-func (s *Server) noteEvidence(err error) {
-	s.evMu.Lock()
-	s.evErr = err
-	s.evMu.Unlock()
-}
-
-// EvidenceProbe is a readiness probe reporting degraded (not unready) while
-// the most recent evidence gathering failed. Register it with the daemon's
-// Health.
-func (s *Server) EvidenceProbe(context.Context) error {
-	s.evMu.Lock()
-	defer s.evMu.Unlock()
-	return obs.Degraded(s.evErr)
 }
 
 // staleness computes one domain's verdict: gather evidence, run the shared

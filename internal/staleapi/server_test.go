@@ -222,8 +222,7 @@ func TestStalenessEvidenceErrors(t *testing.T) {
 // TestStalenessServesDegradedFromLastGood is the serve-stale contract: when
 // live evidence fails but an expired verdict is retained, the endpoint
 // answers 200 with "degraded": true, the evidence age, and an
-// X-Stale-Evidence header instead of a 502 — and /readyz reports degraded
-// (200) rather than unready (503).
+// X-Stale-Evidence header instead of a 502.
 func TestStalenessServesDegradedFromLastGood(t *testing.T) {
 	store, certs := newTestStore(t)
 	var fail atomic.Bool
@@ -238,21 +237,19 @@ func TestStalenessServesDegradedFromLastGood(t *testing.T) {
 			RevocationCutoff: simtime.NoDay,
 		}, nil
 	}
-	health := obs.NewHealth()
 	srv := NewServer(Config{
 		Store:    store,
 		Evidence: evidence,
 		Now:      func() simtime.Day { return simtime.MustParse("2023-01-01") },
 		CacheTTL: time.Minute,
-		Health:   health,
+		Health:   obs.NewHealth(),
 	})
-	health.Register("evidence", srv.EvidenceProbe)
 	clock := time.Unix(1000, 0)
 	srv.cache.SetClock(func() time.Time { return clock })
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Healthy round: fresh verdict, no degradation, probe clean.
+	// Healthy round: fresh verdict, no degradation.
 	resp, body := get(t, ts, "/v1/domain/alpha.com/staleness")
 	var sr StalenessResponse
 	if err := json.Unmarshal(body, &sr); err != nil || sr.Degraded || len(sr.Stale) != 1 {
@@ -260,9 +257,6 @@ func TestStalenessServesDegradedFromLastGood(t *testing.T) {
 	}
 	if h := resp.Header.Get(obs.StaleEvidenceHeader); h != "" {
 		t.Fatalf("healthy response carries %s: %q", obs.StaleEvidenceHeader, h)
-	}
-	if err := srv.EvidenceProbe(context.Background()); err != nil {
-		t.Fatalf("probe after success = %v", err)
 	}
 
 	// Entry expires and evidence starts failing: last-good served degraded.
@@ -282,32 +276,18 @@ func TestStalenessServesDegradedFromLastGood(t *testing.T) {
 		t.Fatalf("%s = %q", obs.StaleEvidenceHeader, h)
 	}
 
-	// Readiness is degraded (200 with a degraded body), not unready (503).
-	err := srv.EvidenceProbe(context.Background())
-	if !obs.IsDegraded(err) {
-		t.Fatalf("probe after degraded serve = %v, want degraded", err)
-	}
-	resp, body = get(t, ts, "/readyz")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "degraded evidence") {
-		t.Fatalf("readyz = %d: %s", resp.StatusCode, body)
-	}
-
 	// A domain with no retained verdict still surfaces the hard error.
 	resp, _ = get(t, ts, "/v1/domain/beta.org/staleness")
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("cold-domain status = %d", resp.StatusCode)
 	}
 
-	// Recovery: evidence heals, the next query replaces the stale entry and
-	// clears the probe.
+	// Recovery: evidence heals, the next query replaces the stale entry.
 	fail.Store(false)
 	_, body = get(t, ts, "/v1/domain/alpha.com/staleness")
 	sr = StalenessResponse{} // degraded/evidence_age are omitempty: start clean
 	if err := json.Unmarshal(body, &sr); err != nil || sr.Degraded || sr.EvidenceAge != "" {
 		t.Fatalf("recovered payload = %+v, %v", sr, err)
-	}
-	if err := srv.EvidenceProbe(context.Background()); err != nil {
-		t.Fatalf("probe after recovery = %v", err)
 	}
 }
 
@@ -329,10 +309,10 @@ func TestCacheMetricFamilies(t *testing.T) {
 	}
 }
 
-// TestCacheHitDoesNotClearEvidenceProbe: a hit gathered nothing, so it says
-// nothing about the sources — with evidence failing, hits on a hot key must
-// not flap /readyz back to ready between the misses that keep failing.
-func TestCacheHitDoesNotClearEvidenceProbe(t *testing.T) {
+// TestCacheHitServedWhileEvidenceFails: a hit gathers nothing, so with
+// evidence failing a hot key is still served from the cache between the
+// misses that fail, and a miss answers again once evidence heals.
+func TestCacheHitServedWhileEvidenceFails(t *testing.T) {
 	store, _ := newTestStore(t)
 	var fail atomic.Bool
 	srv := NewServer(Config{
@@ -361,15 +341,9 @@ func TestCacheHitDoesNotClearEvidenceProbe(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil || !sr.Cached {
 		t.Fatalf("hot key = %+v, %v, want a cache hit", sr, err)
 	}
-	if err := srv.EvidenceProbe(context.Background()); !obs.IsDegraded(err) {
-		t.Fatalf("probe after a failed gather and a hit on another key = %v, want degraded", err)
-	}
 	fail.Store(false)
 	if resp, body := get(t, ts, "/v1/domain/gamma.net/staleness"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovered miss = %d: %s", resp.StatusCode, body)
-	}
-	if err := srv.EvidenceProbe(context.Background()); err != nil {
-		t.Fatalf("probe after a gather that succeeded = %v", err)
 	}
 }
 

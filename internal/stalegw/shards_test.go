@@ -77,7 +77,7 @@ func TestGatewayShardmap(t *testing.T) {
 	gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/shardmap", nil))
 	const want = `{
   "version": 1,
-  "epoch": 1,
+  "epoch": 2,
   "hash": "fnv1a-splitmix64",
   "vnodes": 128,
   "shards": [
